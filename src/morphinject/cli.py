@@ -102,6 +102,16 @@ def _read_lines(path: str) -> list[str]:
     return Path(path).read_text("utf-8").splitlines()
 
 
+def _read_corpus(path: str) -> list[str]:
+    """Corpus lines split on LF only; a "\r" stays in the line, where the
+    corpus check rejects it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         _write_atomic(out, json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n")
@@ -231,11 +241,11 @@ def cmd_build_dict(args) -> int:
 
 def cmd_inject(args) -> int:
     _check_inputs(args.source, args.target, args.dict)
-    with open(args.source, encoding="utf-8") as s, open(args.target, encoding="utf-8") as t:
-        corpus = ci.parse_factored_corpus(
-            s, t, auto_normalize=args.auto_normalize,
-            source_name=args.source, target_name=args.target,
-        )
+    corpus = ci.parse_factored_corpus(
+        _read_corpus(args.source), _read_corpus(args.target),
+        auto_normalize=args.auto_normalize,
+        source_name=args.source, target_name=args.target,
+    )
     dictionary = _named(args.dict, lambda: db.parse_dictionary(_read_lines(args.dict)))
     out_corpus, report = ci.inject(corpus, dictionary, mode=args.mode)
     _write_atomic_many([
@@ -248,14 +258,14 @@ def cmd_inject(args) -> int:
 
 def cmd_sparsity(args) -> int:
     _check_inputs(args.train_source, args.train_target, args.probe_source, args.probe_target)
-    with open(args.train_source, encoding="utf-8") as s, open(args.train_target, encoding="utf-8") as t:
-        train = ci.parse_factored_corpus(
-            s, t, source_name=args.train_source, target_name=args.train_target
-        )
-    with open(args.probe_source, encoding="utf-8") as s, open(args.probe_target, encoding="utf-8") as t:
-        probe_corpus = ci.parse_factored_corpus(
-            s, t, source_name=args.probe_source, target_name=args.probe_target
-        )
+    train = ci.parse_factored_corpus(
+        _read_corpus(args.train_source), _read_corpus(args.train_target),
+        source_name=args.train_source, target_name=args.train_target,
+    )
+    probe_corpus = ci.parse_factored_corpus(
+        _read_corpus(args.probe_source), _read_corpus(args.probe_target),
+        source_name=args.probe_source, target_name=args.probe_target,
+    )
     probe = [
         (src_tok, tgt_tok)
         for src, tgt in probe_corpus.pairs
@@ -362,8 +372,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "inject", help="append dictionary entries to a parallel corpus",
         description="Corpus files: one sentence per line, tokens space-separated, "
-                    "factors '|'-separated, LF endings, no trailing whitespace. Entries "
-                    "are appended after the original lines; exact duplicates are skipped.",
+                    "factors '|'-separated, LF endings only (a CR is rejected), no "
+                    "trailing whitespace. Entries are appended after the original lines; "
+                    "exact duplicates are skipped.",
         epilog="JSON report keys: schema_version, entries_offered, entries_added, "
                "duplicates_skipped, normalization_applied.",
     )

@@ -1,24 +1,38 @@
 """Factored parallel corpus I/O and word-form dictionary injection.
 
-Corpus format (bit-exact): UTF-8, LF line endings, tokens separated by
-single spaces, factors by "|", no trailing whitespace. Dictionary
-entries are appended as one-token pseudo-sentence pairs after the
-original lines; the original prefix is never touched or reordered, and
-a pair already present anywhere in the corpus is skipped.
+Corpus format (bit-exact): UTF-8, LF line endings only, tokens separated
+by single spaces, factors by "|", no trailing whitespace. A "\r" or
+"\t" anywhere in a line is rejected, so a CRLF file fails instead of
+being rewritten. "Whitespace" means any character for which
+str.isspace() is true; only a surface-only token (factor width 0) may
+contain whitespace other than the separating spaces. Dictionary entries
+are appended as one-token pseudo-sentence pairs after the original
+lines; the original prefix is never touched or reordered, and a pair
+already present anywhere in the corpus is skipped.
+
+A ParallelCorpus holds the checked lines as strings. Each line is
+checked once, against one full-line pattern for the corpus width; only
+a line that fails it goes through the per-token diagnostics. Injection,
+emission and the sparsity report work on the strings, and
+ParallelCorpus.pairs, the FactoredToken view, is built on demand.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 from .dictionary_builder import (
+    NULL_FACTOR,
     FactoredToken,
     WordFormDictionary,
     normalize_factors,
     strip_to_surface,
 )
 from .errors import (
+    InputError,
     LineCountMismatch,
     MalformedToken,
     RaggedFactorWidth,
@@ -30,25 +44,26 @@ TokenLine = list[FactoredToken]
 
 @dataclass
 class ParallelCorpus:
-    pairs: list[tuple[TokenLine, TokenLine]]
+    """Checked, line-aligned source and target lines, without newlines."""
+
+    src: list[str]
+    tgt: list[str]
+
+    @cached_property
+    def pairs(self) -> list[tuple[TokenLine, TokenLine]]:
+        return [(_tokens(s), _tokens(t)) for s, t in zip(self.src, self.tgt)]
 
     def source_width(self) -> int | None:
-        for src, _ in self.pairs:
-            if src:
-                return src[0].width
-        return None
+        return _width(self.src)
 
     def target_width(self) -> int | None:
-        for _, tgt in self.pairs:
-            if tgt:
-                return tgt[0].width
-        return None
+        return _width(self.tgt)
 
     def source_lines(self) -> list[str]:
-        return [render_line(src) for src, _ in self.pairs]
+        return list(self.src)
 
     def target_lines(self) -> list[str]:
-        return [render_line(tgt) for _, tgt in self.pairs]
+        return list(self.tgt)
 
 
 @dataclass
@@ -72,12 +87,34 @@ def render_line(tokens: TokenLine) -> str:
     return " ".join(t.render() for t in tokens)
 
 
-def _parse_line(line: str, name: str, lineno: int) -> TokenLine:
-    if line != line.rstrip():
-        raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
+def _tokens(line: str) -> TokenLine:
+    return [FactoredToken.parse(t) for t in line.split(" ")] if line else []
+
+
+def _width(lines: list[str]) -> int | None:
+    """Factor width of the first token of the first non-empty line."""
+    for line in lines:
+        if line:
+            return line.partition(" ")[0].count("|")
+    return None
+
+
+def _line_pattern(width: int) -> re.Pattern:
+    # \s matches exactly the characters for which str.isspace() is true
+    token = rf"[^\s|]+(?:\|[^\s|]+){{{width}}}"
+    return re.compile(rf"{token}(?: {token})*")
+
+
+def _parse_line(line: str, name: str, lineno: int, pad_to: int | None = None) -> TokenLine:
+    """Per-token diagnostics: the first problem as name:line:column.
+
+    With pad_to, every token is padded with null factors to that width.
+    """
     if "\r" in line or "\t" in line:
         col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
         raise MalformedToken(f"{name}:{lineno}:{col}: control character in line")
+    if line != line.rstrip():
+        raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
     if not line:
         return []
     tokens = []
@@ -90,33 +127,49 @@ def _parse_line(line: str, name: str, lineno: int) -> TokenLine:
             raise MalformedToken(f"{name}:{lineno}:{col}: token with empty surface")
         if any(p == "" for p in parts[1:]):
             raise MalformedToken(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
-        tokens.append(FactoredToken(parts[0], tuple(parts[1:])))
+        factors = tuple(parts[1:])
+        if pad_to is not None:
+            factors += (NULL_FACTOR,) * (pad_to - len(factors))
+        try:
+            tokens.append(FactoredToken(parts[0], factors))
+        except InputError as exc:
+            raise MalformedToken(f"{name}:{lineno}:{col}: {exc}") from None
         col += len(raw) + 1
     return tokens
 
 
-def _check_width(lines: list[TokenLine], name: str, auto_normalize: bool) -> list[TokenLine]:
-    width: int | None = None
-    first_at: tuple[int, int] | None = None
-    for lineno, tokens in enumerate(lines, 1):
+def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, int]:
+    """Check every line; return where the first ragged token is, if any
+    (line, column), and the widest token's width."""
+    width = _width(lines)
+    if width is None:
+        return None, 0
+    valid = _line_pattern(width).fullmatch
+    ragged_at = None
+    widest = width
+    for lineno, line in enumerate(lines, 1):
+        if valid(line):
+            continue
         col = 1
-        for token in tokens:
-            if width is None:
-                width = token.width
-            elif token.width != width:
-                first_at = (lineno, col)
-                break
+        for token in _parse_line(line, name, lineno):
+            if token.width != width and ragged_at is None:
+                ragged_at = (lineno, col)
+            widest = max(widest, token.width)
             col += len(token.render()) + 1
-        if first_at:
-            break
-    if first_at is None:
+    return ragged_at, widest
+
+
+def _settle_width(
+    lines: list[str], name: str, check: tuple[tuple[int, int] | None, int], auto_normalize: bool
+) -> list[str]:
+    ragged_at, widest = check
+    if ragged_at is None:
         return lines
     if not auto_normalize:
         raise RaggedFactorWidth(
-            f"{name}:{first_at[0]}:{first_at[1]}: factor width differs from first token"
+            f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
         )
-    max_width = max(t.width for tokens in lines for t in tokens)
-    return [normalize_factors(tokens, max_width) for tokens in lines]
+    return [render_line(_parse_line(ln, name, i, widest)) for i, ln in enumerate(lines, 1)]
 
 
 def parse_factored_corpus(
@@ -129,7 +182,9 @@ def parse_factored_corpus(
     """Parse parallel source/target streams into a validated corpus.
 
     The first violation is reported as name:line:column. Ragged factor
-    widths are an error unless auto_normalize pads them out.
+    widths are an error unless auto_normalize pads them out. A trailing
+    "\n" is removed from each line; open files with newline="" so that
+    a "\r" reaches the check instead of being translated away.
     """
     src_lines = [ln.rstrip("\n") for ln in source]
     tgt_lines = [ln.rstrip("\n") for ln in target]
@@ -137,11 +192,13 @@ def parse_factored_corpus(
         raise LineCountMismatch(
             f"{source_name} has {len(src_lines)} lines, {target_name} has {len(tgt_lines)}"
         )
-    parsed_src = [_parse_line(ln, source_name, i) for i, ln in enumerate(src_lines, 1)]
-    parsed_tgt = [_parse_line(ln, target_name, i) for i, ln in enumerate(tgt_lines, 1)]
-    parsed_src = _check_width(parsed_src, source_name, auto_normalize)
-    parsed_tgt = _check_width(parsed_tgt, target_name, auto_normalize)
-    return ParallelCorpus(list(zip(parsed_src, parsed_tgt)))
+    # every malformed token, on either side, is reported before a ragged width
+    src_check = _check_lines(src_lines, source_name)
+    tgt_check = _check_lines(tgt_lines, target_name)
+    return ParallelCorpus(
+        _settle_width(src_lines, source_name, src_check, auto_normalize),
+        _settle_width(tgt_lines, target_name, tgt_check, auto_normalize),
+    )
 
 
 def _entry_line(token: FactoredToken) -> TokenLine:
@@ -182,10 +239,8 @@ def inject(
             "original lines"
         )
 
-    existing = {
-        (render_line(src), render_line(tgt)) for src, tgt in corpus.pairs
-    }
-    out_pairs = list(corpus.pairs)
+    existing = set(zip(corpus.src, corpus.tgt))
+    out_src, out_tgt = list(corpus.src), list(corpus.tgt)
     added = 0
     skipped = 0
     normalized = False
@@ -203,7 +258,8 @@ def inject(
             skipped += 1
             continue
         existing.add(key)
-        out_pairs.append((src_tokens, tgt_tokens))
+        out_src.append(key[0])
+        out_tgt.append(key[1])
         added += 1
     report = InjectionReport(
         entries_offered=len(dictionary.entries),
@@ -211,28 +267,28 @@ def inject(
         duplicates_skipped=skipped,
         normalization_applied=normalized,
     )
-    return ParallelCorpus(out_pairs), report
+    return ParallelCorpus(out_src, out_tgt), report
 
 
 def emit_factored_corpus(corpus: ParallelCorpus, source: IO[str], target: IO[str]) -> None:
     """Write the corpus back out; parse(emit(c)) == c, byte for byte."""
-    for src, tgt in corpus.pairs:
-        source.write(render_line(src) + "\n")
-        target.write(render_line(tgt) + "\n")
+    source.writelines(ln + "\n" for ln in corpus.src)
+    target.writelines(ln + "\n" for ln in corpus.tgt)
 
 
 def validate_widths(corpus: ParallelCorpus) -> list[str]:
     """Return human-readable violations of the uniform-width invariant."""
     problems = []
     for side, width, lines in (
-        ("source", corpus.source_width(), [src for src, _ in corpus.pairs]),
-        ("target", corpus.target_width(), [tgt for _, tgt in corpus.pairs]),
+        ("source", corpus.source_width(), corpus.src),
+        ("target", corpus.target_width(), corpus.tgt),
     ):
-        for lineno, tokens in enumerate(lines, 1):
-            for token in tokens:
-                if token.width != width:
+        for lineno, line in enumerate(lines, 1):
+            for token in line.split(" ") if line else ():
+                token_width = token.count("|")
+                if token_width != width:
                     problems.append(
-                        f"{side}:{lineno}: token {token.render()!r} has width "
-                        f"{token.width}, corpus width is {width}"
+                        f"{side}:{lineno}: token {token!r} has width "
+                        f"{token_width}, corpus width is {width}"
                     )
     return problems

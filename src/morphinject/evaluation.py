@@ -108,6 +108,23 @@ def _step_label(in_names: tuple[str, ...], out_names: tuple[str, ...]) -> str:
     return "|".join(in_names) + " -> " + "|".join(out_names)
 
 
+def _train_projections(
+    lines: list[str], declared: tuple[str, ...], names: tuple[str, ...]
+) -> set[tuple[str, ...]]:
+    """Project every training token at least as wide as the scheme.
+
+    Padded corpora (width-normalized) still project: extra trailing null
+    factors never shift the named positions.
+    """
+    positions = [declared.index(name) for name in names]
+    known = set()
+    for token in {t for line in lines if line for t in line.split(" ")}:
+        parts = token.split("|")
+        if len(parts) >= len(declared):
+            known.add(tuple(parts[i] for i in positions))
+    return known
+
+
 def sparsity_report(
     train: ParallelCorpus,
     probe: Sequence[tuple[FactoredToken, FactoredToken]],
@@ -125,15 +142,9 @@ def sparsity_report(
                 f"scheme widths {scheme.source_width}/{scheme.target_width}"
             )
 
-    train_src_tokens = [t for src, _ in train.pairs for t in src]
-    train_tgt_tokens = [t for _, tgt in train.pairs for t in tgt]
-
     translation = []
     for in_names, out_names in scheme.translation_steps:
-        # padded corpora (width-normalized) still project: extra trailing
-        # null factors never shift the named positions
-        known = {scheme.project(t, in_names, "source") for t in train_src_tokens
-                 if t.width >= scheme.source_width}
+        known = _train_projections(train.src, scheme.source_factors, in_names)
         probe_tuples = {scheme.project(src, in_names, "source") for src, _ in probe}
         unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
         translation.append(
@@ -143,8 +154,7 @@ def sparsity_report(
 
     generation = []
     for in_names, out_names in scheme.generation_steps:
-        known = {scheme.project(t, in_names, "target") for t in train_tgt_tokens
-                 if t.width >= scheme.target_width}
+        known = _train_projections(train.tgt, scheme.target_factors, in_names)
         probe_tuples = {scheme.project(tgt, in_names, "target") for _, tgt in probe}
         unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
         generation.append(

@@ -140,6 +140,49 @@ def test_inject_failure_leaves_no_partial_output(tmp_path, capsys):
     assert not out_src.exists() and not out_tgt.exists()
 
 
+def test_inject_rejects_crlf_corpus(tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    src.write_bytes("a|x\r\nb|y\r\n".encode("utf-8"))
+    tgt.write_bytes("क|x\r\nख|y\r\n".encode("utf-8"))
+    d = tmp_path / "d.tsv"
+    d.write_text("", "utf-8")
+    out_src = tmp_path / "out.src"
+    out_tgt = tmp_path / "out.tgt"
+    code, _, err = run(
+        capsys, "inject", "--source", str(src), "--target", str(tgt),
+        "--dict", str(d), "--out-source", str(out_src), "--out-target", str(out_tgt),
+    )
+    assert code == 1
+    assert err == f"error: {src}:1:4: control character in line\n"
+    assert not out_src.exists() and not out_tgt.exists()
+
+
+# a factor with a no-break space; a factored surface with a line separator
+@pytest.mark.parametrize("bad, message", [
+    ("dog|x\xa0y", "factor 'x\\xa0y' contains separator or whitespace"),
+    ("do\u2028g|sg", "factored token surface 'do\\u2028g' contains whitespace"),
+])
+@pytest.mark.parametrize("subcommand", ["inject", "sparsity"])
+def test_corpus_whitespace_diagnostic_has_location(tmp_path, capsys, subcommand, bad, message):
+    src = tmp_path / "src.txt"
+    tgt = tmp_path / "tgt.txt"
+    src.write_text("the|x|y\nthe|x|y " + bad + "|z\n", "utf-8")
+    tgt.write_text("क|x|y\nक|x|y\n", "utf-8")
+    if subcommand == "inject":
+        d = tmp_path / "d.tsv"
+        d.write_text("", "utf-8")
+        argv = ["inject", "--source", str(src), "--target", str(tgt), "--dict", str(d),
+                "--out-source", str(tmp_path / "o.src"), "--out-target", str(tmp_path / "o.tgt")]
+    else:
+        argv = ["sparsity", "--scheme", "noun", "--train-source", str(src),
+                "--train-target", str(tgt), "--probe-source", str(src),
+                "--probe-target", str(tgt)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {src}:2:9: {message}\n"
+
+
 def test_annotate(tmp_path, capsys):
     code, out, _ = run(
         capsys, "annotate", "--conllu", str(FIXTURES / "sample.conllu"), "--mode", "both"

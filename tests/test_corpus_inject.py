@@ -1,4 +1,6 @@
 import io
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,3 +171,32 @@ def test_unicode_preserved_exactly():
     out_src, out_tgt = io.StringIO(), io.StringIO()
     emit_factored_corpus(corpus, out_src, out_tgt)
     assert out_tgt.getvalue() == tgt
+
+
+def test_regex_whitespace_is_isspace():
+    # the one-pattern line check relies on \s meaning str.isspace()
+    space = re.compile(r"\s")
+    assert all(
+        bool(space.match(chr(cp))) == chr(cp).isspace() for cp in range(sys.maxunicode + 1)
+    )
+
+
+def test_valid_corpus_builds_no_per_token_objects(monkeypatch):
+    line_src = " ".join(f"w{i}|sg|dir|null" for i in range(10))
+    line_tgt = " ".join(f"क{i}|क|null|null" for i in range(10))
+    src_text = "".join(line_src + "\n" for _ in range(1000))
+    tgt_text = "".join(line_tgt + "\n" for _ in range(1000))
+    dictionary = _dog_dict()  # width 2, so every entry is padded to the corpus
+    built = 0
+    post_init = FactoredToken.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(FactoredToken, "__post_init__", counting)
+    corpus = _parse(src_text, tgt_text)
+    out, report = inject(corpus, dictionary)
+    assert report.entries_added == 4
+    assert built <= 2 * len(dictionary.entries)  # not 20k corpus tokens

@@ -1,0 +1,172 @@
+"""Property tests for the factored corpus path.
+
+The reference below checks a corpus token by token through
+FactoredToken, the way the line check is specified; the string-level
+check must accept the same corpora and fail with the same error.
+"""
+
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morphinject.corpus_inject import emit_factored_corpus, inject, parse_factored_corpus
+from morphinject.dictionary_builder import (
+    NOUN_SCHEME,
+    DictEntry,
+    FactoredToken,
+    WordFormDictionary,
+)
+from morphinject.errors import InputError, MalformedToken, RaggedFactorWidth
+
+# separators, control characters, non-space whitespace (no-break space,
+# line separator, file separator, next line) and Devanagari
+ALPHABET = ["a", "|", " ", "\t", "\r", "\xa0", "\u2028", "\x1c", "\x85", "क", "ि"]
+WORD = ["a", "b", "क", "ि"]
+
+
+def _reference_line(line, name, lineno, pad_to=None):
+    if "\r" in line or "\t" in line:
+        col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
+        raise MalformedToken(f"{name}:{lineno}:{col}: control character in line")
+    if line != line.rstrip():
+        raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
+    tokens = []
+    col = 1
+    for raw in line.split(" ") if line else ():
+        if raw == "":
+            raise MalformedToken(f"{name}:{lineno}:{col}: empty token (double space?)")
+        surface, *factors = raw.split("|")
+        if surface == "":
+            raise MalformedToken(f"{name}:{lineno}:{col}: token with empty surface")
+        if "" in factors:
+            raise MalformedToken(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
+        if pad_to is not None:
+            factors += ["null"] * (pad_to - len(factors))
+        try:
+            tokens.append(FactoredToken(surface, tuple(factors)))
+        except InputError as exc:
+            raise MalformedToken(f"{name}:{lineno}:{col}: {exc}") from None
+        col += len(raw) + 1
+    return tokens
+
+
+def _first_ragged(lines):
+    """(line, column) of the first token whose width differs from the first."""
+    widths = []
+    for lineno, tokens in enumerate(lines, 1):
+        col = 1
+        for t in tokens:
+            widths.append((t.width, lineno, col))
+            col += len(t.render()) + 1
+    return next(((ln, col) for w, ln, col in widths if w != widths[0][0]), None)
+
+
+def reference_parse(src_lines, tgt_lines, auto_normalize):
+    """Rendered (source, target) lines, or the error, token by token."""
+    sides = ((src_lines, "source"), (tgt_lines, "target"))
+    parsed = [[_reference_line(ln, name, i) for i, ln in enumerate(lines, 1)]
+              for lines, name in sides]
+    out = []
+    for (lines, name), tokens in zip(sides, parsed):
+        ragged_at = _first_ragged(tokens)
+        if ragged_at and not auto_normalize:
+            raise RaggedFactorWidth(
+                f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
+            )
+        if ragged_at:
+            widest = max(t.width for line in tokens for t in line)
+            tokens = [_reference_line(ln, name, i, widest) for i, ln in enumerate(lines, 1)]
+        out.append([" ".join(t.render() for t in line) for line in tokens])
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _parse_rendered(src_lines, tgt_lines, auto_normalize):
+    corpus = parse_factored_corpus(src_lines, tgt_lines, auto_normalize=auto_normalize)
+    return corpus.source_lines(), corpus.target_lines()
+
+
+def _valid_token(width):
+    return st.lists(st.text(st.sampled_from(WORD), min_size=1, max_size=2),
+                    min_size=width + 1, max_size=width + 1).map("|".join)
+
+
+_part = st.text(st.sampled_from(ALPHABET[:1] + ALPHABET[3:]), max_size=3)
+_line = st.one_of(
+    st.text(st.sampled_from(ALPHABET), max_size=10),
+    st.lists(st.lists(_part, min_size=1, max_size=4).map("|".join), max_size=4).map(" ".join),
+    st.lists(st.integers(0, 2).flatmap(_valid_token), max_size=4).map(" ".join),
+    st.integers(0, 2).flatmap(lambda w: st.lists(_valid_token(w), max_size=4)).map(" ".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(_line, min_size=n, max_size=n), st.lists(_line, min_size=n, max_size=n))),
+    st.booleans())
+def test_line_check_matches_token_reference(sides, auto_normalize):
+    src, tgt = sides
+    expected = _outcome(reference_parse, src, tgt, auto_normalize)
+    assert _outcome(_parse_rendered, src, tgt, auto_normalize) == expected
+
+
+def _valid_corpus(width):
+    line = st.lists(_valid_token(width), max_size=4).map(" ".join)
+    return st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.lists(line, min_size=n, max_size=n), st.lists(line, min_size=n, max_size=n)))
+
+
+def _text(lines):
+    return "".join(ln + "\n" for ln in lines)
+
+
+def _emit(corpus):
+    src, tgt = io.StringIO(), io.StringIO()
+    emit_factored_corpus(corpus, src, tgt)
+    return src.getvalue(), tgt.getvalue()
+
+
+@given(st.integers(0, 3).flatmap(_valid_corpus))
+def test_emit_of_parse_is_identity(sides):
+    src, tgt = _text(sides[0]), _text(sides[1])
+    corpus = parse_factored_corpus(io.StringIO(src), io.StringIO(tgt))
+    assert _emit(corpus) == (src, tgt)
+    assert parse_factored_corpus(io.StringIO(src), io.StringIO(tgt)) == corpus
+
+
+_entry = st.builds(
+    DictEntry,
+    st.builds(FactoredToken, st.sampled_from(WORD),
+              st.tuples(st.sampled_from(["sg", "pl"]), st.sampled_from(["dir", "obl"]))),
+    st.builds(FactoredToken, st.sampled_from(WORD), st.tuples(*[st.sampled_from(WORD)] * 2)),
+)
+_dictionary = st.lists(_entry, unique=True, max_size=12).map(
+    lambda entries: WordFormDictionary(entries, NOUN_SCHEME))
+
+
+@pytest.mark.parametrize("mode", ["factored", "surface"])
+@given(st.integers(2, 3).flatmap(_valid_corpus), _dictionary, st.data())
+def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionary, data):
+    src_lines, tgt_lines = sides
+    # some corpus lines are dictionary entries already, so dedupe has work
+    for e in data.draw(st.lists(st.sampled_from(dictionary.entries), max_size=3)
+                       if dictionary.entries else st.just([])):
+        src_lines.append(e.source.render())
+        tgt_lines.append(e.target.render())
+    corpus = parse_factored_corpus(src_lines, tgt_lines, auto_normalize=True)
+    before = _emit(corpus)
+    out, report = inject(corpus, dictionary, mode=mode)
+    after = _emit(out)
+    assert after[0].startswith(before[0]) and after[1].startswith(before[1])
+    assert report.entries_added + report.duplicates_skipped == report.entries_offered
+    added = list(zip(out.src, out.tgt))[len(corpus.src):]
+    assert len(added) == report.entries_added
+    assert len(set(zip(out.src, out.tgt))) == len(set(zip(corpus.src, corpus.tgt))) + len(added)
