@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -85,7 +86,12 @@ def _write_atomic_many(outputs: list[tuple[str | None, str]]) -> None:
                 sys.stdout.write(text)
                 continue
             target = Path(path)
-            fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
+            if target.is_dir():
+                raise InputError(f"{path}: cannot write: is a directory")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+            except OSError as exc:
+                raise InputError(f"{path}: cannot write: {exc.strerror}") from None
             staged.append((tmp, target))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
@@ -188,6 +194,39 @@ def cmd_paradigm(args) -> int:
 
 _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
+# a valid factored surface; \s matches exactly the characters for which
+# str.isspace() is true
+_SURFACE = re.compile(r"[^\s|]+")
+
+
+def _annotation_line(sentence, annotated, width: int, where: str) -> str:
+    """One output line: each token's surface, its factors, then null
+    padding to `width`. A sentence with a surface that fails the check
+    goes through FactoredToken and normalize_factors, which raise their
+    first error, prefixed with `where` and the token ID."""
+    nulls = [(db.NULL_FACTOR,) * (width - k) for k in range(width + 1)]
+    ok = _SURFACE.fullmatch
+    parts = []
+    for surf, factors in annotated:
+        if not ok(surf):
+            _check_annotation(sentence, annotated, width, where)
+        parts.append("|".join((surf, *factors, *nulls[len(factors)])))
+    return " ".join(parts)
+
+
+def _check_annotation(sentence, annotated, width: int, where: str) -> None:
+    tokens = []
+    for token, (surf, factors) in zip(sentence, annotated):
+        try:
+            tokens.append(db.FactoredToken(surf, tuple(factors)))
+        except InputError as exc:
+            raise type(exc)(f"{where}, token {token.id}: {exc}") from None
+    for token, factored in zip(sentence, tokens):
+        try:
+            db.normalize_factors([factored], width)
+        except InputError as exc:
+            raise type(exc)(f"{where}, token {token.id}: {exc}") from None
+
 
 def cmd_annotate(args) -> int:
     _check_inputs(args.conllu, args.pronouns, args.case_rules, args.tam_rules)
@@ -197,13 +236,11 @@ def cmd_annotate(args) -> int:
     sentences = _named(args.conllu, lambda: sf.read_conllu(_read_lines(args.conllu)))
     width = _ANNOTATE_WIDTH[args.mode]
     out_lines = []
-    for sentence in sentences:
+    for n, sentence in enumerate(sentences, 1):
         annotated = sf.annotate_sentence(sentence, args.mode, pronouns, case_rules, tam_rules)
-        tokens = db.normalize_factors(
-            [db.FactoredToken(surf, tuple(factors)) for surf, factors in annotated],
-            width,
+        out_lines.append(
+            _annotation_line(sentence, annotated, width, f"{args.conllu}: sentence {n}")
         )
-        out_lines.append(ci.render_line(tokens))
     _write_atomic(args.out, "\n".join(out_lines) + "\n" if out_lines else "")
     return 0
 

@@ -2,10 +2,15 @@
 
 The toolkit never runs a tagger or parser itself: it ingests the
 standard 10-column CoNLL-U produced by external tools. Noun tokens get
-(number, case), verb tokens get (number, person, TAM). Unresolvable
-features never abort a sentence; they take the least-marked defaults
-(singular, third person, direct case) and the decision is logged on the
-``morphinject.source_factors`` logger.
+(number, case), verb tokens (XPOS VB*) get (number, person, TAM).
+Unresolvable features never abort a sentence; they take the least-marked
+defaults (singular, third person, direct case) and the decision is
+logged on the ``morphinject.source_factors`` logger.
+
+The case and TAM rules read a token's head, children and modal from an
+index built in one pass over the sentence, so annotating a sentence
+costs time linear in its length. Where IDs repeat, the first token in
+sentence order wins, as in a scan of the sentence.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Any, Iterable, TextIO
 
 from .errors import InputError, NotANoun, NotAVerb
 from .noun_morph import Case, Number
@@ -68,45 +73,75 @@ class PronounTable:
         return self.entries.get(form.lower())
 
 
-def _read_config_lines(source, default_name: str) -> list[str]:
+def _config_rows(
+    source, default_name: str, columns: tuple[str, ...],
+) -> tuple[str, list[tuple[str, list[str]]]]:
+    """The file's name and its data rows as ("name:line", fields); blank
+    and "#" lines are skipped, and a row with the wrong field count is an
+    error located by file and line."""
     if source is None:
+        name = default_name
         text = resources.files("morphinject.data").joinpath(default_name).read_text("utf-8")
     elif hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
         text = source.read()
     else:
+        name = str(source)
         text = Path(source).read_text("utf-8")
-    return [
-        ln for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    rows = []
+    for lineno, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        where = f"{name}:{lineno}"
+        fields = ln.split("\t")
+        if len(fields) != len(columns):
+            raise InputError(
+                f"{where}: expected {len(columns)} tab-separated fields "
+                f"({', '.join(columns)}), got {len(fields)}"
+            )
+        rows.append((where, fields))
+    return name, rows
+
+
+def _config_value(kind, what: str, value: str, where: str):
+    """`kind(value)` for an enum; a bad value is an error at `where`."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
 
 
 def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTable:
+    name, rows = _config_rows(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
-    for ln in _read_config_lines(source, "pronouns.tsv"):
-        pron, person, number = ln.split("\t")
-        entries[pron.lower()] = (Person(person), Number(number))
-    return PronounTable(entries)
+    for where, (pron, person, number) in rows:
+        entries[pron.lower()] = (
+            _config_value(Person, "person", person, where),
+            _config_value(Number, "number", number, where),
+        )
+    try:
+        return PronounTable(entries)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
+
+
+def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, Any]]:
+    rules = []
+    _, rows = _config_rows(source, default_name, ("rule", what))
+    for where, (rule, value) in rows:
+        if rule not in tests:
+            raise InputError(f"{where}: unknown {what} rule {rule!r}")
+        rules.append((rule, _config_value(kind, what, value, where)))
+    return rules
 
 
 def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, Case]]:
-    rules = []
-    for ln in _read_config_lines(source, "case_rules.tsv"):
-        name, case = ln.split("\t")
-        if name not in _CASE_TESTS:
-            raise InputError(f"unknown case rule {name!r}")
-        rules.append((name, Case(case)))
-    return rules
+    return _load_rules(source, "case_rules.tsv", _CASE_TESTS, Case, "case")
 
 
 def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, TamSlot]]:
-    rules = []
-    for ln in _read_config_lines(source, "tam_rules.tsv"):
-        name, tam = ln.split("\t")
-        if name not in _TAM_TESTS:
-            raise InputError(f"unknown TAM rule {name!r}")
-        rules.append((name, TamSlot(tam)))
-    return rules
+    return _load_rules(source, "tam_rules.tsv", _TAM_TESTS, TamSlot, "TAM")
 
 
 def read_conllu(lines: Iterable[str]) -> list[list[ConlluToken]]:
@@ -150,15 +185,8 @@ def is_noun(token: ConlluToken) -> bool:
     return token.xpos in NOUN_TAGS
 
 
-def is_verb(token: ConlluToken, sentence: list[ConlluToken] | None = None) -> bool:
-    if token.xpos.startswith("VB"):
-        return True
-    if sentence is not None:
-        return any(
-            t.xpos == "MD" and (t.head == token.id or token.head == t.id)
-            for t in sentence
-        )
-    return False
+def is_verb(token: ConlluToken) -> bool:
+    return token.xpos.startswith("VB")
 
 
 def noun_number(token: ConlluToken) -> Number:
@@ -167,36 +195,54 @@ def noun_number(token: ConlluToken) -> Number:
     return Number.PLURAL if token.xpos in PLURAL_TAGS else Number.SINGULAR
 
 
-def _children(token: ConlluToken, sentence: list[ConlluToken]) -> list[ConlluToken]:
-    return [t for t in sentence if t.head == token.id]
+class _Index:
+    """One pass over a sentence: what the rules read about a token's
+    neighbours, keyed by ID. Where IDs repeat, sentence order decides."""
+
+    __slots__ = ("by_id", "children", "md_child", "md_by_id")
+
+    def __init__(self, sentence: list[ConlluToken]):
+        self.by_id: dict[int, ConlluToken] = {}  # first token with each ID
+        self.children: dict[int, list[ConlluToken]] = {}  # by head ID, in sentence order
+        # the first MD token with each head / each ID, with its position
+        self.md_child: dict[int, tuple[int, ConlluToken]] = {}
+        self.md_by_id: dict[int, tuple[int, ConlluToken]] = {}
+        by_id, children = self.by_id, self.children
+        for pos, t in enumerate(sentence):
+            if t.id not in by_id:
+                by_id[t.id] = t
+            kids = children.get(t.head)
+            if kids is None:
+                children[t.head] = [t]
+            else:
+                kids.append(t)
+            if t.xpos == "MD":
+                self.md_child.setdefault(t.head, (pos, t))
+                self.md_by_id.setdefault(t.id, (pos, t))
+
+    def children_of(self, token: ConlluToken) -> list[ConlluToken]:
+        return self.children.get(token.id, [])
 
 
-def _head_of(token: ConlluToken, sentence: list[ConlluToken]) -> ConlluToken | None:
-    for t in sentence:
-        if t.id == token.head:
-            return t
-    return None
-
-
-def _is_prep_object(token: ConlluToken, sentence: list[ConlluToken]) -> bool:
+def _is_prep_object(token: ConlluToken, ix: _Index) -> bool:
     if token.deprel in PREP_OBJECT_DEPRELS or token.deprel.startswith("obl:"):
         return True
     # UD marks the relation on the noun's `case` child (in/of/with ...)
-    return any(c.deprel == "case" for c in _children(token, sentence))
+    return any(c.deprel == "case" for c in ix.children_of(token))
 
 
-def _is_subject(token: ConlluToken, sentence: list[ConlluToken]) -> bool:
+def _is_subject(token: ConlluToken, ix: _Index) -> bool:
     return token.deprel in SUBJECT_DEPRELS
 
 
-def _is_ergative_subject(token: ConlluToken, sentence: list[ConlluToken]) -> bool:
-    if not _is_subject(token, sentence):
+def _is_ergative_subject(token: ConlluToken, ix: _Index) -> bool:
+    if not _is_subject(token, ix):
         return False
-    head = _head_of(token, sentence)
+    head = ix.by_id.get(token.head)
     return head is not None and head.xpos in ("VBD", "VBN")
 
 
-def _is_direct_object(token: ConlluToken, sentence: list[ConlluToken]) -> bool:
+def _is_direct_object(token: ConlluToken, ix: _Index) -> bool:
     return token.deprel in DIRECT_OBJECT_DEPRELS
 
 
@@ -205,7 +251,7 @@ _CASE_TESTS = {
     "ergative_subject": _is_ergative_subject,
     "subject": _is_subject,
     "direct_object": _is_direct_object,
-    "default": lambda token, sentence: True,
+    "default": lambda token, ix: True,
 }
 
 _DEFAULT_CASE_RULES: list[tuple[str, Case]] | None = None
@@ -242,8 +288,12 @@ def noun_case(
     """Ordered rule evaluation over the dependency graph, first match wins."""
     if not is_noun(token):
         raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    for name, case in rules or default_case_rules():
-        if _CASE_TESTS[name](token, sentence):
+    return _noun_case(token, _Index(sentence), rules or default_case_rules())
+
+
+def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, Case]]) -> Case:
+    for name, case in rules:
+        if _CASE_TESTS[name](token, ix):
             if name == "default":
                 log.debug("noun %r: case defaulted to %s", token.form, case.value)
             return case
@@ -251,42 +301,41 @@ def noun_case(
     return Case.DIRECT
 
 
-def _modal_of(verb: ConlluToken, sentence: list[ConlluToken]) -> ConlluToken | None:
-    for t in sentence:
-        if t.xpos == "MD" and (t.head == verb.id or verb.head == t.id):
-            return t
-    return None
+def _modal_of(verb: ConlluToken, ix: _Index) -> ConlluToken | None:
+    """The first MD token, in sentence order, that is the verb's child or head."""
+    child = ix.md_child.get(verb.id)
+    head = ix.md_by_id.get(verb.head)
+    if child is None or (head is not None and head[0] < child[0]):
+        child = head
+    return None if child is None else child[1]
 
 
-def _test_md_will(verb, sentence):
-    md = _modal_of(verb, sentence)
+def _test_md_will(verb, ix):
+    md = _modal_of(verb, ix)
     return md is not None and md.form.lower() in ("will", "shall", "'ll", "wo")
 
 
-def _test_md_other(verb, sentence):
-    md = _modal_of(verb, sentence)
-    return md is not None
+def _test_md_other(verb, ix):
+    return _modal_of(verb, ix) is not None
 
 
-def _test_to_infinitive(verb, sentence):
+def _test_to_infinitive(verb, ix):
     return any(
         c.xpos == "TO" or (c.form.lower() == "to" and c.deprel in ("mark", "aux"))
-        for c in _children(verb, sentence)
+        for c in ix.children_of(verb)
     )
 
 
-def _test_past_tag(verb, sentence):
+def _test_past_tag(verb, ix):
     return verb.xpos == "VBD"
 
 
-def _test_present_tag(verb, sentence):
+def _test_present_tag(verb, ix):
     return verb.xpos in ("VBZ", "VBP")
 
 
-def _test_bare_no_subject(verb, sentence):
-    if verb.xpos != "VB":
-        return False
-    return not any(t.deprel in SUBJECT_DEPRELS for t in _children(verb, sentence))
+def _test_bare_no_subject(verb, ix):
+    return verb.xpos == "VB" and _find_subject(verb, ix) is None
 
 
 _TAM_TESTS = {
@@ -296,13 +345,13 @@ _TAM_TESTS = {
     "past_tag": _test_past_tag,
     "present_tag": _test_present_tag,
     "bare_no_subject": _test_bare_no_subject,
-    "default": lambda verb, sentence: True,
+    "default": lambda verb, ix: True,
 }
 
 
-def _find_subject(verb: ConlluToken, sentence: list[ConlluToken]) -> ConlluToken | None:
-    for t in sentence:
-        if t.head == verb.id and t.deprel in SUBJECT_DEPRELS:
+def _find_subject(verb: ConlluToken, ix: _Index) -> ConlluToken | None:
+    for t in ix.children_of(verb):
+        if t.deprel in SUBJECT_DEPRELS:
             return t
     return None
 
@@ -315,13 +364,23 @@ def verb_factors(
 ) -> EnglishVerbFactors:
     """Number from the subject, person from the pronoun list, TAM from
     the ordered tag-pattern rules."""
-    if not is_verb(verb, sentence):
+    if not is_verb(verb):
         raise NotAVerb(f"{verb.form!r} has tag {verb.xpos}, not a verb")
-    pronouns = pronouns or default_pronoun_table()
+    return _verb_factors(
+        verb, _Index(sentence), pronouns or default_pronoun_table(),
+        tam_rules or default_tam_rules(),
+    )
 
+
+def _verb_factors(
+    verb: ConlluToken,
+    ix: _Index,
+    pronouns: PronounTable,
+    tam_rules: list[tuple[str, TamSlot]],
+) -> EnglishVerbFactors:
     number = Number.SINGULAR
     person = Person.THIRD
-    subject = _find_subject(verb, sentence)
+    subject = _find_subject(verb, ix)
     if subject is None:
         log.debug("verb %r: no subject found, defaulting to sg/3", verb.form)
     else:
@@ -337,8 +396,8 @@ def verb_factors(
             )
 
     tam = TamSlot.PRESENT_HABITUAL
-    for name, slot in tam_rules or default_tam_rules():
-        if _TAM_TESTS[name](verb, sentence):
+    for name, slot in tam_rules:
+        if _TAM_TESTS[name](verb, ix):
             if name == "default":
                 log.debug("verb %r: TAM defaulted to %s", verb.form, slot.value)
             tam = slot
@@ -359,8 +418,8 @@ def _noun_exceptions() -> dict[str, str]:
     global _NOUN_EXC
     if _NOUN_EXC is None:
         _NOUN_EXC = {}
-        for ln in _read_config_lines(None, "noun_plural_exceptions.tsv"):
-            sg, pl = ln.split("\t")
+        _, rows = _config_rows(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
+        for _, (sg, pl) in rows:
             _NOUN_EXC[sg] = pl
     return _NOUN_EXC
 
@@ -369,8 +428,8 @@ def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
     global _VERB_EXC
     if _VERB_EXC is None:
         _VERB_EXC = {}
-        for ln in _read_config_lines(None, "verb_exceptions.tsv"):
-            root, third, past = ln.split("\t")
+        _, rows = _config_rows(None, "verb_exceptions.tsv", ("root", "third", "past"))
+        for _, (root, third, past) in rows:
             _VERB_EXC[root] = (None if third == "-" else third, past)
     return _VERB_EXC
 
@@ -442,14 +501,18 @@ def annotate_sentence(
     """
     if mode not in ("noun", "verb", "both"):
         raise InputError(f"bad annotation mode {mode!r}")
+    nouns, verbs = mode != "verb", mode != "noun"
+    ix = _Index(sentence)
+    pronouns = pronouns or default_pronoun_table()
+    case_rules = case_rules or default_case_rules()
+    tam_rules = tam_rules or default_tam_rules()
     out = []
     for token in sentence:
-        if mode in ("noun", "both") and is_noun(token):
-            number = noun_number(token)
-            case = noun_case(token, sentence, case_rules)
-            out.append((token.lemma or token.form, [number.value, case.value]))
-        elif mode in ("verb", "both") and token.xpos.startswith("VB"):
-            vf = verb_factors(token, sentence, pronouns, tam_rules)
+        if nouns and is_noun(token):
+            case = _noun_case(token, ix, case_rules)
+            out.append((token.lemma or token.form, [noun_number(token).value, case.value]))
+        elif verbs and is_verb(token):
+            vf = _verb_factors(token, ix, pronouns, tam_rules)
             out.append(
                 (token.lemma or token.form,
                  [vf.number.value, vf.person.value, vf.tam.value])

@@ -246,3 +246,66 @@ def test_data_dir_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[1] == "sg\tobl\t-\tकुत्ता"  # sg-obl now null
     assert out.splitlines()[3] == "pl\tobl\tओं\tकुत्तों"
+
+
+def test_annotate_locates_bad_surface(tmp_path, capsys):
+    conllu = tmp_path / "bad.conllu"
+    conllu.write_text(
+        "1\tdogs\tdog\tNOUN\tNNS\t_\t0\troot\t_\t_\n\n"
+        "1\tin\tin\tADP\tIN\t_\t2\tcase\t_\t_\n"
+        "2\tNew York\tNew York\tPROPN\tNNP\t_\t0\troot\t_\t_\n",
+        "utf-8",
+    )
+    out = tmp_path / "out.src"
+    code, _, err = run(capsys, "annotate", "--conllu", str(conllu), "--out", str(out))
+    assert code == 1
+    assert err == (f"error: {conllu}: sentence 2, token 2: "
+                   "factored token surface 'New York' contains whitespace\n")
+    assert not out.exists()
+
+
+_PRONOUNS = (Path(__file__).parents[1] / "src/morphinject/data/pronouns.tsv").read_text("utf-8")
+
+
+# each malformed row is on line 2 of its file
+@pytest.mark.parametrize("flag, text, message", [
+    ("--pronouns", "# pronouns\ni\t1\n",
+     "expected 3 tab-separated fields (pronoun, person, number), got 2"),
+    ("--pronouns", "# pronouns\nthou\t4\tsg\n" + _PRONOUNS,
+     "bad person '4' (expected one of 1, 2, 3)"),
+    ("--case-rules", "subject\tdir\nprep_object\tbogus\ndefault\tdir\n",
+     "bad case 'bogus' (expected one of dir, obl)"),
+    ("--case-rules", "subject\tdir\nnope\tdir\n", "unknown case rule 'nope'"),
+    ("--tam-rules", "past_tag\tperf\npresent_tag\tzzz\n",
+     "bad TAM 'zzz' (expected one of inf, hab, perf, fut, subj, imp)"),
+    ("--tam-rules", "past_tag\tperf\nnope\thab\n", "unknown TAM rule 'nope'"),
+], ids=["pronoun-fields", "person", "case", "case-rule", "tam", "tam-rule"])
+def test_annotate_config_errors_name_file_and_line(tmp_path, capsys, flag, text, message):
+    config = tmp_path / "config.tsv"
+    config.write_text(text, "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", str(FIXTURES / "sample.conllu"),
+                         flag, str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: {config}:2: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["annotate", "inject"])
+@pytest.mark.parametrize("target", ["missing/x.out", "existing-dir"])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, subcommand, target):
+    out = tmp_path / target
+    (tmp_path / "existing-dir").mkdir()
+    if subcommand == "annotate":
+        argv = ["annotate", "--conllu", str(FIXTURES / "sample.conllu"), "--out", str(out)]
+    else:
+        # the first output can be staged; it must be removed again
+        (tmp_path / "src.txt").write_text("a|x\n", "utf-8")
+        (tmp_path / "tgt.txt").write_text("क|x\n", "utf-8")
+        (tmp_path / "d.tsv").write_text("", "utf-8")
+        argv = ["inject", "--source", str(tmp_path / "src.txt"),
+                "--target", str(tmp_path / "tgt.txt"), "--dict", str(tmp_path / "d.tsv"),
+                "--out-source", str(tmp_path / "o.src"), "--out-target", str(out)]
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {out}: cannot write: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before

@@ -11,6 +11,7 @@ from morphinject.source_factors import (
     default_pronoun_table,
     english_noun_surface,
     english_verb_surface,
+    is_verb,
     load_pronoun_table,
     noun_case,
     noun_number,
@@ -94,6 +95,23 @@ def test_verb_factors(sentences):
     )
     with pytest.raises(NotAVerb):
         verb_factors(_tok(sentences[0], "dog"), sentences[0], pron)
+
+
+def test_only_vb_tags_are_verbs():
+    # "it can happy": a JJ head with an MD child, and an RB under an MD
+    sentence = [
+        ConlluToken(1, "it", "it", "PRP", 3, "nsubj"),
+        ConlluToken(2, "can", "can", "MD", 3, "aux"),
+        ConlluToken(3, "happy", "happy", "JJ", 0, "root"),
+        ConlluToken(4, "not", "not", "RB", 2, "advmod"),
+    ]
+    for token in (sentence[2], sentence[3]):
+        assert not is_verb(token)
+        with pytest.raises(NotAVerb):
+            verb_factors(token, sentence)
+    assert annotate_sentence(sentence, "verb") == [
+        ("it", []), ("can", []), ("happy", []), ("not", []),
+    ]
 
 
 def test_pronoun_table_invariant():
