@@ -12,7 +12,6 @@ from .noun_morph import (
     default_suffix_table,
     join_noun,
     noun_paradigm,
-    noun_suffix,
 )
 from .verb_morph import (
     Person,
@@ -24,7 +23,6 @@ from .verb_morph import (
     join_verb,
     paradigm_space,
     verb_paradigm,
-    verb_suffix,
 )
 from .dictionary_builder import (
     DictEntry,

@@ -22,6 +22,7 @@ from . import corpus_inject as ci
 from . import dictionary_builder as db
 from . import evaluation as ev
 from . import noun_morph as nm
+from . import script_core as sc
 from . import source_factors as sf
 from . import verb_morph as vm
 from .errors import InputError
@@ -35,28 +36,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _data_override(name: str) -> str | None:
+# the overridable data files: loader and packaged default of each
+_DATA_TABLES = {
+    "noun_suffixes.tsv": (nm.load_suffix_table, nm.default_suffix_table),
+    "verb_suffixes.tsv": (vm.load_verb_suffix_table, vm.default_verb_suffix_table),
+    "pronouns.tsv": (sf.load_pronoun_table, sf.default_pronoun_table),
+    "case_rules.tsv": (sf.load_case_rules, sf.default_case_rules),
+    "tam_rules.tsv": (sf.load_tam_rules, sf.default_tam_rules),
+}
+
+
+def _data_table(path: str | None, name: str):
+    """The table at `path` (a flag), else MORPHINJECT_DATA/`name` if that
+    file exists, else the packaged default."""
+    load, default = _DATA_TABLES[name]
     base = os.environ.get(DATA_DIR_ENV)
-    if base:
-        candidate = Path(base) / name
-        if candidate.is_file():
-            return str(candidate)
-    return None
-
-
-def _noun_table(path: str | None) -> nm.SuffixTable:
-    path = path or _data_override("noun_suffixes.tsv")
-    return nm.load_suffix_table(path) if path else nm.default_suffix_table()
-
-
-def _verb_table(path: str | None) -> vm.VerbSuffixTable:
-    path = path or _data_override("verb_suffixes.tsv")
-    return vm.load_verb_suffix_table(path) if path else vm.default_verb_suffix_table()
-
-
-def _pronouns(path: str | None) -> sf.PronounTable:
-    path = path or _data_override("pronouns.tsv")
-    return sf.load_pronoun_table(path) if path else sf.default_pronoun_table()
+    if path is None and base and (Path(base) / name).is_file():
+        path = str(Path(base) / name)
+    return default() if path is None else load(path)
 
 
 def _check_inputs(*paths: str | None) -> None:
@@ -65,20 +62,9 @@ def _check_inputs(*paths: str | None) -> None:
             raise InputError(f"{p}: no such file")
 
 
-def _named(path: str, fn):
-    """Run a parse callable, prefixing its diagnostics with the file name."""
-    try:
-        return fn()
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
-def _write_atomic(path: str | None, text: str) -> None:
-    _write_atomic_many([(path, text)])
-
-
-def _write_atomic_many(outputs: list[tuple[str | None, str]]) -> None:
-    """Write every file or none: all temps are staged before any rename."""
+def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
+    """Write every (path, text) or none: all temps are staged before any
+    rename. A None path is stdout."""
     staged: list[tuple[str, Path]] = []
     try:
         for path, text in outputs:
@@ -120,7 +106,7 @@ def _read_corpus(path: str) -> list[str]:
 
 def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        _write_atomic(out, json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n")
+        _write_atomic([(out, json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n")])
     else:
         lines = []
         for key, value in report_dict.items():
@@ -129,21 +115,21 @@ def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
                     lines.append(f"{key}: " + ", ".join(f"{k}={v}" for k, v in sub.items()))
             else:
                 lines.append(f"{key}: {value}")
-        _write_atomic(out, "\n".join(lines) + "\n")
+        _write_atomic([(out, "\n".join(lines) + "\n")])
 
 
 # --- subcommands ---
 
 def cmd_classify(args) -> int:
     _check_inputs(args.lexicon)
-    nouns = _named(args.lexicon, lambda: nm.parse_noun_lexicon(
-        _read_lines(args.lexicon), bilingual=args.bilingual))
+    with sc.located(args.lexicon):
+        nouns = nm.parse_noun_lexicon(_read_lines(args.lexicon), bilingual=args.bilingual)
     lines = []
     for noun in nouns:
         cls = nm.classify_noun(noun.entry)
         prefix = f"{noun.english_root}\t" if args.bilingual else ""
         lines.append(f"{prefix}{noun.entry.hindi_root}\t{cls.value}")
-    _write_atomic(args.out, "\n".join(lines) + "\n" if lines else "")
+    _write_atomic([(args.out, "\n".join(lines) + "\n" if lines else "")])
     return 0
 
 
@@ -152,8 +138,8 @@ def cmd_paradigm(args) -> int:
     if args.verb:
         if not args.stem:
             raise InputError("--stem is required for verb paradigms")
-        table = _verb_table(args.table)
-        entry = vm.VerbLexEntry(args.stem, args.english or "")
+        table = _data_table(args.table, "verb_suffixes.tsv")
+        entry = vm.VerbLexEntry(args.stem, "")
         lines = [
             "\t".join(
                 (
@@ -170,7 +156,7 @@ def cmd_paradigm(args) -> int:
     else:
         if not args.root or not args.gender:
             raise InputError("--root and --gender are required for noun paradigms")
-        table = _noun_table(args.table)
+        table = _data_table(args.table, "noun_suffixes.tsv")
         entry = nm.NounLexEntry(
             args.root,
             nm.Gender(args.gender),
@@ -188,15 +174,13 @@ def cmd_paradigm(args) -> int:
             )
             for row in nm.noun_paradigm(entry, table)
         ]
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic([(args.out, "\n".join(lines) + "\n")])
     return 0
 
 
 _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
-# a valid factored surface; \s matches exactly the characters for which
-# str.isspace() is true
-_SURFACE = re.compile(r"[^\s|]+")
+_SURFACE = re.compile(db.TOKEN_PART)  # a valid factored surface
 
 
 def _annotation_line(sentence, annotated, width: int, where: str) -> str:
@@ -230,10 +214,11 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 
 def cmd_annotate(args) -> int:
     _check_inputs(args.conllu, args.pronouns, args.case_rules, args.tam_rules)
-    pronouns = _pronouns(args.pronouns)
-    case_rules = sf.load_case_rules(args.case_rules or _data_override("case_rules.tsv"))
-    tam_rules = sf.load_tam_rules(args.tam_rules or _data_override("tam_rules.tsv"))
-    sentences = _named(args.conllu, lambda: sf.read_conllu(_read_lines(args.conllu)))
+    pronouns = _data_table(args.pronouns, "pronouns.tsv")
+    case_rules = _data_table(args.case_rules, "case_rules.tsv")
+    tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
+    with sc.located(args.conllu):
+        sentences = sf.read_conllu(_read_lines(args.conllu))
     width = _ANNOTATE_WIDTH[args.mode]
     out_lines = []
     for n, sentence in enumerate(sentences, 1):
@@ -241,22 +226,23 @@ def cmd_annotate(args) -> int:
         out_lines.append(
             _annotation_line(sentence, annotated, width, f"{args.conllu}: sentence {n}")
         )
-    _write_atomic(args.out, "\n".join(out_lines) + "\n" if out_lines else "")
+    _write_atomic([(args.out, "\n".join(out_lines) + "\n" if out_lines else "")])
     return 0
 
 
 def cmd_build_dict(args) -> int:
     _check_inputs(args.lexicon, args.table)
     if args.kind == "noun":
-        lexicon = _named(args.lexicon, lambda: nm.parse_noun_lexicon(
-            _read_lines(args.lexicon), bilingual=True))
-        dictionary = db.build_noun_dict(lexicon, _noun_table(args.table))
+        with sc.located(args.lexicon):
+            lexicon = nm.parse_noun_lexicon(_read_lines(args.lexicon), bilingual=True)
+        dictionary = db.build_noun_dict(lexicon, _data_table(args.table, "noun_suffixes.tsv"))
     else:
-        lexicon = _named(args.lexicon, lambda: vm.parse_verb_lexicon(_read_lines(args.lexicon)))
-        dictionary = db.build_verb_dict(lexicon, _verb_table(args.table))
+        with sc.located(args.lexicon):
+            lexicon = vm.parse_verb_lexicon(_read_lines(args.lexicon))
+        dictionary = db.build_verb_dict(lexicon, _data_table(args.table, "verb_suffixes.tsv"))
     if args.surface:
         dictionary = db.strip_to_surface(dictionary)
-    _write_atomic(args.out, "\n".join(dictionary.to_lines()) + "\n" if dictionary.entries else "")
+    _write_atomic([(args.out, "\n".join(dictionary.to_lines()) + "\n" if dictionary.entries else "")])
     if args.failures:
         payload = {
             "schema_version": 1,
@@ -270,7 +256,7 @@ def cmd_build_dict(args) -> int:
                 for f in dictionary.failures
             ],
         }
-        _write_atomic(args.failures, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        _write_atomic([(args.failures, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")])
     if dictionary.failures:
         print(f"warning: {len(dictionary.failures)} lexicon rows failed", file=sys.stderr)
     return 0
@@ -283,9 +269,10 @@ def cmd_inject(args) -> int:
         auto_normalize=args.auto_normalize,
         source_name=args.source, target_name=args.target,
     )
-    dictionary = _named(args.dict, lambda: db.parse_dictionary(_read_lines(args.dict)))
+    with sc.located(args.dict):
+        dictionary = db.parse_dictionary(_read_lines(args.dict))
     out_corpus, report = ci.inject(corpus, dictionary, mode=args.mode)
-    _write_atomic_many([
+    _write_atomic([
         (args.out_source, "".join(ln + "\n" for ln in out_corpus.source_lines())),
         (args.out_target, "".join(ln + "\n" for ln in out_corpus.target_lines())),
     ])
@@ -342,8 +329,6 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker parallelism bound (output is byte-identical at any value)")
 
     p = sub.add_parser(
         "classify", help="predict noun inflection classes",
@@ -370,7 +355,6 @@ def build_parser() -> _Parser:
                    help="override the predicted class")
     p.add_argument("--verb", action="store_true", help="generate a verb paradigm")
     p.add_argument("--stem", help="Hindi verb stem (infinitive minus ना)")
-    p.add_argument("--english", help="English lemma (informational)")
     p.add_argument("--table", help="suffix table TSV override")
     add_common(p)
     p.set_defaults(func=cmd_paradigm)
@@ -419,16 +403,12 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--mode", choices=["factored", "surface"], default="factored")
-    p.add_argument("--strategy", choices=["single-token"], default="single-token",
-                   help="injection strategy (reserved for alternatives; entries are "
-                        "appended as one-token pseudo-sentence pairs)")
     p.add_argument("--auto-normalize", action="store_true",
                    help="pad ragged corpus factor widths instead of failing")
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
     p.add_argument("--report", help="write the injection report here (default: stdout)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser(
@@ -481,9 +461,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except InputError as exc:

@@ -26,6 +26,7 @@ from typing import IO, Iterable
 
 from .dictionary_builder import (
     NULL_FACTOR,
+    TOKEN_PART,
     FactoredToken,
     WordFormDictionary,
     normalize_factors,
@@ -100,8 +101,7 @@ def _width(lines: list[str]) -> int | None:
 
 
 def _line_pattern(width: int) -> re.Pattern:
-    # \s matches exactly the characters for which str.isspace() is true
-    token = rf"[^\s|]+(?:\|[^\s|]+){{{width}}}"
+    token = rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
     return re.compile(rf"{token}(?: {token})*")
 
 

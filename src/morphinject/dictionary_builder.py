@@ -33,6 +33,9 @@ from .verb_morph import (
 
 FACTOR_SEP = "|"
 NULL_FACTOR = "null"
+# a surface or a factor of a factored token: no separator, no whitespace
+# (\s matches exactly the characters for which str.isspace() is true)
+TOKEN_PART = r"[^\s|]+"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from functools import cache
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -92,6 +92,7 @@ class SuffixTable:
         self.cells = dict(cells)
 
     def lookup(self, cls: NounClass, number: Number, case: Case) -> str | None:
+        """Exact cell lookup; None means the surface equals the root."""
         return self.cells[(cls, number, case)]
 
     def legal_suffixes(self, cls: NounClass) -> set[str]:
@@ -101,44 +102,27 @@ class SuffixTable:
 
 
 def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
-    """Load a suffix table from TSV (class, number, case, suffix)."""
-    if source is None:
-        text = resources.files("morphinject.data").joinpath("noun_suffixes.tsv").read_text("utf-8")
-        lines = text.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text("utf-8").splitlines()
-
+    """Load a suffix table from TSV (class, number, case, suffix); the
+    packaged one when `source` is None."""
+    name, rows = sc.table_rows(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
     cells: dict[tuple[NounClass, Number, Case], str | None] = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise InputError(f"noun suffix table line {lineno}: expected 4 columns, got {len(parts)}")
-        cls, number, case, suffix = parts
-        try:
-            key = (NounClass(cls), Number(number), Case(case))
-        except ValueError as exc:
-            raise InputError(f"noun suffix table line {lineno}: {exc}") from None
+    for where, (cls, number, case, suffix) in rows:
+        key = (
+            sc.table_value(NounClass, "class", cls, where),
+            sc.table_value(Number, "number", number, where),
+            sc.table_value(Case, "case", case, where),
+        )
         if key in cells:
-            raise InputError(
-                f"noun suffix table line {lineno}: duplicate cell {cls}/{number}/{case}"
-            )
+            raise InputError(f"{where}: duplicate cell {cls}/{number}/{case}")
         cells[key] = None if suffix == NULL_SUFFIX_MARK else sc.normalize(suffix)
-    return SuffixTable(cells)
+    with sc.located(name):
+        return SuffixTable(cells)
 
 
-_DEFAULT_TABLE: SuffixTable | None = None
-
-
+@cache
 def default_suffix_table() -> SuffixTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_suffix_table()
-    return _DEFAULT_TABLE
+    """The packaged suffix table, loaded once."""
+    return load_suffix_table()
 
 
 def classify_noun(entry: NounLexEntry) -> NounClass:
@@ -159,11 +143,6 @@ def classify_noun(entry: NounLexEntry) -> NounClass:
     if ending is sc.EndingCategory.LONG_A:
         return NounClass.D
     return NounClass.E
-
-
-def noun_suffix(table: SuffixTable, cls: NounClass, number: Number, case: Case) -> str | None:
-    """Exact cell lookup; None means the surface equals the root."""
-    return table.lookup(cls, number, case)
 
 
 def join_noun(
@@ -229,7 +208,7 @@ def noun_paradigm(entry: NounLexEntry, table: SuffixTable | None = None) -> list
     cls = classify_noun(entry)
     rows = []
     for number, case in PARADIGM_SLOTS:
-        suffix = noun_suffix(table, cls, number, case)
+        suffix = table.lookup(cls, number, case)
         surface = join_noun(entry.hindi_root, cls, suffix, table)
         rows.append(NounParadigmRow(number, case, suffix, surface))
     return rows

@@ -6,14 +6,22 @@ its ending, and rewriting that ending. Words are kept in a canonical
 form: Unicode NFC, except that consonant+nukta pairs are re-composed to
 the precomposed letter where Unicode defines one (NFC itself decomposes
 U+0958..U+095F, which would split e.g. ड़ into two codepoints).
+
+The data tables (suffix grids, pronouns, rules, English exceptions) are
+read here too, by one row reader that every loader shares, so a bad row
+in any of them is reported as file:line.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from contextlib import contextmanager
 from enum import Enum
+from importlib import resources
+from pathlib import Path
+from typing import TextIO
 
-from .errors import EmptyInput, NonDevanagariContent, RuleNotApplicable
+from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
 
 VIRAMA = "्"
 NUKTA = "़"
@@ -316,3 +324,55 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     if nasal and contains_nasal(new_body[len(body[:-1]):]):
         nasal = ""  # replacement brought its own nasalization
     return new_body + nasal
+
+
+# --- data tables ---
+
+def table_rows(
+    source: str | Path | TextIO | None, default_name: str, columns: tuple[str, ...],
+) -> tuple[str, list[tuple[str, list[str]]]]:
+    """The name and data rows of a TSV table: the packaged file
+    `default_name` when `source` is None, else a path or an open text
+    stream. Rows come as ("name:line", fields); blank and "#" lines are
+    skipped, and a row with the wrong field count is an error located by
+    file and line."""
+    if source is None:
+        name = default_name
+        text = resources.files("morphinject.data").joinpath(default_name).read_text("utf-8")
+    elif hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
+        text = source.read()
+    else:
+        name = str(source)
+        text = Path(source).read_text("utf-8")
+    rows = []
+    for lineno, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        where = f"{name}:{lineno}"
+        fields = ln.split("\t")
+        if len(fields) != len(columns):
+            raise InputError(
+                f"{where}: expected {len(columns)} tab-separated fields "
+                f"({', '.join(columns)}), got {len(fields)}"
+            )
+        rows.append((where, fields))
+    return name, rows
+
+
+def table_value(kind, what: str, value: str, where: str):
+    """`kind(value)` for an enum; a bad value is an error at `where`."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
+
+
+@contextmanager
+def located(name: str):
+    """Prefix an input error raised in the block with `name`."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None

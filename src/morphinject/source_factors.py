@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from importlib import resources
+from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
+from . import script_core as sc
 from .errors import InputError, NotANoun, NotAVerb
 from .noun_morph import Case, Number
 from .verb_morph import Person, TamSlot
@@ -73,66 +74,27 @@ class PronounTable:
         return self.entries.get(form.lower())
 
 
-def _config_rows(
-    source, default_name: str, columns: tuple[str, ...],
-) -> tuple[str, list[tuple[str, list[str]]]]:
-    """The file's name and its data rows as ("name:line", fields); blank
-    and "#" lines are skipped, and a row with the wrong field count is an
-    error located by file and line."""
-    if source is None:
-        name = default_name
-        text = resources.files("morphinject.data").joinpath(default_name).read_text("utf-8")
-    elif hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        text = source.read()
-    else:
-        name = str(source)
-        text = Path(source).read_text("utf-8")
-    rows = []
-    for lineno, ln in enumerate(text.splitlines(), 1):
-        if not ln.strip() or ln.lstrip().startswith("#"):
-            continue
-        where = f"{name}:{lineno}"
-        fields = ln.split("\t")
-        if len(fields) != len(columns):
-            raise InputError(
-                f"{where}: expected {len(columns)} tab-separated fields "
-                f"({', '.join(columns)}), got {len(fields)}"
-            )
-        rows.append((where, fields))
-    return name, rows
-
-
-def _config_value(kind, what: str, value: str, where: str):
-    """`kind(value)` for an enum; a bad value is an error at `where`."""
-    try:
-        return kind(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in kind)
-        raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
-
-
 def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTable:
-    name, rows = _config_rows(source, "pronouns.tsv", ("pronoun", "person", "number"))
+    name, rows = sc.table_rows(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
         entries[pron.lower()] = (
-            _config_value(Person, "person", person, where),
-            _config_value(Number, "number", number, where),
+            sc.table_value(Person, "person", person, where),
+            sc.table_value(Number, "number", number, where),
         )
-    try:
+    with sc.located(name):
         return PronounTable(entries)
-    except InputError as exc:
-        raise InputError(f"{name}: {exc}") from None
 
 
 def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, Any]]:
     rules = []
-    _, rows = _config_rows(source, default_name, ("rule", what))
+    name, rows = sc.table_rows(source, default_name, ("rule", what))
     for where, (rule, value) in rows:
         if rule not in tests:
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
-        rules.append((rule, _config_value(kind, what, value, where)))
+        rules.append((rule, sc.table_value(kind, what, value, where)))
+    if not rules:
+        raise InputError(f"{name}: no {what} rules")
     return rules
 
 
@@ -254,30 +216,23 @@ _CASE_TESTS = {
     "default": lambda token, ix: True,
 }
 
-_DEFAULT_CASE_RULES: list[tuple[str, Case]] | None = None
-_DEFAULT_TAM_RULES: list[tuple[str, TamSlot]] | None = None
-_DEFAULT_PRONOUNS: PronounTable | None = None
 
-
+@cache
 def default_case_rules() -> list[tuple[str, Case]]:
-    global _DEFAULT_CASE_RULES
-    if _DEFAULT_CASE_RULES is None:
-        _DEFAULT_CASE_RULES = load_case_rules()
-    return _DEFAULT_CASE_RULES
+    """The packaged case rules, loaded once."""
+    return load_case_rules()
 
 
+@cache
 def default_tam_rules() -> list[tuple[str, TamSlot]]:
-    global _DEFAULT_TAM_RULES
-    if _DEFAULT_TAM_RULES is None:
-        _DEFAULT_TAM_RULES = load_tam_rules()
-    return _DEFAULT_TAM_RULES
+    """The packaged TAM rules, loaded once."""
+    return load_tam_rules()
 
 
+@cache
 def default_pronoun_table() -> PronounTable:
-    global _DEFAULT_PRONOUNS
-    if _DEFAULT_PRONOUNS is None:
-        _DEFAULT_PRONOUNS = load_pronoun_table()
-    return _DEFAULT_PRONOUNS
+    """The packaged pronoun table, loaded once."""
+    return load_pronoun_table()
 
 
 def noun_case(
@@ -288,7 +243,7 @@ def noun_case(
     """Ordered rule evaluation over the dependency graph, first match wins."""
     if not is_noun(token):
         raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    return _noun_case(token, _Index(sentence), rules or default_case_rules())
+    return _noun_case(token, _Index(sentence), default_case_rules() if rules is None else rules)
 
 
 def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, Case]]) -> Case:
@@ -367,8 +322,9 @@ def verb_factors(
     if not is_verb(verb):
         raise NotAVerb(f"{verb.form!r} has tag {verb.xpos}, not a verb")
     return _verb_factors(
-        verb, _Index(sentence), pronouns or default_pronoun_table(),
-        tam_rules or default_tam_rules(),
+        verb, _Index(sentence),
+        default_pronoun_table() if pronouns is None else pronouns,
+        default_tam_rules() if tam_rules is None else tam_rules,
     )
 
 
@@ -410,28 +366,17 @@ def _verb_factors(
 _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _VOWELS = "aeiou"
 
-_NOUN_EXC: dict[str, str] | None = None
-_VERB_EXC: dict[str, tuple[str | None, str]] | None = None
 
-
+@cache
 def _noun_exceptions() -> dict[str, str]:
-    global _NOUN_EXC
-    if _NOUN_EXC is None:
-        _NOUN_EXC = {}
-        _, rows = _config_rows(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
-        for _, (sg, pl) in rows:
-            _NOUN_EXC[sg] = pl
-    return _NOUN_EXC
+    _, rows = sc.table_rows(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
+    return {sg: pl for _, (sg, pl) in rows}
 
 
+@cache
 def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
-    global _VERB_EXC
-    if _VERB_EXC is None:
-        _VERB_EXC = {}
-        _, rows = _config_rows(None, "verb_exceptions.tsv", ("root", "third", "past"))
-        for _, (root, third, past) in rows:
-            _VERB_EXC[root] = (None if third == "-" else third, past)
-    return _VERB_EXC
+    _, rows = sc.table_rows(None, "verb_exceptions.tsv", ("root", "third", "past"))
+    return {root: (None if third == "-" else third, past) for _, (root, third, past) in rows}
 
 
 def _add_s(root: str) -> str:
@@ -503,9 +448,12 @@ def annotate_sentence(
         raise InputError(f"bad annotation mode {mode!r}")
     nouns, verbs = mode != "verb", mode != "noun"
     ix = _Index(sentence)
-    pronouns = pronouns or default_pronoun_table()
-    case_rules = case_rules or default_case_rules()
-    tam_rules = tam_rules or default_tam_rules()
+    if pronouns is None:
+        pronouns = default_pronoun_table()
+    if case_rules is None:
+        case_rules = default_case_rules()
+    if tam_rules is None:
+        tam_rules = default_tam_rules()
     out = []
     for token in sentence:
         if nouns and is_noun(token):

@@ -12,15 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from functools import cache
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import InputError
-from .noun_morph import Gender, Number
-
-NULL_SUFFIX_MARK = "-"
+from .noun_morph import NULL_SUFFIX_MARK, Gender, Number
 
 
 class Person(Enum):
@@ -167,49 +165,33 @@ class VerbSuffixTable:
         return self._by_tam.get(tam, [])
 
 
-def verb_suffix(table: VerbSuffixTable, factors: VerbFactors) -> str | None:
-    return table.lookup(factors)
-
-
 def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuffixTable:
-    """Load a verb suffix table from TSV (tam, gender, number, person, suffix)."""
-    if source is None:
-        text = resources.files("morphinject.data").joinpath("verb_suffixes.tsv").read_text("utf-8")
-        lines = text.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text("utf-8").splitlines()
+    """Load a verb suffix table from TSV (tam, gender, number, person,
+    suffix); the packaged one when `source` is None. "-" in a factor
+    column collapses that dimension."""
+    name, rows = sc.table_rows(
+        source, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
+
+    def dim(kind, what, value, where):  # "-": collapsed
+        return None if value == "-" else sc.table_value(kind, what, value, where)
 
     cells = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise InputError(f"verb suffix table line {lineno}: expected 5 columns")
-        tam_s, gender_s, number_s, person_s, suffix_s = parts
-        try:
-            tam = TamSlot(tam_s)
-            gender = None if gender_s == "-" else Gender(gender_s)
-            number = None if number_s == "-" else Number(number_s)
-            person = None if person_s == "-" else Person(person_s)
-        except ValueError as exc:
-            raise InputError(f"verb suffix table line {lineno}: {exc}") from None
-        suffix = None if suffix_s == NULL_SUFFIX_MARK else sc.normalize(suffix_s)
-        cells.append(_Cell(tam, gender, number, person, suffix))
-    return VerbSuffixTable(cells)
+    for where, (tam, gender, number, person, suffix) in rows:
+        cells.append(_Cell(
+            sc.table_value(TamSlot, "TAM", tam, where),
+            dim(Gender, "gender", gender, where),
+            dim(Number, "number", number, where),
+            dim(Person, "person", person, where),
+            None if suffix == NULL_SUFFIX_MARK else sc.normalize(suffix),
+        ))
+    with sc.located(name):
+        return VerbSuffixTable(cells)
 
 
-_DEFAULT_TABLE: VerbSuffixTable | None = None
-
-
+@cache
 def default_verb_suffix_table() -> VerbSuffixTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_verb_suffix_table()
-    return _DEFAULT_TABLE
+    """The packaged verb suffix table, loaded once."""
+    return load_verb_suffix_table()
 
 
 _U_ENDINGS = (sc.EndingCategory.LONG_UU, sc.EndingCategory.SHORT_U)

@@ -215,28 +215,24 @@ def _with_order_cases(test):
 @given(sentences(), st.sampled_from(["noun", "verb", "both"]), CASE_RULES, TAM_RULES)
 @_with_order_cases
 def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rules, tam_rules):
-    # an empty rule list means the packaged defaults, as in annotate_sentence
-    ref_case = case_rules or default_case_rules()
-    ref_tam = tam_rules or default_tam_rules()
+    # an empty rule list is used as given: every token takes the fallback
     assert (annotate_sentence(sentence, mode, None, case_rules, tam_rules)
-            == ref_annotate(sentence, mode, ref_case, ref_tam))
+            == ref_annotate(sentence, mode, case_rules, tam_rules))
 
 
 @settings(max_examples=200, deadline=None)
 @given(sentences(), CASE_RULES, TAM_RULES)
 def test_public_rules_match_whole_sentence_scans(sentence, case_rules, tam_rules):
     pronouns = default_pronoun_table()
-    ref_case = case_rules or default_case_rules()
-    ref_tam = tam_rules or default_tam_rules()
     for token in sentence:
         if is_noun(token):
-            assert noun_case(token, sentence, case_rules) is ref_noun_case(token, sentence, ref_case)
+            assert noun_case(token, sentence, case_rules) is ref_noun_case(token, sentence, case_rules)
         else:
             with pytest.raises(NotANoun):
                 noun_case(token, sentence, case_rules)
         if token.xpos.startswith("VB"):
             assert (verb_factors(token, sentence, pronouns, tam_rules)
-                    == ref_verb_factors(token, sentence, pronouns, ref_tam))
+                    == ref_verb_factors(token, sentence, pronouns, tam_rules))
         else:
             with pytest.raises(NotAVerb):
                 verb_factors(token, sentence, pronouns, tam_rules)

@@ -225,9 +225,21 @@ def test_oov_and_sparsity(tmp_path, capsys):
     assert report["generation_steps"][0]["unseen"] == 1
 
 
-def test_jobs_flag_validated(capsys):
-    code, _, err = run(capsys, "paradigm", "--root", "घर", "--gender", "m", "--jobs", "0")
-    assert code == 1 and "--jobs" in err
+DATA = Path(__file__).parents[1] / "src/morphinject/data"
+SAMPLE = str(FIXTURES / "sample.conllu")
+
+# per data file: the flag that overrides it, a command that reads it, one
+# packaged row, its replacement and an output line the replacement gives
+_OVERRIDES = [
+    ("verb_suffixes.tsv", "--table", ["paradigm", "--verb", "--stem", "चल"],
+     "hab\tm\tsg\t-\tता", "hab\tm\tsg\t-\tते", "hab\tm\tsg\t3\tते\tचलते"),
+    ("pronouns.tsv", "--pronouns", ["annotate", "--conllu", SAMPLE],
+     "i\t1\tsg", "i\t1\tpl", "I|null|null|null walk|pl|1|hab .|null|null|null"),
+    ("case_rules.tsv", "--case-rules", ["annotate", "--conllu", SAMPLE],
+     "subject\tdir", "subject\tobl", "The|null|null|null dog|sg|obl|null run|sg|3|hab .|null|null|null"),
+    ("tam_rules.tsv", "--tam-rules", ["annotate", "--conllu", SAMPLE],
+     "present_tag\thab", "present_tag\tperf", "The|null|null|null dog|sg|dir|null run|sg|3|perf .|null|null|null"),
+]
 
 
 def test_data_dir_env_override(tmp_path, capsys, monkeypatch):
@@ -247,6 +259,23 @@ def test_data_dir_env_override(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1] == "sg\tobl\t-\tकुत्ता"  # sg-obl now null
     assert out.splitlines()[3] == "pl\tobl\tओं\tकुत्तों"
 
+    # the other four files: MORPHINJECT_DATA changes the output, and a flag
+    # naming the packaged file wins over it
+    for name, flag, argv, row, replacement, line in _OVERRIDES:
+        packaged = (DATA / name).read_text("utf-8")
+        assert packaged.count(row + "\n") == 1
+        monkeypatch.delenv("MORPHINJECT_DATA")
+        code, default_out, _ = run(capsys, *argv)
+        assert code == 0 and line not in default_out.splitlines()
+        data_dir = tmp_path / name.removesuffix(".tsv")
+        data_dir.mkdir()
+        (data_dir / name).write_text(packaged.replace(row + "\n", replacement + "\n"), "utf-8")
+        monkeypatch.setenv("MORPHINJECT_DATA", str(data_dir))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and line in out.splitlines(), name
+        code, out, _ = run(capsys, *argv, flag, str(DATA / name))
+        assert code == 0 and out == default_out, name
+
 
 def test_annotate_locates_bad_surface(tmp_path, capsys):
     conllu = tmp_path / "bad.conllu"
@@ -264,7 +293,7 @@ def test_annotate_locates_bad_surface(tmp_path, capsys):
     assert not out.exists()
 
 
-_PRONOUNS = (Path(__file__).parents[1] / "src/morphinject/data/pronouns.tsv").read_text("utf-8")
+_PRONOUNS = (DATA / "pronouns.tsv").read_text("utf-8")
 
 
 # each malformed row is on line 2 of its file
@@ -309,3 +338,61 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys, subcommand, target):
     assert code == 1
     assert err.startswith(f"error: {out}: cannot write: ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
+
+
+_NOUN_TABLE = (DATA / "noun_suffixes.tsv").read_text("utf-8")
+_NOUN_COMMANDS = {
+    "build-dict": ["build-dict", "--kind", "noun", "--lexicon", str(FIXTURES / "noun_paradigms.tsv")],
+    "paradigm": ["paradigm", "--root", "कुत्ता", "--gender", "m"],
+}
+_VERB_COMMANDS = {
+    "build-dict": ["build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv")],
+    "paradigm": ["paradigm", "--verb", "--stem", "चल"],
+}
+# a row error names the file and line, a whole-table error the file
+_SUFFIX_TABLE_ERRORS = [
+    (_NOUN_COMMANDS, "# grid\nA\tsg\tdir\n",
+     ":2: expected 4 tab-separated fields (class, number, case, suffix), got 3"),
+    (_NOUN_COMMANDS, "# grid\nF\tsg\tdir\t-\n", ":2: bad class 'F' (expected one of A, B, C, D, E)"),
+    (_NOUN_COMMANDS, "A\tsg\tdir\t-\nA\tsg\tdir\t-\n", ":2: duplicate cell A/sg/dir"),
+    (_NOUN_COMMANDS, "A\tsg\tdir\t-\n", ": suffix table missing cell A/sg/obl"),
+    (_NOUN_COMMANDS, _NOUN_TABLE.replace("A\tpl\tobl\t-", "A\tpl\tobl\tओं"),
+     ": class A cells must all be null"),
+    (_NOUN_COMMANDS, _NOUN_TABLE.replace("D\tsg\tdir\t-", "D\tsg\tdir\tआ"),
+     ": sg-dir cell must be null for every class"),
+    (_NOUN_COMMANDS, "# no rows\n", ": suffix table missing cell A/sg/dir"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\n",
+     ":1: expected 5 tab-separated fields (tam, gender, number, person, suffix), got 4"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tx\tsg\t-\tता\n",
+     ":2: bad gender 'x' (expected one of m, f)"),
+    (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\t-\tpl\t-\tते\n",
+     ": inconsistent collapsed dimensions in hab rows"),
+    (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\tf\tpl\t-\tतीं\n",
+     ": hab rows do not cover their declared grid"),
+    (_VERB_COMMANDS, "# no rows\n", ": verb suffix table is empty"),
+]
+
+
+@pytest.mark.parametrize("command", ["build-dict", "paradigm"])
+@pytest.mark.parametrize("commands, text, message", _SUFFIX_TABLE_ERRORS, ids=[
+    "noun-fields", "noun-class", "noun-duplicate", "noun-missing-cell", "noun-class-a",
+    "noun-sg-dir", "noun-empty", "verb-fields", "verb-gender", "verb-collapsed", "verb-grid",
+    "verb-empty"])
+def test_suffix_table_errors_name_file_and_line(tmp_path, capsys, command, commands, text, message):
+    table = tmp_path / "table.tsv"
+    table.write_text(text, "utf-8")
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, *commands[command], "--table", str(table), "--out", str(out))
+    assert code == 1
+    assert err == f"error: {table}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, what", [("--case-rules", "case"), ("--tam-rules", "TAM")])
+def test_empty_rules_file_exits_1(tmp_path, capsys, flag, what):
+    # comments only: not a silent fallback to the packaged rules
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("# no rules\n", "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", SAMPLE, flag, str(rules))
+    assert code == 1 and out == ""
+    assert err == f"error: {rules}: no {what} rules\n"

@@ -16,7 +16,6 @@ from morphinject.noun_morph import (
     join_noun,
     load_suffix_table,
     noun_paradigm,
-    noun_suffix,
     parse_noun_lexicon,
 )
 
@@ -76,9 +75,9 @@ def test_classifier_override_and_errors():
 
 
 def test_noun_suffix_examples():
-    assert noun_suffix(TABLE, NounClass.D, Number.PLURAL, Case.OBLIQUE) == "ओं"
-    assert noun_suffix(TABLE, NounClass.A, Number.PLURAL, Case.OBLIQUE) is None
-    assert noun_suffix(TABLE, NounClass.B, Number.PLURAL, Case.DIRECT) == "याँ"
+    assert TABLE.lookup(NounClass.D, Number.PLURAL, Case.OBLIQUE) == "ओं"
+    assert TABLE.lookup(NounClass.A, Number.PLURAL, Case.OBLIQUE) is None
+    assert TABLE.lookup(NounClass.B, Number.PLURAL, Case.DIRECT) == "याँ"
 
 
 def test_join_examples():

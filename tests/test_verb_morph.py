@@ -17,7 +17,6 @@ from morphinject.verb_morph import (
     paradigm_space,
     parse_verb_lexicon,
     verb_paradigm,
-    verb_suffix,
 )
 
 TABLE = default_verb_suffix_table()
@@ -43,25 +42,25 @@ def test_agreement_spec():
 
 
 def test_verb_suffix_examples():
-    assert verb_suffix(
-        TABLE, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
+    assert TABLE.lookup(
+        VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
     ) == "ता"
     # infinitive collapses every dimension
     for gender in Gender:
         for number in Number:
             for person in Person:
-                assert verb_suffix(
-                    TABLE, VerbFactors(gender, number, person, TamSlot.INFINITIVE)
+                assert TABLE.lookup(
+                    VerbFactors(gender, number, person, TamSlot.INFINITIVE)
                 ) == "ना"
-    assert verb_suffix(
-        TABLE, VerbFactors(Gender.FEMININE, Number.SINGULAR, Person.SECOND, TamSlot.IMPERATIVE)
+    assert TABLE.lookup(
+        VerbFactors(Gender.FEMININE, Number.SINGULAR, Person.SECOND, TamSlot.IMPERATIVE)
     ) is None
 
 
 def test_verb_suffix_outside_grid():
     with pytest.raises(InputError):
-        verb_suffix(
-            TABLE, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.FIRST, TamSlot.IMPERATIVE)
+        TABLE.lookup(
+            VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.FIRST, TamSlot.IMPERATIVE)
         )
 
 
@@ -99,7 +98,7 @@ def test_verb_forms_fixture_suite(verb_form_fixtures, verb_lexicon_lines):
         )
         surface = entry.override_for(factors)
         if surface is None:
-            surface = join_verb(stem, verb_suffix(TABLE, factors))
+            surface = join_verb(stem, TABLE.lookup(factors))
         assert surface == sc.normalize(fx.surface), (
             f"{stem} {fx.tam}/{fx.gender}/{fx.number}/{fx.person}: "
             f"{surface!r} != {fx.surface!r}"
