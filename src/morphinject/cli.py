@@ -1,11 +1,12 @@
 """Command-line surface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 input/validation error (one-line diagnostic on
-stderr), 2 internal invariant violation. Outputs are written to a
-temporary file and renamed, so no subcommand leaves partial output
-behind. Set MORPHINJECT_DATA to a directory to override the packaged
-default data files (noun_suffixes.tsv, verb_suffixes.tsv, pronouns.tsv,
-case_rules.tsv, tam_rules.tsv).
+stderr), 2 internal invariant violation. Every input file is read by
+script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
+are written to temporary files and renamed, so no subcommand leaves
+partial output behind. Set MORPHINJECT_DATA to a directory to override
+the packaged default data files (noun_suffixes.tsv, verb_suffixes.tsv,
+pronouns.tsv, case_rules.tsv, tam_rules.tsv).
 """
 
 from __future__ import annotations
@@ -56,20 +57,13 @@ def _data_table(path: str | None, name: str):
     return default() if path is None else load(path)
 
 
-def _check_inputs(*paths: str | None) -> None:
-    for p in paths:
-        if p is not None and not Path(p).is_file():
-            raise InputError(f"{p}: no such file")
-
-
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
-    """Write every (path, text) or none: all temps are staged before any
-    rename. A None path is stdout."""
+    """Write every (path, text) or none: all temps are staged before
+    anything is written to stdout (a None path) or renamed."""
     staged: list[tuple[str, Path]] = []
     try:
         for path, text in outputs:
             if path is None:
-                sys.stdout.write(text)
                 continue
             target = Path(path)
             if target.is_dir():
@@ -86,44 +80,31 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
     for tmp, target in staged:
         os.replace(tmp, target)
 
 
-def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text("utf-8").splitlines()
-
-
-def _read_corpus(path: str) -> list[str]:
-    """Corpus lines split on LF only; a "\r" stays in the line, where the
-    corpus check rejects it."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
+def _report_text(report_dict: dict, fmt: str) -> str:
     if fmt == "json":
-        _write_atomic([(out, json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n")])
-    else:
-        lines = []
-        for key, value in report_dict.items():
-            if isinstance(value, list) and value and isinstance(value[0], dict):
-                for sub in value:
-                    lines.append(f"{key}: " + ", ".join(f"{k}={v}" for k, v in sub.items()))
-            else:
-                lines.append(f"{key}: {value}")
-        _write_atomic([(out, "\n".join(lines) + "\n")])
+        return json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n"
+    lines = []
+    for key, value in report_dict.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for sub in value:
+                lines.append(f"{key}: " + ", ".join(f"{k}={v}" for k, v in sub.items()))
+        else:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ---
 
 def cmd_classify(args) -> int:
-    _check_inputs(args.lexicon)
-    with sc.located(args.lexicon):
-        nouns = nm.parse_noun_lexicon(_read_lines(args.lexicon), bilingual=args.bilingual)
+    nouns = nm.parse_noun_lexicon(
+        sc.read_lines(args.lexicon), bilingual=args.bilingual, name=args.lexicon)
     lines = []
     for noun in nouns:
         cls = nm.classify_noun(noun.entry)
@@ -134,7 +115,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paradigm(args) -> int:
-    _check_inputs(args.table)
     if args.verb:
         if not args.stem:
             raise InputError("--stem is required for verb paradigms")
@@ -213,12 +193,10 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 
 
 def cmd_annotate(args) -> int:
-    _check_inputs(args.conllu, args.pronouns, args.case_rules, args.tam_rules)
     pronouns = _data_table(args.pronouns, "pronouns.tsv")
     case_rules = _data_table(args.case_rules, "case_rules.tsv")
     tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
-    with sc.located(args.conllu):
-        sentences = sf.read_conllu(_read_lines(args.conllu))
+    sentences = sf.read_conllu(sc.read_lines(args.conllu), args.conllu)
     width = _ANNOTATE_WIDTH[args.mode]
     out_lines = []
     for n, sentence in enumerate(sentences, 1):
@@ -231,18 +209,15 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_build_dict(args) -> int:
-    _check_inputs(args.lexicon, args.table)
     if args.kind == "noun":
-        with sc.located(args.lexicon):
-            lexicon = nm.parse_noun_lexicon(_read_lines(args.lexicon), bilingual=True)
+        lexicon = nm.parse_noun_lexicon(sc.read_lines(args.lexicon), name=args.lexicon)
         dictionary = db.build_noun_dict(lexicon, _data_table(args.table, "noun_suffixes.tsv"))
     else:
-        with sc.located(args.lexicon):
-            lexicon = vm.parse_verb_lexicon(_read_lines(args.lexicon))
+        lexicon = vm.parse_verb_lexicon(sc.read_lines(args.lexicon), args.lexicon)
         dictionary = db.build_verb_dict(lexicon, _data_table(args.table, "verb_suffixes.tsv"))
     if args.surface:
         dictionary = db.strip_to_surface(dictionary)
-    _write_atomic([(args.out, "\n".join(dictionary.to_lines()) + "\n" if dictionary.entries else "")])
+    outputs = [(args.out, "\n".join(dictionary.to_lines()) + "\n" if dictionary.entries else "")]
     if args.failures:
         payload = {
             "schema_version": 1,
@@ -256,38 +231,36 @@ def cmd_build_dict(args) -> int:
                 for f in dictionary.failures
             ],
         }
-        _write_atomic([(args.failures, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")])
+        outputs.append((args.failures, json.dumps(payload, ensure_ascii=False, indent=2) + "\n"))
+    _write_atomic(outputs)
     if dictionary.failures:
         print(f"warning: {len(dictionary.failures)} lexicon rows failed", file=sys.stderr)
     return 0
 
 
 def cmd_inject(args) -> int:
-    _check_inputs(args.source, args.target, args.dict)
     corpus = ci.parse_factored_corpus(
-        _read_corpus(args.source), _read_corpus(args.target),
+        sc.read_lines(args.source), sc.read_lines(args.target),
         auto_normalize=args.auto_normalize,
         source_name=args.source, target_name=args.target,
     )
-    with sc.located(args.dict):
-        dictionary = db.parse_dictionary(_read_lines(args.dict))
+    dictionary = db.parse_dictionary(sc.read_lines(args.dict), name=args.dict)
     out_corpus, report = ci.inject(corpus, dictionary, mode=args.mode)
     _write_atomic([
         (args.out_source, "".join(ln + "\n" for ln in out_corpus.source_lines())),
         (args.out_target, "".join(ln + "\n" for ln in out_corpus.target_lines())),
+        (args.report, _report_text(report.to_dict(), args.format)),
     ])
-    _emit_report(report.to_dict(), args.format, args.report)
     return 0
 
 
 def cmd_sparsity(args) -> int:
-    _check_inputs(args.train_source, args.train_target, args.probe_source, args.probe_target)
     train = ci.parse_factored_corpus(
-        _read_corpus(args.train_source), _read_corpus(args.train_target),
+        sc.read_lines(args.train_source), sc.read_lines(args.train_target),
         source_name=args.train_source, target_name=args.train_target,
     )
     probe_corpus = ci.parse_factored_corpus(
-        _read_corpus(args.probe_source), _read_corpus(args.probe_target),
+        sc.read_lines(args.probe_source), sc.read_lines(args.probe_target),
         source_name=args.probe_source, target_name=args.probe_target,
     )
     probe = [
@@ -296,27 +269,25 @@ def cmd_sparsity(args) -> int:
         for src_tok, tgt_tok in zip(src, tgt)
     ]
     report = ev.sparsity_report(train, probe, db.SCHEMES[args.scheme])
-    _emit_report(report.to_dict(), args.format, args.out)
+    _write_atomic([(args.out, _report_text(report.to_dict(), args.format))])
     return 0
 
 
 def cmd_oov(args) -> int:
-    _check_inputs(args.tokens, args.vocab)
-    tokens = [t for ln in _read_lines(args.tokens) for t in ln.split()]
+    tokens = [t for ln in sc.read_lines(args.tokens) for t in ln.split()]
     vocab = ev.VocabSet.from_tokens(
-        t for ln in _read_lines(args.vocab) for t in ln.split()
+        t for ln in sc.read_lines(args.vocab) for t in ln.split()
     )
     report = ev.oov_count(tokens, vocab)
-    _emit_report(report.to_dict(), args.format, args.out)
+    _write_atomic([(args.out, _report_text(report.to_dict(), args.format))])
     return 0
 
 
 def cmd_bleu(args) -> int:
-    _check_inputs(args.candidates, args.references)
-    cands = [ln.split() for ln in _read_lines(args.candidates)]
-    refs = [ln.split() for ln in _read_lines(args.references)]
+    cands = [ln.split() for ln in sc.read_lines(args.candidates)]
+    refs = [ln.split() for ln in sc.read_lines(args.references)]
     score = ev.bleu(cands, refs, smoothing=args.smoothing)
-    _emit_report(score.to_dict(), args.format, args.out)
+    _write_atomic([(args.out, _report_text(score.to_dict(), args.format))])
     return 0
 
 

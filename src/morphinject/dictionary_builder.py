@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from . import script_core as sc
 from . import source_factors as sf
 from .errors import InputError, TokenTooWide
 from .noun_morph import (
@@ -187,28 +188,21 @@ class WordFormDictionary:
         return [f"{e.source.render()}\t{e.target.render()}" for e in self.entries]
 
 
-def parse_dictionary(lines: Iterable[str], scheme: FactorScheme | None = None) -> WordFormDictionary:
-    """Read a dictionary file: one entry per line, source TAB target."""
+def parse_dictionary(
+    lines: Iterable[str], scheme: FactorScheme | None = None, name: str = "<dictionary>",
+) -> WordFormDictionary:
+    """Read a dictionary file: one entry per line, source TAB target;
+    blank and "#" lines are skipped. `name` locates errors as name:line."""
     entries = []
     seen: set[DictEntry] = set()
     widths: tuple[int, int] | None = None
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InputError(f"dictionary line {lineno}: expected source<TAB>target")
-        try:
-            source = FactoredToken.parse(parts[0])
-            target = FactoredToken.parse(parts[1])
-        except InputError as exc:
-            raise InputError(f"dictionary line {lineno}: {exc}") from None
+    for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
+        with sc.located(where):
+            entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
         if widths is None:
-            widths = (source.width, target.width)
-        elif widths != (source.width, target.width):
-            raise InputError(f"dictionary line {lineno}: ragged factor widths")
-        entry = DictEntry(source, target)
+            widths = (entry.source.width, entry.target.width)
+        elif widths != (entry.source.width, entry.target.width):
+            raise InputError(f"{where}: ragged factor widths")
         if entry not in seen:
             seen.add(entry)
             entries.append(entry)
@@ -220,7 +214,7 @@ def parse_dictionary(lines: Iterable[str], scheme: FactorScheme | None = None) -
         elif widths in ((0, 0), None):
             scheme = SURFACE_SCHEME
         else:
-            raise InputError(f"no scheme matches factor widths {widths}")
+            raise InputError(f"{name}: no scheme matches factor widths {widths}")
     return WordFormDictionary(entries, scheme)
 
 

@@ -104,7 +104,7 @@ class SuffixTable:
 def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
     """Load a suffix table from TSV (class, number, case, suffix); the
     packaged one when `source` is None."""
-    name, rows = sc.table_rows(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
+    name, rows = sc.read_table(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
     cells: dict[tuple[NounClass, Number, Case], str | None] = {}
     for where, (cls, number, case, suffix) in rows:
         key = (
@@ -220,43 +220,30 @@ class BilingualNoun:
     entry: NounLexEntry
 
 
-def parse_noun_lexicon(lines: Iterable[str], bilingual: bool = True) -> list[BilingualNoun]:
-    """Parse a noun lexicon TSV.
+def parse_noun_lexicon(
+    lines: Iterable[str], bilingual: bool = True, name: str = "<noun lexicon>",
+) -> list[BilingualNoun]:
+    """Parse a noun lexicon TSV; `name` locates errors as name:line.
 
     Bilingual rows: english_root, hindi_root, gender (m|f), countable
     (1|0), optional class override (A-E). Monolingual rows drop the
     english_root column. Rows without a gender are rejected, not
     guessed.
     """
+    columns = ("english_root", "hindi_root", "gender")[0 if bilingual else 1:]
     out = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if bilingual:
-            english, rest = parts[0], parts[1:]
-        else:
-            english, rest = "", parts
-        if len(rest) < 2:
-            raise InputError(f"noun lexicon line {lineno}: need root and gender")
-        root = rest[0]
-        try:
-            gender = Gender(rest[1])
-        except ValueError:
-            raise InputError(f"noun lexicon line {lineno}: bad gender {rest[1]!r}") from None
+    for where, fields in sc.table_rows(lines, name, columns, more=True):
+        english = fields.pop(0) if bilingual else ""
+        root, gender, *rest = fields
+        gender = sc.table_value(Gender, "gender", gender, where)
         countable = True
-        if len(rest) > 2 and rest[2] != "":
-            if rest[2] not in ("0", "1"):
-                raise InputError(f"noun lexicon line {lineno}: countable must be 1 or 0")
-            countable = rest[2] == "1"
+        if rest and rest[0] != "":
+            if rest[0] not in ("0", "1"):
+                raise InputError(f"{where}: countable must be 1 or 0")
+            countable = rest[0] == "1"
         override = None
-        if len(rest) > 3 and rest[3] != "" and rest[3] != "-":
-            try:
-                override = NounClass(rest[3])
-            except ValueError:
-                raise InputError(f"noun lexicon line {lineno}: bad class {rest[3]!r}") from None
-        out.append(
-            BilingualNoun(english, NounLexEntry(root, gender, countable, override))
-        )
+        if len(rest) > 1 and rest[1] != "":
+            override = sc.table_value(NounClass, "class", rest[1], where, null=NULL_SUFFIX_MARK)
+        with sc.located(where):
+            out.append(BilingualNoun(english, NounLexEntry(root, gender, countable, override)))
     return out

@@ -7,9 +7,10 @@ form: Unicode NFC, except that consonant+nukta pairs are re-composed to
 the precomposed letter where Unicode defines one (NFC itself decomposes
 U+0958..U+095F, which would split e.g. ड़ into two codepoints).
 
-The data tables (suffix grids, pronouns, rules, English exceptions) are
-read here too, by one row reader that every loader shares, so a bad row
-in any of them is reported as file:line.
+Every input file is read here too: `read_lines` holds the one line rule
+(UTF-8, split on "\n" only, no "\r"), and `table_rows` is the one row
+reader shared by the data tables, the lexicons and the dictionary, so a
+bad row in any of them is reported as file:line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
 
@@ -326,46 +327,83 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     return new_body + nasal
 
 
-# --- data tables ---
+# --- input files ---
 
-def table_rows(
+def read_lines(source, name: str | None = None) -> list[str]:
+    """The lines of a UTF-8 text file, split on "\n" only; a final "\n"
+    ends the last line. `source` is a path, a packaged resource or an
+    open text stream, and `name` (default: the path) starts every error:
+    a file that cannot be read, bytes that are not UTF-8, or a "\r"
+    anywhere is an InputError."""
+    if name is None:
+        name = str(source)
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = (Path(source) if isinstance(source, str) else source).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise InputError(f"{name}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{name}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"{name}:{line}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    cr = text.find("\r")
+    if cr >= 0:
+        line, col = text.count("\n", 0, cr) + 1, cr - text.rfind("\n", 0, cr)
+        raise InputError(f"{name}:{line}:{col}: control character in line")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_table(
     source: str | Path | TextIO | None, default_name: str, columns: tuple[str, ...],
-) -> tuple[str, list[tuple[str, list[str]]]]:
-    """The name and data rows of a TSV table: the packaged file
-    `default_name` when `source` is None, else a path or an open text
-    stream. Rows come as ("name:line", fields); blank and "#" lines are
-    skipped, and a row with the wrong field count is an error located by
-    file and line."""
+) -> tuple[str, Iterator[tuple[str, list[str]]]]:
+    """The name and data rows (see `table_rows`) of a TSV table: the
+    packaged file `default_name` when `source` is None, else a path or an
+    open text stream."""
     if source is None:
-        name = default_name
-        text = resources.files("morphinject.data").joinpath(default_name).read_text("utf-8")
+        name, source = default_name, resources.files("morphinject.data").joinpath(default_name)
     elif hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
-        text = source.read()
     else:
         name = str(source)
-        text = Path(source).read_text("utf-8")
-    rows = []
-    for lineno, ln in enumerate(text.splitlines(), 1):
+    return name, table_rows(read_lines(source, name), name, columns)
+
+
+def table_rows(
+    lines: Iterable[str], name: str, columns: tuple[str, ...], more: bool = False,
+) -> Iterator[tuple[str, list[str]]]:
+    """The data rows of TSV lines as ("name:line", fields). Blank and "#"
+    lines are skipped; a row must have one field per column (at least
+    that many with `more`), else it is an error located by file and
+    line."""
+    for lineno, ln in enumerate(lines, 1):
         if not ln.strip() or ln.lstrip().startswith("#"):
             continue
         where = f"{name}:{lineno}"
         fields = ln.split("\t")
-        if len(fields) != len(columns):
+        if len(fields) < len(columns) or len(fields) > len(columns) and not more:
             raise InputError(
-                f"{where}: expected {len(columns)} tab-separated fields "
-                f"({', '.join(columns)}), got {len(fields)}"
+                f"{where}: expected {'at least ' if more else ''}{len(columns)} "
+                f"tab-separated fields ({', '.join(columns)}), got {len(fields)}"
             )
-        rows.append((where, fields))
-    return name, rows
+        yield where, fields
 
 
-def table_value(kind, what: str, value: str, where: str):
-    """`kind(value)` for an enum; a bad value is an error at `where`."""
+def table_value(kind, what: str, value: str, where: str, null: str | None = None):
+    """`kind(value)` for an enum, or None for the `null` mark; a bad value
+    is an error at `where`."""
+    if value == null:
+        return None
     try:
         return kind(value)
     except ValueError:
-        allowed = ", ".join(m.value for m in kind)
+        allowed = ", ".join([m.value for m in kind] + ([null] if null else []))
         raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
 
 

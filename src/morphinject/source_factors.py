@@ -75,7 +75,7 @@ class PronounTable:
 
 
 def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTable:
-    name, rows = sc.table_rows(source, "pronouns.tsv", ("pronoun", "person", "number"))
+    name, rows = sc.read_table(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
         entries[pron.lower()] = (
@@ -88,7 +88,7 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
 
 def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, Any]]:
     rules = []
-    name, rows = sc.table_rows(source, default_name, ("rule", what))
+    name, rows = sc.read_table(source, default_name, ("rule", what))
     for where, (rule, value) in rows:
         if rule not in tests:
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
@@ -106,9 +106,10 @@ def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str,
     return _load_rules(source, "tam_rules.tsv", _TAM_TESTS, TamSlot, "TAM")
 
 
-def read_conllu(lines: Iterable[str]) -> list[list[ConlluToken]]:
+def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> list[list[ConlluToken]]:
     """Parse CoNLL-U text into sentences. Comment lines, multiword-token
-    ranges (1-2) and empty nodes (1.1) are skipped."""
+    ranges (1-2) and empty nodes (1.1) are skipped; `name` locates errors
+    as name:line."""
     sentences = []
     tokens: list[ConlluToken] = []
     for lineno, line in enumerate(lines, 1):
@@ -122,7 +123,7 @@ def read_conllu(lines: Iterable[str]) -> list[list[ConlluToken]]:
             continue
         cols = line.split("\t")
         if len(cols) != 10:
-            raise InputError(f"conllu line {lineno}: expected 10 columns, got {len(cols)}")
+            raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}")
         if "-" in cols[0] or "." in cols[0]:
             continue
         try:
@@ -137,7 +138,7 @@ def read_conllu(lines: Iterable[str]) -> list[list[ConlluToken]]:
                 )
             )
         except ValueError:
-            raise InputError(f"conllu line {lineno}: bad ID or HEAD field") from None
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
     if tokens:
         sentences.append(tokens)
     return sentences
@@ -369,13 +370,13 @@ _VOWELS = "aeiou"
 
 @cache
 def _noun_exceptions() -> dict[str, str]:
-    _, rows = sc.table_rows(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
+    _, rows = sc.read_table(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
     return {sg: pl for _, (sg, pl) in rows}
 
 
 @cache
 def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
-    _, rows = sc.table_rows(None, "verb_exceptions.tsv", ("root", "third", "past"))
+    _, rows = sc.read_table(None, "verb_exceptions.tsv", ("root", "third", "past"))
     return {root: (None if third == "-" else third, past) for _, (root, third, past) in rows}
 
 

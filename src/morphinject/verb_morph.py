@@ -132,7 +132,8 @@ class VerbSuffixTable:
             for cell in tam_cells:
                 key = (cell.gender, cell.number, cell.person)
                 if key in seen:
-                    raise InputError(f"duplicate {tam.value} cell {key}")
+                    raise InputError("duplicate cell " + "/".join(
+                        "-" if v is None else v.value for v in (tam, *key)))
                 seen.add(key)
             # totality over the declared grid: every combination of the
             # declared per-dimension values must have a cell
@@ -169,21 +170,22 @@ def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuf
     """Load a verb suffix table from TSV (tam, gender, number, person,
     suffix); the packaged one when `source` is None. "-" in a factor
     column collapses that dimension."""
-    name, rows = sc.table_rows(
+    name, rows = sc.read_table(
         source, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
-
-    def dim(kind, what, value, where):  # "-": collapsed
-        return None if value == "-" else sc.table_value(kind, what, value, where)
-
-    cells = []
+    cells, seen = [], set()
     for where, (tam, gender, number, person, suffix) in rows:
-        cells.append(_Cell(
+        cell = _Cell(
             sc.table_value(TamSlot, "TAM", tam, where),
-            dim(Gender, "gender", gender, where),
-            dim(Number, "number", number, where),
-            dim(Person, "person", person, where),
+            sc.table_value(Gender, "gender", gender, where, null="-"),
+            sc.table_value(Number, "number", number, where, null="-"),
+            sc.table_value(Person, "person", person, where, null="-"),
             None if suffix == NULL_SUFFIX_MARK else sc.normalize(suffix),
-        ))
+        )
+        key = (cell.tam, cell.gender, cell.number, cell.person)
+        if key in seen:
+            raise InputError(f"{where}: duplicate cell {tam}/{gender}/{number}/{person}")
+        seen.add(key)
+        cells.append(cell)
     with sc.located(name):
         return VerbSuffixTable(cells)
 
@@ -279,36 +281,30 @@ def paradigm_space(dims: Iterable[int]) -> int:
     return math.prod(dims)
 
 
-def parse_verb_lexicon(lines: Iterable[str]) -> list[VerbLexEntry]:
+def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> list[VerbLexEntry]:
     """Parse a verb lexicon TSV: english_root, hindi_stem, then optional
     irregular overrides as slot=surface pairs (slot is
-    tam[:gender][:number][:person] with "-" wildcards)."""
+    tam[:gender][:number][:person] with "-" wildcards). `name` locates
+    errors as name:line."""
     out = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise InputError(f"verb lexicon line {lineno}: need english_root and hindi_stem")
-        english, stem = parts[0], parts[1]
+    for where, (english, stem, *pairs) in sc.table_rows(
+            lines, name, ("english_root", "hindi_stem"), more=True):
         overrides = []
-        for pair in parts[2:]:
+        for pair in pairs:
             if not pair.strip():
                 continue
             if "=" not in pair:
-                raise InputError(f"verb lexicon line {lineno}: bad override {pair!r}")
+                raise InputError(f"{where}: bad override {pair!r}")
             slot, surface = pair.split("=", 1)
-            fields = slot.split(":")
-            try:
-                tam = TamSlot(fields[0])
-                gender = Gender(fields[1]) if len(fields) > 1 and fields[1] != "-" else None
-                number = Number(fields[2]) if len(fields) > 2 and fields[2] != "-" else None
-                person = Person(fields[3]) if len(fields) > 3 and fields[3] != "-" else None
-            except ValueError as exc:
-                raise InputError(f"verb lexicon line {lineno}: {exc}") from None
-            overrides.append(
-                IrregularForm(tam, gender, number, person, sc.normalize(surface))
-            )
-        out.append(VerbLexEntry(stem, english, tuple(overrides)))
+            tam, *dims = slot.split(":")
+            gender, number, person = (dims + ["-"] * 3)[:3]  # absent: a wildcard
+            overrides.append(IrregularForm(
+                sc.table_value(TamSlot, "TAM", tam, where),
+                sc.table_value(Gender, "gender", gender, where, null="-"),
+                sc.table_value(Number, "number", number, where, null="-"),
+                sc.table_value(Person, "person", person, where, null="-"),
+                sc.normalize(surface),
+            ))
+        with sc.located(where):
+            out.append(VerbLexEntry(stem, english, tuple(overrides)))
     return out

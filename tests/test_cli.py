@@ -51,8 +51,7 @@ def test_diagnostics_name_file_and_line(tmp_path, capsys):
     lex.write_text("dog\tकुत्ता\tx\t1\n", "utf-8")
     code, _, err = run(capsys, "classify", "--lexicon", str(lex), "--bilingual")
     assert code == 1
-    assert err.count("\n") == 1  # one-line diagnostic
-    assert "bad.tsv" in err and "line 1" in err
+    assert err == f"error: {lex}:1: bad gender 'x' (expected one of m, f)\n"
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -138,6 +137,33 @@ def test_inject_failure_leaves_no_partial_output(tmp_path, capsys):
     assert code == 1
     assert "lines" in err
     assert not out_src.exists() and not out_tgt.exists()
+
+
+def test_build_dict_bad_failures_path_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "out.dict"
+    code, _, err = run(
+        capsys, "build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
+        "--out", str(out), "--failures", str(tmp_path / "nodir" / "f.json"),
+    )
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'nodir' / 'f.json'}: cannot write: ")
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_inject_bad_report_path_leaves_no_output(tmp_path, capsys):
+    d = tmp_path / "d.tsv"
+    d.write_text("", "utf-8")
+    out_src = tmp_path / "out.src"
+    out_tgt = tmp_path / "out.tgt"
+    report = tmp_path / "nodir" / "r.json"
+    code, out, err = run(
+        capsys, "inject", "--source", str(FIXTURES / "corpus_src.txt"),
+        "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", str(d),
+        "--out-source", str(out_src), "--out-target", str(out_tgt), "--report", str(report),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {report}: cannot write: ")
+    assert sorted(tmp_path.iterdir()) == [d]
 
 
 def test_inject_rejects_crlf_corpus(tmp_path, capsys):
@@ -364,7 +390,11 @@ _SUFFIX_TABLE_ERRORS = [
     (_VERB_COMMANDS, "inf\t-\t-\t-\n",
      ":1: expected 5 tab-separated fields (tam, gender, number, person, suffix), got 4"),
     (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tx\tsg\t-\tता\n",
-     ":2: bad gender 'x' (expected one of m, f)"),
+     ":2: bad gender 'x' (expected one of m, f, -)"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tm\tq\t-\tता\n",
+     ":2: bad number 'q' (expected one of sg, pl, -)"),
+    (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\tm\tsg\t-\tते\n",
+     ":2: duplicate cell hab/m/sg/-"),
     (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\t-\tpl\t-\tते\n",
      ": inconsistent collapsed dimensions in hab rows"),
     (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\tf\tpl\t-\tतीं\n",
@@ -376,8 +406,8 @@ _SUFFIX_TABLE_ERRORS = [
 @pytest.mark.parametrize("command", ["build-dict", "paradigm"])
 @pytest.mark.parametrize("commands, text, message", _SUFFIX_TABLE_ERRORS, ids=[
     "noun-fields", "noun-class", "noun-duplicate", "noun-missing-cell", "noun-class-a",
-    "noun-sg-dir", "noun-empty", "verb-fields", "verb-gender", "verb-collapsed", "verb-grid",
-    "verb-empty"])
+    "noun-sg-dir", "noun-empty", "verb-fields", "verb-gender", "verb-number", "verb-duplicate",
+    "verb-collapsed", "verb-grid", "verb-empty"])
 def test_suffix_table_errors_name_file_and_line(tmp_path, capsys, command, commands, text, message):
     table = tmp_path / "table.tsv"
     table.write_text(text, "utf-8")
