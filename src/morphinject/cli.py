@@ -107,7 +107,8 @@ def cmd_classify(args) -> int:
         sc.read_lines(args.lexicon), bilingual=args.bilingual, name=args.lexicon)
     lines = []
     for noun in nouns:
-        cls = nm.classify_noun(noun.entry)
+        with sc.located(noun.where):
+            cls = nm.classify_noun(noun.entry)
         prefix = f"{noun.english_root}\t" if args.bilingual else ""
         lines.append(f"{prefix}{noun.entry.hindi_root}\t{cls.value}")
     _write_atomic([(args.out, "\n".join(lines) + "\n" if lines else "")])
@@ -217,7 +218,7 @@ def cmd_build_dict(args) -> int:
         dictionary = db.build_verb_dict(lexicon, _data_table(args.table, "verb_suffixes.tsv"))
     if args.surface:
         dictionary = db.strip_to_surface(dictionary)
-    outputs = [(args.out, "\n".join(dictionary.to_lines()) + "\n" if dictionary.entries else "")]
+    outputs = [(args.out, "".join(ln + "\n" for ln in dictionary.lines))]
     if args.failures:
         payload = {
             "schema_version": 1,
@@ -401,7 +402,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "oov", help="out-of-vocabulary count",
-        description="Both files are whitespace-tokenized as-is. Use training source "
+        description="Both files are tokenized as-is with Python's str.split() (any run "
+                    "of whitespace separates tokens). Use training source "
                     "text as --vocab for pre-translation coverage, or training target "
                     "text with translation output as --tokens for output OOV.",
         epilog="JSON report keys: schema_version, total_tokens, oov_tokens, oov_types.",
@@ -414,7 +416,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "bleu", help="corpus-level BLEU-4",
-        description="One whitespace-tokenized sentence per line; single reference per "
+        description="One sentence per line, tokenized with Python's str.split() (the "
+                    "standard whitespace-tokenized BLEU); single reference per "
                     "candidate, lines aligned by number.",
         epilog="JSON report keys: schema_version, score, precisions, brevity_penalty, "
                "candidate_length, reference_length.",

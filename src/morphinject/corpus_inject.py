@@ -29,7 +29,6 @@ from .dictionary_builder import (
     TOKEN_PART,
     FactoredToken,
     WordFormDictionary,
-    normalize_factors,
     strip_to_surface,
 )
 from .errors import (
@@ -201,11 +200,21 @@ def parse_factored_corpus(
     )
 
 
-def _entry_line(token: FactoredToken) -> TokenLine:
-    # surface-only periphrastic forms ("will walk") become real tokens
-    if token.width == 0 and " " in token.surface:
-        return [FactoredToken(w) for w in token.surface.split()]
-    return [token]
+_WHITESPACE = re.compile(r"\s").search
+
+
+def _entry_side(text: str, pad: str) -> tuple[str, bool]:
+    """One side of a dictionary line as a corpus line, each token padded
+    with `pad`, and whether any token was padded. A surface-only
+    periphrastic form ("will walk") becomes one token per word; a padded
+    surface must then hold no whitespace, like any factored one."""
+    if " " in text:
+        words = text.split()
+    else:
+        words = [text]
+        if pad and _WHITESPACE(text):
+            FactoredToken.parse(text + pad)  # raises the factored-surface error
+    return " ".join(w + pad for w in words), bool(pad and words)
 
 
 def inject(
@@ -226,8 +235,8 @@ def inject(
 
     src_width = corpus.source_width()
     tgt_width = corpus.target_width()
-    dict_src_width = max((e.source.width for e in dictionary.entries), default=0)
-    dict_tgt_width = max((e.target.width for e in dictionary.entries), default=0)
+    first = dictionary.lines[0].split("\t") if dictionary.lines else ("", "")
+    dict_src_width, dict_tgt_width = (side.count("|") for side in first)
     if src_width is None:
         src_width = dict_src_width
     if tgt_width is None:
@@ -239,32 +248,27 @@ def inject(
             "original lines"
         )
 
+    src_pad = f"|{NULL_FACTOR}" * (src_width - dict_src_width)
+    tgt_pad = f"|{NULL_FACTOR}" * (tgt_width - dict_tgt_width)
     existing = set(zip(corpus.src, corpus.tgt))
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
-    added = 0
-    skipped = 0
     normalized = False
-    for entry in dictionary.entries:
-        src_tokens = _entry_line(entry.source)
-        tgt_tokens = _entry_line(entry.target)
-        if any(t.width != src_width for t in src_tokens):
-            src_tokens = normalize_factors(src_tokens, src_width)
-            normalized = True
-        if any(t.width != tgt_width for t in tgt_tokens):
-            tgt_tokens = normalize_factors(tgt_tokens, tgt_width)
-            normalized = True
-        key = (render_line(src_tokens), render_line(tgt_tokens))
+    for line in dictionary.lines:
+        source, target = line.split("\t")
+        src_line, src_padded = _entry_side(source, src_pad)
+        tgt_line, tgt_padded = _entry_side(target, tgt_pad)
+        normalized = normalized or src_padded or tgt_padded
+        key = (src_line, tgt_line)
         if key in existing:
-            skipped += 1
             continue
         existing.add(key)
-        out_src.append(key[0])
-        out_tgt.append(key[1])
-        added += 1
+        out_src.append(src_line)
+        out_tgt.append(tgt_line)
+    added = len(out_src) - len(corpus.src)
     report = InjectionReport(
-        entries_offered=len(dictionary.entries),
+        entries_offered=len(dictionary.lines),
         entries_added=added,
-        duplicates_skipped=skipped,
+        duplicates_skipped=len(dictionary.lines) - added,
         normalization_applied=normalized,
     )
     return ParallelCorpus(out_src, out_tgt), report

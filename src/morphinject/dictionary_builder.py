@@ -6,11 +6,19 @@ root|number|person|tam for verbs) with factored Hindi tokens
 the literal string "null". Entries are generated lexicon-row by
 lexicon-row in paradigm order, so builds are reproducible byte for
 byte; bad rows are collected as failures instead of aborting the batch.
+
+A WordFormDictionary holds its entries as rendered "source\ttarget"
+lines. Every line, built or read, is checked by one full-line pattern
+for its pair of factor widths; only a line that fails it goes through
+the per-token diagnostics (FactoredToken), which raise the first error.
+WordFormDictionary.entries, the DictEntry view, is built on demand.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterable
 
 from . import script_core as sc
@@ -160,32 +168,45 @@ class EntryFailure:
 
 @dataclass
 class WordFormDictionary:
-    entries: list[DictEntry]
+    """Entries as "source\ttarget" lines, in build order and without
+    duplicates, plus the factor scheme and the lexicon rows that failed."""
+
+    lines: list[str]
     scheme: FactorScheme
     failures: list[EntryFailure] = field(default_factory=list, compare=False)
 
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.source.width != self.scheme.source_width:
-                raise InputError(
-                    f"entry {e.source.render()!r} has {e.source.width} factors, "
-                    f"scheme declares {self.scheme.source_width}"
-                )
-            if e.target.width != self.scheme.target_width:
-                raise InputError(
-                    f"entry {e.target.render()!r} has {e.target.width} factors, "
-                    f"scheme declares {self.scheme.target_width}"
-                )
-            if e in seen:
-                raise InputError(f"duplicate entry {e.source.render()} -> {e.target.render()}")
-            seen.add(e)
+    @cached_property
+    def entries(self) -> list[DictEntry]:
+        return [
+            DictEntry(*(FactoredToken.parse(side) for side in ln.split("\t")))
+            for ln in self.lines
+        ]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lines)
 
-    def to_lines(self) -> list[str]:
-        return [f"{e.source.render()}\t{e.target.render()}" for e in self.entries]
+
+def _side_pattern(width: int) -> str:
+    if width == 0:  # a surface-only token may hold spaces ("will walk")
+        return r"[^|\t]+"
+    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+
+
+@cache
+def _line_check(source_width: int, target_width: int):
+    """fullmatch for one dictionary line of these factor widths. A line
+    it accepts is two valid tokens; any other goes to FactoredToken."""
+    return re.compile(rf"{_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
+
+
+def _add_line(lines: dict[str, None], valid, source: tuple[str, ...], target: tuple[str, ...]) -> None:
+    """Render one entry, check it, and keep it unless already there; a
+    line the pattern rejects is replayed through FactoredToken."""
+    line = "|".join(source) + "\t" + "|".join(target)
+    if not valid(line):
+        FactoredToken(source[0], source[1:])
+        FactoredToken(target[0], target[1:])
+    lines[line] = None
 
 
 def parse_dictionary(
@@ -193,19 +214,19 @@ def parse_dictionary(
 ) -> WordFormDictionary:
     """Read a dictionary file: one entry per line, source TAB target;
     blank and "#" lines are skipped. `name` locates errors as name:line."""
-    entries = []
-    seen: set[DictEntry] = set()
+    out: dict[str, None] = {}
     widths: tuple[int, int] | None = None
     for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
-        with sc.located(where):
-            entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
+        line = f"{source}\t{target}"
         if widths is None:
-            widths = (entry.source.width, entry.target.width)
-        elif widths != (entry.source.width, entry.target.width):
-            raise InputError(f"{where}: ragged factor widths")
-        if entry not in seen:
-            seen.add(entry)
-            entries.append(entry)
+            widths = (source.count(FACTOR_SEP), target.count(FACTOR_SEP))
+            valid = _line_check(*widths)
+        if not valid(line):
+            with sc.located(where):
+                entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
+            if (entry.source.width, entry.target.width) != widths:
+                raise InputError(f"{where}: ragged factor widths")
+        out[line] = None
     if scheme is None:
         if widths == (2, 2):
             scheme = NOUN_SCHEME
@@ -215,37 +236,36 @@ def parse_dictionary(
             scheme = SURFACE_SCHEME
         else:
             raise InputError(f"{name}: no scheme matches factor widths {widths}")
-    return WordFormDictionary(entries, scheme)
+    elif out:  # every line has the first line's widths
+        first = next(iter(out)).split("\t")
+        for side, width, declared in zip(first, widths, (scheme.source_width, scheme.target_width)):
+            if width != declared:
+                raise InputError(f"entry {side!r} has {width} factors, scheme declares {declared}")
+    return WordFormDictionary(list(out), scheme)
 
 
 def build_noun_dict(
     lexicon: list[BilingualNoun], table: SuffixTable | None = None
 ) -> WordFormDictionary:
     """Four entries per noun pair, in sg-dir, sg-obl, pl-dir, pl-obl
-    order; per-row failures are collected on the result."""
+    order; per-row failures are collected on the result, and the entries
+    of a row made before its failing cell are kept."""
     table = table or default_suffix_table()
-    entries: list[DictEntry] = []
-    seen: set[DictEntry] = set()
+    valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
+    lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
+        root = noun.entry.hindi_root
         try:
-            rows = noun_paradigm(noun.entry, table)
-            for row in rows:
-                entry = DictEntry(
-                    FactoredToken(noun.english_root, (row.number.value, row.case.value)),
-                    FactoredToken(
-                        row.surface,
-                        (noun.entry.hindi_root, row.suffix if row.suffix is not None else NULL_FACTOR),
-                    ),
+            for row in noun_paradigm(noun.entry, table):
+                _add_line(
+                    lines, valid,
+                    (noun.english_root, row.number.value, row.case.value),
+                    (row.surface, root, NULL_FACTOR if row.suffix is None else row.suffix),
                 )
-                if entry not in seen:
-                    seen.add(entry)
-                    entries.append(entry)
         except InputError as exc:
-            failures.append(
-                EntryFailure(idx, noun.english_root, noun.entry.hindi_root, str(exc))
-            )
-    return WordFormDictionary(entries, NOUN_SCHEME, failures)
+            failures.append(EntryFailure(idx, noun.english_root, root, str(exc)))
+    return WordFormDictionary(list(lines), NOUN_SCHEME, failures)
 
 
 def build_verb_dict(
@@ -254,28 +274,21 @@ def build_verb_dict(
     """One entry per collapsed grid cell per verb; every English factor
     tuple appears once per gender, then exact duplicates collapse."""
     table = table or default_verb_suffix_table()
-    entries: list[DictEntry] = []
-    seen: set[DictEntry] = set()
+    valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
+    lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
         try:
             for factors, suffix, surface in verb_paradigm(verb, table):
-                entry = DictEntry(
-                    FactoredToken(
-                        verb.english_root,
-                        (factors.number.value, factors.person.value, factors.tam.value),
-                    ),
-                    FactoredToken(
-                        surface,
-                        (verb.hindi_root, suffix if suffix is not None else NULL_FACTOR),
-                    ),
+                _add_line(
+                    lines, valid,
+                    (verb.english_root, factors.number.value, factors.person.value,
+                     factors.tam.value),
+                    (surface, verb.hindi_root, NULL_FACTOR if suffix is None else suffix),
                 )
-                if entry not in seen:
-                    seen.add(entry)
-                    entries.append(entry)
         except InputError as exc:
             failures.append(EntryFailure(idx, verb.english_root, verb.hindi_root, str(exc)))
-    return WordFormDictionary(entries, VERB_SCHEME, failures)
+    return WordFormDictionary(list(lines), VERB_SCHEME, failures)
 
 
 def normalize_factors(tokens: Iterable[FactoredToken], width: int) -> list[FactoredToken]:
@@ -303,24 +316,17 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     exact duplicates, which are removed. Idempotent.
     """
     scheme = dictionary.scheme
-    entries: list[DictEntry] = []
-    seen: set[DictEntry] = set()
-    for e in dictionary.entries:
-        if scheme.source_width == 0:
-            surface = e.source.surface
-        elif "tam" in scheme.source_factors:
-            factors = sf.EnglishVerbFactors(
-                Number(e.source.factors[0]),
-                Person(e.source.factors[1]),
-                TamSlot(e.source.factors[2]),
-            )
-            surface = sf.english_verb_surface(e.source.surface, factors)
-        elif "case" in scheme.source_factors:
-            surface = sf.english_noun_surface(e.source.surface, Number(e.source.factors[0]))
-        else:
-            surface = e.source.surface
-        entry = DictEntry(FactoredToken(surface), FactoredToken(e.target.surface))
-        if entry not in seen:
-            seen.add(entry)
-            entries.append(entry)
-    return WordFormDictionary(entries, SURFACE_SCHEME)
+    verb = scheme.source_width > 0 and "tam" in scheme.source_factors
+    noun = scheme.source_width > 0 and not verb and "case" in scheme.source_factors
+    valid = _line_check(0, 0)
+    lines: dict[str, None] = {}
+    for line in dictionary.lines:
+        source, target = line.split("\t")
+        surface, *factors = source.split(FACTOR_SEP)
+        if verb:
+            surface = sf.english_verb_surface(surface, sf.EnglishVerbFactors(
+                Number(factors[0]), Person(factors[1]), TamSlot(factors[2])))
+        elif noun:
+            surface = sf.english_noun_surface(surface, Number(factors[0]))
+        _add_line(lines, valid, (surface,), (target.partition(FACTOR_SEP)[0],))
+    return WordFormDictionary(list(lines), SURFACE_SCHEME)

@@ -9,7 +9,7 @@ the class as features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -90,15 +90,17 @@ class SuffixTable:
             if cells[(cls, Number.SINGULAR, Case.DIRECT)] is not None:
                 raise InputError("sg-dir cell must be null for every class")
         self.cells = dict(cells)
+        self._legal = {
+            cls: frozenset(s for (c, _, _), s in self.cells.items() if c is cls and s is not None)
+            for cls in NounClass
+        }
 
     def lookup(self, cls: NounClass, number: Number, case: Case) -> str | None:
         """Exact cell lookup; None means the surface equals the root."""
         return self.cells[(cls, number, case)]
 
-    def legal_suffixes(self, cls: NounClass) -> set[str]:
-        return {
-            s for (c, _, _), s in self.cells.items() if c is cls and s is not None
-        }
+    def legal_suffixes(self, cls: NounClass) -> frozenset[str]:
+        return self._legal[cls]
 
 
 def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
@@ -218,6 +220,7 @@ def noun_paradigm(entry: NounLexEntry, table: SuffixTable | None = None) -> list
 class BilingualNoun:
     english_root: str
     entry: NounLexEntry
+    where: str = field(default="", compare=False)  # "file:line" of the lexicon row
 
 
 def parse_noun_lexicon(
@@ -245,5 +248,6 @@ def parse_noun_lexicon(
         if len(rest) > 1 and rest[1] != "":
             override = sc.table_value(NounClass, "class", rest[1], where, null=NULL_SUFFIX_MARK)
         with sc.located(where):
-            out.append(BilingualNoun(english, NounLexEntry(root, gender, countable, override)))
+            out.append(BilingualNoun(
+                english, NounLexEntry(root, gender, countable, override), where))
     return out

@@ -15,6 +15,7 @@ bad row in any of them is reported as file:line.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from contextlib import contextmanager
 from enum import Enum
@@ -155,14 +156,18 @@ def is_devanagari(ch: str) -> bool:
 def normalize(text: str) -> str:
     """Bring text to the toolkit's canonical form.
 
-    NFC first, then consonant+nukta pairs are re-composed to the
-    precomposed letter (ड+़ -> ड़) and zero-width (non-)joiners are
-    dropped. Note the result is deliberately *not* strict NFC for nukta
-    letters: keeping them as single codepoints lets every joiner rule
-    treat a consonant as one unit.
+    Zero-width (non-)joiners are dropped, then NFC is applied, then
+    consonant+nukta pairs are re-composed to the precomposed letter
+    (ड+़ -> ड़). Dropping the joiners first keeps the result in canonical
+    order, so normalize(normalize(t)) == normalize(t). Note the result
+    is deliberately *not* strict NFC for nukta letters: keeping them as
+    single codepoints lets every joiner rule treat a consonant as one
+    unit.
     """
-    text = unicodedata.normalize("NFC", text)
-    text = text.replace("‌", "").replace("‍", "")  # ZWNJ, ZWJ
+    if (unicodedata.is_normalized("NFC", text)
+            and NUKTA not in text and "\u200c" not in text and "\u200d" not in text):
+        return text  # already canonical: nothing below would change it
+    text = unicodedata.normalize("NFC", text.replace("\u200c", "").replace("\u200d", ""))
     out = []
     for ch in text:
         if ch == NUKTA and out and out[-1] in _NUKTA_COMPOSED:
@@ -172,7 +177,14 @@ def normalize(text: str) -> str:
     return "".join(out)
 
 
+# word content: the Devanagari block minus the danda marks (U+0964, U+0965)
+_WORD = re.compile("[\u0900-\u0963\u0966-\u097f]+")
+
+
 def _check_word(word: str) -> None:
+    if _WORD.fullmatch(word):
+        return
+    # the first offending codepoint, for the message
     if not word:
         raise EmptyInput("empty word")
     for i, ch in enumerate(word):

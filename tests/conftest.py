@@ -2,10 +2,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from morphinject.noun_morph import Gender, NounClass, NounLexEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# `pytest --hypothesis-profile=ci`: properties that do not set their own
+# example count search ten times deeper than the default 100
+settings.register_profile("ci", max_examples=1000)
 
 
 @dataclass

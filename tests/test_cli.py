@@ -54,6 +54,15 @@ def test_diagnostics_name_file_and_line(tmp_path, capsys):
     assert err == f"error: {lex}:1: bad gender 'x' (expected one of m, f)\n"
 
 
+@pytest.mark.parametrize("english, flags", [("", ()), ("dog\t", ("--bilingual",))])
+def test_classify_locates_a_non_devanagari_root(tmp_path, capsys, english, flags):
+    lex = tmp_path / "nouns.tsv"
+    lex.write_text(f"# nouns\n{english}कुत्ता\tm\t1\n{english}kutta\tm\t1\n", "utf-8")
+    code, out, err = run(capsys, "classify", "--lexicon", str(lex), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: {lex}:3: non-Devanagari codepoint U+006B at offset 0\n"
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["paradigm", "--root", "x", "--gender", "m", "--bogus"])

@@ -148,12 +148,9 @@ def test_inject_surface_mode():
 
 def test_inject_surface_mode_splits_periphrastic():
     # a "will walk" style entry becomes two plain tokens on the source line
-    from morphinject.dictionary_builder import DictEntry, WordFormDictionary
+    from morphinject.dictionary_builder import WordFormDictionary
 
-    d = WordFormDictionary(
-        [DictEntry(FactoredToken("will walk"), FactoredToken("चलेगा"))],
-        SURFACE_SCHEME,
-    )
+    d = WordFormDictionary(["will walk\tचलेगा"], SURFACE_SCHEME)
     corpus = _parse("a\n", "क\n")
     out, _ = inject(corpus, d, mode="surface")
     assert out.source_lines()[-1] == "will walk"

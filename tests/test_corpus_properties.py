@@ -149,7 +149,8 @@ _entry = st.builds(
     st.builds(FactoredToken, st.sampled_from(WORD), st.tuples(*[st.sampled_from(WORD)] * 2)),
 )
 _dictionary = st.lists(_entry, unique=True, max_size=12).map(
-    lambda entries: WordFormDictionary(entries, NOUN_SCHEME))
+    lambda entries: WordFormDictionary(
+        [f"{e.source.render()}\t{e.target.render()}" for e in entries], NOUN_SCHEME))
 
 
 @pytest.mark.parametrize("mode", ["factored", "surface"])
@@ -170,3 +171,18 @@ def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionar
     added = list(zip(out.src, out.tgt))[len(corpus.src):]
     assert len(added) == report.entries_added
     assert len(set(zip(out.src, out.tgt))) == len(set(zip(corpus.src, corpus.tgt))) + len(added)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(_line, min_size=n, max_size=n)), st.booleans())
+def test_split_gives_the_tokens_of_a_factored_line(lines, auto_normalize):
+    """oov and bleu tokenize with str.split(). On a factored side (width
+    1 or more) no token holds whitespace, so that is exactly the tokens
+    the corpus parser reads: split(" "), and none for an empty line."""
+    try:
+        corpus = parse_factored_corpus(lines, lines, auto_normalize=auto_normalize)
+    except InputError:
+        return
+    if not corpus.source_width():
+        return  # a surface-only token may hold whitespace other than " "
+    for line in corpus.src:
+        assert line.split() == (line.split(" ") if line else [])

@@ -4,7 +4,6 @@ import pytest
 
 from morphinject import script_core as sc
 from morphinject.dictionary_builder import (
-    DictEntry,
     FactorScheme,
     FactoredToken,
     NOUN_SCHEME,
@@ -201,14 +200,12 @@ def test_strip_to_surface_verbs():
 
 def test_dictionary_roundtrip_and_widths(verb_lexicon_lines):
     d = build_verb_dict(parse_verb_lexicon(verb_lexicon_lines))
-    lines = d.to_lines()
-    reparsed = parse_dictionary(lines)
+    reparsed = parse_dictionary(d.lines)
     assert reparsed.entries == d.entries
     assert reparsed.scheme == VERB_SCHEME
-    with pytest.raises(InputError):
-        WordFormDictionary(
-            [DictEntry(FactoredToken("a", ("b",)), FactoredToken("c"))], NOUN_SCHEME
-        )
-    with pytest.raises(InputError):  # duplicate entries rejected by the validator
-        e = DictEntry(FactoredToken("a", ("b", "c")), FactoredToken("d", ("e", "f")))
-        WordFormDictionary([e, e], NOUN_SCHEME)
+    with pytest.raises(InputError, match="has 1 factors, scheme declares 2"):
+        parse_dictionary(["a|b\tc"], NOUN_SCHEME)
+    # duplicate lines collapse to one entry
+    assert parse_dictionary(["a|b|c\td|e|f"] * 2, NOUN_SCHEME) == WordFormDictionary(
+        ["a|b|c\td|e|f"], NOUN_SCHEME
+    )

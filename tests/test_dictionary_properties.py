@@ -1,0 +1,347 @@
+"""Property tests for the string-level dictionary path.
+
+The reference below is the token-level implementation the line path
+replaced: every entry built and checked as a pair of FactoredToken,
+deduplicated as DictEntry, with widths checked entry by entry. The
+line path must give the same lines and the same failures, or raise
+the same error.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morphinject import script_core as sc
+from morphinject import source_factors as sf
+from morphinject.corpus_inject import inject, parse_factored_corpus
+from morphinject.dictionary_builder import (
+    NOUN_SCHEME,
+    SURFACE_SCHEME,
+    VERB_SCHEME,
+    DictEntry,
+    FactoredToken,
+    build_noun_dict,
+    build_verb_dict,
+    normalize_factors,
+    parse_dictionary,
+    strip_to_surface,
+)
+from morphinject.errors import InputError, WidthIncompatible
+from morphinject.noun_morph import (
+    BilingualNoun,
+    Case,
+    Gender,
+    NounClass,
+    NounLexEntry,
+    Number,
+    SuffixTable,
+    default_suffix_table,
+    noun_paradigm,
+)
+from morphinject.verb_morph import (
+    IrregularForm,
+    Person,
+    TamSlot,
+    VerbLexEntry,
+    VerbSuffixTable,
+    default_verb_suffix_table,
+    verb_paradigm,
+)
+
+# --- the token-level reference ---
+
+
+def _ref_build_noun(lexicon, table):
+    entries, seen, failures = [], set(), []
+    for idx, noun in enumerate(lexicon):
+        try:
+            for row in noun_paradigm(noun.entry, table):
+                entry = DictEntry(
+                    FactoredToken(noun.english_root, (row.number.value, row.case.value)),
+                    FactoredToken(row.surface, (
+                        noun.entry.hindi_root, row.suffix if row.suffix is not None else "null")),
+                )
+                if entry not in seen:
+                    seen.add(entry)
+                    entries.append(entry)
+        except InputError as exc:
+            failures.append((idx, noun.english_root, noun.entry.hindi_root, str(exc)))
+    return entries, failures
+
+
+def _ref_build_verb(lexicon, table):
+    entries, seen, failures = [], set(), []
+    for idx, verb in enumerate(lexicon):
+        try:
+            for factors, suffix, surface in verb_paradigm(verb, table):
+                entry = DictEntry(
+                    FactoredToken(verb.english_root, (
+                        factors.number.value, factors.person.value, factors.tam.value)),
+                    FactoredToken(surface, (
+                        verb.hindi_root, suffix if suffix is not None else "null")),
+                )
+                if entry not in seen:
+                    seen.add(entry)
+                    entries.append(entry)
+        except InputError as exc:
+            failures.append((idx, verb.english_root, verb.hindi_root, str(exc)))
+    return entries, failures
+
+
+def _ref_strip(entries, scheme):
+    out, seen = [], set()
+    for e in entries:
+        if scheme.source_width == 0:
+            surface = e.source.surface
+        elif "tam" in scheme.source_factors:
+            factors = sf.EnglishVerbFactors(
+                Number(e.source.factors[0]), Person(e.source.factors[1]),
+                TamSlot(e.source.factors[2]))
+            surface = sf.english_verb_surface(e.source.surface, factors)
+        elif "case" in scheme.source_factors:
+            surface = sf.english_noun_surface(e.source.surface, Number(e.source.factors[0]))
+        else:
+            surface = e.source.surface
+        entry = DictEntry(FactoredToken(surface), FactoredToken(e.target.surface))
+        if entry not in seen:
+            seen.add(entry)
+            out.append(entry)
+    return out
+
+
+def _ref_check_scheme(entries, scheme):
+    for e in entries:
+        for token, declared in ((e.source, scheme.source_width), (e.target, scheme.target_width)):
+            if token.width != declared:
+                raise InputError(
+                    f"entry {token.render()!r} has {token.width} factors, scheme declares {declared}")
+
+
+def _ref_parse(lines, scheme=None, name="<dictionary>"):
+    entries, seen, widths = [], set(), None
+    for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
+        with sc.located(where):
+            entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
+        if widths is None:
+            widths = (entry.source.width, entry.target.width)
+        elif widths != (entry.source.width, entry.target.width):
+            raise InputError(f"{where}: ragged factor widths")
+        if entry not in seen:
+            seen.add(entry)
+            entries.append(entry)
+    if scheme is None:
+        if widths == (2, 2):
+            scheme = NOUN_SCHEME
+        elif widths == (3, 2):
+            scheme = VERB_SCHEME
+        elif widths in ((0, 0), None):
+            scheme = SURFACE_SCHEME
+        else:
+            raise InputError(f"{name}: no scheme matches factor widths {widths}")
+    _ref_check_scheme(entries, scheme)
+    return entries, scheme
+
+
+def _ref_entry_line(token):
+    if token.width == 0 and " " in token.surface:
+        return [FactoredToken(w) for w in token.surface.split()]
+    return [token]
+
+
+def _ref_inject(corpus, entries, scheme, mode):
+    if mode == "surface":
+        entries = _ref_strip(entries, scheme)
+    src_width, tgt_width = corpus.source_width(), corpus.target_width()
+    dict_src_width = max((e.source.width for e in entries), default=0)
+    dict_tgt_width = max((e.target.width for e in entries), default=0)
+    src_width = dict_src_width if src_width is None else src_width
+    tgt_width = dict_tgt_width if tgt_width is None else tgt_width
+    if dict_src_width > src_width or dict_tgt_width > tgt_width:
+        raise WidthIncompatible(
+            f"dictionary factors ({dict_src_width}/{dict_tgt_width}) exceed corpus "
+            f"widths ({src_width}/{tgt_width}); widening the corpus would rewrite "
+            "original lines")
+    existing = set(zip(corpus.src, corpus.tgt))
+    out_src, out_tgt = list(corpus.src), list(corpus.tgt)
+    added = skipped = 0
+    normalized = False
+    for entry in entries:
+        src_tokens, tgt_tokens = _ref_entry_line(entry.source), _ref_entry_line(entry.target)
+        if any(t.width != src_width for t in src_tokens):
+            src_tokens = normalize_factors(src_tokens, src_width)
+            normalized = True
+        if any(t.width != tgt_width for t in tgt_tokens):
+            tgt_tokens = normalize_factors(tgt_tokens, tgt_width)
+            normalized = True
+        key = (" ".join(t.render() for t in src_tokens), " ".join(t.render() for t in tgt_tokens))
+        if key in existing:
+            skipped += 1
+            continue
+        existing.add(key)
+        out_src.append(key[0])
+        out_tgt.append(key[1])
+        added += 1
+    report = {"schema_version": 1, "entries_offered": len(entries), "entries_added": added,
+              "duplicates_skipped": skipped, "normalization_applied": normalized}
+    return out_src, out_tgt, report
+
+
+def _rendered(entries):
+    return [f"{e.source.render()}\t{e.target.render()}" for e in entries]
+
+
+def _outcome(fn, *args):
+    """The result, or the class and message of the exception raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the same class, InputError or not
+        return type(exc).__name__, str(exc)
+
+
+# --- inputs ---
+
+# English roots with the factor separator, a space, a tab and U+00A0
+_english = st.text(st.sampled_from(["a", "b", "|", " ", "\t", "\xa0"]), max_size=4)
+_noun_roots = st.sampled_from([
+    "कुत्ता", "लड़की", "रात", "घर", "माली", "बहू", "आलू", "माला", "कुआँ", "नदी",
+    "cat", "a b", "क ख", "क|ख", "कुत्ता ",
+])
+_noun = st.builds(
+    BilingualNoun, _english,
+    st.builds(NounLexEntry, _noun_roots, st.sampled_from(Gender), st.booleans(),
+              st.one_of(st.none(), st.sampled_from(NounClass))),
+)
+
+
+@st.composite
+def _noun_table(draw):
+    """The packaged table, or one cell given a suffix with a space or a
+    separator in it (a noun of that class then fails part-way)."""
+    table = default_suffix_table()
+    if draw(st.booleans()):
+        return table
+    cells = dict(table.cells)
+    key = draw(st.sampled_from(sorted(
+        (k for k, v in cells.items() if v is not None), key=lambda k: [x.value for x in k])))
+    cells[key] = cells[key] + draw(st.sampled_from([" x", "|", " "]))
+    return SuffixTable(cells)
+
+
+_verb_stems = st.sampled_from(["चल", "खा", "पी", "सो", "छू", "हो", "कर", "cal", "a b", "क|"])
+_override = st.builds(
+    IrregularForm, st.sampled_from(TamSlot),
+    st.one_of(st.none(), st.sampled_from(Gender)),
+    st.one_of(st.none(), st.sampled_from(Number)),
+    st.one_of(st.none(), st.sampled_from(Person)),
+    st.sampled_from(["गया", "हुआ", "", "a|b", "x y", "की"]),
+)
+_verb = st.builds(VerbLexEntry, _verb_stems, _english, st.lists(_override, max_size=2).map(tuple))
+
+
+@st.composite
+def _verb_table(draw):
+    table = default_verb_suffix_table()
+    if draw(st.booleans()):
+        return table
+    cells = list(table.cells)
+    i = draw(st.sampled_from([i for i, c in enumerate(cells) if c.suffix is not None]))
+    cells[i] = dataclasses.replace(cells[i], suffix=cells[i].suffix + draw(st.sampled_from([" x", "|"])))
+    return VerbSuffixTable(cells)
+
+
+def _same_build(new, ref_entries, ref_failures):
+    assert new.lines == _rendered(ref_entries)
+    assert [(f.index, f.english_root, f.hindi_root, f.error) for f in new.failures] == ref_failures
+    assert new.entries == ref_entries  # the view agrees with the lines
+    assert _outcome(lambda: strip_to_surface(new).lines) == _outcome(
+        lambda: _rendered(_ref_strip(ref_entries, new.scheme)))
+
+
+@settings(deadline=None)
+@given(st.lists(_noun, max_size=6), _noun_table())
+def test_noun_builder_matches_token_reference(lexicon, table):
+    _same_build(build_noun_dict(lexicon, table), *_ref_build_noun(lexicon, table))
+
+
+@settings(deadline=None)
+@given(st.lists(_verb, max_size=4), _verb_table())
+def test_verb_builder_matches_token_reference(lexicon, table):
+    _same_build(build_verb_dict(lexicon, table), *_ref_build_verb(lexicon, table))
+
+
+def test_a_row_failing_part_way_keeps_its_first_entries():
+    cells = dict(default_suffix_table().cells)
+    cells[(NounClass.D, Number.SINGULAR, Case.OBLIQUE)] = "ए x"
+    d = build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))],
+                        SuffixTable(cells))
+    assert d.lines == ["dog|sg|dir\tकुत्ता|कुत्ता|null"]
+    assert [(f.index, f.error) for f in d.failures] == [
+        (0, "factored token surface 'कुत्ते x' contains whitespace")]
+
+
+# dictionary lines: mostly well-formed tokens of mixed widths, with
+# separators, spaces, tabs, U+00A0, comments and empty parts mixed in
+_part = st.sampled_from(
+    ["a", "sg", "pl", "dir", "obl", "3", "hab", "fut", "क", "will a", "a  b", " a", "a\xa0b", " ", ""])
+_token = st.integers(0, 3).flatmap(
+    lambda w: st.lists(_part, min_size=w + 1, max_size=w + 1).map("|".join))
+_dict_line = st.one_of(
+    st.tuples(_token, _token).map("\t".join),
+    st.text(st.sampled_from(["a", "|", " ", "\t", "\xa0", "#", "क"]), max_size=8),
+)
+_dict_lines = st.one_of(
+    st.lists(_dict_line, max_size=5),
+    # one width pair throughout, so that whole files parse
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(lambda w: st.lists(
+        st.tuples(*(st.lists(_part.filter(bool), min_size=n + 1, max_size=n + 1).map("|".join)
+                    for n in w)).map("\t".join), max_size=5)),
+)
+_scheme = st.sampled_from([None, NOUN_SCHEME, VERB_SCHEME, SURFACE_SCHEME])
+
+
+@settings(deadline=None)
+@given(_dict_lines, _scheme)
+def test_parse_dictionary_matches_token_reference(lines, scheme):
+    new = _outcome(lambda: parse_dictionary(lines, scheme, "d.tsv"))
+    ref = _outcome(lambda: _ref_parse(lines, scheme, "d.tsv"))
+    if ref[0] != "ok":
+        assert new == ref
+        return
+    assert new[0] == "ok"
+    assert (new[1].lines, new[1].scheme) == (_rendered(ref[1][0]), ref[1][1])
+    assert _outcome(lambda: strip_to_surface(new[1]).lines) == _outcome(
+        lambda: _rendered(_ref_strip(*ref[1])))
+
+
+def _corpus_side(width):
+    token = st.lists(st.sampled_from(["a", "b", "क", "null"]), min_size=width + 1,
+                     max_size=width + 1).map("|".join)
+    return st.lists(token, max_size=3).map(" ".join)
+
+
+_corpus = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda w: st.lists(st.tuples(_corpus_side(w[0]), _corpus_side(w[1])), max_size=w[2]))
+
+
+@settings(deadline=None)
+@given(_corpus, _dict_lines, st.sampled_from(["factored", "surface"]), st.data())
+def test_inject_matches_token_reference(pairs, lines, mode, data):
+    parsed = _outcome(lambda: _ref_parse(lines))
+    if parsed[0] != "ok":
+        return
+    entries, scheme = parsed[1]
+    # some dictionary lines are in the corpus already, so dedupe has work
+    known = _rendered(entries)
+    extra = [tuple(line.split("\t")) for line in data.draw(
+        st.lists(st.sampled_from(known), max_size=2) if known else st.just([]))]
+    for lines_in in (pairs + extra, pairs):
+        corpus = _outcome(lambda: parse_factored_corpus(
+            [s for s, _ in lines_in], [t for _, t in lines_in], auto_normalize=True))
+        if corpus[0] == "ok":
+            break
+    else:
+        return
+    new = _outcome(lambda: (lambda out, rep: (out.src, out.tgt, rep.to_dict()))(
+        *inject(corpus[1], parse_dictionary(lines), mode)))
+    assert new == _outcome(lambda: _ref_inject(corpus[1], entries, scheme, mode))

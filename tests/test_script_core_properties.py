@@ -1,0 +1,141 @@
+"""Property tests for the Devanagari kernels.
+
+`normalize` and `_check_word` have fast paths for input that needs no
+work; the loop versions below are what they replaced, and the fast
+paths must give the same result or the same error on any string.
+"""
+
+import unicodedata
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from morphinject import script_core as sc
+from morphinject.errors import EmptyInput, InputError, NonDevanagariContent
+from morphinject.noun_morph import (
+    Gender,
+    NounClass,
+    NounLexEntry,
+    classify_noun,
+    default_suffix_table,
+    join_noun,
+    noun_paradigm,
+)
+from morphinject.verb_morph import VerbLexEntry, default_verb_suffix_table, join_verb, verb_paradigm
+
+
+def _reference_normalize(text):
+    text = unicodedata.normalize("NFC", text.replace("\u200c", "").replace("\u200d", ""))
+    out = []
+    for ch in text:
+        if ch == sc.NUKTA and out and out[-1] in sc._NUKTA_COMPOSED:
+            out[-1] = sc._NUKTA_COMPOSED[out[-1]]
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _reference_check_word(word):
+    if not word:
+        raise EmptyInput("empty word")
+    for i, ch in enumerate(word):
+        if not 0x0900 <= ord(ch) <= 0x097F:
+            raise NonDevanagariContent(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
+        if ch in ("।", "॥"):
+            raise NonDevanagariContent(f"punctuation {ch!r} at offset {i}")
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Devanagari letters and signs, the nukta, precomposed and decomposed
+# nukta letters, ZWNJ, ZWJ, Latin (with a combining accent NFC composes)
+_PIECES = [
+    "क", "ख", "ग", "ज", "ड", "ढ", "फ", "य", "न", "र", "ळ", "त", "म",
+    "अ", "आ", "इ", "ई", "उ", "ऊ", "ए", "ओ",
+    "ा", "ि", "ी", "ु", "ू", "े", "ो", "ं", "ँ", "ः", "्", "़",
+    "\u0958", "\u095c", "\u0929",  # precomposed क़ ड़ ऩ
+    "\u0915\u093c", "\u0921\u093c", "\u0928\u093c",  # the same, decomposed
+    "\u200c", "\u200d", "a", "e", "\u0301", " ",
+]
+_text = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+
+
+@settings(deadline=None)
+@given(_text)
+@example("क\u200cत")
+@example("क\u200dत")
+@example("ड\u093c")
+@example("\u0958")
+def test_normalize_matches_loop_reference(text):
+    assert sc.normalize(text) == _reference_normalize(text)
+
+
+@settings(deadline=None)
+@given(_text)
+# a joiner between two combining marks: dropping it after NFC left the
+# marks out of canonical order, and a second normalize changed them
+@example("क\u094d\u200c\u093c")
+@example("\u0301\u200c\u094d")
+def test_normalize_is_idempotent(text):
+    once = sc.normalize(text)
+    assert sc.normalize(once) == once
+
+
+_NOUN_SUFFIXES = sorted({s for s in default_suffix_table().cells.values() if s is not None})
+_VERB_SUFFIXES = sorted({c.suffix for c in default_verb_suffix_table().cells if c.suffix})
+
+
+@settings(deadline=None)
+@given(_text, st.sampled_from(NounClass), st.sampled_from([None] + _NOUN_SUFFIXES),
+       st.sampled_from([None] + _VERB_SUFFIXES))
+def test_normalize_is_idempotent_on_joiner_output(root, cls, noun_suffix, verb_suffix):
+    for join in (lambda: join_noun(root, cls, noun_suffix), lambda: join_verb(root, verb_suffix)):
+        try:
+            out = join()
+        except InputError:
+            continue
+        assert sc.normalize(out) == out
+
+
+# every code point of the Devanagari block (the dandas included), Latin
+# and a space
+_word = st.lists(st.one_of(st.integers(0x0900, 0x097F).map(chr), st.sampled_from("a ")),
+                 max_size=6).map("".join)
+
+
+@settings(deadline=None)
+@given(_word)
+def test_check_word_matches_loop_reference(word):
+    assert _outcome(sc._check_word, word) == _outcome(_reference_check_word, word)
+
+
+@settings(deadline=None)
+@given(st.one_of(_word, _text))
+def test_split_syllables_is_lossless(word):
+    try:
+        syllables = sc.split_syllables(word)
+    except InputError:
+        return
+    assert "".join(syllables) == word
+
+
+@settings(deadline=None)
+@given(st.one_of(_word, _text), st.sampled_from(Gender), st.booleans(),
+       st.one_of(st.none(), st.sampled_from(NounClass)))
+def test_morphology_returns_or_raises_an_input_error(root, gender, countable, override):
+    """So `classify` and `paradigm` exit 1 on a bad root, never 2."""
+    try:
+        entry = NounLexEntry(root, gender, countable, override)
+        classify_noun(entry)
+        noun_paradigm(entry)
+    except InputError:
+        pass
+    try:
+        verb_paradigm(VerbLexEntry(root, "x"))
+    except InputError:
+        pass
