@@ -1,7 +1,9 @@
 """Command-line surface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 input/validation error (one-line diagnostic on
-stderr), 2 internal invariant violation. Every input file is read by
+stderr), 2 internal error. Every exception the package raises on purpose
+is an InputError, so exit 2 means an exception nobody planned for: a
+bug. Every input file is read by
 script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
 are written to temporary files and renamed, so no subcommand leaves
 partial output behind. Set MORPHINJECT_DATA to a directory to override
@@ -260,15 +262,10 @@ def cmd_sparsity(args) -> int:
         sc.read_lines(args.train_source), sc.read_lines(args.train_target),
         source_name=args.train_source, target_name=args.train_target,
     )
-    probe_corpus = ci.parse_factored_corpus(
+    probe = ci.parse_factored_corpus(
         sc.read_lines(args.probe_source), sc.read_lines(args.probe_target),
         source_name=args.probe_source, target_name=args.probe_target,
     )
-    probe = [
-        (src_tok, tgt_tok)
-        for src, tgt in probe_corpus.pairs
-        for src_tok, tgt_tok in zip(src, tgt)
-    ]
     report = ev.sparsity_report(train, probe, db.SCHEMES[args.scheme])
     _write_atomic([(args.out, _report_text(report.to_dict(), args.format))])
     return 0
@@ -387,7 +384,11 @@ def build_parser() -> _Parser:
         "sparsity", help="translation/generation-step coverage report",
         description="Train and probe are factored parallel corpora; --scheme picks the "
                     "factor layout (noun: root|number|case -> surface|root|suffix; verb: "
-                    "root|number|person|tam -> surface|root|suffix; surface: bare tokens).",
+                    "root|number|person|tam -> surface|root|suffix; surface: bare tokens). "
+                    "Every token of each probe side is projected, source tokens for the "
+                    "translation steps and target tokens for the generation steps, so a "
+                    "probe line pair need not hold equal token counts; each probe token "
+                    "must have exactly the scheme's width on its side.",
         epilog="JSON report keys: schema_version, translation_steps, generation_steps; "
                "each step has step, seen, unseen, unseen_tuples.",
     )

@@ -114,19 +114,6 @@ class FactorScheme:
     def target_width(self) -> int:
         return len(self.target_factors) - 1
 
-    def project(self, token: FactoredToken, names: Iterable[str], side: str) -> tuple[str, ...]:
-        declared = self.source_factors if side == "source" else self.target_factors
-        positions = (token.surface,) + token.factors
-        out = []
-        for name in names:
-            idx = declared.index(name)
-            if idx >= len(positions):
-                raise InputError(
-                    f"token {token.render()!r} too narrow for factor {name!r}"
-                )
-            out.append(positions[idx])
-        return tuple(out)
-
 
 NOUN_SCHEME = FactorScheme(
     source_factors=("root", "number", "case"),
@@ -312,8 +299,9 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     """Drop all factors, keeping (and synthesizing) surface forms only.
 
     The English surface is rebuilt from the factored source (dogs for
-    dog|pl|*, walked for walk|*|*|perf). Collapsed distinctions produce
-    exact duplicates, which are removed. Idempotent.
+    dog|pl|*, walked for walk|*|*|perf); a factor value it reads that is
+    outside its enum is an error naming the entry. Collapsed distinctions
+    produce exact duplicates, which are removed. Idempotent.
     """
     scheme = dictionary.scheme
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
@@ -323,10 +311,14 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     for line in dictionary.lines:
         source, target = line.split("\t")
         surface, *factors = source.split(FACTOR_SEP)
+        where = f"entry {source!r}"
         if verb:
             surface = sf.english_verb_surface(surface, sf.EnglishVerbFactors(
-                Number(factors[0]), Person(factors[1]), TamSlot(factors[2])))
+                sc.table_value(Number, "number", factors[0], where),
+                sc.table_value(Person, "person", factors[1], where),
+                sc.table_value(TamSlot, "tam", factors[2], where)))
         elif noun:
-            surface = sf.english_noun_surface(surface, Number(factors[0]))
+            surface = sf.english_noun_surface(
+                surface, sc.table_value(Number, "number", factors[0], where))
         _add_line(lines, valid, (surface,), (target.partition(FACTOR_SEP)[0],))
     return WordFormDictionary(list(lines), SURFACE_SCHEME)

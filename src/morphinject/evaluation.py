@@ -1,11 +1,12 @@
 """Evaluation: OOV counting, factor-sparsity coverage, corpus BLEU.
 
-Sparsity is measured per mapping step of a factor scheme: a probe
-source tuple is unseen when its projection onto a translation step's
-input factors never occurs on the training source side; a probe target
-(root, suffix) pair is unseen when absent from the training target
-side. OOV reduction uses the plain relative formula
-100 * (baseline - augmented) / baseline.
+Sparsity is measured per mapping step of a factor scheme, over two
+parallel corpora, train and probe, each read as its checked lines. Every
+token on a probe side, however many a line holds, is projected onto the
+step's input factors, the source side for translation steps and the
+target side for generation steps; a projection is unseen when no token
+on the same side of the training corpus projects to it. OOV reduction
+uses the plain relative formula 100 * (baseline - augmented) / baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus_inject import ParallelCorpus
-from .dictionary_builder import FactoredToken, FactorScheme
+from .dictionary_builder import FactorScheme
 from .errors import EmptyCorpus, InputError, LengthMismatch, ZeroBaseline
 
 
@@ -30,12 +31,8 @@ class VocabSet:
 
     @classmethod
     def from_corpus_side(cls, corpus: ParallelCorpus, side: str = "target") -> "VocabSet":
-        lines = (
-            [src for src, _ in corpus.pairs]
-            if side == "source"
-            else [tgt for _, tgt in corpus.pairs]
-        )
-        return cls({t.surface for line in lines for t in line})
+        lines = corpus.src if side == "source" else corpus.tgt
+        return cls({t.partition("|")[0] for line in lines if line for t in line.split(" ")})
 
     def __contains__(self, item: str) -> bool:
         return item in self.entries
@@ -108,10 +105,10 @@ def _step_label(in_names: tuple[str, ...], out_names: tuple[str, ...]) -> str:
     return "|".join(in_names) + " -> " + "|".join(out_names)
 
 
-def _train_projections(
+def _projections(
     lines: list[str], declared: tuple[str, ...], names: tuple[str, ...]
 ) -> set[tuple[str, ...]]:
-    """Project every training token at least as wide as the scheme.
+    """Project every distinct token at least as wide as the scheme side.
 
     Padded corpora (width-normalized) still project: extra trailing null
     factors never shift the named positions.
@@ -125,43 +122,42 @@ def _train_projections(
     return known
 
 
+def _check_probe_side(lines: list[str], side: str, width: int) -> None:
+    for lineno, line in enumerate(lines, 1):
+        for token in line.split(" ") if line else ():
+            if token.count("|") != width:
+                raise InputError(
+                    f"probe {side} line {lineno}: token {token!r} has "
+                    f"{token.count('|')} factors, scheme declares {width}"
+                )
+
+
 def sparsity_report(
-    train: ParallelCorpus,
-    probe: Sequence[tuple[FactoredToken, FactoredToken]],
-    scheme: FactorScheme,
+    train: ParallelCorpus, probe: ParallelCorpus, scheme: FactorScheme
 ) -> SparsityReport:
     """Coverage of the probe's factor combinations in the training data.
 
+    Each probe token must have exactly the scheme's width on its side.
     Counts are over distinct probe tuples per step, so seen + unseen
     equals the number of distinct projections.
     """
-    for src, tgt in probe:
-        if src.width != scheme.source_width or tgt.width != scheme.target_width:
-            raise InputError(
-                f"probe pair {src.render()} / {tgt.render()} does not match "
-                f"scheme widths {scheme.source_width}/{scheme.target_width}"
+    sides = []
+    for side, declared, train_lines, probe_lines, steps in (
+        ("source", scheme.source_factors, train.src, probe.src, scheme.translation_steps),
+        ("target", scheme.target_factors, train.tgt, probe.tgt, scheme.generation_steps),
+    ):
+        _check_probe_side(probe_lines, side, len(declared) - 1)
+        reports = []
+        for in_names, out_names in steps:
+            known = _projections(train_lines, declared, in_names)
+            probe_tuples = _projections(probe_lines, declared, in_names)
+            unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
+            reports.append(
+                StepReport(_step_label(in_names, out_names),
+                           len(probe_tuples) - len(unseen), len(unseen), unseen)
             )
-
-    translation = []
-    for in_names, out_names in scheme.translation_steps:
-        known = _train_projections(train.src, scheme.source_factors, in_names)
-        probe_tuples = {scheme.project(src, in_names, "source") for src, _ in probe}
-        unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
-        translation.append(
-            StepReport(_step_label(in_names, out_names),
-                       len(probe_tuples) - len(unseen), len(unseen), unseen)
-        )
-
-    generation = []
-    for in_names, out_names in scheme.generation_steps:
-        known = _train_projections(train.tgt, scheme.target_factors, in_names)
-        probe_tuples = {scheme.project(tgt, in_names, "target") for _, tgt in probe}
-        unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
-        generation.append(
-            StepReport(_step_label(in_names, out_names),
-                       len(probe_tuples) - len(unseen), len(unseen), unseen)
-        )
-    return SparsityReport(translation, generation)
+        sides.append(reports)
+    return SparsityReport(*sides)
 
 
 @dataclass

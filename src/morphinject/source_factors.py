@@ -48,12 +48,6 @@ class ConlluToken:
 
 
 @dataclass(frozen=True)
-class EnglishNounFactors:
-    number: Number
-    case: Case
-
-
-@dataclass(frozen=True)
 class EnglishVerbFactors:
     number: Number
     person: Person

@@ -146,7 +146,10 @@ def test_criterion_4_sparsity_closure(noun_fixtures):
             io.StringIO("".join(e.source.render() + "\n" for e in sg_dir)),
             io.StringIO("".join(e.target.render() + "\n" for e in sg_dir)),
         )
-        probe = [(e.source, e.target) for e in pl_obl]
+        probe = parse_factored_corpus(
+            io.StringIO("".join(e.source.render() + "\n" for e in pl_obl)),
+            io.StringIO("".join(e.target.render() + "\n" for e in pl_obl)),
+        )
 
         # independent brute-force enumeration over the construction
         train_pairs = {tuple(e.target.factors) for e in sg_dir}

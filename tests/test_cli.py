@@ -260,7 +260,68 @@ def test_oov_and_sparsity(tmp_path, capsys):
     assert report["generation_steps"][0]["unseen"] == 1
 
 
-DATA = Path(__file__).parents[1] / "src/morphinject/data"
+def _sparsity(tmp_path, capsys, probe_src, probe_tgt):
+    """sparsity --scheme noun of the probe against a train corpus that
+    holds no dog."""
+    files = {"train.src": "the|null|null\n", "train.tgt": "कुत्ता|कुत्ता|null\n",
+             "probe.src": probe_src, "probe.tgt": probe_tgt}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, "utf-8")
+    return run(
+        capsys, "sparsity", "--scheme", "noun", "--format", "json",
+        "--train-source", str(tmp_path / "train.src"), "--train-target", str(tmp_path / "train.tgt"),
+        "--probe-source", str(tmp_path / "probe.src"), "--probe-target", str(tmp_path / "probe.tgt"),
+    )
+
+
+def test_sparsity_counts_tokens_past_the_shorter_side(tmp_path, capsys):
+    code, out, err = _sparsity(tmp_path, capsys, "the|null|null dog|sg|dir\n", "कुत्ता|कुत्ता|null\n")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["translation_steps"][0] == {
+        "step": "root|number|case -> root|suffix", "seen": 1, "unseen": 1,
+        "unseen_tuples": ["dog|sg|dir"],
+    }
+    assert report["generation_steps"][0] == {
+        "step": "root|suffix -> surface", "seen": 1, "unseen": 0, "unseen_tuples": [],
+    }
+
+
+@pytest.mark.parametrize("probe_src, probe_tgt, message", [
+    ("\ndog|sg\n", "कुत्ता|कुत्ता|null\nकुत्ता|कुत्ता|null\n",
+     "probe source line 2: token 'dog|sg' has 1 factors, scheme declares 2"),
+    ("dog|sg|dir\ndog|sg|dir\n", "\nकुत्ता|कुत्ता|null|null कुत्ता|कुत्ता|null|null\n",
+     "probe target line 2: token 'कुत्ता|कुत्ता|null|null' has 3 factors, scheme declares 2"),
+], ids=["source", "target"])
+def test_sparsity_locates_a_probe_token_of_another_width(tmp_path, capsys, probe_src,
+                                                        probe_tgt, message):
+    code, out, err = _sparsity(tmp_path, capsys, probe_src, probe_tgt)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("dog|xx|dir\tकुत्ता|कुत्ता|null", "entry 'dog|xx|dir': bad number 'xx' (expected one of sg, pl)"),
+    ("walk|xx|3|hab\tचलता|चल|ता", "entry 'walk|xx|3|hab': bad number 'xx' (expected one of sg, pl)"),
+    ("walk|sg|4|hab\tचलता|चल|ता", "entry 'walk|sg|4|hab': bad person '4' (expected one of 1, 2, 3)"),
+    ("walk|sg|3|xx\tचलता|चल|ता",
+     "entry 'walk|sg|3|xx': bad tam 'xx' (expected one of inf, hab, perf, fut, subj, imp)"),
+], ids=["noun-number", "verb-number", "verb-person", "verb-tam"])
+def test_inject_surface_names_a_bad_factor_value(tmp_path, capsys, entry, message):
+    d = tmp_path / "d.tsv"
+    d.write_text(entry + "\n", "utf-8")
+    out_src, out_tgt = tmp_path / "o.src", tmp_path / "o.tgt"
+    code, out, err = run(
+        capsys, "inject", "--mode", "surface", "--dict", str(d),
+        "--source", str(FIXTURES / "corpus_src.txt"), "--target", str(FIXTURES / "corpus_tgt.txt"),
+        "--out-source", str(out_src), "--out-target", str(out_tgt),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not out_src.exists() and not out_tgt.exists()
+
+
+DATA =Path(__file__).parents[1] / "src/morphinject/data"
 SAMPLE = str(FIXTURES / "sample.conllu")
 
 # per data file: the flag that overrides it, a command that reads it, one

@@ -55,8 +55,6 @@ def test_scheme_validation():
             target_factors=("surface",),
             translation_steps=((("missing",), ("surface",)),),
         )
-    tok = FactoredToken("dog", ("sg", "dir"))
-    assert NOUN_SCHEME.project(tok, ("root", "case"), "source") == ("dog", "dir")
 
 
 def test_build_noun_dict_dog():

@@ -89,6 +89,17 @@ def _ref_build_verb(lexicon, table):
     return entries, failures
 
 
+def _ref_value(kind, what, token, index):
+    """A factor of `token` as a `kind` member; a value outside the enum
+    is an input error that names the entry and the allowed values."""
+    value = token.factors[index]
+    allowed = [m.value for m in kind]
+    if value not in allowed:
+        raise InputError(f"entry {token.render()!r}: bad {what} {value!r} "
+                         f"(expected one of {', '.join(allowed)})")
+    return kind(value)
+
+
 def _ref_strip(entries, scheme):
     out, seen = [], set()
     for e in entries:
@@ -96,11 +107,13 @@ def _ref_strip(entries, scheme):
             surface = e.source.surface
         elif "tam" in scheme.source_factors:
             factors = sf.EnglishVerbFactors(
-                Number(e.source.factors[0]), Person(e.source.factors[1]),
-                TamSlot(e.source.factors[2]))
+                _ref_value(Number, "number", e.source, 0),
+                _ref_value(Person, "person", e.source, 1),
+                _ref_value(TamSlot, "tam", e.source, 2))
             surface = sf.english_verb_surface(e.source.surface, factors)
         elif "case" in scheme.source_factors:
-            surface = sf.english_noun_surface(e.source.surface, Number(e.source.factors[0]))
+            surface = sf.english_noun_surface(
+                e.source.surface, _ref_value(Number, "number", e.source, 0))
         else:
             surface = e.source.surface
         entry = DictEntry(FactoredToken(surface), FactoredToken(e.target.surface))

@@ -5,11 +5,7 @@ import random
 import pytest
 
 from morphinject.corpus_inject import inject, parse_factored_corpus
-from morphinject.dictionary_builder import (
-    FactoredToken,
-    NOUN_SCHEME,
-    build_noun_dict,
-)
+from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
 from morphinject.errors import EmptyCorpus, LengthMismatch, ZeroBaseline
 from morphinject.evaluation import (
     VocabSet,
@@ -73,9 +69,7 @@ def _corpus(src_lines, tgt_lines):
 
 def test_sparsity_subset_probe_is_fully_seen():
     train = _corpus(["dog|sg|dir cat|sg|obl"], ["कुत्ता|कुत्ता|null बिल्ली|बिल्ली|null"])
-    probe = [
-        (FactoredToken("dog", ("sg", "dir")), FactoredToken("कुत्ता", ("कुत्ता", "null")))
-    ]
+    probe = _corpus(["dog|sg|dir"], ["कुत्ता|कुत्ता|null"])
     report = sparsity_report(train, probe, NOUN_SCHEME)
     assert all(s.unseen == 0 for s in report.translation_steps)
     assert all(s.unseen == 0 for s in report.generation_steps)
@@ -86,11 +80,10 @@ def test_sparsity_counts_match_brute_force():
         ["dog|sg|dir", "girl|sg|dir"],
         ["कुत्ता|कुत्ता|null", "लड़की|लड़की|null"],
     )
-    probe_pairs = [
-        (FactoredToken("dog", ("pl", "obl")), FactoredToken("कुत्तों", ("कुत्ता", "ओं"))),
-        (FactoredToken("dog", ("sg", "dir")), FactoredToken("कुत्ता", ("कुत्ता", "null"))),
-        (FactoredToken("girl", ("pl", "dir")), FactoredToken("लड़कियाँ", ("लड़की", "याँ"))),
-    ]
+    probe_pairs = _corpus(
+        ["dog|pl|obl", "dog|sg|dir", "girl|pl|dir"],
+        ["कुत्तों|कुत्ता|ओं", "कुत्ता|कुत्ता|null", "लड़कियाँ|लड़की|याँ"],
+    )
     report = sparsity_report(train, probe_pairs, NOUN_SCHEME)
     # brute force over the construction: train source tuples and target pairs
     train_src = {("dog", "sg", "dir"), ("girl", "sg", "dir")}
@@ -108,9 +101,7 @@ def test_sparsity_counts_match_brute_force():
 def test_sparsity_tolerates_padded_train_corpus():
     # a width-normalized corpus (trailing nulls) still projects correctly
     train = _corpus(["dog|sg|dir|null|null"], ["कुत्ता|कुत्ता|null|null|null"])
-    probe = [
-        (FactoredToken("dog", ("sg", "dir")), FactoredToken("कुत्ता", ("कुत्ता", "null")))
-    ]
+    probe = _corpus(["dog|sg|dir"], ["कुत्ता|कुत्ता|null"])
     report = sparsity_report(train, probe, NOUN_SCHEME)
     assert report.translation_steps[0].unseen == 0
     assert report.generation_steps[0].unseen == 0
@@ -124,11 +115,12 @@ def test_sparsity_closes_after_injection(noun_fixtures):
         [e.source.render() for e in d.entries if e.source.factors == ("sg", "dir")],
         [e.target.render() for e in d.entries if e.source.factors == ("sg", "dir")],
     )
-    probe = [
-        (e.source, e.target) for e in d.entries if e.source.factors == ("pl", "obl")
-    ]
+    probe = _corpus(
+        [e.source.render() for e in d.entries if e.source.factors == ("pl", "obl")],
+        [e.target.render() for e in d.entries if e.source.factors == ("pl", "obl")],
+    )
     before = sparsity_report(train, probe, NOUN_SCHEME)
-    assert before.generation_steps[0].unseen == len(probe)
+    assert before.generation_steps[0].unseen == len(probe.tgt)
     injected, _ = inject(train, d)
     after = sparsity_report(injected, probe, NOUN_SCHEME)
     assert after.generation_steps[0].unseen == 0

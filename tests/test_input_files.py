@@ -127,6 +127,9 @@ def test_hash_lines_in_a_dictionary_are_comments(tmp_path):
 # --- no input file makes a subcommand exit 2 ---
 
 NOUNS = (FIXTURES / "noun_paradigms.tsv").read_text("utf-8").split("\n")[:12]
+INJECT = ["inject", "--source", str(FIXTURES / "corpus_src.txt"),
+          "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", "F",
+          "--out-source", "{tmp}/o.src", "--out-target", "{tmp}/o.tgt"]
 # per command: the argv around the drawn file F, and the file it grows from
 COMMANDS = {
     "classify": (["classify", "--lexicon", "F"], "\n".join(
@@ -141,9 +144,14 @@ COMMANDS = {
                                 (FIXTURES / "verb_lexicon.tsv").read_text("utf-8")),
     "annotate": (["annotate", "--conllu", "F"],
                  (FIXTURES / "sample.conllu").read_text("utf-8")),
-    "inject": (["inject", "--source", str(FIXTURES / "corpus_src.txt"),
-                "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", "F",
-                "--out-source", "{tmp}/o.src", "--out-target", "{tmp}/o.tgt"], DICTIONARY),
+    "inject": (INJECT, DICTIONARY),
+    "inject-surface": (INJECT + ["--mode", "surface"], DICTIONARY),
+    "inject-surface-verb": (INJECT + ["--mode", "surface"],
+                            "walk|sg|3|hab\tचलता|चल|ता\nwalk|pl|1|perf\tचले|चल|ए\n"),
+    "sparsity": (["sparsity", "--scheme", "noun", "--train-source", str(FIXTURES / "corpus_src.txt"),
+                  "--train-target", str(FIXTURES / "corpus_tgt.txt"),
+                  "--probe-source", "F", "--probe-target", "F"],
+                 (FIXTURES / "corpus_src.txt").read_text("utf-8")),
     "oov": (["oov", "--tokens", "F", "--vocab", str(FIXTURES / "corpus_tgt.txt")],
             (FIXTURES / "corpus_tgt.txt").read_text("utf-8")),
     "bleu": (["bleu", "--candidates", "F", "--references", "F"],
@@ -174,7 +182,7 @@ def input_file(draw, text: str) -> bytes:
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_no_input_file_exits_2(tmp_path_factory, command, data):
     argv, text = COMMANDS[command]
