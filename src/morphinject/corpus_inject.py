@@ -20,7 +20,7 @@ ParallelCorpus.pairs, the FactoredToken view, is built on demand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable
 
@@ -44,10 +44,13 @@ TokenLine = list[FactoredToken]
 
 @dataclass
 class ParallelCorpus:
-    """Checked, line-aligned source and target lines, without newlines."""
+    """Checked, line-aligned source and target lines, without newlines,
+    and the names that locate an error in them as name:line."""
 
     src: list[str]
     tgt: list[str]
+    source_name: str = field(default="source", compare=False)
+    target_name: str = field(default="target", compare=False)
 
     @cached_property
     def pairs(self) -> list[tuple[TokenLine, TokenLine]]:
@@ -197,6 +200,7 @@ def parse_factored_corpus(
     return ParallelCorpus(
         _settle_width(src_lines, source_name, src_check, auto_normalize),
         _settle_width(tgt_lines, target_name, tgt_check, auto_normalize),
+        source_name, target_name,
     )
 
 

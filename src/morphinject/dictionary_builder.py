@@ -26,6 +26,7 @@ from . import source_factors as sf
 from .errors import InputError, TokenTooWide
 from .noun_morph import (
     BilingualNoun,
+    Case,
     Number,
     SuffixTable,
     default_suffix_table,
@@ -138,6 +139,9 @@ SURFACE_SCHEME = FactorScheme(
 
 SCHEMES = {"noun": NOUN_SCHEME, "verb": VERB_SCHEME, "surface": SURFACE_SCHEME}
 
+# the closed set of values of each source factor that has one
+_FACTOR_VALUES = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
+
 
 @dataclass(frozen=True)
 class DictEntry:
@@ -202,9 +206,11 @@ def parse_dictionary(
     """Read a dictionary file: one entry per line, source TAB target;
     blank and "#" lines are skipped. `name` locates errors as name:line."""
     out: dict[str, None] = {}
+    first_at: dict[str, str] = {}  # each distinct source side: where it first appears
     widths: tuple[int, int] | None = None
     for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
         line = f"{source}\t{target}"
+        first_at.setdefault(source, where)
         if widths is None:
             widths = (source.count(FACTOR_SEP), target.count(FACTOR_SEP))
             valid = _line_check(*widths)
@@ -228,7 +234,26 @@ def parse_dictionary(
         for side, width, declared in zip(first, widths, (scheme.source_width, scheme.target_width)):
             if width != declared:
                 raise InputError(f"entry {side!r} has {width} factors, scheme declares {declared}")
+    _check_factor_values(first_at, scheme)
     return WordFormDictionary(list(out), scheme)
+
+
+def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None:
+    """Each enum factor of the scheme's source side must hold a value of
+    its enum. Source sides are visited in file order, so the first bad
+    value is reported at the first line that holds it; each distinct
+    value of a position is checked once."""
+    checks = [(i, what, _FACTOR_VALUES[what], set())
+              for i, what in enumerate(scheme.source_factors) if what in _FACTOR_VALUES]
+    if not checks:
+        return
+    for source, where in first_at.items():
+        factors = source.split(FACTOR_SEP)
+        for i, what, kind, seen in checks:
+            value = factors[i]
+            if value not in seen:
+                sc.table_value(kind, what, value, where)
+                seen.add(value)
 
 
 def build_noun_dict(

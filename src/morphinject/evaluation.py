@@ -122,12 +122,12 @@ def _projections(
     return known
 
 
-def _check_probe_side(lines: list[str], side: str, width: int) -> None:
+def _check_probe_side(lines: list[str], name: str, width: int) -> None:
     for lineno, line in enumerate(lines, 1):
         for token in line.split(" ") if line else ():
             if token.count("|") != width:
                 raise InputError(
-                    f"probe {side} line {lineno}: token {token!r} has "
+                    f"{name}:{lineno}: token {token!r} has "
                     f"{token.count('|')} factors, scheme declares {width}"
                 )
 
@@ -137,16 +137,17 @@ def sparsity_report(
 ) -> SparsityReport:
     """Coverage of the probe's factor combinations in the training data.
 
-    Each probe token must have exactly the scheme's width on its side.
+    Each probe token must have exactly the scheme's width on its side;
+    the first that has not is an error at the probe file's name:line.
     Counts are over distinct probe tuples per step, so seen + unseen
     equals the number of distinct projections.
     """
     sides = []
-    for side, declared, train_lines, probe_lines, steps in (
-        ("source", scheme.source_factors, train.src, probe.src, scheme.translation_steps),
-        ("target", scheme.target_factors, train.tgt, probe.tgt, scheme.generation_steps),
+    for name, declared, train_lines, probe_lines, steps in (
+        (probe.source_name, scheme.source_factors, train.src, probe.src, scheme.translation_steps),
+        (probe.target_name, scheme.target_factors, train.tgt, probe.tgt, scheme.generation_steps),
     ):
-        _check_probe_side(probe_lines, side, len(declared) - 1)
+        _check_probe_side(probe_lines, name, len(declared) - 1)
         reports = []
         for in_names, out_names in steps:
             known = _projections(train_lines, declared, in_names)

@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, TextIO
 
 from . import script_core as sc
 from .errors import InputError, NotANoun, NotAVerb
@@ -37,8 +37,7 @@ DIRECT_OBJECT_DEPRELS = {"dobj", "obj"}
 PREP_OBJECT_DEPRELS = {"pobj", "obl"}
 
 
-@dataclass(frozen=True)
-class ConlluToken:
+class ConlluToken(NamedTuple):
     id: int
     form: str
     lemma: str
@@ -100,42 +99,38 @@ def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str,
     return _load_rules(source, "tam_rules.tsv", _TAM_TESTS, TamSlot, "TAM")
 
 
-def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> list[list[ConlluToken]]:
-    """Parse CoNLL-U text into sentences. Comment lines, multiword-token
-    ranges (1-2) and empty nodes (1.1) are skipped; `name` locates errors
-    as name:line."""
-    sentences = []
+# ConlluToken(...) without the Python-level __new__ of a NamedTuple
+_token = tuple.__new__
+
+
+def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[ConlluToken]]:
+    """Yield the sentences of CoNLL-U lines, one list of tokens at a time,
+    as the lines are read. Comment lines, multiword-token ranges (1-2) and
+    empty nodes (1.1) are skipped; `name` locates errors as name:line, and
+    an error is raised when its line is reached."""
     tokens: list[ConlluToken] = []
     for lineno, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
         if not line.strip():
             if tokens:
-                sentences.append(tokens)
+                yield tokens
                 tokens = []
             continue
         if line.startswith("#"):
             continue
         cols = line.split("\t")
-        if len(cols) != 10:
-            raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}")
-        if "-" in cols[0] or "." in cols[0]:
+        try:
+            tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
+        except ValueError:
+            raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}") from None
+        if "-" in tid or "." in tid:
             continue
         try:
-            tokens.append(
-                ConlluToken(
-                    id=int(cols[0]),
-                    form=cols[1],
-                    lemma=cols[2],
-                    xpos=cols[4],
-                    head=int(cols[6]) if cols[6] != "_" else 0,
-                    deprel=cols[7],
-                )
-            )
+            tokens.append(_token(ConlluToken, (
+                int(tid), form, lemma, xpos, 0 if head == "_" else int(head), deprel)))
         except ValueError:
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
     if tokens:
-        sentences.append(tokens)
-    return sentences
+        yield tokens
 
 
 def is_noun(token: ConlluToken) -> bool:

@@ -289,36 +289,49 @@ def test_sparsity_counts_tokens_past_the_shorter_side(tmp_path, capsys):
 
 @pytest.mark.parametrize("probe_src, probe_tgt, message", [
     ("\ndog|sg\n", "कुत्ता|कुत्ता|null\nकुत्ता|कुत्ता|null\n",
-     "probe source line 2: token 'dog|sg' has 1 factors, scheme declares 2"),
+     "probe.src:2: token 'dog|sg' has 1 factors, scheme declares 2"),
     ("dog|sg|dir\ndog|sg|dir\n", "\nकुत्ता|कुत्ता|null|null कुत्ता|कुत्ता|null|null\n",
-     "probe target line 2: token 'कुत्ता|कुत्ता|null|null' has 3 factors, scheme declares 2"),
+     "probe.tgt:2: token 'कुत्ता|कुत्ता|null|null' has 3 factors, scheme declares 2"),
 ], ids=["source", "target"])
 def test_sparsity_locates_a_probe_token_of_another_width(tmp_path, capsys, probe_src,
                                                         probe_tgt, message):
     code, out, err = _sparsity(tmp_path, capsys, probe_src, probe_tgt)
     assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: {tmp_path / message}\n"
 
 
-@pytest.mark.parametrize("entry, message", [
-    ("dog|xx|dir\tकुत्ता|कुत्ता|null", "entry 'dog|xx|dir': bad number 'xx' (expected one of sg, pl)"),
-    ("walk|xx|3|hab\tचलता|चल|ता", "entry 'walk|xx|3|hab': bad number 'xx' (expected one of sg, pl)"),
-    ("walk|sg|4|hab\tचलता|चल|ता", "entry 'walk|sg|4|hab': bad person '4' (expected one of 1, 2, 3)"),
-    ("walk|sg|3|xx\tचलता|चल|ता",
-     "entry 'walk|sg|3|xx': bad tam 'xx' (expected one of inf, hab, perf, fut, subj, imp)"),
-], ids=["noun-number", "verb-number", "verb-person", "verb-tam"])
-def test_inject_surface_names_a_bad_factor_value(tmp_path, capsys, entry, message):
+# a dictionary row with a factor value outside its enum, and the error
+_BAD_FACTOR_VALUES = pytest.mark.parametrize("entry, message", [
+    ("dog|xx|dir\tकुत्ता|कुत्ता|null", "bad number 'xx' (expected one of sg, pl)"),
+    ("dog|sg|xx\tकुत्ता|कुत्ता|null", "bad case 'xx' (expected one of dir, obl)"),
+    ("walk|xx|3|hab\tचलता|चल|ता", "bad number 'xx' (expected one of sg, pl)"),
+    ("walk|sg|4|hab\tचलता|चल|ता", "bad person '4' (expected one of 1, 2, 3)"),
+    ("walk|sg|3|xx\tचलता|चल|ता", "bad tam 'xx' (expected one of inf, hab, perf, fut, subj, imp)"),
+], ids=["noun-number", "noun-case", "verb-number", "verb-person", "verb-tam"])
+
+
+def _inject_bad_factor_value(tmp_path, capsys, mode, entry, message):
     d = tmp_path / "d.tsv"
-    d.write_text(entry + "\n", "utf-8")
+    d.write_text("# entries\n" + entry + "\n", "utf-8")
     out_src, out_tgt = tmp_path / "o.src", tmp_path / "o.tgt"
     code, out, err = run(
-        capsys, "inject", "--mode", "surface", "--dict", str(d),
+        capsys, "inject", "--mode", mode, "--dict", str(d),
         "--source", str(FIXTURES / "corpus_src.txt"), "--target", str(FIXTURES / "corpus_tgt.txt"),
         "--out-source", str(out_src), "--out-target", str(out_tgt),
     )
     assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: {d}:2: {message}\n"
     assert not out_src.exists() and not out_tgt.exists()
+
+
+@_BAD_FACTOR_VALUES
+def test_inject_surface_names_a_bad_factor_value(tmp_path, capsys, entry, message):
+    _inject_bad_factor_value(tmp_path, capsys, "surface", entry, message)
+
+
+@_BAD_FACTOR_VALUES
+def test_inject_factored_names_a_bad_factor_value(tmp_path, capsys, entry, message):
+    _inject_bad_factor_value(tmp_path, capsys, "factored", entry, message)
 
 
 DATA =Path(__file__).parents[1] / "src/morphinject/data"
@@ -387,6 +400,35 @@ def test_annotate_locates_bad_surface(tmp_path, capsys):
     assert err == (f"error: {conllu}: sentence 2, token 2: "
                    "factored token surface 'New York' contains whitespace\n")
     assert not out.exists()
+
+
+# three sentences; the last row of the last one (line 10) is replaced
+_THREE_SENTENCES = (
+    "# one\n1\tdogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n2\tbark\tbark\tVERB\tVBP\t_\t0\troot\t_\t_\n\n"
+    "1\tI\tI\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n2\tran\trun\tVERB\tVBD\t_\t0\troot\t_\t_\n\n"
+    "# three\n1\tthe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n{last}\n"
+)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("2\tcats\tcat\tNOUN\tNNS\t_\tx\troot\t_\t_", ":10: bad ID or HEAD field"),
+    ("2\ta|b\ta|b\tX\tFW\t_\t0\troot\t_\t_",
+     ": sentence 3, token 2: surface 'a|b' contains the factor separator"),
+], ids=["bad-head", "separator-in-surface"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_annotate_error_in_the_last_sentence_writes_nothing(tmp_path, capsys, last, message,
+                                                             to_file):
+    conllu = tmp_path / "late.conllu"
+    conllu.write_text(_THREE_SENTENCES.format(last=last), "utf-8")
+    out = tmp_path / "out.src"
+    out.write_bytes(b"kept\n")
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run(capsys, "annotate", "--conllu", str(conllu),
+                            *(["--out", str(out)] if to_file else []))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {conllu}{message}\n"
+    assert out.read_bytes() == b"kept\n"
+    assert sorted(tmp_path.iterdir()) == before  # no out.src.* temp file left
 
 
 _PRONOUNS = (DATA / "pronouns.tsv").read_text("utf-8")

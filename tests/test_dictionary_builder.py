@@ -204,6 +204,6 @@ def test_dictionary_roundtrip_and_widths(verb_lexicon_lines):
     with pytest.raises(InputError, match="has 1 factors, scheme declares 2"):
         parse_dictionary(["a|b\tc"], NOUN_SCHEME)
     # duplicate lines collapse to one entry
-    assert parse_dictionary(["a|b|c\td|e|f"] * 2, NOUN_SCHEME) == WordFormDictionary(
-        ["a|b|c\td|e|f"], NOUN_SCHEME
+    assert parse_dictionary(["a|sg|dir\td|e|f"] * 2, NOUN_SCHEME) == WordFormDictionary(
+        ["a|sg|dir\td|e|f"], NOUN_SCHEME
     )

@@ -131,11 +131,26 @@ def _ref_check_scheme(entries, scheme):
                     f"entry {token.render()!r} has {token.width} factors, scheme declares {declared}")
 
 
+_REF_ENUMS = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
+
+
+def _ref_check_values(rows, scheme):
+    """Every enum factor of every row, in file order, is a value of its
+    enum, else an error at the row's name:line."""
+    for where, token in rows:
+        for name, value in zip(scheme.source_factors[1:], token.factors):
+            allowed = [m.value for m in _REF_ENUMS.get(name, ())]
+            if allowed and value not in allowed:
+                raise InputError(
+                    f"{where}: bad {name} {value!r} (expected one of {', '.join(allowed)})")
+
+
 def _ref_parse(lines, scheme=None, name="<dictionary>"):
-    entries, seen, widths = [], set(), None
+    entries, seen, widths, rows = [], set(), None, []
     for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
         with sc.located(where):
             entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
+        rows.append((where, entry.source))
         if widths is None:
             widths = (entry.source.width, entry.target.width)
         elif widths != (entry.source.width, entry.target.width):
@@ -153,6 +168,7 @@ def _ref_parse(lines, scheme=None, name="<dictionary>"):
         else:
             raise InputError(f"{name}: no scheme matches factor widths {widths}")
     _ref_check_scheme(entries, scheme)
+    _ref_check_values(rows, scheme)
     return entries, scheme
 
 
@@ -303,12 +319,20 @@ _dict_line = st.one_of(
     st.tuples(_token, _token).map("\t".join),
     st.text(st.sampled_from(["a", "|", " ", "\t", "\xa0", "#", "क"]), max_size=8),
 )
+# the values of each enum factor, for dictionaries that pass the value check
+_ENUM_PARTS = {"number": ["sg", "pl"], "case": ["dir", "obl"], "person": ["1", "2", "3"],
+               "tam": ["inf", "hab", "perf", "fut", "subj", "imp"]}
 _dict_lines = st.one_of(
     st.lists(_dict_line, max_size=5),
     # one width pair throughout, so that whole files parse
     st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(lambda w: st.lists(
         st.tuples(*(st.lists(_part.filter(bool), min_size=n + 1, max_size=n + 1).map("|".join)
                     for n in w)).map("\t".join), max_size=5)),
+    # one scheme throughout, so that factor values are checked and often pass
+    st.sampled_from([NOUN_SCHEME, VERB_SCHEME]).flatmap(lambda scheme: st.lists(st.tuples(
+        st.sampled_from(["dog", "walk"]),
+        *(st.sampled_from(_ENUM_PARTS[f] + ["xx"]) for f in scheme.source_factors[1:]),
+    ).map(lambda parts: "|".join(parts) + "\tक|क|null"), max_size=5)),
 )
 _scheme = st.sampled_from([None, NOUN_SCHEME, VERB_SCHEME, SURFACE_SCHEME])
 

@@ -25,7 +25,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(scope="module")
 def sentences():
-    return read_conllu((FIXTURES / "sample.conllu").read_text("utf-8").splitlines())
+    return list(read_conllu((FIXTURES / "sample.conllu").read_text("utf-8").splitlines()))
 
 
 def _tok(sentence, form):
@@ -42,10 +42,10 @@ def test_read_conllu(sentences):
 
 def test_read_conllu_skips_ranges_and_rejects_bad_columns():
     text = "1-2\tcan't\t_\t_\t_\t_\t_\t_\t_\t_\n1\tcan\tcan\tAUX\tMD\t_\t0\troot\t_\t_\n"
-    sents = read_conllu(text.splitlines())
+    sents = list(read_conllu(text.splitlines()))
     assert len(sents) == 1 and len(sents[0]) == 1
     with pytest.raises(InputError):
-        read_conllu(["1\tdog\tdog"])
+        list(read_conllu(["1\tdog\tdog"]))
 
 
 def test_noun_number():

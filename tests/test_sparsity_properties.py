@@ -185,7 +185,7 @@ def test_a_probe_token_of_another_width_is_located(data):
                                   ("target", probe.tgt, scheme.target_width)):
         first = next(((i, ln.split(" ")[0]) for i, ln in enumerate(lines, 1) if ln), None)
         if first and first[1].count("|") != declared:
-            expected = (f"probe {side} line {first[0]}: token {first[1]!r} has "
+            expected = (f"{side}:{first[0]}: token {first[1]!r} has "
                         f"{first[1].count('|')} factors, scheme declares {declared}")
             break
     try:
