@@ -26,10 +26,10 @@ from typing import IO, Iterable
 
 from .dictionary_builder import (
     NULL_FACTOR,
-    TOKEN_PART,
     FactoredToken,
     WordFormDictionary,
     strip_to_surface,
+    token_pattern,
 )
 from .errors import (
     InputError,
@@ -103,7 +103,7 @@ def _width(lines: list[str]) -> int | None:
 
 
 def _line_pattern(width: int) -> re.Pattern:
-    token = rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+    token = token_pattern(width)
     return re.compile(rf"{token}(?: {token})*")
 
 

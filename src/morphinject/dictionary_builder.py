@@ -48,6 +48,11 @@ NULL_FACTOR = "null"
 TOKEN_PART = r"[^\s|]+"
 
 
+def token_pattern(width: int) -> str:
+    """Regex for one factored token: a surface and `width` factors."""
+    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+
+
 @dataclass(frozen=True)
 class FactoredToken:
     surface: str
@@ -180,7 +185,7 @@ class WordFormDictionary:
 def _side_pattern(width: int) -> str:
     if width == 0:  # a surface-only token may hold spaces ("will walk")
         return r"[^|\t]+"
-    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+    return token_pattern(width)
 
 
 @cache

@@ -3,8 +3,10 @@
 Unlike nouns, verbs need no pre-classification: one suffix table applies
 to every verb, and the joiner keys only on the ending of the stem. The
 table is data-driven TSV; "-" in a factor column collapses that
-dimension. English has no grammatical gender on verbs, so paradigm
-generation replicates every English-side factor tuple once per gender.
+dimension. English has no grammatical gender on verbs, so the paradigm
+holds every English-side factor tuple once per gender. The table works
+out that paradigm once, when it is loaded, and `verb_paradigm` joins
+each of its rows to a verb's stem.
 """
 
 from __future__ import annotations
@@ -97,34 +99,31 @@ class _Cell:
     suffix: str | None
 
 
-class VerbSuffixTable:
-    """Suffix lookup over the declared TAM grid, honoring collapsing.
+_DIMS = ("gender", "number", "person")
 
-    agreement_spec maps each TAM slot to the factor dimensions that
-    matter for it; collapsed dimensions accept any value.
+
+class VerbSuffixTable:
+    """A checked verb suffix table and the paradigm it declares.
+
+    `rows` holds the (factors, suffix) pairs of every verb's paradigm,
+    built once: TAMs in TamSlot order, then every gender, then the
+    declared numbers and persons. English verbs have no gender, so each
+    English factor tuple appears once per gender, and a TAM that agrees
+    in gender must name both. A collapsed number or person takes
+    REPR_NUMBER or REPR_PERSON.
     """
 
     def __init__(self, cells: list[_Cell]):
         if not cells:
             raise InputError("verb suffix table is empty")
         self.cells = cells
-        self.agreement_spec: dict[TamSlot, tuple[str, ...]] = {}
         by_tam: dict[TamSlot, list[_Cell]] = {}
         for cell in cells:
             by_tam.setdefault(cell.tam, []).append(cell)
         for tam, tam_cells in by_tam.items():
-            dims = tuple(
-                dim
-                for dim in ("gender", "number", "person")
-                if getattr(tam_cells[0], dim) is not None
-            )
+            dims = [dim for dim in _DIMS if getattr(tam_cells[0], dim) is not None]
             for cell in tam_cells:
-                cell_dims = tuple(
-                    dim
-                    for dim in ("gender", "number", "person")
-                    if getattr(cell, dim) is not None
-                )
-                if cell_dims != dims:
+                if [dim for dim in _DIMS if getattr(cell, dim) is not None] != dims:
                     raise InputError(
                         f"inconsistent collapsed dimensions in {tam.value} rows"
                     )
@@ -137,22 +136,18 @@ class VerbSuffixTable:
                 seen.add(key)
             # totality over the declared grid: every combination of the
             # declared per-dimension values must have a cell
-            expected = 1
-            for dim in dims:
-                expected *= len({getattr(c, dim) for c in tam_cells})
-            if len(tam_cells) != expected:
+            if len(tam_cells) != math.prod(
+                    len({getattr(c, dim) for c in tam_cells}) for dim in dims):
                 raise InputError(f"{tam.value} rows do not cover their declared grid")
-            self.agreement_spec[tam] = dims
-        self._by_tam = by_tam
-
-    def tams(self) -> list[TamSlot]:
-        return [t for t in TamSlot if t in self._by_tam]
+        self.rows = [row for tam in TamSlot if tam in by_tam
+                     for row in _tam_rows(tam, by_tam[tam])]
 
     def lookup(self, factors: VerbFactors) -> str | None:
         """Suffix for a concrete factor tuple (collapsed dims ignored)."""
-        for cell in self._by_tam.get(factors.tam, ()):
+        for cell in self.cells:
             if (
-                (cell.gender is None or cell.gender is factors.gender)
+                cell.tam is factors.tam
+                and (cell.gender is None or cell.gender is factors.gender)
                 and (cell.number is None or cell.number is factors.number)
                 and (cell.person is None or cell.person is factors.person)
             ):
@@ -162,8 +157,21 @@ class VerbSuffixTable:
             f"/{factors.gender.value}/{factors.number.value}/{factors.person.value}"
         )
 
-    def declared_cells(self, tam: TamSlot) -> list[_Cell]:
-        return self._by_tam.get(tam, [])
+
+def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple[VerbFactors, str | None]]:
+    """The paradigm rows of one TAM whose cells passed the table checks."""
+    suffixes = {(c.gender, c.number, c.person): c.suffix for c in cells}
+    genders, numbers, persons = (
+        [v for v in values if any(getattr(c, dim) is v for c in cells)]
+        for dim, values in zip(_DIMS, (Gender, Number, Person)))
+    if len(genders) == 1:
+        raise InputError(f"{tam.value} rows name only gender {genders[0].value}; "
+                         "a TAM that agrees in gender needs both")
+    return [
+        (VerbFactors(gender, number or REPR_NUMBER, person or REPR_PERSON, tam),
+         suffixes[gender if genders else None, number, person])
+        for gender in Gender for number in numbers or [None] for person in persons or [None]
+    ]
 
 
 def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuffixTable:
@@ -238,35 +246,17 @@ def join_verb(root: str, suffix: str | None) -> str:
 def verb_paradigm(
     entry: VerbLexEntry, table: VerbSuffixTable | None = None
 ) -> list[tuple[VerbFactors, str | None, str]]:
-    """Generate (factors, suffix, surface) rows over the collapsed grid.
-
-    Every English-side factor tuple (number, person, TAM) declared by
-    the table appears exactly once per gender; collapsed dimensions are
-    filled with the representative values (sg, 3rd). Irregular-form
-    overrides replace the joiner's output for the rows they match.
+    """Generate (factors, suffix, surface) rows, one per row of the
+    table's paradigm (see VerbSuffixTable). Irregular-form overrides
+    replace the joiner's output for the rows they match.
     """
     table = table or default_verb_suffix_table()
     rows = []
-    for tam in table.tams():
-        dims = table.agreement_spec[tam]
-        cells = table.declared_cells(tam)
-        if "number" in dims:
-            numbers = [n for n in Number if any(c.number is n for c in cells)]
-        else:
-            numbers = [REPR_NUMBER]
-        if "person" in dims:
-            persons = [p for p in Person if any(c.person is p for c in cells)]
-        else:
-            persons = [REPR_PERSON]
-        for gender in Gender:
-            for number in numbers:
-                for person in persons:
-                    factors = VerbFactors(gender, number, person, tam)
-                    suffix = table.lookup(factors)
-                    surface = entry.override_for(factors)
-                    if surface is None:
-                        surface = join_verb(entry.hindi_root, suffix)
-                    rows.append((factors, suffix, surface))
+    for factors, suffix in table.rows:
+        surface = entry.override_for(factors)
+        if surface is None:
+            surface = join_verb(entry.hindi_root, suffix)
+        rows.append((factors, suffix, surface))
     return rows
 
 
@@ -284,8 +274,8 @@ def paradigm_space(dims: Iterable[int]) -> int:
 def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> list[VerbLexEntry]:
     """Parse a verb lexicon TSV: english_root, hindi_stem, then optional
     irregular overrides as slot=surface pairs (slot is
-    tam[:gender][:number][:person] with "-" wildcards). `name` locates
-    errors as name:line."""
+    tam[:gender][:number][:person] with "-" wildcards; a slot of more
+    parts is an error). `name` locates errors as name:line."""
     out = []
     for where, (english, stem, *pairs) in sc.table_rows(
             lines, name, ("english_root", "hindi_stem"), more=True):
@@ -293,10 +283,10 @@ def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> li
         for pair in pairs:
             if not pair.strip():
                 continue
-            if "=" not in pair:
-                raise InputError(f"{where}: bad override {pair!r}")
-            slot, surface = pair.split("=", 1)
+            slot, _, surface = pair.partition("=")
             tam, *dims = slot.split(":")
+            if "=" not in pair or len(dims) > 3:
+                raise InputError(f"{where}: bad override {pair!r}")
             gender, number, person = (dims + ["-"] * 3)[:3]  # absent: a wildcard
             overrides.append(IrregularForm(
                 sc.table_value(TamSlot, "TAM", tam, where),

@@ -54,6 +54,16 @@ def test_diagnostics_name_file_and_line(tmp_path, capsys):
     assert err == f"error: {lex}:1: bad gender 'x' (expected one of m, f)\n"
 
 
+def test_verb_override_with_a_fifth_slot_part_exits_1(tmp_path, capsys):
+    lex = tmp_path / "verbs.tsv"
+    lex.write_text("walk\tचल\ngo\tजा\tperf:m:sg:3:zzz=गया\n", "utf-8")
+    out = tmp_path / "dict.txt"
+    code, _, err = run(capsys, "build-dict", "--kind", "verb", "--lexicon", str(lex), "--out", str(out))
+    assert code == 1
+    assert err == f"error: {lex}:2: bad override 'perf:m:sg:3:zzz=गया'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("english, flags", [("", ()), ("dog\t", ("--bilingual",))])
 def test_classify_locates_a_non_devanagari_root(tmp_path, capsys, english, flags):
     lex = tmp_path / "nouns.tsv"
@@ -512,6 +522,8 @@ _SUFFIX_TABLE_ERRORS = [
     (_VERB_COMMANDS, "hab\tm\tsg\t-\tता\nhab\tf\tpl\t-\tतीं\n",
      ": hab rows do not cover their declared grid"),
     (_VERB_COMMANDS, "# no rows\n", ": verb suffix table is empty"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tm\tsg\t-\tता\nhab\tm\tpl\t-\tते\n",
+     ": hab rows name only gender m; a TAM that agrees in gender needs both"),
 ]
 
 
@@ -519,7 +531,7 @@ _SUFFIX_TABLE_ERRORS = [
 @pytest.mark.parametrize("commands, text, message", _SUFFIX_TABLE_ERRORS, ids=[
     "noun-fields", "noun-class", "noun-duplicate", "noun-missing-cell", "noun-class-a",
     "noun-sg-dir", "noun-empty", "verb-fields", "verb-gender", "verb-number", "verb-duplicate",
-    "verb-collapsed", "verb-grid", "verb-empty"])
+    "verb-collapsed", "verb-grid", "verb-empty", "verb-one-gender"])
 def test_suffix_table_errors_name_file_and_line(tmp_path, capsys, command, commands, text, message):
     table = tmp_path / "table.tsv"
     table.write_text(text, "utf-8")

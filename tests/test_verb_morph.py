@@ -24,21 +24,19 @@ TABLE = default_verb_suffix_table()
 
 def _english_tuples(table):
     """Distinct (number, person, tam) tuples declared by the table."""
-    tuples = set()
-    for tam in table.tams():
-        dims = table.agreement_spec[tam]
-        for cell in table.declared_cells(tam):
-            number = cell.number if "number" in dims else None
-            person = cell.person if "person" in dims else None
-            tuples.add((number, person, tam))
-    return tuples
+    return {(cell.number, cell.person, cell.tam) for cell in table.cells}
 
 
 def test_agreement_spec():
-    assert TABLE.agreement_spec[TamSlot.INFINITIVE] == ()
-    assert TABLE.agreement_spec[TamSlot.PRESENT_HABITUAL] == ("gender", "number")
-    assert TABLE.agreement_spec[TamSlot.FUTURE] == ("gender", "number", "person")
-    assert TABLE.agreement_spec[TamSlot.IMPERATIVE] == ("number", "person")
+    spec = {
+        cell.tam: tuple(
+            dim for dim in ("gender", "number", "person") if getattr(cell, dim) is not None)
+        for cell in TABLE.cells
+    }
+    assert spec[TamSlot.INFINITIVE] == ()
+    assert spec[TamSlot.PRESENT_HABITUAL] == ("gender", "number")
+    assert spec[TamSlot.FUTURE] == ("gender", "number", "person")
+    assert spec[TamSlot.IMPERATIVE] == ("number", "person")
 
 
 def test_verb_suffix_examples():
@@ -186,3 +184,6 @@ def test_verb_lexicon_parser():
         parse_verb_lexicon(["walk"])
     with pytest.raises(InputError):
         parse_verb_lexicon(["walk\tचल\tbadslot"])
+    with pytest.raises(InputError) as exc:  # a fifth slot part is not dropped
+        parse_verb_lexicon(["walk\tचल", "go\tजा\tperf:m:sg:3:zzz=गया"], "lex.tsv")
+    assert str(exc.value) == "lex.tsv:2: bad override 'perf:m:sg:3:zzz=गया'"
