@@ -1,55 +1,76 @@
 """morphinject: Hindi morphology generation and corpus injection for
-factored MT training data."""
+factored MT training data.
 
-from .noun_morph import (
-    Case,
-    Gender,
-    NounClass,
-    NounLexEntry,
-    Number,
-    SuffixTable,
-    classify_noun,
-    default_suffix_table,
-    join_noun,
-    noun_paradigm,
-)
-from .verb_morph import (
-    Person,
-    TamSlot,
-    VerbFactors,
-    VerbLexEntry,
-    VerbSuffixTable,
-    default_verb_suffix_table,
-    join_verb,
-    paradigm_space,
-    verb_paradigm,
-)
-from .dictionary_builder import (
-    DictEntry,
-    FactorScheme,
-    FactoredToken,
-    WordFormDictionary,
-    build_noun_dict,
-    build_verb_dict,
-    normalize_factors,
-    strip_to_surface,
-)
-from .corpus_inject import (
-    InjectionReport,
-    ParallelCorpus,
-    emit_factored_corpus,
-    inject,
-    parse_factored_corpus,
-)
-from .evaluation import (
-    BleuScore,
-    OovReport,
-    SparsityReport,
-    VocabSet,
-    bleu,
-    oov_count,
-    oov_reduction,
-    sparsity_report,
-)
+The public names below load their module on first access (PEP 562), so
+importing the package, or one of its modules, loads only what is used.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "noun_morph": (
+        "Case",
+        "Gender",
+        "NounClass",
+        "NounLexEntry",
+        "Number",
+        "SuffixTable",
+        "classify_noun",
+        "default_suffix_table",
+        "join_noun",
+        "noun_paradigm",
+    ),
+    "verb_morph": (
+        "Person",
+        "TamSlot",
+        "VerbFactors",
+        "VerbLexEntry",
+        "VerbSuffixTable",
+        "default_verb_suffix_table",
+        "join_verb",
+        "paradigm_space",
+        "verb_paradigm",
+    ),
+    "dictionary_builder": (
+        "DictEntry",
+        "FactorScheme",
+        "FactoredToken",
+        "WordFormDictionary",
+        "build_noun_dict",
+        "build_verb_dict",
+        "normalize_factors",
+        "strip_to_surface",
+    ),
+    "corpus_inject": (
+        "InjectionReport",
+        "ParallelCorpus",
+        "emit_factored_corpus",
+        "inject",
+        "parse_factored_corpus",
+    ),
+    "evaluation": (
+        "BleuScore",
+        "OovReport",
+        "SparsityReport",
+        "VocabSet",
+        "bleu",
+        "oov_count",
+        "oov_reduction",
+        "sparsity_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

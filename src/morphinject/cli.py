@@ -9,11 +9,16 @@ are written to temporary files and renamed, so no subcommand leaves
 partial output behind. Set MORPHINJECT_DATA to a directory to override
 the packaged default data files (noun_suffixes.tsv, verb_suffixes.tsv,
 pronouns.tsv, case_rules.tsv, tam_rules.tsv).
+
+A subcommand loads only the layers it runs: each imports its modules
+when it is called, so `oov` and `bleu` load no morphology, dictionary or
+corpus module.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -21,13 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import corpus_inject as ci
-from . import dictionary_builder as db
-from . import evaluation as ev
-from . import noun_morph as nm
 from . import script_core as sc
-from . import source_factors as sf
-from . import verb_morph as vm
 from .errors import InputError
 
 DATA_DIR_ENV = "MORPHINJECT_DATA"
@@ -39,24 +38,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-# the overridable data files: loader and packaged default of each
+# the overridable data files: module, loader and packaged default of each
 _DATA_TABLES = {
-    "noun_suffixes.tsv": (nm.load_suffix_table, nm.default_suffix_table),
-    "verb_suffixes.tsv": (vm.load_verb_suffix_table, vm.default_verb_suffix_table),
-    "pronouns.tsv": (sf.load_pronoun_table, sf.default_pronoun_table),
-    "case_rules.tsv": (sf.load_case_rules, sf.default_case_rules),
-    "tam_rules.tsv": (sf.load_tam_rules, sf.default_tam_rules),
+    "noun_suffixes.tsv": ("noun_morph", "load_suffix_table", "default_suffix_table"),
+    "verb_suffixes.tsv": ("verb_morph", "load_verb_suffix_table", "default_verb_suffix_table"),
+    "pronouns.tsv": ("source_factors", "load_pronoun_table", "default_pronoun_table"),
+    "case_rules.tsv": ("source_factors", "load_case_rules", "default_case_rules"),
+    "tam_rules.tsv": ("source_factors", "load_tam_rules", "default_tam_rules"),
 }
 
 
 def _data_table(path: str | None, name: str):
     """The table at `path` (a flag), else MORPHINJECT_DATA/`name` if that
     file exists, else the packaged default."""
-    load, default = _DATA_TABLES[name]
+    module, load, default = _DATA_TABLES[name]
+    mod = importlib.import_module(f"{__package__}.{module}")
     base = os.environ.get(DATA_DIR_ENV)
     if path is None and base and (Path(base) / name).is_file():
         path = str(Path(base) / name)
-    return default() if path is None else load(path)
+    return getattr(mod, default)() if path is None else getattr(mod, load)(path)
 
 
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
@@ -105,6 +105,8 @@ def _report_text(report_dict: dict, fmt: str) -> str:
 # --- subcommands ---
 
 def cmd_classify(args) -> int:
+    from . import noun_morph as nm
+
     nouns = nm.parse_noun_lexicon(
         sc.read_lines(args.lexicon), bilingual=args.bilingual, name=args.lexicon)
     lines = []
@@ -119,6 +121,8 @@ def cmd_classify(args) -> int:
 
 def cmd_paradigm(args) -> int:
     if args.verb:
+        from . import verb_morph as vm
+
         if not args.stem:
             raise InputError("--stem is required for verb paradigms")
         table = _data_table(args.table, "verb_suffixes.tsv")
@@ -139,6 +143,8 @@ def cmd_paradigm(args) -> int:
     else:
         if not args.root or not args.gender:
             raise InputError("--root and --gender are required for noun paradigms")
+        from . import noun_morph as nm
+
         table = _data_table(args.table, "noun_suffixes.tsv")
         entry = nm.NounLexEntry(
             args.root,
@@ -163,7 +169,7 @@ def cmd_paradigm(args) -> int:
 
 _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
-_SURFACE = re.compile(db.TOKEN_PART)  # a valid factored surface
+_SURFACE = re.compile(sc.TOKEN_PART)  # a valid factored surface
 
 
 def _annotation_line(sentence, annotated, width: int, where: str) -> str:
@@ -171,7 +177,7 @@ def _annotation_line(sentence, annotated, width: int, where: str) -> str:
     padding to `width`. A sentence with a surface that fails the check
     goes through FactoredToken and normalize_factors, which raise their
     first error, prefixed with `where` and the token ID."""
-    nulls = [(db.NULL_FACTOR,) * (width - k) for k in range(width + 1)]
+    nulls = [(sc.NULL_FACTOR,) * (width - k) for k in range(width + 1)]
     ok = _SURFACE.fullmatch
     parts = []
     for surf, factors in annotated:
@@ -182,6 +188,8 @@ def _annotation_line(sentence, annotated, width: int, where: str) -> str:
 
 
 def _check_annotation(sentence, annotated, width: int, where: str) -> None:
+    from . import dictionary_builder as db
+
     tokens = []
     for token, (surf, factors) in zip(sentence, annotated):
         try:
@@ -196,6 +204,8 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 
 
 def cmd_annotate(args) -> int:
+    from . import source_factors as sf
+
     pronouns = _data_table(args.pronouns, "pronouns.tsv")
     case_rules = _data_table(args.case_rules, "case_rules.tsv")
     tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
@@ -212,6 +222,10 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_build_dict(args) -> int:
+    from . import dictionary_builder as db
+    from . import noun_morph as nm
+    from . import verb_morph as vm
+
     if args.kind == "noun":
         lexicon = nm.parse_noun_lexicon(sc.read_lines(args.lexicon), name=args.lexicon)
         dictionary = db.build_noun_dict(lexicon, _data_table(args.table, "noun_suffixes.tsv"))
@@ -242,6 +256,9 @@ def cmd_build_dict(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    from . import corpus_inject as ci
+    from . import dictionary_builder as db
+
     corpus = ci.parse_factored_corpus(
         sc.read_lines(args.source), sc.read_lines(args.target),
         auto_normalize=args.auto_normalize,
@@ -258,6 +275,10 @@ def cmd_inject(args) -> int:
 
 
 def cmd_sparsity(args) -> int:
+    from . import corpus_inject as ci
+    from . import dictionary_builder as db
+    from . import evaluation as ev
+
     train = ci.parse_factored_corpus(
         sc.read_lines(args.train_source), sc.read_lines(args.train_target),
         source_name=args.train_source, target_name=args.train_target,
@@ -272,6 +293,8 @@ def cmd_sparsity(args) -> int:
 
 
 def cmd_oov(args) -> int:
+    from . import evaluation as ev
+
     tokens = [t for ln in sc.read_lines(args.tokens) for t in ln.split()]
     vocab = ev.VocabSet.from_tokens(
         t for ln in sc.read_lines(args.vocab) for t in ln.split()
@@ -282,6 +305,8 @@ def cmd_oov(args) -> int:
 
 
 def cmd_bleu(args) -> int:
+    from . import evaluation as ev
+
     cands = [ln.split() for ln in sc.read_lines(args.candidates)]
     refs = [ln.split() for ln in sc.read_lines(args.references)]
     score = ev.bleu(cands, refs, smoothing=args.smoothing)
@@ -320,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gender", choices=["m", "f"])
     p.add_argument("--uncountable", action="store_true",
                    help="mass/abstract noun (class A)")
-    p.add_argument("--noun-class", choices=[c.value for c in nm.NounClass],
+    p.add_argument("--noun-class", choices=["A", "B", "C", "D", "E"],
                    help="override the predicted class")
     p.add_argument("--verb", action="store_true", help="generate a verb paradigm")
     p.add_argument("--stem", help="Hindi verb stem (infinitive minus ना)")
@@ -396,7 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train-target", required=True)
     p.add_argument("--probe-source", required=True)
     p.add_argument("--probe-target", required=True)
-    p.add_argument("--scheme", choices=sorted(db.SCHEMES), required=True)
+    p.add_argument("--scheme", choices=["noun", "surface", "verb"], required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
     p.set_defaults(func=cmd_sparsity)

@@ -32,6 +32,7 @@ from .noun_morph import (
     default_suffix_table,
     noun_paradigm,
 )
+from .script_core import NULL_FACTOR, TOKEN_PART
 from .verb_morph import (
     Person,
     TamSlot,
@@ -42,10 +43,6 @@ from .verb_morph import (
 )
 
 FACTOR_SEP = "|"
-NULL_FACTOR = "null"
-# a surface or a factor of a factored token: no separator, no whitespace
-# (\s matches exactly the characters for which str.isspace() is true)
-TOKEN_PART = r"[^\s|]+"
 
 
 def token_pattern(width: int) -> str:
@@ -338,17 +335,23 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     noun = scheme.source_width > 0 and not verb and "case" in scheme.source_factors
     valid = _line_check(0, 0)
     lines: dict[str, None] = {}
+    # each distinct factor string, checked once: the values its surface reads
+    checked: dict[str, object] = {}
     for line in dictionary.lines:
         source, target = line.split("\t")
-        surface, *factors = source.split(FACTOR_SEP)
-        where = f"entry {source!r}"
-        if verb:
-            surface = sf.english_verb_surface(surface, sf.EnglishVerbFactors(
-                sc.table_value(Number, "number", factors[0], where),
-                sc.table_value(Person, "person", factors[1], where),
-                sc.table_value(TamSlot, "tam", factors[2], where)))
-        elif noun:
-            surface = sf.english_noun_surface(
-                surface, sc.table_value(Number, "number", factors[0], where))
+        surface, _, factor_text = source.partition(FACTOR_SEP)
+        if verb or noun:
+            value = checked.get(factor_text)
+            if value is None:
+                factors = factor_text.split(FACTOR_SEP)
+                where = f"entry {source!r}"
+                value = sc.table_value(Number, "number", factors[0], where)
+                if verb:
+                    value = sf.EnglishVerbFactors(
+                        value,
+                        sc.table_value(Person, "person", factors[1], where),
+                        sc.table_value(TamSlot, "tam", factors[2], where))
+                checked[factor_text] = value
+            surface = (sf.english_verb_surface if verb else sf.english_noun_surface)(surface, value)
         _add_line(lines, valid, (surface,), (target.partition(FACTOR_SEP)[0],))
     return WordFormDictionary(list(lines), SURFACE_SCHEME)

@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus_inject import ParallelCorpus
-from .dictionary_builder import FactorScheme
 from .errors import EmptyCorpus, InputError, LengthMismatch, ZeroBaseline
+
+if TYPE_CHECKING:  # annotations only: oov and bleu load no corpus layer
+    from .corpus_inject import ParallelCorpus
+    from .dictionary_builder import FactorScheme
 
 
 @dataclass
@@ -180,10 +182,6 @@ class BleuScore:
         }
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu(
     candidates: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],
@@ -210,12 +208,17 @@ def bleu(
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, 5):
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            totals[n - 1] += max(len(cand) - n + 1, 0)
-            for gram, count in cand_counts.items():
-                matches[n - 1] += min(count, ref_counts.get(gram, 0))
+        cand_tails = [cand[i:] for i in range(4)]
+        ref_tails = [ref[i:] for i in range(4)]
+        for n in range(4):
+            cand_grams = list(zip(*cand_tails[:n + 1]))
+            ref_grams = zip(*ref_tails[:n + 1])
+            distinct = set(cand_grams)
+            totals[n] += len(cand_grams)
+            if len(distinct) == len(cand_grams):  # each clipped count is 0 or 1
+                matches[n] += len(distinct.intersection(ref_grams))
+            else:
+                matches[n] += sum((Counter(cand_grams) & Counter(ref_grams)).values())
 
     precisions = []
     for n in range(4):

@@ -25,6 +25,12 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
 
+# the null factor, and a surface or a factor of a factored token: no
+# separator, no whitespace (\s matches exactly the characters for which
+# str.isspace() is true)
+NULL_FACTOR = "null"
+TOKEN_PART = r"[^\s|]+"
+
 VIRAMA = "्"
 NUKTA = "़"
 ANUSVARA = "ं"

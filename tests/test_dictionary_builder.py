@@ -196,6 +196,26 @@ def test_strip_to_surface_verbs():
     assert stripped.scheme == SURFACE_SCHEME
 
 
+@pytest.mark.parametrize("scheme, sources, message", [
+    # each distinct factor string is read once: the first entry holding it is named
+    (NOUN_SCHEME, ["dog|sg|dir", "dog|xx|dir", "cat|xx|dir"],
+     "entry 'dog|xx|dir': bad number 'xx' (expected one of sg, pl)"),
+    (VERB_SCHEME, ["walk|sg|3|hab", "run|sg|3|zz", "walk|sg|3|zz"],
+     "entry 'run|sg|3|zz': bad tam 'zz'"),
+    (VERB_SCHEME, ["walk|sg|9|zz"], "entry 'walk|sg|9|zz': bad person '9'"),
+    # nouns read only the number factor
+    (NOUN_SCHEME, ["dog|pl|zz", "dog|sg|zz"], None),
+])
+def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
+    d = WordFormDictionary([f"{s}\tक|क|null" for s in sources], scheme)
+    if message is None:
+        assert strip_to_surface(d).lines == ["dogs\tक", "dog\tक"]
+        return
+    with pytest.raises(InputError) as raised:
+        strip_to_surface(d)
+    assert str(raised.value).startswith(message)
+
+
 def test_dictionary_roundtrip_and_widths(verb_lexicon_lines):
     d = build_verb_dict(parse_verb_lexicon(verb_lexicon_lines))
     reparsed = parse_dictionary(d.lines)
