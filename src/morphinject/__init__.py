@@ -38,7 +38,6 @@ _EXPORTS = {
         "WordFormDictionary",
         "build_noun_dict",
         "build_verb_dict",
-        "normalize_factors",
         "strip_to_surface",
     ),
     "corpus_inject": (

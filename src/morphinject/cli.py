@@ -174,9 +174,8 @@ _SURFACE = re.compile(sc.TOKEN_PART)  # a valid factored surface
 
 def _annotation_line(sentence, annotated, width: int, where: str) -> str:
     """One output line: each token's surface, its factors, then null
-    padding to `width`. A sentence with a surface that fails the check
-    goes through FactoredToken and normalize_factors, which raise their
-    first error, prefixed with `where` and the token ID."""
+    padding to `width`. In a sentence with a surface that fails the
+    check, the first bad token is an error at `where` and its ID."""
     nulls = [(sc.NULL_FACTOR,) * (width - k) for k in range(width + 1)]
     ok = _SURFACE.fullmatch
     parts = []
@@ -188,19 +187,10 @@ def _annotation_line(sentence, annotated, width: int, where: str) -> str:
 
 
 def _check_annotation(sentence, annotated, width: int, where: str) -> None:
-    from . import dictionary_builder as db
-
-    tokens = []
     for token, (surf, factors) in zip(sentence, annotated):
-        try:
-            tokens.append(db.FactoredToken(surf, tuple(factors)))
-        except InputError as exc:
-            raise type(exc)(f"{where}, token {token.id}: {exc}") from None
-    for token, factored in zip(sentence, tokens):
-        try:
-            db.normalize_factors([factored], width)
-        except InputError as exc:
-            raise type(exc)(f"{where}, token {token.id}: {exc}") from None
+        error = sc.token_error(surf, (*factors, *(sc.NULL_FACTOR,) * (width - len(factors))))
+        if error:
+            raise InputError(f"{where}, token {token.id}: {error}")
 
 
 def cmd_annotate(args) -> int:

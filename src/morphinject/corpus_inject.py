@@ -4,17 +4,18 @@ Corpus format (bit-exact): UTF-8, LF line endings only, tokens separated
 by single spaces, factors by "|", no trailing whitespace. A "\r" or
 "\t" anywhere in a line is rejected, so a CRLF file fails instead of
 being rewritten. "Whitespace" means any character for which
-str.isspace() is true; only a surface-only token (factor width 0) may
-contain whitespace other than the separating spaces. Dictionary entries
+str.isspace() is true; a token of any width holds none, so the
+separating spaces are the only whitespace in a line. Dictionary entries
 are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped.
 
 A ParallelCorpus holds the checked lines as strings. Each line is
 checked once, against one full-line pattern for the corpus width; only
-a line that fails it goes through the per-token diagnostics. Injection,
-emission and the sparsity report work on the strings, and
-ParallelCorpus.pairs, the FactoredToken view, is built on demand.
+a line that fails it is split into tokens, and script_core.token_error
+names the first bad one. Padding (auto_normalize, injection), emission
+and the sparsity report work on the strings, and ParallelCorpus.pairs,
+the FactoredToken view, is built on demand.
 """
 
 from __future__ import annotations
@@ -24,22 +25,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable
 
-from .dictionary_builder import (
-    NULL_FACTOR,
-    FactoredToken,
-    WordFormDictionary,
-    strip_to_surface,
-    token_pattern,
-)
-from .errors import (
-    InputError,
-    LineCountMismatch,
-    MalformedToken,
-    RaggedFactorWidth,
-    WidthIncompatible,
-)
-
-TokenLine = list[FactoredToken]
+from . import script_core as sc
+from .dictionary_builder import FactoredToken, WordFormDictionary, strip_to_surface
+from .errors import LineCountMismatch, MalformedToken, RaggedFactorWidth, WidthIncompatible
+from .script_core import NULL_FACTOR
 
 
 @dataclass
@@ -53,7 +42,7 @@ class ParallelCorpus:
     target_name: str = field(default="target", compare=False)
 
     @cached_property
-    def pairs(self) -> list[tuple[TokenLine, TokenLine]]:
+    def pairs(self) -> list[tuple[list[FactoredToken], list[FactoredToken]]]:
         return [(_tokens(s), _tokens(t)) for s, t in zip(self.src, self.tgt)]
 
     def source_width(self) -> int | None:
@@ -86,11 +75,7 @@ class InjectionReport:
         }
 
 
-def render_line(tokens: TokenLine) -> str:
-    return " ".join(t.render() for t in tokens)
-
-
-def _tokens(line: str) -> TokenLine:
+def _tokens(line: str) -> list[FactoredToken]:
     return [FactoredToken.parse(t) for t in line.split(" ")] if line else []
 
 
@@ -103,39 +88,29 @@ def _width(lines: list[str]) -> int | None:
 
 
 def _line_pattern(width: int) -> re.Pattern:
-    token = token_pattern(width)
+    token = sc.token_pattern(width)
     return re.compile(rf"{token}(?: {token})*")
 
 
-def _parse_line(line: str, name: str, lineno: int, pad_to: int | None = None) -> TokenLine:
-    """Per-token diagnostics: the first problem as name:line:column.
-
-    With pad_to, every token is padded with null factors to that width.
-    """
+def _parse_line(line: str, name: str, lineno: int) -> list[str]:
+    """The tokens of a line, checked one by one: the first problem is an
+    error at name:line:column."""
     if "\r" in line or "\t" in line:
         col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
         raise MalformedToken(f"{name}:{lineno}:{col}: control character in line")
     if line != line.rstrip():
         raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
-    if not line:
-        return []
-    tokens = []
+    tokens = line.split(" ") if line else []
     col = 1
-    for raw in line.split(" "):
+    for raw in tokens:
         if raw == "":
             raise MalformedToken(f"{name}:{lineno}:{col}: empty token (double space?)")
-        parts = raw.split("|")
-        if parts[0] == "":
-            raise MalformedToken(f"{name}:{lineno}:{col}: token with empty surface")
-        if any(p == "" for p in parts[1:]):
-            raise MalformedToken(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
-        factors = tuple(parts[1:])
-        if pad_to is not None:
-            factors += (NULL_FACTOR,) * (pad_to - len(factors))
-        try:
-            tokens.append(FactoredToken(parts[0], factors))
-        except InputError as exc:
-            raise MalformedToken(f"{name}:{lineno}:{col}: {exc}") from None
+        surface, *factors = raw.split("|")
+        error = sc.token_error(surface, factors)
+        if surface and "" in factors:  # the corpus names the whole token
+            error = f"empty factor in {raw!r}"
+        if error:
+            raise MalformedToken(f"{name}:{lineno}:{col}: {error}")
         col += len(raw) + 1
     return tokens
 
@@ -154,10 +129,11 @@ def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, i
             continue
         col = 1
         for token in _parse_line(line, name, lineno):
-            if token.width != width and ragged_at is None:
+            token_width = token.count("|")
+            if token_width != width and ragged_at is None:
                 ragged_at = (lineno, col)
-            widest = max(widest, token.width)
-            col += len(token.render()) + 1
+            widest = max(widest, token_width)
+            col += len(token) + 1
     return ragged_at, widest
 
 
@@ -171,7 +147,9 @@ def _settle_width(
         raise RaggedFactorWidth(
             f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
         )
-    return [render_line(_parse_line(ln, name, i, widest)) for i, ln in enumerate(lines, 1)]
+    # a checked line holds no whitespace but its separators: split() is split(" ")
+    return [" ".join(t + f"|{NULL_FACTOR}" * (widest - t.count("|")) for t in ln.split())
+            for ln in lines]
 
 
 def parse_factored_corpus(
@@ -204,21 +182,11 @@ def parse_factored_corpus(
     )
 
 
-_WHITESPACE = re.compile(r"\s").search
-
-
-def _entry_side(text: str, pad: str) -> tuple[str, bool]:
+def _entry_side(text: str, pad: str) -> str:
     """One side of a dictionary line as a corpus line, each token padded
-    with `pad`, and whether any token was padded. A surface-only
-    periphrastic form ("will walk") becomes one token per word; a padded
-    surface must then hold no whitespace, like any factored one."""
-    if " " in text:
-        words = text.split()
-    else:
-        words = [text]
-        if pad and _WHITESPACE(text):
-            FactoredToken.parse(text + pad)  # raises the factored-surface error
-    return " ".join(w + pad for w in words), bool(pad and words)
+    with `pad`: a surface-only periphrastic form ("will walk") becomes
+    one token per word."""
+    return " ".join(w + pad for w in text.split(" "))
 
 
 def inject(
@@ -256,13 +224,9 @@ def inject(
     tgt_pad = f"|{NULL_FACTOR}" * (tgt_width - dict_tgt_width)
     existing = set(zip(corpus.src, corpus.tgt))
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
-    normalized = False
     for line in dictionary.lines:
         source, target = line.split("\t")
-        src_line, src_padded = _entry_side(source, src_pad)
-        tgt_line, tgt_padded = _entry_side(target, tgt_pad)
-        normalized = normalized or src_padded or tgt_padded
-        key = (src_line, tgt_line)
+        src_line, tgt_line = key = (_entry_side(source, src_pad), _entry_side(target, tgt_pad))
         if key in existing:
             continue
         existing.add(key)
@@ -273,7 +237,7 @@ def inject(
         entries_offered=len(dictionary.lines),
         entries_added=added,
         duplicates_skipped=len(dictionary.lines) - added,
-        normalization_applied=normalized,
+        normalization_applied=bool(dictionary.lines and (src_pad or tgt_pad)),
     )
     return ParallelCorpus(out_src, out_tgt), report
 

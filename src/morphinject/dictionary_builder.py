@@ -9,8 +9,10 @@ byte; bad rows are collected as failures instead of aborting the batch.
 
 A WordFormDictionary holds its entries as rendered "source\ttarget"
 lines. Every line, built or read, is checked by one full-line pattern
-for its pair of factor widths; only a line that fails it goes through
-the per-token diagnostics (FactoredToken), which raise the first error.
+for its pair of factor widths; only a line that fails it is replayed
+side by side through script_core.token_error, which names the first
+error, and a line whose sides are both valid has ragged widths. A
+surface-only side is words joined by single spaces ("will walk").
 WordFormDictionary.entries, the DictEntry view, is built on demand.
 """
 
@@ -19,11 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import script_core as sc
 from . import source_factors as sf
-from .errors import InputError, TokenTooWide
+from .errors import InputError
 from .noun_morph import (
     BilingualNoun,
     Case,
@@ -32,7 +34,7 @@ from .noun_morph import (
     default_suffix_table,
     noun_paradigm,
 )
-from .script_core import NULL_FACTOR, TOKEN_PART
+from .script_core import NULL_FACTOR
 from .verb_morph import (
     Person,
     TamSlot,
@@ -45,28 +47,18 @@ from .verb_morph import (
 FACTOR_SEP = "|"
 
 
-def token_pattern(width: int) -> str:
-    """Regex for one factored token: a surface and `width` factors."""
-    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
-
-
 @dataclass(frozen=True)
 class FactoredToken:
+    """One token of the on-demand views `ParallelCorpus.pairs` and
+    `WordFormDictionary.entries`, checked by `script_core.token_error`."""
+
     surface: str
     factors: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.surface:
-            raise InputError("token with empty surface")
-        if FACTOR_SEP in self.surface:
-            raise InputError(f"surface {self.surface!r} contains the factor separator")
-        if self.factors and any(ch.isspace() for ch in self.surface):
-            raise InputError(f"factored token surface {self.surface!r} contains whitespace")
-        for f in self.factors:
-            if not f:
-                raise InputError("empty factor string")
-            if FACTOR_SEP in f or any(ch.isspace() for ch in f):
-                raise InputError(f"factor {f!r} contains separator or whitespace")
+        error = sc.token_error(self.surface, self.factors)
+        if error:
+            raise InputError(error)
         object.__setattr__(self, "factors", tuple(self.factors))
 
     @property
@@ -180,25 +172,32 @@ class WordFormDictionary:
 
 
 def _side_pattern(width: int) -> str:
-    if width == 0:  # a surface-only token may hold spaces ("will walk")
-        return r"[^|\t]+"
-    return token_pattern(width)
+    """A surface-only side is tokens joined by single spaces ("will walk")."""
+    token = sc.token_pattern(width)
+    return rf"{token}(?: {token})*" if width == 0 else token
+
+
+def _side_error(surface: str, factors: Sequence[str]) -> str | None:
+    """The first problem of one side, or None; `_side_pattern` accepts
+    exactly the sides with none."""
+    error = sc.token_error(surface, factors)
+    if error is None and not factors and "" in surface.split(" "):
+        error = f"surface-only side {surface!r} is not words joined by single spaces"
+    return error
 
 
 @cache
 def _line_check(source_width: int, target_width: int):
     """fullmatch for one dictionary line of these factor widths. A line
-    it accepts is two valid tokens; any other goes to FactoredToken."""
+    it accepts is two valid sides; any other goes to `_side_error`."""
     return re.compile(rf"{_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
 
 
 def _add_line(lines: dict[str, None], valid, source: tuple[str, ...], target: tuple[str, ...]) -> None:
-    """Render one entry, check it, and keep it unless already there; a
-    line the pattern rejects is replayed through FactoredToken."""
+    """Render one entry, check it, and keep it unless already there."""
     line = "|".join(source) + "\t" + "|".join(target)
     if not valid(line):
-        FactoredToken(source[0], source[1:])
-        FactoredToken(target[0], target[1:])
+        raise InputError(_side_error(source[0], source[1:]) or _side_error(target[0], target[1:]))
     lines[line] = None
 
 
@@ -217,10 +216,13 @@ def parse_dictionary(
             widths = (source.count(FACTOR_SEP), target.count(FACTOR_SEP))
             valid = _line_check(*widths)
         if not valid(line):
-            with sc.located(where):
-                entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
-            if (entry.source.width, entry.target.width) != widths:
-                raise InputError(f"{where}: ragged factor widths")
+            for side in (source, target):
+                surface, *factors = side.split(FACTOR_SEP)
+                error = _side_error(surface, factors)
+                if error:
+                    raise InputError(f"{where}: {error}")
+            # two valid sides that the first line's pattern rejects
+            raise InputError(f"{where}: ragged factor widths")
         out[line] = None
     if scheme is None:
         if widths == (2, 2):
@@ -303,23 +305,6 @@ def build_verb_dict(
         except InputError as exc:
             failures.append(EntryFailure(idx, verb.english_root, verb.hindi_root, str(exc)))
     return WordFormDictionary(list(lines), VERB_SCHEME, failures)
-
-
-def normalize_factors(tokens: Iterable[FactoredToken], width: int) -> list[FactoredToken]:
-    """Pad every token's factor list with "null" to exactly `width`."""
-    out = []
-    for token in tokens:
-        if token.width > width:
-            raise TokenTooWide(
-                f"token {token.render()!r} has {token.width} factors, width is {width}"
-            )
-        if token.width == width:
-            out.append(token)
-        else:
-            out.append(
-                FactoredToken(token.surface, token.factors + (NULL_FACTOR,) * (width - token.width))
-            )
-    return out
 
 
 def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:

@@ -48,12 +48,6 @@ class NotAVerb(InputError):
     pass
 
 
-# --- dictionary_builder ---
-
-class TokenTooWide(InputError):
-    pass
-
-
 # --- corpus_inject ---
 
 class LineCountMismatch(InputError):

@@ -7,6 +7,10 @@ form: Unicode NFC, except that consonant+nukta pairs are re-composed to
 the precomposed letter where Unicode defines one (NFC itself decomposes
 U+0958..U+095F, which would split e.g. ड़ into two codepoints).
 
+The one factored-token rule is here: `token_pattern` matches a valid
+token, and `token_error` names the first problem of any other, for the
+corpus, the dictionary, annotate and the FactoredToken view alike.
+
 Every input file is read here too: `read_lines` holds the one line rule
 (UTF-8, split on "\n" only, no "\r"), and `table_rows` is the one row
 reader shared by the data tables, the lexicons and the dictionary, so a
@@ -21,7 +25,7 @@ from contextlib import contextmanager
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
 
@@ -30,6 +34,8 @@ from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplica
 # str.isspace() is true)
 NULL_FACTOR = "null"
 TOKEN_PART = r"[^\s|]+"
+_SPACE_IN = re.compile(r"\s").search
+_SPACE_BUT_SEPARATOR_IN = re.compile(r"[^\S ]").search
 
 VIRAMA = "्"
 NUKTA = "़"
@@ -343,6 +349,38 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     if nasal and contains_nasal(new_body[len(body[:-1]):]):
         nasal = ""  # replacement brought its own nasalization
     return new_body + nasal
+
+
+# --- factored tokens ---
+
+def token_pattern(width: int) -> str:
+    """Regex for one token: a surface and `width` factors. It matches
+    exactly the tokens `token_error` passes that hold no " ", which
+    separates the tokens of a line."""
+    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+
+
+def token_error(surface: str, factors: Sequence[str]) -> str | None:
+    """The first problem of a token, or None: the one token rule. The
+    surface and every factor are non-empty and hold no "|" and no
+    whitespace, except that the surface of a token with no factors may
+    hold " " ("will walk")."""
+    if not surface:
+        return "token with empty surface"
+    if "|" in surface:
+        return f"surface {surface!r} contains the factor separator"
+    if not factors:
+        if _SPACE_BUT_SEPARATOR_IN(surface):
+            return f"surface {surface!r} contains whitespace other than ' '"
+        return None
+    if _SPACE_IN(surface):
+        return f"factored token surface {surface!r} contains whitespace"
+    for f in factors:
+        if not f:
+            return "empty factor string"
+        if "|" in f or _SPACE_IN(f):
+            return f"factor {f!r} contains separator or whitespace"
+    return None
 
 
 # --- input files ---

@@ -4,8 +4,9 @@ The reference below is the whole-sentence-scan annotator: every rule
 looks up heads, children and modals by walking the sentence. The
 indexed `annotate_sentence` must give the same factors on any
 dependency graph, well formed or not, and the CLI's string rendering
-must give the same line, or the same error, as FactoredToken,
-normalize_factors and render_line.
+must give the same line, or the same error, as the token route below:
+each token padded with null factors to the line's width, built as a
+FactoredToken in sentence order, and the tokens rendered.
 """
 
 import re
@@ -15,8 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphinject.cli import _annotation_line
-from morphinject.corpus_inject import render_line
-from morphinject.dictionary_builder import FactoredToken, normalize_factors
+from morphinject.dictionary_builder import FactoredToken
 from morphinject.errors import InputError, NotANoun, NotAVerb
 from morphinject.noun_morph import Case, Number
 from morphinject.source_factors import (
@@ -245,10 +245,18 @@ SURFACE = st.text(st.sampled_from(["a", "क", "|", " ", "\t", "\xa0", "\u2028"]
 FACTOR = st.sampled_from(["sg", "pl", "dir", "obl", "1", "3", "hab", "fut"])
 
 
+def normalize_factors(annotated, width):
+    """Each (surface, factors) padded with "null" to `width`, as a token."""
+    return [FactoredToken(surf, (*factors, *["null"] * (width - len(factors))))
+            for surf, factors in annotated]
+
+
+def render_line(tokens):
+    return " ".join(t.render() for t in tokens)
+
+
 def _reference_line(annotated, width):
-    tokens = normalize_factors(
-        [FactoredToken(surf, tuple(factors)) for surf, factors in annotated], width)
-    return render_line(tokens)
+    return render_line(normalize_factors(annotated, width))
 
 
 @settings(max_examples=400, deadline=None)

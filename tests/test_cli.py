@@ -228,6 +228,40 @@ def test_corpus_whitespace_diagnostic_has_location(tmp_path, capsys, subcommand,
     assert err == f"error: {src}:2:9: {message}\n"
 
 
+def test_surface_only_corpus_token_with_whitespace_exits_1(tmp_path, capsys):
+    # a token of any width holds no whitespace: the separating spaces are
+    # the only whitespace in a corpus line, as oov and bleu's split() reads it
+    src, tgt, d = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "d.tsv"
+    src.write_text("the dog\na\xa0b c\n", "utf-8")
+    tgt.write_text("कुत्ता\nक ख\n", "utf-8")
+    d.write_text("", "utf-8")
+    code, _, err = run(capsys, "inject", "--source", str(src), "--target", str(tgt),
+                       "--dict", str(d), "--out-source", str(tmp_path / "o.src"),
+                       "--out-target", str(tmp_path / "o.tgt"))
+    assert code == 1
+    assert err == f"error: {src}:2:1: surface 'a\\xa0b' contains whitespace other than ' '\n"
+
+
+# a surface-only dictionary side is words joined by single spaces
+@pytest.mark.parametrize("side, message", [
+    (" will walk", "surface-only side ' will walk' is not words joined by single spaces"),
+    ("will  walk", "surface-only side 'will  walk' is not words joined by single spaces"),
+    ("will\xa0walk", "surface 'will\\xa0walk' contains whitespace other than ' '"),
+])
+def test_surface_only_dictionary_side_with_bad_spacing_exits_1(tmp_path, capsys, side, message):
+    src, tgt, d = tmp_path / "src.txt", tmp_path / "tgt.txt", tmp_path / "d.tsv"
+    src.write_text("the dog\n", "utf-8")
+    tgt.write_text("कुत्ता\n", "utf-8")
+    d.write_text(f"will walk\tचलेगा\n{side}\tचलेगी\n", "utf-8")
+    out_src = tmp_path / "o.src"
+    code, _, err = run(capsys, "inject", "--source", str(src), "--target", str(tgt),
+                       "--dict", str(d), "--out-source", str(out_src),
+                       "--out-target", str(tmp_path / "o.tgt"))
+    assert code == 1
+    assert err == f"error: {d}:2: {message}\n"
+    assert not out_src.exists()
+
+
 def test_annotate(tmp_path, capsys):
     code, out, _ = run(
         capsys, "annotate", "--conllu", str(FIXTURES / "sample.conllu"), "--mode", "both"
@@ -412,7 +446,8 @@ def test_annotate_locates_bad_surface(tmp_path, capsys):
     assert not out.exists()
 
 
-# three sentences; the last row of the last one (line 10) is replaced
+# three sentences; the last row of the last one (line 10) is replaced by
+# one row or two
 _THREE_SENTENCES = (
     "# one\n1\tdogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n2\tbark\tbark\tVERB\tVBP\t_\t0\troot\t_\t_\n\n"
     "1\tI\tI\tPRON\tPRP\t_\t2\tnsubj\t_\t_\n2\tran\trun\tVERB\tVBD\t_\t0\troot\t_\t_\n\n"
@@ -424,7 +459,11 @@ _THREE_SENTENCES = (
     ("2\tcats\tcat\tNOUN\tNNS\t_\tx\troot\t_\t_", ":10: bad ID or HEAD field"),
     ("2\ta|b\ta|b\tX\tFW\t_\t0\troot\t_\t_",
      ": sentence 3, token 2: surface 'a|b' contains the factor separator"),
-], ids=["bad-head", "separator-in-surface"])
+    # token 2 takes no factors, so only its null padding makes its
+    # whitespace an error; it still comes before token 3's separator
+    ("2\ta\xa0b\ta\xa0b\tDET\tDT\t_\t0\troot\t_\t_\n3\tc|d\tc|d\tX\tFW\t_\t2\tdep\t_\t_",
+     ": sentence 3, token 2: factored token surface 'a\\xa0b' contains whitespace"),
+], ids=["bad-head", "separator-in-surface", "first-bad-token-in-order"])
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_annotate_error_in_the_last_sentence_writes_nothing(tmp_path, capsys, last, message,
                                                              to_file):

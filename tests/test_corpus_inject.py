@@ -9,7 +9,6 @@ from morphinject.corpus_inject import (
     emit_factored_corpus,
     inject,
     parse_factored_corpus,
-    render_line,
     validate_widths,
 )
 from morphinject.dictionary_builder import (
@@ -109,8 +108,8 @@ def test_inject_appends_after_originals():
     assert report.duplicates_skipped == 0
     assert len(out.pairs) == 1 + 4
     assert out.pairs[0] == corpus.pairs[0]  # prefix untouched
-    assert render_line(out.pairs[1][0]) == "dog|sg|dir"
-    assert render_line(out.pairs[1][1]) == "कुत्ता|कुत्ता|null"
+    assert out.src[1] == "dog|sg|dir"
+    assert out.tgt[1] == "कुत्ता|कुत्ता|null"
 
 
 def test_double_injection_all_duplicates():
@@ -196,4 +195,4 @@ def test_valid_corpus_builds_no_per_token_objects(monkeypatch):
     corpus = _parse(src_text, tgt_text)
     out, report = inject(corpus, dictionary)
     assert report.entries_added == 4
-    assert built <= 2 * len(dictionary.entries)  # not 20k corpus tokens
+    assert built == 0  # not 20k corpus tokens, and no dictionary tokens either

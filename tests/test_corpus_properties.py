@@ -1,8 +1,9 @@
 """Property tests for the factored corpus path.
 
-The reference below checks a corpus token by token through
-FactoredToken, the way the line check is specified; the string-level
-check must accept the same corpora and fail with the same error.
+The reference below checks a corpus token by token with the token
+rule written out (`_reference_token_error`), the way the line check is
+specified; the string-level check must accept the same corpora and
+fail with the same error.
 """
 
 import io
@@ -26,6 +27,25 @@ ALPHABET = ["a", "|", " ", "\t", "\r", "\xa0", "\u2028", "\x1c", "\x85", "क", 
 WORD = ["a", "b", "क", "ि"]
 
 
+def _reference_token_error(surface, factors):
+    """FactoredToken's checks before the rule moved to script_core, but
+    that a surface-only token may hold no whitespace other than " "."""
+    if not surface:
+        return "token with empty surface"
+    if "|" in surface:
+        return f"surface {surface!r} contains the factor separator"
+    if factors and any(ch.isspace() for ch in surface):
+        return f"factored token surface {surface!r} contains whitespace"
+    if not factors and any(ch.isspace() and ch != " " for ch in surface):
+        return f"surface {surface!r} contains whitespace other than ' '"
+    for f in factors:
+        if not f:
+            return "empty factor string"
+        if "|" in f or any(ch.isspace() for ch in f):
+            return f"factor {f!r} contains separator or whitespace"
+    return None
+
+
 def _reference_line(line, name, lineno, pad_to=None):
     if "\r" in line or "\t" in line:
         col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
@@ -44,10 +64,10 @@ def _reference_line(line, name, lineno, pad_to=None):
             raise MalformedToken(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
         if pad_to is not None:
             factors += ["null"] * (pad_to - len(factors))
-        try:
-            tokens.append(FactoredToken(surface, tuple(factors)))
-        except InputError as exc:
-            raise MalformedToken(f"{name}:{lineno}:{col}: {exc}") from None
+        error = _reference_token_error(surface, factors)
+        if error:
+            raise MalformedToken(f"{name}:{lineno}:{col}: {error}")
+        tokens.append(FactoredToken(surface, tuple(factors)))
         col += len(raw) + 1
     return tokens
 
@@ -175,14 +195,12 @@ def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionar
 
 @given(st.integers(0, 4).flatmap(lambda n: st.lists(_line, min_size=n, max_size=n)), st.booleans())
 def test_split_gives_the_tokens_of_a_factored_line(lines, auto_normalize):
-    """oov and bleu tokenize with str.split(). On a factored side (width
-    1 or more) no token holds whitespace, so that is exactly the tokens
-    the corpus parser reads: split(" "), and none for an empty line."""
+    """oov and bleu tokenize with str.split(). No corpus token, of any
+    width, holds whitespace, so that is exactly the tokens the corpus
+    parser reads: split(" "), and none for an empty line."""
     try:
         corpus = parse_factored_corpus(lines, lines, auto_normalize=auto_normalize)
     except InputError:
         return
-    if not corpus.source_width():
-        return  # a surface-only token may hold whitespace other than " "
     for line in corpus.src:
         assert line.split() == (line.split(" ") if line else [])

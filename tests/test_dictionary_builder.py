@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from morphinject import script_core as sc
@@ -12,11 +10,10 @@ from morphinject.dictionary_builder import (
     WordFormDictionary,
     build_noun_dict,
     build_verb_dict,
-    normalize_factors,
     parse_dictionary,
     strip_to_surface,
 )
-from morphinject.errors import InputError, TokenTooWide
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     BilingualNoun,
     Gender,
@@ -145,29 +142,6 @@ def test_verb_generation_closure(verb_lexicon_lines):
     for e in d.entries:
         root, suffix = e.target.factors
         assert join_verb(root, None if suffix == "null" else suffix) == e.target.surface
-
-
-def test_normalize_factors():
-    tokens = [FactoredToken("dog", ("sg", "dir")), FactoredToken("the")]
-    out = normalize_factors(tokens, 2)
-    assert out[0] is tokens[0]
-    assert out[1].render() == "the|null|null"
-    surface_only = FactoredToken("dog")
-    assert normalize_factors([surface_only], 3)[0].render() == "dog|null|null|null"
-    with pytest.raises(TokenTooWide):
-        normalize_factors([FactoredToken("a", ("b", "c"))], 1)
-
-
-def test_normalize_factors_uniform_property():
-    rng = random.Random(11)
-    tokens = [
-        FactoredToken(f"w{i}", tuple(f"f{j}" for j in range(rng.randrange(4))))
-        for i in range(200)
-    ]
-    out = normalize_factors(tokens, 3)
-    assert all(t.width == 3 for t in out)
-    assert all(o.surface == t.surface for o, t in zip(out, tokens))
-    assert all(o.factors[: t.width] == t.factors for o, t in zip(out, tokens))
 
 
 def test_strip_to_surface_nouns():

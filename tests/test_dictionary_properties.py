@@ -1,10 +1,10 @@
 """Property tests for the string-level dictionary path.
 
 The reference below is the token-level implementation the line path
-replaced: every entry built and checked as a pair of FactoredToken,
-deduplicated as DictEntry, with widths checked entry by entry. The
-line path must give the same lines and the same failures, or raise
-the same error.
+replaced: every entry checked side by side with the token rule written
+out below, built as a pair of FactoredToken, deduplicated as DictEntry,
+with widths checked entry by entry. The line path must give the same
+lines and the same failures, or raise the same error.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from morphinject.dictionary_builder import (
     FactoredToken,
     build_noun_dict,
     build_verb_dict,
-    normalize_factors,
     parse_dictionary,
     strip_to_surface,
 )
@@ -52,14 +51,47 @@ from morphinject.verb_morph import (
 # --- the token-level reference ---
 
 
+def _ref_token(surface, factors=()):
+    """One dictionary side as a FactoredToken, checked first as
+    FactoredToken checked it before the rule moved to script_core, but
+    for a surface-only side: words joined by single spaces, no other
+    whitespace."""
+    error = None
+    if not surface:
+        error = "token with empty surface"
+    elif "|" in surface:
+        error = f"surface {surface!r} contains the factor separator"
+    elif factors and any(ch.isspace() for ch in surface):
+        error = f"factored token surface {surface!r} contains whitespace"
+    elif not factors and any(ch.isspace() and ch != " " for ch in surface):
+        error = f"surface {surface!r} contains whitespace other than ' '"
+    elif not factors and surface.split(" ") != surface.split():
+        error = f"surface-only side {surface!r} is not words joined by single spaces"
+    for f in factors:
+        if error:
+            break
+        if not f:
+            error = "empty factor string"
+        elif "|" in f or any(ch.isspace() for ch in f):
+            error = f"factor {f!r} contains separator or whitespace"
+    if error:
+        raise InputError(error)
+    return FactoredToken(surface, tuple(factors))
+
+
+def _ref_parse_side(text):
+    surface, *factors = text.split("|")
+    return _ref_token(surface, factors)
+
+
 def _ref_build_noun(lexicon, table):
     entries, seen, failures = [], set(), []
     for idx, noun in enumerate(lexicon):
         try:
             for row in noun_paradigm(noun.entry, table):
                 entry = DictEntry(
-                    FactoredToken(noun.english_root, (row.number.value, row.case.value)),
-                    FactoredToken(row.surface, (
+                    _ref_token(noun.english_root, (row.number.value, row.case.value)),
+                    _ref_token(row.surface, (
                         noun.entry.hindi_root, row.suffix if row.suffix is not None else "null")),
                 )
                 if entry not in seen:
@@ -76,9 +108,9 @@ def _ref_build_verb(lexicon, table):
         try:
             for factors, suffix, surface in verb_paradigm(verb, table):
                 entry = DictEntry(
-                    FactoredToken(verb.english_root, (
+                    _ref_token(verb.english_root, (
                         factors.number.value, factors.person.value, factors.tam.value)),
-                    FactoredToken(surface, (
+                    _ref_token(surface, (
                         verb.hindi_root, suffix if suffix is not None else "null")),
                 )
                 if entry not in seen:
@@ -116,7 +148,7 @@ def _ref_strip(entries, scheme):
                 e.source.surface, _ref_value(Number, "number", e.source, 0))
         else:
             surface = e.source.surface
-        entry = DictEntry(FactoredToken(surface), FactoredToken(e.target.surface))
+        entry = DictEntry(_ref_token(surface), _ref_token(e.target.surface))
         if entry not in seen:
             seen.add(entry)
             out.append(entry)
@@ -149,7 +181,7 @@ def _ref_parse(lines, scheme=None, name="<dictionary>"):
     entries, seen, widths, rows = [], set(), None, []
     for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
         with sc.located(where):
-            entry = DictEntry(FactoredToken.parse(source), FactoredToken.parse(target))
+            entry = DictEntry(_ref_parse_side(source), _ref_parse_side(target))
         rows.append((where, entry.source))
         if widths is None:
             widths = (entry.source.width, entry.target.width)
@@ -174,8 +206,13 @@ def _ref_parse(lines, scheme=None, name="<dictionary>"):
 
 def _ref_entry_line(token):
     if token.width == 0 and " " in token.surface:
-        return [FactoredToken(w) for w in token.surface.split()]
+        return [FactoredToken(w) for w in token.surface.split(" ")]
     return [token]
+
+
+def normalize_factors(tokens, width):
+    """Every token padded with "null" to `width`."""
+    return [FactoredToken(t.surface, t.factors + ("null",) * (width - t.width)) for t in tokens]
 
 
 def _ref_inject(corpus, entries, scheme, mode):

@@ -98,7 +98,7 @@ LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029
 LOCATED = {
     "table": ("# grid {}\n" + "F\tsg\tdir\t-\n", "bad class 'F' (expected one of A, B, C, D, E)"),
     "lexicon": ("# nouns {}\n" + "dog\tकुत्ता\tx\t1\n", "bad gender 'x' (expected one of m, f)"),
-    "dictionary": ("a{}b\tc\n" + "a\tb\tc\n",
+    "dictionary": ("# entries {}\n" + "a\tb\tc\n",
                    "expected 2 tab-separated fields (source, target), got 3"),
     "conllu": ("1\tdog\tdog\tNOUN\tNN\t_\t0\troot\t_\ta{}b\n" + "2\truns\trun\n",
                "expected 10 columns, got 3"),

@@ -1,16 +1,23 @@
-"""Property tests for the Devanagari kernels.
+"""Property tests for the Devanagari kernels and the token rule.
 
 `normalize` and `_check_word` have fast paths for input that needs no
 work; the loop versions below are what they replaced, and the fast
 paths must give the same result or the same error on any string.
+`token_error` must name the error FactoredToken named before the rule
+moved to script_core, but for a token with no factors whose surface
+holds whitespace other than " ", and `token_pattern` must accept exactly the
+tokens `token_error` passes.
 """
 
+import re
+import sys
 import unicodedata
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphinject import script_core as sc
+from morphinject.dictionary_builder import FactoredToken
 from morphinject.errors import EmptyInput, InputError, NonDevanagariContent
 from morphinject.noun_morph import (
     Gender,
@@ -139,3 +146,52 @@ def test_morphology_returns_or_raises_an_input_error(root, gender, countable, ov
         verb_paradigm(VerbLexEntry(root, "x"))
     except InputError:
         pass
+
+
+# --- the token rule ---
+
+def _reference_token_error(surface, factors):
+    """FactoredToken.__post_init__ before the rule moved to script_core:
+    the message it raised, or None."""
+    if not surface:
+        return "token with empty surface"
+    if "|" in surface:
+        return f"surface {surface!r} contains the factor separator"
+    if factors and any(ch.isspace() for ch in surface):
+        return f"factored token surface {surface!r} contains whitespace"
+    for f in factors:
+        if not f:
+            return "empty factor string"
+        if "|" in f or any(ch.isspace() for ch in f):
+            return f"factor {f!r} contains separator or whitespace"
+    return None
+
+
+# every isspace() character (" " included), half the time; else the
+# separator, Latin or Devanagari
+_SPACES = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+_token_text = st.text(st.one_of(st.sampled_from(_SPACES), st.sampled_from(["a", "|", "क", "ि"])),
+                      max_size=4)
+
+
+@settings(deadline=None)
+@given(_token_text, st.lists(_token_text, max_size=3))
+@example("a\xa0b", [])
+@example("will walk", [])
+@example("a\u2028", ["x"])
+@example("", ["a b"])
+def test_token_error_is_the_factored_token_rule(surface, factors):
+    got = sc.token_error(surface, factors)
+    expected = _reference_token_error(surface, factors)
+    if not factors and expected is None and any(ch.isspace() and ch != " " for ch in surface):
+        # the one change: a surface with no factors holds no whitespace but " "
+        expected = f"surface {surface!r} contains whitespace other than ' '"
+    assert got == expected
+    # the view type checks with the same rule
+    assert _outcome(FactoredToken, surface, tuple(factors)) == (
+        ("InputError", got) if got else ("ok", FactoredToken(surface, tuple(factors))))
+    # the line patterns accept exactly the tokens it passes; a corpus
+    # token never holds " ", which separates tokens
+    token = "|".join([surface, *factors])
+    matched = re.fullmatch(sc.token_pattern(len(factors)), token) is not None
+    assert matched == (got is None and " " not in token)
