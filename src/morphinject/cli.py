@@ -128,16 +128,8 @@ def cmd_paradigm(args) -> int:
         table = _data_table(args.table, "verb_suffixes.tsv")
         entry = vm.VerbLexEntry(args.stem, "")
         lines = [
-            "\t".join(
-                (
-                    f.tam.value,
-                    f.gender.value,
-                    f.number.value,
-                    f.person.value,
-                    suffix if suffix is not None else "-",
-                    surface,
-                )
-            )
+            "\t".join((f.tam.value, f.gender.value, f.number.value, f.person.value,
+                       suffix if suffix is not None else "-", surface))
             for f, suffix, surface in vm.verb_paradigm(entry, table)
         ]
     else:
@@ -153,15 +145,8 @@ def cmd_paradigm(args) -> int:
             class_override=nm.NounClass(args.noun_class) if args.noun_class else None,
         )
         lines = [
-            "\t".join(
-                (
-                    row.number.value,
-                    row.case.value,
-                    row.suffix if row.suffix is not None else "-",
-                    row.surface,
-                )
-            )
-            for row in nm.noun_paradigm(entry, table)
+            "\t".join((number, case, suffix if suffix is not None else "-", surface))
+            for number, case, suffix, surface in nm.noun_paradigm(entry, table)
         ]
     _write_atomic([(args.out, "\n".join(lines) + "\n")])
     return 0
@@ -218,12 +203,12 @@ def cmd_build_dict(args) -> int:
 
     if args.kind == "noun":
         lexicon = nm.parse_noun_lexicon(sc.read_lines(args.lexicon), name=args.lexicon)
-        dictionary = db.build_noun_dict(lexicon, _data_table(args.table, "noun_suffixes.tsv"))
+        dictionary = db.build_noun_dict(
+            lexicon, _data_table(args.table, "noun_suffixes.tsv"), surface=args.surface)
     else:
         lexicon = vm.parse_verb_lexicon(sc.read_lines(args.lexicon), args.lexicon)
-        dictionary = db.build_verb_dict(lexicon, _data_table(args.table, "verb_suffixes.tsv"))
-    if args.surface:
-        dictionary = db.strip_to_surface(dictionary)
+        dictionary = db.build_verb_dict(
+            lexicon, _data_table(args.table, "verb_suffixes.tsv"), surface=args.surface)
     outputs = [(args.out, "".join(ln + "\n" for ln in dictionary.lines))]
     if args.failures:
         payload = {

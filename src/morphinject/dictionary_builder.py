@@ -14,6 +14,13 @@ side by side through script_core.token_error, which names the first
 error, and a line whose sides are both valid has ragged widths. A
 surface-only side is words joined by single spaces ("will walk").
 WordFormDictionary.entries, the DictEntry view, is built on demand.
+
+The builders render lines from the paradigms' string rows. With
+`surface=True` they still check each factored line, then keep its
+surface-only form, the line `strip_to_surface` would make of it, so a
+surface-only build never holds the factored dictionary and reports the
+same failed rows. `strip_to_surface` serves `inject --mode surface` and
+library callers.
 """
 
 from __future__ import annotations
@@ -193,12 +200,9 @@ def _line_check(source_width: int, target_width: int):
     return re.compile(rf"{_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
 
 
-def _add_line(lines: dict[str, None], valid, source: tuple[str, ...], target: tuple[str, ...]) -> None:
-    """Render one entry, check it, and keep it unless already there."""
-    line = "|".join(source) + "\t" + "|".join(target)
-    if not valid(line):
-        raise InputError(_side_error(source[0], source[1:]) or _side_error(target[0], target[1:]))
-    lines[line] = None
+def _line_error(source: Sequence[str], target: Sequence[str]) -> InputError:
+    """The error of a rendered entry that its line check rejected."""
+    return InputError(_side_error(source[0], source[1:]) or _side_error(target[0], target[1:]))
 
 
 def parse_dictionary(
@@ -261,50 +265,80 @@ def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None
 
 
 def build_noun_dict(
-    lexicon: list[BilingualNoun], table: SuffixTable | None = None
+    lexicon: list[BilingualNoun], table: SuffixTable | None = None, *, surface: bool = False,
 ) -> WordFormDictionary:
     """Four entries per noun pair, in sg-dir, sg-obl, pl-dir, pl-obl
     order; per-row failures are collected on the result, and the entries
-    of a row made before its failing cell are kept."""
+    of a row made before its failing cell are kept. With `surface`, each
+    checked entry is kept as its surface-only line (see `strip_to_surface`)."""
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
+    plural_value = Number.PLURAL.value
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
-        root = noun.entry.hindi_root
+        english, root = noun.english_root, noun.entry.hindi_root
+        if surface:
+            plural = sf.english_noun_surface(english, Number.PLURAL)
         try:
-            for row in noun_paradigm(noun.entry, table):
-                _add_line(
-                    lines, valid,
-                    (noun.english_root, row.number.value, row.case.value),
-                    (row.surface, root, NULL_FACTOR if row.suffix is None else row.suffix),
-                )
+            for number, case, suffix, form in noun_paradigm(noun.entry, table):
+                suffix = NULL_FACTOR if suffix is None else suffix
+                line = f"{english}|{number}|{case}\t{form}|{root}|{suffix}"
+                if not valid(line):
+                    raise _line_error((english, number, case), (form, root, suffix))
+                if surface:
+                    line = f"{plural if number == plural_value else english}\t{form}"
+                lines[line] = None
         except InputError as exc:
-            failures.append(EntryFailure(idx, noun.english_root, root, str(exc)))
+            failures.append(EntryFailure(idx, english, root, str(exc)))
+    if surface:
+        return _surface_only(lines, failures)
     return WordFormDictionary(list(lines), NOUN_SCHEME, failures)
 
 
 def build_verb_dict(
-    lexicon: list[VerbLexEntry], table: VerbSuffixTable | None = None
+    lexicon: list[VerbLexEntry], table: VerbSuffixTable | None = None, *, surface: bool = False,
 ) -> WordFormDictionary:
     """One entry per collapsed grid cell per verb; every English factor
-    tuple appears once per gender, then exact duplicates collapse."""
+    tuple appears once per gender, then exact duplicates collapse. With
+    `surface`, each checked entry is kept as its surface-only line (see
+    `strip_to_surface`)."""
     table = table or default_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
+    if surface:
+        english_factors = {values: sf.EnglishVerbFactors(f.number, f.person, f.tam)
+                           for f, values, _ in table.rows}
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
+        english, root = verb.english_root, verb.hindi_root
         try:
-            for factors, suffix, surface in verb_paradigm(verb, table):
-                _add_line(
-                    lines, valid,
-                    (verb.english_root, factors.number.value, factors.person.value,
-                     factors.tam.value),
-                    (surface, verb.hindi_root, NULL_FACTOR if suffix is None else suffix),
-                )
+            paradigm = verb_paradigm(verb, table)
+            for (_, values, suffix), (_, _, form) in zip(table.rows, paradigm):
+                number, person, tam = values
+                suffix = NULL_FACTOR if suffix is None else suffix
+                line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
+                if not valid(line):
+                    raise _line_error((english, number, person, tam), (form, root, suffix))
+                if surface:
+                    line = f"{sf.english_verb_surface(english, english_factors[values])}\t{form}"
+                lines[line] = None
         except InputError as exc:
-            failures.append(EntryFailure(idx, verb.english_root, verb.hindi_root, str(exc)))
+            failures.append(EntryFailure(idx, english, root, str(exc)))
+    if surface:
+        return _surface_only(lines, failures)
     return WordFormDictionary(list(lines), VERB_SCHEME, failures)
+
+
+def _surface_only(lines: dict[str, None], failures: list[EntryFailure]) -> WordFormDictionary:
+    """The surface-only dictionary of a build's distinct lines, each
+    checked as `strip_to_surface` checks its lines, in the same order."""
+    valid = _line_check(0, 0)
+    for line in lines:
+        if not valid(line):
+            source, _, target = line.partition("\t")
+            raise _line_error((source,), (target,))
+    return WordFormDictionary(list(lines), SURFACE_SCHEME, failures)
 
 
 def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
@@ -313,7 +347,8 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     The English surface is rebuilt from the factored source (dogs for
     dog|pl|*, walked for walk|*|*|perf); a factor value it reads that is
     outside its enum is an error naming the entry. Collapsed distinctions
-    produce exact duplicates, which are removed. Idempotent.
+    produce exact duplicates, which are removed. The result keeps the
+    input's failures. Idempotent.
     """
     scheme = dictionary.scheme
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
@@ -338,5 +373,9 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
                         sc.table_value(TamSlot, "tam", factors[2], where))
                 checked[factor_text] = value
             surface = (sf.english_verb_surface if verb else sf.english_noun_surface)(surface, value)
-        _add_line(lines, valid, (surface,), (target.partition(FACTOR_SEP)[0],))
-    return WordFormDictionary(list(lines), SURFACE_SCHEME)
+        target_surface = target.partition(FACTOR_SEP)[0]
+        line = f"{surface}\t{target_surface}"
+        if not valid(line):
+            raise _line_error((surface,), (target_surface,))
+        lines[line] = None
+    return WordFormDictionary(list(lines), SURFACE_SCHEME, list(dictionary.failures))

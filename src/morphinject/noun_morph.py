@@ -5,6 +5,14 @@ the others share a 2x2 number/case grid whose suffixes live in a TSV
 data file so corrections never require code changes. The joiner builds
 the surface form from root + suffix using only the root's ending and
 the class as features.
+
+A SuffixTable normalizes its suffixes and lays out each class's
+paradigm as (number, case, suffix) string rows once, when it is built.
+`noun_paradigm` walks those rows with a root that NounLexEntry has
+already normalized, works out the root's ending at most once, and
+returns (number, case, suffix, surface) string tuples. The public
+`join_noun` normalizes its inputs and checks the suffix against the
+class's column; a suffix taken from the table is legal by construction.
 """
 
 from __future__ import annotations
@@ -66,16 +74,10 @@ class NounLexEntry:
         object.__setattr__(self, "hindi_root", sc.normalize(self.hindi_root))
 
 
-@dataclass(frozen=True)
-class NounParadigmRow:
-    number: Number
-    case: Case
-    suffix: str | None
-    surface: str
-
-
 class SuffixTable:
-    """The class x number x case suffix grid (None = null suffix)."""
+    """The class x number x case suffix grid (None = null suffix), its
+    suffixes normalized. `rows[cls]` is that class's paradigm as
+    (number, case, suffix) strings in PARADIGM_SLOTS order."""
 
     def __init__(self, cells: dict[tuple[NounClass, Number, Case], str | None]):
         for cls in NounClass:
@@ -89,15 +91,15 @@ class SuffixTable:
         for cls in NounClass:
             if cells[(cls, Number.SINGULAR, Case.DIRECT)] is not None:
                 raise InputError("sg-dir cell must be null for every class")
-        self.cells = dict(cells)
-        self._legal = {
-            cls: frozenset(s for (c, _, _), s in self.cells.items() if c is cls and s is not None)
+        self.cells = {key: None if s is None else sc.normalize(s) for key, s in cells.items()}
+        self.rows = {
+            cls: tuple((number.value, case.value, self.cells[(cls, number, case)])
+                       for number, case in PARADIGM_SLOTS)
             for cls in NounClass
         }
-
-    def lookup(self, cls: NounClass, number: Number, case: Case) -> str | None:
-        """Exact cell lookup; None means the surface equals the root."""
-        return self.cells[(cls, number, case)]
+        self._legal = {
+            cls: frozenset(s for _, _, s in rows if s is not None) for cls, rows in self.rows.items()
+        }
 
     def legal_suffixes(self, cls: NounClass) -> frozenset[str]:
         return self._legal[cls]
@@ -116,7 +118,7 @@ def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
         )
         if key in cells:
             raise InputError(f"{where}: duplicate cell {cls}/{number}/{case}")
-        cells[key] = None if suffix == NULL_SUFFIX_MARK else sc.normalize(suffix)
+        cells[key] = None if suffix == NULL_SUFFIX_MARK else suffix
     with sc.located(name):
         return SuffixTable(cells)
 
@@ -127,24 +129,33 @@ def default_suffix_table() -> SuffixTable:
     return load_suffix_table()
 
 
+_I_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.SHORT_I)
+_LONG_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU)
+
+
 def classify_noun(entry: NounLexEntry) -> NounClass:
     """Predict the inflection class from gender and the root's ending.
 
     An explicit override wins; uncountable (mass/abstract) nouns are
     class A, which is not recoverable from gender+ending alone.
     """
+    return _classify(entry)[0]
+
+
+def _classify(entry: NounLexEntry) -> tuple[NounClass, sc.EndingCategory | None]:
+    """The class, and the root's ending if the class needed it."""
     if entry.class_override is not None:
-        return entry.class_override
+        return entry.class_override, None
     if not entry.countable:
-        return NounClass.A
+        return NounClass.A, None
     ending = sc.ending_of(entry.hindi_root)
     if entry.gender is Gender.FEMININE:
-        if ending in (sc.EndingCategory.LONG_II, sc.EndingCategory.SHORT_I):
-            return NounClass.B
-        return NounClass.C
+        if ending in _I_ENDINGS:
+            return NounClass.B, ending
+        return NounClass.C, ending
     if ending is sc.EndingCategory.LONG_A:
-        return NounClass.D
-    return NounClass.E
+        return NounClass.D, ending
+    return NounClass.E, ending
 
 
 def join_noun(
@@ -168,51 +179,49 @@ def join_noun(
     * anything else: plain append (माला -> मालाएँ).
     """
     root = sc.normalize(root)
-    if suffix is not None:
-        suffix = sc.normalize(suffix)
-        legal = (table or default_suffix_table()).legal_suffixes(cls)
-        if suffix not in legal:
-            raise IllegalSuffixForClass(
-                f"suffix {suffix!r} is not in the class-{cls.value} column"
-            )
-        if suffix == "ओं" and cls is NounClass.E and sc.ending_of(root) in (
-            sc.EndingCategory.LONG_II,
-            sc.EndingCategory.SHORT_I,
-        ):
-            suffix = "यों"
     if suffix is None:
         return root
+    suffix = sc.normalize(suffix)
+    if suffix not in (table or default_suffix_table()).legal_suffixes(cls):
+        raise IllegalSuffixForClass(f"suffix {suffix!r} is not in the class-{cls.value} column")
+    return _join(root, cls, suffix, sc.ending_of(root))
 
-    body, nasal = sc.strip_final_nasal(root)
-    ending = sc.ending_of(root)
 
+def _join(root: str, cls: NounClass, suffix: str, ending: sc.EndingCategory) -> str:
+    """join_noun for a canonical root with this ending and a canonical,
+    legal, non-null suffix."""
     if ending is sc.EndingCategory.CONSONANT:
         return root + sc.matra_form(suffix)
-
     if cls is NounClass.D and ending is sc.EndingCategory.LONG_A:
         return sc.rewrite_ending(root, sc.RewriteRule.REPLACE_WITH, suffix)
-
-    if ending in (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU):
-        stem = sc.rewrite_ending(body, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
-    else:
-        stem = body
-
-    out = stem + suffix
+    if suffix == "ओं" and cls is NounClass.E and ending in _I_ENDINGS:
+        suffix = "यों"
+    body, nasal = sc.strip_final_nasal(root)
+    if ending in _LONG_ENDINGS:
+        body = sc.rewrite_ending(body, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
+    out = body + suffix
     if nasal and not sc.contains_nasal(suffix):
         out += nasal
     return out
 
 
-def noun_paradigm(entry: NounLexEntry, table: SuffixTable | None = None) -> list[NounParadigmRow]:
-    """Generate the four number/case forms, in sg-dir, sg-obl, pl-dir,
-    pl-obl order."""
+def noun_paradigm(
+    entry: NounLexEntry, table: SuffixTable | None = None,
+) -> list[tuple[str, str, str | None, str]]:
+    """Generate the four (number, case, suffix, surface) rows, in sg-dir,
+    sg-obl, pl-dir, pl-obl order; a null suffix is None."""
     table = table or default_suffix_table()
-    cls = classify_noun(entry)
+    cls, ending = _classify(entry)
+    root = entry.hindi_root
     rows = []
-    for number, case in PARADIGM_SLOTS:
-        suffix = table.lookup(cls, number, case)
-        surface = join_noun(entry.hindi_root, cls, suffix, table)
-        rows.append(NounParadigmRow(number, case, suffix, surface))
+    for number, case, suffix in table.rows[cls]:
+        if suffix is None:
+            surface = root
+        else:
+            if ending is None:
+                ending = sc.ending_of(root)
+            surface = _join(root, cls, suffix, ending)
+        rows.append((number, case, suffix, surface))
     return rows
 
 

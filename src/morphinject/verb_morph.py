@@ -4,15 +4,18 @@ Unlike nouns, verbs need no pre-classification: one suffix table applies
 to every verb, and the joiner keys only on the ending of the stem. The
 table is data-driven TSV; "-" in a factor column collapses that
 dimension. English has no grammatical gender on verbs, so the paradigm
-holds every English-side factor tuple once per gender. The table works
-out that paradigm once, when it is loaded, and `verb_paradigm` joins
-each of its rows to a verb's stem.
+holds every English-side factor tuple once per gender. The table
+normalizes its suffixes and works out that paradigm once, when it is
+built, with each row's English factor values as strings, and
+`verb_paradigm` joins each of its rows to a stem that VerbLexEntry has
+already normalized, working out the stem's ending at most once. The
+public `join_verb` normalizes its inputs first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -103,19 +106,22 @@ _DIMS = ("gender", "number", "person")
 
 
 class VerbSuffixTable:
-    """A checked verb suffix table and the paradigm it declares.
+    """A checked verb suffix table, its suffixes normalized, and the
+    paradigm it declares.
 
-    `rows` holds the (factors, suffix) pairs of every verb's paradigm,
-    built once: TAMs in TamSlot order, then every gender, then the
-    declared numbers and persons. English verbs have no gender, so each
-    English factor tuple appears once per gender, and a TAM that agrees
-    in gender must name both. A collapsed number or person takes
-    REPR_NUMBER or REPR_PERSON.
+    `rows` holds every verb's paradigm, built once, as (factors, values,
+    suffix) triples, where `values` is the English factor values
+    (number, person, tam) as strings: TAMs in TamSlot order, then every
+    gender, then the declared numbers and persons. English verbs have no
+    gender, so each English factor tuple appears once per gender, and a
+    TAM that agrees in gender must name both. A collapsed number or
+    person takes REPR_NUMBER or REPR_PERSON.
     """
 
     def __init__(self, cells: list[_Cell]):
         if not cells:
             raise InputError("verb suffix table is empty")
+        cells = [c if c.suffix is None else replace(c, suffix=sc.normalize(c.suffix)) for c in cells]
         self.cells = cells
         by_tam: dict[TamSlot, list[_Cell]] = {}
         for cell in cells:
@@ -158,7 +164,7 @@ class VerbSuffixTable:
         )
 
 
-def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple[VerbFactors, str | None]]:
+def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple]:
     """The paradigm rows of one TAM whose cells passed the table checks."""
     suffixes = {(c.gender, c.number, c.person): c.suffix for c in cells}
     genders, numbers, persons = (
@@ -169,6 +175,7 @@ def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple[VerbFactors, str |
                          "a TAM that agrees in gender needs both")
     return [
         (VerbFactors(gender, number or REPR_NUMBER, person or REPR_PERSON, tam),
+         ((number or REPR_NUMBER).value, (person or REPR_PERSON).value, tam.value),
          suffixes[gender if genders else None, number, person])
         for gender in Gender for number in numbers or [None] for person in persons or [None]
     ]
@@ -187,7 +194,7 @@ def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuf
             sc.table_value(Gender, "gender", gender, where, null="-"),
             sc.table_value(Number, "number", number, where, null="-"),
             sc.table_value(Person, "person", person, where, null="-"),
-            None if suffix == NULL_SUFFIX_MARK else sc.normalize(suffix),
+            None if suffix == NULL_SUFFIX_MARK else suffix,
         )
         key = (cell.tam, cell.gender, cell.number, cell.person)
         if key in seen:
@@ -205,6 +212,7 @@ def default_verb_suffix_table() -> VerbSuffixTable:
 
 
 _U_ENDINGS = (sc.EndingCategory.LONG_UU, sc.EndingCategory.SHORT_U)
+_LONG_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU)
 
 
 def join_verb(root: str, suffix: str | None) -> str:
@@ -221,17 +229,32 @@ def join_verb(root: str, suffix: str | None) -> str:
     if suffix is None:
         return root
     suffix = sc.normalize(suffix)
-    if not suffix or not sc.is_independent_vowel(suffix[0]):
-        if suffix and sc.is_matra(suffix[0]):
-            suffix = sc.independent_form(suffix)
-        else:
-            return root + suffix  # consonant-initial: plain append
-    ending = sc.ending_of(root)
+    vowel = _vowel_form(suffix)
+    if vowel is None:
+        return root + suffix
+    return _join(root, vowel, sc.ending_of(root))
+
+
+def _vowel_form(suffix: str | None) -> str | None:
+    """A vowel- or matra-initial suffix with its first vowel written
+    independently (ें -> एँ); None for a null, empty or consonant-initial
+    suffix, which is appended as it is."""
+    if not suffix:
+        return None
+    if sc.is_independent_vowel(suffix[0]):
+        return suffix
+    if sc.is_matra(suffix[0]):
+        return sc.independent_form(suffix)
+    return None
+
+
+def _join(root: str, suffix: str, ending: sc.EndingCategory) -> str:
+    """join_verb for a canonical stem with this ending and a canonical
+    suffix as `_vowel_form` writes it."""
     if ending is sc.EndingCategory.CONSONANT:
         return root + sc.matra_form(suffix)
-
     stem = root
-    if ending in (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU):
+    if ending in _LONG_ENDINGS:
         stem = sc.rewrite_ending(root, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
     if suffix[0] == "आ":  # आ: glide insertion, except after u-vowels
         if ending in _U_ENDINGS:
@@ -247,15 +270,23 @@ def verb_paradigm(
     entry: VerbLexEntry, table: VerbSuffixTable | None = None
 ) -> list[tuple[VerbFactors, str | None, str]]:
     """Generate (factors, suffix, surface) rows, one per row of the
-    table's paradigm (see VerbSuffixTable). Irregular-form overrides
-    replace the joiner's output for the rows they match.
+    table's paradigm (see VerbSuffixTable), in its order. Irregular-form
+    overrides replace the joiner's output for the rows they match.
     """
     table = table or default_verb_suffix_table()
+    root = entry.hindi_root
+    ending = None  # the stem's, worked out for the first vowel-initial suffix
     rows = []
-    for factors, suffix in table.rows:
+    for factors, _, suffix in table.rows:
         surface = entry.override_for(factors)
         if surface is None:
-            surface = join_verb(entry.hindi_root, suffix)
+            vowel = _vowel_form(suffix)
+            if vowel is None:
+                surface = root if suffix is None else root + suffix
+            else:
+                if ending is None:
+                    ending = sc.ending_of(root)
+                surface = _join(root, vowel, ending)
         rows.append((factors, suffix, surface))
     return rows
 

@@ -169,6 +169,29 @@ def test_build_dict_bad_failures_path_leaves_no_output(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind,rows,failure", [
+    ("noun", "dog\tकुत्ता\tm\t1\ncat\tबिल्लीx\tf\t1\nbird\tचिड़िया\tf\t1\n",
+     {"row": 1, "english_root": "cat", "hindi_root": "बिल्लीx",
+      "error": "non-Devanagari codepoint U+0078 at offset 6"}),
+    ("verb", "walk\tचल\neat\tखाx\ngo\tजा\n",
+     {"row": 1, "english_root": "eat", "hindi_root": "खाx",
+      "error": "non-Devanagari codepoint U+0078 at offset 2"}),
+], ids=["noun", "verb"])
+def test_build_dict_surface_reports_failed_rows_like_the_factored_build(
+        tmp_path, capsys, kind, rows, failure):
+    lex = tmp_path / "lexicon.tsv"
+    lex.write_text(rows, "utf-8")
+    reports = {}
+    for flags in ((), ("--surface",)):
+        report = tmp_path / f"failures{len(flags)}.json"
+        code, _, err = run(capsys, "build-dict", "--kind", kind, "--lexicon", str(lex),
+                           "--out", str(tmp_path / "out.dict"), "--failures", str(report), *flags)
+        assert (code, err) == (0, "warning: 1 lexicon rows failed\n")
+        reports[flags] = report.read_bytes()
+    assert reports[("--surface",)] == reports[()]
+    assert json.loads(reports[()])["failures"] == [failure]
+
+
 def test_inject_bad_report_path_leaves_no_output(tmp_path, capsys):
     d = tmp_path / "d.tsv"
     d.write_text("", "utf-8")

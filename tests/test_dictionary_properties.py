@@ -85,14 +85,17 @@ def _ref_parse_side(text):
 
 
 def _ref_build_noun(lexicon, table):
+    """Each noun's paradigm is made in full before its first entry, so a
+    join error in a later cell comes before a token error in an earlier
+    one."""
     entries, seen, failures = [], set(), []
     for idx, noun in enumerate(lexicon):
         try:
-            for row in noun_paradigm(noun.entry, table):
+            for number, case, suffix, surface in list(noun_paradigm(noun.entry, table)):
                 entry = DictEntry(
-                    _ref_token(noun.english_root, (row.number.value, row.case.value)),
-                    _ref_token(row.surface, (
-                        noun.entry.hindi_root, row.suffix if row.suffix is not None else "null")),
+                    _ref_token(noun.english_root, (number, case)),
+                    _ref_token(surface, (
+                        noun.entry.hindi_root, suffix if suffix is not None else "null")),
                 )
                 if entry not in seen:
                     seen.add(entry)
@@ -103,10 +106,11 @@ def _ref_build_noun(lexicon, table):
 
 
 def _ref_build_verb(lexicon, table):
+    """As _ref_build_noun: each verb's paradigm is made in full first."""
     entries, seen, failures = [], set(), []
     for idx, verb in enumerate(lexicon):
         try:
-            for factors, suffix, surface in verb_paradigm(verb, table):
+            for factors, suffix, surface in list(verb_paradigm(verb, table)):
                 entry = DictEntry(
                     _ref_token(verb.english_root, (
                         factors.number.value, factors.person.value, factors.tam.value)),
@@ -316,24 +320,41 @@ def _verb_table(draw):
     return VerbSuffixTable(cells)
 
 
-def _same_build(new, ref_entries, ref_failures):
+def _failures(dictionary):
+    return [(f.index, f.english_root, f.hindi_root, f.error) for f in dictionary.failures]
+
+
+def _same_build(build, lexicon, table, ref_entries, ref_failures):
+    """`build` gives the reference's lines and failures; with `surface`,
+    it gives the stripped reference's lines and the same failures, or
+    the error that stripping the factored build raises."""
+    new = build(lexicon, table)
     assert new.lines == _rendered(ref_entries)
-    assert [(f.index, f.english_root, f.hindi_root, f.error) for f in new.failures] == ref_failures
+    assert _failures(new) == ref_failures
     assert new.entries == ref_entries  # the view agrees with the lines
-    assert _outcome(lambda: strip_to_surface(new).lines) == _outcome(
-        lambda: _rendered(_ref_strip(ref_entries, new.scheme)))
+    stripped = _outcome(lambda: strip_to_surface(new))
+    ref_stripped = _outcome(lambda: _rendered(_ref_strip(ref_entries, new.scheme)))
+    assert (stripped[0], stripped[1].lines if stripped[0] == "ok" else stripped[1]) == ref_stripped
+    surface = _outcome(lambda: build(lexicon, table, surface=True))
+    if ref_stripped[0] != "ok":
+        assert surface == stripped
+        return
+    assert surface[0] == "ok"
+    assert surface[1].scheme == SURFACE_SCHEME
+    assert surface[1].lines == ref_stripped[1]
+    assert _failures(surface[1]) == _failures(stripped[1]) == ref_failures
 
 
 @settings(deadline=None)
 @given(st.lists(_noun, max_size=6), _noun_table())
 def test_noun_builder_matches_token_reference(lexicon, table):
-    _same_build(build_noun_dict(lexicon, table), *_ref_build_noun(lexicon, table))
+    _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
 
 
 @settings(deadline=None)
 @given(st.lists(_verb, max_size=4), _verb_table())
 def test_verb_builder_matches_token_reference(lexicon, table):
-    _same_build(build_verb_dict(lexicon, table), *_ref_build_verb(lexicon, table))
+    _same_build(build_verb_dict, lexicon, table, *_ref_build_verb(lexicon, table))
 
 
 def test_a_row_failing_part_way_keeps_its_first_entries():

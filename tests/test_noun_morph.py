@@ -11,6 +11,7 @@ from morphinject.noun_morph import (
     NounLexEntry,
     Number,
     PARADIGM_SLOTS,
+    SuffixTable,
     classify_noun,
     default_suffix_table,
     join_noun,
@@ -20,6 +21,7 @@ from morphinject.noun_morph import (
 )
 
 TABLE = default_suffix_table()
+SLOT_VALUES = [(number.value, case.value) for number, case in PARADIGM_SLOTS]
 
 # the fifteen classifier examples from the classification table
 CLASSIFIER_GOLDEN = [
@@ -44,9 +46,9 @@ CLASSIFIER_GOLDEN = [
 def test_table_complete():
     assert len(TABLE.cells) == 20
     for number, case in PARADIGM_SLOTS:
-        assert TABLE.lookup(NounClass.A, number, case) is None
+        assert TABLE.cells[(NounClass.A, number, case)] is None
     for cls in NounClass:
-        assert TABLE.lookup(cls, Number.SINGULAR, Case.DIRECT) is None
+        assert TABLE.cells[(cls, Number.SINGULAR, Case.DIRECT)] is None
 
 
 def test_table_validation():
@@ -74,10 +76,20 @@ def test_classifier_override_and_errors():
         NounLexEntry("  ", Gender.FEMININE)
 
 
+def test_suffix_table_normalizes_the_suffixes_it_is_given():
+    cells = dict(TABLE.cells)
+    cells[(NounClass.D, Number.PLURAL, Case.OBLIQUE)] = "ओ\u200dं"
+    table = SuffixTable(cells)
+    assert table.cells[(NounClass.D, Number.PLURAL, Case.OBLIQUE)] == "ओं"
+    assert table.rows == TABLE.rows
+    rows = noun_paradigm(NounLexEntry("कुत्ता", Gender.MASCULINE), table)
+    assert rows[3] == ("pl", "obl", "ओं", "कुत्तों")
+
+
 def test_noun_suffix_examples():
-    assert TABLE.lookup(NounClass.D, Number.PLURAL, Case.OBLIQUE) == "ओं"
-    assert TABLE.lookup(NounClass.A, Number.PLURAL, Case.OBLIQUE) is None
-    assert TABLE.lookup(NounClass.B, Number.PLURAL, Case.DIRECT) == "याँ"
+    assert TABLE.cells[(NounClass.D, Number.PLURAL, Case.OBLIQUE)] == "ओं"
+    assert TABLE.cells[(NounClass.A, Number.PLURAL, Case.OBLIQUE)] is None
+    assert TABLE.cells[(NounClass.B, Number.PLURAL, Case.DIRECT)] == "याँ"
 
 
 def test_join_examples():
@@ -93,9 +105,9 @@ def test_join_examples():
 
 def test_paradigm_dog_golden():
     rows = noun_paradigm(NounLexEntry("कुत्ता", Gender.MASCULINE), TABLE)
-    assert [(r.number, r.case) for r in rows] == list(PARADIGM_SLOTS)
-    assert [r.suffix for r in rows] == [None, "ए", "ए", "ओं"]
-    assert [r.surface for r in rows] == ["कुत्ता", "कुत्ते", "कुत्ते", "कुत्तों"]
+    assert [(number, case) for number, case, _, _ in rows] == SLOT_VALUES
+    assert [suffix for _, _, suffix, _ in rows] == [None, "ए", "ए", "ओं"]
+    assert [surface for *_, surface in rows] == ["कुत्ता", "कुत्ते", "कुत्ते", "कुत्तों"]
 
 
 def test_paradigm_fixture_suite(noun_fixtures):
@@ -103,7 +115,7 @@ def test_paradigm_fixture_suite(noun_fixtures):
     for fx in noun_fixtures:
         assert classify_noun(fx.entry) is fx.noun_class, fx.entry.hindi_root
         rows = noun_paradigm(fx.entry, TABLE)
-        got = tuple(r.surface for r in rows)
+        got = tuple(surface for *_, surface in rows)
         want = tuple(sc.normalize(s) for s in fx.surfaces)
         assert got == want, f"{fx.entry.hindi_root}: {got} != {want}"
         per_class[fx.noun_class] += 1
@@ -115,18 +127,18 @@ def test_paradigm_invariants(noun_fixtures):
     for fx in noun_fixtures:
         rows = noun_paradigm(fx.entry, TABLE)
         assert len(rows) == 4
-        assert {(r.number, r.case) for r in rows} == set(PARADIGM_SLOTS)
-        assert rows[0].surface == fx.entry.hindi_root  # sg-dir == root
-        for r in rows:
-            normalized = sc.normalize(r.surface)
-            assert r.surface == normalized
-            assert "".join(sc.split_syllables(r.surface)) == r.surface
+        assert {(number, case) for number, case, _, _ in rows} == set(SLOT_VALUES)
+        assert rows[0][3] == fx.entry.hindi_root  # sg-dir == root
+        for *_, surface in rows:
+            normalized = sc.normalize(surface)
+            assert surface == normalized
+            assert "".join(sc.split_syllables(surface)) == surface
 
 
 def test_class_a_never_inflects():
     entry = NounLexEntry("भूख", Gender.FEMININE, countable=False)
     rows = noun_paradigm(entry, TABLE)
-    assert all(r.surface == "भूख" and r.suffix is None for r in rows)
+    assert all(surface == "भूख" and suffix is None for _, _, suffix, surface in rows)
 
 
 def test_joiner_deterministic():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from collections import Counter
 
@@ -11,6 +12,7 @@ from morphinject.verb_morph import (
     TamSlot,
     VerbFactors,
     VerbLexEntry,
+    VerbSuffixTable,
     default_verb_suffix_table,
     join_verb,
     load_verb_suffix_table,
@@ -37,6 +39,12 @@ def test_agreement_spec():
     assert spec[TamSlot.PRESENT_HABITUAL] == ("gender", "number")
     assert spec[TamSlot.FUTURE] == ("gender", "number", "person")
     assert spec[TamSlot.IMPERATIVE] == ("number", "person")
+
+
+def test_verb_table_normalizes_the_suffixes_it_is_given():
+    cells = [c if c.suffix is None else dataclasses.replace(c, suffix=c.suffix + "\u200d")
+             for c in TABLE.cells]
+    assert VerbSuffixTable(cells).rows == TABLE.rows
 
 
 def test_verb_suffix_examples():
