@@ -28,13 +28,10 @@ _EXPORTS = {
         "VerbSuffixTable",
         "default_verb_suffix_table",
         "join_verb",
-        "paradigm_space",
         "verb_paradigm",
     ),
     "dictionary_builder": (
-        "DictEntry",
         "FactorScheme",
-        "FactoredToken",
         "WordFormDictionary",
         "build_noun_dict",
         "build_verb_dict",

@@ -61,7 +61,15 @@ def _data_table(path: str | None, name: str):
 
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
     """Write every (path, text) or none: all temps are staged before
-    anything is written to stdout (a None path) or renamed."""
+    anything is written to stdout (a None path) or renamed. Two paths
+    that name one file are an error, raised before anything is staged."""
+    named = set()
+    for path, _ in outputs:
+        if path is not None:
+            resolved = Path(path).resolve()
+            if resolved in named:
+                raise InputError(f"{path}: named by two outputs")
+            named.add(resolved)
     staged: list[tuple[str, Path]] = []
     try:
         for path, text in outputs:

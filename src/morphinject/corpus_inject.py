@@ -15,7 +15,7 @@ checked once, against one full-line pattern for the corpus width; only
 a line that fails it is split into tokens, and script_core.token_error
 names the first bad one. Padding (auto_normalize, injection), emission
 and the sparsity report work on the strings, and ParallelCorpus.pairs,
-the FactoredToken view, is built on demand.
+the lines split into token strings, is built on demand.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import IO, Iterable
 
 from . import script_core as sc
-from .dictionary_builder import FactoredToken, WordFormDictionary, strip_to_surface
+from .dictionary_builder import WordFormDictionary, strip_to_surface
 from .errors import LineCountMismatch, MalformedToken, RaggedFactorWidth, WidthIncompatible
 from .script_core import NULL_FACTOR
 
@@ -42,8 +42,9 @@ class ParallelCorpus:
     target_name: str = field(default="target", compare=False)
 
     @cached_property
-    def pairs(self) -> list[tuple[list[FactoredToken], list[FactoredToken]]]:
-        return [(_tokens(s), _tokens(t)) for s, t in zip(self.src, self.tgt)]
+    def pairs(self) -> list[tuple[list[str], list[str]]]:
+        # counted by bench/spans.py and bench/table.py; nothing else reads it
+        return [(s.split(), t.split()) for s, t in zip(self.src, self.tgt)]
 
     def source_width(self) -> int | None:
         return _width(self.src)
@@ -73,10 +74,6 @@ class InjectionReport:
             "duplicates_skipped": self.duplicates_skipped,
             "normalization_applied": self.normalization_applied,
         }
-
-
-def _tokens(line: str) -> list[FactoredToken]:
-    return [FactoredToken.parse(t) for t in line.split(" ")] if line else []
 
 
 def _width(lines: list[str]) -> int | None:
@@ -246,21 +243,3 @@ def emit_factored_corpus(corpus: ParallelCorpus, source: IO[str], target: IO[str
     """Write the corpus back out; parse(emit(c)) == c, byte for byte."""
     source.writelines(ln + "\n" for ln in corpus.src)
     target.writelines(ln + "\n" for ln in corpus.tgt)
-
-
-def validate_widths(corpus: ParallelCorpus) -> list[str]:
-    """Return human-readable violations of the uniform-width invariant."""
-    problems = []
-    for side, width, lines in (
-        ("source", corpus.source_width(), corpus.src),
-        ("target", corpus.target_width(), corpus.tgt),
-    ):
-        for lineno, line in enumerate(lines, 1):
-            for token in line.split(" ") if line else ():
-                token_width = token.count("|")
-                if token_width != width:
-                    problems.append(
-                        f"{side}:{lineno}: token {token!r} has width "
-                        f"{token_width}, corpus width is {width}"
-                    )
-    return problems

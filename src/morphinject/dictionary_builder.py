@@ -13,7 +13,8 @@ for its pair of factor widths; only a line that fails it is replayed
 side by side through script_core.token_error, which names the first
 error, and a line whose sides are both valid has ragged widths. A
 surface-only side is words joined by single spaces ("will walk").
-WordFormDictionary.entries, the DictEntry view, is built on demand.
+WordFormDictionary.entries, the same lines as (source, target) string
+pairs, is built on demand.
 
 The builders render lines from the paradigms' string rows. With
 `surface=True` they still check each factored line, then keep its
@@ -52,33 +53,6 @@ from .verb_morph import (
 )
 
 FACTOR_SEP = "|"
-
-
-@dataclass(frozen=True)
-class FactoredToken:
-    """One token of the on-demand views `ParallelCorpus.pairs` and
-    `WordFormDictionary.entries`, checked by `script_core.token_error`."""
-
-    surface: str
-    factors: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        error = sc.token_error(self.surface, self.factors)
-        if error:
-            raise InputError(error)
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def width(self) -> int:
-        return len(self.factors)
-
-    def render(self) -> str:
-        return FACTOR_SEP.join((self.surface,) + self.factors)
-
-    @classmethod
-    def parse(cls, text: str) -> "FactoredToken":
-        parts = text.split(FACTOR_SEP)
-        return cls(parts[0], tuple(parts[1:]))
 
 
 @dataclass(frozen=True)
@@ -144,12 +118,6 @@ SCHEMES = {"noun": NOUN_SCHEME, "verb": VERB_SCHEME, "surface": SURFACE_SCHEME}
 _FACTOR_VALUES = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
 
 
-@dataclass(frozen=True)
-class DictEntry:
-    source: FactoredToken
-    target: FactoredToken
-
-
 @dataclass
 class EntryFailure:
     index: int
@@ -168,11 +136,9 @@ class WordFormDictionary:
     failures: list[EntryFailure] = field(default_factory=list, compare=False)
 
     @cached_property
-    def entries(self) -> list[DictEntry]:
-        return [
-            DictEntry(*(FactoredToken.parse(side) for side in ln.split("\t")))
-            for ln in self.lines
-        ]
+    def entries(self) -> list[tuple[str, str]]:
+        # counted by bench/spans.py and bench/table.py; nothing else reads it
+        return [tuple(ln.split("\t")) for ln in self.lines]
 
     def __len__(self) -> int:
         return len(self.lines)

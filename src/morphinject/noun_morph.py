@@ -25,8 +25,7 @@ from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import EmptyRoot, IllegalSuffixForClass, InputError
-
-NULL_SUFFIX_MARK = "-"
+from .script_core import NULL_SUFFIX_MARK
 
 
 class NounClass(Enum):
@@ -107,7 +106,8 @@ class SuffixTable:
 
 def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
     """Load a suffix table from TSV (class, number, case, suffix); the
-    packaged one when `source` is None."""
+    packaged one when `source` is None. A suffix is "-" (null) or a
+    Devanagari word."""
     name, rows = sc.read_table(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
     cells: dict[tuple[NounClass, Number, Case], str | None] = {}
     for where, (cls, number, case, suffix) in rows:
@@ -118,7 +118,7 @@ def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
         )
         if key in cells:
             raise InputError(f"{where}: duplicate cell {cls}/{number}/{case}")
-        cells[key] = None if suffix == NULL_SUFFIX_MARK else suffix
+        cells[key] = sc.table_suffix(suffix, where)
     with sc.located(name):
         return SuffixTable(cells)
 

@@ -7,9 +7,10 @@ form: Unicode NFC, except that consonant+nukta pairs are re-composed to
 the precomposed letter where Unicode defines one (NFC itself decomposes
 U+0958..U+095F, which would split e.g. ड़ into two codepoints).
 
-The one factored-token rule is here: `token_pattern` matches a valid
-token, and `token_error` names the first problem of any other, for the
-corpus, the dictionary, annotate and the FactoredToken view alike.
+The one factored-token rule is here: a token is the text
+surface|factor|..., `token_pattern` matches a valid one, and
+`token_error` names the first problem of any other, for the corpus,
+the dictionary and annotate alike.
 
 Every input file is read here too: `read_lines` holds the one line rule
 (UTF-8, split on "\n" only, no "\r"), and `table_rows` is the one row
@@ -28,6 +29,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
+
+NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
 
 # the null factor, and a surface or a factor of a factored token: no
 # separator, no whitespace (\s matches exactly the characters for which
@@ -361,10 +364,10 @@ def token_pattern(width: int) -> str:
 
 
 def token_error(surface: str, factors: Sequence[str]) -> str | None:
-    """The first problem of a token, or None: the one token rule. The
-    surface and every factor are non-empty and hold no "|" and no
-    whitespace, except that the surface of a token with no factors may
-    hold " " ("will walk")."""
+    """The first problem of a token, given as its text split at "|", or
+    None: the one token rule. The surface and every factor are non-empty
+    and hold no "|" and no whitespace, except that the surface of a
+    token with no factors may hold " " ("will walk")."""
     if not surface:
         return "token with empty surface"
     if "|" in surface:
@@ -461,6 +464,20 @@ def table_value(kind, what: str, value: str, where: str, null: str | None = None
     except ValueError:
         allowed = ", ".join([m.value for m in kind] + ([null] if null else []))
         raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
+
+
+def table_suffix(value: str, where: str) -> str | None:
+    """A suffix cell of a data table: None for the null mark, else
+    `value` normalized, which must be a Devanagari word (the rule
+    `ending_of` checks), else an error at `where`."""
+    if value == NULL_SUFFIX_MARK:
+        return None
+    suffix = normalize(value)
+    try:
+        _check_word(suffix)
+    except InputError as exc:
+        raise InputError(f"{where}: bad suffix {value!r}: {exc}") from None
+    return suffix
 
 
 @contextmanager

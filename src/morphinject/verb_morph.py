@@ -23,7 +23,7 @@ from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import InputError
-from .noun_morph import NULL_SUFFIX_MARK, Gender, Number
+from .noun_morph import Gender, Number
 
 
 class Person(Enum):
@@ -148,21 +148,6 @@ class VerbSuffixTable:
         self.rows = [row for tam in TamSlot if tam in by_tam
                      for row in _tam_rows(tam, by_tam[tam])]
 
-    def lookup(self, factors: VerbFactors) -> str | None:
-        """Suffix for a concrete factor tuple (collapsed dims ignored)."""
-        for cell in self.cells:
-            if (
-                cell.tam is factors.tam
-                and (cell.gender is None or cell.gender is factors.gender)
-                and (cell.number is None or cell.number is factors.number)
-                and (cell.person is None or cell.person is factors.person)
-            ):
-                return cell.suffix
-        raise InputError(
-            f"factor tuple outside the declared grid: {factors.tam.value}"
-            f"/{factors.gender.value}/{factors.number.value}/{factors.person.value}"
-        )
-
 
 def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple]:
     """The paradigm rows of one TAM whose cells passed the table checks."""
@@ -184,7 +169,8 @@ def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple]:
 def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuffixTable:
     """Load a verb suffix table from TSV (tam, gender, number, person,
     suffix); the packaged one when `source` is None. "-" in a factor
-    column collapses that dimension."""
+    column collapses that dimension; a suffix is "-" (null) or a
+    Devanagari word."""
     name, rows = sc.read_table(
         source, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
     cells, seen = [], set()
@@ -194,7 +180,7 @@ def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuf
             sc.table_value(Gender, "gender", gender, where, null="-"),
             sc.table_value(Number, "number", number, where, null="-"),
             sc.table_value(Person, "person", person, where, null="-"),
-            None if suffix == NULL_SUFFIX_MARK else suffix,
+            sc.table_suffix(suffix, where),
         )
         key = (cell.tam, cell.gender, cell.number, cell.person)
         if key in seen:
@@ -289,17 +275,6 @@ def verb_paradigm(
                 surface = _join(root, vowel, ending)
         rows.append((factors, suffix, surface))
     return rows
-
-
-def paradigm_space(dims: Iterable[int]) -> int:
-    """Size of an inflection grid: the product of its dimension sizes."""
-    dims = list(dims)
-    if not dims:
-        raise InputError("empty dimension list")
-    for d in dims:
-        if not isinstance(d, int) or d < 1:
-            raise InputError(f"non-positive dimension {d!r}")
-    return math.prod(dims)
 
 
 def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> list[VerbLexEntry]:

@@ -13,12 +13,12 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from conftest import lookup, ref_entries, ref_pairs, validate_widths
 from morphinject import script_core as sc
 from morphinject.corpus_inject import (
     emit_factored_corpus,
     inject,
     parse_factored_corpus,
-    validate_widths,
 )
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
 from morphinject.evaluation import VocabSet, bleu, oov_count, oov_reduction, sparsity_report
@@ -120,7 +120,7 @@ def test_criterion_3_joiner_fixture_suite(noun_fixtures, verb_form_fixtures, ver
             )
             surface = entry.override_for(factors)
             if surface is None:
-                surface = join_verb(stem, vtable.lookup(factors))
+                surface = join_verb(stem, lookup(vtable, factors))
             assert surface == sc.normalize(fx.surface), f"{stem}/{fx.tam}"
             checked.add(stem)
         assert len(checked) >= 10
@@ -139,8 +139,8 @@ def test_criterion_4_sparsity_closure(noun_fixtures):
         dictionary = build_noun_dict(lexicon)
         assert not dictionary.failures
 
-        sg_dir = [e for e in dictionary.entries if e.source.factors == ("sg", "dir")]
-        pl_obl = [e for e in dictionary.entries if e.source.factors == ("pl", "obl")]
+        sg_dir = [e for e in ref_entries(dictionary) if e.source.factors == ("sg", "dir")]
+        pl_obl = [e for e in ref_entries(dictionary) if e.source.factors == ("pl", "obl")]
         assert len(sg_dir) == len(pl_obl) == 50
         train = parse_factored_corpus(
             io.StringIO("".join(e.source.render() + "\n" for e in sg_dir)),
@@ -164,7 +164,7 @@ def test_criterion_4_sparsity_closure(noun_fixtures):
         injected, _ = inject(train, dictionary)
         after = sparsity_report(injected, probe, NOUN_SCHEME)
         brute_after = {
-            tuple(t.factors) for _, tgt in injected.pairs for t in tgt
+            tuple(t.factors) for _, tgt in ref_pairs(injected) for t in tgt
         }
         assert len(probe_pairs - brute_after) == 0
         assert after.generation_steps[0].unseen == 0
@@ -189,7 +189,7 @@ def test_criterion_5_injection_bookkeeping():
         once, r1 = inject(corpus, dictionary)
         assert r1.entries_added + r1.duplicates_skipped == r1.entries_offered
         twice, r2 = inject(once, dictionary)
-        assert r2.entries_offered == len(dictionary.entries)
+        assert r2.entries_offered == len(dictionary.lines)
         assert r2.duplicates_skipped == r2.entries_offered
         assert r2.entries_added == 0
         assert r2.entries_added + r2.duplicates_skipped == r2.entries_offered

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FactoredToken
 from morphinject.cli import _annotation_line
-from morphinject.dictionary_builder import FactoredToken
 from morphinject.errors import InputError, NotANoun, NotAVerb
 from morphinject.noun_morph import Case, Number
 from morphinject.source_factors import (

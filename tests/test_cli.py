@@ -208,6 +208,31 @@ def test_inject_bad_report_path_leaves_no_output(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [d]
 
 
+@pytest.mark.parametrize("outputs", [
+    ("--out-source", "o.txt", "--out-target", "o.txt"),
+    ("--out-source", "o.src", "--out-target", "o.txt", "--report", "sub/../o.txt"),
+    ("build-dict", "--out", "o.txt", "--failures", "o.txt"),
+], ids=["inject-corpus-sides", "inject-report", "build-dict-failures"])
+def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch, outputs):
+    # one file given for two outputs would hold only the last one written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "o.txt").write_text("kept\n", "utf-8")
+    (tmp_path / "d.tsv").write_text("", "utf-8")
+    if outputs[0] == "build-dict":
+        argv = ["build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
+                *outputs[1:]]
+    else:
+        argv = ["inject", "--source", str(FIXTURES / "corpus_src.txt"),
+                "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", "d.tsv", *outputs]
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {outputs[-1]}: named by two outputs\n"
+    assert sorted(tmp_path.iterdir()) == before  # no temp file is left
+    assert (tmp_path / "o.txt").read_text("utf-8") == "kept\n"
+
+
 def test_inject_rejects_crlf_corpus(tmp_path, capsys):
     src = tmp_path / "src.txt"
     tgt = tmp_path / "tgt.txt"
@@ -586,6 +611,12 @@ _SUFFIX_TABLE_ERRORS = [
     (_VERB_COMMANDS, "# no rows\n", ": verb suffix table is empty"),
     (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tm\tsg\t-\tता\nhab\tm\tpl\t-\tते\n",
      ": hab rows name only gender m; a TAM that agrees in gender needs both"),
+    # a suffix is "-" or a Devanagari word: a blank cell is not a null suffix
+    (_NOUN_COMMANDS, "A\tsg\tdir\t-\nD\tsg\tobl\t\n", ":2: bad suffix '': empty word"),
+    (_NOUN_COMMANDS, "C\tpl\tdir\tx\n",
+     ":1: bad suffix 'x': non-Devanagari codepoint U+0078 at offset 0"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\tना\nhab\tm\tsg\t-\t\n", ":2: bad suffix '': empty word"),
+    (_VERB_COMMANDS, "inf\t-\t-\t-\tना।\n", ":1: bad suffix 'ना।': punctuation '।' at offset 2"),
 ]
 
 
@@ -593,7 +624,8 @@ _SUFFIX_TABLE_ERRORS = [
 @pytest.mark.parametrize("commands, text, message", _SUFFIX_TABLE_ERRORS, ids=[
     "noun-fields", "noun-class", "noun-duplicate", "noun-missing-cell", "noun-class-a",
     "noun-sg-dir", "noun-empty", "verb-fields", "verb-gender", "verb-number", "verb-duplicate",
-    "verb-collapsed", "verb-grid", "verb-empty", "verb-one-gender"])
+    "verb-collapsed", "verb-grid", "verb-empty", "verb-one-gender", "noun-blank-suffix",
+    "noun-latin-suffix", "verb-blank-suffix", "verb-danda-suffix"])
 def test_suffix_table_errors_name_file_and_line(tmp_path, capsys, command, commands, text, message):
     table = tmp_path / "table.tsv"
     table.write_text(text, "utf-8")

@@ -5,14 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FactoredToken, ref_pairs, validate_widths
 from morphinject.corpus_inject import (
     emit_factored_corpus,
     inject,
     parse_factored_corpus,
-    validate_widths,
 )
 from morphinject.dictionary_builder import (
-    FactoredToken,
     SURFACE_SCHEME,
     build_noun_dict,
 )
@@ -35,14 +34,14 @@ def _parse(src_text, tgt_text, **kw):
 
 def test_parse_basic():
     corpus = _parse("a|x b|y\nc|z\n", "प|है\nक|है\n")
-    assert len(corpus.pairs) == 2
-    assert corpus.pairs[0][0][0] == FactoredToken("a", ("x",))
+    assert len(corpus.src) == len(corpus.tgt) == 2
+    assert ref_pairs(corpus)[0][0][0] == FactoredToken("a", ("x",))
     assert corpus.source_width() == 1 and corpus.target_width() == 1
 
 
 def test_parse_factor_layout():
     corpus = _parse("dog|sg|dir\n", "कुत्ता|कुत्ता|null\n")
-    token = corpus.pairs[0][1][0]
+    token = ref_pairs(corpus)[0][1][0]
     assert token.surface == "कुत्ता"
     assert token.factors == ("कुत्ता", "null")
 
@@ -67,7 +66,7 @@ def test_parse_ragged_width():
     with pytest.raises(RaggedFactorWidth, match=r"target:2:1"):
         _parse("a|x\nb|y\n", "p|q\nr\n")
     corpus = _parse("a|x\nb|y\n", "p|q\nr\n", auto_normalize=True)
-    assert corpus.pairs[1][1][0].render() == "r|null"
+    assert corpus.tgt[1] == "r|null"
     assert not validate_widths(corpus)
 
 
@@ -94,7 +93,7 @@ def test_inject_empty_dict():
     corpus = _parse("dog|sg|dir\n", "कुत्ता|कुत्ता|null\n")
     empty = build_noun_dict([])
     out, report = inject(corpus, empty)
-    assert out.pairs == corpus.pairs
+    assert out == corpus
     assert report.entries_offered == report.entries_added == 0
     assert report.duplicates_skipped == 0
 
@@ -106,8 +105,8 @@ def test_inject_appends_after_originals():
     assert report.entries_offered == 4
     assert report.entries_added == 4
     assert report.duplicates_skipped == 0
-    assert len(out.pairs) == 1 + 4
-    assert out.pairs[0] == corpus.pairs[0]  # prefix untouched
+    assert len(out.src) == len(out.tgt) == 1 + 4
+    assert (out.src[0], out.tgt[0]) == (corpus.src[0], corpus.tgt[0])  # prefix untouched
     assert out.src[1] == "dog|sg|dir"
     assert out.tgt[1] == "कुत्ता|कुत्ता|null"
 
@@ -120,7 +119,7 @@ def test_double_injection_all_duplicates():
     twice, report2 = inject(once, d)
     assert report2.duplicates_skipped == report2.entries_offered == 4
     assert report2.entries_added == 0
-    assert twice.pairs == once.pairs
+    assert twice == once
 
 
 def test_inject_width_normalization():
@@ -128,7 +127,7 @@ def test_inject_width_normalization():
     corpus = _parse("a|x|y|z\n", "प|क|ख|ग\n")
     out, report = inject(corpus, _dog_dict())
     assert report.normalization_applied is True
-    assert out.pairs[1][0][0].render() == "dog|sg|dir|null"
+    assert out.src[1] == "dog|sg|dir|null"
     assert not validate_widths(out)
     # dictionary wider than the corpus would force rewriting originals
     narrow = _parse("a|x\n", "प|क\n")
@@ -153,7 +152,7 @@ def test_inject_surface_mode_splits_periphrastic():
     corpus = _parse("a\n", "क\n")
     out, _ = inject(corpus, d, mode="surface")
     assert out.source_lines()[-1] == "will walk"
-    assert [t.render() for t in out.pairs[-1][0]] == ["will", "walk"]
+    assert [t.render() for t in ref_pairs(out)[-1][0]] == ["will", "walk"]
     reparsed = _parse(
         "".join(ln + "\n" for ln in out.source_lines()),
         "".join(ln + "\n" for ln in out.target_lines()),
@@ -176,23 +175,3 @@ def test_regex_whitespace_is_isspace():
         bool(space.match(chr(cp))) == chr(cp).isspace() for cp in range(sys.maxunicode + 1)
     )
 
-
-def test_valid_corpus_builds_no_per_token_objects(monkeypatch):
-    line_src = " ".join(f"w{i}|sg|dir|null" for i in range(10))
-    line_tgt = " ".join(f"क{i}|क|null|null" for i in range(10))
-    src_text = "".join(line_src + "\n" for _ in range(1000))
-    tgt_text = "".join(line_tgt + "\n" for _ in range(1000))
-    dictionary = _dog_dict()  # width 2, so every entry is padded to the corpus
-    built = 0
-    post_init = FactoredToken.__post_init__
-
-    def counting(self):
-        nonlocal built
-        built += 1
-        post_init(self)
-
-    monkeypatch.setattr(FactoredToken, "__post_init__", counting)
-    corpus = _parse(src_text, tgt_text)
-    out, report = inject(corpus, dictionary)
-    assert report.entries_added == 4
-    assert built == 0  # not 20k corpus tokens, and no dictionary tokens either

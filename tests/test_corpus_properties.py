@@ -12,13 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
 from morphinject.corpus_inject import emit_factored_corpus, inject, parse_factored_corpus
-from morphinject.dictionary_builder import (
-    NOUN_SCHEME,
-    DictEntry,
-    FactoredToken,
-    WordFormDictionary,
-)
+from morphinject.dictionary_builder import NOUN_SCHEME, WordFormDictionary, strip_to_surface
 from morphinject.errors import InputError, MalformedToken, RaggedFactorWidth
 
 # separators, control characters, non-space whitespace (no-break space,
@@ -178,10 +174,11 @@ _dictionary = st.lists(_entry, unique=True, max_size=12).map(
 def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionary, data):
     src_lines, tgt_lines = sides
     # some corpus lines are dictionary entries already, so dedupe has work
-    for e in data.draw(st.lists(st.sampled_from(dictionary.entries), max_size=3)
-                       if dictionary.entries else st.just([])):
-        src_lines.append(e.source.render())
-        tgt_lines.append(e.target.render())
+    for line in data.draw(st.lists(st.sampled_from(dictionary.lines), max_size=3)
+                          if dictionary.lines else st.just([])):
+        source, target = line.split("\t")
+        src_lines.append(source)
+        tgt_lines.append(target)
     corpus = parse_factored_corpus(src_lines, tgt_lines, auto_normalize=True)
     before = _emit(corpus)
     out, report = inject(corpus, dictionary, mode=mode)
@@ -204,3 +201,24 @@ def test_split_gives_the_tokens_of_a_factored_line(lines, auto_normalize):
         return
     for line in corpus.src:
         assert line.split() == (line.split(" ") if line else [])
+
+
+def _rendered_pairs(pairs):
+    return [([t.render() for t in src], [t.render() for t in tgt]) for src, tgt in pairs]
+
+
+# valid tokens of mixed widths, which auto_normalize pads
+_mixed_line = st.lists(st.integers(0, 2).flatmap(_valid_token), max_size=4).map(" ".join)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(_mixed_line, min_size=n, max_size=n), st.lists(_mixed_line, min_size=n, max_size=n))),
+    _dictionary)
+def test_views_hold_the_tokens_and_entries_of_the_reference_parse(sides, dictionary):
+    """The benchmark counts the tokens of ParallelCorpus.pairs and the
+    entries of WordFormDictionary.entries: as strings, they are the
+    tokens and entries the reference parses, one for one."""
+    corpus = parse_factored_corpus(*sides, auto_normalize=True)
+    assert corpus.pairs == _rendered_pairs(ref_pairs(corpus))
+    for d in (dictionary, strip_to_surface(dictionary)):
+        assert d.entries == [(e.source.render(), e.target.render()) for e in ref_entries(d)]

@@ -1,9 +1,9 @@
 import pytest
 
+from conftest import FactoredToken, ref_entries
 from morphinject import script_core as sc
 from morphinject.dictionary_builder import (
     FactorScheme,
-    FactoredToken,
     NOUN_SCHEME,
     SURFACE_SCHEME,
     VERB_SCHEME,
@@ -57,20 +57,20 @@ def test_scheme_validation():
 def test_build_noun_dict_dog():
     lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))]
     d = build_noun_dict(lexicon)
-    assert len(d.entries) == 4
-    assert [e.source.render() for e in d.entries] == [
+    assert len(d.lines) == 4
+    assert [e.source.render() for e in ref_entries(d)] == [
         "dog|sg|dir", "dog|sg|obl", "dog|pl|dir", "dog|pl|obl",
     ]
-    assert [e.target.render() for e in d.entries] == [
+    assert [e.target.render() for e in ref_entries(d)] == [
         "कुत्ता|कुत्ता|null", "कुत्ते|कुत्ता|ए", "कुत्ते|कुत्ता|ए", "कुत्तों|कुत्ता|ओं",
     ]
     assert not d.failures
 
 
 def test_build_noun_dict_girl_and_empty():
-    assert build_noun_dict([]).entries == []
+    assert build_noun_dict([]).lines == []
     d = build_noun_dict([BilingualNoun("girl", NounLexEntry("लड़की", Gender.FEMININE))])
-    pl_obl = d.entries[-1]
+    pl_obl = ref_entries(d)[-1]
     assert pl_obl.source.render() == "girl|pl|obl"
     assert pl_obl.target.render() == sc.normalize("लड़कियों|लड़की|यों")
 
@@ -79,7 +79,7 @@ def test_build_noun_dict_dedupe_and_failures():
     noun = BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))
     bad = BilingualNoun("cat", NounLexEntry("cat", Gender.FEMININE))  # Latin root
     d = build_noun_dict([noun, noun, bad])
-    assert len(d.entries) == 4  # duplicate row collapses
+    assert len(d.lines) == 4  # duplicate row collapses
     assert len(d.failures) == 1
     assert d.failures[0].english_root == "cat"
 
@@ -97,7 +97,7 @@ def test_noun_dict_cardinality(noun_fixtures):
             if key not in distinct:
                 distinct.add(key)
                 expected += 1
-    assert len(d.entries) == expected
+    assert len(d.lines) == expected
     assert not d.failures
 
 
@@ -106,7 +106,7 @@ def test_generation_step_closure(noun_fixtures):
     lexicon = [BilingualNoun(f.english, f.entry) for f in noun_fixtures]
     classes = {f.entry.hindi_root: classify_noun(f.entry) for f in noun_fixtures}
     d = build_noun_dict(lexicon)
-    for e in d.entries:
+    for e in ref_entries(d):
         root, suffix = e.target.factors
         rebuilt = join_noun(root, classes[root], None if suffix == "null" else suffix)
         assert rebuilt == e.target.surface
@@ -126,20 +126,20 @@ def test_build_verb_dict(verb_lexicon_lines):
         )
         for f, suffix, surf in verb_paradigm(lexicon[0], table)
     }
-    assert len(one.entries) == len(distinct_pairs)
+    assert len(one.lines) == len(distinct_pairs)
     walk_hab = next(
-        e for e in one.entries if e.source.render() == "walk|sg|3|hab"
+        e for e in ref_entries(one) if e.source.render() == "walk|sg|3|hab"
     )
     assert walk_hab.target.render() == "चलता|चल|ता"
     # duplicate lexicon rows collapse to a single entry set
-    assert len(build_verb_dict([lexicon[0], lexicon[0]], table).entries) == len(one.entries)
+    assert build_verb_dict([lexicon[0], lexicon[0]], table).lines == one.lines
 
 
 def test_verb_generation_closure(verb_lexicon_lines):
     # regular rows re-derive through the joiner (irregulars are overrides)
     entry = parse_verb_lexicon(["walk\tचल"])[0]
     d = build_verb_dict([entry])
-    for e in d.entries:
+    for e in ref_entries(d):
         root, suffix = e.target.factors
         assert join_verb(root, None if suffix == "null" else suffix) == e.target.surface
 
@@ -147,7 +147,7 @@ def test_verb_generation_closure(verb_lexicon_lines):
 def test_strip_to_surface_nouns():
     lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))]
     stripped = strip_to_surface(build_noun_dict(lexicon))
-    rendered = [(e.source.render(), e.target.render()) for e in stripped.entries]
+    rendered = [(e.source.render(), e.target.render()) for e in ref_entries(stripped)]
     # sg-obl and pl-dir collapse onto distinct pairs; duplicates are gone
     assert ("dog", "कुत्ता") in rendered
     assert ("dog", "कुत्ते") in rendered
@@ -155,14 +155,14 @@ def test_strip_to_surface_nouns():
     assert ("dogs", "कुत्तों") in rendered
     assert len(rendered) == 4
     again = strip_to_surface(stripped)
-    assert again.entries == stripped.entries  # idempotent
+    assert again.lines == stripped.lines  # idempotent
 
 
 def test_strip_to_surface_verbs():
     d = build_verb_dict([VerbLexEntry("चल", "walk")])
     stripped = strip_to_surface(d)
     rendered = dict(
-        (e.target.render(), e.source.render()) for e in stripped.entries
+        (e.target.render(), e.source.render()) for e in ref_entries(stripped)
     )
     assert rendered["चलना"] == "to walk"
     assert rendered["चलेगा"] == "will walk"
@@ -193,7 +193,7 @@ def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
 def test_dictionary_roundtrip_and_widths(verb_lexicon_lines):
     d = build_verb_dict(parse_verb_lexicon(verb_lexicon_lines))
     reparsed = parse_dictionary(d.lines)
-    assert reparsed.entries == d.entries
+    assert reparsed.lines == d.lines
     assert reparsed.scheme == VERB_SCHEME
     with pytest.raises(InputError, match="has 1 factors, scheme declares 2"):
         parse_dictionary(["a|b\tc"], NOUN_SCHEME)

@@ -12,6 +12,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DictEntry, FactoredToken, ref_entries
 from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject.corpus_inject import inject, parse_factored_corpus
@@ -19,8 +20,6 @@ from morphinject.dictionary_builder import (
     NOUN_SCHEME,
     SURFACE_SCHEME,
     VERB_SCHEME,
-    DictEntry,
-    FactoredToken,
     build_noun_dict,
     build_verb_dict,
     parse_dictionary,
@@ -324,16 +323,16 @@ def _failures(dictionary):
     return [(f.index, f.english_root, f.hindi_root, f.error) for f in dictionary.failures]
 
 
-def _same_build(build, lexicon, table, ref_entries, ref_failures):
+def _same_build(build, lexicon, table, ref_built, ref_failures):
     """`build` gives the reference's lines and failures; with `surface`,
     it gives the stripped reference's lines and the same failures, or
     the error that stripping the factored build raises."""
     new = build(lexicon, table)
-    assert new.lines == _rendered(ref_entries)
+    assert new.lines == _rendered(ref_built)
     assert _failures(new) == ref_failures
-    assert new.entries == ref_entries  # the view agrees with the lines
+    assert ref_entries(new) == ref_built  # each line parses to the reference's entry
     stripped = _outcome(lambda: strip_to_surface(new))
-    ref_stripped = _outcome(lambda: _rendered(_ref_strip(ref_entries, new.scheme)))
+    ref_stripped = _outcome(lambda: _rendered(_ref_strip(ref_built, new.scheme)))
     assert (stripped[0], stripped[1].lines if stripped[0] == "ok" else stripped[1]) == ref_stripped
     surface = _outcome(lambda: build(lexicon, table, surface=True))
     if ref_stripped[0] != "ok":

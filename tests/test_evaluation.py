@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import ref_entries
 from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
 from morphinject.errors import EmptyCorpus, LengthMismatch, ZeroBaseline
@@ -112,12 +113,12 @@ def test_sparsity_closes_after_injection(noun_fixtures):
     lexicon = [BilingualNoun(f.english, f.entry) for f in nouns]
     d = build_noun_dict(lexicon)
     train = _corpus(
-        [e.source.render() for e in d.entries if e.source.factors == ("sg", "dir")],
-        [e.target.render() for e in d.entries if e.source.factors == ("sg", "dir")],
+        [e.source.render() for e in ref_entries(d) if e.source.factors == ("sg", "dir")],
+        [e.target.render() for e in ref_entries(d) if e.source.factors == ("sg", "dir")],
     )
     probe = _corpus(
-        [e.source.render() for e in d.entries if e.source.factors == ("pl", "obl")],
-        [e.target.render() for e in d.entries if e.source.factors == ("pl", "obl")],
+        [e.source.render() for e in ref_entries(d) if e.source.factors == ("pl", "obl")],
+        [e.target.render() for e in ref_entries(d) if e.source.factors == ("pl", "obl")],
     )
     before = sparsity_report(train, probe, NOUN_SCHEME)
     assert before.generation_steps[0].unseen == len(probe.tgt)

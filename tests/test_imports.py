@@ -24,14 +24,16 @@ ROOT = Path(__file__).parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 
 # every name the package exported when it imported all of its modules,
-# less normalize_factors, which is gone
+# less those that are gone: a token is its text, so FactoredToken and
+# DictEntry are no more, and paradigm_space had no caller
+GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken")
 EXPORTS = {
     "noun_morph": ["Case", "Gender", "NounClass", "NounLexEntry", "Number", "SuffixTable",
                    "classify_noun", "default_suffix_table", "join_noun", "noun_paradigm"],
     "verb_morph": ["Person", "TamSlot", "VerbFactors", "VerbLexEntry", "VerbSuffixTable",
-                   "default_verb_suffix_table", "join_verb", "paradigm_space", "verb_paradigm"],
-    "dictionary_builder": ["DictEntry", "FactorScheme", "FactoredToken", "WordFormDictionary",
-                           "build_noun_dict", "build_verb_dict", "strip_to_surface"],
+                   "default_verb_suffix_table", "join_verb", "verb_paradigm"],
+    "dictionary_builder": ["FactorScheme", "WordFormDictionary", "build_noun_dict",
+                           "build_verb_dict", "strip_to_surface"],
     "corpus_inject": ["InjectionReport", "ParallelCorpus", "emit_factored_corpus", "inject",
                       "parse_factored_corpus"],
     "evaluation": ["BleuScore", "OovReport", "SparsityReport", "VocabSet", "bleu", "oov_count",
@@ -85,6 +87,10 @@ def test_package_names_resolve_on_first_access():
         for name in names:
             assert namespace[name] is getattr(import_module(f"morphinject.{module}"), name)
             assert name in dir(morphinject) and name in morphinject.__all__
+    for name in GONE:
+        assert name not in morphinject.__all__
+        with pytest.raises(AttributeError):
+            getattr(morphinject, name)
 
 
 def test_unknown_package_name_raises():

@@ -3,8 +3,8 @@
 `normalize` and `_check_word` have fast paths for input that needs no
 work; the loop versions below are what they replaced, and the fast
 paths must give the same result or the same error on any string.
-`token_error` must name the error FactoredToken named before the rule
-moved to script_core, but for a token with no factors whose surface
+`token_error` must name the error the FactoredToken class named before
+the rule moved to script_core, but for a token with no factors whose surface
 holds whitespace other than " ", and `token_pattern` must accept exactly the
 tokens `token_error` passes.
 """
@@ -16,8 +16,8 @@ import unicodedata
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FactoredToken
 from morphinject import script_core as sc
-from morphinject.dictionary_builder import FactoredToken
 from morphinject.errors import EmptyInput, InputError, NonDevanagariContent
 from morphinject.noun_morph import (
     Gender,
@@ -151,8 +151,8 @@ def test_morphology_returns_or_raises_an_input_error(root, gender, countable, ov
 # --- the token rule ---
 
 def _reference_token_error(surface, factors):
-    """FactoredToken.__post_init__ before the rule moved to script_core:
-    the message it raised, or None."""
+    """The FactoredToken class's check before the rule moved to
+    script_core: the message it raised, or None."""
     if not surface:
         return "token with empty surface"
     if "|" in surface:
@@ -187,7 +187,7 @@ def test_token_error_is_the_factored_token_rule(surface, factors):
         # the one change: a surface with no factors holds no whitespace but " "
         expected = f"surface {surface!r} contains whitespace other than ' '"
     assert got == expected
-    # the view type checks with the same rule
+    # the tests' reference token checks with the same rule
     assert _outcome(FactoredToken, surface, tuple(factors)) == (
         ("InputError", got) if got else ("ok", FactoredToken(surface, tuple(factors))))
     # the line patterns accept exactly the tokens it passes; a corpus

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import lookup
 from morphinject import script_core as sc
 from morphinject.errors import InputError
 from morphinject.noun_morph import Gender, Number
@@ -16,7 +17,6 @@ from morphinject.verb_morph import (
     default_verb_suffix_table,
     join_verb,
     load_verb_suffix_table,
-    paradigm_space,
     parse_verb_lexicon,
     verb_paradigm,
 )
@@ -48,25 +48,25 @@ def test_verb_table_normalizes_the_suffixes_it_is_given():
 
 
 def test_verb_suffix_examples():
-    assert TABLE.lookup(
-        VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
+    assert lookup(
+        TABLE, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
     ) == "ता"
     # infinitive collapses every dimension
     for gender in Gender:
         for number in Number:
             for person in Person:
-                assert TABLE.lookup(
-                    VerbFactors(gender, number, person, TamSlot.INFINITIVE)
+                assert lookup(
+                    TABLE, VerbFactors(gender, number, person, TamSlot.INFINITIVE)
                 ) == "ना"
-    assert TABLE.lookup(
-        VerbFactors(Gender.FEMININE, Number.SINGULAR, Person.SECOND, TamSlot.IMPERATIVE)
+    assert lookup(
+        TABLE, VerbFactors(Gender.FEMININE, Number.SINGULAR, Person.SECOND, TamSlot.IMPERATIVE)
     ) is None
 
 
 def test_verb_suffix_outside_grid():
     with pytest.raises(InputError):
-        TABLE.lookup(
-            VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.FIRST, TamSlot.IMPERATIVE)
+        lookup(
+            TABLE, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.FIRST, TamSlot.IMPERATIVE)
         )
 
 
@@ -104,7 +104,7 @@ def test_verb_forms_fixture_suite(verb_form_fixtures, verb_lexicon_lines):
         )
         surface = entry.override_for(factors)
         if surface is None:
-            surface = join_verb(stem, TABLE.lookup(factors))
+            surface = join_verb(stem, lookup(TABLE, factors))
         assert surface == sc.normalize(fx.surface), (
             f"{stem} {fx.tam}/{fx.gender}/{fx.number}/{fx.person}: "
             f"{surface!r} != {fx.surface!r}"
@@ -169,17 +169,6 @@ def test_irregular_override_soundness():
             assert surf2 == "हुआ"
         else:
             assert surf1 == surf2  # untouched rows are identical
-
-
-def test_paradigm_space():
-    assert paradigm_space([2, 3, 2, 6]) == 72
-    assert paradigm_space([1]) == 1
-    # the eight-dimension verb grid example: the true product
-    assert paradigm_space([4, 3, 3, 2, 3, 3, 7, 6]) == 27216
-    with pytest.raises(InputError):
-        paradigm_space([])
-    with pytest.raises(InputError):
-        paradigm_space([3, 0])
 
 
 def test_verb_lexicon_parser():
