@@ -23,7 +23,6 @@ _EXPORTS = {
     "verb_morph": (
         "Person",
         "TamSlot",
-        "VerbFactors",
         "VerbLexEntry",
         "VerbSuffixTable",
         "default_verb_suffix_table",

@@ -136,9 +136,8 @@ def cmd_paradigm(args) -> int:
         table = _data_table(args.table, "verb_suffixes.tsv")
         entry = vm.VerbLexEntry(args.stem, "")
         lines = [
-            "\t".join((f.tam.value, f.gender.value, f.number.value, f.person.value,
-                       suffix if suffix is not None else "-", surface))
-            for f, suffix, surface in vm.verb_paradigm(entry, table)
+            "\t".join((*factors, "-" if suffix is None else suffix, surface))
+            for *factors, suffix, surface in vm.verb_paradigm(entry, table)
         ]
     else:
         if not args.root or not args.gender:
@@ -153,8 +152,8 @@ def cmd_paradigm(args) -> int:
             class_override=nm.NounClass(args.noun_class) if args.noun_class else None,
         )
         lines = [
-            "\t".join((number, case, suffix if suffix is not None else "-", surface))
-            for number, case, suffix, surface in nm.noun_paradigm(entry, table)
+            "\t".join((*factors, "-" if suffix is None else suffix, surface))
+            for *factors, suffix, surface in nm.noun_paradigm(entry, table)
         ]
     _write_atomic([(args.out, "\n".join(lines) + "\n")])
     return 0

@@ -239,13 +239,12 @@ def build_noun_dict(
     checked entry is kept as its surface-only line (see `strip_to_surface`)."""
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
-    plural_value = Number.PLURAL.value
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
         english, root = noun.english_root, noun.entry.hindi_root
         if surface:
-            plural = sf.english_noun_surface(english, Number.PLURAL)
+            plural = sf.english_noun_surface(english, "pl")
         try:
             for number, case, suffix, form in noun_paradigm(noun.entry, table):
                 suffix = NULL_FACTOR if suffix is None else suffix
@@ -253,7 +252,7 @@ def build_noun_dict(
                 if not valid(line):
                     raise _line_error((english, number, case), (form, root, suffix))
                 if surface:
-                    line = f"{plural if number == plural_value else english}\t{form}"
+                    line = f"{plural if number == 'pl' else english}\t{form}"
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
@@ -271,23 +270,18 @@ def build_verb_dict(
     `strip_to_surface`)."""
     table = table or default_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
-    if surface:
-        english_factors = {values: sf.EnglishVerbFactors(f.number, f.person, f.tam)
-                           for f, values, _ in table.rows}
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
         english, root = verb.english_root, verb.hindi_root
         try:
-            paradigm = verb_paradigm(verb, table)
-            for (_, values, suffix), (_, _, form) in zip(table.rows, paradigm):
-                number, person, tam = values
+            for tam, _, number, person, suffix, form in verb_paradigm(verb, table):
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
                 if not valid(line):
                     raise _line_error((english, number, person, tam), (form, root, suffix))
                 if surface:
-                    line = f"{sf.english_verb_surface(english, english_factors[values])}\t{form}"
+                    line = f"{sf.english_verb_surface(english, number, person, tam)}\t{form}"
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
@@ -312,33 +306,35 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
 
     The English surface is rebuilt from the factored source (dogs for
     dog|pl|*, walked for walk|*|*|perf); a factor value it reads that is
-    outside its enum is an error naming the entry. Collapsed distinctions
-    produce exact duplicates, which are removed. The result keeps the
-    input's failures. Idempotent.
+    outside its enum is an error naming the entry, each distinct factor
+    string checked once. Collapsed distinctions produce exact
+    duplicates, which are removed. The result keeps the input's
+    failures. Idempotent.
     """
     scheme = dictionary.scheme
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
     noun = scheme.source_width > 0 and not verb and "case" in scheme.source_factors
     valid = _line_check(0, 0)
     lines: dict[str, None] = {}
-    # each distinct factor string, checked once: the values its surface reads
-    checked: dict[str, object] = {}
+    # each distinct factor string, checked once, and its values
+    checked: dict[str, list[str]] = {}
     for line in dictionary.lines:
         source, target = line.split("\t")
         surface, _, factor_text = source.partition(FACTOR_SEP)
         if verb or noun:
-            value = checked.get(factor_text)
-            if value is None:
+            factors = checked.get(factor_text)
+            if factors is None:
                 factors = factor_text.split(FACTOR_SEP)
                 where = f"entry {source!r}"
-                value = sc.table_value(Number, "number", factors[0], where)
+                sc.table_value(Number, "number", factors[0], where)
                 if verb:
-                    value = sf.EnglishVerbFactors(
-                        value,
-                        sc.table_value(Person, "person", factors[1], where),
-                        sc.table_value(TamSlot, "tam", factors[2], where))
-                checked[factor_text] = value
-            surface = (sf.english_verb_surface if verb else sf.english_noun_surface)(surface, value)
+                    sc.table_value(Person, "person", factors[1], where)
+                    sc.table_value(TamSlot, "tam", factors[2], where)
+                checked[factor_text] = factors
+            if verb:
+                surface = sf.english_verb_surface(surface, *factors[:3])
+            else:
+                surface = sf.english_noun_surface(surface, factors[0])
         target_surface = target.partition(FACTOR_SEP)[0]
         line = f"{surface}\t{target_surface}"
         if not valid(line):

@@ -9,10 +9,11 @@ the class as features.
 A SuffixTable normalizes its suffixes and lays out each class's
 paradigm as (number, case, suffix) string rows once, when it is built.
 `noun_paradigm` walks those rows with a root that NounLexEntry has
-already normalized, works out the root's ending at most once, and
-returns (number, case, suffix, surface) string tuples. The public
-`join_noun` normalizes its inputs and checks the suffix against the
-class's column; a suffix taken from the table is legal by construction.
+already normalized, works out the root's ending once, so that every
+root is checked as a Devanagari word whatever its class, and returns
+(number, case, suffix, surface) string tuples. The public `join_noun`
+normalizes its inputs and checks the suffix against the class's column;
+a suffix taken from the table is legal by construction.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
     cells: dict[tuple[NounClass, Number, Case], str | None] = {}
     for where, (cls, number, case, suffix) in rows:
         key = (
-            sc.table_value(NounClass, "class", cls, where),
-            sc.table_value(Number, "number", number, where),
-            sc.table_value(Case, "case", case, where),
+            NounClass(sc.table_value(NounClass, "class", cls, where)),
+            Number(sc.table_value(Number, "number", number, where)),
+            Case(sc.table_value(Case, "case", case, where)),
         )
         if key in cells:
             raise InputError(f"{where}: duplicate cell {cls}/{number}/{case}")
@@ -137,25 +138,21 @@ def classify_noun(entry: NounLexEntry) -> NounClass:
     """Predict the inflection class from gender and the root's ending.
 
     An explicit override wins; uncountable (mass/abstract) nouns are
-    class A, which is not recoverable from gender+ending alone.
+    class A, which is not recoverable from gender+ending alone. The root
+    must be a Devanagari word whatever its class.
     """
-    return _classify(entry)[0]
+    return _classify(entry, sc.ending_of(entry.hindi_root))
 
 
-def _classify(entry: NounLexEntry) -> tuple[NounClass, sc.EndingCategory | None]:
-    """The class, and the root's ending if the class needed it."""
+def _classify(entry: NounLexEntry, ending: sc.EndingCategory) -> NounClass:
+    """The class of an entry whose root has this ending."""
     if entry.class_override is not None:
-        return entry.class_override, None
+        return entry.class_override
     if not entry.countable:
-        return NounClass.A, None
-    ending = sc.ending_of(entry.hindi_root)
+        return NounClass.A
     if entry.gender is Gender.FEMININE:
-        if ending in _I_ENDINGS:
-            return NounClass.B, ending
-        return NounClass.C, ending
-    if ending is sc.EndingCategory.LONG_A:
-        return NounClass.D, ending
-    return NounClass.E, ending
+        return NounClass.B if ending in _I_ENDINGS else NounClass.C
+    return NounClass.D if ending is sc.EndingCategory.LONG_A else NounClass.E
 
 
 def join_noun(
@@ -209,20 +206,14 @@ def noun_paradigm(
     entry: NounLexEntry, table: SuffixTable | None = None,
 ) -> list[tuple[str, str, str | None, str]]:
     """Generate the four (number, case, suffix, surface) rows, in sg-dir,
-    sg-obl, pl-dir, pl-obl order; a null suffix is None."""
+    sg-obl, pl-dir, pl-obl order; a null suffix is None. The root is
+    checked first, whatever its class."""
     table = table or default_suffix_table()
-    cls, ending = _classify(entry)
     root = entry.hindi_root
-    rows = []
-    for number, case, suffix in table.rows[cls]:
-        if suffix is None:
-            surface = root
-        else:
-            if ending is None:
-                ending = sc.ending_of(root)
-            surface = _join(root, cls, suffix, ending)
-        rows.append((number, case, suffix, surface))
-    return rows
+    ending = sc.ending_of(root)
+    cls = _classify(entry, ending)
+    return [(number, case, suffix, root if suffix is None else _join(root, cls, suffix, ending))
+            for number, case, suffix in table.rows[cls]]
 
 
 @dataclass
@@ -247,7 +238,7 @@ def parse_noun_lexicon(
     for where, fields in sc.table_rows(lines, name, columns, more=True):
         english = fields.pop(0) if bilingual else ""
         root, gender, *rest = fields
-        gender = sc.table_value(Gender, "gender", gender, where)
+        gender = Gender(sc.table_value(Gender, "gender", gender, where))
         countable = True
         if rest and rest[0] != "":
             if rest[0] not in ("0", "1"):
@@ -256,6 +247,7 @@ def parse_noun_lexicon(
         override = None
         if len(rest) > 1 and rest[1] != "":
             override = sc.table_value(NounClass, "class", rest[1], where, null=NULL_SUFFIX_MARK)
+            override = override and NounClass(override)
         with sc.located(where):
             out.append(BilingualNoun(
                 english, NounLexEntry(root, gender, countable, override), where))

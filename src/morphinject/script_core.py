@@ -454,30 +454,36 @@ def table_rows(
         yield where, fields
 
 
-def table_value(kind, what: str, value: str, where: str, null: str | None = None):
-    """`kind(value)` for an enum, or None for the `null` mark; a bad value
-    is an error at `where`."""
+def table_value(kind, what: str, value: str, where: str, null: str | None = None) -> str | None:
+    """`value` if it is the value of a member of the enum `kind`, None for
+    the `null` mark; any other value is an error at `where`."""
     if value == null:
         return None
     try:
-        return kind(value)
+        kind(value)
     except ValueError:
         allowed = ", ".join([m.value for m in kind] + ([null] if null else []))
         raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
+    return value
+
+
+def table_word(value: str, where: str, what: str) -> str:
+    """`value` normalized, which must be a Devanagari word (the rule
+    `ending_of` checks), else an error at `where` that names `what`."""
+    word = normalize(value)
+    try:
+        _check_word(word)
+    except InputError as exc:
+        raise InputError(f"{where}: bad {what}: {exc}") from None
+    return word
 
 
 def table_suffix(value: str, where: str) -> str | None:
-    """A suffix cell of a data table: None for the null mark, else
-    `value` normalized, which must be a Devanagari word (the rule
-    `ending_of` checks), else an error at `where`."""
+    """A suffix cell of a data table: None for the null mark, else the
+    checked word (see `table_word`)."""
     if value == NULL_SUFFIX_MARK:
         return None
-    suffix = normalize(value)
-    try:
-        _check_word(suffix)
-    except InputError as exc:
-        raise InputError(f"{where}: bad suffix {value!r}: {exc}") from None
-    return suffix
+    return table_word(value, where, f"suffix {value!r}")
 
 
 @contextmanager

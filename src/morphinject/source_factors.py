@@ -7,6 +7,12 @@ Unresolvable features never abort a sentence; they take the least-marked
 defaults (singular, third person, direct case) and the decision is
 logged on the ``morphinject.source_factors`` logger.
 
+Factor values are the strings they are written as ("pl", "obl", "3",
+"perf"). The pronoun, case-rule and TAM-rule loaders check each value
+against its enum (Number, Case, Person, TamSlot) and keep the string,
+and a row that could never take effect (a second row for a pronoun, a
+rule named twice or listed after "default") is an error at its line.
+
 The case and TAM rules read a token's head, children and modal from an
 index built in one pass over the sentence, so annotating a sentence
 costs time linear in its length. Where IDs repeat, the first token in
@@ -16,10 +22,9 @@ sentence order wins, as in a scan of the sentence.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import script_core as sc
 from .errors import InputError, NotANoun, NotAVerb
@@ -46,24 +51,17 @@ class ConlluToken(NamedTuple):
     deprel: str
 
 
-@dataclass(frozen=True)
-class EnglishVerbFactors:
-    number: Number
-    person: Person
-    tam: TamSlot
-
-
 class PronounTable:
-    def __init__(self, entries: dict[str, tuple[Person, Number]]):
-        for pron, person in (("i", Person.FIRST), ("we", Person.FIRST),
-                             ("you", Person.SECOND), ("he", Person.THIRD),
-                             ("she", Person.THIRD), ("it", Person.THIRD),
-                             ("they", Person.THIRD)):
-            if entries.get(pron, (None,))[0] is not person:
+    """Lower-cased pronoun -> (person, number)."""
+
+    def __init__(self, entries: dict[str, tuple[str, str]]):
+        for pron, person in (("i", "1"), ("we", "1"), ("you", "2"), ("he", "3"),
+                             ("she", "3"), ("it", "3"), ("they", "3")):
+            if entries.get(pron, (None,))[0] != person:
                 raise InputError(f"pronoun table is missing or misclassifies {pron!r}")
         self.entries = dict(entries)
 
-    def lookup(self, form: str) -> tuple[Person, Number] | None:
+    def lookup(self, form: str) -> tuple[str, str] | None:
         return self.entries.get(form.lower())
 
 
@@ -71,31 +69,38 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
     name, rows = sc.read_table(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
-        entries[pron.lower()] = (
-            sc.table_value(Person, "person", person, where),
-            sc.table_value(Number, "number", number, where),
-        )
+        value = (sc.table_value(Person, "person", person, where),
+                 sc.table_value(Number, "number", number, where))
+        if pron.lower() in entries:
+            raise InputError(f"{where}: duplicate pronoun {pron!r}")
+        entries[pron.lower()] = value
     with sc.located(name):
         return PronounTable(entries)
 
 
-def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, Any]]:
-    rules = []
+def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, str]]:
+    rules: dict[str, str] = {}
     name, rows = sc.read_table(source, default_name, ("rule", what))
     for where, (rule, value) in rows:
         if rule not in tests:
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
-        rules.append((rule, sc.table_value(kind, what, value, where)))
+        value = sc.table_value(kind, what, value, where)
+        # first match wins, so a rule named again or after default never fires
+        if rule in rules:
+            raise InputError(f"{where}: duplicate {what} rule {rule!r}")
+        if "default" in rules:
+            raise InputError(f"{where}: {what} rule {rule!r} after default")
+        rules[rule] = value
     if not rules:
         raise InputError(f"{name}: no {what} rules")
-    return rules
+    return list(rules.items())
 
 
-def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, Case]]:
+def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
     return _load_rules(source, "case_rules.tsv", _CASE_TESTS, Case, "case")
 
 
-def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, TamSlot]]:
+def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
     return _load_rules(source, "tam_rules.tsv", _TAM_TESTS, TamSlot, "TAM")
 
 
@@ -141,10 +146,10 @@ def is_verb(token: ConlluToken) -> bool:
     return token.xpos.startswith("VB")
 
 
-def noun_number(token: ConlluToken) -> Number:
+def noun_number(token: ConlluToken) -> str:
     if not is_noun(token):
         raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    return Number.PLURAL if token.xpos in PLURAL_TAGS else Number.SINGULAR
+    return "pl" if token.xpos in PLURAL_TAGS else "sg"
 
 
 class _Index:
@@ -208,13 +213,13 @@ _CASE_TESTS = {
 
 
 @cache
-def default_case_rules() -> list[tuple[str, Case]]:
+def default_case_rules() -> list[tuple[str, str]]:
     """The packaged case rules, loaded once."""
     return load_case_rules()
 
 
 @cache
-def default_tam_rules() -> list[tuple[str, TamSlot]]:
+def default_tam_rules() -> list[tuple[str, str]]:
     """The packaged TAM rules, loaded once."""
     return load_tam_rules()
 
@@ -228,22 +233,23 @@ def default_pronoun_table() -> PronounTable:
 def noun_case(
     token: ConlluToken,
     sentence: list[ConlluToken],
-    rules: list[tuple[str, Case]] | None = None,
-) -> Case:
-    """Ordered rule evaluation over the dependency graph, first match wins."""
+    rules: list[tuple[str, str]] | None = None,
+) -> str:
+    """Ordered rule evaluation over the dependency graph, first match
+    wins; "dir" if none matches."""
     if not is_noun(token):
         raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
     return _noun_case(token, _Index(sentence), default_case_rules() if rules is None else rules)
 
 
-def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, Case]]) -> Case:
+def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, str]]) -> str:
     for name, case in rules:
         if _CASE_TESTS[name](token, ix):
             if name == "default":
-                log.debug("noun %r: case defaulted to %s", token.form, case.value)
+                log.debug("noun %r: case defaulted to %s", token.form, case)
             return case
     log.debug("noun %r: no case rule matched, defaulting to direct", token.form)
-    return Case.DIRECT
+    return "dir"
 
 
 def _modal_of(verb: ConlluToken, ix: _Index) -> ConlluToken | None:
@@ -305,10 +311,10 @@ def verb_factors(
     verb: ConlluToken,
     sentence: list[ConlluToken],
     pronouns: PronounTable | None = None,
-    tam_rules: list[tuple[str, TamSlot]] | None = None,
-) -> EnglishVerbFactors:
-    """Number from the subject, person from the pronoun list, TAM from
-    the ordered tag-pattern rules."""
+    tam_rules: list[tuple[str, str]] | None = None,
+) -> tuple[str, str, str]:
+    """(number, person, tam): number from the subject, person from the
+    pronoun list, TAM from the ordered tag-pattern rules."""
     if not is_verb(verb):
         raise NotAVerb(f"{verb.form!r} has tag {verb.xpos}, not a verb")
     return _verb_factors(
@@ -322,10 +328,9 @@ def _verb_factors(
     verb: ConlluToken,
     ix: _Index,
     pronouns: PronounTable,
-    tam_rules: list[tuple[str, TamSlot]],
-) -> EnglishVerbFactors:
-    number = Number.SINGULAR
-    person = Person.THIRD
+    tam_rules: list[tuple[str, str]],
+) -> tuple[str, str, str]:
+    number, person = "sg", "3"
     subject = _find_subject(verb, ix)
     if subject is None:
         log.debug("verb %r: no subject found, defaulting to sg/3", verb.form)
@@ -341,14 +346,14 @@ def _verb_factors(
                 verb.form, subject.form,
             )
 
-    tam = TamSlot.PRESENT_HABITUAL
+    tam = "hab"
     for name, slot in tam_rules:
         if _TAM_TESTS[name](verb, ix):
             if name == "default":
-                log.debug("verb %r: TAM defaulted to %s", verb.form, slot.value)
+                log.debug("verb %r: TAM defaulted to %s", verb.form, slot)
             tam = slot
             break
-    return EnglishVerbFactors(number, person, tam)
+    return number, person, tam
 
 
 # --- English surface synthesis (for the surface-only dictionary) ---
@@ -377,10 +382,10 @@ def _add_s(root: str) -> str:
     return root + "s"
 
 
-def english_noun_surface(root: str, number: Number) -> str:
-    """Inflect an English noun lemma: identity for singular, exception
-    list then orthographic rules for plural."""
-    if number is Number.SINGULAR:
+def english_noun_surface(root: str, number: str) -> str:
+    """Inflect an English noun lemma for a number ("sg" or "pl"): identity
+    for singular, exception list then orthographic rules for plural."""
+    if number == "sg":
         return root
     exc = _noun_exceptions().get(root.lower())
     if exc is not None:
@@ -388,22 +393,21 @@ def english_noun_surface(root: str, number: Number) -> str:
     return _add_s(root)
 
 
-def english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
-    """Inflect an English verb lemma for the given factors.
+def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
+    """Inflect an English verb lemma for the given factor values.
 
     Future and modal forms are periphrastic ("will walk"); downstream
     corpus emission splits them into separate tokens.
     """
-    tam = factors.tam
-    if tam is TamSlot.INFINITIVE:
+    if tam == "inf":
         return "to " + root
-    if tam is TamSlot.FUTURE:
+    if tam == "fut":
         return "will " + root
-    if tam is TamSlot.MODAL_SUBJUNCTIVE:
+    if tam == "subj":
         return "would " + root
-    if tam is TamSlot.IMPERATIVE:
+    if tam == "imp":
         return root
-    if tam is TamSlot.PAST_PERFECTIVE:
+    if tam == "perf":
         exc = _verb_exceptions().get(root.lower())
         if exc is not None:
             return exc[1]
@@ -413,7 +417,7 @@ def english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
             return root[:-1] + "ied"
         return root + "ed"
     # present habitual
-    if factors.person is Person.THIRD and factors.number is Number.SINGULAR:
+    if person == "3" and number == "sg":
         exc = _verb_exceptions().get(root.lower())
         if exc is not None and exc[0] is not None:
             return exc[0]
@@ -425,8 +429,8 @@ def annotate_sentence(
     sentence: list[ConlluToken],
     mode: str = "both",
     pronouns: PronounTable | None = None,
-    case_rules: list[tuple[str, Case]] | None = None,
-    tam_rules: list[tuple[str, TamSlot]] | None = None,
+    case_rules: list[tuple[str, str]] | None = None,
+    tam_rules: list[tuple[str, str]] | None = None,
 ) -> list[tuple[str, list[str]]]:
     """Annotate one sentence: (token string, factor values) per token.
 
@@ -448,13 +452,9 @@ def annotate_sentence(
     for token in sentence:
         if nouns and is_noun(token):
             case = _noun_case(token, ix, case_rules)
-            out.append((token.lemma or token.form, [noun_number(token).value, case.value]))
+            out.append((token.lemma or token.form, [noun_number(token), case]))
         elif verbs and is_verb(token):
-            vf = _verb_factors(token, ix, pronouns, tam_rules)
-            out.append(
-                (token.lemma or token.form,
-                 [vf.number.value, vf.person.value, vf.tam.value])
-            )
+            out.append((token.lemma or token.form, [*_verb_factors(token, ix, pronouns, tam_rules)]))
         else:
             out.append((token.form, []))
     return out

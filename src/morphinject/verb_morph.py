@@ -4,18 +4,23 @@ Unlike nouns, verbs need no pre-classification: one suffix table applies
 to every verb, and the joiner keys only on the ending of the stem. The
 table is data-driven TSV; "-" in a factor column collapses that
 dimension. English has no grammatical gender on verbs, so the paradigm
-holds every English-side factor tuple once per gender. The table
-normalizes its suffixes and works out that paradigm once, when it is
-built, with each row's English factor values as strings, and
-`verb_paradigm` joins each of its rows to a stem that VerbLexEntry has
-already normalized, working out the stem's ending at most once. The
-public `join_verb` normalizes its inputs first.
+holds every English-side factor tuple once per gender.
+
+Factor values are strings, checked against the enums below when a table
+or lexicon is loaded; the enums are the closed value sets and their
+order. A table cell is (tam, gender, number, person, suffix) in the
+TSV's column order, None marking a collapsed dimension, and an override
+is (tam, gender, number, person, surface), None matching any value. The
+table normalizes its suffixes and lays out the paradigm once, when it
+is built, and `verb_paradigm` joins each of its rows to a stem that
+VerbLexEntry has already normalized, working out (and so checking) the
+stem's ending once. The public `join_verb` normalizes its inputs first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -41,128 +46,84 @@ class TamSlot(Enum):
     IMPERATIVE = "imp"
 
 
-@dataclass(frozen=True)
-class VerbFactors:
-    gender: Gender
-    number: Number
-    person: Person
-    tam: TamSlot
-
-
 # Representative values used for collapsed dimensions when a concrete
 # factor tuple is needed (dictionary entries, paradigm rows). These are
 # Hindi's least-marked values, matching the annotation defaults.
-REPR_NUMBER = Number.SINGULAR
-REPR_PERSON = Person.THIRD
+REPR_NUMBER = Number.SINGULAR.value
+REPR_PERSON = Person.THIRD.value
 
-
-@dataclass(frozen=True)
-class IrregularForm:
-    """One override row: wildcard (None) fields match any value."""
-
-    tam: TamSlot
-    gender: Gender | None
-    number: Number | None
-    person: Person | None
-    surface: str
-
-    def matches(self, factors: VerbFactors) -> bool:
-        return (
-            factors.tam is self.tam
-            and (self.gender is None or factors.gender is self.gender)
-            and (self.number is None or factors.number is self.number)
-            and (self.person is None or factors.person is self.person)
-        )
+# (tam, gender, number, person, suffix) and (tam, gender, number, person, surface)
+Cell = tuple[str, str | None, str | None, str | None, str | None]
+Override = tuple[str, str | None, str | None, str | None, str]
 
 
 @dataclass(frozen=True)
 class VerbLexEntry:
     hindi_root: str  # verb stem: infinitive minus ना
     english_root: str
-    irregular_forms: tuple[IrregularForm, ...] = ()
+    irregular_forms: tuple[Override, ...] = ()
 
     def __post_init__(self):
         if not self.hindi_root.strip():
             raise InputError("verb entry with empty stem")
         object.__setattr__(self, "hindi_root", sc.normalize(self.hindi_root))
 
-    def override_for(self, factors: VerbFactors) -> str | None:
-        for form in self.irregular_forms:
-            if form.matches(factors):
-                return form.surface
-        return None
 
-
-@dataclass
-class _Cell:
-    tam: TamSlot
-    gender: Gender | None
-    number: Number | None
-    person: Person | None
-    suffix: str | None
-
-
-_DIMS = ("gender", "number", "person")
+# the values of each dimension, in enum order, and each one's cell position
+_TAMS = [t.value for t in TamSlot]
+_DIMS = {1: [g.value for g in Gender], 2: [n.value for n in Number], 3: [p.value for p in Person]}
 
 
 class VerbSuffixTable:
     """A checked verb suffix table, its suffixes normalized, and the
     paradigm it declares.
 
-    `rows` holds every verb's paradigm, built once, as (factors, values,
-    suffix) triples, where `values` is the English factor values
-    (number, person, tam) as strings: TAMs in TamSlot order, then every
+    `rows` holds every verb's paradigm, built once, as (tam, gender,
+    number, person, suffix) strings: TAMs in TamSlot order, then every
     gender, then the declared numbers and persons. English verbs have no
     gender, so each English factor tuple appears once per gender, and a
     TAM that agrees in gender must name both. A collapsed number or
     person takes REPR_NUMBER or REPR_PERSON.
     """
 
-    def __init__(self, cells: list[_Cell]):
+    def __init__(self, cells: list[Cell]):
         if not cells:
             raise InputError("verb suffix table is empty")
-        cells = [c if c.suffix is None else replace(c, suffix=sc.normalize(c.suffix)) for c in cells]
+        cells = [(*key, None if suffix is None else sc.normalize(suffix)) for *key, suffix in cells]
         self.cells = cells
-        by_tam: dict[TamSlot, list[_Cell]] = {}
+        by_tam: dict[str, list[Cell]] = {}
         for cell in cells:
-            by_tam.setdefault(cell.tam, []).append(cell)
+            by_tam.setdefault(cell[0], []).append(cell)
         for tam, tam_cells in by_tam.items():
-            dims = [dim for dim in _DIMS if getattr(tam_cells[0], dim) is not None]
+            dims = [i for i in _DIMS if tam_cells[0][i] is not None]
             for cell in tam_cells:
-                if [dim for dim in _DIMS if getattr(cell, dim) is not None] != dims:
-                    raise InputError(
-                        f"inconsistent collapsed dimensions in {tam.value} rows"
-                    )
+                if [i for i in _DIMS if cell[i] is not None] != dims:
+                    raise InputError(f"inconsistent collapsed dimensions in {tam} rows")
             seen = set()
             for cell in tam_cells:
-                key = (cell.gender, cell.number, cell.person)
-                if key in seen:
+                if cell[:4] in seen:
                     raise InputError("duplicate cell " + "/".join(
-                        "-" if v is None else v.value for v in (tam, *key)))
-                seen.add(key)
+                        "-" if v is None else v for v in cell[:4]))
+                seen.add(cell[:4])
             # totality over the declared grid: every combination of the
             # declared per-dimension values must have a cell
-            if len(tam_cells) != math.prod(
-                    len({getattr(c, dim) for c in tam_cells}) for dim in dims):
-                raise InputError(f"{tam.value} rows do not cover their declared grid")
-        self.rows = [row for tam in TamSlot if tam in by_tam
-                     for row in _tam_rows(tam, by_tam[tam])]
+            if len(tam_cells) != math.prod(len({c[i] for c in tam_cells}) for i in dims):
+                raise InputError(f"{tam} rows do not cover their declared grid")
+        self.rows = [row for tam in _TAMS if tam in by_tam for row in _tam_rows(tam, by_tam[tam])]
 
 
-def _tam_rows(tam: TamSlot, cells: list[_Cell]) -> list[tuple]:
+def _tam_rows(tam: str, cells: list[Cell]) -> list[Cell]:
     """The paradigm rows of one TAM whose cells passed the table checks."""
-    suffixes = {(c.gender, c.number, c.person): c.suffix for c in cells}
+    suffixes = {cell[1:4]: cell[4] for cell in cells}
     genders, numbers, persons = (
-        [v for v in values if any(getattr(c, dim) is v for c in cells)]
-        for dim, values in zip(_DIMS, (Gender, Number, Person)))
+        [v for v in values if any(c[i] == v for c in cells)] for i, values in _DIMS.items())
     if len(genders) == 1:
-        raise InputError(f"{tam.value} rows name only gender {genders[0].value}; "
+        raise InputError(f"{tam} rows name only gender {genders[0]}; "
                          "a TAM that agrees in gender needs both")
     return [
-        (VerbFactors(gender, number or REPR_NUMBER, person or REPR_PERSON, tam),
-         ((number or REPR_NUMBER).value, (person or REPR_PERSON).value, tam.value),
+        (tam, gender, number or REPR_NUMBER, person or REPR_PERSON,
          suffixes[gender if genders else None, number, person])
-        for gender in Gender for number in numbers or [None] for person in persons or [None]
+        for gender in _DIMS[1] for number in numbers or [None] for person in persons or [None]
     ]
 
 
@@ -175,20 +136,22 @@ def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuf
         source, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
     cells, seen = [], set()
     for where, (tam, gender, number, person, suffix) in rows:
-        cell = _Cell(
-            sc.table_value(TamSlot, "TAM", tam, where),
-            sc.table_value(Gender, "gender", gender, where, null="-"),
-            sc.table_value(Number, "number", number, where, null="-"),
-            sc.table_value(Person, "person", person, where, null="-"),
-            sc.table_suffix(suffix, where),
-        )
-        key = (cell.tam, cell.gender, cell.number, cell.person)
+        key = _slot(tam, gender, number, person, where)
+        cell = (*key, sc.table_suffix(suffix, where))
         if key in seen:
             raise InputError(f"{where}: duplicate cell {tam}/{gender}/{number}/{person}")
         seen.add(key)
         cells.append(cell)
     with sc.located(name):
         return VerbSuffixTable(cells)
+
+
+def _slot(tam: str, gender: str, number: str, person: str, where: str) -> tuple:
+    """A checked (tam, gender, number, person); "-" is None."""
+    return (sc.table_value(TamSlot, "TAM", tam, where),
+            sc.table_value(Gender, "gender", gender, where, null="-"),
+            sc.table_value(Number, "number", number, where, null="-"),
+            sc.table_value(Person, "person", person, where, null="-"))
 
 
 @cache
@@ -254,34 +217,43 @@ def _join(root: str, suffix: str, ending: sc.EndingCategory) -> str:
 
 def verb_paradigm(
     entry: VerbLexEntry, table: VerbSuffixTable | None = None
-) -> list[tuple[VerbFactors, str | None, str]]:
-    """Generate (factors, suffix, surface) rows, one per row of the
-    table's paradigm (see VerbSuffixTable), in its order. Irregular-form
-    overrides replace the joiner's output for the rows they match.
+) -> list[tuple[str, str, str, str, str | None, str]]:
+    """Generate (tam, gender, number, person, suffix, surface) rows, one
+    per row of the table's paradigm (see VerbSuffixTable), in its order.
+    The first irregular-form override that matches a row replaces the
+    joiner's output. The stem is checked first, whatever the suffixes.
     """
     table = table or default_verb_suffix_table()
     root = entry.hindi_root
-    ending = None  # the stem's, worked out for the first vowel-initial suffix
+    ending = sc.ending_of(root)
     rows = []
-    for factors, _, suffix in table.rows:
-        surface = entry.override_for(factors)
+    for tam, gender, number, person, suffix in table.rows:
+        surface = _override(entry.irregular_forms, tam, gender, number, person)
         if surface is None:
             vowel = _vowel_form(suffix)
             if vowel is None:
                 surface = root if suffix is None else root + suffix
             else:
-                if ending is None:
-                    ending = sc.ending_of(root)
                 surface = _join(root, vowel, ending)
-        rows.append((factors, suffix, surface))
+        rows.append((tam, gender, number, person, suffix, surface))
     return rows
+
+
+def _override(overrides: tuple[Override, ...], tam: str, gender: str, number: str,
+              person: str) -> str | None:
+    """The surface of the first override that matches this row, or None."""
+    for t, g, n, p, surface in overrides:
+        if t == tam and g in (None, gender) and n in (None, number) and p in (None, person):
+            return surface
+    return None
 
 
 def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> list[VerbLexEntry]:
     """Parse a verb lexicon TSV: english_root, hindi_stem, then optional
     irregular overrides as slot=surface pairs (slot is
     tam[:gender][:number][:person] with "-" wildcards; a slot of more
-    parts is an error). `name` locates errors as name:line."""
+    parts is an error, and a surface must be a Devanagari word). `name`
+    locates errors as name:line."""
     out = []
     for where, (english, stem, *pairs) in sc.table_rows(
             lines, name, ("english_root", "hindi_stem"), more=True):
@@ -294,13 +266,8 @@ def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> li
             if "=" not in pair or len(dims) > 3:
                 raise InputError(f"{where}: bad override {pair!r}")
             gender, number, person = (dims + ["-"] * 3)[:3]  # absent: a wildcard
-            overrides.append(IrregularForm(
-                sc.table_value(TamSlot, "TAM", tam, where),
-                sc.table_value(Gender, "gender", gender, where, null="-"),
-                sc.table_value(Number, "number", number, where, null="-"),
-                sc.table_value(Person, "person", person, where, null="-"),
-                sc.normalize(surface),
-            ))
+            overrides.append((*_slot(tam, gender, number, person, where),
+                              sc.table_word(surface, where, f"override {pair!r}")))
         with sc.located(where):
             out.append(VerbLexEntry(stem, english, tuple(overrides)))
     return out

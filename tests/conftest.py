@@ -5,8 +5,10 @@ import pytest
 from hypothesis import settings
 
 from morphinject import script_core as sc
+from morphinject import source_factors as sf
 from morphinject.errors import InputError
-from morphinject.noun_morph import Gender, NounClass, NounLexEntry
+from morphinject.noun_morph import Case, Gender, NounClass, NounLexEntry, Number
+from morphinject.verb_morph import Person, TamSlot, join_verb
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,10 +104,81 @@ def validate_widths(corpus) -> list[str]:
     return problems
 
 
-def lookup(table, factors):
+# --- reference: factor values as enum members. The package keeps them as
+# the strings they are written as; the tests decide with the members and
+# compare the package's strings with their .value renderings ---
+
+
+def _member(kind, value):
+    return None if value is None else kind(value)
+
+
+@dataclass(frozen=True)
+class VerbFactors:
+    gender: Gender
+    number: Number
+    person: Person
+    tam: TamSlot
+
+    def values(self) -> tuple[str, str, str, str]:
+        """(tam, gender, number, person), as a paradigm row holds them."""
+        return self.tam.value, self.gender.value, self.number.value, self.person.value
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One verb table cell: collapsed (None) dimensions match any value."""
+
+    tam: TamSlot
+    gender: Gender | None
+    number: Number | None
+    person: Person | None
+    suffix: str | None
+
+    @classmethod
+    def of(cls, cell) -> "Cell":
+        tam, gender, number, person, suffix = cell
+        return cls(TamSlot(tam), _member(Gender, gender), _member(Number, number),
+                   _member(Person, person), suffix)
+
+
+@dataclass(frozen=True)
+class IrregularForm:
+    """One override row: wildcard (None) fields match any value."""
+
+    tam: TamSlot
+    gender: Gender | None
+    number: Number | None
+    person: Person | None
+    surface: str
+
+    @classmethod
+    def of(cls, override) -> "IrregularForm":
+        tam, gender, number, person, surface = override
+        return cls(TamSlot(tam), _member(Gender, gender), _member(Number, number),
+                   _member(Person, person), surface)
+
+    def matches(self, factors: VerbFactors) -> bool:
+        return (
+            factors.tam is self.tam
+            and (self.gender is None or factors.gender is self.gender)
+            and (self.number is None or factors.number is self.number)
+            and (self.person is None or factors.person is self.person)
+        )
+
+
+def ref_override(entry, factors: VerbFactors) -> str | None:
+    """The surface of the entry's first override that matches, or None."""
+    for form in map(IrregularForm.of, entry.irregular_forms):
+        if form.matches(factors):
+            return form.surface
+    return None
+
+
+def lookup(cells, factors: VerbFactors):
     """A verb table's suffix for a concrete factor tuple, found by a scan
     of its cells (collapsed dimensions match any value)."""
-    for cell in table.cells:
+    for cell in map(Cell.of, cells):
         if (
             cell.tam is factors.tam
             and (cell.gender is None or cell.gender is factors.gender)
@@ -117,6 +190,116 @@ def lookup(table, factors):
         f"factor tuple outside the declared grid: {factors.tam.value}"
         f"/{factors.gender.value}/{factors.number.value}/{factors.person.value}"
     )
+
+
+def ref_verb_paradigm(entry, cells):
+    """(factors, suffix, surface) rows: for each TAM in TamSlot order with
+    cells, every gender, then its declared numbers and persons (a
+    collapsed one takes sg or 3), each suffix looked up and joined, or
+    replaced by the first matching override."""
+    rows = []
+    for tam in TamSlot:
+        declared = [c for c in map(Cell.of, cells) if c.tam is tam]
+        if not declared:
+            continue
+        numbers = [n for n in Number if any(c.number is n for c in declared)] or [Number.SINGULAR]
+        persons = [p for p in Person if any(c.person is p for c in declared)] or [Person.THIRD]
+        for gender in Gender:
+            for number in numbers:
+                for person in persons:
+                    factors = VerbFactors(gender, number, person, tam)
+                    suffix = lookup(cells, factors)
+                    surface = ref_override(entry, factors)
+                    if surface is None:
+                        surface = join_verb(entry.hindi_root, suffix)
+                    rows.append((factors, suffix, surface))
+    return rows
+
+
+@dataclass(frozen=True)
+class EnglishVerbFactors:
+    number: Number
+    person: Person
+    tam: TamSlot
+
+    def values(self) -> list[str]:
+        """[number, person, tam], as annotate_sentence gives them."""
+        return [self.number.value, self.person.value, self.tam.value]
+
+
+def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
+    tam = factors.tam
+    if tam is TamSlot.INFINITIVE:
+        return "to " + root
+    if tam is TamSlot.FUTURE:
+        return "will " + root
+    if tam is TamSlot.MODAL_SUBJUNCTIVE:
+        return "would " + root
+    if tam is TamSlot.IMPERATIVE:
+        return root
+    exc = sf._verb_exceptions().get(root.lower())
+    if tam is TamSlot.PAST_PERFECTIVE:
+        if exc is not None:
+            return exc[1]
+        if root.endswith("e"):
+            return root + "d"
+        if root.endswith("y") and len(root) > 1 and root[-2] not in "aeiou":
+            return root[:-1] + "ied"
+        return root + "ed"
+    if factors.person is Person.THIRD and factors.number is Number.SINGULAR:
+        if exc is not None and exc[0] is not None:
+            return exc[0]
+        return sf._add_s(root)
+    return root
+
+
+def ref_rules(rules, kind):
+    """Loaded (rule, value) pairs with each value as a `kind` member."""
+    return [(name, kind(value)) for name, value in rules]
+
+
+def ref_noun_case(token, ix, rules) -> Case:
+    """First matching rule of (rule, Case) pairs, over the package's index."""
+    for name, case in rules:
+        if sf._CASE_TESTS[name](token, ix):
+            return case
+    return Case.DIRECT
+
+
+def ref_verb_factors(verb, ix, pronouns, rules) -> EnglishVerbFactors:
+    """Number and person from the subject, TAM from the first matching of
+    (rule, TamSlot) pairs, over the package's index."""
+    number, person = Number.SINGULAR, Person.THIRD
+    subject = sf._find_subject(verb, ix)
+    if subject is not None:
+        pron = pronouns.lookup(subject.form)
+        if pron is not None:
+            person, number = Person(pron[0]), Number(pron[1])
+        elif sf.is_noun(subject):
+            number = Number.PLURAL if subject.xpos in sf.PLURAL_TAGS else Number.SINGULAR
+    tam = TamSlot.PRESENT_HABITUAL
+    for name, slot in rules:
+        if sf._TAM_TESTS[name](verb, ix):
+            tam = slot
+            break
+    return EnglishVerbFactors(number, person, tam)
+
+
+def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
+    """annotate_sentence with enum rules, each factor rendered by .value."""
+    ix = sf._Index(sentence)
+    out = []
+    for token in sentence:
+        if mode != "verb" and sf.is_noun(token):
+            number = Number.PLURAL if token.xpos in sf.PLURAL_TAGS else Number.SINGULAR
+            case = ref_noun_case(token, ix, case_rules)
+            out.append((token.lemma or token.form, [number.value, case.value]))
+        elif mode != "noun" and token.xpos.startswith("VB"):
+            factors = ref_verb_factors(token, ix, pronouns, tam_rules)
+            out.append((token.lemma or token.form, factors.values()))
+        else:
+            out.append((token.form, []))
+    return out
 
 
 def _data_lines(name: str) -> list[str]:

@@ -1,9 +1,11 @@
 """Property tests for CoNLL-U annotation.
 
 The reference below is the whole-sentence-scan annotator: every rule
-looks up heads, children and modals by walking the sentence. The
-indexed `annotate_sentence` must give the same factors on any
-dependency graph, well formed or not, and the CLI's string rendering
+looks up heads, children and modals by walking the sentence, and takes
+rules whose values are enum members. The indexed `annotate_sentence`,
+given the same rules with string values, must give the .value rendering
+of the same factors on any dependency graph, well formed or not, and
+the CLI's string rendering
 must give the same line, or the same error, as the token route below:
 each token padded with null factors to the line's width, built as a
 FactoredToken in sentence order, and the tokens rendered.
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FactoredToken
+from conftest import EnglishVerbFactors, FactoredToken, ref_rules
 from morphinject.cli import _annotation_line
 from morphinject.errors import InputError, NotANoun, NotAVerb
 from morphinject.noun_morph import Case, Number
@@ -24,7 +26,6 @@ from morphinject.source_factors import (
     PREP_OBJECT_DEPRELS,
     SUBJECT_DEPRELS,
     ConlluToken,
-    EnglishVerbFactors,
     annotate_sentence,
     default_case_rules,
     default_pronoun_table,
@@ -110,9 +111,9 @@ def ref_verb_factors(verb, sentence, pronouns, rules):
     if subject is not None:
         pron = pronouns.lookup(subject.form)
         if pron is not None:
-            person, number = pron
+            person, number = Person(pron[0]), Number(pron[1])
         elif is_noun(subject):
-            number = noun_number(subject)
+            number = Number(noun_number(subject))
     tam = TamSlot.PRESENT_HABITUAL
     for name, slot in rules:
         if REF_TAM_TESTS[name](verb, sentence):
@@ -127,11 +128,10 @@ def ref_annotate(sentence, mode, case_rules, tam_rules):
     for token in sentence:
         if mode in ("noun", "both") and is_noun(token):
             case = ref_noun_case(token, sentence, case_rules)
-            out.append((token.lemma or token.form, [noun_number(token).value, case.value]))
+            out.append((token.lemma or token.form, [noun_number(token), case.value]))
         elif mode in ("verb", "both") and token.xpos.startswith("VB"):
             vf = ref_verb_factors(token, sentence, pronouns, tam_rules)
-            out.append((token.lemma or token.form,
-                        [vf.number.value, vf.person.value, vf.tam.value]))
+            out.append((token.lemma or token.form, vf.values()))
         else:
             out.append((token.form, []))
     return out
@@ -170,16 +170,23 @@ def sentences(draw, max_len=12):
     return tokens
 
 
-def _rules(values, defaults):
+def _rules(kind, defaults):
+    """Rules as (name, member) pairs: the packaged ones, or any names in any
+    order, repeats and rules after "default" included."""
     names = [name for name, _ in defaults]
     return st.one_of(
-        st.just(defaults),
-        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(values)), max_size=8),
+        st.just(ref_rules(defaults, kind)),
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(list(kind))), max_size=8),
     )
 
 
-CASE_RULES = _rules(list(Case), default_case_rules())
-TAM_RULES = _rules(list(TamSlot), default_tam_rules())
+CASE_RULES = _rules(Case, default_case_rules())
+TAM_RULES = _rules(TamSlot, default_tam_rules())
+
+
+def _strings(rules):
+    """Rules as the loaders give them: each value as its string."""
+    return [(name, value.value) for name, value in rules]
 
 
 # Graphs where sentence order decides, each rarely drawn at random:
@@ -207,7 +214,8 @@ ORDER_CASES = [
 
 def _with_order_cases(test):
     for sentence in ORDER_CASES:
-        test = example(sentence, "both", default_case_rules(), default_tam_rules())(test)
+        test = example(sentence, "both", ref_rules(default_case_rules(), Case),
+                       ref_rules(default_tam_rules(), TamSlot))(test)
     return test
 
 
@@ -216,7 +224,7 @@ def _with_order_cases(test):
 @_with_order_cases
 def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rules, tam_rules):
     # an empty rule list is used as given: every token takes the fallback
-    assert (annotate_sentence(sentence, mode, None, case_rules, tam_rules)
+    assert (annotate_sentence(sentence, mode, None, _strings(case_rules), _strings(tam_rules))
             == ref_annotate(sentence, mode, case_rules, tam_rules))
 
 
@@ -226,16 +234,17 @@ def test_public_rules_match_whole_sentence_scans(sentence, case_rules, tam_rules
     pronouns = default_pronoun_table()
     for token in sentence:
         if is_noun(token):
-            assert noun_case(token, sentence, case_rules) is ref_noun_case(token, sentence, case_rules)
+            assert (noun_case(token, sentence, _strings(case_rules))
+                    == ref_noun_case(token, sentence, case_rules).value)
         else:
             with pytest.raises(NotANoun):
-                noun_case(token, sentence, case_rules)
+                noun_case(token, sentence, _strings(case_rules))
         if token.xpos.startswith("VB"):
-            assert (verb_factors(token, sentence, pronouns, tam_rules)
-                    == ref_verb_factors(token, sentence, pronouns, tam_rules))
+            assert (verb_factors(token, sentence, pronouns, _strings(tam_rules))
+                    == tuple(ref_verb_factors(token, sentence, pronouns, tam_rules).values()))
         else:
             with pytest.raises(NotAVerb):
-                verb_factors(token, sentence, pronouns, tam_rules)
+                verb_factors(token, sentence, pronouns, _strings(tam_rules))
 
 
 # --- rendering ---------------------------------------------------------------

@@ -64,6 +64,54 @@ def test_verb_override_with_a_fifth_slot_part_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+# an override's surface is checked as a suffix is: a Devanagari word
+@pytest.mark.parametrize("pair, message", [
+    ("perf:m:sg=gaya", "non-Devanagari codepoint U+0067 at offset 0"),
+    ("perf:m:sg=गया।", "punctuation '।' at offset 3"),
+    ("perf:m:sg=", "empty word"),
+], ids=["latin", "danda", "empty"])
+def test_verb_override_surface_that_is_not_a_word_exits_1(tmp_path, capsys, pair, message):
+    lex = tmp_path / "verbs.tsv"
+    lex.write_text(f"walk\tचल\ngo\tजा\t{pair}\n", "utf-8")
+    out = tmp_path / "dict.txt"
+    code, _, err = run(capsys, "build-dict", "--kind", "verb", "--lexicon", str(lex), "--out", str(out))
+    assert code == 1
+    assert err == f"error: {lex}:2: bad override {pair!r}: {message}\n"
+    assert not out.exists()
+
+
+# a root or stem is checked whatever its class or suffixes: an uncountable
+# noun, a class-A override, and a stem whose table has only consonant-initial
+# suffixes
+_LATIN = "non-Devanagari codepoint U+0077 at offset 0"
+
+
+@pytest.mark.parametrize("row, error", [
+    ("water\twater\tm\t0", _LATIN),
+    ("x\tपा।नी\tm\t0", "punctuation '।' at offset 2"),
+    ("water\twater\tf\t1\tA", _LATIN),
+], ids=["uncountable-latin", "uncountable-danda", "class-a"])
+def test_a_noun_root_that_is_not_a_word_fails_whatever_its_class(tmp_path, capsys, row, error):
+    lex = tmp_path / "nouns.tsv"
+    lex.write_text(f"dog\tकुत्ता\tm\t1\n{row}\n", "utf-8")
+    out, failures = tmp_path / "dict.txt", tmp_path / "failures.json"
+    code, _, err = run(capsys, "build-dict", "--kind", "noun", "--lexicon", str(lex),
+                       "--out", str(out), "--failures", str(failures))
+    assert (code, err) == (0, "warning: 1 lexicon rows failed\n")
+    assert out.read_text("utf-8").count("\n") == 4  # the dog's entries only
+    assert [(f["row"], f["error"]) for f in json.loads(failures.read_text("utf-8"))["failures"]] \
+        == [(1, error)]
+    code, out, err = run(capsys, "classify", "--lexicon", str(lex), "--bilingual")
+    assert (code, out, err) == (1, "", f"error: {lex}:2: {error}\n")
+
+
+def test_a_verb_stem_that_is_not_a_word_fails_without_a_vowel_initial_suffix(tmp_path, capsys):
+    table = tmp_path / "verb_suffixes.tsv"
+    table.write_text("inf\t-\t-\t-\tना\nhab\tm\t-\t-\tता\nhab\tf\t-\t-\tती\n", "utf-8")
+    code, out, err = run(capsys, "paradigm", "--verb", "--stem", "walk", "--table", str(table))
+    assert (code, out, err) == (1, "", f"error: {_LATIN}\n")
+
+
 @pytest.mark.parametrize("english, flags", [("", ()), ("dog\t", ("--bilingual",))])
 def test_classify_locates_a_non_devanagari_root(tmp_path, capsys, english, flags):
     lex = tmp_path / "nouns.tsv"
@@ -644,3 +692,24 @@ def test_empty_rules_file_exits_1(tmp_path, capsys, flag, what):
     code, out, err = run(capsys, "annotate", "--conllu", SAMPLE, flag, str(rules))
     assert code == 1 and out == ""
     assert err == f"error: {rules}: no {what} rules\n"
+
+
+# a row that could never take effect: a second row for a pronoun (in any
+# case) would replace the first, and the first matching rule wins
+@pytest.mark.parametrize("flag, text, message", [
+    ("--pronouns", _PRONOUNS + "She\t3\tpl\n",
+     f":{_PRONOUNS.count(chr(10)) + 1}: duplicate pronoun 'She'"),
+    ("--case-rules", "subject\tdir\ndefault\tdir\nprep_object\tobl\n",
+     ":3: case rule 'prep_object' after default"),
+    ("--case-rules", "subject\tdir\nsubject\tobl\ndefault\tdir\n",
+     ":2: duplicate case rule 'subject'"),
+    ("--tam-rules", "default\thab\npast_tag\tperf\n", ":2: TAM rule 'past_tag' after default"),
+    ("--tam-rules", "past_tag\tperf\ndefault\thab\ndefault\tfut\n",
+     ":3: duplicate TAM rule 'default'"),
+], ids=["pronoun", "case-after-default", "case-twice", "tam-after-default", "tam-default-twice"])
+def test_data_table_row_that_never_takes_effect_exits_1(tmp_path, capsys, flag, text, message):
+    config = tmp_path / "config.tsv"
+    config.write_text(text, "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", SAMPLE, flag, str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: {config}{message}\n"

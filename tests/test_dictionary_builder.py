@@ -120,11 +120,8 @@ def test_build_verb_dict(verb_lexicon_lines):
     one = build_verb_dict([lexicon[0]], table)
     # one entry per distinct collapsed cell after exact-duplicate removal
     distinct_pairs = {
-        (
-            (f.number.value, f.person.value, f.tam.value),
-            (surf, suffix),
-        )
-        for f, suffix, surf in verb_paradigm(lexicon[0], table)
+        ((number, person, tam), (surf, suffix))
+        for tam, _, number, person, suffix, surf in verb_paradigm(lexicon[0], table)
     }
     assert len(one.lines) == len(distinct_pairs)
     walk_hab = next(

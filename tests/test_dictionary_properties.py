@@ -7,12 +7,16 @@ with widths checked entry by entry. The line path must give the same
 lines and the same failures, or raise the same error.
 """
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DictEntry, FactoredToken, ref_entries
+from conftest import (
+    DictEntry,
+    EnglishVerbFactors,
+    FactoredToken,
+    ref_english_verb_surface,
+    ref_entries,
+)
 from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject.corpus_inject import inject, parse_factored_corpus
@@ -38,7 +42,6 @@ from morphinject.noun_morph import (
     noun_paradigm,
 )
 from morphinject.verb_morph import (
-    IrregularForm,
     Person,
     TamSlot,
     VerbLexEntry,
@@ -109,10 +112,9 @@ def _ref_build_verb(lexicon, table):
     entries, seen, failures = [], set(), []
     for idx, verb in enumerate(lexicon):
         try:
-            for factors, suffix, surface in list(verb_paradigm(verb, table)):
+            for tam, _, number, person, suffix, surface in list(verb_paradigm(verb, table)):
                 entry = DictEntry(
-                    _ref_token(verb.english_root, (
-                        factors.number.value, factors.person.value, factors.tam.value)),
+                    _ref_token(verb.english_root, (number, person, tam)),
                     _ref_token(surface, (
                         verb.hindi_root, suffix if suffix is not None else "null")),
                 )
@@ -141,14 +143,14 @@ def _ref_strip(entries, scheme):
         if scheme.source_width == 0:
             surface = e.source.surface
         elif "tam" in scheme.source_factors:
-            factors = sf.EnglishVerbFactors(
+            factors = EnglishVerbFactors(
                 _ref_value(Number, "number", e.source, 0),
                 _ref_value(Person, "person", e.source, 1),
                 _ref_value(TamSlot, "tam", e.source, 2))
-            surface = sf.english_verb_surface(e.source.surface, factors)
+            surface = ref_english_verb_surface(e.source.surface, factors)
         elif "case" in scheme.source_factors:
             surface = sf.english_noun_surface(
-                e.source.surface, _ref_value(Number, "number", e.source, 0))
+                e.source.surface, _ref_value(Number, "number", e.source, 0).value)
         else:
             surface = e.source.surface
         entry = DictEntry(_ref_token(surface), _ref_token(e.target.surface))
@@ -298,11 +300,17 @@ def _noun_table(draw):
 
 
 _verb_stems = st.sampled_from(["चल", "खा", "पी", "सो", "छू", "हो", "कर", "cal", "a b", "क|"])
-_override = st.builds(
-    IrregularForm, st.sampled_from(TamSlot),
-    st.one_of(st.none(), st.sampled_from(Gender)),
-    st.one_of(st.none(), st.sampled_from(Number)),
-    st.one_of(st.none(), st.sampled_from(Person)),
+def _values(kind):
+    return st.sampled_from([m.value for m in kind])
+
+
+# overrides as VerbLexEntry takes them, unchecked: parse_verb_lexicon
+# would reject the surfaces that are not words
+_override = st.tuples(
+    _values(TamSlot),
+    st.one_of(st.none(), _values(Gender)),
+    st.one_of(st.none(), _values(Number)),
+    st.one_of(st.none(), _values(Person)),
     st.sampled_from(["गया", "हुआ", "", "a|b", "x y", "की"]),
 )
 _verb = st.builds(VerbLexEntry, _verb_stems, _english, st.lists(_override, max_size=2).map(tuple))
@@ -314,8 +322,8 @@ def _verb_table(draw):
     if draw(st.booleans()):
         return table
     cells = list(table.cells)
-    i = draw(st.sampled_from([i for i, c in enumerate(cells) if c.suffix is not None]))
-    cells[i] = dataclasses.replace(cells[i], suffix=cells[i].suffix + draw(st.sampled_from([" x", "|"])))
+    i = draw(st.sampled_from([i for i, c in enumerate(cells) if c[4] is not None]))
+    cells[i] = (*cells[i][:4], cells[i][4] + draw(st.sampled_from([" x", "|"])))
     return VerbSuffixTable(cells)
 
 

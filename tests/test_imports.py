@@ -25,12 +25,13 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 # every name the package exported when it imported all of its modules,
 # less those that are gone: a token is its text, so FactoredToken and
-# DictEntry are no more, and paradigm_space had no caller
-GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken")
+# DictEntry are no more, paradigm_space had no caller, and a factor value
+# is a string, so VerbFactors is no more
+GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors")
 EXPORTS = {
     "noun_morph": ["Case", "Gender", "NounClass", "NounLexEntry", "Number", "SuffixTable",
                    "classify_noun", "default_suffix_table", "join_noun", "noun_paradigm"],
-    "verb_morph": ["Person", "TamSlot", "VerbFactors", "VerbLexEntry", "VerbSuffixTable",
+    "verb_morph": ["Person", "TamSlot", "VerbLexEntry", "VerbSuffixTable",
                    "default_verb_suffix_table", "join_verb", "verb_paradigm"],
     "dictionary_builder": ["FactorScheme", "WordFormDictionary", "build_noun_dict",
                            "build_verb_dict", "strip_to_surface"],

@@ -94,7 +94,7 @@ def test_normalize_is_idempotent(text):
 
 
 _NOUN_SUFFIXES = sorted({s for s in default_suffix_table().cells.values() if s is not None})
-_VERB_SUFFIXES = sorted({c.suffix for c in default_verb_suffix_table().cells if c.suffix})
+_VERB_SUFFIXES = sorted({c[4] for c in default_verb_suffix_table().cells if c[4]})
 
 
 @settings(deadline=None)

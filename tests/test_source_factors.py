@@ -2,11 +2,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import EnglishVerbFactors
 from morphinject.errors import InputError, NotANoun, NotAVerb
-from morphinject.noun_morph import Case, Number
+from morphinject.noun_morph import Number
 from morphinject.source_factors import (
     ConlluToken,
-    EnglishVerbFactors,
     annotate_sentence,
     default_pronoun_table,
     english_noun_surface,
@@ -49,48 +49,53 @@ def test_read_conllu_skips_ranges_and_rejects_bad_columns():
 
 
 def test_noun_number():
-    assert noun_number(ConlluToken(1, "dogs", "dog", "NNS", 0, "root")) is Number.PLURAL
-    assert noun_number(ConlluToken(1, "dog", "dog", "NN", 0, "root")) is Number.SINGULAR
-    assert noun_number(ConlluToken(1, "Delhi", "Delhi", "NNP", 0, "root")) is Number.SINGULAR
+    assert noun_number(ConlluToken(1, "dogs", "dog", "NNS", 0, "root")) == "pl"
+    assert noun_number(ConlluToken(1, "dog", "dog", "NN", 0, "root")) == "sg"
+    assert noun_number(ConlluToken(1, "Delhi", "Delhi", "NNP", 0, "root")) == "sg"
     with pytest.raises(NotANoun):
         noun_number(ConlluToken(1, "walked", "walk", "VBD", 0, "root"))
 
 
 def test_noun_case_rules(sentences):
     # object of a preposition (legacy pobj): oblique
-    assert noun_case(_tok(sentences[1], "house"), sentences[1]) is Case.OBLIQUE
+    assert noun_case(_tok(sentences[1], "house"), sentences[1]) == "obl"
     # subject of a past-perfective verb: ergative context, oblique
-    assert noun_case(_tok(sentences[1], "dog"), sentences[1]) is Case.OBLIQUE
+    assert noun_case(_tok(sentences[1], "dog"), sentences[1]) == "obl"
     # plain subject, present tense: direct
-    assert noun_case(_tok(sentences[0], "dog"), sentences[0]) is Case.DIRECT
+    assert noun_case(_tok(sentences[0], "dog"), sentences[0]) == "dir"
     # UD obl with case child: oblique
-    assert noun_case(_tok(sentences[6], "park"), sentences[6]) is Case.OBLIQUE
+    assert noun_case(_tok(sentences[6], "park"), sentences[6]) == "obl"
     # direct object: direct
-    assert noun_case(_tok(sentences[7], "books"), sentences[7]) is Case.DIRECT
+    assert noun_case(_tok(sentences[7], "books"), sentences[7]) == "dir"
     # isolated noun: default direct
     lone = ConlluToken(1, "dog", "dog", "NN", 0, "root")
-    assert noun_case(lone, [lone]) is Case.DIRECT
+    assert noun_case(lone, [lone]) == "dir"
+
+
+def _values(number, person, tam):
+    """(number, person, tam) as verb_factors gives them."""
+    return tuple(EnglishVerbFactors(number, person, tam).values())
 
 
 def test_verb_factors(sentences):
     pron = default_pronoun_table()
-    assert verb_factors(_tok(sentences[2], "walk"), sentences[2], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[2], "walk"), sentences[2], pron) == _values(
         Number.SINGULAR, Person.FIRST, TamSlot.PRESENT_HABITUAL
     )
-    assert verb_factors(_tok(sentences[3], "walked"), sentences[3], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[3], "walked"), sentences[3], pron) == _values(
         Number.PLURAL, Person.THIRD, TamSlot.PAST_PERFECTIVE
     )
-    assert verb_factors(_tok(sentences[4], "run"), sentences[4], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[4], "run"), sentences[4], pron) == _values(
         Number.SINGULAR, Person.THIRD, TamSlot.FUTURE
     )
-    assert verb_factors(_tok(sentences[5], "Go"), sentences[5], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[5], "Go"), sentences[5], pron) == _values(
         Number.SINGULAR, Person.THIRD, TamSlot.IMPERATIVE
     )
     # to-infinitive; no own subject, so defaults apply
-    assert verb_factors(_tok(sentences[6], "walk"), sentences[6], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[6], "walk"), sentences[6], pron) == _values(
         Number.SINGULAR, Person.THIRD, TamSlot.INFINITIVE
     )
-    assert verb_factors(_tok(sentences[8], "like"), sentences[8], pron) == EnglishVerbFactors(
+    assert verb_factors(_tok(sentences[8], "like"), sentences[8], pron) == _values(
         Number.SINGULAR, Person.THIRD, TamSlot.MODAL_SUBJUNCTIVE
     )
     with pytest.raises(NotAVerb):
@@ -120,34 +125,34 @@ def test_pronoun_table_invariant():
     with pytest.raises(InputError):
         load_pronoun_table(io.StringIO("i\t1\tsg\n"))  # missing you/he/...
     table = default_pronoun_table()
-    assert table.lookup("They") == (Person.THIRD, Number.PLURAL)
+    assert table.lookup("They") == (Person.THIRD.value, Number.PLURAL.value)
     assert table.lookup("xyzzy") is None
 
 
 def test_english_noun_surface():
-    assert english_noun_surface("dog", Number.SINGULAR) == "dog"
-    assert english_noun_surface("dog", Number.PLURAL) == "dogs"
-    assert english_noun_surface("box", Number.PLURAL) == "boxes"
-    assert english_noun_surface("child", Number.PLURAL) == "children"
-    assert english_noun_surface("city", Number.PLURAL) == "cities"
-    assert english_noun_surface("boy", Number.PLURAL) == "boys"
+    assert english_noun_surface("dog", "sg") == "dog"
+    assert english_noun_surface("dog", "pl") == "dogs"
+    assert english_noun_surface("box", "pl") == "boxes"
+    assert english_noun_surface("child", "pl") == "children"
+    assert english_noun_surface("city", "pl") == "cities"
+    assert english_noun_surface("boy", "pl") == "boys"
 
 
 def test_english_verb_surface():
-    third_sg_hab = EnglishVerbFactors(Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
-    first_hab = EnglishVerbFactors(Number.SINGULAR, Person.FIRST, TamSlot.PRESENT_HABITUAL)
-    past = EnglishVerbFactors(Number.SINGULAR, Person.THIRD, TamSlot.PAST_PERFECTIVE)
-    fut = EnglishVerbFactors(Number.SINGULAR, Person.THIRD, TamSlot.FUTURE)
-    assert english_verb_surface("walk", third_sg_hab) == "walks"
-    assert english_verb_surface("walk", first_hab) == "walk"
-    assert english_verb_surface("watch", third_sg_hab) == "watches"
-    assert english_verb_surface("try", third_sg_hab) == "tries"
-    assert english_verb_surface("go", third_sg_hab) == "goes"
-    assert english_verb_surface("walk", past) == "walked"
-    assert english_verb_surface("love", past) == "loved"
-    assert english_verb_surface("try", past) == "tried"
-    assert english_verb_surface("go", past) == "went"
-    assert english_verb_surface("walk", fut) == "will walk"
+    third_sg_hab = ("sg", "3", "hab")
+    first_hab = ("sg", "1", "hab")
+    past = ("sg", "3", "perf")
+    fut = ("sg", "3", "fut")
+    assert english_verb_surface("walk", *third_sg_hab) == "walks"
+    assert english_verb_surface("walk", *first_hab) == "walk"
+    assert english_verb_surface("watch", *third_sg_hab) == "watches"
+    assert english_verb_surface("try", *third_sg_hab) == "tries"
+    assert english_verb_surface("go", *third_sg_hab) == "goes"
+    assert english_verb_surface("walk", *past) == "walked"
+    assert english_verb_surface("love", *past) == "loved"
+    assert english_verb_surface("try", *past) == "tried"
+    assert english_verb_surface("go", *past) == "went"
+    assert english_verb_surface("walk", *fut) == "will walk"
 
 
 def test_annotate_sentence(sentences):
