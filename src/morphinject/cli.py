@@ -128,6 +128,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paradigm(args) -> int:
+    # an option of the other kind of paradigm would change nothing
+    if args.verb:
+        stray = [("--root", args.root), ("--gender", args.gender),
+                 ("--uncountable", args.uncountable), ("--noun-class", args.noun_class)]
+    else:
+        stray = [("--stem", args.stem)]
+    for option, value in stray:
+        if value not in (None, False):
+            raise InputError(f"{option} cannot be given with --verb" if args.verb
+                             else f"{option} needs --verb")
     if args.verb:
         from . import verb_morph as vm
 

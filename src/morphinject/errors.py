@@ -24,10 +24,6 @@ class NonDevanagariContent(InputError):
     pass
 
 
-class RuleNotApplicable(InputError):
-    pass
-
-
 # --- noun_morph ---
 
 class EmptyRoot(InputError):

@@ -189,17 +189,19 @@ def _join(root: str, cls: NounClass, suffix: str, ending: sc.EndingCategory) -> 
     legal, non-null suffix."""
     if ending is sc.EndingCategory.CONSONANT:
         return root + sc.matra_form(suffix)
+    body, nasal = sc.strip_final_nasal(root)
     if cls is NounClass.D and ending is sc.EndingCategory.LONG_A:
-        return sc.rewrite_ending(root, sc.RewriteRule.REPLACE_WITH, suffix)
+        # the suffix vowel replaces ा as a matra, or आ as a vowel of its own
+        suffix = sc.matra_form(suffix) if body[-1] == "ा" else sc.independent_form(suffix)
+        body = body[:-1]
     if suffix == "ओं" and cls is NounClass.E and ending in _I_ENDINGS:
         suffix = "यों"
-    body, nasal = sc.strip_final_nasal(root)
     if ending in _LONG_ENDINGS:
-        body = sc.rewrite_ending(body, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
-    out = body + suffix
+        body = sc.shorten_final_vowel(body)
+    # the root's nasal goes after the suffix, unless the suffix has its own
     if nasal and not sc.contains_nasal(suffix):
-        out += nasal
-    return out
+        suffix += nasal
+    return body + suffix
 
 
 def noun_paradigm(

@@ -1,11 +1,14 @@
-"""Devanagari text utilities: orthographic syllables, ending classes, rewrites.
+"""Devanagari text utilities: ending classes, vowel forms, canonical text.
 
-All joiner rules in the noun/verb modules are built on three primitives
-defined here: splitting a word into orthographic syllables, classifying
-its ending, and rewriting that ending. Words are kept in a canonical
-form: Unicode NFC, except that consonant+nukta pairs are re-composed to
-the precomposed letter where Unicode defines one (NFC itself decomposes
-U+0958..U+095F, which would split e.g. ड़ into two codepoints).
+The joiners in the noun/verb modules rest on two primitives defined
+here. `ending_of` classifies a word's ending, and it is the one place
+where a root is checked as a Devanagari word on its way into a joiner.
+`shorten_final_vowel` shortens the long final vowel of a word whose
+ending is already classified, and checks nothing. Words are kept in a
+canonical form: Unicode NFC, except that consonant+nukta pairs are
+re-composed to the precomposed letter where Unicode defines one (NFC
+itself decomposes U+0958..U+095F, which would split e.g. ड़ into two
+codepoints).
 
 The one factored-token rule is here: a token is the text
 surface|factor|..., `token_pattern` matches a valid one, and
@@ -28,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import EmptyInput, InputError, NonDevanagariContent, RuleNotApplicable
+from .errors import EmptyInput, InputError, NonDevanagariContent
 
 NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
 
@@ -40,14 +43,13 @@ TOKEN_PART = r"[^\s|]+"
 _SPACE_IN = re.compile(r"\s").search
 _SPACE_BUT_SEPARATOR_IN = re.compile(r"[^\S ]").search
 
-VIRAMA = "्"
 NUKTA = "़"
 ANUSVARA = "ं"
 CHANDRABINDU = "ँ"
 VISARGA = "ः"
 
-# Nasalization marks that may trail a syllable; visarga behaves the same
-# way for segmentation purposes.
+# Nasalization marks that may trail a word's final vowel; visarga behaves
+# the same way for ending classification.
 _TRAILING_MARKS = frozenset({ANUSVARA, CHANDRABINDU, VISARGA, "ऀ"})
 _NASALS = frozenset({ANUSVARA, CHANDRABINDU})
 
@@ -123,12 +125,6 @@ class EndingCategory(Enum):
     O = "o"
     CONSONANT = "consonant"
     OTHER = "other"
-
-
-class RewriteRule(Enum):
-    DROP_FINAL_VOWEL = "drop"
-    SHORTEN_FINAL_VOWEL = "shorten"
-    REPLACE_WITH = "replace"
 
 
 _ENDING_BY_CODEPOINT = {
@@ -211,50 +207,6 @@ def _check_word(word: str) -> None:
             raise NonDevanagariContent(f"punctuation {ch!r} at offset {i}")
 
 
-def split_syllables(word: str) -> list[str]:
-    """Split a word into orthographic syllables, losslessly.
-
-    A syllable is consonant(+virama+consonant)* plus an optional matra
-    plus any trailing nasalization/visarga; an independent vowel (plus
-    trailing marks) forms its own syllable. A stray nukta stays with its
-    consonant and a word-final virama stays with its cluster, so
-    concatenating the pieces always reproduces the input.
-    """
-    _check_word(word)
-    syllables = []
-    i = 0
-    n = len(word)
-    while i < n:
-        ch = word[i]
-        if is_consonant(ch):
-            start = i
-            i += 1
-            if i < n and word[i] == NUKTA:
-                i += 1
-            while i < n and word[i] == VIRAMA and i + 1 < n and is_consonant(word[i + 1]):
-                i += 2
-                if i < n and word[i] == NUKTA:
-                    i += 1
-            if i < n and word[i] == VIRAMA:  # dead consonant at word end
-                i += 1
-            elif i < n and is_matra(word[i]):
-                i += 1
-            while i < n and word[i] in _TRAILING_MARKS:
-                i += 1
-            syllables.append(word[start:i])
-        elif is_independent_vowel(ch):
-            start = i
-            i += 1
-            while i < n and word[i] in _TRAILING_MARKS:
-                i += 1
-            syllables.append(word[start:i])
-        else:
-            # orphan sign or in-block oddity (digit, OM, ...): own unit
-            syllables.append(ch)
-            i += 1
-    return syllables
-
-
 def strip_final_nasal(word: str) -> tuple[str, str]:
     """Split off word-final nasalization/visarga marks: ('कुआ', 'ँ')."""
     i = len(word)
@@ -315,43 +267,11 @@ def contains_nasal(s: str) -> bool:
     return any(ch in _NASALS for ch in s)
 
 
-def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str:
-    """Apply a single deterministic rewrite to the word's ending.
-
-    Word-final nasalization is peeled off first and re-attached after
-    the rewrite, except when a REPLACE_WITH sign carries its own nasal
-    mark (कुआँ + ओं -> कुओं, not कुओंँ).
-    """
-    _check_word(word)
-    body, nasal = strip_final_nasal(word)
-    if not body:
-        raise RuleNotApplicable(f"{word!r} has no rewritable ending")
-    last = body[-1]
-
-    if rule is RewriteRule.DROP_FINAL_VOWEL:
-        if not is_matra(last):
-            raise RuleNotApplicable(f"{word!r} does not end in a vowel sign")
-        new_body = body[:-1]
-    elif rule is RewriteRule.SHORTEN_FINAL_VOWEL:
-        if last not in _SHORTEN:
-            raise RuleNotApplicable(f"{word!r} does not end in a long vowel")
-        new_body = body[:-1] + _SHORTEN[last]
-    elif rule is RewriteRule.REPLACE_WITH:
-        if sign is None:
-            raise RuleNotApplicable("REPLACE_WITH needs a replacement sign")
-        if is_matra(last):
-            new_body = body[:-1] + matra_form(sign)
-        elif is_independent_vowel(last):
-            # after another vowel the replacement is written independently
-            new_body = body[:-1] + independent_form(sign)
-        else:
-            raise RuleNotApplicable(f"{word!r} does not end in a vowel")
-    else:  # pragma: no cover - enum is closed
-        raise RuleNotApplicable(f"unknown rule {rule}")
-
-    if nasal and contains_nasal(new_body[len(body[:-1]):]):
-        nasal = ""  # replacement brought its own nasalization
-    return new_body + nasal
+def shorten_final_vowel(body: str) -> str:
+    """Shorten the final vowel of a word that ends in ा, ी, ू or an
+    independent आ, ई, ऊ, with no nasal mark after it (लड़की -> लड़कि,
+    भाई -> भाइ). Unchecked: the caller has classified the ending."""
+    return body[:-1] + _SHORTEN[body[-1]]
 
 
 # --- factored tokens ---

@@ -425,6 +425,11 @@ def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
     return root
 
 
+def _lemma(token: ConlluToken) -> str:
+    """The token's LEMMA, or its FORM where LEMMA is empty or "_"."""
+    return token.form if token.lemma in ("", "_") else token.lemma
+
+
 def annotate_sentence(
     sentence: list[ConlluToken],
     mode: str = "both",
@@ -435,8 +440,9 @@ def annotate_sentence(
     """Annotate one sentence: (token string, factor values) per token.
 
     Nouns yield lemma + [number, case]; verbs lemma + [number, person,
-    tam]; everything else the surface form with null factors. The caller
-    pads widths (factor normalization) before emission.
+    tam]; everything else the surface form with null factors. An empty
+    lemma, or "_" (CoNLL-U's unspecified field), falls back to the
+    form. The caller pads widths (factor normalization) before emission.
     """
     if mode not in ("noun", "verb", "both"):
         raise InputError(f"bad annotation mode {mode!r}")
@@ -452,9 +458,9 @@ def annotate_sentence(
     for token in sentence:
         if nouns and is_noun(token):
             case = _noun_case(token, ix, case_rules)
-            out.append((token.lemma or token.form, [noun_number(token), case]))
+            out.append((_lemma(token), [noun_number(token), case]))
         elif verbs and is_verb(token):
-            out.append((token.lemma or token.form, [*_verb_factors(token, ix, pronouns, tam_rules)]))
+            out.append((_lemma(token), [*_verb_factors(token, ix, pronouns, tam_rules)]))
         else:
             out.append((token.form, []))
     return out

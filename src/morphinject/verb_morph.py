@@ -204,7 +204,8 @@ def _join(root: str, suffix: str, ending: sc.EndingCategory) -> str:
         return root + sc.matra_form(suffix)
     stem = root
     if ending in _LONG_ENDINGS:
-        stem = sc.rewrite_ending(root, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
+        body, nasal = sc.strip_final_nasal(root)
+        stem = sc.shorten_final_vowel(body) + nasal
     if suffix[0] == "आ":  # आ: glide insertion, except after u-vowels
         if ending in _U_ENDINGS:
             return stem + suffix

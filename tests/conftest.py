@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,53 @@ def validate_widths(corpus) -> list[str]:
                         f"{token_width}, corpus width is {width}"
                     )
     return problems
+
+
+# --- reference: the ending rewrite the joiners used before they
+# rewrote the endings they classify themselves ---
+
+
+class RewriteRule(Enum):
+    DROP_FINAL_VOWEL = "drop"
+    SHORTEN_FINAL_VOWEL = "shorten"
+    REPLACE_WITH = "replace"
+
+
+def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str:
+    """Apply a single deterministic rewrite to the word's ending.
+
+    Word-final nasalization is peeled off first and re-attached after
+    the rewrite, except when a REPLACE_WITH sign carries its own nasal
+    mark (कुआँ + ओं -> कुओं, not कुओंँ).
+    """
+    sc._check_word(word)
+    body, nasal = sc.strip_final_nasal(word)
+    if not body:
+        raise InputError(f"{word!r} has no rewritable ending")
+    last = body[-1]
+
+    if rule is RewriteRule.DROP_FINAL_VOWEL:
+        if not sc.is_matra(last):
+            raise InputError(f"{word!r} does not end in a vowel sign")
+        new_body = body[:-1]
+    elif rule is RewriteRule.SHORTEN_FINAL_VOWEL:
+        if last not in sc._SHORTEN:
+            raise InputError(f"{word!r} does not end in a long vowel")
+        new_body = body[:-1] + sc._SHORTEN[last]
+    else:
+        if sign is None:
+            raise InputError("REPLACE_WITH needs a replacement sign")
+        if sc.is_matra(last):
+            new_body = body[:-1] + sc.matra_form(sign)
+        elif sc.is_independent_vowel(last):
+            # after another vowel the replacement is written independently
+            new_body = body[:-1] + sc.independent_form(sign)
+        else:
+            raise InputError(f"{word!r} does not end in a vowel")
+
+    if nasal and sc.contains_nasal(new_body[len(body[:-1]):]):
+        nasal = ""  # replacement brought its own nasalization
+    return new_body + nasal
 
 
 # --- reference: factor values as enum members. The package keeps them as
@@ -290,13 +338,15 @@ def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
     ix = sf._Index(sentence)
     out = []
     for token in sentence:
+        # an empty or unspecified ("_") lemma falls back to the form
+        lemma = token.form if token.lemma in ("", "_") else token.lemma
         if mode != "verb" and sf.is_noun(token):
             number = Number.PLURAL if token.xpos in sf.PLURAL_TAGS else Number.SINGULAR
             case = ref_noun_case(token, ix, case_rules)
-            out.append((token.lemma or token.form, [number.value, case.value]))
+            out.append((lemma, [number.value, case.value]))
         elif mode != "noun" and token.xpos.startswith("VB"):
             factors = ref_verb_factors(token, ix, pronouns, tam_rules)
-            out.append((token.lemma or token.form, factors.values()))
+            out.append((lemma, factors.values()))
         else:
             out.append((token.form, []))
     return out

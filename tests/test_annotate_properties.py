@@ -126,12 +126,13 @@ def ref_annotate(sentence, mode, case_rules, tam_rules):
     pronouns = default_pronoun_table()
     out = []
     for token in sentence:
+        lemma = token.form if token.lemma in ("", "_") else token.lemma
         if mode in ("noun", "both") and is_noun(token):
             case = ref_noun_case(token, sentence, case_rules)
-            out.append((token.lemma or token.form, [noun_number(token), case.value]))
+            out.append((lemma, [noun_number(token), case.value]))
         elif mode in ("verb", "both") and token.xpos.startswith("VB"):
             vf = ref_verb_factors(token, sentence, pronouns, tam_rules)
-            out.append((token.lemma or token.form, vf.values()))
+            out.append((lemma, vf.values()))
         else:
             out.append((token.form, []))
     return out
@@ -162,7 +163,7 @@ def sentences(draw, max_len=12):
         tokens.append(ConlluToken(
             id=draw(st.one_of(st.just(i), ids)),
             form=form,
-            lemma=draw(st.sampled_from(["", form.lower()])),
+            lemma=draw(st.sampled_from(["", "_", form.lower()])),
             xpos=draw(st.sampled_from(XPOS)),
             head=draw(st.integers(0, top + 1)),
             deprel=draw(st.sampled_from(DEPRELS)),

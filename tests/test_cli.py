@@ -31,6 +31,22 @@ def test_paradigm_verb(capsys):
     assert "hab\tm\tsg\t3\tता\tचलता" in out
 
 
+# an option of the other kind of paradigm is an error, not ignored
+@pytest.mark.parametrize("argv, message", [
+    (["--verb", "--stem", "चल", "--root", "कुत्ता"], "--root cannot be given with --verb"),
+    (["--verb", "--stem", "चल", "--gender", "m"], "--gender cannot be given with --verb"),
+    (["--verb", "--stem", "चल", "--uncountable"], "--uncountable cannot be given with --verb"),
+    (["--verb", "--stem", "चल", "--noun-class", "D"], "--noun-class cannot be given with --verb"),
+    (["--verb", "--stem", "चल", "--root", ""], "--root cannot be given with --verb"),
+    (["--root", "कुत्ता", "--gender", "m", "--stem", "चल"], "--stem needs --verb"),
+], ids=["root", "gender", "uncountable", "noun-class", "empty-root", "stem"])
+def test_paradigm_option_of_the_other_kind_exits_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "p.tsv"
+    code, stdout, err = run(capsys, "paradigm", *argv, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_classify(tmp_path, capsys):
     lex = tmp_path / "nouns.tsv"
     lex.write_text("dog\tकुत्ता\tm\t1\nhunger\tभूख\tf\t0\n", "utf-8")
@@ -366,6 +382,17 @@ def test_annotate(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "The|null|null|null dog|sg|dir|null run|sg|3|hab .|null|null|null"
     assert len(lines) == 9
+
+
+def test_annotate_unspecified_lemma_falls_back_to_the_form(tmp_path, capsys):
+    # "_" is CoNLL-U's unspecified LEMMA: the form stands in, as for an
+    # empty lemma
+    conllu = tmp_path / "nolemma.conllu"
+    conllu.write_text("1\tdogs\t_\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+                      "2\tran\t_\tVERB\tVBD\t_\t0\troot\t_\t_\n"
+                      "3\t.\t_\tPUNCT\t.\t_\t2\tpunct\t_\t_\n", "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", str(conllu))
+    assert (code, out, err) == (0, "dogs|pl|obl|null ran|pl|3|perf .|null|null|null\n", "")
 
 
 def test_oov_and_sparsity(tmp_path, capsys):

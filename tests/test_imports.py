@@ -26,8 +26,11 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # every name the package exported when it imported all of its modules,
 # less those that are gone: a token is its text, so FactoredToken and
 # DictEntry are no more, paradigm_space had no caller, and a factor value
-# is a string, so VerbFactors is no more
-GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors")
+# is a string, so VerbFactors is no more; the joiners rewrite the endings
+# they classify, so rewrite_ending, RewriteRule, RuleNotApplicable and
+# split_syllables are no more
+GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors",
+        "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables")
 EXPORTS = {
     "noun_morph": ["Case", "Gender", "NounClass", "NounLexEntry", "Number", "SuffixTable",
                    "classify_noun", "default_suffix_table", "join_noun", "noun_paradigm"],
@@ -92,6 +95,8 @@ def test_package_names_resolve_on_first_access():
         assert name not in morphinject.__all__
         with pytest.raises(AttributeError):
             getattr(morphinject, name)
+        for module in ("script_core", "errors", *EXPORTS):
+            assert not hasattr(import_module(f"morphinject.{module}"), name), (module, name)
 
 
 def test_unknown_package_name_raises():

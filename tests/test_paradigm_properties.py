@@ -3,7 +3,8 @@
 The references below are the paradigm builders and joiners that the
 string rows replaced: every cell looked up by its enum key, and every
 join normalizing its root and suffix, checking the suffix against the
-class's column and working out the root's ending again. On roots of
+class's column, working out the root's ending again and rewriting it
+with the checked `rewrite_ending` that conftest keeps. On roots of
 every ending, including nasalized and non-Devanagari ones, on class
 overrides, uncountable nouns, irregular verb forms and edited tables,
 `noun_paradigm`, `verb_paradigm`, `join_noun` and `join_verb` must give
@@ -16,10 +17,10 @@ class-A noun, a verb whose table has no vowel-initial suffix) and
 succeeds.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import VerbFactors, ref_override
+from conftest import RewriteRule, VerbFactors, ref_override, rewrite_ending
 from morphinject import script_core as sc
 from morphinject.errors import IllegalSuffixForClass
 from morphinject.noun_morph import (
@@ -76,9 +77,9 @@ def _ref_join_noun(root, cls, suffix, table):
     if ending is E.CONSONANT:
         return root + sc.matra_form(suffix)
     if cls is NounClass.D and ending is E.LONG_A:
-        return sc.rewrite_ending(root, sc.RewriteRule.REPLACE_WITH, suffix)
+        return rewrite_ending(root, RewriteRule.REPLACE_WITH, suffix)
     if ending in (E.LONG_II, E.LONG_UU):
-        stem = sc.rewrite_ending(body, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
+        stem = rewrite_ending(body, RewriteRule.SHORTEN_FINAL_VOWEL)
     else:
         stem = body
     out = stem + suffix
@@ -112,7 +113,7 @@ def _ref_join_verb(root, suffix):
         return root + sc.matra_form(suffix)
     stem = root
     if ending in (E.LONG_II, E.LONG_UU):
-        stem = sc.rewrite_ending(root, sc.RewriteRule.SHORTEN_FINAL_VOWEL)
+        stem = rewrite_ending(root, RewriteRule.SHORTEN_FINAL_VOWEL)
     if suffix[0] == "आ":
         if ending in (E.LONG_UU, E.SHORT_U):
             return stem + suffix
@@ -257,3 +258,19 @@ def test_verb_paradigm_matches_the_per_cell_reference(entry, table):
 @given(_root, st.one_of(st.none(), _suffix))
 def test_join_verb_matches_the_reference(root, suffix):
     assert _outcome(join_verb, root, suffix) == _outcome(_ref_join_verb, root, suffix)
+
+
+@settings(deadline=None)
+@given(_root, st.sampled_from(Gender), st.booleans(),
+       st.one_of(st.none(), st.sampled_from(NounClass)))
+def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override):
+    """Any root `ending_of` accepts, with the packaged tables: every
+    surface of its noun and verb paradigms is a Devanagari word in
+    canonical form."""
+    noun = NounLexEntry(root, gender, countable, override)
+    assume(_outcome(sc.ending_of, noun.hindi_root)[0] == "ok")
+    surfaces = [row[-1] for row in noun_paradigm(noun)]
+    surfaces += [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"))]
+    for surface in surfaces:
+        assert sc._WORD.fullmatch(surface), surface
+        assert sc.normalize(surface) == surface

@@ -3,38 +3,18 @@ import unicodedata
 import pytest
 
 from morphinject import script_core as sc
-from morphinject.errors import EmptyInput, NonDevanagariContent, RuleNotApplicable
-
-
-def test_split_syllables_basic():
-    assert sc.split_syllables("रात") == ["रा", "त"]
-    assert sc.split_syllables("कुत्ता") == ["कु", "त्ता"]
-    assert sc.split_syllables("लड़की") == ["ल", "ड़", "की"]
-
-
-def test_split_syllables_nasal_and_independent_vowel():
-    assert sc.split_syllables("आलू") == ["आ", "लू"]
-    assert sc.split_syllables("कुआँ") == ["कु", "आँ"]
-    assert sc.split_syllables("रातें") == ["रा", "तें"]
-    # word-final dead consonant keeps its virama as its own unit
-    assert sc.split_syllables("विद्वान्") == ["वि", "द्वा", "न्"]
-
-
-def test_split_syllables_errors():
-    with pytest.raises(EmptyInput):
-        sc.split_syllables("")
-    with pytest.raises(NonDevanagariContent):
-        sc.split_syllables("dog")
-    with pytest.raises(NonDevanagariContent):
-        sc.split_syllables("रात।")
-
-
-def test_split_lossless_on_fixture_vocab(noun_fixtures, verb_form_fixtures):
-    words = {s for f in noun_fixtures for s in f.surfaces}
-    words |= {f.surface for f in verb_form_fixtures}
-    for word in words:
-        word = sc.normalize(word)
-        assert "".join(sc.split_syllables(word)) == word
+from morphinject.errors import EmptyInput, NonDevanagariContent
+from morphinject.noun_morph import (
+    Case,
+    Gender,
+    NounClass,
+    NounLexEntry,
+    Number,
+    SuffixTable,
+    default_suffix_table,
+    join_noun,
+    noun_paradigm,
+)
 
 
 def test_ending_of_examples():
@@ -50,6 +30,10 @@ def test_ending_of_examples():
     assert sc.ending_of("कुआँ") is sc.EndingCategory.LONG_A  # nasal is transparent
     with pytest.raises(EmptyInput):
         sc.ending_of("")
+    with pytest.raises(NonDevanagariContent):
+        sc.ending_of("dog")
+    with pytest.raises(NonDevanagariContent):
+        sc.ending_of("रात।")
 
 
 def test_ending_total_on_fixture_vocab(noun_fixtures, verb_form_fixtures):
@@ -59,40 +43,48 @@ def test_ending_total_on_fixture_vocab(noun_fixtures, verb_form_fixtures):
         assert sc.ending_of(sc.normalize(word)) in sc.EndingCategory
 
 
+def _d(root):
+    """The surfaces of a class-D noun's paradigm."""
+    entry = NounLexEntry(root, Gender.MASCULINE, class_override=NounClass.D)
+    return [surface for *_, surface in noun_paradigm(entry)]
+
+
 def test_rewrite_replace():
-    assert sc.rewrite_ending("कुत्ता", sc.RewriteRule.REPLACE_WITH, "े") == "कुत्ते"
-    # भी codepoint-pinned: replacement result is exactly क,ु,त,्,त,े
-    assert sc.rewrite_ending("कुत्ता", sc.RewriteRule.REPLACE_WITH, "े") == (
-        "कुत्ते"
-    )
-    assert sc.rewrite_ending("कुत्ता", sc.RewriteRule.REPLACE_WITH, "ों") == "कुत्तों"
+    # class D replaces the root's final ा with the suffix's vowel
+    assert _d("कुत्ता") == ["कुत्ता", "कुत्ते", "कुत्ते", "कुत्तों"]
+    # codepoint-pinned: the replacement result is exactly क,ु,त,्,त,े
+    assert join_noun("कुत्ता", NounClass.D, "ए") == "\u0915\u0941\u0924\u094d\u0924\u0947"
+    assert join_noun("कुत्ता", NounClass.D, "ओं") == "कुत्तों"
 
 
 def test_rewrite_shorten_and_drop():
-    assert sc.rewrite_ending("लड़की", sc.RewriteRule.SHORTEN_FINAL_VOWEL) == "लड़कि"
-    assert sc.rewrite_ending("बहू", sc.RewriteRule.SHORTEN_FINAL_VOWEL) == "बहु"
-    assert sc.rewrite_ending("भाई", sc.RewriteRule.SHORTEN_FINAL_VOWEL) == "भाइ"
-    assert sc.rewrite_ending("कुत्ता", sc.RewriteRule.DROP_FINAL_VOWEL) == "कुत्त"
-    with pytest.raises(RuleNotApplicable):
-        sc.rewrite_ending("रात", sc.RewriteRule.DROP_FINAL_VOWEL)
-    with pytest.raises(RuleNotApplicable):
-        sc.rewrite_ending("रात", sc.RewriteRule.SHORTEN_FINAL_VOWEL)
+    # a long ी, ू or ई is shortened before the suffix
+    assert join_noun("लड़की", NounClass.B, "याँ") == sc.normalize("लड़कियाँ")
+    assert join_noun("बहू", NounClass.C, "एँ") == "बहुएँ"
+    assert join_noun("भाई", NounClass.E, "ओं") == "भाइयों"
+    # class D drops the final ा, and the suffix vowel follows as a matra
+    assert join_noun("कुत्ता", NounClass.D, "ओं") == "कुत्त" + sc.matra_form("ओं")
 
 
 def test_rewrite_nasal_handling():
-    # peeled nasalization is re-attached ...
-    assert sc.rewrite_ending("कुआँ", sc.RewriteRule.REPLACE_WITH, "े") == "कुएँ"
-    # ... unless the replacement sign carries its own nasal mark
-    assert sc.rewrite_ending("कुआँ", sc.RewriteRule.REPLACE_WITH, "ों") == "कुओं"
+    # after आ the suffix vowel is independent, and the root's nasal is
+    # re-attached ...
+    assert join_noun("कुआँ", NounClass.D, "ए") == "कुएँ"
+    # ... unless the suffix carries its own nasal mark
+    assert join_noun("कुआँ", NounClass.D, "ओं") == "कुओं"
+    assert _d("कुआँ") == ["कुआँ", "कुएँ", "कुएँ", "कुओं"]
 
 
 def test_replace_category_property():
-    # ending_of(rewrite(w, REPLACE_WITH(s))) == category of s
-    for word in ("कुत्ता", "लड़का", "माला"):
-        for sign, cat in (("े", sc.EndingCategory.E), ("ो", sc.EndingCategory.O),
-                          ("ी", sc.EndingCategory.LONG_II)):
-            out = sc.rewrite_ending(word, sc.RewriteRule.REPLACE_WITH, sign)
-            assert sc.ending_of(out) is cat
+    # on a class-D paradigm the ending of each replaced form is the
+    # category of its suffix's vowel
+    cells = dict(default_suffix_table().cells)
+    cells[(NounClass.D, Number.PLURAL, Case.DIRECT)] = "ई"
+    table = SuffixTable(cells)
+    for word in ("कुत्ता", "लड़का", "माला", "कुआँ"):
+        entry = NounLexEntry(word, Gender.FEMININE, class_override=NounClass.D)
+        endings = [sc.ending_of(surface) for *_, surface in noun_paradigm(entry, table)[1:]]
+        assert endings == [sc.EndingCategory.E, sc.EndingCategory.LONG_II, sc.EndingCategory.O]
 
 
 def test_matra_and_independent_forms():
@@ -119,7 +111,7 @@ def test_normalize():
 
 def test_operations_are_pure():
     word = "लड़कियाँ"
-    first = sc.split_syllables(word)
+    first = join_noun("लड़की", NounClass.B, "याँ")
     for _ in range(3):
-        assert sc.split_syllables(word) == first
+        assert join_noun("लड़की", NounClass.B, "याँ") == first
         assert sc.ending_of(word) is sc.ending_of(word)

@@ -122,16 +122,6 @@ def test_check_word_matches_loop_reference(word):
 
 
 @settings(deadline=None)
-@given(st.one_of(_word, _text))
-def test_split_syllables_is_lossless(word):
-    try:
-        syllables = sc.split_syllables(word)
-    except InputError:
-        return
-    assert "".join(syllables) == word
-
-
-@settings(deadline=None)
 @given(st.one_of(_word, _text), st.sampled_from(Gender), st.booleans(),
        st.one_of(st.none(), st.sampled_from(NounClass)))
 def test_morphology_returns_or_raises_an_input_error(root, gender, countable, override):

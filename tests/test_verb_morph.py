@@ -133,11 +133,11 @@ def test_paradigm_row_count_and_replication():
 
 
 def test_paradigm_surfaces_canonical(verb_lexicon_lines):
-    # every generated surface is in canonical form and splits losslessly
+    # every generated surface is a Devanagari word in canonical form
     for entry in parse_verb_lexicon(verb_lexicon_lines):
         for *_, surface in verb_paradigm(entry, TABLE):
             assert surface == sc.normalize(surface)
-            assert "".join(sc.split_syllables(surface)) == surface
+            assert sc._WORD.fullmatch(surface)
 
 
 def test_paradigm_habitual_surfaces():
