@@ -12,14 +12,19 @@ pronouns.tsv, case_rules.tsv, tam_rules.tsv).
 
 A subcommand loads only the layers it runs: each imports its modules
 when it is called, so `oov` and `bleu` load no morphology, dictionary or
-corpus module.
+corpus module. No call loads the standard library's data class,
+inspect or log modules (tests/test_imports.py names them), and only a
+call that writes JSON loads json. The records are plain classes that
+compare by value: ParallelCorpus by its lines, WordFormDictionary by
+its lines and scheme, BilingualNoun by its English root and entry (not
+the names, failures or row location they carry), and the entries,
+schemes and reports as named tuples of their fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import re
 import sys
@@ -97,9 +102,15 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
         os.replace(tmp, target)
 
 
+def _json_text(payload: dict) -> str:
+    import json  # only the calls that write JSON load it
+
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
 def _report_text(report_dict: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report_dict, ensure_ascii=False, indent=2) + "\n"
+        return _json_text(report_dict)
     lines = []
     for key, value in report_dict.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
@@ -240,7 +251,7 @@ def cmd_build_dict(args) -> int:
                 for f in dictionary.failures
             ],
         }
-        outputs.append((args.failures, json.dumps(payload, ensure_ascii=False, indent=2) + "\n"))
+        outputs.append((args.failures, _json_text(payload)))
     _write_atomic(outputs)
     if dictionary.failures:
         print(f"warning: {len(dictionary.failures)} lexicon rows failed", file=sys.stderr)

@@ -15,14 +15,13 @@ checked once, against one full-line pattern for the corpus width; only
 a line that fails it is split into tokens, and script_core.token_error
 names the first bad one. Padding (auto_normalize, injection), emission
 and the sparsity report work on the strings, and ParallelCorpus.pairs,
-the lines split into token strings, is built on demand.
+the lines split into token strings, is built each time it is read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 from typing import IO, Iterable
 
 from . import script_core as sc
@@ -31,17 +30,30 @@ from .errors import LineCountMismatch, MalformedToken, RaggedFactorWidth, WidthI
 from .script_core import NULL_FACTOR
 
 
-@dataclass
 class ParallelCorpus:
     """Checked, line-aligned source and target lines, without newlines,
-    and the names that locate an error in them as name:line."""
+    and the names that locate an error in them as name:line. Two are
+    equal when their lines are: the names are not compared."""
 
-    src: list[str]
-    tgt: list[str]
-    source_name: str = field(default="source", compare=False)
-    target_name: str = field(default="target", compare=False)
+    __slots__ = ("src", "tgt", "source_name", "target_name")
 
-    @cached_property
+    def __init__(self, src: list[str], tgt: list[str],
+                 source_name: str = "source", target_name: str = "target"):
+        self.src = src
+        self.tgt = tgt
+        self.source_name = source_name
+        self.target_name = target_name
+
+    def __eq__(self, other):
+        if type(other) is not ParallelCorpus:
+            return NotImplemented
+        return (self.src, self.tgt) == (other.src, other.tgt)
+
+    def __repr__(self) -> str:
+        return (f"ParallelCorpus({self.src!r}, {self.tgt!r}, "
+                f"{self.source_name!r}, {self.target_name!r})")
+
+    @property
     def pairs(self) -> list[tuple[list[str], list[str]]]:
         # counted by bench/spans.py and bench/table.py; nothing else reads it
         return [(s.split(), t.split()) for s, t in zip(self.src, self.tgt)]
@@ -59,21 +71,13 @@ class ParallelCorpus:
         return list(self.tgt)
 
 
-@dataclass
-class InjectionReport:
-    entries_offered: int
-    entries_added: int
-    duplicates_skipped: int
-    normalization_applied: bool
+class InjectionReport(namedtuple(
+        "InjectionReport",
+        "entries_offered entries_added duplicates_skipped normalization_applied")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "entries_offered": self.entries_offered,
-            "entries_added": self.entries_added,
-            "duplicates_skipped": self.duplicates_skipped,
-            "normalization_applied": self.normalization_applied,
-        }
+        return {"schema_version": 1, **self._asdict()}
 
 
 def _width(lines: list[str]) -> int | None:

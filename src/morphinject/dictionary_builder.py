@@ -14,7 +14,7 @@ side by side through script_core.token_error, which names the first
 error, and a line whose sides are both valid has ragged widths. A
 surface-only side is words joined by single spaces ("will walk").
 WordFormDictionary.entries, the same lines as (source, target) string
-pairs, is built on demand.
+pairs, is built each time it is read.
 
 The builders render lines from the paradigms' string rows. With
 `surface=True` they still check each factored line, then keep its
@@ -27,8 +27,8 @@ library callers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import script_core as sc
@@ -55,8 +55,10 @@ from .verb_morph import (
 FACTOR_SEP = "|"
 
 
-@dataclass(frozen=True)
-class FactorScheme:
+class FactorScheme(namedtuple(
+        "FactorScheme",
+        "source_factors target_factors translation_steps generation_steps",
+        defaults=((), ()))):
     """Named factor positions plus the mapping steps between them.
 
     Position 0 on each side is the surface slot; steps name subsets of
@@ -64,23 +66,7 @@ class FactorScheme:
     positions; generation steps are target-side only.
     """
 
-    source_factors: tuple[str, ...]
-    target_factors: tuple[str, ...]
-    translation_steps: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-    generation_steps: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-
-    def __post_init__(self):
-        for src_names, tgt_names in self.translation_steps:
-            for name in src_names:
-                if name not in self.source_factors:
-                    raise InputError(f"translation step names unknown source factor {name!r}")
-            for name in tgt_names:
-                if name not in self.target_factors:
-                    raise InputError(f"translation step names unknown target factor {name!r}")
-        for in_names, out_names in self.generation_steps:
-            for name in in_names + out_names:
-                if name not in self.target_factors:
-                    raise InputError(f"generation step names unknown target factor {name!r}")
+    __slots__ = ()
 
     @property
     def source_width(self) -> int:
@@ -118,24 +104,32 @@ SCHEMES = {"noun": NOUN_SCHEME, "verb": VERB_SCHEME, "surface": SURFACE_SCHEME}
 _FACTOR_VALUES = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
 
 
-@dataclass
-class EntryFailure:
-    index: int
-    english_root: str
-    hindi_root: str
-    error: str
+EntryFailure = namedtuple("EntryFailure", "index english_root hindi_root error")
 
 
-@dataclass
 class WordFormDictionary:
     """Entries as "source\ttarget" lines, in build order and without
-    duplicates, plus the factor scheme and the lexicon rows that failed."""
+    duplicates, plus the factor scheme and the lexicon rows that failed.
+    Two are equal when their lines and schemes are: the failures are not
+    compared."""
 
-    lines: list[str]
-    scheme: FactorScheme
-    failures: list[EntryFailure] = field(default_factory=list, compare=False)
+    __slots__ = ("lines", "scheme", "failures")
 
-    @cached_property
+    def __init__(self, lines: list[str], scheme: FactorScheme,
+                 failures: list[EntryFailure] | None = None):
+        self.lines = lines
+        self.scheme = scheme
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if type(other) is not WordFormDictionary:
+            return NotImplemented
+        return (self.lines, self.scheme) == (other.lines, other.scheme)
+
+    def __repr__(self) -> str:
+        return f"WordFormDictionary({self.lines!r}, {self.scheme!r}, {self.failures!r})"
+
+    @property
     def entries(self) -> list[tuple[str, str]]:
         # counted by bench/spans.py and bench/table.py; nothing else reads it
         return [tuple(ln.split("\t")) for ln in self.lines]

@@ -12,8 +12,7 @@ uses the plain relative formula 100 * (baseline - augmented) / baseline.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import EmptyCorpus, InputError, LengthMismatch, ZeroBaseline
@@ -23,9 +22,11 @@ if TYPE_CHECKING:  # annotations only: oov and bleu load no corpus layer
     from .dictionary_builder import FactorScheme
 
 
-@dataclass
 class VocabSet:
-    entries: set[str]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: set[str]):
+        self.entries = entries
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "VocabSet":
@@ -39,20 +40,20 @@ class VocabSet:
     def __contains__(self, item: str) -> bool:
         return item in self.entries
 
+    def __eq__(self, other):
+        if type(other) is not VocabSet:
+            return NotImplemented
+        return self.entries == other.entries
 
-@dataclass
-class OovReport:
-    total_tokens: int
-    oov_tokens: int
-    oov_types: list[str]
+    def __repr__(self) -> str:
+        return f"VocabSet({self.entries!r})"
+
+
+class OovReport(namedtuple("OovReport", "total_tokens oov_tokens oov_types")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "total_tokens": self.total_tokens,
-            "oov_tokens": self.oov_tokens,
-            "oov_types": self.oov_types,
-        }
+        return {"schema_version": 1, **self._asdict()}
 
 
 def oov_count(tokens: Sequence[str], vocab: VocabSet) -> OovReport:
@@ -74,26 +75,15 @@ def oov_reduction(baseline: int, augmented: int) -> float:
     return 100.0 * (baseline - augmented) / baseline
 
 
-@dataclass
-class StepReport:
-    step: str
-    seen: int
-    unseen: int
-    unseen_tuples: list[str]
+class StepReport(namedtuple("StepReport", "step seen unseen unseen_tuples")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "seen": self.seen,
-            "unseen": self.unseen,
-            "unseen_tuples": self.unseen_tuples,
-        }
+        return self._asdict()
 
 
-@dataclass
-class SparsityReport:
-    translation_steps: list[StepReport]
-    generation_steps: list[StepReport]
+class SparsityReport(namedtuple("SparsityReport", "translation_steps generation_steps")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -163,23 +153,12 @@ def sparsity_report(
     return SparsityReport(*sides)
 
 
-@dataclass
-class BleuScore:
-    score: float
-    precisions: tuple[float, float, float, float]
-    brevity_penalty: float
-    candidate_length: int
-    reference_length: int
+class BleuScore(namedtuple(
+        "BleuScore", "score precisions brevity_penalty candidate_length reference_length")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "score": self.score,
-            "precisions": list(self.precisions),
-            "brevity_penalty": self.brevity_penalty,
-            "candidate_length": self.candidate_length,
-            "reference_length": self.reference_length,
-        }
+        return {"schema_version": 1, **self._asdict(), "precisions": list(self.precisions)}
 
 
 def bleu(

@@ -18,7 +18,7 @@ a suffix taken from the table is legal by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -61,17 +61,16 @@ PARADIGM_SLOTS = (
 )
 
 
-@dataclass(frozen=True)
-class NounLexEntry:
-    hindi_root: str
-    gender: Gender
-    countable: bool = True
-    class_override: NounClass | None = None
+class NounLexEntry(namedtuple("NounLexEntry", "hindi_root gender countable class_override")):
+    """A noun's root, stored normalized, and what decides its class."""
 
-    def __post_init__(self):
-        if not self.hindi_root.strip():
+    __slots__ = ()
+
+    def __new__(cls, hindi_root: str, gender: Gender, countable: bool = True,
+                class_override: NounClass | None = None):
+        if not hindi_root.strip():
             raise EmptyRoot("noun entry with empty root")
-        object.__setattr__(self, "hindi_root", sc.normalize(self.hindi_root))
+        return tuple.__new__(cls, (sc.normalize(hindi_root), gender, countable, class_override))
 
 
 class SuffixTable:
@@ -138,8 +137,9 @@ def classify_noun(entry: NounLexEntry) -> NounClass:
     """Predict the inflection class from gender and the root's ending.
 
     An explicit override wins; uncountable (mass/abstract) nouns are
-    class A, which is not recoverable from gender+ending alone. The root
-    must be a Devanagari word whatever its class.
+    class A, which is not recoverable from gender+ending alone, and an
+    override of another class is an error. The root must be a Devanagari
+    word whatever its class.
     """
     return _classify(entry, sc.ending_of(entry.hindi_root))
 
@@ -147,6 +147,9 @@ def classify_noun(entry: NounLexEntry) -> NounClass:
 def _classify(entry: NounLexEntry, ending: sc.EndingCategory) -> NounClass:
     """The class of an entry whose root has this ending."""
     if entry.class_override is not None:
+        if not entry.countable and entry.class_override is not NounClass.A:
+            raise InputError(f"uncountable noun with class override {entry.class_override.value}: "
+                             "uncountable nouns are class A")
         return entry.class_override
     if not entry.countable:
         return NounClass.A
@@ -218,11 +221,24 @@ def noun_paradigm(
             for number, case, suffix in table.rows[cls]]
 
 
-@dataclass
 class BilingualNoun:
-    english_root: str
-    entry: NounLexEntry
-    where: str = field(default="", compare=False)  # "file:line" of the lexicon row
+    """An English root, its noun entry, and the "file:line" of the
+    lexicon row; two are equal when their roots and entries are."""
+
+    __slots__ = ("english_root", "entry", "where")
+
+    def __init__(self, english_root: str, entry: NounLexEntry, where: str = ""):
+        self.english_root = english_root
+        self.entry = entry
+        self.where = where
+
+    def __eq__(self, other):
+        if type(other) is not BilingualNoun:
+            return NotImplemented
+        return (self.english_root, self.entry) == (other.english_root, other.entry)
+
+    def __repr__(self) -> str:
+        return f"BilingualNoun({self.english_root!r}, {self.entry!r}, {self.where!r})"
 
 
 def parse_noun_lexicon(

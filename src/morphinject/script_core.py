@@ -27,13 +27,16 @@ import re
 import unicodedata
 from contextlib import contextmanager
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import EmptyInput, InputError, NonDevanagariContent
 
 NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
+
+# the packaged data tables; read as files, since importlib.resources
+# imports inspect on Python 3.12 and later
+_DATA_DIR = Path(__file__).parent / "data"
 
 # the null factor, and a surface or a factor of a factored token: no
 # separator, no whitespace (\s matches exactly the characters for which
@@ -346,7 +349,7 @@ def read_table(
     packaged file `default_name` when `source` is None, else a path or an
     open text stream."""
     if source is None:
-        name, source = default_name, resources.files("morphinject.data").joinpath(default_name)
+        name, source = default_name, _DATA_DIR / default_name
     elif hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
     else:

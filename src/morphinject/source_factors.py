@@ -4,8 +4,7 @@ The toolkit never runs a tagger or parser itself: it ingests the
 standard 10-column CoNLL-U produced by external tools. Noun tokens get
 (number, case), verb tokens (XPOS VB*) get (number, person, TAM).
 Unresolvable features never abort a sentence; they take the least-marked
-defaults (singular, third person, direct case) and the decision is
-logged on the ``morphinject.source_factors`` logger.
+defaults (singular, third person, direct case).
 
 Factor values are the strings they are written as ("pl", "obl", "3",
 "perf"). The pronoun, case-rule and TAM-rule loaders check each value
@@ -21,7 +20,6 @@ sentence order wins, as in a scan of the sentence.
 
 from __future__ import annotations
 
-import logging
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -30,8 +28,6 @@ from . import script_core as sc
 from .errors import InputError, NotANoun, NotAVerb
 from .noun_morph import Case, Number
 from .verb_morph import Person, TamSlot
-
-log = logging.getLogger("morphinject.source_factors")
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PLURAL_TAGS = {"NNS", "NNPS"}
@@ -245,10 +241,7 @@ def noun_case(
 def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, str]]) -> str:
     for name, case in rules:
         if _CASE_TESTS[name](token, ix):
-            if name == "default":
-                log.debug("noun %r: case defaulted to %s", token.form, case)
             return case
-    log.debug("noun %r: no case rule matched, defaulting to direct", token.form)
     return "dir"
 
 
@@ -332,25 +325,16 @@ def _verb_factors(
 ) -> tuple[str, str, str]:
     number, person = "sg", "3"
     subject = _find_subject(verb, ix)
-    if subject is None:
-        log.debug("verb %r: no subject found, defaulting to sg/3", verb.form)
-    else:
+    if subject is not None:
         pron = pronouns.lookup(subject.form)
         if pron is not None:
             person, number = pron
         elif is_noun(subject):
             number = noun_number(subject)
-        else:
-            log.debug(
-                "verb %r: subject %r is neither pronoun nor noun, defaulting",
-                verb.form, subject.form,
-            )
 
     tam = "hab"
     for name, slot in tam_rules:
         if _TAM_TESTS[name](verb, ix):
-            if name == "default":
-                log.debug("verb %r: TAM defaulted to %s", verb.form, slot)
             tam = slot
             break
     return number, person, tam

@@ -20,7 +20,7 @@ stem's ending once. The public `join_verb` normalizes its inputs first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -57,16 +57,17 @@ Cell = tuple[str, str | None, str | None, str | None, str | None]
 Override = tuple[str, str | None, str | None, str | None, str]
 
 
-@dataclass(frozen=True)
-class VerbLexEntry:
-    hindi_root: str  # verb stem: infinitive minus ना
-    english_root: str
-    irregular_forms: tuple[Override, ...] = ()
+class VerbLexEntry(namedtuple("VerbLexEntry", "hindi_root english_root irregular_forms")):
+    """A verb's stem (the infinitive minus ना), stored normalized, its
+    English root and its irregular-form overrides."""
 
-    def __post_init__(self):
-        if not self.hindi_root.strip():
+    __slots__ = ()
+
+    def __new__(cls, hindi_root: str, english_root: str,
+                irregular_forms: tuple[Override, ...] = ()):
+        if not hindi_root.strip():
             raise InputError("verb entry with empty stem")
-        object.__setattr__(self, "hindi_root", sc.normalize(self.hindi_root))
+        return tuple.__new__(cls, (sc.normalize(hindi_root), english_root, irregular_forms))
 
 
 # the values of each dimension, in enum order, and each one's cell position

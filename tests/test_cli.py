@@ -121,6 +121,30 @@ def test_a_noun_root_that_is_not_a_word_fails_whatever_its_class(tmp_path, capsy
     assert (code, out, err) == (1, "", f"error: {lex}:2: {error}\n")
 
 
+_UNCOUNTABLE_D = "uncountable noun with class override D: uncountable nouns are class A"
+
+
+def test_an_uncountable_noun_takes_no_class_override_but_a(tmp_path, capsys):
+    code, out, err = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m",
+                         "--uncountable", "--noun-class", "D")
+    assert (code, out, err) == (1, "", f"error: {_UNCOUNTABLE_D}\n")
+    code, out, _ = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m",
+                       "--uncountable", "--noun-class", "A")
+    assert (code, out) == (0, "sg\tdir\t-\tकुत्ता\nsg\tobl\t-\tकुत्ता\n"
+                              "pl\tdir\t-\tकुत्ता\npl\tobl\t-\tकुत्ता\n")
+    lex = tmp_path / "nouns.tsv"
+    lex.write_text("boy\tलड़का\tm\t1\tD\nwater\tपानी\tm\t0\tA\ndog\tकुत्ता\tm\t0\tD\n", "utf-8")
+    code, out, err = run(capsys, "classify", "--lexicon", str(lex), "--bilingual")
+    assert (code, out, err) == (1, "", f"error: {lex}:3: {_UNCOUNTABLE_D}\n")
+    dictionary, failures = tmp_path / "dict.txt", tmp_path / "failures.json"
+    code, _, err = run(capsys, "build-dict", "--kind", "noun", "--lexicon", str(lex),
+                       "--out", str(dictionary), "--failures", str(failures))
+    assert (code, err) == (0, "warning: 1 lexicon rows failed\n")
+    assert dictionary.read_text("utf-8").count("\n") == 8  # the boy's and the water's entries
+    assert json.loads(failures.read_text("utf-8"))["failures"] == [
+        {"row": 2, "english_root": "dog", "hindi_root": "कुत्ता", "error": _UNCOUNTABLE_D}]
+
+
 def test_a_verb_stem_that_is_not_a_word_fails_without_a_vowel_initial_suffix(tmp_path, capsys):
     table = tmp_path / "verb_suffixes.tsv"
     table.write_text("inf\t-\t-\t-\tना\nhab\tm\t-\t-\tता\nhab\tf\t-\t-\tती\n", "utf-8")

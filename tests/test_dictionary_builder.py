@@ -3,7 +3,6 @@ import pytest
 from conftest import FactoredToken, ref_entries
 from morphinject import script_core as sc
 from morphinject.dictionary_builder import (
-    FactorScheme,
     NOUN_SCHEME,
     SURFACE_SCHEME,
     VERB_SCHEME,
@@ -43,15 +42,6 @@ def test_factored_token_validation():
     with pytest.raises(InputError):
         FactoredToken("two words", ("sg",))  # spaces only allowed surface-only
     FactoredToken("will walk")  # periphrastic surface-only is fine
-
-
-def test_scheme_validation():
-    with pytest.raises(InputError):
-        FactorScheme(
-            source_factors=("root",),
-            target_factors=("surface",),
-            translation_steps=((("missing",), ("surface",)),),
-        )
 
 
 def test_build_noun_dict_dog():

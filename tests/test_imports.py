@@ -1,12 +1,14 @@
 """The import graph: a CLI call loads only the layers its subcommand runs,
-and the package's public names load their module on first access.
+none of them loads dataclasses, inspect or logging, and the package's
+public names load their module on first access.
 
 Each call runs in a fresh interpreter, which calls cli.main and reports
-the morphinject modules in sys.modules.
+the modules in sys.modules; a bare interpreter reports its own, so that
+what a site .pth file imports is not counted against a call.
 """
 
 import argparse
-import json
+import functools
 import os
 import subprocess
 import sys
@@ -45,22 +47,67 @@ EXPORTS = {
 }
 
 _PROBE = """\
-import json, sys
+import sys
 from morphinject import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "morphinject")]))
+print(code, *sys.modules)
 """
+_BARE = "import sys; print(0, *sys.modules)"
+
+
+def _modules(*args) -> set[str]:
+    """The modules loaded at the end of `python -c *args`; it must exit 0."""
+    env = {k: v for k, v in os.environ.items() if k != "MORPHINJECT_DATA"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split(" ")
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+@functools.cache
+def _bare() -> set[str]:
+    return _modules(_BARE)
 
 
 def _loaded(*argv) -> set[str]:
-    env = {k: v for k, v in os.environ.items() if k != "MORPHINJECT_DATA"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    return set(modules)
+    """The morphinject modules a CLI call loads."""
+    return {m for m in _modules(_PROBE, *argv) if m.partition(".")[0] == "morphinject"}
+
+
+def _calls(tmp_path) -> dict[str, list[str]]:
+    """One call of every subcommand that reads files, on small inputs."""
+    nouns, text = tmp_path / "nouns.tsv", tmp_path / "text.txt"
+    nouns.write_text("dog\tकुत्ता\tm\t1\n", "utf-8")
+    text.write_text("the dog walks\n", "utf-8")
+    dictionary = tmp_path / "dict.tsv"
+    dictionary.write_text("dog|sg|dir\tकुत्ता|कुत्ता|null\n", "utf-8")
+    src, tgt = str(FIXTURES / "corpus_src.txt"), str(FIXTURES / "corpus_tgt.txt")
+    out = str(tmp_path / "out")
+    return {
+        "annotate": ["--conllu", str(FIXTURES / "sample.conllu"), "--out", out],
+        "build-dict": ["--kind", "noun", "--lexicon", str(nouns), "--out", out,
+                       "--failures", out + ".json"],
+        "inject": ["--source", src, "--target", tgt, "--dict", str(dictionary),
+                   "--out-source", out + ".src", "--out-target", out + ".tgt",
+                   "--report", out + ".json", "--format", "json"],
+        "sparsity": ["--train-source", src, "--train-target", tgt, "--probe-source", src,
+                     "--probe-target", tgt, "--scheme", "noun", "--format", "json", "--out", out],
+        "oov": ["--tokens", str(text), "--vocab", str(text), "--format", "json", "--out", out],
+        "bleu": ["--candidates", str(text), "--references", str(text), "--format", "json",
+                 "--out", out],
+        "paradigm": ["--root", "कुत्ता", "--gender", "m", "--out", out],
+        "classify": ["--lexicon", str(nouns), "--bilingual", "--out", out],
+    }
+
+
+@pytest.mark.parametrize("subcommand", ["annotate", "build-dict", "inject", "sparsity", "oov",
+                                        "bleu", "paradigm", "classify"])
+def test_no_call_loads_dataclasses_inspect_or_logging(tmp_path, subcommand):
+    loaded = _modules(_PROBE, subcommand, *_calls(tmp_path)[subcommand]) - _bare()
+    assert "morphinject.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "logging"}
 
 
 @pytest.mark.parametrize("subcommand, first, second", [

@@ -17,12 +17,13 @@ class-A noun, a verb whose table has no vowel-initial suffix) and
 succeeds.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import RewriteRule, VerbFactors, ref_override, rewrite_ending
 from morphinject import script_core as sc
-from morphinject.errors import IllegalSuffixForClass
+from morphinject.errors import IllegalSuffixForClass, InputError
 from morphinject.noun_morph import (
     PARADIGM_SLOTS,
     Gender,
@@ -51,6 +52,10 @@ E = sc.EndingCategory
 
 def _ref_classify(entry):
     if entry.class_override is not None:
+        if not entry.countable and entry.class_override is not NounClass.A:
+            sc.ending_of(entry.hindi_root)  # the root is checked first
+            raise InputError(f"uncountable noun with class override {entry.class_override.value}: "
+                             "uncountable nouns are class A")
         return entry.class_override
     if not entry.countable:
         return NounClass.A
@@ -269,8 +274,12 @@ def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override
     canonical form."""
     noun = NounLexEntry(root, gender, countable, override)
     assume(_outcome(sc.ending_of, noun.hindi_root)[0] == "ok")
-    surfaces = [row[-1] for row in noun_paradigm(noun)]
-    surfaces += [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"))]
+    surfaces = [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"))]
+    if countable or override in (None, NounClass.A):
+        surfaces += [row[-1] for row in noun_paradigm(noun)]
+    else:  # an uncountable noun is class A
+        with pytest.raises(InputError, match="uncountable"):
+            noun_paradigm(noun)
     for surface in surfaces:
         assert sc._WORD.fullmatch(surface), surface
         assert sc.normalize(surface) == surface
