@@ -12,14 +12,19 @@ against its enum (Number, Case, Person, TamSlot) and keep the string,
 and a row that could never take effect (a second row for a pronoun, a
 rule named twice or listed after "default") is an error at its line.
 
-The case and TAM rules read a token's head, children and modal from an
-index built in one pass over the sentence, so annotating a sentence
-costs time linear in its length. Where IDs repeat, the first token in
-sentence order wins, as in a scan of the sentence.
+Each case or TAM rule names a yes/no fact about a token (CASE_FACTS,
+TAM_FACTS), and a rule list is compiled once into a table indexed by a
+token's fact bits, each entry the value of the first rule whose fact
+holds. One pass over the sentence records what the facts read of a
+token's head, children and modal, so annotating a sentence costs time
+linear in its length and one table read per noun or verb. Where IDs
+repeat, the first token in sentence order wins, as in a scan of the
+sentence.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -74,11 +79,11 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
         return PronounTable(entries)
 
 
-def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list[tuple[str, str]]:
+def _load_rules(source, default_name: str, facts: tuple, kind, what: str) -> list[tuple[str, str]]:
     rules: dict[str, str] = {}
     name, rows = sc.read_table(source, default_name, ("rule", what))
     for where, (rule, value) in rows:
-        if rule not in tests:
+        if rule not in facts and rule != "default":
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
         value = sc.table_value(kind, what, value, where)
         # first match wins, so a rule named again or after default never fires
@@ -93,11 +98,11 @@ def _load_rules(source, default_name: str, tests: dict, kind, what: str) -> list
 
 
 def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "case_rules.tsv", _CASE_TESTS, Case, "case")
+    return _load_rules(source, "case_rules.tsv", CASE_FACTS, Case, "case")
 
 
 def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "tam_rules.tsv", _TAM_TESTS, TamSlot, "TAM")
+    return _load_rules(source, "tam_rules.tsv", TAM_FACTS, TamSlot, "TAM")
 
 
 # ConlluToken(...) without the Python-level __new__ of a NamedTuple
@@ -107,8 +112,9 @@ _token = tuple.__new__
 def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[ConlluToken]]:
     """Yield the sentences of CoNLL-U lines, one list of tokens at a time,
     as the lines are read. Comment lines, multiword-token ranges (1-2) and
-    empty nodes (1.1) are skipped; `name` locates errors as name:line, and
-    an error is raised when its line is reached."""
+    empty nodes (1.1) are skipped. Any other ID, and a HEAD other than "_",
+    must be ASCII digits. `name` locates errors as name:line, and an error
+    is raised when its line is reached."""
     tokens: list[ConlluToken] = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -116,19 +122,23 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
                 yield tokens
                 tokens = []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             continue
         cols = line.split("\t")
         try:
             tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
         except ValueError:
             raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}") from None
-        if "-" in tid or "." in tid:
-            continue
+        if not (tid.isdigit() and tid.isascii()
+                and (head.isdigit() and head.isascii() or head == "_")):
+            # a multiword-token range (1-2) or an empty node (1.1)
+            if re.fullmatch(r"[0-9]+[-.][0-9]+", tid):
+                continue
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
         try:
             tokens.append(_token(ConlluToken, (
                 int(tid), form, lemma, xpos, 0 if head == "_" else int(head), deprel)))
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
     if tokens:
         yield tokens
@@ -148,64 +158,27 @@ def noun_number(token: ConlluToken) -> str:
     return "pl" if token.xpos in PLURAL_TAGS else "sg"
 
 
-class _Index:
-    """One pass over a sentence: what the rules read about a token's
-    neighbours, keyed by ID. Where IDs repeat, sentence order decides."""
-
-    __slots__ = ("by_id", "children", "md_child", "md_by_id")
-
-    def __init__(self, sentence: list[ConlluToken]):
-        self.by_id: dict[int, ConlluToken] = {}  # first token with each ID
-        self.children: dict[int, list[ConlluToken]] = {}  # by head ID, in sentence order
-        # the first MD token with each head / each ID, with its position
-        self.md_child: dict[int, tuple[int, ConlluToken]] = {}
-        self.md_by_id: dict[int, tuple[int, ConlluToken]] = {}
-        by_id, children = self.by_id, self.children
-        for pos, t in enumerate(sentence):
-            if t.id not in by_id:
-                by_id[t.id] = t
-            kids = children.get(t.head)
-            if kids is None:
-                children[t.head] = [t]
-            else:
-                kids.append(t)
-            if t.xpos == "MD":
-                self.md_child.setdefault(t.head, (pos, t))
-                self.md_by_id.setdefault(t.id, (pos, t))
-
-    def children_of(self, token: ConlluToken) -> list[ConlluToken]:
-        return self.children.get(token.id, [])
+# A rule names a fact about a token. A token's facts are the bits of an
+# int, bit i set when facts[i] holds; "default" always holds.
+CASE_FACTS = ("prep_object", "ergative_subject", "subject", "direct_object")
+TAM_FACTS = ("md_will", "md_other", "to_infinitive", "past_tag", "present_tag",
+             "bare_no_subject")
+_WILL = ("will", "shall", "'ll", "wo")
 
 
-def _is_prep_object(token: ConlluToken, ix: _Index) -> bool:
-    if token.deprel in PREP_OBJECT_DEPRELS or token.deprel.startswith("obl:"):
-        return True
-    # UD marks the relation on the noun's `case` child (in/of/with ...)
-    return any(c.deprel == "case" for c in ix.children_of(token))
-
-
-def _is_subject(token: ConlluToken, ix: _Index) -> bool:
-    return token.deprel in SUBJECT_DEPRELS
-
-
-def _is_ergative_subject(token: ConlluToken, ix: _Index) -> bool:
-    if not _is_subject(token, ix):
-        return False
-    head = ix.by_id.get(token.head)
-    return head is not None and head.xpos in ("VBD", "VBN")
-
-
-def _is_direct_object(token: ConlluToken, ix: _Index) -> bool:
-    return token.deprel in DIRECT_OBJECT_DEPRELS
-
-
-_CASE_TESTS = {
-    "prep_object": _is_prep_object,
-    "ergative_subject": _is_ergative_subject,
-    "subject": _is_subject,
-    "direct_object": _is_direct_object,
-    "default": lambda token, ix: True,
-}
+@cache
+def compile_rules(rules: tuple[tuple[str, str], ...], facts: tuple[str, ...],
+                  fallback: str) -> tuple[str, ...]:
+    """The ordered rules as a table over fact bits: entry `bits` is the
+    value of the first rule whose fact holds, or `fallback` if none does.
+    Built once per distinct rules."""
+    for name, _ in rules:
+        if name != "default" and name not in facts:
+            raise InputError(f"unknown rule {name!r}")
+    return tuple(
+        next((value for name, value in rules
+              if name == "default" or bits >> facts.index(name) & 1), fallback)
+        for bits in range(1 << len(facts)))
 
 
 @cache
@@ -226,6 +199,96 @@ def default_pronoun_table() -> PronounTable:
     return load_pronoun_table()
 
 
+def _case_table(rules: list[tuple[str, str]] | None) -> tuple[str, ...]:
+    """The compiled case rules, the packaged ones if None."""
+    return compile_rules(tuple(default_case_rules() if rules is None else rules),
+                         CASE_FACTS, "dir")
+
+
+def _tam_table(rules: list[tuple[str, str]] | None) -> tuple[str, ...]:
+    """The compiled TAM rules, the packaged ones if None."""
+    return compile_rules(tuple(default_tam_rules() if rules is None else rules),
+                         TAM_FACTS, "hab")
+
+
+def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
+    """One pass over a sentence: what the rules read about a token's
+    neighbours, keyed by ID. Where IDs repeat, sentence order decides."""
+    tags: dict[int, str] = {}  # the XPOS of the first token with each ID
+    subjects: dict[int, ConlluToken] = {}  # head ID -> its first subject child
+    case_heads = set()  # IDs with a `case` child
+    to_heads = set()  # IDs with a TO child, or a "to" mark or aux child
+    # (position, md_will/md_other bits) of the first MD child of each head
+    # and of the first MD token with each ID
+    md_child: dict[int, tuple[int, int]] = {}
+    md_by_id: dict[int, tuple[int, int]] = {}
+    for pos, token in enumerate(sentence):
+        tid, form, _, xpos, head, deprel = token
+        if tid not in tags:
+            tags[tid] = xpos
+        # a token can hold several facts at once: each is set on its own
+        if deprel in SUBJECT_DEPRELS and head not in subjects:
+            subjects[head] = token
+        if deprel == "case":
+            case_heads.add(head)
+        if xpos == "TO" or (deprel in ("mark", "aux") and form.lower() == "to"):
+            to_heads.add(head)
+        if xpos == "MD":
+            md = (pos, 3 if form.lower() in _WILL else 2)
+            if head not in md_child:
+                md_child[head] = md
+            if tid not in md_by_id:
+                md_by_id[tid] = md
+    return tags, subjects, case_heads, to_heads, md_child, md_by_id
+
+
+def _case_bits(noun: ConlluToken, tags: dict, case_heads: set) -> int:
+    """The noun's CASE_FACTS bits. UD marks a prepositional object on the
+    noun's `case` child (in/of/with ...)."""
+    deprel = noun.deprel
+    bits = 0
+    if deprel in PREP_OBJECT_DEPRELS or deprel.startswith("obl:") or noun.id in case_heads:
+        bits = 1
+    if deprel in SUBJECT_DEPRELS:
+        bits |= 6 if tags.get(noun.head) in ("VBD", "VBN") else 4
+    if deprel in DIRECT_OBJECT_DEPRELS:
+        bits |= 8
+    return bits
+
+
+def _tam_bits(verb: ConlluToken, subjects: dict, to_heads: set,
+              md_child: dict, md_by_id: dict) -> int:
+    """The verb's TAM_FACTS bits. Its modal is the first MD token, in
+    sentence order, that is its child or its head."""
+    md = md_child.get(verb.id)
+    head = md_by_id.get(verb.head)
+    if md is None or (head is not None and head[0] < md[0]):
+        md = head
+    bits = 0 if md is None else md[1]
+    if verb.id in to_heads:
+        bits |= 4
+    xpos = verb.xpos
+    if xpos == "VBD":
+        bits |= 8
+    elif xpos in ("VBZ", "VBP"):
+        bits |= 16
+    elif xpos == "VB" and verb.id not in subjects:
+        bits |= 32
+    return bits
+
+
+def _agreement(subject: ConlluToken | None, pronouns: PronounTable) -> tuple[str, str]:
+    """(number, person) from the verb's subject: a pronoun's, a plural
+    noun's, or singular third."""
+    if subject is not None:
+        pron = pronouns.lookup(subject.form)
+        if pron is not None:
+            return pron[1], pron[0]
+        if subject.xpos in PLURAL_TAGS:
+            return "pl", "3"
+    return "sg", "3"
+
+
 def noun_case(
     token: ConlluToken,
     sentence: list[ConlluToken],
@@ -235,69 +298,8 @@ def noun_case(
     wins; "dir" if none matches."""
     if not is_noun(token):
         raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    return _noun_case(token, _Index(sentence), default_case_rules() if rules is None else rules)
-
-
-def _noun_case(token: ConlluToken, ix: _Index, rules: list[tuple[str, str]]) -> str:
-    for name, case in rules:
-        if _CASE_TESTS[name](token, ix):
-            return case
-    return "dir"
-
-
-def _modal_of(verb: ConlluToken, ix: _Index) -> ConlluToken | None:
-    """The first MD token, in sentence order, that is the verb's child or head."""
-    child = ix.md_child.get(verb.id)
-    head = ix.md_by_id.get(verb.head)
-    if child is None or (head is not None and head[0] < child[0]):
-        child = head
-    return None if child is None else child[1]
-
-
-def _test_md_will(verb, ix):
-    md = _modal_of(verb, ix)
-    return md is not None and md.form.lower() in ("will", "shall", "'ll", "wo")
-
-
-def _test_md_other(verb, ix):
-    return _modal_of(verb, ix) is not None
-
-
-def _test_to_infinitive(verb, ix):
-    return any(
-        c.xpos == "TO" or (c.form.lower() == "to" and c.deprel in ("mark", "aux"))
-        for c in ix.children_of(verb)
-    )
-
-
-def _test_past_tag(verb, ix):
-    return verb.xpos == "VBD"
-
-
-def _test_present_tag(verb, ix):
-    return verb.xpos in ("VBZ", "VBP")
-
-
-def _test_bare_no_subject(verb, ix):
-    return verb.xpos == "VB" and _find_subject(verb, ix) is None
-
-
-_TAM_TESTS = {
-    "md_will": _test_md_will,
-    "md_other": _test_md_other,
-    "to_infinitive": _test_to_infinitive,
-    "past_tag": _test_past_tag,
-    "present_tag": _test_present_tag,
-    "bare_no_subject": _test_bare_no_subject,
-    "default": lambda verb, ix: True,
-}
-
-
-def _find_subject(verb: ConlluToken, ix: _Index) -> ConlluToken | None:
-    for t in ix.children_of(verb):
-        if t.deprel in SUBJECT_DEPRELS:
-            return t
-    return None
+    tags, _, case_heads, _, _, _ = _sentence_facts(sentence)
+    return _case_table(rules)[_case_bits(token, tags, case_heads)]
 
 
 def verb_factors(
@@ -310,33 +312,10 @@ def verb_factors(
     pronoun list, TAM from the ordered tag-pattern rules."""
     if not is_verb(verb):
         raise NotAVerb(f"{verb.form!r} has tag {verb.xpos}, not a verb")
-    return _verb_factors(
-        verb, _Index(sentence),
-        default_pronoun_table() if pronouns is None else pronouns,
-        default_tam_rules() if tam_rules is None else tam_rules,
-    )
-
-
-def _verb_factors(
-    verb: ConlluToken,
-    ix: _Index,
-    pronouns: PronounTable,
-    tam_rules: list[tuple[str, str]],
-) -> tuple[str, str, str]:
-    number, person = "sg", "3"
-    subject = _find_subject(verb, ix)
-    if subject is not None:
-        pron = pronouns.lookup(subject.form)
-        if pron is not None:
-            person, number = pron
-        elif is_noun(subject):
-            number = noun_number(subject)
-
-    tam = "hab"
-    for name, slot in tam_rules:
-        if _TAM_TESTS[name](verb, ix):
-            tam = slot
-            break
+    _, subjects, _, to_heads, md_child, md_by_id = _sentence_facts(sentence)
+    number, person = _agreement(subjects.get(verb.id),
+                                default_pronoun_table() if pronouns is None else pronouns)
+    tam = _tam_table(tam_rules)[_tam_bits(verb, subjects, to_heads, md_child, md_by_id)]
     return number, person, tam
 
 
@@ -431,20 +410,20 @@ def annotate_sentence(
     if mode not in ("noun", "verb", "both"):
         raise InputError(f"bad annotation mode {mode!r}")
     nouns, verbs = mode != "verb", mode != "noun"
-    ix = _Index(sentence)
     if pronouns is None:
         pronouns = default_pronoun_table()
-    if case_rules is None:
-        case_rules = default_case_rules()
-    if tam_rules is None:
-        tam_rules = default_tam_rules()
+    case_table, tam_table = _case_table(case_rules), _tam_table(tam_rules)
+    tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
     out = []
     for token in sentence:
-        if nouns and is_noun(token):
-            case = _noun_case(token, ix, case_rules)
-            out.append((_lemma(token), [noun_number(token), case]))
-        elif verbs and is_verb(token):
-            out.append((_lemma(token), [*_verb_factors(token, ix, pronouns, tam_rules)]))
+        xpos = token.xpos
+        if nouns and xpos in NOUN_TAGS:
+            case = case_table[_case_bits(token, tags, case_heads)]
+            out.append((_lemma(token), ["pl" if xpos in PLURAL_TAGS else "sg", case]))
+        elif verbs and xpos.startswith("VB"):
+            number, person = _agreement(subjects.get(token.id), pronouns)
+            tam = tam_table[_tam_bits(token, subjects, to_heads, md_child, md_by_id)]
+            out.append((_lemma(token), [number, person, tam]))
         else:
             out.append((token.form, []))
     return out

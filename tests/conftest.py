@@ -306,19 +306,82 @@ def ref_rules(rules, kind):
     return [(name, kind(value)) for name, value in rules]
 
 
-def ref_noun_case(token, ix, rules) -> Case:
-    """First matching rule of (rule, Case) pairs, over the package's index."""
+# --- reference annotator: every rule walks the whole sentence for the
+# token's head, children and modal, and takes rules whose values are
+# enum members ---
+
+
+def _children(token, sentence):
+    return [t for t in sentence if t.head == token.id]
+
+
+def _head_of(token, sentence):
+    for t in sentence:
+        if t.id == token.head:
+            return t
+    return None
+
+
+def _modal_of(verb, sentence):
+    for t in sentence:
+        if t.xpos == "MD" and (t.head == verb.id or verb.head == t.id):
+            return t
+    return None
+
+
+def _find_subject(verb, sentence):
+    for t in sentence:
+        if t.head == verb.id and t.deprel in sf.SUBJECT_DEPRELS:
+            return t
+    return None
+
+
+REF_CASE_TESTS = {
+    "prep_object": lambda t, s: (
+        t.deprel in sf.PREP_OBJECT_DEPRELS or t.deprel.startswith("obl:")
+        or any(c.deprel == "case" for c in _children(t, s))
+    ),
+    "ergative_subject": lambda t, s: (
+        t.deprel in sf.SUBJECT_DEPRELS
+        and _head_of(t, s) is not None and _head_of(t, s).xpos in ("VBD", "VBN")
+    ),
+    "subject": lambda t, s: t.deprel in sf.SUBJECT_DEPRELS,
+    "direct_object": lambda t, s: t.deprel in sf.DIRECT_OBJECT_DEPRELS,
+    "default": lambda t, s: True,
+}
+
+REF_TAM_TESTS = {
+    "md_will": lambda v, s: (
+        _modal_of(v, s) is not None
+        and _modal_of(v, s).form.lower() in ("will", "shall", "'ll", "wo")
+    ),
+    "md_other": lambda v, s: _modal_of(v, s) is not None,
+    "to_infinitive": lambda v, s: any(
+        c.xpos == "TO" or (c.form.lower() == "to" and c.deprel in ("mark", "aux"))
+        for c in _children(v, s)
+    ),
+    "past_tag": lambda v, s: v.xpos == "VBD",
+    "present_tag": lambda v, s: v.xpos in ("VBZ", "VBP"),
+    "bare_no_subject": lambda v, s: (
+        v.xpos == "VB" and not any(t.deprel in sf.SUBJECT_DEPRELS for t in _children(v, s))
+    ),
+    "default": lambda v, s: True,
+}
+
+
+def ref_noun_case(token, sentence, rules) -> Case:
+    """The first matching rule of (rule, Case) pairs, or Case.DIRECT."""
     for name, case in rules:
-        if sf._CASE_TESTS[name](token, ix):
+        if REF_CASE_TESTS[name](token, sentence):
             return case
     return Case.DIRECT
 
 
-def ref_verb_factors(verb, ix, pronouns, rules) -> EnglishVerbFactors:
+def ref_verb_factors(verb, sentence, pronouns, rules) -> EnglishVerbFactors:
     """Number and person from the subject, TAM from the first matching of
-    (rule, TamSlot) pairs, over the package's index."""
+    (rule, TamSlot) pairs, or TamSlot.PRESENT_HABITUAL."""
     number, person = Number.SINGULAR, Person.THIRD
-    subject = sf._find_subject(verb, ix)
+    subject = _find_subject(verb, sentence)
     if subject is not None:
         pron = pronouns.lookup(subject.form)
         if pron is not None:
@@ -327,7 +390,7 @@ def ref_verb_factors(verb, ix, pronouns, rules) -> EnglishVerbFactors:
             number = Number.PLURAL if subject.xpos in sf.PLURAL_TAGS else Number.SINGULAR
     tam = TamSlot.PRESENT_HABITUAL
     for name, slot in rules:
-        if sf._TAM_TESTS[name](verb, ix):
+        if REF_TAM_TESTS[name](verb, sentence):
             tam = slot
             break
     return EnglishVerbFactors(number, person, tam)
@@ -335,17 +398,16 @@ def ref_verb_factors(verb, ix, pronouns, rules) -> EnglishVerbFactors:
 
 def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
     """annotate_sentence with enum rules, each factor rendered by .value."""
-    ix = sf._Index(sentence)
     out = []
     for token in sentence:
         # an empty or unspecified ("_") lemma falls back to the form
         lemma = token.form if token.lemma in ("", "_") else token.lemma
         if mode != "verb" and sf.is_noun(token):
             number = Number.PLURAL if token.xpos in sf.PLURAL_TAGS else Number.SINGULAR
-            case = ref_noun_case(token, ix, case_rules)
+            case = ref_noun_case(token, sentence, case_rules)
             out.append((lemma, [number.value, case.value]))
         elif mode != "noun" and token.xpos.startswith("VB"):
-            factors = ref_verb_factors(token, ix, pronouns, tam_rules)
+            factors = ref_verb_factors(token, sentence, pronouns, tam_rules)
             out.append((lemma, factors.values()))
         else:
             out.append((token.form, []))

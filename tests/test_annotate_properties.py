@@ -1,11 +1,13 @@
 """Property tests for CoNLL-U annotation.
 
-The reference below is the whole-sentence-scan annotator: every rule
+The reference is conftest's whole-sentence-scan annotator: every rule
 looks up heads, children and modals by walking the sentence, and takes
-rules whose values are enum members. The indexed `annotate_sentence`,
-given the same rules with string values, must give the .value rendering
-of the same factors on any dependency graph, well formed or not, and
-the CLI's string rendering
+rules whose values are enum members. `annotate_sentence`, which reads
+each token's facts from one pass over the sentence and its value from a
+compiled rule table, given the same rules with string values, must give
+the .value rendering of the same factors on any dependency graph, well
+formed or not. A compiled table must hold, for every fact vector, the
+value of the first rule whose fact holds. The CLI's string rendering
 must give the same line, or the same error, as the token route below:
 each token padded with null factors to the line's width, built as a
 FactoredToken in sentence order, and the tokens rendered.
@@ -17,126 +19,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EnglishVerbFactors, FactoredToken, ref_rules
+from conftest import (
+    FactoredToken,
+    ref_annotate_sentence,
+    ref_noun_case,
+    ref_rules,
+    ref_verb_factors,
+)
 from morphinject.cli import _annotation_line
 from morphinject.errors import InputError, NotANoun, NotAVerb
-from morphinject.noun_morph import Case, Number
+from morphinject.noun_morph import Case
 from morphinject.source_factors import (
-    DIRECT_OBJECT_DEPRELS,
-    PREP_OBJECT_DEPRELS,
-    SUBJECT_DEPRELS,
+    CASE_FACTS,
+    TAM_FACTS,
     ConlluToken,
     annotate_sentence,
+    compile_rules,
     default_case_rules,
     default_pronoun_table,
     default_tam_rules,
     is_noun,
     noun_case,
-    noun_number,
     verb_factors,
 )
-from morphinject.verb_morph import Person, TamSlot
-
-# --- reference: whole-sentence scans ---------------------------------------
-
-
-def _children(token, sentence):
-    return [t for t in sentence if t.head == token.id]
-
-
-def _head_of(token, sentence):
-    for t in sentence:
-        if t.id == token.head:
-            return t
-    return None
-
-
-def _modal_of(verb, sentence):
-    for t in sentence:
-        if t.xpos == "MD" and (t.head == verb.id or verb.head == t.id):
-            return t
-    return None
-
-
-def _find_subject(verb, sentence):
-    for t in sentence:
-        if t.head == verb.id and t.deprel in SUBJECT_DEPRELS:
-            return t
-    return None
-
-
-REF_CASE_TESTS = {
-    "prep_object": lambda t, s: (
-        t.deprel in PREP_OBJECT_DEPRELS or t.deprel.startswith("obl:")
-        or any(c.deprel == "case" for c in _children(t, s))
-    ),
-    "ergative_subject": lambda t, s: (
-        t.deprel in SUBJECT_DEPRELS
-        and _head_of(t, s) is not None and _head_of(t, s).xpos in ("VBD", "VBN")
-    ),
-    "subject": lambda t, s: t.deprel in SUBJECT_DEPRELS,
-    "direct_object": lambda t, s: t.deprel in DIRECT_OBJECT_DEPRELS,
-    "default": lambda t, s: True,
-}
-
-REF_TAM_TESTS = {
-    "md_will": lambda v, s: (
-        _modal_of(v, s) is not None
-        and _modal_of(v, s).form.lower() in ("will", "shall", "'ll", "wo")
-    ),
-    "md_other": lambda v, s: _modal_of(v, s) is not None,
-    "to_infinitive": lambda v, s: any(
-        c.xpos == "TO" or (c.form.lower() == "to" and c.deprel in ("mark", "aux"))
-        for c in _children(v, s)
-    ),
-    "past_tag": lambda v, s: v.xpos == "VBD",
-    "present_tag": lambda v, s: v.xpos in ("VBZ", "VBP"),
-    "bare_no_subject": lambda v, s: (
-        v.xpos == "VB" and not any(t.deprel in SUBJECT_DEPRELS for t in _children(v, s))
-    ),
-    "default": lambda v, s: True,
-}
-
-
-def ref_noun_case(token, sentence, rules):
-    for name, case in rules:
-        if REF_CASE_TESTS[name](token, sentence):
-            return case
-    return Case.DIRECT
-
-
-def ref_verb_factors(verb, sentence, pronouns, rules):
-    number, person = Number.SINGULAR, Person.THIRD
-    subject = _find_subject(verb, sentence)
-    if subject is not None:
-        pron = pronouns.lookup(subject.form)
-        if pron is not None:
-            person, number = Person(pron[0]), Number(pron[1])
-        elif is_noun(subject):
-            number = Number(noun_number(subject))
-    tam = TamSlot.PRESENT_HABITUAL
-    for name, slot in rules:
-        if REF_TAM_TESTS[name](verb, sentence):
-            tam = slot
-            break
-    return EnglishVerbFactors(number, person, tam)
-
-
-def ref_annotate(sentence, mode, case_rules, tam_rules):
-    pronouns = default_pronoun_table()
-    out = []
-    for token in sentence:
-        lemma = token.form if token.lemma in ("", "_") else token.lemma
-        if mode in ("noun", "both") and is_noun(token):
-            case = ref_noun_case(token, sentence, case_rules)
-            out.append((lemma, [noun_number(token), case.value]))
-        elif mode in ("verb", "both") and token.xpos.startswith("VB"):
-            vf = ref_verb_factors(token, sentence, pronouns, tam_rules)
-            out.append((lemma, vf.values()))
-        else:
-            out.append((token.form, []))
-    return out
-
+from morphinject.verb_morph import TamSlot
 
 # --- sentences ---------------------------------------------------------------
 
@@ -193,7 +99,8 @@ def _strings(rules):
 # Graphs where sentence order decides, each rarely drawn at random:
 # an MD head before an MD child; two MDs with one ID; two MD children;
 # two heads with one ID (VBD first, so the subject is ergative); two
-# subjects, the first a plural noun.
+# subjects, the first a plural noun. Last, a token that is both the
+# verb's MD child and its "to" mark child holds both facts (subj, not inf).
 ORDER_CASES = [
     [ConlluToken(1, "will", "will", "MD", 0, "root"),
      ConlluToken(2, "go", "go", "VB", 1, "xcomp"),
@@ -210,6 +117,8 @@ ORDER_CASES = [
     [ConlluToken(1, "dogs", "dog", "NNS", 3, "nsubj"),
      ConlluToken(2, "I", "i", "PRP", 3, "nsubj"),
      ConlluToken(3, "ran", "run", "VBD", 0, "root")],
+    [ConlluToken(1, "will", "will", "VB", 0, "root"),
+     ConlluToken(2, "to", "to", "MD", 1, "mark")],
 ]
 
 
@@ -226,7 +135,8 @@ def _with_order_cases(test):
 def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rules, tam_rules):
     # an empty rule list is used as given: every token takes the fallback
     assert (annotate_sentence(sentence, mode, None, _strings(case_rules), _strings(tam_rules))
-            == ref_annotate(sentence, mode, case_rules, tam_rules))
+            == ref_annotate_sentence(sentence, mode, default_pronoun_table(),
+                                     case_rules, tam_rules))
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,6 +156,32 @@ def test_public_rules_match_whole_sentence_scans(sentence, case_rules, tam_rules
         else:
             with pytest.raises(NotAVerb):
                 verb_factors(token, sentence, pronouns, _strings(tam_rules))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([(CASE_FACTS, "dir"), (TAM_FACTS, "hab")]),
+       st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["a", "b", "c"])), max_size=8),
+       st.integers(0, 63))
+@example((TAM_FACTS, "hab"), [], 63)
+@example((CASE_FACTS, "dir"), [(0, "a"), (4, "b"), (0, "c"), (1, "a")], 1)
+def test_a_compiled_table_holds_the_first_rule_whose_fact_holds(facts_fallback, picks, bits):
+    # rules name any fact or "default", in any order, repeats and rules
+    # after "default" included, or none
+    facts, fallback = facts_fallback
+    names = [*facts, "default"]
+    rules = tuple((names[i % len(names)], value) for i, value in picks)
+    bits %= 1 << len(facts)
+    held = {"default"} | {name for i, name in enumerate(facts) if bits >> i & 1}
+    first = [value for name, value in rules if name in held]
+    table = compile_rules(rules, facts, fallback)
+    assert len(table) == 1 << len(facts)
+    assert table[bits] == (first[0] if first else fallback)
+
+
+def test_a_rule_that_names_no_fact_is_an_error():
+    # a TAM rule is no case fact; the loaders locate the same mistake
+    with pytest.raises(InputError, match=r"^unknown rule 'past_tag'$"):
+        annotate_sentence([], "both", None, [("subject", "dir"), ("past_tag", "obl")])
 
 
 # --- rendering ---------------------------------------------------------------

@@ -419,6 +419,28 @@ def test_annotate_unspecified_lemma_falls_back_to_the_form(tmp_path, capsys):
     assert (code, out, err) == (0, "dogs|pl|obl|null ran|pl|3|perf .|null|null|null\n", "")
 
 
+@pytest.mark.parametrize("tid, head", [
+    ("abc-def", "1"), ("-1", "1"), ("1.x", "1"), ("1_0", "1"), ("٣", "1"),
+    ("3", "+2"), ("3", "-2"), ("3", " 2"),
+])
+def test_annotate_rejects_an_id_or_head_that_is_not_digits(tmp_path, capsys, tid, head):
+    # only a range (2-3) or an empty node (2.1) is skipped; any other row
+    # whose ID or HEAD is not ASCII digits is an error at its line
+    conllu = tmp_path / "ids.conllu"
+    conllu.write_text("1\tdogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_\n"
+                      "2-3\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                      "2.1\tcan\tcan\tAUX\tMD\t_\t_\t_\t_\t_\n"
+                      f"{tid}\tbark\tbark\tVERB\tVBP\t_\t{head}\tdep\t_\t_\n"
+                      "2\tran\trun\tVERB\tVBD\t_\t0\troot\t_\t_\n", "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", str(conllu))
+    assert (code, out, err) == (1, "", f"error: {conllu}:4: bad ID or HEAD field\n")
+    conllu.write_text(conllu.read_text("utf-8").replace(f"{tid}\tbark", "3\tbark")
+                      .replace(f"\t{head}\tdep", "\t2\tdep"), "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", str(conllu))
+    assert (code, err) == (0, "")
+    assert out == "dog|pl|obl|null bark|sg|3|hab run|pl|3|perf\n"
+
+
 def test_oov_and_sparsity(tmp_path, capsys):
     toks = tmp_path / "probe.txt"
     vocab = tmp_path / "vocab.txt"

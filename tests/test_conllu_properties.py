@@ -5,10 +5,13 @@ every sentence at once, as lists of frozen-dataclass tokens. The
 streaming reader must give the same sentences, field by field, or
 raise the same InputError, on any lines: blank, whitespace-only,
 comments, ranges, empty nodes, rows of the wrong width and bad ID or
-HEAD fields.
+HEAD fields. The reference is given the one rule the reader added since:
+only a real range (N-M) or empty node (N.M) is skipped, and any other ID,
+and a HEAD other than "_", must be ASCII digits.
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import example, given
@@ -47,21 +50,22 @@ def _ref_read_conllu(lines, name="<conllu>"):
         cols = line.split("\t")
         if len(cols) != 10:
             raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}")
-        if "-" in cols[0] or "." in cols[0]:
+        # only a real range (1-2) or empty node (1.1) is skipped; any other
+        # ID, and a HEAD other than "_", is ASCII digits
+        if re.fullmatch(r"[0-9]+[-.][0-9]+", cols[0]):
             continue
-        try:
-            tokens.append(
-                _RefToken(
-                    id=int(cols[0]),
-                    form=cols[1],
-                    lemma=cols[2],
-                    xpos=cols[4],
-                    head=int(cols[6]) if cols[6] != "_" else 0,
-                    deprel=cols[7],
-                )
+        if not re.fullmatch(r"[0-9]+", cols[0]) or not re.fullmatch(r"[0-9]+|_", cols[6]):
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
+        tokens.append(
+            _RefToken(
+                id=int(cols[0]),
+                form=cols[1],
+                lemma=cols[2],
+                xpos=cols[4],
+                head=int(cols[6]) if cols[6] != "_" else 0,
+                deprel=cols[7],
             )
-        except ValueError:
-            raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
+        )
     if tokens:
         sentences.append(tokens)
     return sentences
@@ -82,9 +86,11 @@ _space = st.sampled_from([" ", "\t", "\x85", "\xa0"])
 _field = st.text(st.sampled_from(["a", "B", "_", " ", "\xa0", "#"]), max_size=3)
 _id = st.one_of(
     st.integers(0, 12).map(str),
-    st.sampled_from(["1-2", "3-3", "1.1", "2.0", "x", "", " 2", "-1", "1_0", "٣"]),
+    st.sampled_from(["1-2", "3-3", "1.1", "2.0", "x", "", " 2", "-1", "1_0", "٣",
+                     "abc-def", "1.x", "-", "1-", ".1", "1-2-3", "+1", "01"]),
 )
-_head = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["_", "x", "", "1.5", " 0"]))
+_head = st.one_of(st.integers(0, 12).map(str),
+                  st.sampled_from(["_", "x", "", "1.5", " 0", "+2", "-2", "1_0", "٣", "1-2"]))
 
 
 @st.composite

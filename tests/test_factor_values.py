@@ -4,7 +4,7 @@ The package keeps factor values as strings from the moment a loader
 checks them. The references in conftest decide with enum members, as
 the package did before: a verb's paradigm with per-cell lookups and
 override matching, the English surface of a verb for its factors, and
-the annotation rules over the package's sentence index. On verbs with
+the annotation rules as whole-sentence scans. On verbs with
 overrides, tables that keep some of the packaged TAMs, and sentences
 annotated with drawn rules, `verb_paradigm`, `build_verb_dict(surface=True)`
 and `annotate_sentence` must give the .value renderings of what the
