@@ -9,11 +9,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "noun_morph": (
-        "Case",
-        "Gender",
-        "NounClass",
         "NounLexEntry",
-        "Number",
         "SuffixTable",
         "classify_noun",
         "default_suffix_table",
@@ -21,8 +17,6 @@ _EXPORTS = {
         "noun_paradigm",
     ),
     "verb_morph": (
-        "Person",
-        "TamSlot",
         "VerbLexEntry",
         "VerbSuffixTable",
         "default_verb_suffix_table",

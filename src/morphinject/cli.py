@@ -12,9 +12,10 @@ pronouns.tsv, case_rules.tsv, tam_rules.tsv).
 
 A subcommand loads only the layers it runs: each imports its modules
 when it is called, so `oov` and `bleu` load no morphology, dictionary or
-corpus module. No call loads the standard library's data class,
-inspect or log modules (tests/test_imports.py names them), and only a
-call that writes JSON loads json. The records are plain classes that
+corpus module, and `annotate` loads no layer but source_factors. No
+call loads the standard library's data class, inspect or log modules
+(tests/test_imports.py names them), and only a call that writes JSON
+loads json. The records are plain classes that
 compare by value: ParallelCorpus by its lines, WordFormDictionary by
 its lines and scheme, BilingualNoun by its English root and entry (not
 the names, failures or row location they carry), and the entries,
@@ -133,7 +134,7 @@ def cmd_classify(args) -> int:
         with sc.located(noun.where):
             cls = nm.classify_noun(noun.entry)
         prefix = f"{noun.english_root}\t" if args.bilingual else ""
-        lines.append(f"{prefix}{noun.entry.hindi_root}\t{cls.value}")
+        lines.append(f"{prefix}{noun.entry.hindi_root}\t{cls}")
     _write_atomic([(args.out, "\n".join(lines) + "\n" if lines else "")])
     return 0
 
@@ -166,12 +167,7 @@ def cmd_paradigm(args) -> int:
         from . import noun_morph as nm
 
         table = _data_table(args.table, "noun_suffixes.tsv")
-        entry = nm.NounLexEntry(
-            args.root,
-            nm.Gender(args.gender),
-            countable=not args.uncountable,
-            class_override=nm.NounClass(args.noun_class) if args.noun_class else None,
-        )
+        entry = nm.NounLexEntry(args.root, args.gender, not args.uncountable, args.noun_class)
         lines = [
             "\t".join((*factors, "-" if suffix is None else suffix, surface))
             for *factors, suffix, surface in nm.noun_paradigm(entry, table)
@@ -345,10 +341,10 @@ def build_parser() -> _Parser:
                     "(tam, gender, number, person, suffix, surface).",
     )
     p.add_argument("--root", help="Hindi noun root")
-    p.add_argument("--gender", choices=["m", "f"])
+    p.add_argument("--gender", choices=sc.GENDERS)
     p.add_argument("--uncountable", action="store_true",
                    help="mass/abstract noun (class A)")
-    p.add_argument("--noun-class", choices=["A", "B", "C", "D", "E"],
+    p.add_argument("--noun-class", choices=("A", "B", "C", "D", "E"),
                    help="override the predicted class")
     p.add_argument("--verb", action="store_true", help="generate a verb paradigm")
     p.add_argument("--stem", help="Hindi verb stem (infinitive minus ना)")

@@ -34,18 +34,9 @@ from typing import Iterable, Sequence
 from . import script_core as sc
 from . import source_factors as sf
 from .errors import InputError
-from .noun_morph import (
-    BilingualNoun,
-    Case,
-    Number,
-    SuffixTable,
-    default_suffix_table,
-    noun_paradigm,
-)
+from .noun_morph import BilingualNoun, SuffixTable, default_suffix_table, noun_paradigm
 from .script_core import NULL_FACTOR
 from .verb_morph import (
-    Person,
-    TamSlot,
     VerbLexEntry,
     VerbSuffixTable,
     default_verb_suffix_table,
@@ -101,7 +92,7 @@ SURFACE_SCHEME = FactorScheme(
 SCHEMES = {"noun": NOUN_SCHEME, "verb": VERB_SCHEME, "surface": SURFACE_SCHEME}
 
 # the closed set of values of each source factor that has one
-_FACTOR_VALUES = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
+_FACTOR_VALUES = {"number": sc.NUMBERS, "case": sc.CASES, "person": sc.PERSONS, "tam": sc.TAMS}
 
 
 EntryFailure = namedtuple("EntryFailure", "index english_root hindi_root error")
@@ -207,20 +198,20 @@ def parse_dictionary(
 
 
 def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None:
-    """Each enum factor of the scheme's source side must hold a value of
-    its enum. Source sides are visited in file order, so the first bad
-    value is reported at the first line that holds it; each distinct
-    value of a position is checked once."""
+    """Each source factor of the scheme that has a closed value set must
+    hold one of its values. Source sides are visited in file order, so
+    the first bad value is reported at the first line that holds it;
+    each distinct value of a position is checked once."""
     checks = [(i, what, _FACTOR_VALUES[what], set())
               for i, what in enumerate(scheme.source_factors) if what in _FACTOR_VALUES]
     if not checks:
         return
     for source, where in first_at.items():
         factors = source.split(FACTOR_SEP)
-        for i, what, kind, seen in checks:
+        for i, what, values, seen in checks:
             value = factors[i]
             if value not in seen:
-                sc.table_value(kind, what, value, where)
+                sc.table_value(values, what, value, where)
                 seen.add(value)
 
 
@@ -300,9 +291,9 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
 
     The English surface is rebuilt from the factored source (dogs for
     dog|pl|*, walked for walk|*|*|perf); a factor value it reads that is
-    outside its enum is an error naming the entry, each distinct factor
-    string checked once. Collapsed distinctions produce exact
-    duplicates, which are removed. The result keeps the input's
+    outside its closed value set is an error naming the entry, each
+    distinct factor string checked once. Collapsed distinctions produce
+    exact duplicates, which are removed. The result keeps the input's
     failures. Idempotent.
     """
     scheme = dictionary.scheme
@@ -320,10 +311,10 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
             if factors is None:
                 factors = factor_text.split(FACTOR_SEP)
                 where = f"entry {source!r}"
-                sc.table_value(Number, "number", factors[0], where)
+                sc.table_value(sc.NUMBERS, "number", factors[0], where)
                 if verb:
-                    sc.table_value(Person, "person", factors[1], where)
-                    sc.table_value(TamSlot, "tam", factors[2], where)
+                    sc.table_value(sc.PERSONS, "person", factors[1], where)
+                    sc.table_value(sc.TAMS, "tam", factors[2], where)
                 checked[factor_text] = factors
             if verb:
                 surface = sf.english_verb_surface(surface, *factors[:3])

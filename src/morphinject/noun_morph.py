@@ -4,7 +4,8 @@ Nouns fall into five inflection classes (A..E). Class A never inflects;
 the others share a 2x2 number/case grid whose suffixes live in a TSV
 data file so corrections never require code changes. The joiner builds
 the surface form from root + suffix using only the root's ending and
-the class as features.
+the class as features. A class is its letter, and a gender, number or
+case its string (see script_core.GENDERS).
 
 A SuffixTable normalizes its suffixes and lays out each class's
 paradigm as (number, case, suffix) string rows once, when it is built.
@@ -19,7 +20,6 @@ a suffix taken from the table is legal by construction.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -29,45 +29,25 @@ from .errors import EmptyRoot, IllegalSuffixForClass, InputError
 from .script_core import NULL_SUFFIX_MARK
 
 
-class NounClass(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
-    E = "E"
-
-
-class Number(Enum):
-    SINGULAR = "sg"
-    PLURAL = "pl"
-
-
-class Case(Enum):
-    DIRECT = "dir"
-    OBLIQUE = "obl"
-
-
-class Gender(Enum):
-    MASCULINE = "m"
-    FEMININE = "f"
-
+NOUN_CLASSES = ("A", "B", "C", "D", "E")
 
 # Fixed paradigm slot order: sg-dir, sg-obl, pl-dir, pl-obl.
-PARADIGM_SLOTS = (
-    (Number.SINGULAR, Case.DIRECT),
-    (Number.SINGULAR, Case.OBLIQUE),
-    (Number.PLURAL, Case.DIRECT),
-    (Number.PLURAL, Case.OBLIQUE),
-)
+PARADIGM_SLOTS = tuple((number, case) for number in sc.NUMBERS for case in sc.CASES)
 
 
 class NounLexEntry(namedtuple("NounLexEntry", "hindi_root gender countable class_override")):
-    """A noun's root, stored normalized, and what decides its class."""
+    """A noun's root, stored normalized, and what decides its class: its
+    gender ("m" or "f"), whether it is countable, and a class letter that
+    overrides the predicted one, or None."""
 
     __slots__ = ()
 
-    def __new__(cls, hindi_root: str, gender: Gender, countable: bool = True,
-                class_override: NounClass | None = None):
+    def __new__(cls, hindi_root: str, gender: str, countable: bool = True,
+                class_override: str | None = None):
+        if gender not in sc.GENDERS:
+            raise InputError(sc.bad_value(sc.GENDERS, "gender", gender))
+        if class_override is not None and class_override not in NOUN_CLASSES:
+            raise InputError(sc.bad_value(NOUN_CLASSES, "class", class_override))
         if not hindi_root.strip():
             raise EmptyRoot("noun entry with empty root")
         return tuple.__new__(cls, (sc.normalize(hindi_root), gender, countable, class_override))
@@ -78,30 +58,32 @@ class SuffixTable:
     suffixes normalized. `rows[cls]` is that class's paradigm as
     (number, case, suffix) strings in PARADIGM_SLOTS order."""
 
-    def __init__(self, cells: dict[tuple[NounClass, Number, Case], str | None]):
-        for cls in NounClass:
+    def __init__(self, cells: dict[tuple[str, str, str], str | None]):
+        for cls in NOUN_CLASSES:
             for number, case in PARADIGM_SLOTS:
-                key = (cls, number, case)
-                if key not in cells:
-                    raise InputError(f"suffix table missing cell {cls.value}/{number.value}/{case.value}")
+                if (cls, number, case) not in cells:
+                    raise InputError(f"suffix table missing cell {cls}/{number}/{case}")
         for number, case in PARADIGM_SLOTS:
-            if cells[(NounClass.A, number, case)] is not None:
+            if cells[("A", number, case)] is not None:
                 raise InputError("class A cells must all be null")
-        for cls in NounClass:
-            if cells[(cls, Number.SINGULAR, Case.DIRECT)] is not None:
+        for cls in NOUN_CLASSES:
+            if cells[(cls, "sg", "dir")] is not None:
                 raise InputError("sg-dir cell must be null for every class")
         self.cells = {key: None if s is None else sc.normalize(s) for key, s in cells.items()}
         self.rows = {
-            cls: tuple((number.value, case.value, self.cells[(cls, number, case)])
+            cls: tuple((number, case, self.cells[(cls, number, case)])
                        for number, case in PARADIGM_SLOTS)
-            for cls in NounClass
+            for cls in NOUN_CLASSES
         }
         self._legal = {
             cls: frozenset(s for _, _, s in rows if s is not None) for cls, rows in self.rows.items()
         }
 
-    def legal_suffixes(self, cls: NounClass) -> frozenset[str]:
-        return self._legal[cls]
+    def legal_suffixes(self, cls: str) -> frozenset[str]:
+        legal = self._legal.get(cls)
+        if legal is None:
+            raise InputError(sc.bad_value(NOUN_CLASSES, "class", cls))
+        return legal
 
 
 def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
@@ -109,12 +91,12 @@ def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
     packaged one when `source` is None. A suffix is "-" (null) or a
     Devanagari word."""
     name, rows = sc.read_table(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
-    cells: dict[tuple[NounClass, Number, Case], str | None] = {}
+    cells: dict[tuple[str, str, str], str | None] = {}
     for where, (cls, number, case, suffix) in rows:
         key = (
-            NounClass(sc.table_value(NounClass, "class", cls, where)),
-            Number(sc.table_value(Number, "number", number, where)),
-            Case(sc.table_value(Case, "case", case, where)),
+            sc.table_value(NOUN_CLASSES, "class", cls, where),
+            sc.table_value(sc.NUMBERS, "number", number, where),
+            sc.table_value(sc.CASES, "case", case, where),
         )
         if key in cells:
             raise InputError(f"{where}: duplicate cell {cls}/{number}/{case}")
@@ -129,11 +111,11 @@ def default_suffix_table() -> SuffixTable:
     return load_suffix_table()
 
 
-_I_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.SHORT_I)
-_LONG_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU)
+_I_ENDINGS = ("ii", "i")
+_LONG_ENDINGS = ("ii", "uu")
 
 
-def classify_noun(entry: NounLexEntry) -> NounClass:
+def classify_noun(entry: NounLexEntry) -> str:
     """Predict the inflection class from gender and the root's ending.
 
     An explicit override wins; uncountable (mass/abstract) nouns are
@@ -144,23 +126,23 @@ def classify_noun(entry: NounLexEntry) -> NounClass:
     return _classify(entry, sc.ending_of(entry.hindi_root))
 
 
-def _classify(entry: NounLexEntry, ending: sc.EndingCategory) -> NounClass:
+def _classify(entry: NounLexEntry, ending: str) -> str:
     """The class of an entry whose root has this ending."""
     if entry.class_override is not None:
-        if not entry.countable and entry.class_override is not NounClass.A:
-            raise InputError(f"uncountable noun with class override {entry.class_override.value}: "
+        if not entry.countable and entry.class_override != "A":
+            raise InputError(f"uncountable noun with class override {entry.class_override}: "
                              "uncountable nouns are class A")
         return entry.class_override
     if not entry.countable:
-        return NounClass.A
-    if entry.gender is Gender.FEMININE:
-        return NounClass.B if ending in _I_ENDINGS else NounClass.C
-    return NounClass.D if ending is sc.EndingCategory.LONG_A else NounClass.E
+        return "A"
+    if entry.gender == "f":
+        return "B" if ending in _I_ENDINGS else "C"
+    return "D" if ending == "aa" else "E"
 
 
 def join_noun(
     root: str,
-    cls: NounClass,
+    cls: str,
     suffix: str | None,
     table: SuffixTable | None = None,
 ) -> str:
@@ -178,26 +160,27 @@ def join_noun(
       final consonant (रात -> रातें, घर -> घरों).
     * anything else: plain append (माला -> मालाएँ).
     """
+    legal = (table or default_suffix_table()).legal_suffixes(cls)
     root = sc.normalize(root)
     if suffix is None:
         return root
     suffix = sc.normalize(suffix)
-    if suffix not in (table or default_suffix_table()).legal_suffixes(cls):
-        raise IllegalSuffixForClass(f"suffix {suffix!r} is not in the class-{cls.value} column")
+    if suffix not in legal:
+        raise IllegalSuffixForClass(f"suffix {suffix!r} is not in the class-{cls} column")
     return _join(root, cls, suffix, sc.ending_of(root))
 
 
-def _join(root: str, cls: NounClass, suffix: str, ending: sc.EndingCategory) -> str:
+def _join(root: str, cls: str, suffix: str, ending: str) -> str:
     """join_noun for a canonical root with this ending and a canonical,
     legal, non-null suffix."""
-    if ending is sc.EndingCategory.CONSONANT:
+    if ending == "consonant":
         return root + sc.matra_form(suffix)
     body, nasal = sc.strip_final_nasal(root)
-    if cls is NounClass.D and ending is sc.EndingCategory.LONG_A:
+    if cls == "D" and ending == "aa":
         # the suffix vowel replaces ा as a matra, or आ as a vowel of its own
         suffix = sc.matra_form(suffix) if body[-1] == "ा" else sc.independent_form(suffix)
         body = body[:-1]
-    if suffix == "ओं" and cls is NounClass.E and ending in _I_ENDINGS:
+    if suffix == "ओं" and cls == "E" and ending in _I_ENDINGS:
         suffix = "यों"
     if ending in _LONG_ENDINGS:
         body = sc.shorten_final_vowel(body)
@@ -256,7 +239,7 @@ def parse_noun_lexicon(
     for where, fields in sc.table_rows(lines, name, columns, more=True):
         english = fields.pop(0) if bilingual else ""
         root, gender, *rest = fields
-        gender = Gender(sc.table_value(Gender, "gender", gender, where))
+        sc.table_value(sc.GENDERS, "gender", gender, where)
         countable = True
         if rest and rest[0] != "":
             if rest[0] not in ("0", "1"):
@@ -264,8 +247,7 @@ def parse_noun_lexicon(
             countable = rest[0] == "1"
         override = None
         if len(rest) > 1 and rest[1] != "":
-            override = sc.table_value(NounClass, "class", rest[1], where, null=NULL_SUFFIX_MARK)
-            override = override and NounClass(override)
+            override = sc.table_value(NOUN_CLASSES, "class", rest[1], where, null=NULL_SUFFIX_MARK)
         with sc.located(where):
             out.append(BilingualNoun(
                 english, NounLexEntry(root, gender, countable, override), where))

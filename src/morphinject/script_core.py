@@ -18,7 +18,9 @@ the dictionary and annotate alike.
 Every input file is read here too: `read_lines` holds the one line rule
 (UTF-8, split on "\n" only, no "\r"), and `table_rows` is the one row
 reader shared by the data tables, the lexicons and the dictionary, so a
-bad row in any of them is reported as file:line.
+bad row in any of them is reported as file:line. The closed value sets
+of the factors (NUMBERS, CASES, GENDERS, PERSONS, TAMS) are tuples of
+strings, in order, and `table_value` checks a cell against one of them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -118,33 +119,30 @@ _SHORTEN = {
 }
 
 
-class EndingCategory(Enum):
-    LONG_A = "aa"
-    LONG_II = "ii"
-    SHORT_I = "i"
-    LONG_UU = "uu"
-    SHORT_U = "u"
-    E = "e"
-    O = "o"
-    CONSONANT = "consonant"
-    OTHER = "other"
+# the closed value sets of the factors, in order
+NUMBERS = ("sg", "pl")
+CASES = ("dir", "obl")
+GENDERS = ("m", "f")
+PERSONS = ("1", "2", "3")
+TAMS = ("inf", "hab", "perf", "fut", "subj", "imp")
 
-
+# a word's ending category (see ending_of) by its final vowel or vowel
+# sign; a word may also end in "consonant" or "other"
 _ENDING_BY_CODEPOINT = {
-    "ा": EndingCategory.LONG_A,
-    "आ": EndingCategory.LONG_A,
-    "ी": EndingCategory.LONG_II,
-    "ई": EndingCategory.LONG_II,
-    "ि": EndingCategory.SHORT_I,
-    "इ": EndingCategory.SHORT_I,
-    "ू": EndingCategory.LONG_UU,
-    "ऊ": EndingCategory.LONG_UU,
-    "ु": EndingCategory.SHORT_U,
-    "उ": EndingCategory.SHORT_U,
-    "े": EndingCategory.E,
-    "ए": EndingCategory.E,
-    "ो": EndingCategory.O,
-    "ओ": EndingCategory.O,
+    "ा": "aa",
+    "आ": "aa",
+    "ी": "ii",
+    "ई": "ii",
+    "ि": "i",
+    "इ": "i",
+    "ू": "uu",
+    "ऊ": "uu",
+    "ु": "u",
+    "उ": "u",
+    "े": "e",
+    "ए": "e",
+    "ो": "o",
+    "ओ": "o",
 }
 
 
@@ -218,8 +216,9 @@ def strip_final_nasal(word: str) -> tuple[str, str]:
     return word[:i], word[i:]
 
 
-def ending_of(word: str) -> EndingCategory:
-    """Classify a word by its final vowel sign / final codepoint.
+def ending_of(word: str) -> str:
+    """Classify a word by its final vowel sign / final codepoint: "aa",
+    "ii", "i", "uu", "u", "e", "o", "consonant" or "other".
 
     Word-final nasalization and visarga are transparent: they belong to
     the final syllable, so the vowel beneath them decides the category.
@@ -227,13 +226,11 @@ def ending_of(word: str) -> EndingCategory:
     _check_word(word)
     body, _ = strip_final_nasal(word)
     if not body:
-        return EndingCategory.OTHER
+        return "other"
     last = body[-1]
     if last in _ENDING_BY_CODEPOINT:
         return _ENDING_BY_CODEPOINT[last]
-    if is_consonant(last):
-        return EndingCategory.CONSONANT
-    return EndingCategory.OTHER
+    return "consonant" if is_consonant(last) else "other"
 
 
 def matra_form(suffix: str) -> str:
@@ -377,17 +374,20 @@ def table_rows(
         yield where, fields
 
 
-def table_value(kind, what: str, value: str, where: str, null: str | None = None) -> str | None:
-    """`value` if it is the value of a member of the enum `kind`, None for
-    the `null` mark; any other value is an error at `where`."""
+def table_value(values: tuple[str, ...], what: str, value: str, where: str,
+                null: str | None = None) -> str | None:
+    """`value` if it is one of `values`, None for the `null` mark; any
+    other value is an error at `where`."""
     if value == null:
         return None
-    try:
-        kind(value)
-    except ValueError:
-        allowed = ", ".join([m.value for m in kind] + ([null] if null else []))
-        raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})") from None
+    if value not in values:
+        raise InputError(f"{where}: {bad_value(values + ((null,) if null else ()), what, value)}")
     return value
+
+
+def bad_value(values: tuple[str, ...], what: str, value) -> str:
+    """The message for a `what` that is none of `values`."""
+    return f"bad {what} {value!r} (expected one of {', '.join(values)})"
 
 
 def table_word(value: str, where: str, what: str) -> str:

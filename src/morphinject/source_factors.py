@@ -8,7 +8,7 @@ defaults (singular, third person, direct case).
 
 Factor values are the strings they are written as ("pl", "obl", "3",
 "perf"). The pronoun, case-rule and TAM-rule loaders check each value
-against its enum (Number, Case, Person, TamSlot) and keep the string,
+against its closed set (script_core.NUMBERS, CASES, PERSONS, TAMS),
 and a row that could never take effect (a second row for a pronoun, a
 rule named twice or listed after "default") is an error at its line.
 
@@ -31,8 +31,6 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import script_core as sc
 from .errors import InputError, NotANoun, NotAVerb
-from .noun_morph import Case, Number
-from .verb_morph import Person, TamSlot
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PLURAL_TAGS = {"NNS", "NNPS"}
@@ -70,8 +68,8 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
     name, rows = sc.read_table(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
-        value = (sc.table_value(Person, "person", person, where),
-                 sc.table_value(Number, "number", number, where))
+        value = (sc.table_value(sc.PERSONS, "person", person, where),
+                 sc.table_value(sc.NUMBERS, "number", number, where))
         if pron.lower() in entries:
             raise InputError(f"{where}: duplicate pronoun {pron!r}")
         entries[pron.lower()] = value
@@ -79,13 +77,14 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
         return PronounTable(entries)
 
 
-def _load_rules(source, default_name: str, facts: tuple, kind, what: str) -> list[tuple[str, str]]:
+def _load_rules(source, default_name: str, facts: tuple, values: tuple[str, ...],
+                what: str) -> list[tuple[str, str]]:
     rules: dict[str, str] = {}
     name, rows = sc.read_table(source, default_name, ("rule", what))
     for where, (rule, value) in rows:
         if rule not in facts and rule != "default":
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
-        value = sc.table_value(kind, what, value, where)
+        value = sc.table_value(values, what, value, where)
         # first match wins, so a rule named again or after default never fires
         if rule in rules:
             raise InputError(f"{where}: duplicate {what} rule {rule!r}")
@@ -98,11 +97,11 @@ def _load_rules(source, default_name: str, facts: tuple, kind, what: str) -> lis
 
 
 def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "case_rules.tsv", CASE_FACTS, Case, "case")
+    return _load_rules(source, "case_rules.tsv", CASE_FACTS, sc.CASES, "case")
 
 
 def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "tam_rules.tsv", TAM_FACTS, TamSlot, "TAM")
+    return _load_rules(source, "tam_rules.tsv", TAM_FACTS, sc.TAMS, "TAM")
 
 
 # ConlluToken(...) without the Python-level __new__ of a NamedTuple

@@ -6,10 +6,10 @@ table is data-driven TSV; "-" in a factor column collapses that
 dimension. English has no grammatical gender on verbs, so the paradigm
 holds every English-side factor tuple once per gender.
 
-Factor values are strings, checked against the enums below when a table
-or lexicon is loaded; the enums are the closed value sets and their
-order. A table cell is (tam, gender, number, person, suffix) in the
-TSV's column order, None marking a collapsed dimension, and an override
+Factor values are strings, checked against script_core's closed value
+sets (TAMS, GENDERS, NUMBERS, PERSONS), in their order, when a table or
+lexicon is loaded. A table cell is (tam, gender, number, person,
+suffix) in the TSV's column order, None marking a collapsed dimension, and an override
 is (tam, gender, number, person, surface), None matching any value. The
 table normalizes its suffixes and lays out the paradigm once, when it
 is built, and `verb_paradigm` joins each of its rows to a stem that
@@ -21,36 +21,19 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import InputError
-from .noun_morph import Gender, Number
-
-
-class Person(Enum):
-    FIRST = "1"
-    SECOND = "2"
-    THIRD = "3"
-
-
-class TamSlot(Enum):
-    INFINITIVE = "inf"
-    PRESENT_HABITUAL = "hab"
-    PAST_PERFECTIVE = "perf"
-    FUTURE = "fut"
-    MODAL_SUBJUNCTIVE = "subj"
-    IMPERATIVE = "imp"
 
 
 # Representative values used for collapsed dimensions when a concrete
 # factor tuple is needed (dictionary entries, paradigm rows). These are
 # Hindi's least-marked values, matching the annotation defaults.
-REPR_NUMBER = Number.SINGULAR.value
-REPR_PERSON = Person.THIRD.value
+REPR_NUMBER = "sg"
+REPR_PERSON = "3"
 
 # (tam, gender, number, person, suffix) and (tam, gender, number, person, surface)
 Cell = tuple[str, str | None, str | None, str | None, str | None]
@@ -70,9 +53,8 @@ class VerbLexEntry(namedtuple("VerbLexEntry", "hindi_root english_root irregular
         return tuple.__new__(cls, (sc.normalize(hindi_root), english_root, irregular_forms))
 
 
-# the values of each dimension, in enum order, and each one's cell position
-_TAMS = [t.value for t in TamSlot]
-_DIMS = {1: [g.value for g in Gender], 2: [n.value for n in Number], 3: [p.value for p in Person]}
+# the values of each dimension, in order, by the dimension's cell position
+_DIMS = {1: sc.GENDERS, 2: sc.NUMBERS, 3: sc.PERSONS}
 
 
 class VerbSuffixTable:
@@ -80,10 +62,10 @@ class VerbSuffixTable:
     paradigm it declares.
 
     `rows` holds every verb's paradigm, built once, as (tam, gender,
-    number, person, suffix) strings: TAMs in TamSlot order, then every
-    gender, then the declared numbers and persons. English verbs have no
-    gender, so each English factor tuple appears once per gender, and a
-    TAM that agrees in gender must name both. A collapsed number or
+    number, person, suffix) strings: TAMs in script_core.TAMS order,
+    then every gender, then the declared numbers and persons. English
+    verbs have no gender, so each English factor tuple appears once per
+    gender, and a TAM that agrees in gender must name both. A collapsed number or
     person takes REPR_NUMBER or REPR_PERSON.
     """
 
@@ -110,7 +92,7 @@ class VerbSuffixTable:
             # declared per-dimension values must have a cell
             if len(tam_cells) != math.prod(len({c[i] for c in tam_cells}) for i in dims):
                 raise InputError(f"{tam} rows do not cover their declared grid")
-        self.rows = [row for tam in _TAMS if tam in by_tam for row in _tam_rows(tam, by_tam[tam])]
+        self.rows = [row for tam in sc.TAMS if tam in by_tam for row in _tam_rows(tam, by_tam[tam])]
 
 
 def _tam_rows(tam: str, cells: list[Cell]) -> list[Cell]:
@@ -149,10 +131,10 @@ def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuf
 
 def _slot(tam: str, gender: str, number: str, person: str, where: str) -> tuple:
     """A checked (tam, gender, number, person); "-" is None."""
-    return (sc.table_value(TamSlot, "TAM", tam, where),
-            sc.table_value(Gender, "gender", gender, where, null="-"),
-            sc.table_value(Number, "number", number, where, null="-"),
-            sc.table_value(Person, "person", person, where, null="-"))
+    return (sc.table_value(sc.TAMS, "TAM", tam, where),
+            sc.table_value(sc.GENDERS, "gender", gender, where, null="-"),
+            sc.table_value(sc.NUMBERS, "number", number, where, null="-"),
+            sc.table_value(sc.PERSONS, "person", person, where, null="-"))
 
 
 @cache
@@ -161,8 +143,8 @@ def default_verb_suffix_table() -> VerbSuffixTable:
     return load_verb_suffix_table()
 
 
-_U_ENDINGS = (sc.EndingCategory.LONG_UU, sc.EndingCategory.SHORT_U)
-_LONG_ENDINGS = (sc.EndingCategory.LONG_II, sc.EndingCategory.LONG_UU)
+_U_ENDINGS = ("uu", "u")
+_LONG_ENDINGS = ("ii", "uu")
 
 
 def join_verb(root: str, suffix: str | None) -> str:
@@ -198,10 +180,10 @@ def _vowel_form(suffix: str | None) -> str | None:
     return None
 
 
-def _join(root: str, suffix: str, ending: sc.EndingCategory) -> str:
+def _join(root: str, suffix: str, ending: str) -> str:
     """join_verb for a canonical stem with this ending and a canonical
     suffix as `_vowel_form` writes it."""
-    if ending is sc.EndingCategory.CONSONANT:
+    if ending == "consonant":
         return root + sc.matra_form(suffix)
     stem = root
     if ending in _LONG_ENDINGS:
@@ -211,7 +193,7 @@ def _join(root: str, suffix: str, ending: sc.EndingCategory) -> str:
         if ending in _U_ENDINGS:
             return stem + suffix
         return stem + "य" + sc.matra_form(suffix)
-    if ending is sc.EndingCategory.LONG_II and suffix[0] == "ई":
+    if ending == "ii" and suffix[0] == "ई":
         # ी + ई merges: पी+ई -> पी, पी+ईं -> पीं
         return root + suffix[1:]
     return stem + suffix

@@ -8,8 +8,8 @@ from hypothesis import settings
 from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject.errors import InputError
-from morphinject.noun_morph import Case, Gender, NounClass, NounLexEntry, Number
-from morphinject.verb_morph import Person, TamSlot, join_verb
+from morphinject.noun_morph import NounLexEntry
+from morphinject.verb_morph import join_verb
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,7 +22,7 @@ settings.register_profile("ci", max_examples=1000)
 class NounFixture:
     english: str
     entry: NounLexEntry
-    noun_class: NounClass
+    noun_class: str
     surfaces: tuple[str, str, str, str]  # sg-dir, sg-obl, pl-dir, pl-obl
 
 
@@ -152,72 +152,66 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     return new_body + nasal
 
 
-# --- reference: factor values as enum members. The package keeps them as
-# the strings they are written as; the tests decide with the members and
-# compare the package's strings with their .value renderings ---
+# --- reference: factor values. The package keeps them as the strings
+# they are written as; the reference holds its own value sets, in order ---
 
-
-def _member(kind, value):
-    return None if value is None else kind(value)
+REF_NOUN_CLASSES = ("A", "B", "C", "D", "E")
+REF_GENDERS = ("m", "f")
+REF_NUMBERS = ("sg", "pl")
+REF_CASES = ("dir", "obl")
+REF_PERSONS = ("1", "2", "3")
+REF_TAMS = ("inf", "hab", "perf", "fut", "subj", "imp")
 
 
 @dataclass(frozen=True)
 class VerbFactors:
-    gender: Gender
-    number: Number
-    person: Person
-    tam: TamSlot
+    gender: str
+    number: str
+    person: str
+    tam: str
 
     def values(self) -> tuple[str, str, str, str]:
         """(tam, gender, number, person), as a paradigm row holds them."""
-        return self.tam.value, self.gender.value, self.number.value, self.person.value
+        return self.tam, self.gender, self.number, self.person
 
 
 @dataclass(frozen=True)
 class Cell:
     """One verb table cell: collapsed (None) dimensions match any value."""
 
-    tam: TamSlot
-    gender: Gender | None
-    number: Number | None
-    person: Person | None
+    tam: str
+    gender: str | None
+    number: str | None
+    person: str | None
     suffix: str | None
 
     @classmethod
     def of(cls, cell) -> "Cell":
-        tam, gender, number, person, suffix = cell
-        return cls(TamSlot(tam), _member(Gender, gender), _member(Number, number),
-                   _member(Person, person), suffix)
+        return cls(*cell)
 
 
 @dataclass(frozen=True)
 class IrregularForm:
     """One override row: wildcard (None) fields match any value."""
 
-    tam: TamSlot
-    gender: Gender | None
-    number: Number | None
-    person: Person | None
+    tam: str
+    gender: str | None
+    number: str | None
+    person: str | None
     surface: str
-
-    @classmethod
-    def of(cls, override) -> "IrregularForm":
-        tam, gender, number, person, surface = override
-        return cls(TamSlot(tam), _member(Gender, gender), _member(Number, number),
-                   _member(Person, person), surface)
 
     def matches(self, factors: VerbFactors) -> bool:
         return (
-            factors.tam is self.tam
-            and (self.gender is None or factors.gender is self.gender)
-            and (self.number is None or factors.number is self.number)
-            and (self.person is None or factors.person is self.person)
+            factors.tam == self.tam
+            and (self.gender is None or factors.gender == self.gender)
+            and (self.number is None or factors.number == self.number)
+            and (self.person is None or factors.person == self.person)
         )
 
 
 def ref_override(entry, factors: VerbFactors) -> str | None:
     """The surface of the entry's first override that matches, or None."""
-    for form in map(IrregularForm.of, entry.irregular_forms):
+    for form in (IrregularForm(*o) for o in entry.irregular_forms):
         if form.matches(factors):
             return form.surface
     return None
@@ -228,31 +222,31 @@ def lookup(cells, factors: VerbFactors):
     of its cells (collapsed dimensions match any value)."""
     for cell in map(Cell.of, cells):
         if (
-            cell.tam is factors.tam
-            and (cell.gender is None or cell.gender is factors.gender)
-            and (cell.number is None or cell.number is factors.number)
-            and (cell.person is None or cell.person is factors.person)
+            cell.tam == factors.tam
+            and (cell.gender is None or cell.gender == factors.gender)
+            and (cell.number is None or cell.number == factors.number)
+            and (cell.person is None or cell.person == factors.person)
         ):
             return cell.suffix
     raise InputError(
-        f"factor tuple outside the declared grid: {factors.tam.value}"
-        f"/{factors.gender.value}/{factors.number.value}/{factors.person.value}"
+        f"factor tuple outside the declared grid: {factors.tam}"
+        f"/{factors.gender}/{factors.number}/{factors.person}"
     )
 
 
 def ref_verb_paradigm(entry, cells):
-    """(factors, suffix, surface) rows: for each TAM in TamSlot order with
+    """(factors, suffix, surface) rows: for each TAM in REF_TAMS order with
     cells, every gender, then its declared numbers and persons (a
     collapsed one takes sg or 3), each suffix looked up and joined, or
     replaced by the first matching override."""
     rows = []
-    for tam in TamSlot:
-        declared = [c for c in map(Cell.of, cells) if c.tam is tam]
+    for tam in REF_TAMS:
+        declared = [c for c in map(Cell.of, cells) if c.tam == tam]
         if not declared:
             continue
-        numbers = [n for n in Number if any(c.number is n for c in declared)] or [Number.SINGULAR]
-        persons = [p for p in Person if any(c.person is p for c in declared)] or [Person.THIRD]
-        for gender in Gender:
+        numbers = [n for n in REF_NUMBERS if any(c.number == n for c in declared)] or ["sg"]
+        persons = [p for p in REF_PERSONS if any(c.person == p for c in declared)] or ["3"]
+        for gender in REF_GENDERS:
             for number in numbers:
                 for person in persons:
                     factors = VerbFactors(gender, number, person, tam)
@@ -266,27 +260,27 @@ def ref_verb_paradigm(entry, cells):
 
 @dataclass(frozen=True)
 class EnglishVerbFactors:
-    number: Number
-    person: Person
-    tam: TamSlot
+    number: str
+    person: str
+    tam: str
 
     def values(self) -> list[str]:
         """[number, person, tam], as annotate_sentence gives them."""
-        return [self.number.value, self.person.value, self.tam.value]
+        return [self.number, self.person, self.tam]
 
 
 def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
     tam = factors.tam
-    if tam is TamSlot.INFINITIVE:
+    if tam == "inf":
         return "to " + root
-    if tam is TamSlot.FUTURE:
+    if tam == "fut":
         return "will " + root
-    if tam is TamSlot.MODAL_SUBJUNCTIVE:
+    if tam == "subj":
         return "would " + root
-    if tam is TamSlot.IMPERATIVE:
+    if tam == "imp":
         return root
     exc = sf._verb_exceptions().get(root.lower())
-    if tam is TamSlot.PAST_PERFECTIVE:
+    if tam == "perf":
         if exc is not None:
             return exc[1]
         if root.endswith("e"):
@@ -294,21 +288,15 @@ def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
         if root.endswith("y") and len(root) > 1 and root[-2] not in "aeiou":
             return root[:-1] + "ied"
         return root + "ed"
-    if factors.person is Person.THIRD and factors.number is Number.SINGULAR:
+    if factors.person == "3" and factors.number == "sg":
         if exc is not None and exc[0] is not None:
             return exc[0]
         return sf._add_s(root)
     return root
 
 
-def ref_rules(rules, kind):
-    """Loaded (rule, value) pairs with each value as a `kind` member."""
-    return [(name, kind(value)) for name, value in rules]
-
-
 # --- reference annotator: every rule walks the whole sentence for the
-# token's head, children and modal, and takes rules whose values are
-# enum members ---
+# token's head, children and modal ---
 
 
 def _children(token, sentence):
@@ -369,26 +357,26 @@ REF_TAM_TESTS = {
 }
 
 
-def ref_noun_case(token, sentence, rules) -> Case:
-    """The first matching rule of (rule, Case) pairs, or Case.DIRECT."""
+def ref_noun_case(token, sentence, rules) -> str:
+    """The first matching rule of (rule, case) pairs, or "dir"."""
     for name, case in rules:
         if REF_CASE_TESTS[name](token, sentence):
             return case
-    return Case.DIRECT
+    return "dir"
 
 
 def ref_verb_factors(verb, sentence, pronouns, rules) -> EnglishVerbFactors:
     """Number and person from the subject, TAM from the first matching of
-    (rule, TamSlot) pairs, or TamSlot.PRESENT_HABITUAL."""
-    number, person = Number.SINGULAR, Person.THIRD
+    (rule, tam) pairs, or "hab"."""
+    number, person = "sg", "3"
     subject = _find_subject(verb, sentence)
     if subject is not None:
         pron = pronouns.lookup(subject.form)
         if pron is not None:
-            person, number = Person(pron[0]), Number(pron[1])
+            person, number = pron
         elif sf.is_noun(subject):
-            number = Number.PLURAL if subject.xpos in sf.PLURAL_TAGS else Number.SINGULAR
-    tam = TamSlot.PRESENT_HABITUAL
+            number = "pl" if subject.xpos in sf.PLURAL_TAGS else "sg"
+    tam = "hab"
     for name, slot in rules:
         if REF_TAM_TESTS[name](verb, sentence):
             tam = slot
@@ -397,15 +385,15 @@ def ref_verb_factors(verb, sentence, pronouns, rules) -> EnglishVerbFactors:
 
 
 def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
-    """annotate_sentence with enum rules, each factor rendered by .value."""
+    """annotate_sentence, each rule tested by a scan of the sentence."""
     out = []
     for token in sentence:
         # an empty or unspecified ("_") lemma falls back to the form
         lemma = token.form if token.lemma in ("", "_") else token.lemma
         if mode != "verb" and sf.is_noun(token):
-            number = Number.PLURAL if token.xpos in sf.PLURAL_TAGS else Number.SINGULAR
+            number = "pl" if token.xpos in sf.PLURAL_TAGS else "sg"
             case = ref_noun_case(token, sentence, case_rules)
-            out.append((lemma, [number.value, case.value]))
+            out.append((lemma, [number, case]))
         elif mode != "noun" and token.xpos.startswith("VB"):
             factors = ref_verb_factors(token, sentence, pronouns, tam_rules)
             out.append((lemma, factors.values()))
@@ -431,8 +419,8 @@ def noun_fixtures() -> list[NounFixture]:
         rows.append(
             NounFixture(
                 english,
-                NounLexEntry(root, Gender(gender), countable == "1"),
-                NounClass(cls),
+                NounLexEntry(root, gender, countable == "1"),
+                cls,
                 tuple(surfaces),
             )
         )

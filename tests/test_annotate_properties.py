@@ -1,12 +1,11 @@
 """Property tests for CoNLL-U annotation.
 
 The reference is conftest's whole-sentence-scan annotator: every rule
-looks up heads, children and modals by walking the sentence, and takes
-rules whose values are enum members. `annotate_sentence`, which reads
-each token's facts from one pass over the sentence and its value from a
-compiled rule table, given the same rules with string values, must give
-the .value rendering of the same factors on any dependency graph, well
-formed or not. A compiled table must hold, for every fact vector, the
+looks up heads, children and modals by walking the sentence.
+`annotate_sentence`, which reads each token's facts from one pass over
+the sentence and its value from a compiled rule table, given the same
+rules, must give the same factors on any dependency graph, well formed
+or not. A compiled table must hold, for every fact vector, the
 value of the first rule whose fact holds. The CLI's string rendering
 must give the same line, or the same error, as the token route below:
 each token padded with null factors to the line's width, built as a
@@ -20,15 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REF_CASES,
+    REF_TAMS,
     FactoredToken,
     ref_annotate_sentence,
     ref_noun_case,
-    ref_rules,
     ref_verb_factors,
 )
 from morphinject.cli import _annotation_line
 from morphinject.errors import InputError, NotANoun, NotAVerb
-from morphinject.noun_morph import Case
 from morphinject.source_factors import (
     CASE_FACTS,
     TAM_FACTS,
@@ -42,7 +41,6 @@ from morphinject.source_factors import (
     noun_case,
     verb_factors,
 )
-from morphinject.verb_morph import TamSlot
 
 # --- sentences ---------------------------------------------------------------
 
@@ -77,23 +75,18 @@ def sentences(draw, max_len=12):
     return tokens
 
 
-def _rules(kind, defaults):
-    """Rules as (name, member) pairs: the packaged ones, or any names in any
+def _rules(values, defaults):
+    """Rules as (name, value) pairs: the packaged ones, or any names in any
     order, repeats and rules after "default" included."""
     names = [name for name, _ in defaults]
     return st.one_of(
-        st.just(ref_rules(defaults, kind)),
-        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(list(kind))), max_size=8),
+        st.just(defaults),
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from(values)), max_size=8),
     )
 
 
-CASE_RULES = _rules(Case, default_case_rules())
-TAM_RULES = _rules(TamSlot, default_tam_rules())
-
-
-def _strings(rules):
-    """Rules as the loaders give them: each value as its string."""
-    return [(name, value.value) for name, value in rules]
+CASE_RULES = _rules(REF_CASES, default_case_rules())
+TAM_RULES = _rules(REF_TAMS, default_tam_rules())
 
 
 # Graphs where sentence order decides, each rarely drawn at random:
@@ -124,8 +117,7 @@ ORDER_CASES = [
 
 def _with_order_cases(test):
     for sentence in ORDER_CASES:
-        test = example(sentence, "both", ref_rules(default_case_rules(), Case),
-                       ref_rules(default_tam_rules(), TamSlot))(test)
+        test = example(sentence, "both", default_case_rules(), default_tam_rules())(test)
     return test
 
 
@@ -134,7 +126,7 @@ def _with_order_cases(test):
 @_with_order_cases
 def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rules, tam_rules):
     # an empty rule list is used as given: every token takes the fallback
-    assert (annotate_sentence(sentence, mode, None, _strings(case_rules), _strings(tam_rules))
+    assert (annotate_sentence(sentence, mode, None, case_rules, tam_rules)
             == ref_annotate_sentence(sentence, mode, default_pronoun_table(),
                                      case_rules, tam_rules))
 
@@ -145,17 +137,17 @@ def test_public_rules_match_whole_sentence_scans(sentence, case_rules, tam_rules
     pronouns = default_pronoun_table()
     for token in sentence:
         if is_noun(token):
-            assert (noun_case(token, sentence, _strings(case_rules))
-                    == ref_noun_case(token, sentence, case_rules).value)
+            assert (noun_case(token, sentence, case_rules)
+                    == ref_noun_case(token, sentence, case_rules))
         else:
             with pytest.raises(NotANoun):
-                noun_case(token, sentence, _strings(case_rules))
+                noun_case(token, sentence, case_rules)
         if token.xpos.startswith("VB"):
-            assert (verb_factors(token, sentence, pronouns, _strings(tam_rules))
+            assert (verb_factors(token, sentence, pronouns, tam_rules)
                     == tuple(ref_verb_factors(token, sentence, pronouns, tam_rules).values()))
         else:
             with pytest.raises(NotAVerb):
-                verb_factors(token, sentence, pronouns, _strings(tam_rules))
+                verb_factors(token, sentence, pronouns, tam_rules)
 
 
 @settings(max_examples=500, deadline=None)

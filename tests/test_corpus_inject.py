@@ -21,7 +21,7 @@ from morphinject.errors import (
     RaggedFactorWidth,
     WidthIncompatible,
 )
-from morphinject.noun_morph import BilingualNoun, Gender, NounLexEntry
+from morphinject.noun_morph import BilingualNoun, NounLexEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,7 +85,7 @@ def test_roundtrip_fixture_bytes():
 
 def _dog_dict():
     return build_noun_dict(
-        [BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))]
+        [BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))]
     )
 
 

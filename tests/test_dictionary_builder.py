@@ -13,13 +13,7 @@ from morphinject.dictionary_builder import (
     strip_to_surface,
 )
 from morphinject.errors import InputError
-from morphinject.noun_morph import (
-    BilingualNoun,
-    Gender,
-    NounLexEntry,
-    classify_noun,
-    join_noun,
-)
+from morphinject.noun_morph import BilingualNoun, NounLexEntry, classify_noun, join_noun
 from morphinject.verb_morph import (
     VerbLexEntry,
     default_verb_suffix_table,
@@ -45,7 +39,7 @@ def test_factored_token_validation():
 
 
 def test_build_noun_dict_dog():
-    lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))]
+    lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))]
     d = build_noun_dict(lexicon)
     assert len(d.lines) == 4
     assert [e.source.render() for e in ref_entries(d)] == [
@@ -59,15 +53,15 @@ def test_build_noun_dict_dog():
 
 def test_build_noun_dict_girl_and_empty():
     assert build_noun_dict([]).lines == []
-    d = build_noun_dict([BilingualNoun("girl", NounLexEntry("लड़की", Gender.FEMININE))])
+    d = build_noun_dict([BilingualNoun("girl", NounLexEntry("लड़की", "f"))])
     pl_obl = ref_entries(d)[-1]
     assert pl_obl.source.render() == "girl|pl|obl"
     assert pl_obl.target.render() == sc.normalize("लड़कियों|लड़की|यों")
 
 
 def test_build_noun_dict_dedupe_and_failures():
-    noun = BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))
-    bad = BilingualNoun("cat", NounLexEntry("cat", Gender.FEMININE))  # Latin root
+    noun = BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))
+    bad = BilingualNoun("cat", NounLexEntry("cat", "f"))  # Latin root
     d = build_noun_dict([noun, noun, bad])
     assert len(d.lines) == 4  # duplicate row collapses
     assert len(d.failures) == 1
@@ -132,7 +126,7 @@ def test_verb_generation_closure(verb_lexicon_lines):
 
 
 def test_strip_to_surface_nouns():
-    lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))]
+    lexicon = [BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))]
     stripped = strip_to_surface(build_noun_dict(lexicon))
     rendered = [(e.source.render(), e.target.render()) for e in ref_entries(stripped)]
     # sg-obl and pl-dir collapse onto distinct pairs; duplicates are gone

@@ -11,6 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REF_CASES,
+    REF_GENDERS,
+    REF_NOUN_CLASSES,
+    REF_NUMBERS,
+    REF_PERSONS,
+    REF_TAMS,
     DictEntry,
     EnglishVerbFactors,
     FactoredToken,
@@ -32,18 +38,12 @@ from morphinject.dictionary_builder import (
 from morphinject.errors import InputError, WidthIncompatible
 from morphinject.noun_morph import (
     BilingualNoun,
-    Case,
-    Gender,
-    NounClass,
     NounLexEntry,
-    Number,
     SuffixTable,
     default_suffix_table,
     noun_paradigm,
 )
 from morphinject.verb_morph import (
-    Person,
-    TamSlot,
     VerbLexEntry,
     VerbSuffixTable,
     default_verb_suffix_table,
@@ -126,15 +126,14 @@ def _ref_build_verb(lexicon, table):
     return entries, failures
 
 
-def _ref_value(kind, what, token, index):
-    """A factor of `token` as a `kind` member; a value outside the enum
-    is an input error that names the entry and the allowed values."""
+def _ref_value(allowed, what, token, index):
+    """A factor of `token`, one of `allowed`; any other value is an input
+    error that names the entry and the allowed values."""
     value = token.factors[index]
-    allowed = [m.value for m in kind]
     if value not in allowed:
         raise InputError(f"entry {token.render()!r}: bad {what} {value!r} "
                          f"(expected one of {', '.join(allowed)})")
-    return kind(value)
+    return value
 
 
 def _ref_strip(entries, scheme):
@@ -144,13 +143,13 @@ def _ref_strip(entries, scheme):
             surface = e.source.surface
         elif "tam" in scheme.source_factors:
             factors = EnglishVerbFactors(
-                _ref_value(Number, "number", e.source, 0),
-                _ref_value(Person, "person", e.source, 1),
-                _ref_value(TamSlot, "tam", e.source, 2))
+                _ref_value(REF_NUMBERS, "number", e.source, 0),
+                _ref_value(REF_PERSONS, "person", e.source, 1),
+                _ref_value(REF_TAMS, "tam", e.source, 2))
             surface = ref_english_verb_surface(e.source.surface, factors)
         elif "case" in scheme.source_factors:
             surface = sf.english_noun_surface(
-                e.source.surface, _ref_value(Number, "number", e.source, 0).value)
+                e.source.surface, _ref_value(REF_NUMBERS, "number", e.source, 0))
         else:
             surface = e.source.surface
         entry = DictEntry(_ref_token(surface), _ref_token(e.target.surface))
@@ -168,15 +167,15 @@ def _ref_check_scheme(entries, scheme):
                     f"entry {token.render()!r} has {token.width} factors, scheme declares {declared}")
 
 
-_REF_ENUMS = {"number": Number, "case": Case, "person": Person, "tam": TamSlot}
+_REF_VALUES = {"number": REF_NUMBERS, "case": REF_CASES, "person": REF_PERSONS, "tam": REF_TAMS}
 
 
 def _ref_check_values(rows, scheme):
-    """Every enum factor of every row, in file order, is a value of its
-    enum, else an error at the row's name:line."""
+    """Every factor of every row that has a closed value set, in file
+    order, holds one of its values, else an error at the row's name:line."""
     for where, token in rows:
         for name, value in zip(scheme.source_factors[1:], token.factors):
-            allowed = [m.value for m in _REF_ENUMS.get(name, ())]
+            allowed = _REF_VALUES.get(name, ())
             if allowed and value not in allowed:
                 raise InputError(
                     f"{where}: bad {name} {value!r} (expected one of {', '.join(allowed)})")
@@ -280,8 +279,8 @@ _noun_roots = st.sampled_from([
 ])
 _noun = st.builds(
     BilingualNoun, _english,
-    st.builds(NounLexEntry, _noun_roots, st.sampled_from(Gender), st.booleans(),
-              st.one_of(st.none(), st.sampled_from(NounClass))),
+    st.builds(NounLexEntry, _noun_roots, st.sampled_from(REF_GENDERS), st.booleans(),
+              st.one_of(st.none(), st.sampled_from(REF_NOUN_CLASSES))),
 )
 
 
@@ -293,24 +292,19 @@ def _noun_table(draw):
     if draw(st.booleans()):
         return table
     cells = dict(table.cells)
-    key = draw(st.sampled_from(sorted(
-        (k for k, v in cells.items() if v is not None), key=lambda k: [x.value for x in k])))
+    key = draw(st.sampled_from(sorted(k for k, v in cells.items() if v is not None)))
     cells[key] = cells[key] + draw(st.sampled_from([" x", "|", " "]))
     return SuffixTable(cells)
 
 
 _verb_stems = st.sampled_from(["चल", "खा", "पी", "सो", "छू", "हो", "कर", "cal", "a b", "क|"])
-def _values(kind):
-    return st.sampled_from([m.value for m in kind])
-
-
 # overrides as VerbLexEntry takes them, unchecked: parse_verb_lexicon
 # would reject the surfaces that are not words
 _override = st.tuples(
-    _values(TamSlot),
-    st.one_of(st.none(), _values(Gender)),
-    st.one_of(st.none(), _values(Number)),
-    st.one_of(st.none(), _values(Person)),
+    st.sampled_from(REF_TAMS),
+    st.one_of(st.none(), st.sampled_from(REF_GENDERS)),
+    st.one_of(st.none(), st.sampled_from(REF_NUMBERS)),
+    st.one_of(st.none(), st.sampled_from(REF_PERSONS)),
     st.sampled_from(["गया", "हुआ", "", "a|b", "x y", "की"]),
 )
 _verb = st.builds(VerbLexEntry, _verb_stems, _english, st.lists(_override, max_size=2).map(tuple))
@@ -366,8 +360,8 @@ def test_verb_builder_matches_token_reference(lexicon, table):
 
 def test_a_row_failing_part_way_keeps_its_first_entries():
     cells = dict(default_suffix_table().cells)
-    cells[(NounClass.D, Number.SINGULAR, Case.OBLIQUE)] = "ए x"
-    d = build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.MASCULINE))],
+    cells[("D", "sg", "obl")] = "ए x"
+    d = build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))],
                         SuffixTable(cells))
     assert d.lines == ["dog|sg|dir\tकुत्ता|कुत्ता|null"]
     assert [(f.index, f.error) for f in d.failures] == [
@@ -384,19 +378,17 @@ _dict_line = st.one_of(
     st.tuples(_token, _token).map("\t".join),
     st.text(st.sampled_from(["a", "|", " ", "\t", "\xa0", "#", "क"]), max_size=8),
 )
-# the values of each enum factor, for dictionaries that pass the value check
-_ENUM_PARTS = {"number": ["sg", "pl"], "case": ["dir", "obl"], "person": ["1", "2", "3"],
-               "tam": ["inf", "hab", "perf", "fut", "subj", "imp"]}
 _dict_lines = st.one_of(
     st.lists(_dict_line, max_size=5),
     # one width pair throughout, so that whole files parse
     st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(lambda w: st.lists(
         st.tuples(*(st.lists(_part.filter(bool), min_size=n + 1, max_size=n + 1).map("|".join)
                     for n in w)).map("\t".join), max_size=5)),
-    # one scheme throughout, so that factor values are checked and often pass
+    # one scheme throughout, so that factor values are checked and often
+    # pass: each factor with a closed value set takes one of its values
     st.sampled_from([NOUN_SCHEME, VERB_SCHEME]).flatmap(lambda scheme: st.lists(st.tuples(
         st.sampled_from(["dog", "walk"]),
-        *(st.sampled_from(_ENUM_PARTS[f] + ["xx"]) for f in scheme.source_factors[1:]),
+        *(st.sampled_from((*_REF_VALUES[f], "xx")) for f in scheme.source_factors[1:]),
     ).map(lambda parts: "|".join(parts) + "\tक|क|null"), max_size=5)),
 )
 _scheme = st.sampled_from([None, NOUN_SCHEME, VERB_SCHEME, SURFACE_SCHEME])

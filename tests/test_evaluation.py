@@ -109,7 +109,7 @@ def test_sparsity_tolerates_padded_train_corpus():
 
 
 def test_sparsity_closes_after_injection(noun_fixtures):
-    nouns = [f for f in noun_fixtures if f.noun_class.value in "BCD"][:20]
+    nouns = [f for f in noun_fixtures if f.noun_class in "BCD"][:20]
     lexicon = [BilingualNoun(f.english, f.entry) for f in nouns]
     d = build_noun_dict(lexicon)
     train = _corpus(

@@ -1,48 +1,44 @@
-"""Property test: a factor value is the string its enum member renders.
+"""Property test: the factor values the package gives are the ones the
+references in conftest decide.
 
 The package keeps factor values as strings from the moment a loader
-checks them. The references in conftest decide with enum members, as
-the package did before: a verb's paradigm with per-cell lookups and
-override matching, the English surface of a verb for its factors, and
-the annotation rules as whole-sentence scans. On verbs with
-overrides, tables that keep some of the packaged TAMs, and sentences
-annotated with drawn rules, `verb_paradigm`, `build_verb_dict(surface=True)`
-and `annotate_sentence` must give the .value renderings of what the
-references give.
+checks them. The references decide with their own value sets, one
+factor at a time: a verb's paradigm with per-cell lookups and override
+matching, the English surface of a verb for its factors, and the
+annotation rules as whole-sentence scans. On verbs with overrides,
+tables that keep some of the packaged TAMs, and sentences annotated
+with drawn rules, `verb_paradigm`, `build_verb_dict(surface=True)` and
+`annotate_sentence` must give what the references give.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REF_GENDERS,
+    REF_NUMBERS,
+    REF_PERSONS,
+    REF_TAMS,
     EnglishVerbFactors,
     ref_annotate_sentence,
     ref_english_verb_surface,
     ref_verb_paradigm,
 )
 from morphinject.dictionary_builder import build_verb_dict
-from morphinject.noun_morph import Gender, Number
 from morphinject.source_factors import annotate_sentence, default_pronoun_table
 from morphinject.verb_morph import (
-    Person,
-    TamSlot,
     VerbLexEntry,
     VerbSuffixTable,
     default_verb_suffix_table,
     verb_paradigm,
 )
-from test_annotate_properties import CASE_RULES, TAM_RULES, _strings, sentences
-
-
-def _values(kind):
-    return st.sampled_from([m.value for m in kind])
-
+from test_annotate_properties import CASE_RULES, TAM_RULES, sentences
 
 _override = st.tuples(
-    _values(TamSlot),
-    st.one_of(st.none(), _values(Gender)),
-    st.one_of(st.none(), _values(Number)),
-    st.one_of(st.none(), _values(Person)),
+    st.sampled_from(REF_TAMS),
+    st.one_of(st.none(), st.sampled_from(REF_GENDERS)),
+    st.one_of(st.none(), st.sampled_from(REF_NUMBERS)),
+    st.one_of(st.none(), st.sampled_from(REF_PERSONS)),
     st.sampled_from(["गया", "गई", "हुआ", "जाएगा"]),
 )
 # English roots with irregular, -es, -ies and -ied forms
@@ -58,7 +54,7 @@ _verb = st.builds(
 def _verb_table(draw):
     """The packaged table, or the cells of some of its TAMs."""
     cells = default_verb_suffix_table().cells
-    tams = draw(st.sets(_values(TamSlot), min_size=1))
+    tams = draw(st.sets(st.sampled_from(REF_TAMS), min_size=1))
     return VerbSuffixTable([c for c in cells if c[0] in tams])
 
 
@@ -83,5 +79,5 @@ def test_factor_values_are_the_references_value_renderings(
     built = build_verb_dict(lexicon, table, surface=True)
     assert (built.lines, built.failures) == (_ref_surface_lines(lexicon, table), [])
     pronouns = default_pronoun_table()
-    assert (annotate_sentence(sentence, mode, pronouns, _strings(case_rules), _strings(tam_rules))
+    assert (annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules)
             == ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules))

@@ -20,7 +20,8 @@ import pytest
 import morphinject
 from morphinject.cli import build_parser
 from morphinject.dictionary_builder import SCHEMES
-from morphinject.noun_morph import NounClass
+from morphinject.noun_morph import NOUN_CLASSES
+from morphinject.script_core import GENDERS
 
 ROOT = Path(__file__).parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -30,14 +31,17 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # DictEntry are no more, paradigm_space had no caller, and a factor value
 # is a string, so VerbFactors is no more; the joiners rewrite the endings
 # they classify, so rewrite_ending, RewriteRule, RuleNotApplicable and
-# split_syllables are no more
+# split_syllables are no more; a closed value set is a tuple of strings
+# (script_core.GENDERS, noun_morph.NOUN_CLASSES, ...), so the enums
+# Case, Gender, NounClass, Number, Person and TamSlot are no more
 GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors",
-        "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables")
+        "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables",
+        "Case", "Gender", "NounClass", "Number", "Person", "TamSlot")
 EXPORTS = {
-    "noun_morph": ["Case", "Gender", "NounClass", "NounLexEntry", "Number", "SuffixTable",
-                   "classify_noun", "default_suffix_table", "join_noun", "noun_paradigm"],
-    "verb_morph": ["Person", "TamSlot", "VerbLexEntry", "VerbSuffixTable",
-                   "default_verb_suffix_table", "join_verb", "verb_paradigm"],
+    "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "default_suffix_table",
+                   "join_noun", "noun_paradigm"],
+    "verb_morph": ["VerbLexEntry", "VerbSuffixTable", "default_verb_suffix_table", "join_verb",
+                   "verb_paradigm"],
     "dictionary_builder": ["FactorScheme", "WordFormDictionary", "build_noun_dict",
                            "build_verb_dict", "strip_to_surface"],
     "corpus_inject": ["InjectionReport", "ParallelCorpus", "emit_factored_corpus", "inject",
@@ -123,12 +127,11 @@ def test_evaluation_subcommands_load_only_evaluation(tmp_path, subcommand, first
                       "morphinject.script_core", "morphinject.evaluation"}
 
 
-def test_annotate_loads_no_dictionary_corpus_or_evaluation_layer(tmp_path):
+def test_annotate_loads_only_source_factors(tmp_path):
     loaded = _loaded("annotate", "--conllu", str(FIXTURES / "sample.conllu"),
                      "--out", str(tmp_path / "out.txt"))
-    assert "morphinject.source_factors" in loaded
-    assert not loaded & {"morphinject.dictionary_builder", "morphinject.corpus_inject",
-                         "morphinject.evaluation"}
+    assert loaded == {"morphinject", "morphinject.cli", "morphinject.errors",
+                      "morphinject.script_core", "morphinject.source_factors"}
 
 
 def test_package_names_resolve_on_first_access():
@@ -160,4 +163,5 @@ def _choices(subcommand: str, dest: str) -> list[str]:
 
 def test_literal_parser_choices_match_their_definitions():
     assert _choices("sparsity", "scheme") == sorted(SCHEMES)
-    assert _choices("paradigm", "noun_class") == [c.value for c in NounClass]
+    assert _choices("paradigm", "gender") == GENDERS
+    assert _choices("paradigm", "noun_class") == NOUN_CLASSES

@@ -1,7 +1,7 @@
 """Property tests for the string-row paradigms.
 
 The references below are the paradigm builders and joiners that the
-string rows replaced: every cell looked up by its enum key, and every
+string rows replaced: every cell looked up by its key, and every
 join normalizing its root and suffix, checking the suffix against the
 class's column, working out the root's ending again and rewriting it
 with the checked `rewrite_ending` that conftest keeps. On roots of
@@ -21,23 +21,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import RewriteRule, VerbFactors, ref_override, rewrite_ending
+from conftest import (
+    REF_GENDERS,
+    REF_NOUN_CLASSES,
+    REF_NUMBERS,
+    REF_PERSONS,
+    REF_TAMS,
+    RewriteRule,
+    VerbFactors,
+    ref_override,
+    rewrite_ending,
+)
 from morphinject import script_core as sc
 from morphinject.errors import IllegalSuffixForClass, InputError
 from morphinject.noun_morph import (
     PARADIGM_SLOTS,
-    Gender,
-    NounClass,
     NounLexEntry,
-    Number,
     SuffixTable,
     default_suffix_table,
     join_noun,
     noun_paradigm,
 )
 from morphinject.verb_morph import (
-    Person,
-    TamSlot,
     VerbLexEntry,
     VerbSuffixTable,
     default_verb_suffix_table,
@@ -45,24 +50,22 @@ from morphinject.verb_morph import (
     verb_paradigm,
 )
 
-E = sc.EndingCategory
-
 # --- the references ---
 
 
 def _ref_classify(entry):
     if entry.class_override is not None:
-        if not entry.countable and entry.class_override is not NounClass.A:
+        if not entry.countable and entry.class_override != "A":
             sc.ending_of(entry.hindi_root)  # the root is checked first
-            raise InputError(f"uncountable noun with class override {entry.class_override.value}: "
+            raise InputError(f"uncountable noun with class override {entry.class_override}: "
                              "uncountable nouns are class A")
         return entry.class_override
     if not entry.countable:
-        return NounClass.A
+        return "A"
     ending = sc.ending_of(entry.hindi_root)
-    if entry.gender is Gender.FEMININE:
-        return NounClass.B if ending in (E.LONG_II, E.SHORT_I) else NounClass.C
-    return NounClass.D if ending is E.LONG_A else NounClass.E
+    if entry.gender == "f":
+        return "B" if ending in ("ii", "i") else "C"
+    return "D" if ending == "aa" else "E"
 
 
 def _ref_join_noun(root, cls, suffix, table):
@@ -71,19 +74,19 @@ def _ref_join_noun(root, cls, suffix, table):
         suffix = sc.normalize(suffix)
         if suffix not in table.legal_suffixes(cls):
             raise IllegalSuffixForClass(
-                f"suffix {suffix!r} is not in the class-{cls.value} column")
-        if suffix == "ओं" and cls is NounClass.E and sc.ending_of(root) in (
-                E.LONG_II, E.SHORT_I):
+                f"suffix {suffix!r} is not in the class-{cls} column")
+        if suffix == "ओं" and cls == "E" and sc.ending_of(root) in (
+                "ii", "i"):
             suffix = "यों"
     if suffix is None:
         return root
     body, nasal = sc.strip_final_nasal(root)
     ending = sc.ending_of(root)
-    if ending is E.CONSONANT:
+    if ending == "consonant":
         return root + sc.matra_form(suffix)
-    if cls is NounClass.D and ending is E.LONG_A:
+    if cls == "D" and ending == "aa":
         return rewrite_ending(root, RewriteRule.REPLACE_WITH, suffix)
-    if ending in (E.LONG_II, E.LONG_UU):
+    if ending in ("ii", "uu"):
         stem = rewrite_ending(body, RewriteRule.SHORTEN_FINAL_VOWEL)
     else:
         stem = body
@@ -99,7 +102,7 @@ def _ref_noun_paradigm(entry, table):
     for number, case in PARADIGM_SLOTS:
         suffix = table.cells[(cls, number, case)]
         surface = _ref_join_noun(entry.hindi_root, cls, suffix, table)
-        rows.append((number.value, case.value, suffix, surface))
+        rows.append((number, case, suffix, surface))
     return rows
 
 
@@ -114,16 +117,16 @@ def _ref_join_verb(root, suffix):
         else:
             return root + suffix
     ending = sc.ending_of(root)
-    if ending is E.CONSONANT:
+    if ending == "consonant":
         return root + sc.matra_form(suffix)
     stem = root
-    if ending in (E.LONG_II, E.LONG_UU):
+    if ending in ("ii", "uu"):
         stem = rewrite_ending(root, RewriteRule.SHORTEN_FINAL_VOWEL)
     if suffix[0] == "आ":
-        if ending in (E.LONG_UU, E.SHORT_U):
+        if ending in ("uu", "u"):
             return stem + suffix
         return stem + "य" + sc.matra_form(suffix)
-    if ending is E.LONG_II and suffix[0] == "ई":
+    if ending == "ii" and suffix[0] == "ई":
         return root + suffix[1:]
     return stem + suffix
 
@@ -131,7 +134,7 @@ def _ref_join_verb(root, suffix):
 def _ref_verb_paradigm(entry, table):
     rows = []
     for tam, gender, number, person, suffix in table.rows:
-        factors = VerbFactors(Gender(gender), Number(number), Person(person), TamSlot(tam))
+        factors = VerbFactors(gender, number, person, tam)
         surface = ref_override(entry, factors)
         if surface is None:
             surface = _ref_join_verb(entry.hindi_root, suffix)
@@ -188,15 +191,14 @@ def _noun_table(draw):
     if draw(st.integers(0, 3)) == 0:
         return table
     cells = dict(table.cells)
-    editable = sorted((k for k in cells if k[0] is not NounClass.A and k[1:] != PARADIGM_SLOTS[0]),
-                      key=lambda k: [x.value for x in k])
+    editable = sorted(k for k in cells if k[0] != "A" and k[1:] != PARADIGM_SLOTS[0])
     for key in draw(st.lists(st.sampled_from(editable), min_size=1, max_size=3)):
         cells[key] = draw(st.one_of(st.none(), _suffix))
     return SuffixTable(cells)
 
 
-_noun = st.builds(NounLexEntry, _root, st.sampled_from(Gender), st.booleans(),
-                  st.one_of(st.none(), st.sampled_from(NounClass)))
+_noun = st.builds(NounLexEntry, _root, st.sampled_from(REF_GENDERS), st.booleans(),
+                  st.one_of(st.none(), st.sampled_from(REF_NOUN_CLASSES)))
 
 
 @st.composite
@@ -210,22 +212,18 @@ def _verb_table(draw):
         return table
     cells = list(table.cells)
     if choice == 1:
-        tams = draw(st.sets(st.sampled_from([t.value for t in TamSlot]), min_size=1, max_size=2))
+        tams = draw(st.sets(st.sampled_from(REF_TAMS), min_size=1, max_size=2))
         return VerbSuffixTable([c for c in cells if c[0] in tams])
     for i in draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=4)):
         cells[i] = (*cells[i][:4], draw(st.one_of(st.none(), _suffix)))
     return VerbSuffixTable(cells)
 
 
-def _values(kind):
-    return st.sampled_from([m.value for m in kind])
-
-
 _override = st.tuples(
-    _values(TamSlot),
-    st.one_of(st.none(), _values(Gender)),
-    st.one_of(st.none(), _values(Number)),
-    st.one_of(st.none(), _values(Person)),
+    st.sampled_from(REF_TAMS),
+    st.one_of(st.none(), st.sampled_from(REF_GENDERS)),
+    st.one_of(st.none(), st.sampled_from(REF_NUMBERS)),
+    st.one_of(st.none(), st.sampled_from(REF_PERSONS)),
     st.sampled_from(["गया", "गई", "हुआ", "x y"]),
 )
 _verb = st.builds(VerbLexEntry, _root, st.just("go"), st.lists(_override, max_size=3).map(tuple))
@@ -242,7 +240,7 @@ def test_noun_paradigm_matches_the_per_cell_reference(entry, table):
 
 
 @settings(deadline=None)
-@given(_root, st.sampled_from(NounClass), _noun_table(), st.data())
+@given(_root, st.sampled_from(REF_NOUN_CLASSES), _noun_table(), st.data())
 def test_join_noun_matches_the_reference(root, cls, table, data):
     legal = sorted(table.legal_suffixes(cls))
     # mostly a suffix of the class's column, else any, or the null suffix
@@ -266,8 +264,8 @@ def test_join_verb_matches_the_reference(root, suffix):
 
 
 @settings(deadline=None)
-@given(_root, st.sampled_from(Gender), st.booleans(),
-       st.one_of(st.none(), st.sampled_from(NounClass)))
+@given(_root, st.sampled_from(REF_GENDERS), st.booleans(),
+       st.one_of(st.none(), st.sampled_from(REF_NOUN_CLASSES)))
 def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override):
     """Any root `ending_of` accepts, with the packaged tables: every
     surface of its noun and verb paradigms is a Devanagari word in
@@ -275,7 +273,7 @@ def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override
     noun = NounLexEntry(root, gender, countable, override)
     assume(_outcome(sc.ending_of, noun.hindi_root)[0] == "ok")
     surfaces = [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"))]
-    if countable or override in (None, NounClass.A):
+    if countable or override in (None, "A"):
         surfaces += [row[-1] for row in noun_paradigm(noun)]
     else:  # an uncountable noun is class A
         with pytest.raises(InputError, match="uncountable"):

@@ -14,10 +14,10 @@ from morphinject.dictionary_builder import (
 )
 from morphinject.errors import InputError
 from morphinject.evaluation import BleuScore, OovReport, SparsityReport, StepReport, VocabSet
-from morphinject.noun_morph import BilingualNoun, Gender, NounClass, NounLexEntry
+from morphinject.noun_morph import BilingualNoun, NounLexEntry
 from morphinject.verb_morph import VerbLexEntry
 
-_ENTRY = NounLexEntry("कुत्ता", Gender.MASCULINE)
+_ENTRY = NounLexEntry("कुत्ता", "m")
 _OVERRIDE = ("perf", "m", "sg", None, "किया")
 
 # each record type, positional arguments, and the fields they fill in order
@@ -39,7 +39,7 @@ RECORDS = [
      ("translation_steps", "generation_steps")),
     (BleuScore, (0.5, (0.9, 0.7, 0.5, 0.3), 1.0, 10, 9),
      ("score", "precisions", "brevity_penalty", "candidate_length", "reference_length")),
-    (NounLexEntry, ("कुत्ता", Gender.MASCULINE, False, NounClass.A),
+    (NounLexEntry, ("कुत्ता", "m", False, "A"),
      ("hindi_root", "gender", "countable", "class_override")),
     (BilingualNoun, ("dog", _ENTRY, "nouns.tsv:3"), ("english_root", "entry", "where")),
     (VerbLexEntry, ("चल", "walk", (_OVERRIDE,)), ("hindi_root", "english_root", "irregular_forms")),
@@ -70,7 +70,7 @@ def test_equality_ignores_the_names_that_locate_errors():
     assert ParallelCorpus(["a"], ["b"]) != ParallelCorpus(["c"], ["b"])
     assert BilingualNoun("dog", _ENTRY, "n.tsv:1") == BilingualNoun("dog", _ENTRY, "n.tsv:9")
     assert BilingualNoun("dog", _ENTRY) != BilingualNoun("hound", _ENTRY)
-    assert BilingualNoun("dog", _ENTRY) != BilingualNoun("dog", NounLexEntry("कुत्ता", Gender.FEMININE))
+    assert BilingualNoun("dog", _ENTRY) != BilingualNoun("dog", NounLexEntry("कुत्ता", "f"))
 
 
 def test_dictionary_equality_ignores_failures():
@@ -88,7 +88,7 @@ def test_records_with_other_values_differ():
 
 
 @pytest.mark.parametrize("make", [
-    lambda root: NounLexEntry(root, Gender.MASCULINE),
+    lambda root: NounLexEntry(root, "m"),
     lambda root: VerbLexEntry(root, "walk"),
 ], ids=["noun", "verb"])
 def test_lexicon_entries_normalize_and_check_the_root(make):

@@ -16,12 +16,10 @@ import unicodedata
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FactoredToken
+from conftest import REF_GENDERS, REF_NOUN_CLASSES, FactoredToken
 from morphinject import script_core as sc
 from morphinject.errors import EmptyInput, InputError, NonDevanagariContent
 from morphinject.noun_morph import (
-    Gender,
-    NounClass,
     NounLexEntry,
     classify_noun,
     default_suffix_table,
@@ -98,7 +96,7 @@ _VERB_SUFFIXES = sorted({c[4] for c in default_verb_suffix_table().cells if c[4]
 
 
 @settings(deadline=None)
-@given(_text, st.sampled_from(NounClass), st.sampled_from([None] + _NOUN_SUFFIXES),
+@given(_text, st.sampled_from(REF_NOUN_CLASSES), st.sampled_from([None] + _NOUN_SUFFIXES),
        st.sampled_from([None] + _VERB_SUFFIXES))
 def test_normalize_is_idempotent_on_joiner_output(root, cls, noun_suffix, verb_suffix):
     for join in (lambda: join_noun(root, cls, noun_suffix), lambda: join_verb(root, verb_suffix)):
@@ -122,10 +120,11 @@ def test_check_word_matches_loop_reference(word):
 
 
 @settings(deadline=None)
-@given(st.one_of(_word, _text), st.sampled_from(Gender), st.booleans(),
-       st.one_of(st.none(), st.sampled_from(NounClass)))
+@given(st.one_of(_word, _text), st.sampled_from((*REF_GENDERS, "F", "x")), st.booleans(),
+       st.one_of(st.none(), st.sampled_from((*REF_NOUN_CLASSES, "a", "Z"))))
 def test_morphology_returns_or_raises_an_input_error(root, gender, countable, override):
-    """So `classify` and `paradigm` exit 1 on a bad root, never 2."""
+    """So `classify` and `paradigm` exit 1 on a bad root, gender or class
+    override, never 2."""
     try:
         entry = NounLexEntry(root, gender, countable, override)
         classify_noun(entry)

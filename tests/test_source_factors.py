@@ -2,9 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EnglishVerbFactors
 from morphinject.errors import InputError, NotANoun, NotAVerb
-from morphinject.noun_morph import Number
 from morphinject.source_factors import (
     ConlluToken,
     annotate_sentence,
@@ -18,7 +16,6 @@ from morphinject.source_factors import (
     read_conllu,
     verb_factors,
 )
-from morphinject.verb_morph import Person, TamSlot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,32 +69,15 @@ def test_noun_case_rules(sentences):
     assert noun_case(lone, [lone]) == "dir"
 
 
-def _values(number, person, tam):
-    """(number, person, tam) as verb_factors gives them."""
-    return tuple(EnglishVerbFactors(number, person, tam).values())
-
-
 def test_verb_factors(sentences):
     pron = default_pronoun_table()
-    assert verb_factors(_tok(sentences[2], "walk"), sentences[2], pron) == _values(
-        Number.SINGULAR, Person.FIRST, TamSlot.PRESENT_HABITUAL
-    )
-    assert verb_factors(_tok(sentences[3], "walked"), sentences[3], pron) == _values(
-        Number.PLURAL, Person.THIRD, TamSlot.PAST_PERFECTIVE
-    )
-    assert verb_factors(_tok(sentences[4], "run"), sentences[4], pron) == _values(
-        Number.SINGULAR, Person.THIRD, TamSlot.FUTURE
-    )
-    assert verb_factors(_tok(sentences[5], "Go"), sentences[5], pron) == _values(
-        Number.SINGULAR, Person.THIRD, TamSlot.IMPERATIVE
-    )
+    assert verb_factors(_tok(sentences[2], "walk"), sentences[2], pron) == ("sg", "1", "hab")
+    assert verb_factors(_tok(sentences[3], "walked"), sentences[3], pron) == ("pl", "3", "perf")
+    assert verb_factors(_tok(sentences[4], "run"), sentences[4], pron) == ("sg", "3", "fut")
+    assert verb_factors(_tok(sentences[5], "Go"), sentences[5], pron) == ("sg", "3", "imp")
     # to-infinitive; no own subject, so defaults apply
-    assert verb_factors(_tok(sentences[6], "walk"), sentences[6], pron) == _values(
-        Number.SINGULAR, Person.THIRD, TamSlot.INFINITIVE
-    )
-    assert verb_factors(_tok(sentences[8], "like"), sentences[8], pron) == _values(
-        Number.SINGULAR, Person.THIRD, TamSlot.MODAL_SUBJUNCTIVE
-    )
+    assert verb_factors(_tok(sentences[6], "walk"), sentences[6], pron) == ("sg", "3", "inf")
+    assert verb_factors(_tok(sentences[8], "like"), sentences[8], pron) == ("sg", "3", "subj")
     with pytest.raises(NotAVerb):
         verb_factors(_tok(sentences[0], "dog"), sentences[0], pron)
 
@@ -125,7 +105,7 @@ def test_pronoun_table_invariant():
     with pytest.raises(InputError):
         load_pronoun_table(io.StringIO("i\t1\tsg\n"))  # missing you/he/...
     table = default_pronoun_table()
-    assert table.lookup("They") == (Person.THIRD.value, Number.PLURAL.value)
+    assert table.lookup("They") == ("3", "pl")
     assert table.lookup("xyzzy") is None
 
 

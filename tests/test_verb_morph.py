@@ -3,13 +3,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import Cell, VerbFactors, lookup, ref_override
+from conftest import REF_GENDERS, REF_NUMBERS, REF_PERSONS, Cell, VerbFactors, lookup, ref_override
 from morphinject import script_core as sc
 from morphinject.errors import InputError
-from morphinject.noun_morph import Gender, Number
 from morphinject.verb_morph import (
-    Person,
-    TamSlot,
     VerbLexEntry,
     VerbSuffixTable,
     default_verb_suffix_table,
@@ -33,10 +30,10 @@ def test_agreement_spec():
             dim for dim in ("gender", "number", "person") if getattr(cell, dim) is not None)
         for cell in map(Cell.of, TABLE.cells)
     }
-    assert spec[TamSlot.INFINITIVE] == ()
-    assert spec[TamSlot.PRESENT_HABITUAL] == ("gender", "number")
-    assert spec[TamSlot.FUTURE] == ("gender", "number", "person")
-    assert spec[TamSlot.IMPERATIVE] == ("number", "person")
+    assert spec["inf"] == ()
+    assert spec["hab"] == ("gender", "number")
+    assert spec["fut"] == ("gender", "number", "person")
+    assert spec["imp"] == ("number", "person")
 
 
 def test_verb_table_normalizes_the_suffixes_it_is_given():
@@ -45,26 +42,18 @@ def test_verb_table_normalizes_the_suffixes_it_is_given():
 
 
 def test_verb_suffix_examples():
-    assert lookup(
-        TABLE.cells, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.THIRD, TamSlot.PRESENT_HABITUAL)
-    ) == "ता"
+    assert lookup(TABLE.cells, VerbFactors("m", "sg", "3", "hab")) == "ता"
     # infinitive collapses every dimension
-    for gender in Gender:
-        for number in Number:
-            for person in Person:
-                assert lookup(
-                    TABLE.cells, VerbFactors(gender, number, person, TamSlot.INFINITIVE)
-                ) == "ना"
-    assert lookup(
-        TABLE.cells, VerbFactors(Gender.FEMININE, Number.SINGULAR, Person.SECOND, TamSlot.IMPERATIVE)
-    ) is None
+    for gender in REF_GENDERS:
+        for number in REF_NUMBERS:
+            for person in REF_PERSONS:
+                assert lookup(TABLE.cells, VerbFactors(gender, number, person, "inf")) == "ना"
+    assert lookup(TABLE.cells, VerbFactors("f", "sg", "2", "imp")) is None
 
 
 def test_verb_suffix_outside_grid():
     with pytest.raises(InputError):
-        lookup(
-            TABLE.cells, VerbFactors(Gender.MASCULINE, Number.SINGULAR, Person.FIRST, TamSlot.IMPERATIVE)
-        )
+        lookup(TABLE.cells, VerbFactors("m", "sg", "1", "imp"))
 
 
 def test_table_validation():
@@ -96,9 +85,7 @@ def test_verb_forms_fixture_suite(verb_form_fixtures, verb_lexicon_lines):
     for fx in verb_form_fixtures:
         stem = sc.normalize(fx.stem)
         entry = lexicon[stem]
-        factors = VerbFactors(
-            Gender(fx.gender), Number(fx.number), Person(fx.person), TamSlot(fx.tam)
-        )
+        factors = VerbFactors(fx.gender, fx.number, fx.person, fx.tam)
         surface = ref_override(entry, factors)
         if surface is None:
             surface = join_verb(stem, lookup(TABLE.cells, factors))

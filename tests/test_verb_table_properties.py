@@ -2,10 +2,9 @@
 
 The reference below is the table and paradigm that `VerbSuffixTable.rows`
 replaced: the grid of each TAM derived again for every verb, with one
-wildcard lookup per row, over cells whose factor values are enum
-members. On tables drawn from the packaged one, the two must give the
-same rows in the same order (the reference's rendered by .value), the
-same lookups, or the same error. The one allowed difference: a TAM that
+wildcard lookup per row, over cells held as Cell records. On tables
+drawn from the packaged one, the two must give the same rows in the
+same order, the same lookups, or the same error. The one allowed difference: a TAM that
 agrees in gender but names only one gender loads in the reference and
 fails each verb's lookup, and is rejected when the table is built.
 """
@@ -13,12 +12,18 @@ fails each verb's lookup, and is rejected when the table is built.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Cell, VerbFactors, lookup, ref_verb_paradigm
+from conftest import (
+    REF_GENDERS,
+    REF_NUMBERS,
+    REF_PERSONS,
+    REF_TAMS,
+    Cell,
+    VerbFactors,
+    lookup,
+    ref_verb_paradigm,
+)
 from morphinject.errors import InputError
-from morphinject.noun_morph import Gender, Number
 from morphinject.verb_morph import (
-    Person,
-    TamSlot,
     VerbSuffixTable,
     default_verb_suffix_table,
     parse_verb_lexicon,
@@ -51,33 +56,33 @@ class _RefTable:
                 )
                 if cell_dims != dims:
                     raise InputError(
-                        f"inconsistent collapsed dimensions in {tam.value} rows"
+                        f"inconsistent collapsed dimensions in {tam} rows"
                     )
             seen = set()
             for cell in tam_cells:
                 key = (cell.gender, cell.number, cell.person)
                 if key in seen:
                     raise InputError("duplicate cell " + "/".join(
-                        "-" if v is None else v.value for v in (tam, *key)))
+                        "-" if v is None else v for v in (tam, *key)))
                 seen.add(key)
             expected = 1
             for dim in dims:
                 expected *= len({getattr(c, dim) for c in tam_cells})
             if len(tam_cells) != expected:
-                raise InputError(f"{tam.value} rows do not cover their declared grid")
+                raise InputError(f"{tam} rows do not cover their declared grid")
         self._by_tam = by_tam
 
     def lookup(self, factors):
         for cell in self._by_tam.get(factors.tam, ()):
             if (
-                (cell.gender is None or cell.gender is factors.gender)
-                and (cell.number is None or cell.number is factors.number)
-                and (cell.person is None or cell.person is factors.person)
+                (cell.gender is None or cell.gender == factors.gender)
+                and (cell.number is None or cell.number == factors.number)
+                and (cell.person is None or cell.person == factors.person)
             ):
                 return cell.suffix
         raise InputError(
-            f"factor tuple outside the declared grid: {factors.tam.value}"
-            f"/{factors.gender.value}/{factors.number.value}/{factors.person.value}"
+            f"factor tuple outside the declared grid: {factors.tam}"
+            f"/{factors.gender}/{factors.number}/{factors.person}"
         )
 
 
@@ -90,9 +95,9 @@ def _ref_paradigm(entry, cells):
 # --- the property ---
 
 _VERBS = parse_verb_lexicon(["walk\tचल", "go\tजा\tperf:m:sg=गया\tperf:f=गई\tfut:-:pl=जाएँगे"])
-_GRID = [VerbFactors(g, n, p, t) for t in TamSlot for g in Gender for n in Number for p in Person]
+_GRID = [VerbFactors(g, n, p, t)
+         for t in REF_TAMS for g in REF_GENDERS for n in REF_NUMBERS for p in REF_PERSONS]
 _DIMS = (1, 2, 3)  # gender, number, person: their places in a cell
-_TAMS = [t.value for t in TamSlot]
 
 
 def _outcome(fn):
@@ -132,7 +137,7 @@ def _cells(draw):
         elif op == "collapse-tam":
             # every cell of one TAM loses a dimension; the first cell of
             # each remaining key stays, so the result can load
-            tam, dim = draw(st.sampled_from(_TAMS)), draw(st.sampled_from(_DIMS))
+            tam, dim = draw(st.sampled_from(REF_TAMS)), draw(st.sampled_from(_DIMS))
             keys, kept = set(), []
             for cell in cells:
                 if cell[0] == tam:
@@ -143,7 +148,7 @@ def _cells(draw):
                 kept.append(cell)
             cells = kept
         else:
-            tam, gender = draw(st.sampled_from(_TAMS)), draw(st.sampled_from(["m", "f"]))
+            tam, gender = draw(st.sampled_from(REF_TAMS)), draw(st.sampled_from(["m", "f"]))
             cells = [c for c in cells if c[0] != tam or c[1] != gender]
     if draw(st.booleans()):
         cells = draw(st.permutations(cells))
@@ -155,7 +160,7 @@ def _collapsed(cell, dim):
 
 
 def _one_gender_tams(cells):
-    return [tam for tam in _TAMS
+    return [tam for tam in REF_TAMS
             if len({c[1] for c in cells if c[0] == tam} - {None}) == 1]
 
 
@@ -171,7 +176,7 @@ def test_table_rows_match_the_per_verb_reference(cells):
             assert verb_paradigm(verb, new[1]) == _ref_paradigm(verb, cells)
         assert [row[:5] for row in verb_paradigm(_VERBS[0], new[1])] == new[1].rows
         assert [(number, person, tam) for tam, _, number, person, _ in new[1].rows] == [
-            (f.number.value, f.person.value, f.tam.value)
+            (f.number, f.person, f.tam)
             for f, _, _ in ref_verb_paradigm(_VERBS[0], cells)]
     elif ref[0] == "error":
         assert new == ref
