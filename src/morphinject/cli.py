@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 input/validation error (one-line diagnostic on
 stderr), 2 internal error. Every exception the package raises on purpose
-is an InputError, so exit 2 means an exception nobody planned for: a
-bug. Every input file is read by
+is an InputError, the one exception class it defines, so exit 2 means an
+exception nobody planned for: a bug. Every input file is read by
 script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
 are written to temporary files and renamed, so no subcommand leaves
 partial output behind. Set MORPHINJECT_DATA to a directory to override

@@ -26,7 +26,7 @@ from typing import IO, Iterable
 
 from . import script_core as sc
 from .dictionary_builder import WordFormDictionary, strip_to_surface
-from .errors import LineCountMismatch, MalformedToken, RaggedFactorWidth, WidthIncompatible
+from .errors import InputError
 from .script_core import NULL_FACTOR
 
 
@@ -98,20 +98,20 @@ def _parse_line(line: str, name: str, lineno: int) -> list[str]:
     error at name:line:column."""
     if "\r" in line or "\t" in line:
         col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
-        raise MalformedToken(f"{name}:{lineno}:{col}: control character in line")
+        raise InputError(f"{name}:{lineno}:{col}: control character in line")
     if line != line.rstrip():
-        raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
+        raise InputError(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
     tokens = line.split(" ") if line else []
     col = 1
     for raw in tokens:
         if raw == "":
-            raise MalformedToken(f"{name}:{lineno}:{col}: empty token (double space?)")
+            raise InputError(f"{name}:{lineno}:{col}: empty token (double space?)")
         surface, *factors = raw.split("|")
         error = sc.token_error(surface, factors)
         if surface and "" in factors:  # the corpus names the whole token
             error = f"empty factor in {raw!r}"
         if error:
-            raise MalformedToken(f"{name}:{lineno}:{col}: {error}")
+            raise InputError(f"{name}:{lineno}:{col}: {error}")
         col += len(raw) + 1
     return tokens
 
@@ -145,7 +145,7 @@ def _settle_width(
     if ragged_at is None:
         return lines
     if not auto_normalize:
-        raise RaggedFactorWidth(
+        raise InputError(
             f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
         )
     # a checked line holds no whitespace but its separators: split() is split(" ")
@@ -170,7 +170,7 @@ def parse_factored_corpus(
     src_lines = [ln.rstrip("\n") for ln in source]
     tgt_lines = [ln.rstrip("\n") for ln in target]
     if len(src_lines) != len(tgt_lines):
-        raise LineCountMismatch(
+        raise InputError(
             f"{source_name} has {len(src_lines)} lines, {target_name} has {len(tgt_lines)}"
         )
     # every malformed token, on either side, is reported before a ragged width
@@ -202,7 +202,7 @@ def inject(
     already exists anywhere in the corpus is skipped.
     """
     if mode not in ("factored", "surface"):
-        raise WidthIncompatible(f"bad injection mode {mode!r}")
+        raise InputError(f"bad injection mode {mode!r}")
     if mode == "surface":
         dictionary = strip_to_surface(dictionary)
 
@@ -215,7 +215,7 @@ def inject(
     if tgt_width is None:
         tgt_width = dict_tgt_width
     if dict_src_width > src_width or dict_tgt_width > tgt_width:
-        raise WidthIncompatible(
+        raise InputError(
             f"dictionary factors ({dict_src_width}/{dict_tgt_width}) exceed corpus "
             f"widths ({src_width}/{tgt_width}); widening the corpus would rewrite "
             "original lines"

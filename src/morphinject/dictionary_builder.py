@@ -180,13 +180,10 @@ def parse_dictionary(
             raise InputError(f"{where}: ragged factor widths")
         out[line] = None
     if scheme is None:
-        if widths == (2, 2):
-            scheme = NOUN_SCHEME
-        elif widths == (3, 2):
-            scheme = VERB_SCHEME
-        elif widths in ((0, 0), None):
-            scheme = SURFACE_SCHEME
-        else:
+        # the scheme of the first line's widths; an empty dictionary is surface-only
+        scheme = SURFACE_SCHEME if widths is None else next(
+            (s for s in SCHEMES.values() if (s.source_width, s.target_width) == widths), None)
+        if scheme is None:
             raise InputError(f"{name}: no scheme matches factor widths {widths}")
     elif out:  # every line has the first line's widths
         first = next(iter(out)).split("\t")

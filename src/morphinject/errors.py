@@ -1,76 +1,10 @@
-"""Exception types shared across the toolkit.
+"""The package's one exception type.
 
-Input/validation problems raise InputError subclasses (CLI exit code 1);
-anything else escaping a subcommand is treated as an internal error
-(exit code 2).
+Every error the package raises on purpose is an InputError, and its
+message locates it (file:line where there is one); the CLI exits 1 on
+it. Anything else escaping a subcommand is an internal error (exit 2).
 """
 
 
-class MorphinjectError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class InputError(MorphinjectError):
+class InputError(Exception):
     """Bad input data or arguments: the caller can fix these."""
-
-
-# --- script_core ---
-
-class EmptyInput(InputError):
-    pass
-
-
-class NonDevanagariContent(InputError):
-    pass
-
-
-# --- noun_morph ---
-
-class EmptyRoot(InputError):
-    pass
-
-
-class IllegalSuffixForClass(InputError):
-    pass
-
-
-# --- source_factors ---
-
-class NotANoun(InputError):
-    pass
-
-
-class NotAVerb(InputError):
-    pass
-
-
-# --- corpus_inject ---
-
-class LineCountMismatch(InputError):
-    pass
-
-
-class RaggedFactorWidth(InputError):
-    pass
-
-
-class MalformedToken(InputError):
-    pass
-
-
-class WidthIncompatible(InputError):
-    pass
-
-
-# --- evaluation ---
-
-class ZeroBaseline(InputError):
-    pass
-
-
-class LengthMismatch(InputError):
-    pass
-
-
-class EmptyCorpus(InputError):
-    pass

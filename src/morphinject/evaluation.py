@@ -15,7 +15,7 @@ import math
 from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import EmptyCorpus, InputError, LengthMismatch, ZeroBaseline
+from .errors import InputError
 
 if TYPE_CHECKING:  # annotations only: oov and bleu load no corpus layer
     from .corpus_inject import ParallelCorpus
@@ -69,7 +69,7 @@ def oov_count(tokens: Sequence[str], vocab: VocabSet) -> OovReport:
 def oov_reduction(baseline: int, augmented: int) -> float:
     """Relative OOV reduction in percent: 100 * (base - aug) / base."""
     if baseline <= 0:
-        raise ZeroBaseline(f"baseline count must be positive, got {baseline}")
+        raise InputError(f"baseline count must be positive, got {baseline}")
     if augmented < 0:
         raise InputError(f"augmented count must be >= 0, got {augmented}")
     return 100.0 * (baseline - augmented) / baseline
@@ -174,11 +174,9 @@ def bleu(
     for n > 1.
     """
     if len(candidates) != len(references):
-        raise LengthMismatch(
-            f"{len(candidates)} candidates vs {len(references)} references"
-        )
+        raise InputError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
-        raise EmptyCorpus("no sentences to score")
+        raise InputError("no sentences to score")
 
     matches = [0] * 4
     totals = [0] * 4
@@ -207,7 +205,7 @@ def bleu(
         precisions.append(m / t if t > 0 else 0.0)
 
     if cand_len == 0:
-        raise EmptyCorpus("candidate corpus has no tokens")
+        raise InputError("candidate corpus has no tokens")
     if cand_len < ref_len:
         bp = math.exp(1.0 - ref_len / cand_len)
     else:

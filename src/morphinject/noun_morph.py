@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, TextIO
 
 from . import script_core as sc
-from .errors import EmptyRoot, IllegalSuffixForClass, InputError
+from .errors import InputError
 from .script_core import NULL_SUFFIX_MARK
 
 
@@ -49,8 +49,13 @@ class NounLexEntry(namedtuple("NounLexEntry", "hindi_root gender countable class
         if class_override is not None and class_override not in NOUN_CLASSES:
             raise InputError(sc.bad_value(NOUN_CLASSES, "class", class_override))
         if not hindi_root.strip():
-            raise EmptyRoot("noun entry with empty root")
+            raise InputError("noun entry with empty root")
         return tuple.__new__(cls, (sc.normalize(hindi_root), gender, countable, class_override))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip __new__'s checks
+        return cls(*iterable)
 
 
 class SuffixTable:
@@ -166,7 +171,7 @@ def join_noun(
         return root
     suffix = sc.normalize(suffix)
     if suffix not in legal:
-        raise IllegalSuffixForClass(f"suffix {suffix!r} is not in the class-{cls} column")
+        raise InputError(f"suffix {suffix!r} is not in the class-{cls} column")
     return _join(root, cls, suffix, sc.ending_of(root))
 
 

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import EmptyInput, InputError, NonDevanagariContent
+from .errors import InputError
 
 NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
 
@@ -198,14 +198,12 @@ def _check_word(word: str) -> None:
         return
     # the first offending codepoint, for the message
     if not word:
-        raise EmptyInput("empty word")
+        raise InputError("empty word")
     for i, ch in enumerate(word):
         if not is_devanagari(ch):
-            raise NonDevanagariContent(
-                f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}"
-            )
+            raise InputError(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
         if ch in ("।", "॥"):  # danda marks are punctuation, not word content
-            raise NonDevanagariContent(f"punctuation {ch!r} at offset {i}")
+            raise InputError(f"punctuation {ch!r} at offset {i}")
 
 
 def strip_final_nasal(word: str) -> tuple[str, str]:

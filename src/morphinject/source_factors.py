@@ -12,14 +12,15 @@ against its closed set (script_core.NUMBERS, CASES, PERSONS, TAMS),
 and a row that could never take effect (a second row for a pronoun, a
 rule named twice or listed after "default") is an error at its line.
 
-Each case or TAM rule names a yes/no fact about a token (CASE_FACTS,
-TAM_FACTS), and a rule list is compiled once into a table indexed by a
-token's fact bits, each entry the value of the first rule whose fact
-holds. One pass over the sentence records what the facts read of a
-token's head, children and modal, so annotating a sentence costs time
-linear in its length and one table read per noun or verb. Where IDs
-repeat, the first token in sentence order wins, as in a scan of the
-sentence.
+annotate_sentence is the one place that decides what a noun or a verb
+is and computes its factors. Each case or TAM rule names a yes/no fact
+about a token (CASE_FACTS, TAM_FACTS), and a rule list is compiled once
+into a table indexed by a token's fact bits, each entry the value of the
+first rule whose fact holds. One pass over the sentence records what the
+facts read of a token's head, children and modal, so annotating a
+sentence costs time linear in its length and one table read per noun or
+verb. Where IDs repeat, the first token in sentence order wins, as in a
+scan of the sentence.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import script_core as sc
-from .errors import InputError, NotANoun, NotAVerb
+from .errors import InputError
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PLURAL_TAGS = {"NNS", "NNPS"}
@@ -143,20 +144,6 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
         yield tokens
 
 
-def is_noun(token: ConlluToken) -> bool:
-    return token.xpos in NOUN_TAGS
-
-
-def is_verb(token: ConlluToken) -> bool:
-    return token.xpos.startswith("VB")
-
-
-def noun_number(token: ConlluToken) -> str:
-    if not is_noun(token):
-        raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    return "pl" if token.xpos in PLURAL_TAGS else "sg"
-
-
 # A rule names a fact about a token. A token's facts are the bits of an
 # int, bit i set when facts[i] holds; "default" always holds.
 CASE_FACTS = ("prep_object", "ergative_subject", "subject", "direct_object")
@@ -196,18 +183,6 @@ def default_tam_rules() -> list[tuple[str, str]]:
 def default_pronoun_table() -> PronounTable:
     """The packaged pronoun table, loaded once."""
     return load_pronoun_table()
-
-
-def _case_table(rules: list[tuple[str, str]] | None) -> tuple[str, ...]:
-    """The compiled case rules, the packaged ones if None."""
-    return compile_rules(tuple(default_case_rules() if rules is None else rules),
-                         CASE_FACTS, "dir")
-
-
-def _tam_table(rules: list[tuple[str, str]] | None) -> tuple[str, ...]:
-    """The compiled TAM rules, the packaged ones if None."""
-    return compile_rules(tuple(default_tam_rules() if rules is None else rules),
-                         TAM_FACTS, "hab")
 
 
 def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
@@ -286,36 +261,6 @@ def _agreement(subject: ConlluToken | None, pronouns: PronounTable) -> tuple[str
         if subject.xpos in PLURAL_TAGS:
             return "pl", "3"
     return "sg", "3"
-
-
-def noun_case(
-    token: ConlluToken,
-    sentence: list[ConlluToken],
-    rules: list[tuple[str, str]] | None = None,
-) -> str:
-    """Ordered rule evaluation over the dependency graph, first match
-    wins; "dir" if none matches."""
-    if not is_noun(token):
-        raise NotANoun(f"{token.form!r} has tag {token.xpos}, not a noun tag")
-    tags, _, case_heads, _, _, _ = _sentence_facts(sentence)
-    return _case_table(rules)[_case_bits(token, tags, case_heads)]
-
-
-def verb_factors(
-    verb: ConlluToken,
-    sentence: list[ConlluToken],
-    pronouns: PronounTable | None = None,
-    tam_rules: list[tuple[str, str]] | None = None,
-) -> tuple[str, str, str]:
-    """(number, person, tam): number from the subject, person from the
-    pronoun list, TAM from the ordered tag-pattern rules."""
-    if not is_verb(verb):
-        raise NotAVerb(f"{verb.form!r} has tag {verb.xpos}, not a verb")
-    _, subjects, _, to_heads, md_child, md_by_id = _sentence_facts(sentence)
-    number, person = _agreement(subjects.get(verb.id),
-                                default_pronoun_table() if pronouns is None else pronouns)
-    tam = _tam_table(tam_rules)[_tam_bits(verb, subjects, to_heads, md_child, md_by_id)]
-    return number, person, tam
 
 
 # --- English surface synthesis (for the surface-only dictionary) ---
@@ -411,7 +356,10 @@ def annotate_sentence(
     nouns, verbs = mode != "verb", mode != "noun"
     if pronouns is None:
         pronouns = default_pronoun_table()
-    case_table, tam_table = _case_table(case_rules), _tam_table(tam_rules)
+    case_table = compile_rules(
+        tuple(default_case_rules() if case_rules is None else case_rules), CASE_FACTS, "dir")
+    tam_table = compile_rules(
+        tuple(default_tam_rules() if tam_rules is None else tam_rules), TAM_FACTS, "hab")
     tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
     out = []
     for token in sentence:

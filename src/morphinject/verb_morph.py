@@ -52,6 +52,11 @@ class VerbLexEntry(namedtuple("VerbLexEntry", "hindi_root english_root irregular
             raise InputError("verb entry with empty stem")
         return tuple.__new__(cls, (sc.normalize(hindi_root), english_root, irregular_forms))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip __new__'s checks
+        return cls(*iterable)
+
 
 # the values of each dimension, in order, by the dimension's cell position
 _DIMS = {1: sc.GENDERS, 2: sc.NUMBERS, 3: sc.PERSONS}

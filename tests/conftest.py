@@ -161,6 +161,8 @@ REF_NUMBERS = ("sg", "pl")
 REF_CASES = ("dir", "obl")
 REF_PERSONS = ("1", "2", "3")
 REF_TAMS = ("inf", "hab", "perf", "fut", "subj", "imp")
+REF_NOUN_TAGS = ("NN", "NNS", "NNP", "NNPS")
+REF_PLURAL_TAGS = ("NNS", "NNPS")
 
 
 @dataclass(frozen=True)
@@ -374,8 +376,8 @@ def ref_verb_factors(verb, sentence, pronouns, rules) -> EnglishVerbFactors:
         pron = pronouns.lookup(subject.form)
         if pron is not None:
             person, number = pron
-        elif sf.is_noun(subject):
-            number = "pl" if subject.xpos in sf.PLURAL_TAGS else "sg"
+        elif subject.xpos in REF_NOUN_TAGS:
+            number = "pl" if subject.xpos in REF_PLURAL_TAGS else "sg"
     tam = "hab"
     for name, slot in rules:
         if REF_TAM_TESTS[name](verb, sentence):
@@ -390,8 +392,8 @@ def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
     for token in sentence:
         # an empty or unspecified ("_") lemma falls back to the form
         lemma = token.form if token.lemma in ("", "_") else token.lemma
-        if mode != "verb" and sf.is_noun(token):
-            number = "pl" if token.xpos in sf.PLURAL_TAGS else "sg"
+        if mode != "verb" and token.xpos in REF_NOUN_TAGS:
+            number = "pl" if token.xpos in REF_PLURAL_TAGS else "sg"
             case = ref_noun_case(token, sentence, case_rules)
             out.append((lemma, [number, case]))
         elif mode != "noun" and token.xpos.startswith("VB"):

@@ -23,11 +23,9 @@ from conftest import (
     REF_TAMS,
     FactoredToken,
     ref_annotate_sentence,
-    ref_noun_case,
-    ref_verb_factors,
 )
 from morphinject.cli import _annotation_line
-from morphinject.errors import InputError, NotANoun, NotAVerb
+from morphinject.errors import InputError
 from morphinject.source_factors import (
     CASE_FACTS,
     TAM_FACTS,
@@ -37,9 +35,6 @@ from morphinject.source_factors import (
     default_case_rules,
     default_pronoun_table,
     default_tam_rules,
-    is_noun,
-    noun_case,
-    verb_factors,
 )
 
 # --- sentences ---------------------------------------------------------------
@@ -129,25 +124,6 @@ def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rul
     assert (annotate_sentence(sentence, mode, None, case_rules, tam_rules)
             == ref_annotate_sentence(sentence, mode, default_pronoun_table(),
                                      case_rules, tam_rules))
-
-
-@settings(max_examples=200, deadline=None)
-@given(sentences(), CASE_RULES, TAM_RULES)
-def test_public_rules_match_whole_sentence_scans(sentence, case_rules, tam_rules):
-    pronouns = default_pronoun_table()
-    for token in sentence:
-        if is_noun(token):
-            assert (noun_case(token, sentence, case_rules)
-                    == ref_noun_case(token, sentence, case_rules))
-        else:
-            with pytest.raises(NotANoun):
-                noun_case(token, sentence, case_rules)
-        if token.xpos.startswith("VB"):
-            assert (verb_factors(token, sentence, pronouns, tam_rules)
-                    == tuple(ref_verb_factors(token, sentence, pronouns, tam_rules).values()))
-        else:
-            with pytest.raises(NotAVerb):
-                verb_factors(token, sentence, pronouns, tam_rules)
 
 
 @settings(max_examples=500, deadline=None)

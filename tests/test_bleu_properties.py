@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from morphinject.errors import EmptyCorpus, LengthMismatch
+from morphinject.errors import InputError
 from morphinject.evaluation import BleuScore, bleu
 
 
@@ -24,9 +24,9 @@ def _ngrams(tokens, n):
 
 def _ref_bleu(candidates, references, smoothing=False):
     if len(candidates) != len(references):
-        raise LengthMismatch(f"{len(candidates)} candidates vs {len(references)} references")
+        raise InputError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
-        raise EmptyCorpus("no sentences to score")
+        raise InputError("no sentences to score")
     matches = [0] * 4
     totals = [0] * 4
     cand_len = 0
@@ -47,7 +47,7 @@ def _ref_bleu(candidates, references, smoothing=False):
             m, t = m + 1, t + 1
         precisions.append(m / t if t > 0 else 0.0)
     if cand_len == 0:
-        raise EmptyCorpus("candidate corpus has no tokens")
+        raise InputError("candidate corpus has no tokens")
     bp = math.exp(1.0 - ref_len / cand_len) if cand_len < ref_len else 1.0
     if all(p > 0 for p in precisions):
         score = bp * math.exp(sum(math.log(p) for p in precisions) / 4.0)
@@ -75,7 +75,7 @@ def test_bleu_matches_the_counter_reference(data, count, extra, smoothing):
     references = data.draw(_sentences(count + data.draw(st.sampled_from([0, 0, extra]))))
     try:
         expected = _ref_bleu(candidates, references, smoothing)
-    except (EmptyCorpus, LengthMismatch) as exc:
+    except InputError as exc:
         with pytest.raises(type(exc)) as raised:
             bleu(candidates, references, smoothing=smoothing)
         assert str(raised.value) == str(exc)

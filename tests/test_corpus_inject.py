@@ -15,12 +15,7 @@ from morphinject.dictionary_builder import (
     SURFACE_SCHEME,
     build_noun_dict,
 )
-from morphinject.errors import (
-    LineCountMismatch,
-    MalformedToken,
-    RaggedFactorWidth,
-    WidthIncompatible,
-)
+from morphinject.errors import InputError
 from morphinject.noun_morph import BilingualNoun, NounLexEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,23 +42,23 @@ def test_parse_factor_layout():
 
 
 def test_parse_line_count_mismatch():
-    with pytest.raises(LineCountMismatch):
+    with pytest.raises(InputError, match=r"^source has 2 lines, target has 1$"):
         _parse("a\nb\n", "x\n")
 
 
 def test_parse_malformed_tokens():
-    with pytest.raises(MalformedToken, match=r"source:1:3"):
+    with pytest.raises(InputError, match=r"^source:1:3: empty token \(double space\?\)$"):
         _parse("a  b\n", "x y\n")  # double space
-    with pytest.raises(MalformedToken, match=r"source:2:1"):
+    with pytest.raises(InputError, match=r"^source:2:1: token with empty surface$"):
         _parse("a\n|x\n", "x\ny\n")  # empty surface
-    with pytest.raises(MalformedToken, match=r"trailing whitespace"):
+    with pytest.raises(InputError, match=r"^source:1:2: trailing whitespace$"):
         _parse("a \n", "x\n")
-    with pytest.raises(MalformedToken, match=r"source:1:1.*empty factor"):
+    with pytest.raises(InputError, match=r"^source:1:1: empty factor in 'a\|\|b'$"):
         _parse("a||b\n", "x\n")
 
 
 def test_parse_ragged_width():
-    with pytest.raises(RaggedFactorWidth, match=r"target:2:1"):
+    with pytest.raises(InputError, match=r"^target:2:1: factor width differs from first token$"):
         _parse("a|x\nb|y\n", "p|q\nr\n")
     corpus = _parse("a|x\nb|y\n", "p|q\nr\n", auto_normalize=True)
     assert corpus.tgt[1] == "r|null"
@@ -131,7 +126,7 @@ def test_inject_width_normalization():
     assert not validate_widths(out)
     # dictionary wider than the corpus would force rewriting originals
     narrow = _parse("a|x\n", "प|क\n")
-    with pytest.raises(WidthIncompatible):
+    with pytest.raises(InputError, match=r"^dictionary factors \(2/2\) exceed corpus widths \(1/1\)"):
         inject(narrow, _dog_dict())
 
 

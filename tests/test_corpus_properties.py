@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
 from morphinject.corpus_inject import emit_factored_corpus, inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, WordFormDictionary, strip_to_surface
-from morphinject.errors import InputError, MalformedToken, RaggedFactorWidth
+from morphinject.errors import InputError
 
 # separators, control characters, non-space whitespace (no-break space,
 # line separator, file separator, next line) and Devanagari
@@ -45,24 +45,24 @@ def _reference_token_error(surface, factors):
 def _reference_line(line, name, lineno, pad_to=None):
     if "\r" in line or "\t" in line:
         col = min(i for i, ch in enumerate(line) if ch in "\r\t") + 1
-        raise MalformedToken(f"{name}:{lineno}:{col}: control character in line")
+        raise InputError(f"{name}:{lineno}:{col}: control character in line")
     if line != line.rstrip():
-        raise MalformedToken(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
+        raise InputError(f"{name}:{lineno}:{len(line.rstrip()) + 1}: trailing whitespace")
     tokens = []
     col = 1
     for raw in line.split(" ") if line else ():
         if raw == "":
-            raise MalformedToken(f"{name}:{lineno}:{col}: empty token (double space?)")
+            raise InputError(f"{name}:{lineno}:{col}: empty token (double space?)")
         surface, *factors = raw.split("|")
         if surface == "":
-            raise MalformedToken(f"{name}:{lineno}:{col}: token with empty surface")
+            raise InputError(f"{name}:{lineno}:{col}: token with empty surface")
         if "" in factors:
-            raise MalformedToken(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
+            raise InputError(f"{name}:{lineno}:{col}: empty factor in {raw!r}")
         if pad_to is not None:
             factors += ["null"] * (pad_to - len(factors))
         error = _reference_token_error(surface, factors)
         if error:
-            raise MalformedToken(f"{name}:{lineno}:{col}: {error}")
+            raise InputError(f"{name}:{lineno}:{col}: {error}")
         tokens.append(FactoredToken(surface, tuple(factors)))
         col += len(raw) + 1
     return tokens
@@ -88,7 +88,7 @@ def reference_parse(src_lines, tgt_lines, auto_normalize):
     for (lines, name), tokens in zip(sides, parsed):
         ragged_at = _first_ragged(tokens)
         if ragged_at and not auto_normalize:
-            raise RaggedFactorWidth(
+            raise InputError(
                 f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
             )
         if ragged_at:

@@ -112,5 +112,5 @@ def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given():
     ]
     assert sf.annotate_sentence(sentence, "noun")[3] == ("cat", ["pl", "obl"])
     assert sf.annotate_sentence(sentence, "noun", case_rules=[])[3] == ("cat", ["pl", "dir"])
-    assert sf.noun_case(sentence[3], sentence, []) == "dir"
-    assert sf.verb_factors(sentence[1], sentence, tam_rules=[])[2] == "hab"
+    assert sf.annotate_sentence(sentence, case_rules=[])[3] == ("cat", ["pl", "dir"])
+    assert sf.annotate_sentence(sentence, "verb", tam_rules=[])[1] == ("bark", ["pl", "3", "hab"])

@@ -35,7 +35,7 @@ from morphinject.dictionary_builder import (
     parse_dictionary,
     strip_to_surface,
 )
-from morphinject.errors import InputError, WidthIncompatible
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     BilingualNoun,
     NounLexEntry,
@@ -228,7 +228,7 @@ def _ref_inject(corpus, entries, scheme, mode):
     src_width = dict_src_width if src_width is None else src_width
     tgt_width = dict_tgt_width if tgt_width is None else tgt_width
     if dict_src_width > src_width or dict_tgt_width > tgt_width:
-        raise WidthIncompatible(
+        raise InputError(
             f"dictionary factors ({dict_src_width}/{dict_tgt_width}) exceed corpus "
             f"widths ({src_width}/{tgt_width}); widening the corpus would rewrite "
             "original lines")

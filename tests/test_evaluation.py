@@ -7,7 +7,7 @@ import pytest
 from conftest import ref_entries
 from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
-from morphinject.errors import EmptyCorpus, LengthMismatch, ZeroBaseline
+from morphinject.errors import InputError
 from morphinject.evaluation import (
     VocabSet,
     bleu,
@@ -54,7 +54,7 @@ def test_oov_reduction():
     assert abs(oov_reduction(2130, 1839) - 13.66) < 0.01
     assert oov_reduction(10, 10) == 0.0
     assert oov_reduction(10, 0) == 100.0
-    with pytest.raises(ZeroBaseline):
+    with pytest.raises(InputError, match=r"^baseline count must be positive, got 0$"):
         oov_reduction(0, 5)
     # antitone in the second argument
     values = [oov_reduction(1000, a) for a in range(0, 1001, 100)]
@@ -205,11 +205,11 @@ def test_bleu_brevity_penalty():
 
 
 def test_bleu_errors_and_bounds():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InputError, match=r"^1 candidates vs 2 references$"):
         bleu([["a"]], [["a"], ["b"]])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(InputError, match=r"^no sentences to score$"):
         bleu([], [])
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(InputError, match=r"^candidate corpus has no tokens$"):
         bleu([[]], [["a"]])  # no candidate tokens: BP undefined
     rng = random.Random(5)
     vocab = ["x", "y", "z"]

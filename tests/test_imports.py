@@ -33,10 +33,20 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # they classify, so rewrite_ending, RewriteRule, RuleNotApplicable and
 # split_syllables are no more; a closed value set is a tuple of strings
 # (script_core.GENDERS, noun_morph.NOUN_CLASSES, ...), so the enums
-# Case, Gender, NounClass, Number, Person and TamSlot are no more
+# Case, Gender, NounClass, Number, Person and TamSlot are no more; every
+# error is an InputError, which nothing told apart by subclass, so
+# MorphinjectError and its thirteen marker subclasses are no more;
+# annotate_sentence alone decides what a noun or verb is and computes its
+# factors, so the per-token is_noun, is_verb, noun_number, noun_case and
+# verb_factors, which nothing in the package called, are no more
+RETIRED_ERRORS = ("MorphinjectError", "EmptyInput", "NonDevanagariContent", "EmptyRoot",
+                  "IllegalSuffixForClass", "NotANoun", "NotAVerb", "LineCountMismatch",
+                  "RaggedFactorWidth", "MalformedToken", "WidthIncompatible", "ZeroBaseline",
+                  "LengthMismatch", "EmptyCorpus")
 GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors",
         "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables",
-        "Case", "Gender", "NounClass", "Number", "Person", "TamSlot")
+        "Case", "Gender", "NounClass", "Number", "Person", "TamSlot", *RETIRED_ERRORS,
+        "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "default_suffix_table",
                    "join_noun", "noun_paradigm"],
@@ -145,8 +155,16 @@ def test_package_names_resolve_on_first_access():
         assert name not in morphinject.__all__
         with pytest.raises(AttributeError):
             getattr(morphinject, name)
-        for module in ("script_core", "errors", *EXPORTS):
+        for module in ("script_core", "errors", "source_factors", *EXPORTS):
             assert not hasattr(import_module(f"morphinject.{module}"), name), (module, name)
+
+
+def test_input_error_is_the_only_exception_class():
+    errors = import_module("morphinject.errors")
+    classes = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)]
+    assert classes == ["InputError"]
+    assert errors.InputError.__bases__ == (Exception,)
 
 
 def test_unknown_package_name_raises():

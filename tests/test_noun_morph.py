@@ -3,7 +3,7 @@ import io
 import pytest
 
 from morphinject import script_core as sc
-from morphinject.errors import EmptyRoot, IllegalSuffixForClass, InputError
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     NOUN_CLASSES,
     NounLexEntry,
@@ -73,7 +73,7 @@ def test_classifier_golden(root, gender, countable, expected):
 def test_classifier_override_and_errors():
     entry = NounLexEntry("पानी", "m", class_override="A")
     assert classify_noun(entry) == "A"
-    with pytest.raises(EmptyRoot):
+    with pytest.raises(InputError, match=r"^noun entry with empty root$"):
         NounLexEntry("  ", "f")
 
 
@@ -133,7 +133,7 @@ def test_join_examples():
     # generated surfaces are in canonical form (precomposed nukta)
     assert join_noun("लड़की", "B", "याँ") == sc.normalize("लड़कियाँ")
     assert join_noun("रात", "C", "एँ") == "रातें"
-    with pytest.raises(IllegalSuffixForClass):
+    with pytest.raises(InputError, match=r"^suffix 'याँ' is not in the class-D column$"):
         join_noun("कुत्ता", "D", "याँ")
 
 

@@ -33,7 +33,7 @@ from conftest import (
     rewrite_ending,
 )
 from morphinject import script_core as sc
-from morphinject.errors import IllegalSuffixForClass, InputError
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     PARADIGM_SLOTS,
     NounLexEntry,
@@ -73,8 +73,7 @@ def _ref_join_noun(root, cls, suffix, table):
     if suffix is not None:
         suffix = sc.normalize(suffix)
         if suffix not in table.legal_suffixes(cls):
-            raise IllegalSuffixForClass(
-                f"suffix {suffix!r} is not in the class-{cls} column")
+            raise InputError(f"suffix {suffix!r} is not in the class-{cls} column")
         if suffix == "ओं" and cls == "E" and sc.ending_of(root) in (
                 "ii", "i"):
             suffix = "यों"

@@ -99,6 +99,33 @@ def test_lexicon_entries_normalize_and_check_the_root(make):
             make(empty)
 
 
+# namedtuple's _make, and _replace through it, build the tuple directly;
+# the entries' _make goes through the constructor's checks and normalization
+
+def test_noun_entry_replace_checks_the_gender():
+    with pytest.raises(InputError, match=r"^bad gender 'F' \(expected one of m, f\)$"):
+        NounLexEntry("लड़की", "f")._replace(gender="F")
+    assert NounLexEntry("लड़की", "m")._replace(gender="f") == NounLexEntry("लड़की", "f")
+
+
+def test_noun_entry_make_checks_every_field():
+    with pytest.raises(InputError, match=r"^bad gender 'x' \(expected one of m, f\)$"):
+        NounLexEntry._make(["", "x", True, "Z"])
+    with pytest.raises(InputError, match=r"^bad class 'Z' \(expected one of A, B, C, D, E\)$"):
+        NounLexEntry._make(["लड़की", "f", True, "Z"])
+    with pytest.raises(InputError, match=r"^noun entry with empty root$"):
+        NounLexEntry._make(["", "m", True, None])
+    assert NounLexEntry._make(["ल\u0921\u093cकी", "f", True, None]).hindi_root == "ल\u095cकी"
+
+
+def test_verb_entry_replace_normalizes_and_checks_the_stem():
+    assert VerbLexEntry("चल", "walk")._replace(hindi_root="\u0921\u093c").hindi_root == "\u095c"
+    with pytest.raises(InputError, match=r"^verb entry with empty stem$"):
+        VerbLexEntry("चल", "walk")._replace(hindi_root=" ")
+    with pytest.raises(TypeError):
+        VerbLexEntry._make(["चल", "walk", (), "extra"])
+
+
 @pytest.mark.parametrize("entry, field", [
     (_ENTRY, "hindi_root"),
     (_ENTRY, "countable"),

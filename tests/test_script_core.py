@@ -3,7 +3,7 @@ import unicodedata
 import pytest
 
 from morphinject import script_core as sc
-from morphinject.errors import EmptyInput, NonDevanagariContent
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     NounLexEntry,
     SuffixTable,
@@ -26,11 +26,11 @@ def test_ending_of_examples():
     assert sc.ending_of("ले") == "e"
     assert sc.ending_of("भाई") == "ii"  # independent vowel
     assert sc.ending_of("कुआँ") == "aa"  # nasal is transparent
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InputError, match=r"^empty word$"):
         sc.ending_of("")
-    with pytest.raises(NonDevanagariContent):
+    with pytest.raises(InputError, match=r"^non-Devanagari codepoint U\+0064 at offset 0$"):
         sc.ending_of("dog")
-    with pytest.raises(NonDevanagariContent):
+    with pytest.raises(InputError, match=r"^punctuation '।' at offset 3$"):
         sc.ending_of("रात।")
 
 

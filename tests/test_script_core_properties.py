@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import REF_GENDERS, REF_NOUN_CLASSES, FactoredToken
 from morphinject import script_core as sc
-from morphinject.errors import EmptyInput, InputError, NonDevanagariContent
+from morphinject.errors import InputError
 from morphinject.noun_morph import (
     NounLexEntry,
     classify_noun,
@@ -42,12 +42,12 @@ def _reference_normalize(text):
 
 def _reference_check_word(word):
     if not word:
-        raise EmptyInput("empty word")
+        raise InputError("empty word")
     for i, ch in enumerate(word):
         if not 0x0900 <= ord(ch) <= 0x097F:
-            raise NonDevanagariContent(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
+            raise InputError(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
         if ch in ("।", "॥"):
-            raise NonDevanagariContent(f"punctuation {ch!r} at offset {i}")
+            raise InputError(f"punctuation {ch!r} at offset {i}")
 
 
 def _outcome(fn, *args):

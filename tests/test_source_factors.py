@@ -2,19 +2,15 @@ from pathlib import Path
 
 import pytest
 
-from morphinject.errors import InputError, NotANoun, NotAVerb
+from morphinject.errors import InputError
 from morphinject.source_factors import (
     ConlluToken,
     annotate_sentence,
     default_pronoun_table,
     english_noun_surface,
     english_verb_surface,
-    is_verb,
     load_pronoun_table,
-    noun_case,
-    noun_number,
     read_conllu,
-    verb_factors,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,8 +21,10 @@ def sentences():
     return list(read_conllu((FIXTURES / "sample.conllu").read_text("utf-8").splitlines()))
 
 
-def _tok(sentence, form):
-    return next(t for t in sentence if t.form == form)
+def _factors(sentence, form, mode="both", **kwargs):
+    """The factor values annotate_sentence gives the token with this form."""
+    at = next(i for i, t in enumerate(sentence) if t.form == form)
+    return annotate_sentence(sentence, mode, **kwargs)[at][1]
 
 
 def test_read_conllu(sentences):
@@ -46,40 +44,42 @@ def test_read_conllu_skips_ranges_and_rejects_bad_columns():
 
 
 def test_noun_number():
-    assert noun_number(ConlluToken(1, "dogs", "dog", "NNS", 0, "root")) == "pl"
-    assert noun_number(ConlluToken(1, "dog", "dog", "NN", 0, "root")) == "sg"
-    assert noun_number(ConlluToken(1, "Delhi", "Delhi", "NNP", 0, "root")) == "sg"
-    with pytest.raises(NotANoun):
-        noun_number(ConlluToken(1, "walked", "walk", "VBD", 0, "root"))
+    def alone(form, lemma, xpos, mode="noun"):
+        return annotate_sentence([ConlluToken(1, form, lemma, xpos, 0, "root")], mode)
+    assert alone("dogs", "dog", "NNS") == [("dog", ["pl", "dir"])]
+    assert alone("dog", "dog", "NN") == [("dog", ["sg", "dir"])]
+    assert alone("Delhi", "Delhi", "NNP") == [("Delhi", ["sg", "dir"])]
+    # a verb tag is no noun: its form, with no factors
+    assert alone("walked", "walk", "VBD") == [("walked", [])]
+    assert alone("walked", "walk", "VBD", "both") == [("walk", ["sg", "3", "perf"])]
 
 
 def test_noun_case_rules(sentences):
     # object of a preposition (legacy pobj): oblique
-    assert noun_case(_tok(sentences[1], "house"), sentences[1]) == "obl"
+    assert _factors(sentences[1], "house", "noun") == ["sg", "obl"]
     # subject of a past-perfective verb: ergative context, oblique
-    assert noun_case(_tok(sentences[1], "dog"), sentences[1]) == "obl"
+    assert _factors(sentences[1], "dog", "noun") == ["sg", "obl"]
     # plain subject, present tense: direct
-    assert noun_case(_tok(sentences[0], "dog"), sentences[0]) == "dir"
+    assert _factors(sentences[0], "dog", "noun") == ["sg", "dir"]
     # UD obl with case child: oblique
-    assert noun_case(_tok(sentences[6], "park"), sentences[6]) == "obl"
+    assert _factors(sentences[6], "park", "noun") == ["sg", "obl"]
     # direct object: direct
-    assert noun_case(_tok(sentences[7], "books"), sentences[7]) == "dir"
+    assert _factors(sentences[7], "books", "noun") == ["pl", "dir"]
     # isolated noun: default direct
-    lone = ConlluToken(1, "dog", "dog", "NN", 0, "root")
-    assert noun_case(lone, [lone]) == "dir"
+    assert _factors([ConlluToken(1, "dog", "dog", "NN", 0, "root")], "dog") == ["sg", "dir"]
 
 
 def test_verb_factors(sentences):
     pron = default_pronoun_table()
-    assert verb_factors(_tok(sentences[2], "walk"), sentences[2], pron) == ("sg", "1", "hab")
-    assert verb_factors(_tok(sentences[3], "walked"), sentences[3], pron) == ("pl", "3", "perf")
-    assert verb_factors(_tok(sentences[4], "run"), sentences[4], pron) == ("sg", "3", "fut")
-    assert verb_factors(_tok(sentences[5], "Go"), sentences[5], pron) == ("sg", "3", "imp")
+    assert _factors(sentences[2], "walk", "verb", pronouns=pron) == ["sg", "1", "hab"]
+    assert _factors(sentences[3], "walked", "verb", pronouns=pron) == ["pl", "3", "perf"]
+    assert _factors(sentences[4], "run", "verb", pronouns=pron) == ["sg", "3", "fut"]
+    assert _factors(sentences[5], "Go", "verb", pronouns=pron) == ["sg", "3", "imp"]
     # to-infinitive; no own subject, so defaults apply
-    assert verb_factors(_tok(sentences[6], "walk"), sentences[6], pron) == ("sg", "3", "inf")
-    assert verb_factors(_tok(sentences[8], "like"), sentences[8], pron) == ("sg", "3", "subj")
-    with pytest.raises(NotAVerb):
-        verb_factors(_tok(sentences[0], "dog"), sentences[0], pron)
+    assert _factors(sentences[6], "walk", "verb", pronouns=pron) == ["sg", "3", "inf"]
+    assert _factors(sentences[8], "like", "verb", pronouns=pron) == ["sg", "3", "subj"]
+    # a noun tag is no verb: its form, with no factors
+    assert annotate_sentence(sentences[0], "verb", pronouns=pron)[1] == ("dog", [])
 
 
 def test_only_vb_tags_are_verbs():
@@ -90,13 +90,9 @@ def test_only_vb_tags_are_verbs():
         ConlluToken(3, "happy", "happy", "JJ", 0, "root"),
         ConlluToken(4, "not", "not", "RB", 2, "advmod"),
     ]
-    for token in (sentence[2], sentence[3]):
-        assert not is_verb(token)
-        with pytest.raises(NotAVerb):
-            verb_factors(token, sentence)
-    assert annotate_sentence(sentence, "verb") == [
-        ("it", []), ("can", []), ("happy", []), ("not", []),
-    ]
+    unannotated = [("it", []), ("can", []), ("happy", []), ("not", [])]
+    assert annotate_sentence(sentence, "verb") == unannotated
+    assert annotate_sentence(sentence, "both") == unannotated
 
 
 def test_pronoun_table_invariant():
