@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -153,7 +152,7 @@ def cmd_paradigm(args) -> int:
     if args.verb:
         from . import verb_morph as vm
 
-        if not args.stem:
+        if args.stem is None:
             raise InputError("--stem is required for verb paradigms")
         table = _data_table(args.table, "verb_suffixes.tsv")
         entry = vm.VerbLexEntry(args.stem, "")
@@ -162,7 +161,7 @@ def cmd_paradigm(args) -> int:
             for *factors, suffix, surface in vm.verb_paradigm(entry, table)
         ]
     else:
-        if not args.root or not args.gender:
+        if args.root is None or args.gender is None:
             raise InputError("--root and --gender are required for noun paradigms")
         from . import noun_morph as nm
 
@@ -178,21 +177,30 @@ def cmd_paradigm(args) -> int:
 
 _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
-_SURFACE = re.compile(sc.TOKEN_PART)  # a valid factored surface
+
+class _Tails(dict):
+    """Factor tuple -> its "|f1|f2|null" tail, padded with null to
+    `width`, built on the first token that has it."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, factors: tuple[str, ...]) -> str:
+        tail = self[factors] = "".join(
+            "|" + f for f in (*factors, *(sc.NULL_FACTOR,) * (self.width - len(factors))))
+        return tail
 
 
-def _annotation_line(sentence, annotated, width: int, where: str) -> str:
-    """One output line: each token's surface, its factors, then null
-    padding to `width`. In a sentence with a surface that fails the
-    check, the first bad token is an error at `where` and its ID."""
-    nulls = [(sc.NULL_FACTOR,) * (width - k) for k in range(width + 1)]
-    ok = _SURFACE.fullmatch
-    parts = []
-    for surf, factors in annotated:
-        if not ok(surf):
-            _check_annotation(sentence, annotated, width, where)
-        parts.append("|".join((surf, *factors, *nulls[len(factors)])))
-    return " ".join(parts)
+def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
+    """One output line: each token's surface and its factor tail. A line
+    that is not one valid token per annotated token is checked token by
+    token, and the first bad token is an error at `where` and its ID."""
+    line = " ".join([surface + tails[factors] for surface, factors in annotated])
+    # a space in a surface would pass the pattern as a token separator
+    if line.count(" ") != len(annotated) - 1 or not sc.line_pattern(tails.width).fullmatch(line):
+        _check_annotation(sentence, annotated, tails.width, where)
+    return line
 
 
 def _check_annotation(sentence, annotated, width: int, where: str) -> None:
@@ -205,17 +213,15 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 def cmd_annotate(args) -> int:
     from . import source_factors as sf
 
-    pronouns = _data_table(args.pronouns, "pronouns.tsv")
-    case_rules = _data_table(args.case_rules, "case_rules.tsv")
-    tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
-    sentences = sf.read_conllu(sc.read_lines(args.conllu), args.conllu)
-    width = _ANNOTATE_WIDTH[args.mode]
-    out_lines = []
-    for n, sentence in enumerate(sentences, 1):
-        annotated = sf.annotate_sentence(sentence, args.mode, pronouns, case_rules, tam_rules)
-        out_lines.append(
-            _annotation_line(sentence, annotated, width, f"{args.conllu}: sentence {n}")
-        )
+    rules = sf._rules(args.mode, _data_table(args.pronouns, "pronouns.tsv"),
+                      _data_table(args.case_rules, "case_rules.tsv"),
+                      _data_table(args.tam_rules, "tam_rules.tsv"))
+    tails = _Tails(_ANNOTATE_WIDTH[args.mode])
+    out_lines = [
+        _annotation_line(sentence, sf._annotate(sentence, *rules), tails,
+                         f"{args.conllu}: sentence {n}")
+        for n, sentence in enumerate(sf.read_conllu(sc.read_lines(args.conllu), args.conllu), 1)
+    ]
     _write_atomic([(args.out, "\n".join(out_lines) + "\n" if out_lines else "")])
     return 0
 

@@ -20,7 +20,6 @@ the lines split into token strings, is built each time it is read.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from typing import IO, Iterable
 
@@ -88,11 +87,6 @@ def _width(lines: list[str]) -> int | None:
     return None
 
 
-def _line_pattern(width: int) -> re.Pattern:
-    token = sc.token_pattern(width)
-    return re.compile(rf"{token}(?: {token})*")
-
-
 def _parse_line(line: str, name: str, lineno: int) -> list[str]:
     """The tokens of a line, checked one by one: the first problem is an
     error at name:line:column."""
@@ -122,7 +116,7 @@ def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, i
     width = _width(lines)
     if width is None:
         return None, 0
-    valid = _line_pattern(width).fullmatch
+    valid = sc.line_pattern(width).fullmatch
     ragged_at = None
     widest = width
     for lineno, line in enumerate(lines, 1):

@@ -131,8 +131,7 @@ class WordFormDictionary:
 
 def _side_pattern(width: int) -> str:
     """A surface-only side is tokens joined by single spaces ("will walk")."""
-    token = sc.token_pattern(width)
-    return rf"{token}(?: {token})*" if width == 0 else token
+    return sc.line_pattern(0).pattern if width == 0 else sc.token_pattern(width)
 
 
 def _side_error(surface: str, factors: Sequence[str]) -> str | None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -278,7 +279,15 @@ def token_pattern(width: int) -> str:
     """Regex for one token: a surface and `width` factors. It matches
     exactly the tokens `token_error` passes that hold no " ", which
     separates the tokens of a line."""
-    return rf"{TOKEN_PART}(?:\|{TOKEN_PART}){{{width}}}"
+    return TOKEN_PART + rf"\|{TOKEN_PART}" * width  # unrolled: {width} matches slower
+
+
+@cache
+def line_pattern(width: int) -> re.Pattern:
+    """The compiled pattern of a valid line: tokens of `width` factors,
+    one " " between two. Compiled on first use."""
+    token = token_pattern(width)
+    return re.compile(rf"{token}(?: {token})*")
 
 
 def token_error(surface: str, factors: Sequence[str]) -> str | None:

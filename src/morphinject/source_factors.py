@@ -12,8 +12,10 @@ against its closed set (script_core.NUMBERS, CASES, PERSONS, TAMS),
 and a row that could never take effect (a second row for a pronoun, a
 rule named twice or listed after "default") is an error at its line.
 
-annotate_sentence is the one place that decides what a noun or a verb
-is and computes its factors. Each case or TAM rule names a yes/no fact
+_annotate is the one place that decides what a noun or a verb is and
+computes its factors, as a tuple per token; annotate_sentence gives them
+as lists, and the CLI compiles the rules once per call and calls
+_annotate for each sentence. Each case or TAM rule names a yes/no fact
 about a token (CASE_FACTS, TAM_FACTS), and a rule list is compiled once
 into a table indexed by a token's fact bits, each entry the value of the
 first rule whose fact holds. One pass over the sentence records what the
@@ -21,6 +23,10 @@ facts read of a token's head, children and modal, so annotating a
 sentence costs time linear in its length and one table read per noun or
 verb. Where IDs repeat, the first token in sentence order wins, as in a
 scan of the sentence.
+
+read_conllu remembers, for one call, each ID and HEAD string that has
+passed its check and the int it stands for, so a row whose ID and HEAD
+were both read before becomes a token with two dict reads.
 """
 
 from __future__ import annotations
@@ -115,8 +121,21 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
     empty nodes (1.1) are skipped. Any other ID, and a HEAD other than "_",
     must be ASCII digits. `name` locates errors as name:line, and an error
     is raised when its line is reached."""
+    # the ID and HEAD strings already read, and their values: a row whose
+    # ID and HEAD are both here is a token without further checks
+    ids: dict[str, int] = {}
+    heads: dict[str, int] = {"_": 0}
     tokens: list[ConlluToken] = []
     for lineno, line in enumerate(lines, 1):
+        cols = line.split("\t")
+        if len(cols) == 10:
+            tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
+            try:
+                tokens.append(_token(ConlluToken,
+                                     (ids[tid], form, lemma, xpos, heads[head], deprel)))
+                continue
+            except KeyError:  # read the first time: checked below
+                pass
         if not line.strip():
             if tokens:
                 yield tokens
@@ -124,7 +143,6 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
             continue
         if line[0] == "#":
             continue
-        cols = line.split("\t")
         try:
             tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
         except ValueError:
@@ -136,10 +154,11 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
                 continue
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
         try:
-            tokens.append(_token(ConlluToken, (
-                int(tid), form, lemma, xpos, 0 if head == "_" else int(head), deprel)))
+            ids[tid] = tid_value = int(tid)
+            heads[head] = head_value = 0 if head == "_" else int(head)
         except ValueError:  # more digits than int() converts
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
+        tokens.append(_token(ConlluToken, (tid_value, form, lemma, xpos, head_value, deprel)))
     if tokens:
         yield tokens
 
@@ -214,20 +233,6 @@ def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
             if tid not in md_by_id:
                 md_by_id[tid] = md
     return tags, subjects, case_heads, to_heads, md_child, md_by_id
-
-
-def _case_bits(noun: ConlluToken, tags: dict, case_heads: set) -> int:
-    """The noun's CASE_FACTS bits. UD marks a prepositional object on the
-    noun's `case` child (in/of/with ...)."""
-    deprel = noun.deprel
-    bits = 0
-    if deprel in PREP_OBJECT_DEPRELS or deprel.startswith("obl:") or noun.id in case_heads:
-        bits = 1
-    if deprel in SUBJECT_DEPRELS:
-        bits |= 6 if tags.get(noun.head) in ("VBD", "VBN") else 4
-    if deprel in DIRECT_OBJECT_DEPRELS:
-        bits |= 8
-    return bits
 
 
 def _tam_bits(verb: ConlluToken, subjects: dict, to_heads: set,
@@ -332,9 +337,50 @@ def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
     return root
 
 
-def _lemma(token: ConlluToken) -> str:
-    """The token's LEMMA, or its FORM where LEMMA is empty or "_"."""
-    return token.form if token.lemma in ("", "_") else token.lemma
+def _rules(mode: str, pronouns: PronounTable | None, case_rules: list[tuple[str, str]] | None,
+           tam_rules: list[tuple[str, str]] | None) -> tuple:
+    """The arguments `_annotate` takes after the sentence: whether nouns
+    and verbs are annotated, the pronoun table and the two compiled rule
+    tables, each default filled in."""
+    if mode not in ("noun", "verb", "both"):
+        raise InputError(f"bad annotation mode {mode!r}")
+    return (
+        mode != "verb", mode != "noun",
+        default_pronoun_table() if pronouns is None else pronouns,
+        compile_rules(tuple(default_case_rules() if case_rules is None else case_rules),
+                      CASE_FACTS, "dir"),
+        compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
+                      TAM_FACTS, "hab"),
+    )
+
+
+def _annotate(sentence: list[ConlluToken], nouns: bool, verbs: bool, pronouns: PronounTable,
+              case_table: tuple[str, ...], tam_table: tuple[str, ...]
+              ) -> list[tuple[str, tuple[str, ...]]]:
+    """The noun/verb rule: (token string, factor tuple) per token."""
+    tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
+    out = []
+    for token in sentence:
+        tid, form, lemma, xpos, head, deprel = token
+        if nouns and xpos in NOUN_TAGS:
+            # the CASE_FACTS bits; UD marks a prepositional object on the
+            # noun's `case` child (in/of/with ...)
+            bits = 0
+            if deprel in PREP_OBJECT_DEPRELS or deprel.startswith("obl:") or tid in case_heads:
+                bits = 1
+            if deprel in SUBJECT_DEPRELS:
+                bits |= 6 if tags.get(head) in ("VBD", "VBN") else 4
+            if deprel in DIRECT_OBJECT_DEPRELS:
+                bits |= 8
+            out.append((form if lemma in ("", "_") else lemma,
+                        ("pl" if xpos in PLURAL_TAGS else "sg", case_table[bits])))
+        elif verbs and xpos.startswith("VB"):
+            number, person = _agreement(subjects.get(tid), pronouns)
+            tam = tam_table[_tam_bits(token, subjects, to_heads, md_child, md_by_id)]
+            out.append((form if lemma in ("", "_") else lemma, (number, person, tam)))
+        else:
+            out.append((form, ()))
+    return out
 
 
 def annotate_sentence(
@@ -351,26 +397,5 @@ def annotate_sentence(
     lemma, or "_" (CoNLL-U's unspecified field), falls back to the
     form. The caller pads widths (factor normalization) before emission.
     """
-    if mode not in ("noun", "verb", "both"):
-        raise InputError(f"bad annotation mode {mode!r}")
-    nouns, verbs = mode != "verb", mode != "noun"
-    if pronouns is None:
-        pronouns = default_pronoun_table()
-    case_table = compile_rules(
-        tuple(default_case_rules() if case_rules is None else case_rules), CASE_FACTS, "dir")
-    tam_table = compile_rules(
-        tuple(default_tam_rules() if tam_rules is None else tam_rules), TAM_FACTS, "hab")
-    tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
-    out = []
-    for token in sentence:
-        xpos = token.xpos
-        if nouns and xpos in NOUN_TAGS:
-            case = case_table[_case_bits(token, tags, case_heads)]
-            out.append((_lemma(token), ["pl" if xpos in PLURAL_TAGS else "sg", case]))
-        elif verbs and xpos.startswith("VB"):
-            number, person = _agreement(subjects.get(token.id), pronouns)
-            tam = tam_table[_tam_bits(token, subjects, to_heads, md_child, md_by_id)]
-            out.append((_lemma(token), [number, person, tam]))
-        else:
-            out.append((token.form, []))
-    return out
+    return [(surface, list(factors)) for surface, factors
+            in _annotate(sentence, *_rules(mode, pronouns, case_rules, tam_rules))]

@@ -9,7 +9,9 @@ or not. A compiled table must hold, for every fact vector, the
 value of the first rule whose fact holds. The CLI's string rendering
 must give the same line, or the same error, as the token route below:
 each token padded with null factors to the line's width, built as a
-FactoredToken in sentence order, and the tokens rendered.
+FactoredToken in sentence order, and the tokens rendered. The CLI builds
+a line from each factor tuple's cached tail and checks the whole line
+once; only a line that fails is checked token by token.
 """
 
 import re
@@ -24,7 +26,7 @@ from conftest import (
     FactoredToken,
     ref_annotate_sentence,
 )
-from morphinject.cli import _annotation_line
+from morphinject.cli import _annotation_line, _Tails
 from morphinject.errors import InputError
 from morphinject.source_factors import (
     CASE_FACTS,
@@ -173,18 +175,28 @@ def _reference_line(annotated, width):
     return render_line(normalize_factors(annotated, width))
 
 
+# one tail cache per width, shared by every example, as one annotate
+# call shares it between its sentences
+TAILS = {2: _Tails(2), 3: _Tails(3)}
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from([2, 3]))
-def test_annotation_line_matches_factored_token_reference(data, width):
-    annotated = data.draw(st.lists(
-        st.tuples(SURFACE, st.lists(FACTOR, max_size=width)), max_size=6))
+@given(st.lists(st.tuples(SURFACE, st.lists(FACTOR, max_size=3)), max_size=6),
+       st.sampled_from([2, 3]))
+# a surface with a space can make the line look like one more valid token
+@example([("x|sg|dir y", ["sg", "dir"])], 2)
+@example([("x", ["sg"]), ("y|sg|dir|null z", [])], 3)
+@example([], 2)
+def test_annotation_line_matches_factored_token_reference(annotated, width):
+    annotated = [(surf, factors[:width]) for surf, factors in annotated]
     sentence = [ConlluToken(i, surf, surf, "X", 0, "dep")
                 for i, (surf, _) in enumerate(annotated, 1)]
+    tuples = [(surf, tuple(factors)) for surf, factors in annotated]
     try:
         expected = _reference_line(annotated, width)
     except InputError as exc:
         with pytest.raises(type(exc)) as got:
-            _annotation_line(sentence, annotated, width, "f.conllu: sentence 1")
+            _annotation_line(sentence, tuples, TAILS[width], "f.conllu: sentence 1")
         located = re.fullmatch(r"f\.conllu: sentence 1, token (\d+): (.*)", str(got.value), re.S)
         assert located and located.group(2) == str(exc)
         # the located token alone raises the same error
@@ -192,4 +204,4 @@ def test_annotation_line_matches_factored_token_reference(data, width):
             _reference_line([annotated[int(located.group(1)) - 1]], width)
         assert str(alone.value) == str(exc)
     else:
-        assert _annotation_line(sentence, annotated, width, "f.conllu: sentence 1") == expected
+        assert _annotation_line(sentence, tuples, TAILS[width], "f.conllu: sentence 1") == expected

@@ -47,6 +47,25 @@ def test_paradigm_option_of_the_other_kind_exits_1(tmp_path, capsys, argv, messa
     assert not out.exists()
 
 
+# a missing root or stem is named as a missing option; an empty or blank
+# one that was given gets the entry's own diagnostic
+@pytest.mark.parametrize("argv, message", [
+    (["--gender", "m"], "--root and --gender are required for noun paradigms"),
+    (["--root", "कुत्ता"], "--root and --gender are required for noun paradigms"),
+    (["--verb"], "--stem is required for verb paradigms"),
+    (["--root", "", "--gender", "m"], "noun entry with empty root"),
+    (["--root", " ", "--gender", "f"], "noun entry with empty root"),
+    (["--verb", "--stem", ""], "verb entry with empty stem"),
+    (["--verb", "--stem", " "], "verb entry with empty stem"),
+], ids=["no-root", "no-gender", "no-stem", "empty-root", "blank-root", "empty-stem",
+        "blank-stem"])
+def test_paradigm_missing_or_empty_root_or_stem_exits_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "p.tsv"
+    code, stdout, err = run(capsys, "paradigm", *argv, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_classify(tmp_path, capsys):
     lex = tmp_path / "nouns.tsv"
     lex.write_text("dog\tकुत्ता\tm\t1\nhunger\tभूख\tf\t0\n", "utf-8")

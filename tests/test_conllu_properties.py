@@ -5,9 +5,10 @@ every sentence at once, as lists of frozen-dataclass tokens. The
 streaming reader must give the same sentences, field by field, or
 raise the same InputError, on any lines: blank, whitespace-only,
 comments, ranges, empty nodes, rows of the wrong width and bad ID or
-HEAD fields. The reference is given the one rule the reader added since:
-only a real range (N-M) or empty node (N.M) is skipped, and any other ID,
-and a HEAD other than "_", must be ASCII digits.
+HEAD fields. The reference is given the rules the reader added since:
+only a real range (N-M) or empty node (N.M) is skipped, any other ID,
+and a HEAD other than "_", must be ASCII digits, and an ID or HEAD of
+more digits than int() converts is a bad field too.
 """
 
 import dataclasses
@@ -56,15 +57,13 @@ def _ref_read_conllu(lines, name="<conllu>"):
             continue
         if not re.fullmatch(r"[0-9]+", cols[0]) or not re.fullmatch(r"[0-9]+|_", cols[6]):
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
+        try:
+            tid, head = int(cols[0]), int(cols[6]) if cols[6] != "_" else 0
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
         tokens.append(
-            _RefToken(
-                id=int(cols[0]),
-                form=cols[1],
-                lemma=cols[2],
-                xpos=cols[4],
-                head=int(cols[6]) if cols[6] != "_" else 0,
-                deprel=cols[7],
-            )
+            _RefToken(id=tid, form=cols[1], lemma=cols[2], xpos=cols[4], head=head,
+                      deprel=cols[7])
         )
     if tokens:
         sentences.append(tokens)
@@ -84,12 +83,16 @@ def _outcome(read, lines):
 
 _space = st.sampled_from([" ", "\t", "\x85", "\xa0"])
 _field = st.text(st.sampled_from(["a", "B", "_", " ", "\xa0", "#"]), max_size=3)
+# IDs and HEADs around 4096 and far past it, and more digits than int()
+# converts (on Python 3.11 and later), each read once and then again
+_LARGE = st.sampled_from(["4095", "4096", "4097", str(10**6), "7" * 5000])
 _id = st.one_of(
     st.integers(0, 12).map(str),
+    _LARGE,
     st.sampled_from(["1-2", "3-3", "1.1", "2.0", "x", "", " 2", "-1", "1_0", "٣",
-                     "abc-def", "1.x", "-", "1-", ".1", "1-2-3", "+1", "01"]),
+                     "abc-def", "1.x", "-", "1-", ".1", "1-2-3", "+1", "01", "_"]),
 )
-_head = st.one_of(st.integers(0, 12).map(str),
+_head = st.one_of(st.integers(0, 12).map(str), _LARGE,
                   st.sampled_from(["_", "x", "", "1.5", " 0", "+2", "-2", "1_0", "٣", "1-2"]))
 
 
@@ -111,6 +114,7 @@ _line = st.one_of(
 _lines = st.lists(st.tuples(_line, st.booleans()).map(lambda p: p[0] + "\n" * p[1]), max_size=25)
 
 _ROW = "1\tdogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_"
+_ROOT = _ROW.replace("\t2\t", "\t_\t")  # its HEAD is "_"
 
 
 @given(_lines)
@@ -119,6 +123,13 @@ _ROW = "1\tdogs\tdog\tNOUN\tNNS\t_\t2\tnsubj\t_\t_"
 @example([_ROW, _ROW + "\t_"])
 @example([_ROW.rsplit("\t", 1)[0]])
 @example([_ROW.replace("\t2\t", "\t\t")])
+# the reader remembers each ID and HEAD string it has read: "01" and "1"
+# are two strings with one value, a HEAD string is then read as an ID,
+# and "_", a HEAD, is still no ID
+@example([_ROW.replace("1\t", "01\t", 1), _ROW])
+@example([_ROW, "2\tbark\tbark\tVERB\tVBP\t_\t0\troot\t_\t_"])
+@example([_ROOT, _ROOT.replace("1\t", "_\t", 1)])
+@example([_ROW, _ROW.replace("\t2\t", "\t" + "7" * 5000 + "\t")])
 def test_reader_matches_the_list_reference(lines):
     new = _outcome(lambda ls, name: list(read_conllu(ls, name)), lines)
     assert new == _outcome(_ref_read_conllu, lines)
