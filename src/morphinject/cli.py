@@ -102,6 +102,11 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
         os.replace(tmp, target)
 
 
+def _lines_text(lines: list[str]) -> str:
+    """The text of a file of these lines, each ending in "\n"."""
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def _json_text(payload: dict) -> str:
     import json  # only the calls that write JSON load it
 
@@ -134,7 +139,7 @@ def cmd_classify(args) -> int:
             cls = nm.classify_noun(noun.entry)
         prefix = f"{noun.english_root}\t" if args.bilingual else ""
         lines.append(f"{prefix}{noun.entry.hindi_root}\t{cls}")
-    _write_atomic([(args.out, "\n".join(lines) + "\n" if lines else "")])
+    _write_atomic([(args.out, _lines_text(lines))])
     return 0
 
 
@@ -171,7 +176,7 @@ def cmd_paradigm(args) -> int:
             "\t".join((*factors, "-" if suffix is None else suffix, surface))
             for *factors, suffix, surface in nm.noun_paradigm(entry, table)
         ]
-    _write_atomic([(args.out, "\n".join(lines) + "\n")])
+    _write_atomic([(args.out, _lines_text(lines))])
     return 0
 
 
@@ -222,7 +227,7 @@ def cmd_annotate(args) -> int:
                          f"{args.conllu}: sentence {n}")
         for n, sentence in enumerate(sf.read_conllu(sc.read_lines(args.conllu), args.conllu), 1)
     ]
-    _write_atomic([(args.out, "\n".join(out_lines) + "\n" if out_lines else "")])
+    _write_atomic([(args.out, _lines_text(out_lines))])
     return 0
 
 
@@ -239,7 +244,7 @@ def cmd_build_dict(args) -> int:
         lexicon = vm.parse_verb_lexicon(sc.read_lines(args.lexicon), args.lexicon)
         dictionary = db.build_verb_dict(
             lexicon, _data_table(args.table, "verb_suffixes.tsv"), surface=args.surface)
-    outputs = [(args.out, "".join(ln + "\n" for ln in dictionary.lines))]
+    outputs = [(args.out, _lines_text(dictionary.lines))]
     if args.failures:
         payload = {
             "schema_version": 1,
@@ -272,8 +277,8 @@ def cmd_inject(args) -> int:
     dictionary = db.parse_dictionary(sc.read_lines(args.dict), name=args.dict)
     out_corpus, report = ci.inject(corpus, dictionary, mode=args.mode)
     _write_atomic([
-        (args.out_source, "".join(ln + "\n" for ln in out_corpus.source_lines())),
-        (args.out_target, "".join(ln + "\n" for ln in out_corpus.target_lines())),
+        (args.out_source, _lines_text(out_corpus.source_lines())),
+        (args.out_target, _lines_text(out_corpus.target_lines())),
         (args.report, _report_text(report.to_dict(), args.format)),
     ])
     return 0

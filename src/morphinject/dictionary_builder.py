@@ -8,20 +8,27 @@ lexicon-row in paradigm order, so builds are reproducible byte for
 byte; bad rows are collected as failures instead of aborting the batch.
 
 A WordFormDictionary holds its entries as rendered "source\ttarget"
-lines. Every line, built or read, is checked by one full-line pattern
-for its pair of factor widths; only a line that fails it is replayed
-side by side through script_core.token_error, which names the first
-error, and a line whose sides are both valid has ragged widths. A
-surface-only side is words joined by single spaces ("will walk").
-WordFormDictionary.entries, the same lines as (source, target) string
-pairs, is built each time it is read.
+lines. A surface-only side is words joined by single spaces ("will
+walk"). WordFormDictionary.entries, the same lines as (source, target)
+string pairs, is built each time it is read.
 
-The builders render lines from the paradigms' string rows. With
-`surface=True` they still check each factored line, then keep its
-surface-only form, the line `strip_to_surface` would make of it, so a
-surface-only build never holds the factored dictionary and reports the
-same failed rows. `strip_to_surface` serves `inject --mode surface` and
-library callers.
+Each input is checked once, where it enters. A line read from a file
+is checked by one full-line pattern for its pair of factor widths;
+only a line that fails it is replayed side by side through
+script_core.token_error, which names the first error, and a line whose
+sides are both valid has ragged widths. The builders compose lines of
+parts checked before (the Hindi root by its paradigm, a loaded table's
+suffixes by the loader, factor values by their closed sets) and check
+what can reach them unchecked: the English root and irregular forms
+once per row, the table's suffixes once per build. Only a row with one
+of these that is not a valid factor, and a line whose form is empty,
+get the full-line check, which names the same first error.
+
+With `surface=True` the builders keep each entry's surface-only form,
+the line `strip_to_surface` would make of it, so a surface-only build
+never holds the factored dictionary and reports the same failed rows;
+those lines are checked too, unless every noun plural was valid.
+`strip_to_surface` serves `inject --mode surface` and library callers.
 """
 
 from __future__ import annotations
@@ -217,20 +224,31 @@ def build_noun_dict(
     """Four entries per noun pair, in sg-dir, sg-obl, pl-dir, pl-obl
     order; per-row failures are collected on the result, and the entries
     of a row made before its failing cell are kept. With `surface`, each
-    checked entry is kept as its surface-only line (see `strip_to_surface`)."""
+    entry is kept as its surface-only line (see `strip_to_surface`). A
+    row's lines are checked only if its English root or a table suffix
+    is not a valid factor, and a line whose form is empty always is."""
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
+    part, side = re.compile(sc.TOKEN_PART).fullmatch, sc.line_pattern(0).fullmatch
+    suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
+    # each line a row keeps has a valid English root and a valid form, so
+    # its surface-only line is valid if the plural is
+    plurals_valid = True
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
         english, root = noun.english_root, noun.entry.hindi_root
         if surface:
             plural = sf.english_noun_surface(english, "pl")
+            if not side(plural):
+                plurals_valid = False
         try:
-            for number, case, suffix, form in noun_paradigm(noun.entry, table):
+            rows = noun_paradigm(noun.entry, table)
+            check = not (suffixes_valid and part(english))
+            for number, case, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{case}\t{form}|{root}|{suffix}"
-                if not valid(line):
+                if (check or not form) and not valid(line):
                     raise _line_error((english, number, case), (form, root, suffix))
                 if surface:
                     line = f"{plural if number == 'pl' else english}\t{form}"
@@ -238,7 +256,7 @@ def build_noun_dict(
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
     if surface:
-        return _surface_only(lines, failures)
+        return _surface_only(lines, failures, plurals_valid)
     return WordFormDictionary(list(lines), NOUN_SCHEME, failures)
 
 
@@ -247,19 +265,25 @@ def build_verb_dict(
 ) -> WordFormDictionary:
     """One entry per collapsed grid cell per verb; every English factor
     tuple appears once per gender, then exact duplicates collapse. With
-    `surface`, each checked entry is kept as its surface-only line (see
-    `strip_to_surface`)."""
+    `surface`, each entry is kept as its surface-only line (see
+    `strip_to_surface`). Lines are checked as in `build_noun_dict`, and
+    also when an irregular form of the row is not a valid factor."""
     table = table or default_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
+    part = re.compile(sc.TOKEN_PART).fullmatch
+    suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
         english, root = verb.english_root, verb.hindi_root
         try:
-            for tam, _, number, person, suffix, form in verb_paradigm(verb, table):
+            rows = verb_paradigm(verb, table)
+            check = not (suffixes_valid and part(english)
+                         and all(part(o[4]) for o in verb.irregular_forms))
+            for tam, _, number, person, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
-                if not valid(line):
+                if (check or not form) and not valid(line):
                     raise _line_error((english, number, person, tam), (form, root, suffix))
                 if surface:
                     line = f"{sf.english_verb_surface(english, number, person, tam)}\t{form}"
@@ -267,15 +291,18 @@ def build_verb_dict(
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
     if surface:
-        return _surface_only(lines, failures)
+        # an English surface may come from the exception table: kept checked
+        return _surface_only(lines, failures, False)
     return WordFormDictionary(list(lines), VERB_SCHEME, failures)
 
 
-def _surface_only(lines: dict[str, None], failures: list[EntryFailure]) -> WordFormDictionary:
+def _surface_only(lines: dict[str, None], failures: list[EntryFailure],
+                  checked: bool) -> WordFormDictionary:
     """The surface-only dictionary of a build's distinct lines, each
-    checked as `strip_to_surface` checks its lines, in the same order."""
+    checked as `strip_to_surface` checks its lines, in the same order,
+    unless the build has shown them all valid (`checked`)."""
     valid = _line_check(0, 0)
-    for line in lines:
+    for line in () if checked else lines:
         if not valid(line):
             source, _, target = line.partition("\t")
             raise _line_error((source,), (target,))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError
@@ -194,8 +195,10 @@ def bleu(
             totals[n] += len(cand_grams)
             if len(distinct) == len(cand_grams):  # each clipped count is 0 or 1
                 matches[n] += len(distinct.intersection(ref_grams))
-            else:
-                matches[n] += sum((Counter(cand_grams) & Counter(ref_grams)).values())
+            else:  # each clipped count is the smaller of the two counts
+                cand_counts, ref_counts = Counter(cand_grams), Counter(ref_grams)
+                matches[n] += sum(map(min, cand_counts.values(),
+                                      map(ref_counts.get, cand_counts, repeat(0))))
 
     precisions = []
     for n in range(4):

@@ -257,6 +257,8 @@ def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> li
             gender, number, person = (dims + ["-"] * 3)[:3]  # absent: a wildcard
             overrides.append((*_slot(tam, gender, number, person, where),
                               sc.table_word(surface, where, f"override {pair!r}")))
-        with sc.located(where):
+        try:
             out.append(VerbLexEntry(stem, english, tuple(overrides)))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
     return out

@@ -9,7 +9,7 @@ from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject.errors import InputError
 from morphinject.noun_morph import NounLexEntry
-from morphinject.verb_morph import join_verb
+from morphinject.verb_morph import VerbLexEntry, join_verb
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -401,6 +401,81 @@ def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
             out.append((lemma, factors.values()))
         else:
             out.append((token.form, []))
+    return out
+
+
+# --- the lexicon parsers as they were before rows were matched whole:
+# every row split, then each cell checked and located on its own ---
+
+
+def _ref_rows(lines, name, columns):
+    """The data rows of TSV lines, at least one field per column."""
+    for lineno, ln in enumerate(lines, 1):
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        where = f"{name}:{lineno}"
+        fields = ln.split("\t")
+        if len(fields) < len(columns):
+            raise InputError(f"{where}: expected at least {len(columns)} tab-separated fields "
+                             f"({', '.join(columns)}), got {len(fields)}")
+        yield where, fields
+
+
+def _ref_value(values, what, value, where, null=None):
+    if value == null:
+        return None
+    if value not in values:
+        allowed = ", ".join(values + ((null,) if null else ()))
+        raise InputError(f"{where}: bad {what} {value!r} (expected one of {allowed})")
+    return value
+
+
+def _ref_located(where, make):
+    try:
+        return make()
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def ref_parse_noun_lexicon(lines, bilingual=True, name="<noun lexicon>"):
+    """(english_root, NounLexEntry, where) per data row."""
+    columns = ("english_root", "hindi_root", "gender")[0 if bilingual else 1:]
+    out = []
+    for where, fields in _ref_rows(lines, name, columns):
+        english = fields.pop(0) if bilingual else ""
+        root, gender, *rest = fields
+        _ref_value(REF_GENDERS, "gender", gender, where)
+        countable = True
+        if rest and rest[0] != "":
+            if rest[0] not in ("0", "1"):
+                raise InputError(f"{where}: countable must be 1 or 0")
+            countable = rest[0] == "1"
+        override = None
+        if len(rest) > 1 and rest[1] != "":
+            override = _ref_value(REF_NOUN_CLASSES, "class", rest[1], where, null="-")
+        out.append((english, _ref_located(
+            where, lambda: NounLexEntry(root, gender, countable, override)), where))
+    return out
+
+
+def ref_parse_verb_lexicon(lines, name="<verb lexicon>"):
+    out = []
+    for where, (english, stem, *pairs) in _ref_rows(lines, name, ("english_root", "hindi_stem")):
+        overrides = []
+        for pair in pairs:
+            if not pair.strip():
+                continue
+            slot, _, surface = pair.partition("=")
+            tam, *dims = slot.split(":")
+            if "=" not in pair or len(dims) > 3:
+                raise InputError(f"{where}: bad override {pair!r}")
+            gender, number, person = (dims + ["-"] * 3)[:3]
+            key = (_ref_value(REF_TAMS, "TAM", tam, where),
+                   _ref_value(REF_GENDERS, "gender", gender, where, null="-"),
+                   _ref_value(REF_NUMBERS, "number", number, where, null="-"),
+                   _ref_value(REF_PERSONS, "person", person, where, null="-"))
+            overrides.append((*key, sc.table_word(surface, where, f"override {pair!r}")))
+        out.append(_ref_located(where, lambda: VerbLexEntry(stem, english, tuple(overrides))))
     return out
 
 

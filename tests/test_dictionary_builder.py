@@ -2,6 +2,7 @@ import pytest
 
 from conftest import FactoredToken, ref_entries
 from morphinject import script_core as sc
+from morphinject import source_factors as sf
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
     SURFACE_SCHEME,
@@ -57,6 +58,15 @@ def test_build_noun_dict_girl_and_empty():
     pl_obl = ref_entries(d)[-1]
     assert pl_obl.source.render() == "girl|pl|obl"
     assert pl_obl.target.render() == sc.normalize("लड़कियों|लड़की|यों")
+
+
+def test_a_surface_build_checks_a_plural_from_the_exception_table(monkeypatch):
+    # a valid root's surface-only lines go unchecked only if its plural,
+    # which the exception table may give, is a valid side
+    monkeypatch.setattr(sf, "_noun_exceptions", lambda: {"dog": "dog  s"})
+    with pytest.raises(InputError, match=r"^surface-only side 'dog  s' is not words joined "
+                                         r"by single spaces$"):
+        build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))], surface=True)
 
 
 def test_build_noun_dict_dedupe_and_failures():

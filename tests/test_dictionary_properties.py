@@ -7,7 +7,7 @@ with widths checked entry by entry. The line path must give the same
 lines and the same failures, or raise the same error.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -346,14 +346,43 @@ def _same_build(build, lexicon, table, ref_built, ref_failures):
     assert _failures(surface[1]) == _failures(stripped[1]) == ref_failures
 
 
+def _noun_table_with(suffix):
+    """The packaged noun table with its D/pl/dir cell set to `suffix`."""
+    return SuffixTable({**default_suffix_table().cells, ("D", "pl", "dir"): suffix})
+
+
+def _verb_table_with(change):
+    """The packaged verb table with its first non-null suffix changed."""
+    cells = list(default_verb_suffix_table().cells)
+    i = next(i for i, c in enumerate(cells) if c[4] is not None)
+    cells[i] = (*cells[i][:4], change(cells[i][4]))
+    return VerbSuffixTable(cells)
+
+
+# a row's lines go unchecked only if its English root, its irregular
+# forms, the table's suffixes and its joined forms are valid parts:
+# each example breaks one of these and nothing else
+_DOG = NounLexEntry("कुत्ता", "m")  # class D
+
+
 @settings(deadline=None)
 @given(st.lists(_noun, max_size=6), _noun_table())
+@example([BilingualNoun("a", _DOG)], _noun_table_with("ए x"))
+@example([BilingualNoun("a", _DOG)], _noun_table_with(""))
+@example([BilingualNoun("a", NounLexEntry("ा", "m"))], _noun_table_with("अ"))  # joins to ""
+@example([BilingualNoun("a b", _DOG), BilingualNoun("a", _DOG)], default_suffix_table())
 def test_noun_builder_matches_token_reference(lexicon, table):
     _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
 
 
 @settings(deadline=None)
 @given(st.lists(_verb, max_size=4), _verb_table())
+@example([VerbLexEntry("चल", "a", (("perf", None, None, None, "a|b"),)),
+          VerbLexEntry("चल", "a", (("perf", "f", None, None, "x y"),)),
+          VerbLexEntry("चल", "a", (("hab", None, "pl", None, ""),))], default_verb_suffix_table())
+@example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: suffix + " x"))
+@example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: ""))
+@example([VerbLexEntry("चल", "a b"), VerbLexEntry("चल", "a")], default_verb_suffix_table())
 def test_verb_builder_matches_token_reference(lexicon, table):
     _same_build(build_verb_dict, lexicon, table, *_ref_build_verb(lexicon, table))
 
