@@ -12,14 +12,16 @@ pronouns.tsv, case_rules.tsv, tam_rules.tsv).
 
 A subcommand loads only the layers it runs: each imports its modules
 when it is called, so `oov` and `bleu` load no morphology, dictionary or
-corpus module, and `annotate` loads no layer but source_factors. No
-call loads the standard library's data class, inspect or log modules
+corpus module, and `annotate` loads no layer but source_factors. No call
+loads the standard library's data class, inspect or log modules
 (tests/test_imports.py names them), and only a call that writes JSON
-loads json. The records are plain classes that
-compare by value: ParallelCorpus by its lines, WordFormDictionary by
-its lines and scheme, BilingualNoun by its English root and entry (not
-the names, failures or row location they carry), and the entries,
-schemes and reports as named tuples of their fields.
+loads json. `annotate` loads its tables once and calls the public
+annotate_sentence for each sentence; the CLI names no private of another
+module. The records are plain classes that compare by value:
+ParallelCorpus by its lines, WordFormDictionary by its lines and scheme,
+BilingualNoun by its English root and entry (not the names, failures or
+row location they carry), and the entries, schemes and reports as named
+tuples of their fields.
 """
 
 from __future__ import annotations
@@ -218,13 +220,14 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 def cmd_annotate(args) -> int:
     from . import source_factors as sf
 
-    rules = sf._rules(args.mode, _data_table(args.pronouns, "pronouns.tsv"),
-                      _data_table(args.case_rules, "case_rules.tsv"),
-                      _data_table(args.tam_rules, "tam_rules.tsv"))
+    pronouns = _data_table(args.pronouns, "pronouns.tsv")
+    case_rules = _data_table(args.case_rules, "case_rules.tsv")
+    tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
     tails = _Tails(_ANNOTATE_WIDTH[args.mode])
     out_lines = [
-        _annotation_line(sentence, sf._annotate(sentence, *rules), tails,
-                         f"{args.conllu}: sentence {n}")
+        _annotation_line(
+            sentence, sf.annotate_sentence(sentence, args.mode, pronouns, case_rules, tam_rules),
+            tails, f"{args.conllu}: sentence {n}")
         for n, sentence in enumerate(sf.read_conllu(sc.read_lines(args.conllu), args.conllu), 1)
     ]
     _write_atomic([(args.out, _lines_text(out_lines))])

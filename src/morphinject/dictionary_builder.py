@@ -26,8 +26,11 @@ get the full-line check, which names the same first error.
 
 With `surface=True` the builders keep each entry's surface-only form,
 the line `strip_to_surface` would make of it, so a surface-only build
-never holds the factored dictionary and reports the same failed rows;
-those lines are checked too, unless every noun plural was valid.
+never holds the factored dictionary and reports the same failed rows.
+Those lines are valid by construction and go unchecked: a kept line's
+English root and Hindi form are valid, the English rules only add
+letters or a word to the root ("dogs", "will walk"), and an irregular
+form from the English exception tables was checked when they loaded.
 `strip_to_surface` serves `inject --mode surface` and library callers.
 """
 
@@ -229,19 +232,14 @@ def build_noun_dict(
     is not a valid factor, and a line whose form is empty always is."""
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
-    part, side = re.compile(sc.TOKEN_PART).fullmatch, sc.line_pattern(0).fullmatch
+    part = re.compile(sc.TOKEN_PART).fullmatch
     suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
-    # each line a row keeps has a valid English root and a valid form, so
-    # its surface-only line is valid if the plural is
-    plurals_valid = True
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
         english, root = noun.english_root, noun.entry.hindi_root
         if surface:
             plural = sf.english_noun_surface(english, "pl")
-            if not side(plural):
-                plurals_valid = False
         try:
             rows = noun_paradigm(noun.entry, table)
             check = not (suffixes_valid and part(english))
@@ -255,9 +253,7 @@ def build_noun_dict(
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
-    if surface:
-        return _surface_only(lines, failures, plurals_valid)
-    return WordFormDictionary(list(lines), NOUN_SCHEME, failures)
+    return WordFormDictionary(list(lines), SURFACE_SCHEME if surface else NOUN_SCHEME, failures)
 
 
 def build_verb_dict(
@@ -272,6 +268,8 @@ def build_verb_dict(
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
     part = re.compile(sc.TOKEN_PART).fullmatch
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
+    if surface:  # the exception table loads before the rows: a bad form is fatal
+        sf._verb_exceptions()
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
@@ -290,23 +288,7 @@ def build_verb_dict(
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
-    if surface:
-        # an English surface may come from the exception table: kept checked
-        return _surface_only(lines, failures, False)
-    return WordFormDictionary(list(lines), VERB_SCHEME, failures)
-
-
-def _surface_only(lines: dict[str, None], failures: list[EntryFailure],
-                  checked: bool) -> WordFormDictionary:
-    """The surface-only dictionary of a build's distinct lines, each
-    checked as `strip_to_surface` checks its lines, in the same order,
-    unless the build has shown them all valid (`checked`)."""
-    valid = _line_check(0, 0)
-    for line in () if checked else lines:
-        if not valid(line):
-            source, _, target = line.partition("\t")
-            raise _line_error((source,), (target,))
-    return WordFormDictionary(list(lines), SURFACE_SCHEME, failures)
+    return WordFormDictionary(list(lines), SURFACE_SCHEME if surface else VERB_SCHEME, failures)
 
 
 def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:

@@ -253,11 +253,12 @@ def parse_noun_lexicon(
 
     Bilingual rows: english_root, hindi_root, gender (m|f), countable
     (1|0), optional class override (A-E). Monolingual rows drop the
-    english_root column. Rows without a gender are rejected, not
-    guessed. A well-formed row becomes its fields in one pattern match;
-    any other line goes through the cell-by-cell checks.
+    english_root column. Rows without a gender, and rows with a column
+    past the class, are rejected, not guessed or cut. A well-formed row
+    becomes its fields in one pattern match; any other line goes through
+    the cell-by-cell checks.
     """
-    columns = ("english_root", "hindi_root", "gender")[0 if bilingual else 1:]
+    columns = ("english_root", "hindi_root", "gender", "countable", "class")[0 if bilingual else 1:]
     match = _row_match(bilingual)
     out = []
     for lineno, ln in enumerate(lines, 1):
@@ -268,7 +269,10 @@ def parse_noun_lexicon(
                 root, gender, countable != "0", None if override == NULL_SUFFIX_MARK else override),
                 f"{name}:{lineno}"))
             continue
-        for where, fields in sc.table_rows((ln,), name, columns, more=True, start=lineno):
+        for where, fields in sc.table_rows((ln,), name, columns[:-2], more=True, start=lineno):
+            if len(fields) > len(columns):
+                raise InputError(f"{where}: expected at most {len(columns)} tab-separated fields "
+                                 f"({', '.join(columns)}), got {len(fields)}")
             english = fields.pop(0) if bilingual else ""
             root, gender, *rest = fields
             sc.table_value(sc.GENDERS, "gender", gender, where)

@@ -12,17 +12,17 @@ against its closed set (script_core.NUMBERS, CASES, PERSONS, TAMS),
 and a row that could never take effect (a second row for a pronoun, a
 rule named twice or listed after "default") is an error at its line.
 
-_annotate is the one place that decides what a noun or a verb is and
-computes its factors, as a tuple per token; annotate_sentence gives them
-as lists, and the CLI compiles the rules once per call and calls
-_annotate for each sentence. Each case or TAM rule names a yes/no fact
-about a token (CASE_FACTS, TAM_FACTS), and a rule list is compiled once
-into a table indexed by a token's fact bits, each entry the value of the
-first rule whose fact holds. One pass over the sentence records what the
-facts read of a token's head, children and modal, so annotating a
-sentence costs time linear in its length and one table read per noun or
-verb. Where IDs repeat, the first token in sentence order wins, as in a
-scan of the sentence.
+annotate_sentence is the one place that decides what a noun or a verb is
+and computes its factors, a tuple per token; the CLI's annotate loads
+the tables once and calls it for each sentence. Each case or TAM rule
+names a yes/no fact about a token (CASE_FACTS, TAM_FACTS), and a rule
+list is compiled once (compile_rules is cached) into a table indexed by
+a token's fact bits, each entry the value of the first rule whose fact
+holds. One pass over the sentence records what the facts read of a
+token's head, children and modal, so annotating a sentence costs time
+linear in its length and one table read per noun or verb. Where IDs
+repeat, the first token in sentence order wins, as in a scan of the
+sentence.
 
 read_conllu remembers, for one call, each ID and HEAD string that has
 passed its check and the int it stands for, so a row whose ID and HEAD
@@ -274,16 +274,26 @@ _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _VOWELS = "aeiou"
 
 
+def _surface_form(form: str, what: str, where: str) -> str:
+    """`form` if it is a valid surface-only side, else an error at
+    `where`: every English surface the two tables below give is valid."""
+    if not sc.line_pattern(0).fullmatch(form):
+        raise InputError(f"{where}: bad {what} {form!r} (not words joined by single spaces)")
+    return form
+
+
 @cache
 def _noun_exceptions() -> dict[str, str]:
     _, rows = sc.read_table(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
-    return {sg: pl for _, (sg, pl) in rows}
+    return {sg: _surface_form(pl, "plural", where) for where, (sg, pl) in rows}
 
 
 @cache
 def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
     _, rows = sc.read_table(None, "verb_exceptions.tsv", ("root", "third", "past"))
-    return {root: (None if third == "-" else third, past) for _, (root, third, past) in rows}
+    return {root: (None if third == "-" else _surface_form(third, "third-person form", where),
+                   _surface_form(past, "past form", where))
+            for where, (root, third, past) in rows}
 
 
 def _add_s(root: str) -> str:
@@ -337,27 +347,31 @@ def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
     return root
 
 
-def _rules(mode: str, pronouns: PronounTable | None, case_rules: list[tuple[str, str]] | None,
-           tam_rules: list[tuple[str, str]] | None) -> tuple:
-    """The arguments `_annotate` takes after the sentence: whether nouns
-    and verbs are annotated, the pronoun table and the two compiled rule
-    tables, each default filled in."""
+def annotate_sentence(
+    sentence: list[ConlluToken],
+    mode: str = "both",
+    pronouns: PronounTable | None = None,
+    case_rules: list[tuple[str, str]] | None = None,
+    tam_rules: list[tuple[str, str]] | None = None,
+) -> list[tuple[str, tuple[str, ...]]]:
+    """Annotate one sentence: (token string, factor tuple) per token.
+
+    `mode` ("noun", "verb" or "both") names the tokens annotated, and a
+    table or rule list left None is the packaged one. Nouns yield lemma +
+    (number, case); verbs lemma + (number, person, tam); everything else
+    the surface form and (). An empty lemma, or "_" (CoNLL-U's
+    unspecified field), falls back to the form. The caller pads widths
+    (factor normalization) before emission.
+    """
     if mode not in ("noun", "verb", "both"):
         raise InputError(f"bad annotation mode {mode!r}")
-    return (
-        mode != "verb", mode != "noun",
-        default_pronoun_table() if pronouns is None else pronouns,
-        compile_rules(tuple(default_case_rules() if case_rules is None else case_rules),
-                      CASE_FACTS, "dir"),
-        compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
-                      TAM_FACTS, "hab"),
-    )
-
-
-def _annotate(sentence: list[ConlluToken], nouns: bool, verbs: bool, pronouns: PronounTable,
-              case_table: tuple[str, ...], tam_table: tuple[str, ...]
-              ) -> list[tuple[str, tuple[str, ...]]]:
-    """The noun/verb rule: (token string, factor tuple) per token."""
+    nouns, verbs = mode != "verb", mode != "noun"
+    if pronouns is None:
+        pronouns = default_pronoun_table()
+    case_table = compile_rules(tuple(default_case_rules() if case_rules is None else case_rules),
+                               CASE_FACTS, "dir")
+    tam_table = compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
+                              TAM_FACTS, "hab")
     tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
     out = []
     for token in sentence:
@@ -381,21 +395,3 @@ def _annotate(sentence: list[ConlluToken], nouns: bool, verbs: bool, pronouns: P
         else:
             out.append((form, ()))
     return out
-
-
-def annotate_sentence(
-    sentence: list[ConlluToken],
-    mode: str = "both",
-    pronouns: PronounTable | None = None,
-    case_rules: list[tuple[str, str]] | None = None,
-    tam_rules: list[tuple[str, str]] | None = None,
-) -> list[tuple[str, list[str]]]:
-    """Annotate one sentence: (token string, factor values) per token.
-
-    Nouns yield lemma + [number, case]; verbs lemma + [number, person,
-    tam]; everything else the surface form with null factors. An empty
-    lemma, or "_" (CoNLL-U's unspecified field), falls back to the
-    form. The caller pads widths (factor normalization) before emission.
-    """
-    return [(surface, list(factors)) for surface, factors
-            in _annotate(sentence, *_rules(mode, pronouns, case_rules, tam_rules))]

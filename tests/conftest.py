@@ -266,9 +266,9 @@ class EnglishVerbFactors:
     person: str
     tam: str
 
-    def values(self) -> list[str]:
-        """[number, person, tam], as annotate_sentence gives them."""
-        return [self.number, self.person, self.tam]
+    def values(self) -> tuple[str, str, str]:
+        """(number, person, tam), as annotate_sentence gives them."""
+        return (self.number, self.person, self.tam)
 
 
 def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
@@ -395,12 +395,12 @@ def ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules):
         if mode != "verb" and token.xpos in REF_NOUN_TAGS:
             number = "pl" if token.xpos in REF_PLURAL_TAGS else "sg"
             case = ref_noun_case(token, sentence, case_rules)
-            out.append((lemma, [number, case]))
+            out.append((lemma, (number, case)))
         elif mode != "noun" and token.xpos.startswith("VB"):
             factors = ref_verb_factors(token, sentence, pronouns, tam_rules)
             out.append((lemma, factors.values()))
         else:
-            out.append((token.form, []))
+            out.append((token.form, ()))
     return out
 
 
@@ -439,9 +439,12 @@ def _ref_located(where, make):
 
 def ref_parse_noun_lexicon(lines, bilingual=True, name="<noun lexicon>"):
     """(english_root, NounLexEntry, where) per data row."""
-    columns = ("english_root", "hindi_root", "gender")[0 if bilingual else 1:]
+    columns = ("english_root", "hindi_root", "gender", "countable", "class")[0 if bilingual else 1:]
     out = []
-    for where, fields in _ref_rows(lines, name, columns):
+    for where, fields in _ref_rows(lines, name, columns[:-2]):
+        if len(fields) > len(columns):
+            raise InputError(f"{where}: expected at most {len(columns)} tab-separated fields "
+                             f"({', '.join(columns)}), got {len(fields)}")
         english = fields.pop(0) if bilingual else ""
         root, gender, *rest = fields
         _ref_value(REF_GENDERS, "gender", gender, where)

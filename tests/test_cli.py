@@ -89,6 +89,20 @@ def test_diagnostics_name_file_and_line(tmp_path, capsys):
     assert err == f"error: {lex}:1: bad gender 'x' (expected one of m, f)\n"
 
 
+# a column past the class is an error, not cut off
+@pytest.mark.parametrize("row, flags, columns", [
+    ("six\tघर\tm\t1\tE\textra\tmore", ("--bilingual",),
+     "at most 5 tab-separated fields (english_root, hindi_root, gender, countable, class), got 7"),
+    ("घर\tm\t1\tE\t", (),
+     "at most 4 tab-separated fields (hindi_root, gender, countable, class), got 5"),
+], ids=["bilingual", "monolingual"])
+def test_a_noun_row_with_a_column_past_the_class_exits_1(tmp_path, capsys, row, flags, columns):
+    lex = tmp_path / "nouns.tsv"
+    lex.write_text(f"# nouns\n{row}\n", "utf-8")
+    code, out, err = run(capsys, "classify", "--lexicon", str(lex), *flags)
+    assert (code, out, err) == (1, "", f"error: {lex}:2: expected {columns}\n")
+
+
 def test_verb_override_with_a_fifth_slot_part_exits_1(tmp_path, capsys):
     lex = tmp_path / "verbs.tsv"
     lex.write_text("walk\tचल\ngo\tजा\tperf:m:sg:3:zzz=गया\n", "utf-8")
@@ -427,6 +441,21 @@ def test_annotate(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_annotate_calls_the_public_annotator_once_per_sentence(monkeypatch, capsys):
+    # a traced run times annotate_sentence: annotate must go through it
+    from morphinject import source_factors as sf
+
+    conllu = str(FIXTURES / "sample.conllu")
+    _, expected, _ = run(capsys, "annotate", "--conllu", conllu)
+    calls = []
+    annotate = sf.annotate_sentence
+    monkeypatch.setattr(sf, "annotate_sentence",
+                        lambda *args: calls.append(args[0]) or annotate(*args))
+    assert run(capsys, "annotate", "--conllu", conllu) == (0, expected, "")
+    assert calls == list(sf.read_conllu((FIXTURES / "sample.conllu").read_text("utf-8")
+                                        .splitlines()))
+
+
 def test_annotate_unspecified_lemma_falls_back_to_the_form(tmp_path, capsys):
     # "_" is CoNLL-U's unspecified LEMMA: the form stands in, as for an
     # empty lemma
@@ -717,13 +746,23 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys, subcommand, target):
 
 _NOUN_TABLE = (DATA / "noun_suffixes.tsv").read_text("utf-8")
 _NOUN_COMMANDS = {
-    "build-dict": ["build-dict", "--kind", "noun", "--lexicon", str(FIXTURES / "noun_paradigms.tsv")],
+    "build-dict": ["build-dict", "--kind", "noun", "--lexicon", str(FIXTURES / "noun_lexicon.tsv")],
     "paradigm": ["paradigm", "--root", "कुत्ता", "--gender", "m"],
 }
 _VERB_COMMANDS = {
     "build-dict": ["build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv")],
     "paradigm": ["paradigm", "--verb", "--stem", "चल"],
 }
+
+
+def test_the_noun_lexicon_fixture_is_the_paradigm_fixtures_lexicon_columns():
+    # line for line, comments included, so both name a row by one line number
+    lexicon = (FIXTURES / "noun_lexicon.tsv").read_text("utf-8").splitlines()
+    paradigms = (FIXTURES / "noun_paradigms.tsv").read_text("utf-8").splitlines()
+    assert [ln[0] == "#" or ln for ln in lexicon] == \
+        [ln[0] == "#" or "\t".join(ln.split("\t")[:5]) for ln in paradigms]
+
+
 # a row error names the file and line, a whole-table error the file
 _SUFFIX_TABLE_ERRORS = [
     (_NOUN_COMMANDS, "# grid\nA\tsg\tdir\n",

@@ -23,7 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # through the flag appended to the argv
 TABLES = {
     "noun_suffixes.tsv": (nm.load_suffix_table, [
-        "build-dict", "--kind", "noun", "--lexicon", str(FIXTURES / "noun_paradigms.tsv"),
+        "build-dict", "--kind", "noun", "--lexicon", str(FIXTURES / "noun_lexicon.tsv"),
         "--table"]),
     "verb_suffixes.tsv": (vm.load_verb_suffix_table, [
         "build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
@@ -110,7 +110,7 @@ def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given():
         sf.ConlluToken(3, "at", "at", "IN", 4, "case"),
         sf.ConlluToken(4, "cats", "cat", "NNS", 2, "obl"),
     ]
-    assert sf.annotate_sentence(sentence, "noun")[3] == ("cat", ["pl", "obl"])
-    assert sf.annotate_sentence(sentence, "noun", case_rules=[])[3] == ("cat", ["pl", "dir"])
-    assert sf.annotate_sentence(sentence, case_rules=[])[3] == ("cat", ["pl", "dir"])
-    assert sf.annotate_sentence(sentence, "verb", tam_rules=[])[1] == ("bark", ["pl", "3", "hab"])
+    assert sf.annotate_sentence(sentence, "noun")[3] == ("cat", ("pl", "obl"))
+    assert sf.annotate_sentence(sentence, "noun", case_rules=[])[3] == ("cat", ("pl", "dir"))
+    assert sf.annotate_sentence(sentence, case_rules=[])[3] == ("cat", ("pl", "dir"))
+    assert sf.annotate_sentence(sentence, "verb", tam_rules=[])[1] == ("bark", ("pl", "3", "hab"))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import FactoredToken, ref_entries
@@ -60,13 +62,47 @@ def test_build_noun_dict_girl_and_empty():
     assert pl_obl.target.render() == sc.normalize("लड़कियों|लड़की|यों")
 
 
-def test_a_surface_build_checks_a_plural_from_the_exception_table(monkeypatch):
-    # a valid root's surface-only lines go unchecked only if its plural,
-    # which the exception table may give, is a valid side
-    monkeypatch.setattr(sf, "_noun_exceptions", lambda: {"dog": "dog  s"})
-    with pytest.raises(InputError, match=r"^surface-only side 'dog  s' is not words joined "
-                                         r"by single spaces$"):
-        build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))], surface=True)
+@pytest.fixture
+def exception_table(tmp_path, monkeypatch):
+    """Append a row to a copy of a packaged English exception table and
+    load the tables from the copy; their cached loads are cleared around
+    the test."""
+    def append(name: str, row: str) -> str:
+        for table in sc._DATA_DIR.glob("*.tsv"):
+            (tmp_path / table.name).write_bytes(table.read_bytes())
+        path = tmp_path / name
+        path.write_text(path.read_text("utf-8") + row + "\n", "utf-8")
+        monkeypatch.setattr(sc, "_DATA_DIR", tmp_path)
+        return f"{name}:{len(path.read_text('utf-8').splitlines())}"
+
+    loaders = (sf._noun_exceptions, sf._verb_exceptions)
+    for loader in loaders:
+        loader.cache_clear()
+    yield append
+    for loader in loaders:
+        loader.cache_clear()
+
+
+def test_a_surface_build_checks_a_plural_from_the_exception_table(exception_table):
+    # the plurals are checked as the table loads, so every surface-only
+    # line a build keeps is valid without a check of its own
+    where = exception_table("noun_plural_exceptions.tsv", "dog\tdog  s")
+    message = f"{where}: bad plural 'dog  s' (not words joined by single spaces)"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build_noun_dict([BilingualNoun("cat", NounLexEntry("बिल्ली", "f"))], surface=True)
+
+
+@pytest.mark.parametrize("row, what", [
+    ("dig\tdigs\tdug\tx", None),  # four fields
+    ("dig\td|igs\tdug", "third-person form 'd|igs'"),
+    ("dig\t-\t", "past form ''"),
+])
+def test_a_bad_verb_exception_row_fails_the_surface_build_at_its_line(exception_table, row, what):
+    # an error of the table, not a failed lexicon row
+    where = exception_table("verb_exceptions.tsv", row)
+    message = f"{where}: expected 3" if what is None else f"{where}: bad {what} "
+    with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+        build_verb_dict([VerbLexEntry("चल", "walk")], surface=True)
 
 
 def test_build_noun_dict_dedupe_and_failures():

@@ -126,7 +126,7 @@ def test_hash_lines_in_a_dictionary_are_comments(tmp_path):
 
 # --- no input file makes a subcommand exit 2 ---
 
-NOUNS = (FIXTURES / "noun_paradigms.tsv").read_text("utf-8").split("\n")[:12]
+NOUNS = (FIXTURES / "noun_lexicon.tsv").read_text("utf-8").split("\n")[:12]
 INJECT = ["inject", "--source", str(FIXTURES / "corpus_src.txt"),
           "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", "F",
           "--out-source", "{tmp}/o.src", "--out-target", "{tmp}/o.tgt"]

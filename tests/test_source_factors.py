@@ -46,40 +46,40 @@ def test_read_conllu_skips_ranges_and_rejects_bad_columns():
 def test_noun_number():
     def alone(form, lemma, xpos, mode="noun"):
         return annotate_sentence([ConlluToken(1, form, lemma, xpos, 0, "root")], mode)
-    assert alone("dogs", "dog", "NNS") == [("dog", ["pl", "dir"])]
-    assert alone("dog", "dog", "NN") == [("dog", ["sg", "dir"])]
-    assert alone("Delhi", "Delhi", "NNP") == [("Delhi", ["sg", "dir"])]
+    assert alone("dogs", "dog", "NNS") == [("dog", ("pl", "dir"))]
+    assert alone("dog", "dog", "NN") == [("dog", ("sg", "dir"))]
+    assert alone("Delhi", "Delhi", "NNP") == [("Delhi", ("sg", "dir"))]
     # a verb tag is no noun: its form, with no factors
-    assert alone("walked", "walk", "VBD") == [("walked", [])]
-    assert alone("walked", "walk", "VBD", "both") == [("walk", ["sg", "3", "perf"])]
+    assert alone("walked", "walk", "VBD") == [("walked", ())]
+    assert alone("walked", "walk", "VBD", "both") == [("walk", ("sg", "3", "perf"))]
 
 
 def test_noun_case_rules(sentences):
     # object of a preposition (legacy pobj): oblique
-    assert _factors(sentences[1], "house", "noun") == ["sg", "obl"]
+    assert _factors(sentences[1], "house", "noun") == ("sg", "obl")
     # subject of a past-perfective verb: ergative context, oblique
-    assert _factors(sentences[1], "dog", "noun") == ["sg", "obl"]
+    assert _factors(sentences[1], "dog", "noun") == ("sg", "obl")
     # plain subject, present tense: direct
-    assert _factors(sentences[0], "dog", "noun") == ["sg", "dir"]
+    assert _factors(sentences[0], "dog", "noun") == ("sg", "dir")
     # UD obl with case child: oblique
-    assert _factors(sentences[6], "park", "noun") == ["sg", "obl"]
+    assert _factors(sentences[6], "park", "noun") == ("sg", "obl")
     # direct object: direct
-    assert _factors(sentences[7], "books", "noun") == ["pl", "dir"]
+    assert _factors(sentences[7], "books", "noun") == ("pl", "dir")
     # isolated noun: default direct
-    assert _factors([ConlluToken(1, "dog", "dog", "NN", 0, "root")], "dog") == ["sg", "dir"]
+    assert _factors([ConlluToken(1, "dog", "dog", "NN", 0, "root")], "dog") == ("sg", "dir")
 
 
 def test_verb_factors(sentences):
     pron = default_pronoun_table()
-    assert _factors(sentences[2], "walk", "verb", pronouns=pron) == ["sg", "1", "hab"]
-    assert _factors(sentences[3], "walked", "verb", pronouns=pron) == ["pl", "3", "perf"]
-    assert _factors(sentences[4], "run", "verb", pronouns=pron) == ["sg", "3", "fut"]
-    assert _factors(sentences[5], "Go", "verb", pronouns=pron) == ["sg", "3", "imp"]
+    assert _factors(sentences[2], "walk", "verb", pronouns=pron) == ("sg", "1", "hab")
+    assert _factors(sentences[3], "walked", "verb", pronouns=pron) == ("pl", "3", "perf")
+    assert _factors(sentences[4], "run", "verb", pronouns=pron) == ("sg", "3", "fut")
+    assert _factors(sentences[5], "Go", "verb", pronouns=pron) == ("sg", "3", "imp")
     # to-infinitive; no own subject, so defaults apply
-    assert _factors(sentences[6], "walk", "verb", pronouns=pron) == ["sg", "3", "inf"]
-    assert _factors(sentences[8], "like", "verb", pronouns=pron) == ["sg", "3", "subj"]
+    assert _factors(sentences[6], "walk", "verb", pronouns=pron) == ("sg", "3", "inf")
+    assert _factors(sentences[8], "like", "verb", pronouns=pron) == ("sg", "3", "subj")
     # a noun tag is no verb: its form, with no factors
-    assert annotate_sentence(sentences[0], "verb", pronouns=pron)[1] == ("dog", [])
+    assert annotate_sentence(sentences[0], "verb", pronouns=pron)[1] == ("dog", ())
 
 
 def test_only_vb_tags_are_verbs():
@@ -90,7 +90,7 @@ def test_only_vb_tags_are_verbs():
         ConlluToken(3, "happy", "happy", "JJ", 0, "root"),
         ConlluToken(4, "not", "not", "RB", 2, "advmod"),
     ]
-    unannotated = [("it", []), ("can", []), ("happy", []), ("not", [])]
+    unannotated = [("it", ()), ("can", ()), ("happy", ()), ("not", ())]
     assert annotate_sentence(sentence, "verb") == unannotated
     assert annotate_sentence(sentence, "both") == unannotated
 
@@ -133,10 +133,10 @@ def test_english_verb_surface():
 
 def test_annotate_sentence(sentences):
     annotated = annotate_sentence(sentences[0], "both")
-    assert annotated[0] == ("The", [])
-    assert annotated[1] == ("dog", ["sg", "dir"])
-    assert annotated[2] == ("run", ["sg", "3", "hab"])
+    assert annotated[0] == ("The", ())
+    assert annotated[1] == ("dog", ("sg", "dir"))
+    assert annotated[2] == ("run", ("sg", "3", "hab"))
     noun_only = annotate_sentence(sentences[0], "noun")
-    assert noun_only[2] == ("runs", [])
+    assert noun_only[2] == ("runs", ())
     with pytest.raises(InputError):
         annotate_sentence(sentences[0], "nope")
