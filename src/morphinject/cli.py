@@ -8,14 +8,15 @@ script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
 are written to temporary files and renamed, so no subcommand leaves
 partial output behind. Set MORPHINJECT_DATA to a directory to override
 the packaged default data files (noun_suffixes.tsv, verb_suffixes.tsv,
-pronouns.tsv, case_rules.tsv, tam_rules.tsv).
+pronouns.tsv, case_rules.tsv, tam_rules.tsv); a table's flag overrides
+both, and the subcommand calls its module's load_* on the file named.
 
-A subcommand loads only the layers it runs: each imports its modules
-when it is called, so `oov` and `bleu` load no morphology, dictionary or
-corpus module, and `annotate` loads no layer but source_factors. No call
-loads the standard library's data class, inspect or log modules
-(tests/test_imports.py names them), and only a call that writes JSON
-loads json. `annotate` loads its tables once and calls the public
+A subcommand loads only the layers it runs, importing each when it is
+called: `build-dict` only the morphology of its --kind, and `inject`
+and `sparsity` no morphology and no annotator. No call loads the
+standard library's data class, inspect or log modules, and only a call
+that writes JSON loads json; tests/test_imports.py pins the modules of
+every subcommand. `annotate` loads its tables once and calls the public
 annotate_sentence for each sentence; the CLI names no private of another
 module. The records are plain classes that compare by value:
 ParallelCorpus by its lines, WordFormDictionary by its lines and scheme,
@@ -27,7 +28,6 @@ tuples of their fields.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 import tempfile
@@ -45,25 +45,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-# the overridable data files: module, loader and packaged default of each
-_DATA_TABLES = {
-    "noun_suffixes.tsv": ("noun_morph", "load_suffix_table", "default_suffix_table"),
-    "verb_suffixes.tsv": ("verb_morph", "load_verb_suffix_table", "default_verb_suffix_table"),
-    "pronouns.tsv": ("source_factors", "load_pronoun_table", "default_pronoun_table"),
-    "case_rules.tsv": ("source_factors", "load_case_rules", "default_case_rules"),
-    "tam_rules.tsv": ("source_factors", "load_tam_rules", "default_tam_rules"),
-}
-
-
-def _data_table(path: str | None, name: str):
-    """The table at `path` (a flag), else MORPHINJECT_DATA/`name` if that
-    file exists, else the packaged default."""
-    module, load, default = _DATA_TABLES[name]
-    mod = importlib.import_module(f"{__package__}.{module}")
+def _data_path(flag: str | None, name: str) -> str | None:
+    """The data table to load: `flag`, else MORPHINJECT_DATA/`name` if
+    that file exists, else None, which loaders read as the packaged one."""
     base = os.environ.get(DATA_DIR_ENV)
-    if path is None and base and (Path(base) / name).is_file():
-        path = str(Path(base) / name)
-    return getattr(mod, default)() if path is None else getattr(mod, load)(path)
+    if flag is None and base and (Path(base) / name).is_file():
+        return str(Path(base) / name)
+    return flag
 
 
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
@@ -161,23 +149,18 @@ def cmd_paradigm(args) -> int:
 
         if args.stem is None:
             raise InputError("--stem is required for verb paradigms")
-        table = _data_table(args.table, "verb_suffixes.tsv")
-        entry = vm.VerbLexEntry(args.stem, "")
-        lines = [
-            "\t".join((*factors, "-" if suffix is None else suffix, surface))
-            for *factors, suffix, surface in vm.verb_paradigm(entry, table)
-        ]
+        table = vm.load_verb_suffix_table(_data_path(args.table, "verb_suffixes.tsv"))
+        rows = vm.verb_paradigm(vm.VerbLexEntry(args.stem, ""), table)
     else:
         if args.root is None or args.gender is None:
             raise InputError("--root and --gender are required for noun paradigms")
         from . import noun_morph as nm
 
-        table = _data_table(args.table, "noun_suffixes.tsv")
+        table = nm.load_suffix_table(_data_path(args.table, "noun_suffixes.tsv"))
         entry = nm.NounLexEntry(args.root, args.gender, not args.uncountable, args.noun_class)
-        lines = [
-            "\t".join((*factors, "-" if suffix is None else suffix, surface))
-            for *factors, suffix, surface in nm.noun_paradigm(entry, table)
-        ]
+        rows = nm.noun_paradigm(entry, table)
+    lines = ["\t".join((*factors, "-" if suffix is None else suffix, surface))
+             for *factors, suffix, surface in rows]
     _write_atomic([(args.out, _lines_text(lines))])
     return 0
 
@@ -220,9 +203,9 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 def cmd_annotate(args) -> int:
     from . import source_factors as sf
 
-    pronouns = _data_table(args.pronouns, "pronouns.tsv")
-    case_rules = _data_table(args.case_rules, "case_rules.tsv")
-    tam_rules = _data_table(args.tam_rules, "tam_rules.tsv")
+    pronouns = sf.load_pronoun_table(_data_path(args.pronouns, "pronouns.tsv"))
+    case_rules = sf.load_case_rules(_data_path(args.case_rules, "case_rules.tsv"))
+    tam_rules = sf.load_tam_rules(_data_path(args.tam_rules, "tam_rules.tsv"))
     tails = _Tails(_ANNOTATE_WIDTH[args.mode])
     out_lines = [
         _annotation_line(
@@ -236,17 +219,19 @@ def cmd_annotate(args) -> int:
 
 def cmd_build_dict(args) -> int:
     from . import dictionary_builder as db
-    from . import noun_morph as nm
-    from . import verb_morph as vm
 
     if args.kind == "noun":
+        from . import noun_morph as nm
+
         lexicon = nm.parse_noun_lexicon(sc.read_lines(args.lexicon), name=args.lexicon)
-        dictionary = db.build_noun_dict(
-            lexicon, _data_table(args.table, "noun_suffixes.tsv"), surface=args.surface)
+        table = nm.load_suffix_table(_data_path(args.table, "noun_suffixes.tsv"))
+        dictionary = db.build_noun_dict(lexicon, table, surface=args.surface)
     else:
+        from . import verb_morph as vm
+
         lexicon = vm.parse_verb_lexicon(sc.read_lines(args.lexicon), args.lexicon)
-        dictionary = db.build_verb_dict(
-            lexicon, _data_table(args.table, "verb_suffixes.tsv"), surface=args.surface)
+        table = vm.load_verb_suffix_table(_data_path(args.table, "verb_suffixes.tsv"))
+        dictionary = db.build_verb_dict(lexicon, table, surface=args.surface)
     outputs = [(args.out, _lines_text(dictionary.lines))]
     if args.failures:
         payload = {

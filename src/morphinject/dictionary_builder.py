@@ -32,6 +32,10 @@ English root and Hindi form are valid, the English rules only add
 letters or a word to the root ("dogs", "will walk"), and an irregular
 form from the English exception tables was checked when they loaded.
 `strip_to_surface` serves `inject --mode surface` and library callers.
+
+The English inflection of those surfaces lives here, its only user.
+The dictionary format loads no morphology and no annotator: the
+builders import noun_morph or verb_morph when called.
 """
 
 from __future__ import annotations
@@ -39,19 +43,15 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import script_core as sc
-from . import source_factors as sf
 from .errors import InputError
-from .noun_morph import BilingualNoun, SuffixTable, default_suffix_table, noun_paradigm
 from .script_core import NULL_FACTOR
-from .verb_morph import (
-    VerbLexEntry,
-    VerbSuffixTable,
-    default_verb_suffix_table,
-    verb_paradigm,
-)
+
+if TYPE_CHECKING:  # annotations only: the builders import their morphology
+    from .noun_morph import BilingualNoun, SuffixTable
+    from .verb_morph import VerbLexEntry, VerbSuffixTable
 
 FACTOR_SEP = "|"
 
@@ -221,6 +221,85 @@ def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None
                 seen.add(value)
 
 
+# --- English surface synthesis (for the surface-only dictionary) ---
+
+_SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
+_VOWELS = "aeiou"
+
+
+def _surface_form(form: str, what: str, where: str) -> str:
+    """`form` if it is a valid surface-only side, else an error at
+    `where`: every English surface the two tables below give is valid."""
+    if not sc.line_pattern(0).fullmatch(form):
+        raise InputError(f"{where}: bad {what} {form!r} (not words joined by single spaces)")
+    return form
+
+
+@cache
+def _noun_exceptions() -> dict[str, str]:
+    _, rows = sc.read_table(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
+    return {sg: _surface_form(pl, "plural", where) for where, (sg, pl) in rows}
+
+
+@cache
+def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
+    _, rows = sc.read_table(None, "verb_exceptions.tsv", ("root", "third", "past"))
+    return {root: (None if third == "-" else _surface_form(third, "third-person form", where),
+                   _surface_form(past, "past form", where))
+            for where, (root, third, past) in rows}
+
+
+def _add_s(root: str) -> str:
+    if root.endswith(_SIBILANT_ENDINGS):
+        return root + "es"
+    if root.endswith("y") and len(root) > 1 and root[-2] not in _VOWELS:
+        return root[:-1] + "ies"
+    return root + "s"
+
+
+def english_noun_surface(root: str, number: str) -> str:
+    """Inflect an English noun lemma for a number ("sg" or "pl"): identity
+    for singular, exception list then orthographic rules for plural."""
+    if number == "sg":
+        return root
+    exc = _noun_exceptions().get(root.lower())
+    if exc is not None:
+        return exc
+    return _add_s(root)
+
+
+def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
+    """Inflect an English verb lemma for the given factor values.
+
+    Future and modal forms are periphrastic ("will walk"); downstream
+    corpus emission splits them into separate tokens.
+    """
+    if tam == "inf":
+        return "to " + root
+    if tam == "fut":
+        return "will " + root
+    if tam == "subj":
+        return "would " + root
+    if tam == "imp":
+        return root
+    if tam == "perf":
+        exc = _verb_exceptions().get(root.lower())
+        if exc is not None:
+            return exc[1]
+        if root.endswith("e"):
+            return root + "d"
+        if root.endswith("y") and len(root) > 1 and root[-2] not in _VOWELS:
+            return root[:-1] + "ied"
+        return root + "ed"
+    # present habitual
+    if person == "3" and number == "sg":
+        exc = _verb_exceptions().get(root.lower())
+        if exc is not None and exc[0] is not None:
+            return exc[0]
+        return _add_s(root)
+    return root
+
+
 def build_noun_dict(
     lexicon: list[BilingualNoun], table: SuffixTable | None = None, *, surface: bool = False,
 ) -> WordFormDictionary:
@@ -230,6 +309,8 @@ def build_noun_dict(
     entry is kept as its surface-only line (see `strip_to_surface`). A
     row's lines are checked only if its English root or a table suffix
     is not a valid factor, and a line whose form is empty always is."""
+    from .noun_morph import default_suffix_table, noun_paradigm
+
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
     part = re.compile(sc.TOKEN_PART).fullmatch
@@ -239,7 +320,7 @@ def build_noun_dict(
     for idx, noun in enumerate(lexicon):
         english, root = noun.english_root, noun.entry.hindi_root
         if surface:
-            plural = sf.english_noun_surface(english, "pl")
+            plural = english_noun_surface(english, "pl")
         try:
             rows = noun_paradigm(noun.entry, table)
             check = not (suffixes_valid and part(english))
@@ -264,12 +345,14 @@ def build_verb_dict(
     `surface`, each entry is kept as its surface-only line (see
     `strip_to_surface`). Lines are checked as in `build_noun_dict`, and
     also when an irregular form of the row is not a valid factor."""
+    from .verb_morph import default_verb_suffix_table, verb_paradigm
+
     table = table or default_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
     part = re.compile(sc.TOKEN_PART).fullmatch
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
     if surface:  # the exception table loads before the rows: a bad form is fatal
-        sf._verb_exceptions()
+        _verb_exceptions()
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
@@ -284,7 +367,7 @@ def build_verb_dict(
                 if (check or not form) and not valid(line):
                     raise _line_error((english, number, person, tam), (form, root, suffix))
                 if surface:
-                    line = f"{sf.english_verb_surface(english, number, person, tam)}\t{form}"
+                    line = f"{english_verb_surface(english, number, person, tam)}\t{form}"
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
@@ -316,15 +399,18 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
             if factors is None:
                 factors = factor_text.split(FACTOR_SEP)
                 where = f"entry {source!r}"
+                if verb and len(factors) < 3:
+                    raise InputError(f"{where} has {source.count(FACTOR_SEP)} factors, "
+                                     f"scheme declares {scheme.source_width}")
                 sc.table_value(sc.NUMBERS, "number", factors[0], where)
                 if verb:
                     sc.table_value(sc.PERSONS, "person", factors[1], where)
                     sc.table_value(sc.TAMS, "tam", factors[2], where)
                 checked[factor_text] = factors
             if verb:
-                surface = sf.english_verb_surface(surface, *factors[:3])
+                surface = english_verb_surface(surface, *factors[:3])
             else:
-                surface = sf.english_noun_surface(surface, factors[0])
+                surface = english_noun_surface(surface, factors[0])
         target_surface = target.partition(FACTOR_SEP)[0]
         line = f"{surface}\t{target_surface}"
         if not valid(line):

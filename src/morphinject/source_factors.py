@@ -4,7 +4,9 @@ The toolkit never runs a tagger or parser itself: it ingests the
 standard 10-column CoNLL-U produced by external tools. Noun tokens get
 (number, case), verb tokens (XPOS VB*) get (number, person, TAM).
 Unresolvable features never abort a sentence; they take the least-marked
-defaults (singular, third person, direct case).
+defaults (singular, third person, direct case). This module is the
+annotator only: the English inflection that builds a surface-only
+dictionary ("dogs", "will walk") belongs to dictionary_builder.
 
 Factor values are the strings they are written as ("pl", "obl", "3",
 "perf"). The pronoun, case-rule and TAM-rule loaders check each value
@@ -32,9 +34,10 @@ were both read before becomes a token with two dict reads.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import script_core as sc
 from .errors import InputError
@@ -47,14 +50,7 @@ SUBJECT_DEPRELS = {"nsubj", "nsubjpass", "nsubj:pass", "csubj"}
 DIRECT_OBJECT_DEPRELS = {"dobj", "obj"}
 PREP_OBJECT_DEPRELS = {"pobj", "obl"}
 
-
-class ConlluToken(NamedTuple):
-    id: int
-    form: str
-    lemma: str
-    xpos: str
-    head: int
-    deprel: str
+ConlluToken = namedtuple("ConlluToken", "id form lemma xpos head deprel")
 
 
 class PronounTable:
@@ -111,7 +107,7 @@ def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str,
     return _load_rules(source, "tam_rules.tsv", TAM_FACTS, sc.TAMS, "TAM")
 
 
-# ConlluToken(...) without the Python-level __new__ of a NamedTuple
+# ConlluToken(...) without the Python-level __new__ of a named tuple
 _token = tuple.__new__
 
 
@@ -266,85 +262,6 @@ def _agreement(subject: ConlluToken | None, pronouns: PronounTable) -> tuple[str
         if subject.xpos in PLURAL_TAGS:
             return "pl", "3"
     return "sg", "3"
-
-
-# --- English surface synthesis (for the surface-only dictionary) ---
-
-_SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
-_VOWELS = "aeiou"
-
-
-def _surface_form(form: str, what: str, where: str) -> str:
-    """`form` if it is a valid surface-only side, else an error at
-    `where`: every English surface the two tables below give is valid."""
-    if not sc.line_pattern(0).fullmatch(form):
-        raise InputError(f"{where}: bad {what} {form!r} (not words joined by single spaces)")
-    return form
-
-
-@cache
-def _noun_exceptions() -> dict[str, str]:
-    _, rows = sc.read_table(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
-    return {sg: _surface_form(pl, "plural", where) for where, (sg, pl) in rows}
-
-
-@cache
-def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
-    _, rows = sc.read_table(None, "verb_exceptions.tsv", ("root", "third", "past"))
-    return {root: (None if third == "-" else _surface_form(third, "third-person form", where),
-                   _surface_form(past, "past form", where))
-            for where, (root, third, past) in rows}
-
-
-def _add_s(root: str) -> str:
-    if root.endswith(_SIBILANT_ENDINGS):
-        return root + "es"
-    if root.endswith("y") and len(root) > 1 and root[-2] not in _VOWELS:
-        return root[:-1] + "ies"
-    return root + "s"
-
-
-def english_noun_surface(root: str, number: str) -> str:
-    """Inflect an English noun lemma for a number ("sg" or "pl"): identity
-    for singular, exception list then orthographic rules for plural."""
-    if number == "sg":
-        return root
-    exc = _noun_exceptions().get(root.lower())
-    if exc is not None:
-        return exc
-    return _add_s(root)
-
-
-def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
-    """Inflect an English verb lemma for the given factor values.
-
-    Future and modal forms are periphrastic ("will walk"); downstream
-    corpus emission splits them into separate tokens.
-    """
-    if tam == "inf":
-        return "to " + root
-    if tam == "fut":
-        return "will " + root
-    if tam == "subj":
-        return "would " + root
-    if tam == "imp":
-        return root
-    if tam == "perf":
-        exc = _verb_exceptions().get(root.lower())
-        if exc is not None:
-            return exc[1]
-        if root.endswith("e"):
-            return root + "d"
-        if root.endswith("y") and len(root) > 1 and root[-2] not in _VOWELS:
-            return root[:-1] + "ied"
-        return root + "ed"
-    # present habitual
-    if person == "3" and number == "sg":
-        exc = _verb_exceptions().get(root.lower())
-        if exc is not None and exc[0] is not None:
-            return exc[0]
-        return _add_s(root)
-    return root
 
 
 def annotate_sentence(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from morphinject import dictionary_builder as db
 from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject.errors import InputError
@@ -281,7 +282,7 @@ def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
         return "would " + root
     if tam == "imp":
         return root
-    exc = sf._verb_exceptions().get(root.lower())
+    exc = db._verb_exceptions().get(root.lower())
     if tam == "perf":
         if exc is not None:
             return exc[1]
@@ -293,7 +294,7 @@ def ref_english_verb_surface(root: str, factors: EnglishVerbFactors) -> str:
     if factors.person == "3" and factors.number == "sg":
         if exc is not None and exc[0] is not None:
             return exc[0]
-        return sf._add_s(root)
+        return db._add_s(root)
     return root
 
 

@@ -3,8 +3,8 @@ import re
 import pytest
 
 from conftest import FactoredToken, ref_entries
+from morphinject import dictionary_builder as db
 from morphinject import script_core as sc
-from morphinject import source_factors as sf
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
     SURFACE_SCHEME,
@@ -75,7 +75,7 @@ def exception_table(tmp_path, monkeypatch):
         monkeypatch.setattr(sc, "_DATA_DIR", tmp_path)
         return f"{name}:{len(path.read_text('utf-8').splitlines())}"
 
-    loaders = (sf._noun_exceptions, sf._verb_exceptions)
+    loaders = (db._noun_exceptions, db._verb_exceptions)
     for loader in loaders:
         loader.cache_clear()
     yield append
@@ -206,6 +206,8 @@ def test_strip_to_surface_verbs():
     (VERB_SCHEME, ["walk|sg|9|zz"], "entry 'walk|sg|9|zz': bad person '9'"),
     # nouns read only the number factor
     (NOUN_SCHEME, ["dog|pl|zz", "dog|sg|zz"], None),
+    # a verb entry too short to hold the factors read
+    (VERB_SCHEME, ["walk|sg"], "entry 'walk|sg' has 1 factors, scheme declares 3"),
 ])
 def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
     d = WordFormDictionary([f"{s}\tक|क|null" for s in sources], scheme)

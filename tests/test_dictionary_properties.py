@@ -24,7 +24,6 @@ from conftest import (
     ref_entries,
 )
 from morphinject import script_core as sc
-from morphinject import source_factors as sf
 from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
@@ -32,6 +31,7 @@ from morphinject.dictionary_builder import (
     VERB_SCHEME,
     build_noun_dict,
     build_verb_dict,
+    english_noun_surface,
     parse_dictionary,
     strip_to_surface,
 )
@@ -148,7 +148,7 @@ def _ref_strip(entries, scheme):
                 _ref_value(REF_TAMS, "tam", e.source, 2))
             surface = ref_english_verb_surface(e.source.surface, factors)
         elif "case" in scheme.source_factors:
-            surface = sf.english_noun_surface(
+            surface = english_noun_surface(
                 e.source.surface, _ref_value(REF_NUMBERS, "number", e.source, 0))
         else:
             surface = e.source.surface

@@ -91,7 +91,9 @@ def _loaded(*argv) -> set[str]:
 
 
 def _calls(tmp_path) -> dict[str, list[str]]:
-    """One call of every subcommand that reads files, on small inputs."""
+    """One call of every subcommand that reads files, on small inputs, and
+    the calls named by a subcommand and an option that changes the layers
+    it runs."""
     nouns, text = tmp_path / "nouns.tsv", tmp_path / "text.txt"
     nouns.write_text("dog\tकुत्ता\tm\t1\n", "utf-8")
     text.write_text("the dog walks\n", "utf-8")
@@ -113,6 +115,12 @@ def _calls(tmp_path) -> dict[str, list[str]]:
                  "--out", out],
         "paradigm": ["--root", "कुत्ता", "--gender", "m", "--out", out],
         "classify": ["--lexicon", str(nouns), "--bilingual", "--out", out],
+        "build-dict --kind verb": ["--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
+                                   "--surface", "--out", out],
+        "inject --mode surface": ["--source", src, "--target", tgt, "--dict", str(dictionary),
+                                  "--mode", "surface", "--out-source", out + ".src",
+                                  "--out-target", out + ".tgt", "--report", out + ".txt"],
+        "paradigm --verb": ["--verb", "--stem", "चल", "--out", out],
     }
 
 
@@ -142,6 +150,36 @@ def test_annotate_loads_only_source_factors(tmp_path):
                      "--out", str(tmp_path / "out.txt"))
     assert loaded == {"morphinject", "morphinject.cli", "morphinject.errors",
                       "morphinject.script_core", "morphinject.source_factors"}
+
+
+# the layers each call loads besides the CLI's own modules: the
+# dictionary format loads no morphology and no annotator, and build-dict
+# loads the morphology of its kind only
+_CLI = {"morphinject", "morphinject.cli", "morphinject.errors", "morphinject.script_core"}
+_LAYERS = {
+    "build-dict": ("dictionary_builder", "noun_morph"),
+    "build-dict --kind verb": ("dictionary_builder", "verb_morph"),
+    "inject": ("dictionary_builder", "corpus_inject"),
+    "inject --mode surface": ("dictionary_builder", "corpus_inject"),
+    "sparsity": ("dictionary_builder", "corpus_inject", "evaluation"),
+    "paradigm": ("noun_morph",),
+    "paradigm --verb": ("verb_morph",),
+    "classify": ("noun_morph",),
+}
+
+
+@pytest.mark.parametrize("call", list(_LAYERS))
+def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, call):
+    loaded = _loaded(call.split(" ")[0], *_calls(tmp_path)[call])
+    assert loaded == _CLI | {f"morphinject.{layer}" for layer in _LAYERS[call]}
+
+
+def test_english_inflection_lives_in_the_dictionary_layer():
+    annotator, builder = (import_module(f"morphinject.{m}")
+                          for m in ("source_factors", "dictionary_builder"))
+    for name in ("english_noun_surface", "english_verb_surface", "_noun_exceptions",
+                 "_verb_exceptions", "_add_s", "_surface_form", "_SIBILANT_ENDINGS", "_VOWELS"):
+        assert hasattr(builder, name) and not hasattr(annotator, name), name
 
 
 def test_package_names_resolve_on_first_access():

@@ -2,13 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from morphinject.dictionary_builder import english_noun_surface, english_verb_surface
 from morphinject.errors import InputError
 from morphinject.source_factors import (
     ConlluToken,
     annotate_sentence,
     default_pronoun_table,
-    english_noun_surface,
-    english_verb_surface,
     load_pronoun_table,
     read_conllu,
 )
