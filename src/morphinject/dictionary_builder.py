@@ -353,6 +353,8 @@ def build_verb_dict(
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
     if surface:  # the exception table loads before the rows: a bad form is fatal
         _verb_exceptions()
+        # each English factor tuple once, though the rows hold it once per gender
+        keys = dict.fromkeys((number, person, tam) for tam, _, number, person, _ in table.rows)
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
@@ -361,13 +363,15 @@ def build_verb_dict(
             rows = verb_paradigm(verb, table)
             check = not (suffixes_valid and part(english)
                          and all(part(o[4]) for o in verb.irregular_forms))
+            if surface:
+                english_of = {key: english_verb_surface(english, *key) for key in keys}
             for tam, _, number, person, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
                 if (check or not form) and not valid(line):
                     raise _line_error((english, number, person, tam), (form, root, suffix))
                 if surface:
-                    line = f"{english_verb_surface(english, number, person, tam)}\t{form}"
+                    line = f"{english_of[number, person, tam]}\t{form}"
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
@@ -378,8 +382,9 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     """Drop all factors, keeping (and synthesizing) surface forms only.
 
     The English surface is rebuilt from the factored source (dogs for
-    dog|pl|*, walked for walk|*|*|perf); a factor value it reads that is
-    outside its closed value set is an error naming the entry, each
+    dog|pl|*, walked for walk|*|*|perf); an entry with other than the
+    scheme's number of factors, or a factor value it reads that is
+    outside its closed value set, is an error naming the entry, each
     distinct factor string checked once. Collapsed distinctions produce
     exact duplicates, which are removed. The result keeps the input's
     failures. Idempotent.
@@ -399,7 +404,7 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
             if factors is None:
                 factors = factor_text.split(FACTOR_SEP)
                 where = f"entry {source!r}"
-                if verb and len(factors) < 3:
+                if source.count(FACTOR_SEP) != scheme.source_width:
                     raise InputError(f"{where} has {source.count(FACTOR_SEP)} factors, "
                                      f"scheme declares {scheme.source_width}")
                 sc.table_value(sc.NUMBERS, "number", factors[0], where)
@@ -408,7 +413,7 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
                     sc.table_value(sc.TAMS, "tam", factors[2], where)
                 checked[factor_text] = factors
             if verb:
-                surface = english_verb_surface(surface, *factors[:3])
+                surface = english_verb_surface(surface, *factors)
             else:
                 surface = english_noun_surface(surface, factors[0])
         target_surface = target.partition(FACTOR_SEP)[0]

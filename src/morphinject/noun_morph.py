@@ -9,17 +9,22 @@ case its string (see script_core.GENDERS).
 
 A SuffixTable normalizes its suffixes and lays out each class's
 paradigm as (number, case, suffix) string rows once, when it is built.
-`noun_paradigm` walks those rows with a root that NounLexEntry has
-already normalized, works out the root's ending once, so that every
-root is checked as a Devanagari word whatever its class, and returns
-(number, case, suffix, surface) string tuples. The public `join_noun`
-normalizes its inputs and checks the suffix against the class's column;
-a suffix taken from the table is legal by construction.
+`noun_paradigm` takes a root that NounLexEntry has already normalized,
+checks it as a Devanagari word whatever its class, in the one match
+that splits off its tail (script_core.tail_match), and returns
+(number, case, suffix, surface) string tuples. The joiner reads and
+rewrites only the tail, so the table joins a tail to a class's
+suffixes the first time it sees that (class, tail), and keeps the
+tail's ending and the joined rows; a root's surface is its head plus
+its joined tail. The public `join_noun` normalizes its inputs, checks
+the root whatever the suffix, and checks the suffix against the class's
+column; a suffix taken from the table is legal by construction.
 
 `parse_noun_lexicon` checks each row once, as it is read: one pattern
-accepts a well-formed row and gives its fields at once, and only a line
-it rejects is split and checked cell by cell, which skips a blank or
-"#" line, takes a row with extra columns and locates any other error.
+accepts a well-formed row, gives its fields at once and makes the
+entry's checks, and only a line it rejects is split and checked cell by
+cell, which skips a blank or "#" line, takes a row with extra columns
+and locates any other error.
 """
 
 from __future__ import annotations
@@ -67,7 +72,11 @@ class NounLexEntry(namedtuple("NounLexEntry", "hindi_root gender countable class
 class SuffixTable:
     """The class x number x case suffix grid (None = null suffix), its
     suffixes normalized. `rows[cls]` is that class's paradigm as
-    (number, case, suffix) strings in PARADIGM_SLOTS order."""
+    (number, case, suffix) strings in PARADIGM_SLOTS order. The table
+    memoizes the ending of each root tail it sees (see
+    script_core.tail_match) and, per (class, tail), the paradigm rows
+    with the tail joined to each suffix, so `cells` and `rows` are
+    read-only once it is built."""
 
     def __init__(self, cells: dict[tuple[str, str, str], str | None]):
         for cls in NOUN_CLASSES:
@@ -89,6 +98,9 @@ class SuffixTable:
         self._legal = {
             cls: frozenset(s for _, _, s in rows if s is not None) for cls, rows in self.rows.items()
         }
+        self._tail_match = sc.tail_match()
+        self._endings: dict[str, str] = {}
+        self._forms: dict[tuple[str, str], list[tuple[str, str, str | None, str]]] = {}
 
     def legal_suffixes(self, cls: str) -> frozenset[str]:
         legal = self._legal.get(cls)
@@ -170,10 +182,14 @@ def join_noun(
     * consonant-ending: the suffix vowel is realized as a matra on the
       final consonant (रात -> रातें, घर -> घरों).
     * anything else: plain append (माला -> मालाएँ).
+
+    The root is checked as a Devanagari word whatever the suffix, after
+    the class and the suffix.
     """
     legal = (table or default_suffix_table()).legal_suffixes(cls)
     root = sc.normalize(root)
     if suffix is None:
+        sc.ending_of(root)  # the root is checked whatever the suffix
         return root
     suffix = sc.normalize(suffix)
     if suffix not in legal:
@@ -206,13 +222,23 @@ def noun_paradigm(
 ) -> list[tuple[str, str, str | None, str]]:
     """Generate the four (number, case, suffix, surface) rows, in sg-dir,
     sg-obl, pl-dir, pl-obl order; a null suffix is None. The root is
-    checked first, whatever its class."""
+    checked first, whatever its class. A root joins as its head plus its
+    joined tail, which the table works out once per (class, tail)."""
     table = table or default_suffix_table()
     root = entry.hindi_root
-    ending = sc.ending_of(root)
+    word = table._tail_match(root)
+    tail = root if word is None else word[1]  # not a word: ending_of raises
+    ending = table._endings.get(tail)
+    if ending is None:
+        ending = table._endings[tail] = sc.ending_of(tail)
     cls = _classify(entry, ending)
-    return [(number, case, suffix, root if suffix is None else _join(root, cls, suffix, ending))
+    forms = table._forms.get((cls, tail))
+    if forms is None:
+        forms = table._forms[cls, tail] = [
+            (number, case, suffix, tail if suffix is None else _join(tail, cls, suffix, ending))
             for number, case, suffix in table.rows[cls]]
+    head = root[:len(root) - len(tail)]
+    return [(number, case, suffix, head + form) for number, case, suffix, form in forms]
 
 
 class BilingualNoun:
@@ -264,10 +290,11 @@ def parse_noun_lexicon(
     for lineno, ln in enumerate(lines, 1):
         row = match(ln)
         if row is not None:
+            # the pattern has made NounLexEntry's checks: build it directly
             english, root, gender, countable, override = row.groups()
-            out.append(BilingualNoun(english, NounLexEntry(
-                root, gender, countable != "0", None if override == NULL_SUFFIX_MARK else override),
-                f"{name}:{lineno}"))
+            out.append(BilingualNoun(english, tuple.__new__(NounLexEntry, (
+                sc.normalize(root), gender, countable != "0",
+                None if override == NULL_SUFFIX_MARK else override)), f"{name}:{lineno}"))
             continue
         for where, fields in sc.table_rows((ln,), name, columns[:-2], more=True, start=lineno):
             if len(fields) > len(columns):

@@ -1,8 +1,11 @@
 """Devanagari text utilities: ending classes, vowel forms, canonical text.
 
 The joiners in the noun/verb modules rest on two primitives defined
-here. `ending_of` classifies a word's ending, and it is the one place
-where a root is checked as a Devanagari word on its way into a joiner.
+here. `ending_of` classifies a word's ending and checks it as a
+Devanagari word, naming the first bad codepoint. `tail_match` checks
+the same rule and splits off the word's tail, the only part a joiner
+reads or rewrites, so the paradigms join each tail once; a root it
+rejects goes to `ending_of` for its message.
 `shorten_final_vowel` shortens the long final vowel of a word whose
 ending is already classified, and checks nothing. Words are kept in a
 canonical form: Unicode NFC, except that consonant+nukta pairs are
@@ -205,6 +208,18 @@ def _check_word(word: str) -> None:
             raise InputError(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
         if ch in ("।", "॥"):  # danda marks are punctuation, not word content
             raise InputError(f"punctuation {ch!r} at offset {i}")
+
+
+@cache
+def tail_match():
+    """fullmatch for a Devanagari word (the rule `ending_of` checks)
+    whose group 1 is the word's tail: its last codepoint before any
+    trailing marks (U+0900..U+0903) with those marks, or the whole word
+    if it is only marks. The joiners read and rewrite only the tail, and
+    a tail has the word's ending. Compiled on first use."""
+    return re.compile(
+        "(?:[\u0900-\u0963\u0966-\u097f]*(?=[\u0904-\u0963\u0966-\u097f]))?"
+        "([\u0900-\u0963\u0966-\u097f][\u0900-\u0903]*)").fullmatch
 
 
 def strip_final_nasal(word: str) -> tuple[str, str]:

@@ -12,9 +12,14 @@ lexicon is loaded. A table cell is (tam, gender, number, person,
 suffix) in the TSV's column order, None marking a collapsed dimension, and an override
 is (tam, gender, number, person, surface), None matching any value. The
 table normalizes its suffixes and lays out the paradigm once, when it
-is built, and `verb_paradigm` joins each of its rows to a stem that
-VerbLexEntry has already normalized, working out (and so checking) the
-stem's ending once. The public `join_verb` normalizes its inputs first.
+is built. `verb_paradigm` takes a stem that VerbLexEntry has already
+normalized and checks it in the one match that splits off its tail
+(script_core.tail_match). The joiner reads and rewrites only the tail,
+so the table joins a tail to every row's suffix the first time it sees
+that tail, and a stem's surfaces are its head plus its joined tails;
+only a verb with irregular forms looks for an override per row. The
+public `join_verb` normalizes its inputs and checks the stem whatever
+the suffix.
 """
 
 from __future__ import annotations
@@ -71,7 +76,9 @@ class VerbSuffixTable:
     then every gender, then the declared numbers and persons. English
     verbs have no gender, so each English factor tuple appears once per
     gender, and a TAM that agrees in gender must name both. A collapsed number or
-    person takes REPR_NUMBER or REPR_PERSON.
+    person takes REPR_NUMBER or REPR_PERSON. The table memoizes, per
+    root tail (see script_core.tail_match), the rows with the tail joined
+    to each suffix, so `cells` and `rows` are read-only once it is built.
     """
 
     def __init__(self, cells: list[Cell]):
@@ -98,6 +105,8 @@ class VerbSuffixTable:
             if len(tam_cells) != math.prod(len({c[i] for c in tam_cells}) for i in dims):
                 raise InputError(f"{tam} rows do not cover their declared grid")
         self.rows = [row for tam in sc.TAMS if tam in by_tam for row in _tam_rows(tam, by_tam[tam])]
+        self._tail_match = sc.tail_match()
+        self._forms: dict[str, list[tuple[str, str, str, str, str | None, str]]] = {}
 
 
 def _tam_rows(tam: str, cells: list[Cell]) -> list[Cell]:
@@ -160,16 +169,20 @@ def join_verb(root: str, suffix: str | None) -> str:
     चलेगा). Vowel-final stems keep the vowel independent; long ी/ू
     shorten first (पी -> पिया), a य glide is inserted before आ except
     after u-vowels (खाया, सोया vs छुआ), and ी + ई contracts back to ी
-    (पी + ई -> पी).
+    (पी + ई -> पी). The stem is checked as a Devanagari word whatever
+    the suffix.
     """
     root = sc.normalize(root)
-    if suffix is None:
-        return root
-    suffix = sc.normalize(suffix)
+    return _attach(root, None if suffix is None else sc.normalize(suffix), sc.ending_of(root))
+
+
+def _attach(root: str, suffix: str | None, ending: str) -> str:
+    """join_verb for a canonical stem with this ending and a canonical
+    suffix or None."""
     vowel = _vowel_form(suffix)
     if vowel is None:
-        return root + suffix
-    return _join(root, vowel, sc.ending_of(root))
+        return root if suffix is None else root + suffix
+    return _join(root, vowel, ending)
 
 
 def _vowel_form(suffix: str | None) -> str | None:
@@ -210,21 +223,28 @@ def verb_paradigm(
     """Generate (tam, gender, number, person, suffix, surface) rows, one
     per row of the table's paradigm (see VerbSuffixTable), in its order.
     The first irregular-form override that matches a row replaces the
-    joiner's output. The stem is checked first, whatever the suffixes.
+    joiner's output. The stem is checked first, whatever the suffixes. A
+    stem joins as its head plus its joined tail, which the table works
+    out once per tail.
     """
     table = table or default_verb_suffix_table()
     root = entry.hindi_root
-    ending = sc.ending_of(root)
+    word = table._tail_match(root)
+    tail = root if word is None else word[1]  # not a word: ending_of raises
+    forms = table._forms.get(tail)
+    if forms is None:
+        ending = sc.ending_of(tail)
+        forms = table._forms[tail] = [(*row, _attach(tail, row[4], ending)) for row in table.rows]
+    head = root[:len(root) - len(tail)]
+    overrides = entry.irregular_forms
+    if not overrides:
+        return [(tam, gender, number, person, suffix, head + form)
+                for tam, gender, number, person, suffix, form in forms]
     rows = []
-    for tam, gender, number, person, suffix in table.rows:
-        surface = _override(entry.irregular_forms, tam, gender, number, person)
-        if surface is None:
-            vowel = _vowel_form(suffix)
-            if vowel is None:
-                surface = root if suffix is None else root + suffix
-            else:
-                surface = _join(root, vowel, ending)
-        rows.append((tam, gender, number, person, suffix, surface))
+    for tam, gender, number, person, suffix, form in forms:
+        surface = _override(overrides, tam, gender, number, person)
+        rows.append((tam, gender, number, person, suffix,
+                     head + form if surface is None else surface))
     return rows
 
 

@@ -208,6 +208,9 @@ def test_strip_to_surface_verbs():
     (NOUN_SCHEME, ["dog|pl|zz", "dog|sg|zz"], None),
     # a verb entry too short to hold the factors read
     (VERB_SCHEME, ["walk|sg"], "entry 'walk|sg' has 1 factors, scheme declares 3"),
+    # any other factor count than the scheme's, though the factors read are valid
+    (NOUN_SCHEME, ["dog|pl"], "entry 'dog|pl' has 1 factors, scheme declares 2"),
+    (VERB_SCHEME, ["walk|sg|3|hab|x"], "entry 'walk|sg|3|hab|x' has 4 factors, scheme declares 3"),
 ])
 def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
     d = WordFormDictionary([f"{s}\tक|क|null" for s in sources], scheme)

@@ -137,6 +137,12 @@ def test_join_examples():
         join_noun("कुत्ता", "D", "याँ")
 
 
+def test_join_noun_checks_the_root_whatever_the_suffix():
+    with pytest.raises(InputError) as raised:
+        join_noun("abc", "B", None)
+    assert str(raised.value) == "non-Devanagari codepoint U+0061 at offset 0"
+
+
 def test_paradigm_dog_golden():
     rows = noun_paradigm(NounLexEntry("कुत्ता", "m"), TABLE)
     assert [(number, case) for number, case, _, _ in rows] == SLOT_VALUES

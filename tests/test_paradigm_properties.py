@@ -10,15 +10,20 @@ overrides, uncountable nouns, irregular verb forms and edited tables,
 `noun_paradigm`, `verb_paradigm`, `join_noun` and `join_verb` must give
 the same rows and surfaces as the references, or raise the same error.
 
-The one allowed difference: the paradigms check the root first, so a
-root that is not a Devanagari word fails with the error `ending_of`
-raises for it even where the reference never works out its ending (a
-class-A noun, a verb whose table has no vowel-initial suffix) and
-succeeds.
+The one allowed difference: the paradigms and the joiners check the
+root first, so a root that is not a Devanagari word fails with the
+error `ending_of` raises for it even where the reference never works
+out its ending (a class-A noun, a null suffix, a verb whose table has
+no vowel-initial suffix) and succeeds.
+
+A table works out each root tail's forms once, so most roots of a build
+take them from its memo. The warm-memo properties run many roots that
+share tails through the same two tables, in turn, and compare every
+result with the reference.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -245,8 +250,9 @@ def test_join_noun_matches_the_reference(root, cls, table, data):
     # mostly a suffix of the class's column, else any, or the null suffix
     column = [st.sampled_from(legal)] * 3 if legal else []
     suffix = data.draw(st.one_of(st.none(), _suffix, *column))
-    assert (_outcome(join_noun, root, cls, suffix, table)
-            == _outcome(_ref_join_noun, root, cls, suffix, table))
+    _same_or_root_checked_first(_outcome(join_noun, root, cls, suffix, table),
+                                _outcome(_ref_join_noun, root, cls, suffix, table),
+                                sc.normalize(root))
 
 
 @settings(deadline=None)
@@ -259,7 +265,8 @@ def test_verb_paradigm_matches_the_per_cell_reference(entry, table):
 @settings(deadline=None)
 @given(_root, st.one_of(st.none(), _suffix))
 def test_join_verb_matches_the_reference(root, suffix):
-    assert _outcome(join_verb, root, suffix) == _outcome(_ref_join_verb, root, suffix)
+    _same_or_root_checked_first(_outcome(join_verb, root, suffix),
+                                _outcome(_ref_join_verb, root, suffix), sc.normalize(root))
 
 
 @settings(deadline=None)
@@ -280,3 +287,69 @@ def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override
     for surface in surfaces:
         assert sc._WORD.fullmatch(surface), surface
         assert sc.normalize(surface) == surface
+
+
+# --- the table memo ---
+
+# roots as head + tail, so that many share a tail: heads that are empty,
+# consonants, a decomposed nukta letter or not Devanagari (a bad root
+# whose tail a good one has cached), and tails of every ending, nukta
+# letters, several marks, and marks alone (a root that is only marks)
+_HEADS = ["", "", "क", "कुत्त", "लड़क", "म", "मा", "क\u093c", "x", "क।"]
+_TAILS = ["ा", "ी", "ि", "ू", "ु", "े", "ो", "त", "र", "ड़", "क़", "आ", "ई", "ऊ", "ाँ", "ीं",
+          "ूँ", "ंं", "ाः", "ँ", "ं", "्", "\u093c", "x"]
+_shared_tail_root = st.tuples(st.sampled_from(_HEADS), st.sampled_from(_TAILS)).map("".join)
+_warm_noun = st.builds(NounLexEntry, _shared_tail_root, st.sampled_from(REF_GENDERS),
+                       st.booleans(), st.one_of(st.none(), st.sampled_from(REF_NOUN_CLASSES)))
+_warm_verb = st.builds(VerbLexEntry, _shared_tail_root, st.just("go"), st.one_of(
+    st.just(()), st.lists(_override, min_size=1, max_size=2).map(tuple)))
+
+
+@settings(deadline=None)
+@given(st.lists(_warm_noun, min_size=1, max_size=20), _noun_table(), _noun_table())
+# two tables that give one tail other forms, and a bad root after a good
+# root with its tail
+@example([NounLexEntry(root, "m") for root in ("कुत्ता", "लड़का", "xा", "कुत्ताx")],
+         default_suffix_table(),
+         SuffixTable({**default_suffix_table().cells, ("D", "pl", "obl"): "ए"}))
+def test_noun_paradigm_from_a_warm_memo_matches_the_reference(entries, first, second):
+    for entry in entries:
+        for table in (first, second):
+            _same_or_root_checked_first(_outcome(noun_paradigm, entry, table),
+                                        _outcome(_ref_noun_paradigm, entry, table),
+                                        entry.hindi_root)
+
+
+@settings(deadline=None)
+@given(st.lists(_warm_verb, min_size=1, max_size=20), _verb_table(), _verb_table())
+@example([VerbLexEntry(root, "go") for root in ("चल", "निकल", "xल", "पी", "जी")],
+         default_verb_suffix_table(),
+         VerbSuffixTable([(*cell[:4], "ईं" if cell[4] == "आ" else cell[4])
+                          for cell in default_verb_suffix_table().cells]))
+def test_verb_paradigm_from_a_warm_memo_matches_the_reference(entries, first, second):
+    for entry in entries:
+        for table in (first, second):
+            _same_or_root_checked_first(_outcome(verb_paradigm, entry, table),
+                                        _outcome(_ref_verb_paradigm, entry, table),
+                                        entry.hindi_root)
+
+
+@settings(deadline=None)
+@given(st.text(st.one_of(st.characters(min_codepoint=0x08F0, max_codepoint=0x0990),
+                         st.sampled_from(["x", " ", "|", "\u200d"])), max_size=6))
+@example("ंं")
+@example("कुत्ताँ")
+def test_the_tail_split_accepts_exactly_the_words_ending_of_accepts(word):
+    """A tail is the word's last codepoint before its trailing marks,
+    with those marks, or the whole word if it is only marks; it has the
+    word's ending."""
+    ending = _outcome(sc.ending_of, word)
+    match = sc.tail_match()(word)
+    assert (match is not None) == (ending[0] == "ok")
+    if match is not None:
+        tail = match[1]
+        body, marks = sc.strip_final_nasal(tail)
+        assert word.endswith(tail)
+        assert marks == sc.strip_final_nasal(word)[1]
+        assert len(body) == 1 or body == "" and tail == word
+        assert sc.ending_of(tail) == ending[1]

@@ -79,6 +79,13 @@ def test_join_verb_examples():
     assert join_verb("चल", "एँ") == "चलें"
 
 
+@pytest.mark.parametrize("suffix", [None, "ता"])
+def test_join_verb_checks_the_root_whatever_the_suffix(suffix):
+    with pytest.raises(InputError) as raised:
+        join_verb("abc", suffix)
+    assert str(raised.value) == "non-Devanagari codepoint U+0061 at offset 0"
+
+
 def test_verb_forms_fixture_suite(verb_form_fixtures, verb_lexicon_lines):
     lexicon = {e.hindi_root: e for e in parse_verb_lexicon(verb_lexicon_lines)}
     assert len(lexicon) >= 10
