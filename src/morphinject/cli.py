@@ -6,10 +6,12 @@ is an InputError, the one exception class it defines, so exit 2 means an
 exception nobody planned for: a bug. Every input file is read by
 script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
 are written to temporary files and renamed, so no subcommand leaves
-partial output behind. Set MORPHINJECT_DATA to a directory to override
-the packaged default data files (noun_suffixes.tsv, verb_suffixes.tsv,
-pronouns.tsv, case_rules.tsv, tam_rules.tsv); a table's flag overrides
-both, and the subcommand calls its module's load_* on the file named.
+partial output behind; a new output gets the mode open() would give it
+and a file written over keeps its own. Set MORPHINJECT_DATA to a
+directory to override the packaged default data files
+(noun_suffixes.tsv, verb_suffixes.tsv, pronouns.tsv, case_rules.tsv,
+tam_rules.tsv); a table's flag overrides both, and the subcommand calls
+its module's load_* on the file named.
 
 A subcommand loads only the layers it runs, importing each when it is
 called: `build-dict` only the morphology of its --kind, and `inject`
@@ -18,19 +20,23 @@ standard library's data class, inspect or log modules, and only a call
 that writes JSON loads json; tests/test_imports.py pins the modules of
 every subcommand. `annotate` loads its tables once and calls the public
 annotate_sentence for each sentence; the CLI names no private of another
-module. The records are plain classes that compare by value:
-ParallelCorpus by its lines, WordFormDictionary by its lines and scheme,
-BilingualNoun by its English root and entry (not the names, failures or
-row location they carry), and the entries, schemes and reports as named
-tuples of their fields.
+module. It checks each distinct surface and factor tail once per call,
+and a sentence that holds a bad one token by token, so the error names
+its first bad token. The records are plain classes that compare by
+value: ParallelCorpus by its lines, WordFormDictionary by its lines and
+scheme, BilingualNoun by its English root and entry (not the names,
+failures or row location they carry), and the entries, schemes and
+reports as named tuples of their fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 from . import script_core as sc
@@ -57,7 +63,9 @@ def _data_path(flag: str | None, name: str) -> str | None:
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
     """Write every (path, text) or none: all temps are staged before
     anything is written to stdout (a None path) or renamed. Two paths
-    that name one file are an error, raised before anything is staged."""
+    that name one file are an error, raised before anything is staged.
+    A new file gets the mode open() gives it, 0666 less the umask, and
+    a file written over keeps its mode bits."""
     named = set()
     for path, _ in outputs:
         if path is not None:
@@ -65,6 +73,8 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
             if resolved in named:
                 raise InputError(f"{path}: named by two outputs")
             named.add(resolved)
+    umask = os.umask(0)
+    os.umask(umask)
     staged: list[tuple[str, Path]] = []
     try:
         for path, text in outputs:
@@ -78,7 +88,13 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
             except OSError as exc:
                 raise InputError(f"{path}: cannot write: {exc.strerror}") from None
             staged.append((tmp, target))
+            # mkstemp makes the file 0600: give it the mode open() would
+            try:
+                mode = stat.S_IMODE(target.stat().st_mode)
+            except OSError:  # no file to keep the mode of
+                mode = 0o666 & ~umask
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                os.chmod(tmp, mode)
                 fh.write(text)
     except BaseException:
         for tmp, _ in staged:
@@ -170,27 +186,40 @@ _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
 class _Tails(dict):
     """Factor tuple -> its "|f1|f2|null" tail, padded with null to
-    `width`, built on the first token that has it."""
+    `width`, built and checked on the first token that has it, and the
+    surfaces already found valid. One annotate call shares one."""
 
     def __init__(self, width: int):
         super().__init__()
         self.width = width
+        self.surfaces: set[str] = set()
 
     def __missing__(self, factors: tuple[str, ...]) -> str:
-        tail = self[factors] = "".join(
-            "|" + f for f in (*factors, *(sc.NULL_FACTOR,) * (self.width - len(factors))))
+        padded = (*factors, *(sc.NULL_FACTOR,) * (self.width - len(factors)))
+        if not all(map(sc.token_match(0), padded)):
+            raise KeyError(factors)  # a bad factor: never kept
+        tail = self[factors] = "|" + "|".join(padded)
         return tail
 
 
 def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
-    """One output line: each token's surface and its factor tail. A line
-    that is not one valid token per annotated token is checked token by
-    token, and the first bad token is an error at `where` and its ID."""
-    line = " ".join([surface + tails[factors] for surface, factors in annotated])
-    # a space in a surface would pass the pattern as a token separator
-    if line.count(" ") != len(annotated) - 1 or not sc.line_pattern(tails.width).fullmatch(line):
-        _check_annotation(sentence, annotated, tails.width, where)
-    return line
+    """One output line: each token's surface and its factor tail. Each
+    distinct surface and tail is checked once per `tails`; a sentence
+    that holds a bad one is checked token by token, and the first bad
+    token is an error at `where` and its ID."""
+    known = tails.surfaces
+    new = ()
+    if not known.issuperset(map(itemgetter(0), annotated)):
+        new = set(map(itemgetter(0), annotated)).difference(known)
+    try:
+        if all(map(sc.token_match(0), new)):
+            line = " ".join([surface + tails[factors] for surface, factors in annotated])
+            known.update(new)
+            return line
+    except KeyError:  # a bad factor
+        pass
+    _check_annotation(sentence, annotated, tails.width, where)
+    raise AssertionError(f"{where}: rejected, yet every token passes")
 
 
 def _check_annotation(sentence, annotated, width: int, where: str) -> None:

@@ -10,10 +10,12 @@ are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped.
 
-A ParallelCorpus holds the checked lines as strings. Each line is
-checked once, against one full-line pattern for the corpus width; only
-a line that fails it is split into tokens, and script_core.token_error
-names the first bad one. Padding (auto_normalize, injection), emission
+A ParallelCorpus holds the checked lines as strings. Each distinct
+token of a file is checked once, against one token pattern of the
+corpus width; only a file that holds a bad or ragged token is checked
+line by line, against the full-line pattern, and a line that fails it
+is split into tokens, so script_core.token_error names the first bad
+one at name:line:column. Padding (auto_normalize, injection), emission
 and the sparsity report work on the strings, and ParallelCorpus.pairs,
 the lines split into token strings, is built each time it is read.
 """
@@ -21,6 +23,7 @@ the lines split into token strings, is built each time it is read.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 from . import script_core as sc
@@ -116,6 +119,11 @@ def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, i
     width = _width(lines)
     if width is None:
         return None, 0
+    # a line is valid if and only if each token of its split(" ") is, and
+    # "" never is: if every distinct token is valid, so is every line
+    tokens = set(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
+    if all(map(sc.token_match(width), tokens)):
+        return None, width
     valid = sc.line_pattern(width).fullmatch
     ragged_at = None
     widest = width

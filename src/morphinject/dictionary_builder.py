@@ -313,7 +313,7 @@ def build_noun_dict(
 
     table = table or default_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
-    part = re.compile(sc.TOKEN_PART).fullmatch
+    part = sc.token_match(0)
     suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
@@ -349,7 +349,7 @@ def build_verb_dict(
 
     table = table or default_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
-    part = re.compile(sc.TOKEN_PART).fullmatch
+    part = sc.token_match(0)
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
     if surface:  # the exception table loads before the rows: a bad form is fatal
         _verb_exceptions()

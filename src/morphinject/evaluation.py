@@ -5,15 +5,20 @@ parallel corpora, train and probe, each read as its checked lines. Every
 token on a probe side, however many a line holds, is projected onto the
 step's input factors, the source side for translation steps and the
 target side for generation steps; a projection is unseen when no token
-on the same side of the training corpus projects to it. OOV reduction
-uses the plain relative formula 100 * (baseline - augmented) / baseline.
+on the same side of the training corpus projects to it. A parsed side
+has one width, so its first token decides for the side: a probe side
+of another width is an error, and a training side narrower than the
+scheme projects nothing. Each distinct token is projected once. OOV
+reduction uses the plain relative formula
+100 * (baseline - augmented) / baseline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError
@@ -101,28 +106,31 @@ def _step_label(in_names: tuple[str, ...], out_names: tuple[str, ...]) -> str:
 def _projections(
     lines: list[str], declared: tuple[str, ...], names: tuple[str, ...]
 ) -> set[tuple[str, ...]]:
-    """Project every distinct token at least as wide as the scheme side.
+    """Project every distinct token of a side onto the named factors.
 
-    Padded corpora (width-normalized) still project: extra trailing null
-    factors never shift the named positions.
+    A parsed side has one width, so its first token decides for all: a
+    side narrower than the scheme projects nothing, and a padded one
+    (width-normalized) still projects, since extra trailing null factors
+    never shift the named positions.
     """
-    positions = [declared.index(name) for name in names]
-    known = set()
-    for token in {t for line in lines if line for t in line.split(" ")}:
-        parts = token.split("|")
-        if len(parts) >= len(declared):
-            known.add(tuple(parts[i] for i in positions))
-    return known
+    tokens = set(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
+    if not tokens or next(iter(tokens)).count("|") < len(declared) - 1:
+        return set()
+    parts = list(map(str.split, tokens, repeat("|")))
+    return set(zip(*[map(itemgetter(declared.index(name)), parts) for name in names]))
 
 
 def _check_probe_side(lines: list[str], name: str, width: int) -> None:
+    """A parsed side has one width: its first token's is every token's."""
     for lineno, line in enumerate(lines, 1):
-        for token in line.split(" ") if line else ():
+        if line:
+            token = line.partition(" ")[0]
             if token.count("|") != width:
                 raise InputError(
                     f"{name}:{lineno}: token {token!r} has "
                     f"{token.count('|')} factors, scheme declares {width}"
                 )
+            return
 
 
 def sparsity_report(

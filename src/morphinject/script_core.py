@@ -298,6 +298,13 @@ def token_pattern(width: int) -> str:
 
 
 @cache
+def token_match(width: int):
+    """`token_pattern(width)`'s compiled fullmatch, compiled on first use:
+    a match for a valid token, None for any other string, "" included."""
+    return re.compile(token_pattern(width)).fullmatch
+
+
+@cache
 def line_pattern(width: int) -> re.Pattern:
     """The compiled pattern of a valid line: tokens of `width` factors,
     one " " between two. Compiled on first use."""

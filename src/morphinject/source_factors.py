@@ -231,39 +231,6 @@ def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
     return tags, subjects, case_heads, to_heads, md_child, md_by_id
 
 
-def _tam_bits(verb: ConlluToken, subjects: dict, to_heads: set,
-              md_child: dict, md_by_id: dict) -> int:
-    """The verb's TAM_FACTS bits. Its modal is the first MD token, in
-    sentence order, that is its child or its head."""
-    md = md_child.get(verb.id)
-    head = md_by_id.get(verb.head)
-    if md is None or (head is not None and head[0] < md[0]):
-        md = head
-    bits = 0 if md is None else md[1]
-    if verb.id in to_heads:
-        bits |= 4
-    xpos = verb.xpos
-    if xpos == "VBD":
-        bits |= 8
-    elif xpos in ("VBZ", "VBP"):
-        bits |= 16
-    elif xpos == "VB" and verb.id not in subjects:
-        bits |= 32
-    return bits
-
-
-def _agreement(subject: ConlluToken | None, pronouns: PronounTable) -> tuple[str, str]:
-    """(number, person) from the verb's subject: a pronoun's, a plural
-    noun's, or singular third."""
-    if subject is not None:
-        pron = pronouns.lookup(subject.form)
-        if pron is not None:
-            return pron[1], pron[0]
-        if subject.xpos in PLURAL_TAGS:
-            return "pl", "3"
-    return "sg", "3"
-
-
 def annotate_sentence(
     sentence: list[ConlluToken],
     mode: str = "both",
@@ -289,6 +256,7 @@ def annotate_sentence(
                                CASE_FACTS, "dir")
     tam_table = compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
                               TAM_FACTS, "hab")
+    persons = pronouns.entries
     tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
     out = []
     for token in sentence:
@@ -306,9 +274,32 @@ def annotate_sentence(
             out.append((form if lemma in ("", "_") else lemma,
                         ("pl" if xpos in PLURAL_TAGS else "sg", case_table[bits])))
         elif verbs and xpos.startswith("VB"):
-            number, person = _agreement(subjects.get(tid), pronouns)
-            tam = tam_table[_tam_bits(token, subjects, to_heads, md_child, md_by_id)]
-            out.append((form if lemma in ("", "_") else lemma, (number, person, tam)))
+            # (number, person) from the subject: a pronoun's, a plural
+            # noun's, or singular third
+            subject = subjects.get(tid)
+            pron = None if subject is None else persons.get(subject.form.lower())
+            if pron is not None:
+                number, person = pron[1], pron[0]
+            elif subject is not None and subject.xpos in PLURAL_TAGS:
+                number, person = "pl", "3"
+            else:
+                number, person = "sg", "3"
+            # the TAM_FACTS bits; the modal is the first MD token, in
+            # sentence order, that is the verb's child or its head
+            md = md_child.get(tid)
+            md_head = md_by_id.get(head)
+            if md is None or (md_head is not None and md_head[0] < md[0]):
+                md = md_head
+            bits = 0 if md is None else md[1]
+            if tid in to_heads:
+                bits |= 4
+            if xpos == "VBD":
+                bits |= 8
+            elif xpos in ("VBZ", "VBP"):
+                bits |= 16
+            elif xpos == "VB" and subject is None:
+                bits |= 32
+            out.append((form if lemma in ("", "_") else lemma, (number, person, tam_table[bits])))
         else:
             out.append((form, ()))
     return out

@@ -10,8 +10,10 @@ value of the first rule whose fact holds. The CLI's string rendering
 must give the same line, or the same error, as the token route below:
 each token padded with null factors to the line's width, built as a
 FactoredToken in sentence order, and the tokens rendered. The CLI builds
-a line from each factor tuple's cached tail and checks the whole line
-once; only a line that fails is checked token by token.
+a line from each factor tuple's cached tail, and checks each distinct
+surface and tail once per memo; only a sentence that holds a bad one is
+checked token by token. A memo warmed by earlier sentences must give
+each later one the same line or error as a cold one.
 """
 
 import re
@@ -205,3 +207,46 @@ def test_annotation_line_matches_factored_token_reference(annotated, width):
         assert str(alone.value) == str(exc)
     else:
         assert _annotation_line(sentence, tuples, TAILS[width], "f.conllu: sentence 1") == expected
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+# good factors, and factors that are empty or hold a separator or whitespace
+ANY_FACTOR = st.sampled_from(["sg", "pl", "dir", "3", "hab", "", "s g", "s|g", "s\xa0g"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(SURFACE, st.lists(ANY_FACTOR, max_size=3)), max_size=5),
+                min_size=1, max_size=6),
+       st.sampled_from([2, 3]))
+# a bad surface, a good sentence that warms the memo, the bad surface again
+@example([[("a", ["sg"]), ("a b", [])], [("a", ["sg"])], [("a b", ["sg"])]], 2)
+@example([[("a\xa0", [])], [("a", [])], [("a\xa0", ["sg"])]], 3)
+@example([[("a|", [])], [("", [])], [("a|", [])]], 2)
+# a tail whose factor is bad, after the good tail of the same surface
+@example([[("a", ["sg"])], [("a", ["s g"])], [("b", []), ("a", ["s g"])]], 3)
+def test_a_warm_memo_renders_each_sentence_as_the_reference(sentences, width):
+    tails = _Tails(width)  # one memo for every sentence, as in one annotate call
+    for n, annotated in enumerate(sentences, 1):
+        tuples = [(surf, tuple(factors[:width])) for surf, factors in annotated]
+        sentence = [ConlluToken(i, surf, surf, "X", 0, "dep") for i, (surf, _) in enumerate(tuples, 1)]
+        where = f"f.conllu: sentence {n}"
+        try:
+            expected = _reference_line(tuples, width)
+        except InputError as exc:
+            first = next(i for i, token in enumerate(tuples, 1)
+                         if _outcome(_reference_line, [token], width)[0] == "error")
+            with pytest.raises(InputError) as got:
+                _annotation_line(sentence, tuples, tails, where)
+            assert str(got.value) == f"{where}, token {first}: {exc}"
+        else:
+            assert _annotation_line(sentence, tuples, tails, where) == expected
+    # the memo keeps only what passed
+    assert all(_outcome(_reference_line, [(surf, ())], width)[0] == "ok" for surf in tails.surfaces)
+    assert all(_outcome(_reference_line, [("a", factors)], width)[0] == "ok" for factors in tails)
+

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -288,6 +290,32 @@ def test_build_dict_bad_failures_path_leaves_no_output(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"error: {tmp_path / 'nodir' / 'f.json'}: cannot write: ")
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path, capsys, umask_022):
+    # every output is staged in a temp file and renamed: a new one gets
+    # the mode of a sibling written by open(), an existing one keeps its own
+    with open(tmp_path / "sibling", "w") as fh:
+        fh.write("x\n")
+    kept = tmp_path / "kept.dict"
+    kept.write_text("", "utf-8")
+    kept.chmod(0o640)
+    for out in ("new.dict", "kept.dict"):
+        code, _, err = run(
+            capsys, "build-dict", "--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
+            "--out", str(tmp_path / out), "--failures", str(tmp_path / (out + ".json")),
+        )
+        assert (code, err) == (0, "")
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert mode == {"sibling": 0o644, "new.dict": 0o644, "new.dict.json": 0o644,
+                    "kept.dict": 0o640, "kept.dict.json": 0o644}
 
 
 @pytest.mark.parametrize("kind,rows,failure", [

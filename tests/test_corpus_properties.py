@@ -9,7 +9,7 @@ fail with the same error.
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
@@ -128,6 +128,15 @@ _line = st.one_of(
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
     st.lists(_line, min_size=n, max_size=n), st.lists(_line, min_size=n, max_size=n))),
     st.booleans())
+# one bad token on several lines: the first line that holds it is named
+@example((["a|x", "b|\xa0x c|y", "b|\xa0x"], ["a", "a", "a"]), False)
+# a ragged token on one side that is valid, at its width, on the other
+@example((["a b", "a|x"], ["a|x", "b|y a|x"]), False)
+@example((["a b", "a|x"], ["a|x", "b|y a|x"]), True)
+@example((["", "a|x", ""], ["", "", "b"]), False)
+@example((["a|x  b|y"], ["c"]), False)  # a double space
+@example((["a|x "], ["c"]), False)  # a trailing space
+@example((["a|\tx", "a\tb"], ["c", "c"]), False)  # a tab inside a token
 def test_line_check_matches_token_reference(sides, auto_normalize):
     src, tgt = sides
     expected = _outcome(reference_parse, src, tgt, auto_normalize)

@@ -198,6 +198,16 @@ def test_vocab_of_a_corpus_side_is_its_token_surfaces(data):
         assert VocabSet.from_corpus_side(corpus, side).entries == expected
 
 
+def test_a_narrower_training_side_projects_nothing_and_a_padded_one_projects():
+    probe = _corpus(["dog|sg|dir"], ["कुत्ता|कुत्ता|null"])
+    narrower = _corpus(["dog|sg"], ["कुत्ता|कुत्ता"])
+    padded = _corpus(["dog|sg|dir|null"], ["कुत्ता|कुत्ता|null|null"])
+    for train, seen in ((narrower, 0), (padded, 1)):
+        report = sparsity_report(train, probe, NOUN_SCHEME)
+        assert [(s.seen, s.unseen) for s in report.translation_steps + report.generation_steps] \
+            == [(seen, 1 - seen)] * 2
+
+
 def test_sparsity_of_a_valid_corpus():
     train = _corpus([" ".join(f"w{i}|sg|dir" for i in range(10))] * 500,
                     [" ".join(f"क{i}|क|null" for i in range(10))] * 500)
