@@ -4,10 +4,13 @@ Exit codes: 0 success, 1 input/validation error (one-line diagnostic on
 stderr), 2 internal error. Every exception the package raises on purpose
 is an InputError, the one exception class it defines, so exit 2 means an
 exception nobody planned for: a bug. Every input file is read by
-script_core.read_lines: UTF-8, split on LF only, a CR rejected. Outputs
-are written to temporary files and renamed, so no subcommand leaves
-partial output behind; a new output gets the mode open() would give it
-and a file written over keeps its own. Set MORPHINJECT_DATA to a
+script_core.read_lines: UTF-8, split on LF only, a CR rejected. Each
+output file is staged in a temporary file beside it; stdout and an
+existing file that is not a regular one (a FIFO, a device) are written
+in place once every temp is staged; and the temps are renamed last, so
+if any output cannot be written none is, and no temp is left behind. A
+new output gets the mode open() would give it and a file written over
+keeps its own. Set MORPHINJECT_DATA to a
 directory to override the packaged default data files
 (noun_suffixes.tsv, verb_suffixes.tsv, pronouns.tsv, case_rules.tsv,
 tam_rules.tsv); a table's flag overrides both, and the subcommand calls
@@ -16,9 +19,10 @@ its module's load_* on the file named.
 A subcommand loads only the layers it runs, importing each when it is
 called: `build-dict` only the morphology of its --kind, and `inject`
 and `sparsity` no morphology and no annotator. No call loads the
-standard library's data class, inspect or log modules, and only a call
-that writes JSON loads json; tests/test_imports.py pins the modules of
-every subcommand. `annotate` loads its tables once and calls the public
+standard library's data class, inspect, log, typing, pathlib or
+tempfile modules (argparse loads shutil itself), and only a call that
+writes JSON loads json; tests/test_imports.py pins the modules of every
+subcommand. `annotate` loads its tables once and calls the public
 annotate_sentence for each sentence; the CLI names no private of another
 module. It checks each distinct surface and factor tail once per call,
 and a sentence that holds a bad one token by token, so the error names
@@ -27,17 +31,27 @@ value: ParallelCorpus by its lines, WordFormDictionary by its lines and
 scheme, BilingualNoun by its English root and entry (not the names,
 failures or row location they carry), and the entries, schemes and
 reports as named tuples of their fields.
+
+A call that runs its process's own command line, main() with no argv
+(the `morphinject` script, `python -m morphinject.cli`), registers
+gc.freeze with atexit before it parses, so that --help and a usage error
+get it too. The interpreter's last full collection then skips the heap
+that the imports and the call built: it would walk all of it to free
+memory that the exiting process gives back anyway, which takes a few
+milliseconds of every launch. An in-process main(argv) registers
+nothing and leaves its host's collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import stat
 import sys
-import tempfile
+from itertools import count
 from operator import itemgetter
-from pathlib import Path
 
 from . import script_core as sc
 from .errors import InputError
@@ -55,57 +69,86 @@ def _data_path(flag: str | None, name: str) -> str | None:
     """The data table to load: `flag`, else MORPHINJECT_DATA/`name` if
     that file exists, else None, which loaders read as the packaged one."""
     base = os.environ.get(DATA_DIR_ENV)
-    if flag is None and base and (Path(base) / name).is_file():
-        return str(Path(base) / name)
+    if flag is None and base and os.path.isfile(os.path.join(base, name)):
+        return os.path.join(base, name)
     return flag
 
 
+def _stage(path: str) -> tuple[str, int]:
+    """A new temp file beside `path`, `path`.PID.N, and its descriptor,
+    open for writing with the mode open() gives: 0666 less the umask."""
+    for n in count():
+        tmp = f"{path}.{os.getpid()}.{n}"
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:  # left behind by a call that was killed
+            pass
+        except OSError as exc:
+            raise InputError(f"{path}: cannot write: {exc.strerror}") from None
+
+
+def _write_in_place(path: str | None, text: str) -> None:
+    """Write to stdout (a None path) or to an existing file that is not
+    a regular one, such as a FIFO. Shutdown flushes stdout again, so a
+    stdout that cannot be written is pointed at os.devnull."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if path is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InputError(f"{path or '<stdout>'}: cannot write: {exc.strerror}") from None
+
+
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
-    """Write every (path, text) or none: all temps are staged before
-    anything is written to stdout (a None path) or renamed. Two paths
-    that name one file are an error, raised before anything is staged.
-    A new file gets the mode open() gives it, 0666 less the umask, and
-    a file written over keeps its mode bits."""
+    """Write every (path, text) or none. Each regular file is staged in
+    a temp file beside it; then stdout (a None path) and every existing
+    file that is not a regular one are written in place; and only then
+    are the temps renamed. If anything fails, every temp is removed.
+    Two paths that name one file are an error, raised before anything
+    is staged. A new file gets the mode open() gives it, 0666 less the
+    umask, and a file written over keeps its mode bits."""
     named = set()
     for path, _ in outputs:
         if path is not None:
-            resolved = Path(path).resolve()
+            resolved = os.path.realpath(path)
             if resolved in named:
                 raise InputError(f"{path}: named by two outputs")
             named.add(resolved)
-    umask = os.umask(0)
-    os.umask(umask)
-    staged: list[tuple[str, Path]] = []
+    staged: list[tuple[str, str]] = []
+    in_place = []
     try:
         for path, text in outputs:
-            if path is None:
-                continue
-            target = Path(path)
-            if target.is_dir():
-                raise InputError(f"{path}: cannot write: is a directory")
-            try:
-                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-            except OSError as exc:
-                raise InputError(f"{path}: cannot write: {exc.strerror}") from None
-            staged.append((tmp, target))
-            # mkstemp makes the file 0600: give it the mode open() would
-            try:
-                mode = stat.S_IMODE(target.stat().st_mode)
+            try:  # an empty path names the current directory
+                mode = None if path is None else os.stat(path or os.curdir).st_mode
             except OSError:  # no file to keep the mode of
-                mode = 0o666 & ~umask
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                os.chmod(tmp, mode)
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):
+                raise InputError(f"{path}: cannot write: is a directory")
+            if path is None or mode is not None and not stat.S_ISREG(mode):
+                in_place.append((path, text))
+                continue
+            tmp, fd = _stage(path)
+            staged.append((tmp, path))
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
                 fh.write(text)
+        for path, text in in_place:
+            _write_in_place(path, text)
     except BaseException:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
-    for path, text in outputs:
-        if path is None:
-            sys.stdout.write(text)
-    for tmp, target in staged:
-        os.replace(tmp, target)
+    for tmp, path in staged:
+        os.replace(tmp, path)
 
 
 def _lines_text(lines: list[str]) -> str:
@@ -486,6 +529,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # this process's own command line: see the module docstring
+        atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

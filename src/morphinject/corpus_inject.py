@@ -23,13 +23,17 @@ the lines split into token strings, is built each time it is read.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain, repeat
-from typing import IO, Iterable
 
 from . import script_core as sc
 from .dictionary_builder import WordFormDictionary, strip_to_surface
 from .errors import InputError
 from .script_core import NULL_FACTOR
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no call loads typing
+    from typing import IO
 
 
 class ParallelCorpus:

@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import script_core as sc
 from .errors import InputError
 from .script_core import NULL_FACTOR
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: the builders import their morphology
     from .noun_morph import BilingualNoun, SuffixTable
     from .verb_morph import VerbLexEntry, VerbSuffixTable

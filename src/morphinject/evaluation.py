@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: oov and bleu load no corpus layer
     from .corpus_inject import ParallelCorpus
     from .dictionary_builder import FactorScheme

@@ -31,13 +31,17 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache
-from pathlib import Path
-from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import InputError
 from .script_core import NULL_SUFFIX_MARK
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
+    from pathlib import Path
+    from typing import TextIO
 
 
 NOUN_CLASSES = ("A", "B", "C", "D", "E")

@@ -28,20 +28,25 @@ strings, in order, and `table_value` checks a cell against one of them.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from functools import cache
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import InputError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
+    from pathlib import Path
+    from typing import TextIO
 
 NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
 
 # the packaged data tables; read as files, since importlib.resources
 # imports inspect on Python 3.12 and later
-_DATA_DIR = Path(__file__).parent / "data"
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # the null factor, and a surface or a factor of a factored token: no
 # separator, no whitespace (\s matches exactly the characters for which
@@ -339,8 +344,8 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
 
 def read_lines(source, name: str | None = None) -> list[str]:
     """The lines of a UTF-8 text file, split on "\n" only; a final "\n"
-    ends the last line. `source` is a path, a packaged resource or an
-    open text stream, and `name` (default: the path) starts every error:
+    ends the last line. `source` is a path (a str or a Path) or an open
+    text stream, and `name` (default: the path) starts every error:
     a file that cannot be read, bytes that are not UTF-8, or a "\r"
     anywhere is an InputError."""
     if name is None:
@@ -349,7 +354,8 @@ def read_lines(source, name: str | None = None) -> list[str]:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            text = (Path(source) if isinstance(source, str) else source).read_bytes().decode("utf-8")
+            with open(os.fspath(source), "rb") as fh:
+                text = fh.read().decode("utf-8")
     except FileNotFoundError:
         raise InputError(f"{name}: no such file") from None
     except OSError as exc:
@@ -375,7 +381,7 @@ def read_table(
     packaged file `default_name` when `source` is None, else a path or an
     open text stream."""
     if source is None:
-        name, source = default_name, _DATA_DIR / default_name
+        name, source = default_name, os.path.join(_DATA_DIR, default_name)
     elif hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
     else:

@@ -35,12 +35,16 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO
 
 from . import script_core as sc
 from .errors import InputError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
+    from pathlib import Path
+    from typing import TextIO
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PLURAL_TAGS = {"NNS", "NNPS"}

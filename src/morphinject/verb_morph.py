@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache
-from pathlib import Path
-from typing import Iterable, TextIO
 
 from . import script_core as sc
 from .errors import InputError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
+    from pathlib import Path
+    from typing import TextIO
 
 
 # Representative values used for collapsed dimensions when a concrete

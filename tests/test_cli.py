@@ -1,12 +1,21 @@
+import atexit
+import gc
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphinject import cli
 from morphinject.cli import main
+from morphinject.errors import InputError
 
+ROOT = Path(__file__).parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -316,6 +325,99 @@ def test_outputs_get_the_mode_open_gives(tmp_path, capsys, umask_022):
     mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert mode == {"sibling": 0o644, "new.dict": 0o644, "new.dict.json": 0o644,
                     "kept.dict": 0o640, "kept.dict.json": 0o644}
+
+
+@settings(max_examples=100, deadline=None)
+@given(umask=st.integers(0, 0o177),
+       modes=st.lists(st.none() | st.integers(0o600, 0o777), min_size=1, max_size=3),
+       fail=st.booleans())
+def test_staged_outputs_get_the_mode_open_gives_and_a_failure_leaves_no_temp(
+        tmp_path_factory, umask, modes, fail):
+    # output i is new (mode None) or written over a file of that mode; with
+    # `fail`, one more output in a missing directory fails the whole call
+    folder = tmp_path_factory.mktemp("outputs")
+    outputs = []
+    for i, mode in enumerate(modes):
+        path = folder / f"out{i}"
+        if mode is not None:
+            path.write_bytes(b"old\n")
+            path.chmod(mode)
+        outputs.append((str(path), f"new {i}\n"))
+    if fail:
+        outputs.append((str(folder / "missing" / "out"), ""))
+
+    def files():
+        return {p.name: (p.read_bytes(), stat.S_IMODE(p.stat().st_mode)) for p in folder.iterdir()}
+
+    before = files()
+    old = os.umask(umask)
+    try:
+        if fail:
+            with pytest.raises(InputError, match="/missing/out: cannot write: "):
+                cli._write_atomic(outputs)
+        else:
+            cli._write_atomic(outputs)
+    finally:
+        os.umask(old)
+    assert files() == before if fail else {
+        f"out{i}": (f"new {i}\n".encode(), 0o666 & ~umask if mode is None else mode)
+        for i, mode in enumerate(modes)}
+
+
+def _env(**extra) -> dict[str, str]:
+    """A CLI subprocess's environment: this checkout's package, the
+    packaged tables, and stdout buffered unless `extra` says otherwise."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MORPHINJECT_DATA", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_that_cannot_be_written_leaves_no_output(tmp_path, unbuffered):
+    # inject with no --report writes its report to stdout, here a pipe whose
+    # reader is gone: neither corpus side is renamed into place, no temp is
+    # left, and shutdown prints nothing more
+    (tmp_path / "d.tsv").write_text("", "utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphinject.cli", "inject",
+             "--source", str(FIXTURES / "corpus_src.txt"),
+             "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", str(tmp_path / "d.tsv"),
+             "--out-source", str(tmp_path / "o.src"), "--out-target", str(tmp_path / "o.tgt")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {})))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: <stdout>: cannot write: Broken pipe\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
+
+
+def test_an_output_naming_a_fifo_is_written_in_place(tmp_path, capsys):
+    # renamed over, the FIFO would become a regular file; it is written in
+    # place once both corpus sides are staged. The read end is open before
+    # the call, so the writer's open does not block, and the report fits in
+    # the pipe's buffer; it is drained after the call
+    (tmp_path / "d.tsv").write_text("", "utf-8")
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = run(
+            capsys, "inject", "--source", str(FIXTURES / "corpus_src.txt"),
+            "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", str(tmp_path / "d.tsv"),
+            "--out-source", str(tmp_path / "o.src"), "--out-target", str(tmp_path / "o.tgt"),
+            "--report", str(fifo), "--format", "json")
+        report = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert json.loads(report)["entries_offered"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv", "o.src", "o.tgt", "report.fifo"]
+    assert (tmp_path / "o.src").read_bytes() == (FIXTURES / "corpus_src.txt").read_bytes()
 
 
 @pytest.mark.parametrize("kind,rows,failure", [
@@ -750,6 +852,13 @@ def test_annotate_config_errors_name_file_and_line(tmp_path, capsys, flag, text,
     assert err == f"error: {config}:2: {message}\n"
 
 
+def test_an_empty_out_path_names_the_current_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m", "--out", "")
+    assert (code, out, err) == (1, "", "error: : cannot write: is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("subcommand", ["annotate", "inject"])
 @pytest.mark.parametrize("target", ["missing/x.out", "existing-dir"])
 def test_unwritable_out_path_exits_1(tmp_path, capsys, subcommand, target):
@@ -872,3 +981,37 @@ def test_data_table_row_that_never_takes_effect_exits_1(tmp_path, capsys, flag, 
     code, out, err = run(capsys, "annotate", "--conllu", SAMPLE, flag, str(config))
     assert code == 1 and out == ""
     assert err == f"error: {config}{message}\n"
+
+
+# registered before the CLI's own atexit hook, so it runs after it
+_FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen" if gc.get_freeze_count() else "not frozen"))
+from morphinject import cli
+sys.exit(cli.main({}))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["paradigm", "--root", "कुत्ता", "--gender", "m", "--out", "p.tsv"], 0),
+    (["paradigm", "--no-such-option"], 1),
+    (["paradigm", "--help"], 0),
+], ids=["call", "usage-error", "help"])
+@pytest.mark.parametrize("own", [True, False], ids=["main()", "main(argv)"])
+def test_a_call_on_its_own_command_line_freezes_the_heap_at_exit(tmp_path, argv, code, own):
+    # main() with no argv runs the process's own command line, and skips
+    # the interpreter's last collection of the import-time heap, argparse's
+    # exits included; main(argv) leaves the collector as it was
+    probe = _FREEZE_PROBE.format("" if own else "sys.argv[1:]")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=_env(), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ("frozen" if own else "not frozen")
+
+
+def test_an_in_process_call_registers_nothing_at_exit(capsys, monkeypatch):
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda *args, **kwargs: registered.append(args))
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m")
+    assert (code, registered, gc.get_freeze_count()) == (0, [], frozen)

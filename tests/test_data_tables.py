@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphinject import noun_morph as nm
+from morphinject import script_core as sc
 from morphinject import source_factors as sf
 from morphinject import verb_morph as vm
 from morphinject.cli import main
@@ -95,6 +96,17 @@ def test_mutated_table_loads_or_names_file_and_line(tmp_path_factory, name, data
 ])
 def test_packaged_defaults_load_once(default):
     assert default() is default()
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_a_table_and_its_lines_load_the_same_from_a_path_as_from_a_str(name):
+    loader = TABLES[name][0]
+    by_path, by_str = loader(DATA / name), loader(str(DATA / name))
+    assert (by_path == by_str) if isinstance(by_str, list) else vars(by_path) == vars(by_str)
+    assert sc.read_lines(DATA / name) == sc.read_lines(str(DATA / name))
+    missing = DATA / "missing" / name
+    with pytest.raises(InputError, match=f"^{re.escape(str(missing))}: no such file$"):
+        loader(missing)
 
 
 def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given():

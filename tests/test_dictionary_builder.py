@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,7 @@ def exception_table(tmp_path, monkeypatch):
     load the tables from the copy; their cached loads are cleared around
     the test."""
     def append(name: str, row: str) -> str:
-        for table in sc._DATA_DIR.glob("*.tsv"):
+        for table in Path(sc._DATA_DIR).glob("*.tsv"):
             (tmp_path / table.name).write_bytes(table.read_bytes())
         path = tmp_path / name
         path.write_text(path.read_text("utf-8") + row + "\n", "utf-8")

@@ -1,10 +1,13 @@
 """The import graph: a CLI call loads only the layers its subcommand runs,
-none of them loads dataclasses, inspect or logging, and the package's
-public names load their module on first access.
+none of them loads dataclasses, inspect, logging, typing, pathlib,
+tempfile or random, and the package's public names load their module on
+first access.
 
 Each call runs in a fresh interpreter, which calls cli.main and reports
 the modules in sys.modules; a bare interpreter reports its own, so that
-what a site .pth file imports is not counted against a call.
+what a site .pth file imports is not counted against a call. The probe
+for typing, pathlib, tempfile and random runs under -S instead, since a
+site .pth file may import all four.
 """
 
 import argparse
@@ -69,11 +72,13 @@ print(code, *sys.modules)
 _BARE = "import sys; print(0, *sys.modules)"
 
 
-def _modules(*args) -> set[str]:
-    """The modules loaded at the end of `python -c *args`; it must exit 0."""
+def _modules(*args, site: bool = True) -> set[str]:
+    """The modules loaded at the end of `python -c *args`, run with the
+    site module or, with `site` false, under -S; it must exit 0."""
     env = {k: v for k, v in os.environ.items() if k != "MORPHINJECT_DATA"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env)
+    python = [sys.executable] if site else [sys.executable, "-S"]
+    proc = subprocess.run([*python, "-c", *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.splitlines()[-1].split(" ")
     assert code == "0", proc.stderr
@@ -172,6 +177,16 @@ _LAYERS = {
 def test_each_subcommand_loads_only_the_layers_it_runs(tmp_path, call):
     loaded = _loaded(call.split(" ")[0], *_calls(tmp_path)[call])
     assert loaded == _CLI | {f"morphinject.{layer}" for layer in _LAYERS[call]}
+
+
+@pytest.mark.parametrize("call", ["annotate", "oov", "bleu", *_LAYERS])
+def test_no_call_loads_typing_pathlib_tempfile_or_random(tmp_path, call):
+    # run without site: a site .pth file may import any of them before the
+    # package runs, and a probe that subtracts what bare Python loads then
+    # cannot see them. argparse loads shutil itself, so shutil is not here
+    loaded = _modules(_PROBE, call.split(" ")[0], *_calls(tmp_path)[call], site=False)
+    assert "morphinject.cli" in loaded
+    assert not loaded & {"typing", "pathlib", "tempfile", "random"}
 
 
 def test_english_inflection_lives_in_the_dictionary_layer():
