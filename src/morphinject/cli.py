@@ -5,12 +5,13 @@ stderr), 2 internal error. Every exception the package raises on purpose
 is an InputError, the one exception class it defines, so exit 2 means an
 exception nobody planned for: a bug. Every input file is read by
 script_core.read_lines: UTF-8, split on LF only, a CR rejected. Each
-output file is staged in a temporary file beside it; stdout and an
-existing file that is not a regular one (a FIFO, a device) are written
-in place once every temp is staged; and the temps are renamed last, so
-if any output cannot be written none is, and no temp is left behind. A
-new output gets the mode open() would give it and a file written over
-keeps its own. Set MORPHINJECT_DATA to a
+output file is staged in a temporary file beside it, or beside its
+target if it is a symlink, which is written through as open() would
+write through it; stdout and an existing file that is not a regular one
+(a FIFO, a device) are written in place once every temp is staged; and
+the temps are renamed last, so if any output cannot be written none is,
+and no temp is left behind. A new output gets the mode open() would give
+it and a file written over keeps its own. Set MORPHINJECT_DATA to a
 directory to override the packaged default data files
 (noun_suffixes.tsv, verb_suffixes.tsv, pronouns.tsv, case_rules.tsv,
 tam_rules.tsv); a table's flag overrides both, and the subcommand calls
@@ -24,13 +25,14 @@ tempfile modules (argparse loads shutil itself), and only a call that
 writes JSON loads json; tests/test_imports.py pins the modules of every
 subcommand. `annotate` loads its tables once and calls the public
 annotate_sentence for each sentence; the CLI names no private of another
-module. It checks each distinct surface and factor tail once per call,
-and a sentence that holds a bad one token by token, so the error names
-its first bad token. The records are plain classes that compare by
-value: ParallelCorpus by its lines, WordFormDictionary by its lines and
-scheme, BilingualNoun by its English root and entry (not the names,
-failures or row location they carry), and the entries, schemes and
-reports as named tuples of their fields.
+module. Every factor comes from a loaded table, which checked each value
+against its closed set, so annotate checks no factor: it checks each
+distinct surface once per call, and a sentence that holds a bad one
+token by token, so the error names its first bad token. The records are
+plain classes that compare by value: ParallelCorpus by its lines,
+WordFormDictionary by its lines and scheme, BilingualNoun by its English
+root and entry (not the names, failures or row location they carry), and
+the entries, schemes and reports as named tuples of their fields.
 
 A call that runs its process's own command line, main() with no argv
 (the `morphinject` script, `python -m morphinject.cli`), registers
@@ -74,9 +76,10 @@ def _data_path(flag: str | None, name: str) -> str | None:
     return flag
 
 
-def _stage(path: str) -> tuple[str, int]:
+def _stage(path: str, name: str) -> tuple[str, int]:
     """A new temp file beside `path`, `path`.PID.N, and its descriptor,
-    open for writing with the mode open() gives: 0666 less the umask."""
+    open for writing with the mode open() gives: 0666 less the umask. An
+    error names the output `name`."""
     for n in count():
         tmp = f"{path}.{os.getpid()}.{n}"
         try:
@@ -84,7 +87,7 @@ def _stage(path: str) -> tuple[str, int]:
         except FileExistsError:  # left behind by a call that was killed
             pass
         except OSError as exc:
-            raise InputError(f"{path}: cannot write: {exc.strerror}") from None
+            raise InputError(f"{name}: cannot write: {exc.strerror}") from None
 
 
 def _write_in_place(path: str | None, text: str) -> None:
@@ -107,13 +110,14 @@ def _write_in_place(path: str | None, text: str) -> None:
 
 
 def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
-    """Write every (path, text) or none. Each regular file is staged in
-    a temp file beside it; then stdout (a None path) and every existing
-    file that is not a regular one are written in place; and only then
-    are the temps renamed. If anything fails, every temp is removed.
-    Two paths that name one file are an error, raised before anything
-    is staged. A new file gets the mode open() gives it, 0666 less the
-    umask, and a file written over keeps its mode bits."""
+    """Write every (path, text) or none. Each regular file is staged in a
+    temp file beside it, or beside the file a symlink resolves to, so
+    that the rename writes through the link; then stdout (a None path)
+    and every existing file that is not a regular one are written in
+    place; and only then are the temps renamed. If anything fails, every
+    temp is removed. Two paths that name one file are an error, raised
+    before anything is staged. A new file gets the mode open() gives it,
+    0666 less the umask, and a file written over keeps its mode bits."""
     named = set()
     for path, _ in outputs:
         if path is not None:
@@ -134,8 +138,9 @@ def _write_atomic(outputs: list[tuple[str | None, str]]) -> None:
             if path is None or mode is not None and not stat.S_ISREG(mode):
                 in_place.append((path, text))
                 continue
-            tmp, fd = _stage(path)
-            staged.append((tmp, path))
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            tmp, fd = _stage(target, path)
+            staged.append((tmp, target))
             with open(fd, "w", encoding="utf-8", newline="\n") as fh:
                 if mode is not None:
                     os.fchmod(fd, stat.S_IMODE(mode))
@@ -229,8 +234,9 @@ _ANNOTATE_WIDTH = {"noun": 2, "verb": 3, "both": 3}
 
 class _Tails(dict):
     """Factor tuple -> its "|f1|f2|null" tail, padded with null to
-    `width`, built and checked on the first token that has it, and the
-    surfaces already found valid. One annotate call shares one."""
+    `width`, built on the first token that has it, and the surfaces
+    already found valid. One annotate call shares one. The factors are
+    values the tables checked at load, so a tail is not checked."""
 
     def __init__(self, width: int):
         super().__init__()
@@ -238,29 +244,24 @@ class _Tails(dict):
         self.surfaces: set[str] = set()
 
     def __missing__(self, factors: tuple[str, ...]) -> str:
-        padded = (*factors, *(sc.NULL_FACTOR,) * (self.width - len(factors)))
-        if not all(map(sc.token_match(0), padded)):
-            raise KeyError(factors)  # a bad factor: never kept
-        tail = self[factors] = "|" + "|".join(padded)
+        tail = self[factors] = "|" + "|".join(
+            (*factors, *(sc.NULL_FACTOR,) * (self.width - len(factors))))
         return tail
 
 
 def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
     """One output line: each token's surface and its factor tail. Each
-    distinct surface and tail is checked once per `tails`; a sentence
-    that holds a bad one is checked token by token, and the first bad
-    token is an error at `where` and its ID."""
+    distinct surface is checked once per `tails`; a sentence that holds
+    a bad one is checked token by token, and the first bad token is an
+    error at `where` and its ID."""
     known = tails.surfaces
     new = ()
     if not known.issuperset(map(itemgetter(0), annotated)):
         new = set(map(itemgetter(0), annotated)).difference(known)
-    try:
-        if all(map(sc.token_match(0), new)):
-            line = " ".join([surface + tails[factors] for surface, factors in annotated])
-            known.update(new)
-            return line
-    except KeyError:  # a bad factor
-        pass
+    if all(map(sc.token_match(0), new)):
+        line = " ".join([surface + tails[factors] for surface, factors in annotated])
+        known.update(new)
+        return line
     _check_annotation(sentence, annotated, tails.width, where)
     raise AssertionError(f"{where}: rejected, yet every token passes")
 

@@ -10,14 +10,14 @@ are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped.
 
-A ParallelCorpus holds the checked lines as strings. Each distinct
-token of a file is checked once, against one token pattern of the
-corpus width; only a file that holds a bad or ragged token is checked
-line by line, against the full-line pattern, and a line that fails it
-is split into tokens, so script_core.token_error names the first bad
-one at name:line:column. Padding (auto_normalize, injection), emission
-and the sparsity report work on the strings, and ParallelCorpus.pairs,
-the lines split into token strings, is built each time it is read.
+A ParallelCorpus holds the checked lines as strings. Each distinct token
+of a file is checked once, against one token pattern of the corpus
+width; only a file that holds a bad or ragged token is split line by
+line into tokens, so script_core.token_error names the first bad one at
+name:line:column and the first ragged one is found. Padding
+(auto_normalize, injection), emission and the sparsity report work on
+the strings, and ParallelCorpus.pairs, the lines split into token
+strings, is built each time it is read.
 """
 
 from __future__ import annotations
@@ -128,12 +128,9 @@ def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, i
     tokens = set(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
     if all(map(sc.token_match(width), tokens)):
         return None, width
-    valid = sc.line_pattern(width).fullmatch
     ragged_at = None
     widest = width
     for lineno, line in enumerate(lines, 1):
-        if valid(line):
-            continue
         col = 1
         for token in _parse_line(line, name, lineno):
             token_width = token.count("|")

@@ -20,16 +20,14 @@ its joined tail. The public `join_noun` normalizes its inputs, checks
 the root whatever the suffix, and checks the suffix against the class's
 column; a suffix taken from the table is legal by construction.
 
-`parse_noun_lexicon` checks each row once, as it is read: one pattern
-accepts a well-formed row, gives its fields at once and makes the
-entry's checks, and only a line it rejects is split and checked cell by
-cell, which skips a blank or "#" line, takes a row with extra columns
-and locates any other error.
+`parse_noun_lexicon` checks each row once, cell by cell, as it is read:
+it skips a blank or "#" line, and the first bad cell of any other is an
+error at name:line. A row that passes becomes its entry directly, so
+NounLexEntry does not repeat the checks.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache
@@ -265,17 +263,6 @@ class BilingualNoun:
         return f"BilingualNoun({self.english_root!r}, {self.entry!r}, {self.where!r})"
 
 
-@cache
-def _row_match(bilingual: bool):
-    """fullmatch for a well-formed lexicon row that is neither blank nor
-    a "#" line; its groups are the English root ("" when monolingual),
-    the root, the gender, and the countable and class cells or None."""
-    english = r"([^\t]*)\t" if bilingual else "()"
-    return re.compile(
-        rf"(?!\s*#){english}([^\t]*\S[^\t]*)\t({'|'.join(sc.GENDERS)})"
-        rf"(?:\t([01]?)(?:\t({'|'.join(NOUN_CLASSES)}|{NULL_SUFFIX_MARK})?)?)?").fullmatch
-
-
 def parse_noun_lexicon(
     lines: Iterable[str], bilingual: bool = True, name: str = "<noun lexicon>",
 ) -> list[BilingualNoun]:
@@ -284,41 +271,24 @@ def parse_noun_lexicon(
     Bilingual rows: english_root, hindi_root, gender (m|f), countable
     (1|0), optional class override (A-E). Monolingual rows drop the
     english_root column. Rows without a gender, and rows with a column
-    past the class, are rejected, not guessed or cut. A well-formed row
-    becomes its fields in one pattern match; any other line goes through
-    the cell-by-cell checks.
+    past the class, are rejected, not guessed or cut.
     """
     columns = ("english_root", "hindi_root", "gender", "countable", "class")[0 if bilingual else 1:]
-    match = _row_match(bilingual)
     out = []
-    for lineno, ln in enumerate(lines, 1):
-        row = match(ln)
-        if row is not None:
-            # the pattern has made NounLexEntry's checks: build it directly
-            english, root, gender, countable, override = row.groups()
-            out.append(BilingualNoun(english, tuple.__new__(NounLexEntry, (
-                sc.normalize(root), gender, countable != "0",
-                None if override == NULL_SUFFIX_MARK else override)), f"{name}:{lineno}"))
-            continue
-        for where, fields in sc.table_rows((ln,), name, columns[:-2], more=True, start=lineno):
-            if len(fields) > len(columns):
-                raise InputError(f"{where}: expected at most {len(columns)} tab-separated fields "
-                                 f"({', '.join(columns)}), got {len(fields)}")
-            english = fields.pop(0) if bilingual else ""
-            root, gender, *rest = fields
-            sc.table_value(sc.GENDERS, "gender", gender, where)
-            countable = True
-            if rest and rest[0] != "":
-                if rest[0] not in ("0", "1"):
-                    raise InputError(f"{where}: countable must be 1 or 0")
-                countable = rest[0] == "1"
-            override = None
-            if len(rest) > 1 and rest[1] != "":
-                override = sc.table_value(
-                    NOUN_CLASSES, "class", rest[1], where, null=NULL_SUFFIX_MARK)
-            try:
-                entry = NounLexEntry(root, gender, countable, override)
-            except InputError as exc:
-                raise InputError(f"{where}: {exc}") from None
-            out.append(BilingualNoun(english, entry, where))
+    for where, fields in sc.table_rows(lines, name, columns[:-2], more=True):
+        if len(fields) > len(columns):
+            raise InputError(f"{where}: expected at most {len(columns)} tab-separated fields "
+                             f"({', '.join(columns)}), got {len(fields)}")
+        english = fields.pop(0) if bilingual else ""
+        root, gender, countable, override = (*fields, "", "")[:4]
+        sc.table_value(sc.GENDERS, "gender", gender, where)
+        if countable not in ("", "0", "1"):
+            raise InputError(f"{where}: countable must be 1 or 0")
+        if override:
+            override = sc.table_value(NOUN_CLASSES, "class", override, where, null=NULL_SUFFIX_MARK)
+        if not root.strip():
+            raise InputError(f"{where}: noun entry with empty root")
+        # the cells have passed NounLexEntry's checks: build it directly
+        out.append(BilingualNoun(english, tuple.__new__(NounLexEntry, (
+            sc.normalize(root), gender, countable != "0", override or None)), where))
     return out

@@ -390,13 +390,12 @@ def read_table(
 
 
 def table_rows(
-    lines: Iterable[str], name: str, columns: tuple[str, ...], more: bool = False, start: int = 1,
+    lines: Iterable[str], name: str, columns: tuple[str, ...], more: bool = False,
 ) -> Iterator[tuple[str, list[str]]]:
-    """The data rows of TSV lines as ("name:line", fields), the first
-    line being line `start`. Blank and "#" lines are skipped; a row must
-    have one field per column (at least that many with `more`), else it
-    is an error located by file and line."""
-    for lineno, ln in enumerate(lines, start):
+    """The data rows of TSV lines as ("name:line", fields). Blank and "#"
+    lines are skipped; a row must have one field per column (at least that
+    many with `more`), else it is an error located by file and line."""
+    for lineno, ln in enumerate(lines, 1):
         if not ln.strip() or ln.lstrip().startswith("#"):
             continue
         where = f"{name}:{lineno}"

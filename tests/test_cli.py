@@ -420,6 +420,26 @@ def test_an_output_naming_a_fifo_is_written_in_place(tmp_path, capsys):
     assert (tmp_path / "o.src").read_bytes() == (FIXTURES / "corpus_src.txt").read_bytes()
 
 
+@pytest.mark.parametrize("dangling", [False, True], ids=["to-a-file", "dangling"])
+def test_an_output_naming_a_symlink_is_written_through_it(tmp_path, capsys, dangling):
+    # open() would write the link's target and leave the link as it is; so
+    # does the staged write, which stages beside the target and renames onto it
+    real = tmp_path / "real.txt"
+    if not dangling:
+        real.write_text("old\n", "utf-8")
+        real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to("real.txt")
+    code, out, err = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m",
+                         "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    assert real.read_text("utf-8").startswith("sg\tdir\t-\tकुत्ता\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+    if not dangling:
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
 @pytest.mark.parametrize("kind,rows,failure", [
     ("noun", "dog\tकुत्ता\tm\t1\ncat\tबिल्लीx\tf\t1\nbird\tचिड़िया\tf\t1\n",
      {"row": 1, "english_root": "cat", "hindi_root": "बिल्लीx",
