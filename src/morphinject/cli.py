@@ -28,11 +28,8 @@ annotate_sentence for each sentence; the CLI names no private of another
 module. Every factor comes from a loaded table, which checked each value
 against its closed set, so annotate checks no factor: it checks each
 distinct surface once per call, and a sentence that holds a bad one
-token by token, so the error names its first bad token. The records are
-plain classes that compare by value: ParallelCorpus by its lines,
-WordFormDictionary by its lines and scheme, BilingualNoun by its English
-root and entry (not the names, failures or row location they carry), and
-the entries, schemes and reports as named tuples of their fields.
+token by token, so the error names its first bad token. The CLI alone
+renders the report records, plain named tuples, as text or JSON.
 
 A call that runs its process's own command line, main() with no argv
 (the `morphinject` script, `python -m morphinject.cli`), registers
@@ -77,11 +74,12 @@ def _data_path(flag: str | None, name: str) -> str | None:
 
 
 def _stage(path: str, name: str) -> tuple[str, int]:
-    """A new temp file beside `path`, `path`.PID.N, and its descriptor,
-    open for writing with the mode open() gives: 0666 less the umask. An
-    error names the output `name`."""
+    """A new temp file in the directory of `path`, .morphinject.PID.N,
+    and its descriptor, open for writing with the mode open() gives: 0666
+    less the umask. The temp's name is short whatever the length of
+    `path`'s. An error names the output `name`."""
     for n in count():
-        tmp = f"{path}.{os.getpid()}.{n}"
+        tmp = os.path.join(os.path.dirname(path), f".morphinject.{os.getpid()}.{n}")
         try:
             return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:  # left behind by a call that was killed
@@ -161,23 +159,43 @@ def _lines_text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+# the first key of every JSON report and --failures file, and of a text report
+_SCHEMA = {"schema_version": 1}
+
+
 def _json_text(payload: dict) -> str:
     import json  # only the calls that write JSON load it
 
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def _report_text(report_dict: dict, fmt: str) -> str:
+def _plain(value):
+    """A report field as JSON holds it: a named tuple as a dict of its
+    fields, a list or other tuple as a list."""
+    if hasattr(value, "_asdict"):
+        return {key: _plain(field) for key, field in value._asdict().items()}
+    return list(map(_plain, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _report_text(report: tuple, fmt: str) -> str:
+    """A report record as JSON, or as text: one `key: value` line per
+    field, and one `key: k=v, ...` line per record in a list of them."""
+    fields = {**_SCHEMA, **_plain(report)}
     if fmt == "json":
-        return _json_text(report_dict)
+        return _json_text(fields)
     lines = []
-    for key, value in report_dict.items():
+    for key, value in fields.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
             for sub in value:
                 lines.append(f"{key}: " + ", ".join(f"{k}={v}" for k, v in sub.items()))
         else:
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
+
+
+def _report_keys(keys: str) -> str:
+    """A --help epilog that lists the keys of a JSON report."""
+    return f"JSON report keys: {', '.join(_SCHEMA)}, {keys}."
 
 
 # --- subcommands ---
@@ -307,19 +325,9 @@ def cmd_build_dict(args) -> int:
         dictionary = db.build_verb_dict(lexicon, table, surface=args.surface)
     outputs = [(args.out, _lines_text(dictionary.lines))]
     if args.failures:
-        payload = {
-            "schema_version": 1,
-            "failures": [
-                {
-                    "row": f.index,
-                    "english_root": f.english_root,
-                    "hindi_root": f.hindi_root,
-                    "error": f.error,
-                }
-                for f in dictionary.failures
-            ],
-        }
-        outputs.append((args.failures, _json_text(payload)))
+        failures = [dict(zip(("row", "english_root", "hindi_root", "error"), f))
+                    for f in dictionary.failures]
+        outputs.append((args.failures, _json_text({**_SCHEMA, "failures": failures})))
     _write_atomic(outputs)
     if dictionary.failures:
         print(f"warning: {len(dictionary.failures)} lexicon rows failed", file=sys.stderr)
@@ -335,12 +343,14 @@ def cmd_inject(args) -> int:
         auto_normalize=args.auto_normalize,
         source_name=args.source, target_name=args.target,
     )
-    dictionary = db.parse_dictionary(sc.read_lines(args.dict), name=args.dict)
-    out_corpus, report = ci.inject(corpus, dictionary, mode=args.mode)
+    dictionary = db.parse_dictionary(sc.read_lines(args.dict), args.dict)
+    if args.mode == "surface":
+        dictionary = db.strip_to_surface(dictionary)
+    out_corpus, report = ci.inject(corpus, dictionary)
     _write_atomic([
         (args.out_source, _lines_text(out_corpus.source_lines())),
         (args.out_target, _lines_text(out_corpus.target_lines())),
-        (args.report, _report_text(report.to_dict(), args.format)),
+        (args.report, _report_text(report, args.format)),
     ])
     return 0
 
@@ -359,7 +369,7 @@ def cmd_sparsity(args) -> int:
         source_name=args.probe_source, target_name=args.probe_target,
     )
     report = ev.sparsity_report(train, probe, db.SCHEMES[args.scheme])
-    _write_atomic([(args.out, _report_text(report.to_dict(), args.format))])
+    _write_atomic([(args.out, _report_text(report, args.format))])
     return 0
 
 
@@ -371,7 +381,7 @@ def cmd_oov(args) -> int:
         t for ln in sc.read_lines(args.vocab) for t in ln.split()
     )
     report = ev.oov_count(tokens, vocab)
-    _write_atomic([(args.out, _report_text(report.to_dict(), args.format))])
+    _write_atomic([(args.out, _report_text(report, args.format))])
     return 0
 
 
@@ -381,7 +391,7 @@ def cmd_bleu(args) -> int:
     cands = [ln.split() for ln in sc.read_lines(args.candidates)]
     refs = [ln.split() for ln in sc.read_lines(args.references)]
     score = ev.bleu(cands, refs, smoothing=args.smoothing)
-    _write_atomic([(args.out, _report_text(score.to_dict(), args.format))])
+    _write_atomic([(args.out, _report_text(score, args.format))])
     return 0
 
 
@@ -461,8 +471,8 @@ def build_parser() -> _Parser:
                     "factors '|'-separated, LF endings only (a CR is rejected), no "
                     "trailing whitespace. Entries are appended after the original lines; "
                     "exact duplicates are skipped.",
-        epilog="JSON report keys: schema_version, entries_offered, entries_added, "
-               "duplicates_skipped, normalization_applied.",
+        epilog=_report_keys(
+            "entries_offered, entries_added, duplicates_skipped, normalization_applied"),
     )
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
@@ -485,8 +495,8 @@ def build_parser() -> _Parser:
                     "translation steps and target tokens for the generation steps, so a "
                     "probe line pair need not hold equal token counts; each probe token "
                     "must have exactly the scheme's width on its side.",
-        epilog="JSON report keys: schema_version, translation_steps, generation_steps; "
-               "each step has step, seen, unseen, unseen_tuples.",
+        epilog=_report_keys("translation_steps, generation_steps; "
+                            "each step has step, seen, unseen, unseen_tuples"),
     )
     p.add_argument("--train-source", required=True)
     p.add_argument("--train-target", required=True)
@@ -503,7 +513,7 @@ def build_parser() -> _Parser:
                     "of whitespace separates tokens). Use training source "
                     "text as --vocab for pre-translation coverage, or training target "
                     "text with translation output as --tokens for output OOV.",
-        epilog="JSON report keys: schema_version, total_tokens, oov_tokens, oov_types.",
+        epilog=_report_keys("total_tokens, oov_tokens, oov_types"),
     )
     p.add_argument("--tokens", required=True)
     p.add_argument("--vocab", required=True)
@@ -516,8 +526,8 @@ def build_parser() -> _Parser:
         description="One sentence per line, tokenized with Python's str.split() (the "
                     "standard whitespace-tokenized BLEU); single reference per "
                     "candidate, lines aligned by number.",
-        epilog="JSON report keys: schema_version, score, precisions, brevity_penalty, "
-               "candidate_length, reference_length.",
+        epilog=_report_keys(
+            "score, precisions, brevity_penalty, candidate_length, reference_length"),
     )
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", required=True)

@@ -8,7 +8,10 @@ str.isspace() is true; a token of any width holds none, so the
 separating spaces are the only whitespace in a line. Dictionary entries
 are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
-already present anywhere in the corpus is skipped.
+already present anywhere in the corpus is skipped. `inject` takes any
+WordFormDictionary and imports no dictionary layer: a surface-only
+injection is `inject(corpus, strip_to_surface(dictionary))`, the
+composition `inject --mode surface` runs.
 
 A ParallelCorpus holds the checked lines as strings. Each distinct token
 of a file is checked once, against one token pattern of the corpus
@@ -27,13 +30,14 @@ from collections.abc import Iterable
 from itertools import chain, repeat
 
 from . import script_core as sc
-from .dictionary_builder import WordFormDictionary, strip_to_surface
 from .errors import InputError
 from .script_core import NULL_FACTOR
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing
+if TYPE_CHECKING:  # annotations only: no call loads typing, and inject no dictionary layer
     from typing import IO
+
+    from .dictionary_builder import WordFormDictionary
 
 
 class ParallelCorpus:
@@ -77,13 +81,8 @@ class ParallelCorpus:
         return list(self.tgt)
 
 
-class InjectionReport(namedtuple(
-        "InjectionReport",
-        "entries_offered entries_added duplicates_skipped normalization_applied")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"schema_version": 1, **self._asdict()}
+InjectionReport = namedtuple(
+    "InjectionReport", "entries_offered entries_added duplicates_skipped normalization_applied")
 
 
 def _width(lines: list[str]) -> int | None:
@@ -194,9 +193,7 @@ def _entry_side(text: str, pad: str) -> str:
 
 
 def inject(
-    corpus: ParallelCorpus,
-    dictionary: WordFormDictionary,
-    mode: str = "factored",
+    corpus: ParallelCorpus, dictionary: WordFormDictionary,
 ) -> tuple[ParallelCorpus, InjectionReport]:
     """Append dictionary entries as pseudo-sentence pairs.
 
@@ -204,11 +201,6 @@ def inject(
     original lines must stay byte-identical); an entry whose line pair
     already exists anywhere in the corpus is skipped.
     """
-    if mode not in ("factored", "surface"):
-        raise InputError(f"bad injection mode {mode!r}")
-    if mode == "surface":
-        dictionary = strip_to_surface(dictionary)
-
     src_width = corpus.source_width()
     tgt_width = corpus.target_width()
     first = dictionary.lines[0].split("\t") if dictionary.lines else ("", "")

@@ -31,7 +31,8 @@ Those lines are valid by construction and go unchecked: a kept line's
 English root and Hindi form are valid, the English rules only add
 letters or a word to the root ("dogs", "will walk"), and an irregular
 form from the English exception tables was checked when they loaded.
-`strip_to_surface` serves `inject --mode surface` and library callers.
+`inject --mode surface` passes its parsed dictionary through
+`strip_to_surface` before injecting, as a library caller composes the two.
 
 The English inflection of those surfaces lives here, its only user.
 The dictionary format loads no morphology and no annotator: the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 
 from . import script_core as sc
@@ -166,11 +167,11 @@ def _line_error(source: Sequence[str], target: Sequence[str]) -> InputError:
     return InputError(_side_error(source[0], source[1:]) or _side_error(target[0], target[1:]))
 
 
-def parse_dictionary(
-    lines: Iterable[str], scheme: FactorScheme | None = None, name: str = "<dictionary>",
-) -> WordFormDictionary:
+def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFormDictionary:
     """Read a dictionary file: one entry per line, source TAB target;
-    blank and "#" lines are skipped. `name` locates errors as name:line."""
+    blank and "#" lines are skipped. `name` locates errors as name:line.
+    The scheme is the one whose widths are the first line's; an empty
+    dictionary is surface-only."""
     out: dict[str, None] = {}
     first_at: dict[str, str] = {}  # each distinct source side: where it first appears
     widths: tuple[int, int] | None = None
@@ -189,17 +190,10 @@ def parse_dictionary(
             # two valid sides that the first line's pattern rejects
             raise InputError(f"{where}: ragged factor widths")
         out[line] = None
+    scheme = SURFACE_SCHEME if widths is None else next(
+        (s for s in SCHEMES.values() if (s.source_width, s.target_width) == widths), None)
     if scheme is None:
-        # the scheme of the first line's widths; an empty dictionary is surface-only
-        scheme = SURFACE_SCHEME if widths is None else next(
-            (s for s in SCHEMES.values() if (s.source_width, s.target_width) == widths), None)
-        if scheme is None:
-            raise InputError(f"{name}: no scheme matches factor widths {widths}")
-    elif out:  # every line has the first line's widths
-        first = next(iter(out)).split("\t")
-        for side, width, declared in zip(first, widths, (scheme.source_width, scheme.target_width)):
-            if width != declared:
-                raise InputError(f"entry {side!r} has {width} factors, scheme declares {declared}")
+        raise InputError(f"{name}: no scheme matches factor widths {widths}")
     _check_factor_values(first_at, scheme)
     return WordFormDictionary(list(out), scheme)
 
@@ -236,18 +230,33 @@ def _surface_form(form: str, what: str, where: str) -> str:
     return form
 
 
+def _exception_rows(name: str, columns: tuple[str, ...]) -> Iterator[tuple[str, str, list[str]]]:
+    """(where, root, forms) of each row of a packaged exception table. The
+    lookups lower-case the root they are given, so a root that is not
+    lower-case, or one given a second row, is an error at its line."""
+    _, rows = sc.read_table(None, name, columns)
+    roots = set()
+    for where, (root, *forms) in rows:
+        if root != root.lower():
+            raise InputError(f"{where}: {columns[0]} {root!r} is not lower-case")
+        if root in roots:
+            raise InputError(f"{where}: duplicate {columns[0]} {root!r}")
+        roots.add(root)
+        yield where, root, forms
+
+
 @cache
 def _noun_exceptions() -> dict[str, str]:
-    _, rows = sc.read_table(None, "noun_plural_exceptions.tsv", ("singular", "plural"))
-    return {sg: _surface_form(pl, "plural", where) for where, (sg, pl) in rows}
+    return {sg: _surface_form(pl, "plural", where) for where, sg, (pl,) in _exception_rows(
+        "noun_plural_exceptions.tsv", ("singular", "plural"))}
 
 
 @cache
 def _verb_exceptions() -> dict[str, tuple[str | None, str]]:
-    _, rows = sc.read_table(None, "verb_exceptions.tsv", ("root", "third", "past"))
     return {root: (None if third == "-" else _surface_form(third, "third-person form", where),
                    _surface_form(past, "past form", where))
-            for where, (root, third, past) in rows}
+            for where, root, (third, past) in _exception_rows(
+                "verb_exceptions.tsv", ("root", "third", "past"))}
 
 
 def _add_s(root: str) -> str:

@@ -56,11 +56,7 @@ class VocabSet:
         return f"VocabSet({self.entries!r})"
 
 
-class OovReport(namedtuple("OovReport", "total_tokens oov_tokens oov_types")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"schema_version": 1, **self._asdict()}
+OovReport = namedtuple("OovReport", "total_tokens oov_tokens oov_types")
 
 
 def oov_count(tokens: Sequence[str], vocab: VocabSet) -> OovReport:
@@ -82,22 +78,8 @@ def oov_reduction(baseline: int, augmented: int) -> float:
     return 100.0 * (baseline - augmented) / baseline
 
 
-class StepReport(namedtuple("StepReport", "step seen unseen unseen_tuples")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-class SparsityReport(namedtuple("SparsityReport", "translation_steps generation_steps")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "translation_steps": [s.to_dict() for s in self.translation_steps],
-            "generation_steps": [s.to_dict() for s in self.generation_steps],
-        }
+StepReport = namedtuple("StepReport", "step seen unseen unseen_tuples")
+SparsityReport = namedtuple("SparsityReport", "translation_steps generation_steps")
 
 
 def _step_label(in_names: tuple[str, ...], out_names: tuple[str, ...]) -> str:
@@ -163,12 +145,8 @@ def sparsity_report(
     return SparsityReport(*sides)
 
 
-class BleuScore(namedtuple(
-        "BleuScore", "score precisions brevity_penalty candidate_length reference_length")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"schema_version": 1, **self._asdict(), "precisions": list(self.precisions)}
+BleuScore = namedtuple(
+    "BleuScore", "score precisions brevity_penalty candidate_length reference_length")
 
 
 def bleu(

@@ -204,7 +204,7 @@ def test_criterion_6_factor_width_invariant():
         corpus = parse_factored_corpus(
             io.StringIO(raw_src), io.StringIO(raw_tgt), auto_normalize=True
         )
-        injected, report = inject(corpus, dictionary, mode="factored")
+        injected, report = inject(corpus, dictionary)
         assert validate_widths(injected) == []
         out_src, out_tgt = io.StringIO(), io.StringIO()
         emit_factored_corpus(injected, out_src, out_tgt)

@@ -440,6 +440,20 @@ def test_an_output_naming_a_symlink_is_written_through_it(tmp_path, capsys, dang
         assert stat.S_IMODE(real.stat().st_mode) == 0o640
 
 
+@pytest.mark.parametrize("name", ["a" * 250 + ".tsv", "कुत्ता" * 13 + "कुत्.tsv"],
+                         ids=["ascii-254-bytes", "devanagari-250-bytes"])
+def test_an_output_with_a_long_name_is_written(tmp_path, capsys, name):
+    # open() writes a name up to NAME_MAX bytes; so does the staged write,
+    # whose temp's name is short whatever the output's
+    assert len(name.encode()) in (254, 250)
+    out = tmp_path / name
+    code, stdout, err = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m",
+                            "--out", str(out))
+    assert (code, stdout, err) == (0, "", "")
+    assert out.read_text("utf-8").startswith("sg\tdir\t-\tकुत्ता\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("kind,rows,failure", [
     ("noun", "dog\tकुत्ता\tm\t1\ncat\tबिल्लीx\tf\t1\nbird\tचिड़िया\tf\t1\n",
      {"row": 1, "english_root": "cat", "hindi_root": "बिल्लीx",

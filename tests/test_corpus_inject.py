@@ -14,6 +14,7 @@ from morphinject.corpus_inject import (
 from morphinject.dictionary_builder import (
     SURFACE_SCHEME,
     build_noun_dict,
+    strip_to_surface,
 )
 from morphinject.errors import InputError
 from morphinject.noun_morph import BilingualNoun, NounLexEntry
@@ -132,7 +133,7 @@ def test_inject_width_normalization():
 
 def test_inject_surface_mode():
     corpus = _parse("the dog\n", "कुत्ता है\n")
-    out, report = inject(corpus, _dog_dict(), mode="surface")
+    out, report = inject(corpus, strip_to_surface(_dog_dict()))
     assert report.entries_offered == 4  # dog, dogs x कुत्ता, कुत्ते, कुत्तों
     lines = out.source_lines()
     assert "dogs" in lines and "dog" in lines
@@ -145,7 +146,7 @@ def test_inject_surface_mode_splits_periphrastic():
 
     d = WordFormDictionary(["will walk\tचलेगा"], SURFACE_SCHEME)
     corpus = _parse("a\n", "क\n")
-    out, _ = inject(corpus, d, mode="surface")
+    out, _ = inject(corpus, strip_to_surface(d))
     assert out.source_lines()[-1] == "will walk"
     assert [t.render() for t in ref_pairs(out)[-1][0]] == ["will", "walk"]
     reparsed = _parse(

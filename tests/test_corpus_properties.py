@@ -190,7 +190,7 @@ def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionar
         tgt_lines.append(target)
     corpus = parse_factored_corpus(src_lines, tgt_lines, auto_normalize=True)
     before = _emit(corpus)
-    out, report = inject(corpus, dictionary, mode=mode)
+    out, report = inject(corpus, strip_to_surface(dictionary) if mode == "surface" else dictionary)
     after = _emit(out)
     assert after[0].startswith(before[0]) and after[1].startswith(before[1])
     assert report.entries_added + report.duplicates_skipped == report.entries_offered

@@ -106,6 +106,24 @@ def test_a_bad_verb_exception_row_fails_the_surface_build_at_its_line(exception_
         build_verb_dict([VerbLexEntry("चल", "walk")], surface=True)
 
 
+@pytest.mark.parametrize("name, row, message", [
+    ("noun_plural_exceptions.tsv", "child\tchilds", "duplicate singular 'child'"),
+    ("noun_plural_exceptions.tsv", "Ox\toxen", "singular 'Ox' is not lower-case"),
+    ("verb_exceptions.tsv", "go\t-\tgoed", "duplicate root 'go'"),
+    ("verb_exceptions.tsv", "Dig\t-\tdug", "root 'Dig' is not lower-case"),
+], ids=["noun-duplicate", "noun-upper-case", "verb-duplicate", "verb-upper-case"])
+def test_an_exception_row_that_never_takes_effect_is_an_error_at_its_line(
+        exception_table, name, row, message):
+    # a second row would replace the first, and the lookups lower-case the
+    # root, so an upper-case one would never match
+    where = exception_table(name, row)
+    with pytest.raises(InputError, match=f"^{re.escape(f'{where}: {message}')}$"):
+        if name == "verb_exceptions.tsv":
+            db.english_verb_surface("go", "sg", "3", "perf")
+        else:
+            db.english_noun_surface("child", "pl")
+
+
 def test_build_noun_dict_dedupe_and_failures():
     noun = BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))
     bad = BilingualNoun("cat", NounLexEntry("cat", "f"))  # Latin root
@@ -228,9 +246,9 @@ def test_dictionary_roundtrip_and_widths(verb_lexicon_lines):
     reparsed = parse_dictionary(d.lines)
     assert reparsed.lines == d.lines
     assert reparsed.scheme == VERB_SCHEME
-    with pytest.raises(InputError, match="has 1 factors, scheme declares 2"):
-        parse_dictionary(["a|b\tc"], NOUN_SCHEME)
+    with pytest.raises(InputError, match=re.escape("no scheme matches factor widths (1, 0)")):
+        parse_dictionary(["a|b\tc"])
     # duplicate lines collapse to one entry
-    assert parse_dictionary(["a|sg|dir\td|e|f"] * 2, NOUN_SCHEME) == WordFormDictionary(
+    assert parse_dictionary(["a|sg|dir\td|e|f"] * 2) == WordFormDictionary(
         ["a|sg|dir\td|e|f"], NOUN_SCHEME
     )

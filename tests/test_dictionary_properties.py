@@ -181,7 +181,7 @@ def _ref_check_values(rows, scheme):
                     f"{where}: bad {name} {value!r} (expected one of {', '.join(allowed)})")
 
 
-def _ref_parse(lines, scheme=None, name="<dictionary>"):
+def _ref_parse(lines, name="<dictionary>"):
     entries, seen, widths, rows = [], set(), None, []
     for where, (source, target) in sc.table_rows(lines, name, ("source", "target")):
         with sc.located(where):
@@ -194,15 +194,14 @@ def _ref_parse(lines, scheme=None, name="<dictionary>"):
         if entry not in seen:
             seen.add(entry)
             entries.append(entry)
-    if scheme is None:
-        if widths == (2, 2):
-            scheme = NOUN_SCHEME
-        elif widths == (3, 2):
-            scheme = VERB_SCHEME
-        elif widths in ((0, 0), None):
-            scheme = SURFACE_SCHEME
-        else:
-            raise InputError(f"{name}: no scheme matches factor widths {widths}")
+    if widths == (2, 2):
+        scheme = NOUN_SCHEME
+    elif widths == (3, 2):
+        scheme = VERB_SCHEME
+    elif widths in ((0, 0), None):
+        scheme = SURFACE_SCHEME
+    else:
+        raise InputError(f"{name}: no scheme matches factor widths {widths}")
     _ref_check_scheme(entries, scheme)
     _ref_check_values(rows, scheme)
     return entries, scheme
@@ -252,7 +251,7 @@ def _ref_inject(corpus, entries, scheme, mode):
         out_src.append(key[0])
         out_tgt.append(key[1])
         added += 1
-    report = {"schema_version": 1, "entries_offered": len(entries), "entries_added": added,
+    report = {"entries_offered": len(entries), "entries_added": added,
               "duplicates_skipped": skipped, "normalization_applied": normalized}
     return out_src, out_tgt, report
 
@@ -420,14 +419,13 @@ _dict_lines = st.one_of(
         *(st.sampled_from((*_REF_VALUES[f], "xx")) for f in scheme.source_factors[1:]),
     ).map(lambda parts: "|".join(parts) + "\tक|क|null"), max_size=5)),
 )
-_scheme = st.sampled_from([None, NOUN_SCHEME, VERB_SCHEME, SURFACE_SCHEME])
 
 
 @settings(deadline=None)
-@given(_dict_lines, _scheme)
-def test_parse_dictionary_matches_token_reference(lines, scheme):
-    new = _outcome(lambda: parse_dictionary(lines, scheme, "d.tsv"))
-    ref = _outcome(lambda: _ref_parse(lines, scheme, "d.tsv"))
+@given(_dict_lines)
+def test_parse_dictionary_matches_token_reference(lines):
+    new = _outcome(lambda: parse_dictionary(lines, "d.tsv"))
+    ref = _outcome(lambda: _ref_parse(lines, "d.tsv"))
     if ref[0] != "ok":
         assert new == ref
         return
@@ -465,6 +463,12 @@ def test_inject_matches_token_reference(pairs, lines, mode, data):
             break
     else:
         return
-    new = _outcome(lambda: (lambda out, rep: (out.src, out.tgt, rep.to_dict()))(
-        *inject(corpus[1], parse_dictionary(lines), mode)))
-    assert new == _outcome(lambda: _ref_inject(corpus[1], entries, scheme, mode))
+
+    def injected():
+        dictionary = parse_dictionary(lines)
+        if mode == "surface":
+            dictionary = strip_to_surface(dictionary)
+        out, report = inject(corpus[1], dictionary)
+        return out.src, out.tgt, report._asdict()
+
+    assert _outcome(injected) == _outcome(lambda: _ref_inject(corpus[1], entries, scheme, mode))

@@ -189,6 +189,15 @@ def test_no_call_loads_typing_pathlib_tempfile_or_random(tmp_path, call):
     assert not loaded & {"typing", "pathlib", "tempfile", "random"}
 
 
+def test_the_corpus_layer_loads_no_dictionary_layer():
+    # inject takes any WordFormDictionary; the CLI strips one to surface
+    # forms itself, so the corpus layer names the dictionary layer only
+    # in its annotations
+    loaded = _modules("import sys, morphinject.corpus_inject; print(0, *sys.modules)")
+    assert "morphinject.corpus_inject" in loaded
+    assert "morphinject.dictionary_builder" not in loaded
+
+
 def test_english_inflection_lives_in_the_dictionary_layer():
     annotator, builder = (import_module(f"morphinject.{m}")
                           for m in ("source_factors", "dictionary_builder"))

@@ -133,20 +133,18 @@ def brute_sparsity(train, probe, scheme):
         values = (token.surface,) + token.factors
         return tuple(values[declared.index(name)] for name in names)
 
-    out = {"schema_version": 1}
-    for key, side, declared, steps in (
-        ("translation_steps", 0, scheme.source_factors, scheme.translation_steps),
-        ("generation_steps", 1, scheme.target_factors, scheme.generation_steps),
-    ):
-        out[key] = []
+    out = []
+    for side, declared, steps in ((0, scheme.source_factors, scheme.translation_steps),
+                                  (1, scheme.target_factors, scheme.generation_steps)):
+        out.append([])
         for in_names, out_names in steps:
             known = {project(t, declared, in_names) for pair in ref_pairs(train) for t in pair[side]
                      if t.width >= len(declared) - 1}
             tuples = {project(t, declared, in_names) for pair in ref_pairs(probe) for t in pair[side]}
             unseen = sorted("|".join(t) for t in tuples - known)
-            out[key].append({"step": _label(in_names, out_names), "seen": len(tuples) - len(unseen),
-                             "unseen": len(unseen), "unseen_tuples": unseen})
-    return out
+            out[-1].append(StepReport(_label(in_names, out_names), len(tuples) - len(unseen),
+                                      len(unseen), unseen))
+    return SparsityReport(*out)
 
 
 @given(data=st.data())
@@ -154,8 +152,8 @@ def test_sparsity_matches_the_token_reference_on_equal_counts(data):
     scheme = data.draw(st.sampled_from(SCHEMES))
     train = data.draw(_train(scheme))
     probe = data.draw(_probe(scheme, equal_counts=True))
-    expected = reference_sparsity(train, probe, scheme).to_dict()
-    assert sparsity_report(train, probe, scheme).to_dict() == expected
+    expected = reference_sparsity(train, probe, scheme)
+    assert sparsity_report(train, probe, scheme) == expected
     assert brute_sparsity(train, probe, scheme) == expected
 
 
@@ -164,7 +162,7 @@ def test_sparsity_counts_every_probe_token(data):
     scheme = data.draw(st.sampled_from(SCHEMES))
     train = data.draw(_train(scheme))
     probe = data.draw(_probe(scheme, equal_counts=False))
-    assert sparsity_report(train, probe, scheme).to_dict() == brute_sparsity(train, probe, scheme)
+    assert sparsity_report(train, probe, scheme) == brute_sparsity(train, probe, scheme)
 
 
 @given(data=st.data())
