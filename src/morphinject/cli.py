@@ -11,11 +11,11 @@ write through it; stdout and an existing file that is not a regular one
 (a FIFO, a device) are written in place once every temp is staged; and
 the temps are renamed last, so if any output cannot be written none is,
 and no temp is left behind. A new output gets the mode open() would give
-it and a file written over keeps its own. Set MORPHINJECT_DATA to a
-directory to override the packaged default data files
-(noun_suffixes.tsv, verb_suffixes.tsv, pronouns.tsv, case_rules.tsv,
-tam_rules.tsv); a table's flag overrides both, and the subcommand calls
-its module's load_* on the file named.
+it and a file written over keeps its own. Each data table is named by its
+flag (--table, --pronouns, --case-rules, --tam-rules), which the
+subcommand passes to its module's load_*; with no flag it loads the
+packaged table. `inject` injects the dictionary it reads: a surface-only
+injection is `build-dict --surface`, then `inject`.
 
 A subcommand loads only the layers it runs, importing each when it is
 called: `build-dict` only the morphology of its --kind, and `inject`
@@ -55,22 +55,11 @@ from operator import itemgetter
 from . import script_core as sc
 from .errors import InputError
 
-DATA_DIR_ENV = "MORPHINJECT_DATA"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
-
-
-def _data_path(flag: str | None, name: str) -> str | None:
-    """The data table to load: `flag`, else MORPHINJECT_DATA/`name` if
-    that file exists, else None, which loaders read as the packaged one."""
-    base = os.environ.get(DATA_DIR_ENV)
-    if flag is None and base and os.path.isfile(os.path.join(base, name)):
-        return os.path.join(base, name)
-    return flag
 
 
 def _stage(path: str, name: str) -> tuple[str, int]:
@@ -231,14 +220,14 @@ def cmd_paradigm(args) -> int:
 
         if args.stem is None:
             raise InputError("--stem is required for verb paradigms")
-        table = vm.load_verb_suffix_table(_data_path(args.table, "verb_suffixes.tsv"))
+        table = vm.load_verb_suffix_table(args.table)
         rows = vm.verb_paradigm(vm.VerbLexEntry(args.stem, ""), table)
     else:
         if args.root is None or args.gender is None:
             raise InputError("--root and --gender are required for noun paradigms")
         from . import noun_morph as nm
 
-        table = nm.load_suffix_table(_data_path(args.table, "noun_suffixes.tsv"))
+        table = nm.load_suffix_table(args.table)
         entry = nm.NounLexEntry(args.root, args.gender, not args.uncountable, args.noun_class)
         rows = nm.noun_paradigm(entry, table)
     lines = ["\t".join((*factors, "-" if suffix is None else suffix, surface))
@@ -294,9 +283,9 @@ def _check_annotation(sentence, annotated, width: int, where: str) -> None:
 def cmd_annotate(args) -> int:
     from . import source_factors as sf
 
-    pronouns = sf.load_pronoun_table(_data_path(args.pronouns, "pronouns.tsv"))
-    case_rules = sf.load_case_rules(_data_path(args.case_rules, "case_rules.tsv"))
-    tam_rules = sf.load_tam_rules(_data_path(args.tam_rules, "tam_rules.tsv"))
+    pronouns = sf.load_pronoun_table(args.pronouns)
+    case_rules = sf.load_case_rules(args.case_rules)
+    tam_rules = sf.load_tam_rules(args.tam_rules)
     tails = _Tails(_ANNOTATE_WIDTH[args.mode])
     out_lines = [
         _annotation_line(
@@ -315,13 +304,13 @@ def cmd_build_dict(args) -> int:
         from . import noun_morph as nm
 
         lexicon = nm.parse_noun_lexicon(sc.read_lines(args.lexicon), name=args.lexicon)
-        table = nm.load_suffix_table(_data_path(args.table, "noun_suffixes.tsv"))
+        table = nm.load_suffix_table(args.table)
         dictionary = db.build_noun_dict(lexicon, table, surface=args.surface)
     else:
         from . import verb_morph as vm
 
         lexicon = vm.parse_verb_lexicon(sc.read_lines(args.lexicon), args.lexicon)
-        table = vm.load_verb_suffix_table(_data_path(args.table, "verb_suffixes.tsv"))
+        table = vm.load_verb_suffix_table(args.table)
         dictionary = db.build_verb_dict(lexicon, table, surface=args.surface)
     outputs = [(args.out, _lines_text(dictionary.lines))]
     if args.failures:
@@ -344,8 +333,6 @@ def cmd_inject(args) -> int:
         source_name=args.source, target_name=args.target,
     )
     dictionary = db.parse_dictionary(sc.read_lines(args.dict), args.dict)
-    if args.mode == "surface":
-        dictionary = db.strip_to_surface(dictionary)
     out_corpus, report = ci.inject(corpus, dictionary)
     _write_atomic([
         (args.out_source, _lines_text(out_corpus.source_lines())),
@@ -477,7 +464,6 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--dict", required=True)
-    p.add_argument("--mode", choices=["factored", "surface"], default="factored")
     p.add_argument("--auto-normalize", action="store_true",
                    help="pad ragged corpus factor widths instead of failing")
     p.add_argument("--out-source", required=True)

@@ -10,8 +10,8 @@ are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped. `inject` takes any
 WordFormDictionary and imports no dictionary layer: a surface-only
-injection is `inject(corpus, strip_to_surface(dictionary))`, the
-composition `inject --mode surface` runs.
+injection is `inject(corpus, strip_to_surface(dictionary))`, which
+writes what injecting a `build-dict --surface` dictionary writes.
 
 A ParallelCorpus holds the checked lines as strings. Each distinct token
 of a file is checked once, against one token pattern of the corpus

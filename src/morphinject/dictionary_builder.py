@@ -31,8 +31,9 @@ Those lines are valid by construction and go unchecked: a kept line's
 English root and Hindi form are valid, the English rules only add
 letters or a word to the root ("dogs", "will walk"), and an irregular
 form from the English exception tables was checked when they loaded.
-`inject --mode surface` passes its parsed dictionary through
-`strip_to_surface` before injecting, as a library caller composes the two.
+`strip_to_surface` serves library callers, who strip a factored
+dictionary they hold; the CLI's surface-only injection injects a
+`--surface` build.
 
 The English inflection of those surfaces lives here, its only user.
 The dictionary format loads no morphology and no annotator: the
@@ -232,11 +233,14 @@ def _surface_form(form: str, what: str, where: str) -> str:
 
 def _exception_rows(name: str, columns: tuple[str, ...]) -> Iterator[tuple[str, str, list[str]]]:
     """(where, root, forms) of each row of a packaged exception table. The
-    lookups lower-case the root they are given, so a root that is not
-    lower-case, or one given a second row, is an error at its line."""
+    lookups take a single-factor root and lower-case it, so a root that is
+    not a single factor or not lower-case, or one given a second row, is
+    an error at its line."""
     _, rows = sc.read_table(None, name, columns)
     roots = set()
     for where, (root, *forms) in rows:
+        if not sc.token_match(0)(root):
+            raise InputError(f"{where}: {columns[0]} {root!r} is not a single factor")
         if root != root.lower():
             raise InputError(f"{where}: {columns[0]} {root!r} is not lower-case")
         if root in roots:

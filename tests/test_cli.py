@@ -252,6 +252,45 @@ def test_build_dict_and_inject_roundtrip(tmp_path, capsys):
     assert "dog|pl|obl" in emitted
 
 
+@pytest.mark.parametrize("kind", ["noun", "verb"])
+def test_a_surface_build_then_inject_is_the_library_surface_injection(tmp_path, capsys, kind):
+    # the surface-only injection of the phrase-based runs: build-dict
+    # --surface, then inject, writes what inject(corpus,
+    # strip_to_surface(factored dictionary)) gives
+    from morphinject.corpus_inject import inject, parse_factored_corpus
+    from morphinject.dictionary_builder import parse_dictionary, strip_to_surface
+    from morphinject.script_core import read_lines
+
+    dicts = {flags: tmp_path / f"{kind}{len(flags)}.dict" for flags in ((), ("--surface",))}
+    for flags, path in dicts.items():
+        code, _, err = run(capsys, "build-dict", "--kind", kind, *flags,
+                           "--lexicon", str(FIXTURES / f"{kind}_lexicon.tsv"), "--out", str(path))
+        assert (code, err) == (0, "")
+    src, tgt = str(FIXTURES / "corpus_src.txt"), str(FIXTURES / "corpus_tgt.txt")
+    out_src, out_tgt = tmp_path / "out.src", tmp_path / "out.tgt"
+    code, out, err = run(capsys, "inject", "--source", src, "--target", tgt,
+                         "--dict", str(dicts[("--surface",)]), "--out-source", str(out_src),
+                         "--out-target", str(out_tgt), "--format", "json")
+    assert (code, err) == (0, "")
+
+    corpus = parse_factored_corpus(read_lines(src), read_lines(tgt))
+    factored = parse_dictionary(read_lines(str(dicts[()])), str(dicts[()]))
+    injected, report = inject(corpus, strip_to_surface(factored))
+    assert report.entries_added > 0
+    assert out_src.read_text("utf-8") == "".join(ln + "\n" for ln in injected.source_lines())
+    assert out_tgt.read_text("utf-8") == "".join(ln + "\n" for ln in injected.target_lines())
+    assert json.loads(out) == {"schema_version": 1, **report._asdict()}
+
+
+def test_inject_has_no_mode(capsys):
+    # a surface-only injection injects a build-dict --surface dictionary
+    with pytest.raises(SystemExit) as exc:
+        main(["inject", "--source", "s", "--target", "t", "--dict", "d",
+              "--mode", "surface", "--out-source", "o.s", "--out-target", "o.t"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --mode surface\n")
+
+
 def test_inject_empty_dict_identity(tmp_path, capsys):
     src = tmp_path / "src.txt"
     tgt = tmp_path / "tgt.txt"
@@ -367,8 +406,7 @@ def test_staged_outputs_get_the_mode_open_gives_and_a_failure_leaves_no_temp(
 def _env(**extra) -> dict[str, str]:
     """A CLI subprocess's environment: this checkout's package, the
     packaged tables, and stdout buffered unless `extra` says otherwise."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("MORPHINJECT_DATA", "PYTHONUNBUFFERED")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return {**env, **extra}
 
@@ -735,12 +773,13 @@ _BAD_FACTOR_VALUES = pytest.mark.parametrize("entry, message", [
 ], ids=["noun-number", "noun-case", "verb-number", "verb-person", "verb-tam"])
 
 
-def _inject_bad_factor_value(tmp_path, capsys, mode, entry, message):
+@_BAD_FACTOR_VALUES
+def test_inject_factored_names_a_bad_factor_value(tmp_path, capsys, entry, message):
     d = tmp_path / "d.tsv"
     d.write_text("# entries\n" + entry + "\n", "utf-8")
     out_src, out_tgt = tmp_path / "o.src", tmp_path / "o.tgt"
     code, out, err = run(
-        capsys, "inject", "--mode", mode, "--dict", str(d),
+        capsys, "inject", "--dict", str(d),
         "--source", str(FIXTURES / "corpus_src.txt"), "--target", str(FIXTURES / "corpus_tgt.txt"),
         "--out-source", str(out_src), "--out-target", str(out_tgt),
     )
@@ -749,22 +788,14 @@ def _inject_bad_factor_value(tmp_path, capsys, mode, entry, message):
     assert not out_src.exists() and not out_tgt.exists()
 
 
-@_BAD_FACTOR_VALUES
-def test_inject_surface_names_a_bad_factor_value(tmp_path, capsys, entry, message):
-    _inject_bad_factor_value(tmp_path, capsys, "surface", entry, message)
-
-
-@_BAD_FACTOR_VALUES
-def test_inject_factored_names_a_bad_factor_value(tmp_path, capsys, entry, message):
-    _inject_bad_factor_value(tmp_path, capsys, "factored", entry, message)
-
-
 DATA =Path(__file__).parents[1] / "src/morphinject/data"
 SAMPLE = str(FIXTURES / "sample.conllu")
 
-# per data file: the flag that overrides it, a command that reads it, one
+# per data file: the flag that names it, a command that reads it, one
 # packaged row, its replacement and an output line the replacement gives
 _OVERRIDES = [
+    ("noun_suffixes.tsv", "--table", ["paradigm", "--root", "कुत्ता", "--gender", "m"],
+     "D\tsg\tobl\tए", "D\tsg\tobl\t-", "sg\tobl\t-\tकुत्ता"),
     ("verb_suffixes.tsv", "--table", ["paradigm", "--verb", "--stem", "चल"],
      "hab\tm\tsg\t-\tता", "hab\tm\tsg\t-\tते", "hab\tm\tsg\t3\tते\tचलते"),
     ("pronouns.tsv", "--pronouns", ["annotate", "--conllu", SAMPLE],
@@ -776,39 +807,37 @@ _OVERRIDES = [
 ]
 
 
-def test_data_dir_env_override(tmp_path, capsys, monkeypatch):
-    # a data dir whose table makes class D pl-obl null changes the output
-    table = tmp_path / "noun_suffixes.tsv"
-    rows = []
-    for cls in "ABCDE":
-        for num, case in (("sg", "dir"), ("sg", "obl"), ("pl", "dir"), ("pl", "obl")):
-            suffix = "-"
-            if cls == "D" and (num, case) == ("pl", "obl"):
-                suffix = "ओं"
-            rows.append(f"{cls}\t{num}\t{case}\t{suffix}")
-    table.write_text("\n".join(rows) + "\n", "utf-8")
-    monkeypatch.setenv("MORPHINJECT_DATA", str(tmp_path))
-    code, out, _ = run(capsys, "paradigm", "--root", "कुत्ता", "--gender", "m")
-    assert code == 0
-    assert out.splitlines()[1] == "sg\tobl\t-\tकुत्ता"  # sg-obl now null
-    assert out.splitlines()[3] == "pl\tobl\tओं\tकुत्तों"
+def _altered_table(folder, name, row, replacement):
+    """A copy of the packaged table `name` in `folder`, `row` replaced."""
+    packaged = (DATA / name).read_text("utf-8")
+    assert packaged.count(row + "\n") == 1
+    path = folder / name
+    path.write_text(packaged.replace(row + "\n", replacement + "\n"), "utf-8")
+    return path
 
-    # the other four files: MORPHINJECT_DATA changes the output, and a flag
-    # naming the packaged file wins over it
-    for name, flag, argv, row, replacement, line in _OVERRIDES:
-        packaged = (DATA / name).read_text("utf-8")
-        assert packaged.count(row + "\n") == 1
-        monkeypatch.delenv("MORPHINJECT_DATA")
-        code, default_out, _ = run(capsys, *argv)
-        assert code == 0 and line not in default_out.splitlines()
-        data_dir = tmp_path / name.removesuffix(".tsv")
-        data_dir.mkdir()
-        (data_dir / name).write_text(packaged.replace(row + "\n", replacement + "\n"), "utf-8")
-        monkeypatch.setenv("MORPHINJECT_DATA", str(data_dir))
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and line in out.splitlines(), name
-        code, out, _ = run(capsys, *argv, flag, str(DATA / name))
-        assert code == 0 and out == default_out, name
+
+@pytest.mark.parametrize("name, flag, argv, row, replacement, line", _OVERRIDES,
+                         ids=[override[0] for override in _OVERRIDES])
+def test_each_table_flag_names_the_table_loaded(tmp_path, capsys, name, flag, argv, row,
+                                                replacement, line):
+    # the altered copy changes the output, and the packaged file gives the
+    # output of a call that names no table
+    code, default_out, _ = run(capsys, *argv)
+    assert code == 0 and line not in default_out.splitlines()
+    code, out, _ = run(capsys, *argv, flag, str(_altered_table(tmp_path, name, row, replacement)))
+    assert code == 0 and line in out.splitlines()
+    assert run(capsys, *argv, flag, str(DATA / name)) == (0, default_out, "")
+
+
+def test_a_data_dir_in_the_environment_changes_no_output(tmp_path, capsys, monkeypatch):
+    # each table is named by its flag alone: a MORPHINJECT_DATA directory of
+    # altered tables leaves every call on the packaged ones
+    default_outs = [run(capsys, *argv) for _, _, argv, _, _, _ in _OVERRIDES]
+    for name, _, _, row, replacement, _ in _OVERRIDES:
+        _altered_table(tmp_path, name, row, replacement)
+    monkeypatch.setenv("MORPHINJECT_DATA", str(tmp_path))
+    for (name, _, argv, _, _, _), default_out in zip(_OVERRIDES, default_outs):
+        assert run(capsys, *argv) == default_out, name
 
 
 def test_annotate_locates_bad_surface(tmp_path, capsys):

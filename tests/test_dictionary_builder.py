@@ -111,11 +111,22 @@ def test_a_bad_verb_exception_row_fails_the_surface_build_at_its_line(exception_
     ("noun_plural_exceptions.tsv", "Ox\toxen", "singular 'Ox' is not lower-case"),
     ("verb_exceptions.tsv", "go\t-\tgoed", "duplicate root 'go'"),
     ("verb_exceptions.tsv", "Dig\t-\tdug", "root 'Dig' is not lower-case"),
-], ids=["noun-duplicate", "noun-upper-case", "verb-duplicate", "verb-upper-case"])
+    ("noun_plural_exceptions.tsv", " ox\toxes", "singular ' ox' is not a single factor"),
+    ("noun_plural_exceptions.tsv", "fish \tfishes", "singular 'fish ' is not a single factor"),
+    ("noun_plural_exceptions.tsv", "\tmice", "singular '' is not a single factor"),
+    ("noun_plural_exceptions.tsv", "o|x\toxes", "singular 'o|x' is not a single factor"),
+    ("verb_exceptions.tsv", " go\t-\twent", "root ' go' is not a single factor"),
+    ("verb_exceptions.tsv", "go \t-\twent", "root 'go ' is not a single factor"),
+    ("verb_exceptions.tsv", "\t-\twent", "root '' is not a single factor"),
+], ids=["noun-duplicate", "noun-upper-case", "verb-duplicate", "verb-upper-case",
+        "noun-leading-space", "noun-trailing-space", "noun-empty", "noun-separator",
+        "verb-leading-space", "verb-trailing-space", "verb-empty"])
 def test_an_exception_row_that_never_takes_effect_is_an_error_at_its_line(
         exception_table, name, row, message):
     # a second row would replace the first, and the lookups lower-case the
-    # root, so an upper-case one would never match
+    # root, so an upper-case one would never match; a looked-up root is a
+    # single factor, so one with whitespace or a "|", or an empty one,
+    # would never match either
     where = exception_table(name, row)
     with pytest.raises(InputError, match=f"^{re.escape(f'{where}: {message}')}$"):
         if name == "verb_exceptions.tsv":

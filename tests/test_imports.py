@@ -75,7 +75,7 @@ _BARE = "import sys; print(0, *sys.modules)"
 def _modules(*args, site: bool = True) -> set[str]:
     """The modules loaded at the end of `python -c *args`, run with the
     site module or, with `site` false, under -S; it must exit 0."""
-    env = {k: v for k, v in os.environ.items() if k != "MORPHINJECT_DATA"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     python = [sys.executable] if site else [sys.executable, "-S"]
     proc = subprocess.run([*python, "-c", *args], capture_output=True, text=True, env=env)
@@ -122,9 +122,6 @@ def _calls(tmp_path) -> dict[str, list[str]]:
         "classify": ["--lexicon", str(nouns), "--bilingual", "--out", out],
         "build-dict --kind verb": ["--kind", "verb", "--lexicon", str(FIXTURES / "verb_lexicon.tsv"),
                                    "--surface", "--out", out],
-        "inject --mode surface": ["--source", src, "--target", tgt, "--dict", str(dictionary),
-                                  "--mode", "surface", "--out-source", out + ".src",
-                                  "--out-target", out + ".tgt", "--report", out + ".txt"],
         "paradigm --verb": ["--verb", "--stem", "चल", "--out", out],
     }
 
@@ -165,7 +162,6 @@ _LAYERS = {
     "build-dict": ("dictionary_builder", "noun_morph"),
     "build-dict --kind verb": ("dictionary_builder", "verb_morph"),
     "inject": ("dictionary_builder", "corpus_inject"),
-    "inject --mode surface": ("dictionary_builder", "corpus_inject"),
     "sparsity": ("dictionary_builder", "corpus_inject", "evaluation"),
     "paradigm": ("noun_morph",),
     "paradigm --verb": ("verb_morph",),
@@ -190,9 +186,8 @@ def test_no_call_loads_typing_pathlib_tempfile_or_random(tmp_path, call):
 
 
 def test_the_corpus_layer_loads_no_dictionary_layer():
-    # inject takes any WordFormDictionary; the CLI strips one to surface
-    # forms itself, so the corpus layer names the dictionary layer only
-    # in its annotations
+    # inject takes any WordFormDictionary, factored or surface-only, so
+    # the corpus layer names the dictionary layer only in its annotations
     loaded = _modules("import sys, morphinject.corpus_inject; print(0, *sys.modules)")
     assert "morphinject.corpus_inject" in loaded
     assert "morphinject.dictionary_builder" not in loaded

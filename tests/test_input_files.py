@@ -130,7 +130,9 @@ NOUNS = (FIXTURES / "noun_lexicon.tsv").read_text("utf-8").split("\n")[:12]
 INJECT = ["inject", "--source", str(FIXTURES / "corpus_src.txt"),
           "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", "F",
           "--out-source", "{tmp}/o.src", "--out-target", "{tmp}/o.tgt"]
-# per command: the argv around the drawn file F, and the file it grows from
+# per command: the argv around the drawn file F, and the file it grows from;
+# inject-surface grows from a surface-only dictionary, as build-dict
+# --surface writes one
 COMMANDS = {
     "classify": (["classify", "--lexicon", "F"], "\n".join(
         "\t".join(ln.split("\t")[1:]) for ln in NOUNS)),
@@ -145,9 +147,8 @@ COMMANDS = {
     "annotate": (["annotate", "--conllu", "F"],
                  (FIXTURES / "sample.conllu").read_text("utf-8")),
     "inject": (INJECT, DICTIONARY),
-    "inject-surface": (INJECT + ["--mode", "surface"], DICTIONARY),
-    "inject-surface-verb": (INJECT + ["--mode", "surface"],
-                            "walk|sg|3|hab\tचलता|चल|ता\nwalk|pl|1|perf\tचले|चल|ए\n"),
+    "inject-surface": (INJECT, "dog\tकुत्ता\ndogs\tकुत्तों\n"),
+    "inject-surface-verb": (INJECT, "walks\tचलता\nwalked\tचले\nwill walk\tचलेगा\n"),
     "sparsity": (["sparsity", "--scheme", "noun", "--train-source", str(FIXTURES / "corpus_src.txt"),
                   "--train-target", str(FIXTURES / "corpus_tgt.txt"),
                   "--probe-source", "F", "--probe-target", "F"],

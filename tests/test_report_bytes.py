@@ -19,6 +19,8 @@ NOUN_DICT = (
     "dog|pl|obl\tकुत्तों|कुत्ता|ओं\n"
     "girl|sg|dir\tलड़की|लड़की|null\n"
 )
+# NOUN_DICT stripped to surface forms, as build-dict --surface writes it
+SURFACE_DICT = "dog\tकुत्ता\ndogs\tकुत्तों\ngirl\tलड़की\n"
 SOURCE = "the|null|null dog|sg|dir\ndog|sg|dir\n"
 TARGET = "कुत्ता|कुत्ता|null है|हो|null\nकुत्ता|कुत्ता|null\n"
 PROBE_SOURCE = "dog|pl|obl girl|sg|dir\n"
@@ -31,7 +33,7 @@ REFERENCES = "the dog runs home today now\nthe girl sees the dog\n"
 
 @pytest.fixture
 def files(tmp_path):
-    texts = {"dict.tsv": NOUN_DICT, "src": SOURCE, "tgt": TARGET,
+    texts = {"dict.tsv": NOUN_DICT, "surface.tsv": SURFACE_DICT, "src": SOURCE, "tgt": TARGET,
              "probe.src": PROBE_SOURCE, "probe.tgt": PROBE_TARGET,
              "tokens": TOKENS, "vocab": VOCAB, "cand": CANDIDATES, "ref": REFERENCES}
     for name, text in texts.items():
@@ -46,10 +48,10 @@ def _argv(d, call):
         "inject": ["inject", "--source", str(d / "src"), "--target", str(d / "tgt"),
                    "--dict", str(d / "dict.tsv"), "--out-source", str(d / "o.src"),
                    "--out-target", str(d / "o.tgt"), "--report", report],
-        "inject --mode surface": ["inject", "--mode", "surface", "--source", str(d / "src"),
-                                  "--target", str(d / "tgt"), "--dict", str(d / "dict.tsv"),
-                                  "--out-source", str(d / "o.src"),
-                                  "--out-target", str(d / "o.tgt"), "--report", report],
+        "inject --dict surface.tsv": ["inject", "--source", str(d / "src"),
+                                      "--target", str(d / "tgt"), "--dict", str(d / "surface.tsv"),
+                                      "--out-source", str(d / "o.src"),
+                                      "--out-target", str(d / "o.tgt"), "--report", report],
         "sparsity": ["sparsity", "--scheme", "noun", "--train-source", str(d / "src"),
                      "--train-target", str(d / "tgt"), "--probe-source", str(d / "probe.src"),
                      "--probe-target", str(d / "probe.tgt"), "--out", report],
@@ -72,7 +74,7 @@ TEXT = {
         "duplicates_skipped: 1\n"
         "normalization_applied: False\n"
     ),
-    "inject --mode surface": (
+    "inject --dict surface.tsv": (
         "schema_version: 1\n"
         "entries_offered: 3\n"
         "entries_added: 3\n"
@@ -117,7 +119,7 @@ JSON = {
         '  "normalization_applied": false\n'
         '}\n'
     ),
-    "inject --mode surface": (
+    "inject --dict surface.tsv": (
         '{\n'
         '  "schema_version": 1,\n'
         '  "entries_offered": 3,\n'
