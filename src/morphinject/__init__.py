@@ -41,7 +41,6 @@ _EXPORTS = {
         "BleuScore",
         "OovReport",
         "SparsityReport",
-        "VocabSet",
         "bleu",
         "oov_count",
         "oov_reduction",

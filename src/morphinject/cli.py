@@ -364,9 +364,7 @@ def cmd_oov(args) -> int:
     from . import evaluation as ev
 
     tokens = [t for ln in sc.read_lines(args.tokens) for t in ln.split()]
-    vocab = ev.VocabSet.from_tokens(
-        t for ln in sc.read_lines(args.vocab) for t in ln.split()
-    )
+    vocab = {t for ln in sc.read_lines(args.vocab) for t in ln.split()}
     report = ev.oov_count(tokens, vocab)
     _write_atomic([(args.out, _report_text(report, args.format))])
     return 0

@@ -396,12 +396,12 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     """Drop all factors, keeping (and synthesizing) surface forms only.
 
     The English surface is rebuilt from the factored source (dogs for
-    dog|pl|*, walked for walk|*|*|perf); an entry with other than the
-    scheme's number of factors, or a factor value it reads that is
-    outside its closed value set, is an error naming the entry, each
-    distinct factor string checked once. Collapsed distinctions produce
-    exact duplicates, which are removed. The result keeps the input's
-    failures. Idempotent.
+    dog|pl|*, walked for walk|*|*|perf); an entry that is not one
+    source TAB target pair, an entry with other than the scheme's number
+    of factors, or a factor value it reads that is outside its closed
+    value set, is an error naming the entry, each distinct factor string
+    checked once. Collapsed distinctions produce exact duplicates, which
+    are removed. The result keeps the input's failures. Idempotent.
     """
     scheme = dictionary.scheme
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
@@ -411,7 +411,11 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     # each distinct factor string, checked once, and its values
     checked: dict[str, list[str]] = {}
     for line in dictionary.lines:
-        source, target = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
+                             f"(source, target), got {len(fields)}")
+        source, target = fields
         surface, _, factor_text = source.partition(FACTOR_SEP)
         if verb or noun:
             factors = checked.get(factor_text)

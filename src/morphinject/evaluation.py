@@ -8,16 +8,16 @@ target side for generation steps; a projection is unseen when no token
 on the same side of the training corpus projects to it. A parsed side
 has one width, so its first token decides for the side: a probe side
 of another width is an error, and a training side narrower than the
-scheme projects nothing. Each distinct token is projected once. OOV
-reduction uses the plain relative formula
-100 * (baseline - augmented) / baseline.
+scheme projects nothing. Each distinct token is projected once. An OOV
+count takes its vocabulary as a set of token strings, and OOV reduction
+uses the plain relative formula 100 * (baseline - augmented) / baseline.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -29,37 +29,10 @@ if TYPE_CHECKING:  # annotations only: oov and bleu load no corpus layer
     from .dictionary_builder import FactorScheme
 
 
-class VocabSet:
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: set[str]):
-        self.entries = entries
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> "VocabSet":
-        return cls(set(tokens))
-
-    @classmethod
-    def from_corpus_side(cls, corpus: ParallelCorpus, side: str = "target") -> "VocabSet":
-        lines = corpus.src if side == "source" else corpus.tgt
-        return cls({t.partition("|")[0] for line in lines if line for t in line.split(" ")})
-
-    def __contains__(self, item: str) -> bool:
-        return item in self.entries
-
-    def __eq__(self, other):
-        if type(other) is not VocabSet:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"VocabSet({self.entries!r})"
-
-
 OovReport = namedtuple("OovReport", "total_tokens oov_tokens oov_types")
 
 
-def oov_count(tokens: Sequence[str], vocab: VocabSet) -> OovReport:
+def oov_count(tokens: Sequence[str], vocab: set[str]) -> OovReport:
     """Count tokens absent from the vocabulary, as tokens and as types."""
     oov = [t for t in tokens if t not in vocab]
     return OovReport(

@@ -67,11 +67,10 @@ _TRAILING_MARKS = frozenset({ANUSVARA, CHANDRABINDU, VISARGA, "ऀ"})
 _NASALS = frozenset({ANUSVARA, CHANDRABINDU})
 
 _CONSONANT_RANGES = (
-    (0x0915, 0x0939),  # क .. ह
+    (0x0915, 0x0939),  # क .. ह, ऩ ऱ ऴ among them
     (0x0958, 0x095F),  # precomposed nukta letters क़ .. य़
     (0x0979, 0x097F),  # rare extensions (ॹ etc.)
 )
-_EXTRA_CONSONANTS = frozenset({0x0929, 0x0931, 0x0934})  # ऩ ऱ ऴ
 
 _INDEPENDENT_VOWELS = frozenset(
     list(range(0x0904, 0x0915)) + [0x0960, 0x0961, 0x0972]
@@ -157,8 +156,6 @@ _ENDING_BY_CODEPOINT = {
 
 def is_consonant(ch: str) -> bool:
     cp = ord(ch)
-    if cp in _EXTRA_CONSONANTS:
-        return True
     return any(lo <= cp <= hi for lo, hi in _CONSONANT_RANGES)
 
 

@@ -9,10 +9,12 @@ annotator only: the English inflection that builds a surface-only
 dictionary ("dogs", "will walk") belongs to dictionary_builder.
 
 Factor values are the strings they are written as ("pl", "obl", "3",
-"perf"). The pronoun, case-rule and TAM-rule loaders check each value
-against its closed set (script_core.NUMBERS, CASES, PERSONS, TAMS),
-and a row that could never take effect (a second row for a pronoun, a
-rule named twice or listed after "default") is an error at its line.
+"perf"). The pronoun table is a dict from lower-cased pronoun to
+(person, number), and a rule list is (rule, value) pairs in order. The
+pronoun, case-rule and TAM-rule loaders check each value against its
+closed set (script_core.NUMBERS, CASES, PERSONS, TAMS), and a row that
+could never take effect (a second row for a pronoun, a rule named twice
+or listed after "default") is an error at its line.
 
 annotate_sentence is the one place that decides what a noun or a verb is
 and computes its factors, a tuple per token; the CLI's annotate loads
@@ -57,21 +59,9 @@ PREP_OBJECT_DEPRELS = {"pobj", "obl"}
 ConlluToken = namedtuple("ConlluToken", "id form lemma xpos head deprel")
 
 
-class PronounTable:
-    """Lower-cased pronoun -> (person, number)."""
-
-    def __init__(self, entries: dict[str, tuple[str, str]]):
-        for pron, person in (("i", "1"), ("we", "1"), ("you", "2"), ("he", "3"),
-                             ("she", "3"), ("it", "3"), ("they", "3")):
-            if entries.get(pron, (None,))[0] != person:
-                raise InputError(f"pronoun table is missing or misclassifies {pron!r}")
-        self.entries = dict(entries)
-
-    def lookup(self, form: str) -> tuple[str, str] | None:
-        return self.entries.get(form.lower())
-
-
-def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTable:
+def load_pronoun_table(source: str | Path | TextIO | None = None) -> dict[str, tuple[str, str]]:
+    """Lower-cased pronoun -> (person, number). The table must hold the
+    seven personal pronouns with their persons."""
     name, rows = sc.read_table(source, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
@@ -80,8 +70,11 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> PronounTabl
         if pron.lower() in entries:
             raise InputError(f"{where}: duplicate pronoun {pron!r}")
         entries[pron.lower()] = value
-    with sc.located(name):
-        return PronounTable(entries)
+    for pron, person in (("i", "1"), ("we", "1"), ("you", "2"), ("he", "3"),
+                         ("she", "3"), ("it", "3"), ("they", "3")):
+        if entries.get(pron, (None,))[0] != person:
+            raise InputError(f"{name}: pronoun table is missing or misclassifies {pron!r}")
+    return entries
 
 
 def _load_rules(source, default_name: str, facts: tuple, values: tuple[str, ...],
@@ -199,7 +192,7 @@ def default_tam_rules() -> list[tuple[str, str]]:
 
 
 @cache
-def default_pronoun_table() -> PronounTable:
+def default_pronoun_table() -> dict[str, tuple[str, str]]:
     """The packaged pronoun table, loaded once."""
     return load_pronoun_table()
 
@@ -238,7 +231,7 @@ def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
 def annotate_sentence(
     sentence: list[ConlluToken],
     mode: str = "both",
-    pronouns: PronounTable | None = None,
+    pronouns: dict[str, tuple[str, str]] | None = None,
     case_rules: list[tuple[str, str]] | None = None,
     tam_rules: list[tuple[str, str]] | None = None,
 ) -> list[tuple[str, tuple[str, ...]]]:
@@ -260,7 +253,6 @@ def annotate_sentence(
                                CASE_FACTS, "dir")
     tam_table = compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
                               TAM_FACTS, "hab")
-    persons = pronouns.entries
     tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
     out = []
     for token in sentence:
@@ -281,7 +273,7 @@ def annotate_sentence(
             # (number, person) from the subject: a pronoun's, a plural
             # noun's, or singular third
             subject = subjects.get(tid)
-            pron = None if subject is None else persons.get(subject.form.lower())
+            pron = None if subject is None else pronouns.get(subject.form.lower())
             if pron is not None:
                 number, person = pron[1], pron[0]
             elif subject is not None and subject.xpos in PLURAL_TAGS:

@@ -374,7 +374,7 @@ def ref_verb_factors(verb, sentence, pronouns, rules) -> EnglishVerbFactors:
     number, person = "sg", "3"
     subject = _find_subject(verb, sentence)
     if subject is not None:
-        pron = pronouns.lookup(subject.form)
+        pron = pronouns.get(subject.form.lower())
         if pron is not None:
             person, number = pron
         elif subject.xpos in REF_NOUN_TAGS:

@@ -21,7 +21,7 @@ from morphinject.corpus_inject import (
     parse_factored_corpus,
 )
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
-from morphinject.evaluation import VocabSet, bleu, oov_count, oov_reduction, sparsity_report
+from morphinject.evaluation import bleu, oov_count, oov_reduction, sparsity_report
 from morphinject.noun_morph import (
     BilingualNoun,
     NounLexEntry,
@@ -158,7 +158,7 @@ def test_criterion_4_sparsity_closure(noun_fixtures):
         assert len(probe_pairs - brute_after) == 0
         assert after.generation_steps[0].unseen == 0
 
-        vocab = VocabSet.from_corpus_side(injected, "target")
+        vocab = {t.surface for _, tgt in ref_pairs(injected) for t in tgt}
         oov = oov_count([e.target.surface for e in pl_obl], vocab)
         assert oov.oov_tokens == 0
         assert time.perf_counter() - start < 5.0

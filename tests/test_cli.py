@@ -1046,6 +1046,15 @@ def test_data_table_row_that_never_takes_effect_exits_1(tmp_path, capsys, flag, 
     assert err == f"error: {config}{message}\n"
 
 
+# a table missing a required pronoun is an error at the table's name
+def test_a_pronoun_table_without_we_names_the_table(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("p.tsv").write_text("i\t1\tsg\n", "utf-8")
+    code, out, err = run(capsys, "annotate", "--conllu", SAMPLE, "--pronouns", "p.tsv")
+    assert (code, out, err) == (
+        1, "", "error: p.tsv: pronoun table is missing or misclassifies 'we'\n")
+
+
 # registered before the CLI's own atexit hook, so it runs after it
 _FREEZE_PROBE = """\
 import atexit, gc, sys

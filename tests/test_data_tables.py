@@ -102,7 +102,10 @@ def test_packaged_defaults_load_once(default):
 def test_a_table_and_its_lines_load_the_same_from_a_path_as_from_a_str(name):
     loader = TABLES[name][0]
     by_path, by_str = loader(DATA / name), loader(str(DATA / name))
-    assert (by_path == by_str) if isinstance(by_str, list) else vars(by_path) == vars(by_str)
+    if isinstance(by_str, (list, dict)):
+        assert by_path == by_str
+    else:
+        assert vars(by_path) == vars(by_str)
     assert sc.read_lines(DATA / name) == sc.read_lines(str(DATA / name))
     missing = DATA / "missing" / name
     with pytest.raises(InputError, match=f"^{re.escape(str(missing))}: no such file$"):

@@ -241,9 +241,17 @@ def test_strip_to_surface_verbs():
     # any other factor count than the scheme's, though the factors read are valid
     (NOUN_SCHEME, ["dog|pl"], "entry 'dog|pl' has 1 factors, scheme declares 2"),
     (VERB_SCHEME, ["walk|sg|3|hab|x"], "entry 'walk|sg|3|hab|x' has 4 factors, scheme declares 3"),
+    # an entry that is not one source TAB target pair, or a bad surface side
+    (SURFACE_SCHEME, ["a\t\tb"],
+     "entry 'a\\t\\tb': expected 2 tab-separated fields (source, target), got 3"),
+    (SURFACE_SCHEME, ["a b"], "entry 'a b': expected 2 tab-separated fields (source, target), got 1"),
+    (SURFACE_SCHEME, ["will  walk\tx"],
+     "surface-only side 'will  walk' is not words joined by single spaces"),
 ])
 def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
-    d = WordFormDictionary([f"{s}\tक|क|null" for s in sources], scheme)
+    # a surface-only case gives whole lines, any other its source sides
+    d = WordFormDictionary(sources if scheme is SURFACE_SCHEME
+                           else [f"{s}\tक|क|null" for s in sources], scheme)
     if message is None:
         assert strip_to_surface(d).lines == ["dogs\tक", "dog\tक"]
         return

@@ -9,7 +9,6 @@ from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
 from morphinject.errors import InputError
 from morphinject.evaluation import (
-    VocabSet,
     bleu,
     oov_count,
     oov_reduction,
@@ -19,10 +18,10 @@ from morphinject.noun_morph import BilingualNoun
 
 
 def test_oov_count_basics():
-    vocab = VocabSet.from_tokens(["a", "b", "c"])
+    vocab = {"a", "b", "c"}
     report = oov_count(["a", "b", "a"], vocab)
     assert report.oov_tokens == 0 and report.total_tokens == 3
-    report = oov_count(["x", "y"], VocabSet.from_tokens([]))
+    report = oov_count(["x", "y"], set())
     assert report.oov_tokens == report.total_tokens == 2
 
 
@@ -30,8 +29,8 @@ def test_oov_count_planted_misses():
     # ten-token probe with three planted misses, checked by brute force
     vocab_words = ["w0", "w1", "w2", "w3", "w4", "w5", "w6"]
     probe = ["w0", "w1", "miss1", "w2", "miss2", "w3", "w4", "miss1", "w5", "w6"]
-    vocab = VocabSet.from_tokens(vocab_words)
-    brute = sum(1 for t in probe if t not in set(vocab_words))
+    vocab = set(vocab_words)
+    brute = sum(1 for t in probe if t not in vocab_words)
     report = oov_count(probe, vocab)
     assert report.oov_tokens == brute == 3
     assert report.oov_types == ["miss1", "miss2"]
@@ -44,7 +43,7 @@ def test_oov_monotonicity():
     last = None
     for i in range(50):
         vocab.add(f"t{i}")
-        count = oov_count(probe, VocabSet(set(vocab))).oov_tokens
+        count = oov_count(probe, vocab).oov_tokens
         if last is not None:
             assert count <= last
         last = count
@@ -56,6 +55,8 @@ def test_oov_reduction():
     assert oov_reduction(10, 0) == 100.0
     with pytest.raises(InputError, match=r"^baseline count must be positive, got 0$"):
         oov_reduction(0, 5)
+    with pytest.raises(InputError, match=r"^augmented count must be >= 0, got -1$"):
+        oov_reduction(10, -1)
     # antitone in the second argument
     values = [oov_reduction(1000, a) for a in range(0, 1001, 100)]
     assert values == sorted(values, reverse=True)

@@ -59,7 +59,7 @@ EXPORTS = {
                            "build_verb_dict", "strip_to_surface"],
     "corpus_inject": ["InjectionReport", "ParallelCorpus", "emit_factored_corpus", "inject",
                       "parse_factored_corpus"],
-    "evaluation": ["BleuScore", "OovReport", "SparsityReport", "VocabSet", "bleu", "oov_count",
+    "evaluation": ["BleuScore", "OovReport", "SparsityReport", "bleu", "oov_count",
                    "oov_reduction", "sparsity_report"],
 }
 

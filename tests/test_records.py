@@ -13,7 +13,7 @@ from morphinject.dictionary_builder import (
     WordFormDictionary,
 )
 from morphinject.errors import InputError
-from morphinject.evaluation import BleuScore, OovReport, SparsityReport, StepReport, VocabSet
+from morphinject.evaluation import BleuScore, OovReport, SparsityReport, StepReport
 from morphinject.noun_morph import BilingualNoun, NounLexEntry
 from morphinject.verb_morph import VerbLexEntry
 
@@ -32,7 +32,6 @@ RECORDS = [
      ("index", "english_root", "hindi_root", "error")),
     (WordFormDictionary, (["a\tb"], SURFACE_SCHEME, [EntryFailure(0, "x", "y", "z")]),
      ("lines", "scheme", "failures")),
-    (VocabSet, ({"a", "b"},), ("entries",)),
     (OovReport, (5, 2, ["x", "y"]), ("total_tokens", "oov_tokens", "oov_types")),
     (StepReport, ("root -> surface", 3, 1, ["x"]), ("step", "seen", "unseen", "unseen_tuples")),
     (SparsityReport, ([StepReport("a -> b", 1, 0, [])], []),
@@ -83,7 +82,6 @@ def test_dictionary_equality_ignores_failures():
 
 def test_records_with_other_values_differ():
     assert ParallelCorpus([], []) != WordFormDictionary([], SURFACE_SCHEME)
-    assert VocabSet({"a"}) != VocabSet({"b"})
     assert OovReport(1, 0, []) != OovReport(1, 1, ["x"])
 
 
@@ -169,11 +167,3 @@ def test_what_the_bench_reads_and_patches(monkeypatch):
     report = InjectionReport(entries_offered=4, entries_added=3, duplicates_skipped=1,
                              normalization_applied=False)
     assert (report.entries_offered, report.entries_added) == (4, 3)
-
-
-def test_vocab_membership():
-    vocab = VocabSet.from_tokens(["a", "b", "a"])
-    assert vocab == VocabSet({"a", "b"}) and "a" in vocab and "c" not in vocab
-    corpus = ParallelCorpus(["x|1 y|2"], ["z|3"])
-    assert VocabSet.from_corpus_side(corpus, "source").entries == {"x", "y"}
-    assert VocabSet.from_corpus_side(corpus).entries == {"z"}

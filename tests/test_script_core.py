@@ -26,6 +26,8 @@ def test_ending_of_examples():
     assert sc.ending_of("ले") == "e"
     assert sc.ending_of("भाई") == "ii"  # independent vowel
     assert sc.ending_of("कुआँ") == "aa"  # nasal is transparent
+    for word in ("का\u0929", "का\u0931", "का\u0934"):  # precomposed ऩ ऱ ऴ
+        assert sc.ending_of(word) == "consonant"
     with pytest.raises(InputError, match=r"^empty word$"):
         sc.ending_of("")
     with pytest.raises(InputError, match=r"^non-Devanagari codepoint U\+0064 at offset 0$"):

@@ -100,8 +100,8 @@ def test_pronoun_table_invariant():
     with pytest.raises(InputError):
         load_pronoun_table(io.StringIO("i\t1\tsg\n"))  # missing you/he/...
     table = default_pronoun_table()
-    assert table.lookup("They") == ("3", "pl")
-    assert table.lookup("xyzzy") is None
+    assert table.get("They".lower()) == ("3", "pl")
+    assert table.get("xyzzy") is None
 
 
 def test_english_noun_surface():

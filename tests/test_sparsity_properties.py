@@ -19,7 +19,6 @@ from morphinject.errors import InputError
 from morphinject.evaluation import (
     SparsityReport,
     StepReport,
-    VocabSet,
     sparsity_report,
 )
 
@@ -188,14 +187,6 @@ def test_a_probe_token_of_another_width_is_located(data):
         assert expected is None
 
 
-@given(data=st.data())
-def test_vocab_of_a_corpus_side_is_its_token_surfaces(data):
-    corpus = data.draw(_train(data.draw(st.sampled_from(SCHEMES))))
-    for side, index in (("source", 0), ("target", 1)):
-        expected = {t.surface for pair in ref_pairs(corpus) for t in pair[index]}
-        assert VocabSet.from_corpus_side(corpus, side).entries == expected
-
-
 def test_a_narrower_training_side_projects_nothing_and_a_padded_one_projects():
     probe = _corpus(["dog|sg|dir"], ["कुत्ता|कुत्ता|null"])
     narrower = _corpus(["dog|sg"], ["कुत्ता|कुत्ता"])
@@ -212,7 +203,7 @@ def test_sparsity_of_a_valid_corpus():
     probe = _corpus(["w1|pl|obl w2|sg|dir w3|sg|obl", "w4|sg|dir"],
                     ["क1|क|ओं", "क4|क|null क5|क|null"])
     report = sparsity_report(train, probe, NOUN_SCHEME)
-    vocab = VocabSet.from_corpus_side(train, "target")
+    vocab = {t.surface for _, tgt in ref_pairs(train) for t in tgt}
     assert [(s.seen, s.unseen) for s in report.translation_steps] == [(2, 2)]
     assert [(s.seen, s.unseen) for s in report.generation_steps] == [(1, 1)]
-    assert len(vocab.entries) == 10
+    assert len(vocab) == 10
