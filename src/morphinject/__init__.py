@@ -33,7 +33,6 @@ _EXPORTS = {
     "corpus_inject": (
         "InjectionReport",
         "ParallelCorpus",
-        "emit_factored_corpus",
         "inject",
         "parse_factored_corpus",
     ),

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 input/validation error (one-line diagnostic on
 stderr), 2 internal error. Every exception the package raises on purpose
 is an InputError, the one exception class it defines, so exit 2 means an
 exception nobody planned for: a bug. Every input file is read by
-script_core.read_lines: UTF-8, split on LF only, a CR rejected. Each
+script_core.read_lines: UTF-8, split on LF only, a CR and a leading byte
+order mark rejected. Every output is written by _write_atomic: each
 output file is staged in a temporary file beside it, or beside its
 target if it is a symlink, which is written through as open() would
 write through it; stdout and an existing file that is not a regular one

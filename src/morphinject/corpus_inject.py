@@ -1,4 +1,4 @@
-"""Factored parallel corpus I/O and word-form dictionary injection.
+"""Factored parallel corpus parsing and word-form dictionary injection.
 
 Corpus format (bit-exact): UTF-8, LF line endings only, tokens separated
 by single spaces, factors by "|", no trailing whitespace. A "\r" or
@@ -18,9 +18,10 @@ of a file is checked once, against one token pattern of the corpus
 width; only a file that holds a bad or ragged token is split line by
 line into tokens, so script_core.token_error names the first bad one at
 name:line:column and the first ragged one is found. Padding
-(auto_normalize, injection), emission and the sparsity report work on
-the strings, and ParallelCorpus.pairs, the lines split into token
-strings, is built each time it is read.
+(auto_normalize, injection) and the sparsity report work on the strings,
+and ParallelCorpus.pairs, the lines split into token strings, is built
+each time it is read. The parser takes lines, as script_core.read_lines
+gives them, and the CLI writes the result: this module opens no file.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .errors import InputError
 from .script_core import NULL_FACTOR
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing, and inject no dictionary layer
-    from typing import IO
-
+if TYPE_CHECKING:  # annotations only: inject imports no dictionary layer
     from .dictionary_builder import WordFormDictionary
 
 
@@ -156,18 +155,18 @@ def _settle_width(
 
 
 def parse_factored_corpus(
-    source: Iterable[str] | IO[str],
-    target: Iterable[str] | IO[str],
+    source: Iterable[str],
+    target: Iterable[str],
     auto_normalize: bool = False,
     source_name: str = "source",
     target_name: str = "target",
 ) -> ParallelCorpus:
-    """Parse parallel source/target streams into a validated corpus.
+    """Parse parallel source/target lines into a validated corpus.
 
     The first violation is reported as name:line:column. Ragged factor
     widths are an error unless auto_normalize pads them out. A trailing
-    "\n" is removed from each line; open files with newline="" so that
-    a "\r" reaches the check instead of being translated away.
+    "\n" is removed from each line, so lines split with their ends kept
+    parse as the same lines without them.
     """
     src_lines = [ln.rstrip("\n") for ln in source]
     tgt_lines = [ln.rstrip("\n") for ln in target]
@@ -203,8 +202,8 @@ def inject(
     """
     src_width = corpus.source_width()
     tgt_width = corpus.target_width()
-    first = dictionary.lines[0].split("\t") if dictionary.lines else ("", "")
-    dict_src_width, dict_tgt_width = (side.count("|") for side in first)
+    dict_src_width = dictionary.scheme.source_width
+    dict_tgt_width = dictionary.scheme.target_width
     if src_width is None:
         src_width = dict_src_width
     if tgt_width is None:
@@ -221,7 +220,7 @@ def inject(
     existing = set(zip(corpus.src, corpus.tgt))
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
     for line in dictionary.lines:
-        source, target = line.split("\t")
+        source, target = sc.entry_sides(line)
         src_line, tgt_line = key = (_entry_side(source, src_pad), _entry_side(target, tgt_pad))
         if key in existing:
             continue
@@ -236,9 +235,3 @@ def inject(
         normalization_applied=bool(dictionary.lines and (src_pad or tgt_pad)),
     )
     return ParallelCorpus(out_src, out_tgt), report
-
-
-def emit_factored_corpus(corpus: ParallelCorpus, source: IO[str], target: IO[str]) -> None:
-    """Write the corpus back out; parse(emit(c)) == c, byte for byte."""
-    source.writelines(ln + "\n" for ln in corpus.src)
-    target.writelines(ln + "\n" for ln in corpus.tgt)

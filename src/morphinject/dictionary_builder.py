@@ -142,9 +142,12 @@ class WordFormDictionary:
         return len(self.lines)
 
 
+# a surface-only side: words joined by single spaces ("will walk")
+_SURFACE_SIDE = rf"{sc.TOKEN_PART}(?: {sc.TOKEN_PART})*"
+
+
 def _side_pattern(width: int) -> str:
-    """A surface-only side is tokens joined by single spaces ("will walk")."""
-    return sc.line_pattern(0).pattern if width == 0 else sc.token_pattern(width)
+    return _SURFACE_SIDE if width == 0 else sc.token_pattern(width)
 
 
 def _side_error(surface: str, factors: Sequence[str]) -> str | None:
@@ -226,7 +229,7 @@ _VOWELS = "aeiou"
 def _surface_form(form: str, what: str, where: str) -> str:
     """`form` if it is a valid surface-only side, else an error at
     `where`: every English surface the two tables below give is valid."""
-    if not sc.line_pattern(0).fullmatch(form):
+    if not re.fullmatch(_SURFACE_SIDE, form):
         raise InputError(f"{where}: bad {what} {form!r} (not words joined by single spaces)")
     return form
 
@@ -285,8 +288,8 @@ def english_noun_surface(root: str, number: str) -> str:
 def english_verb_surface(root: str, number: str, person: str, tam: str) -> str:
     """Inflect an English verb lemma for the given factor values.
 
-    Future and modal forms are periphrastic ("will walk"); downstream
-    corpus emission splits them into separate tokens.
+    Future and modal forms are periphrastic ("will walk"); injection
+    splits them into separate tokens.
     """
     if tam == "inf":
         return "to " + root
@@ -411,11 +414,7 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     # each distinct factor string, checked once, and its values
     checked: dict[str, list[str]] = {}
     for line in dictionary.lines:
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
-                             f"(source, target), got {len(fields)}")
-        source, target = fields
+        source, target = sc.entry_sides(line)
         surface, _, factor_text = source.partition(FACTOR_SEP)
         if verb or noun:
             factors = checked.get(factor_text)

@@ -36,11 +36,6 @@ from . import script_core as sc
 from .errors import InputError
 from .script_core import NULL_SUFFIX_MARK
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
-    from pathlib import Path
-    from typing import TextIO
-
 
 NOUN_CLASSES = ("A", "B", "C", "D", "E")
 
@@ -111,11 +106,11 @@ class SuffixTable:
         return legal
 
 
-def load_suffix_table(source: str | Path | TextIO | None = None) -> SuffixTable:
-    """Load a suffix table from TSV (class, number, case, suffix); the
-    packaged one when `source` is None. A suffix is "-" (null) or a
-    Devanagari word."""
-    name, rows = sc.read_table(source, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
+def load_suffix_table(path: str | None = None) -> SuffixTable:
+    """Load a suffix table from the TSV file at `path` (class, number,
+    case, suffix); the packaged one when `path` is None. A suffix is "-"
+    (null) or a Devanagari word."""
+    name, rows = sc.read_table(path, "noun_suffixes.tsv", ("class", "number", "case", "suffix"))
     cells: dict[tuple[str, str, str], str | None] = {}
     for where, (cls, number, case, suffix) in rows:
         key = (

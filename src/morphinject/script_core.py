@@ -16,12 +16,14 @@ codepoints).
 The one factored-token rule is here: a token is the text
 surface|factor|..., `token_pattern` matches a valid one, and
 `token_error` names the first problem of any other, for the corpus,
-the dictionary and annotate alike.
+the dictionary and annotate alike. `entry_sides` splits a dictionary
+entry into its two sides, for injection and for `strip_to_surface`.
 
-Every input file is read here too: `read_lines` holds the one line rule
-(UTF-8, split on "\n" only, no "\r"), and `table_rows` is the one row
-reader shared by the data tables, the lexicons and the dictionary, so a
-bad row in any of them is reported as file:line. The closed value sets
+Every input file is read here too, from its path: `read_lines` holds
+the one line rule (UTF-8, split on "\n" only, no "\r", no leading byte
+order mark), and `table_rows` is the one row reader shared by the data
+tables, the lexicons and the dictionary, so a bad row in any of them is
+reported as file:line. The closed value sets
 of the factors (NUMBERS, CASES, GENDERS, PERSONS, TAMS) are tuples of
 strings, in order, and `table_value` checks a cell against one of them.
 """
@@ -36,11 +38,6 @@ from contextlib import contextmanager
 from functools import cache
 
 from .errors import InputError
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
-    from pathlib import Path
-    from typing import TextIO
 
 NULL_SUFFIX_MARK = "-"  # the null suffix in a data table
 
@@ -195,12 +192,8 @@ def normalize(text: str) -> str:
     return "".join(out)
 
 
-# word content: the Devanagari block minus the danda marks (U+0964, U+0965)
-_WORD = re.compile("[\u0900-\u0963\u0966-\u097f]+")
-
-
 def _check_word(word: str) -> None:
-    if _WORD.fullmatch(word):
+    if tail_match()(word):
         return
     # the first offending codepoint, for the message
     if not word:
@@ -214,11 +207,12 @@ def _check_word(word: str) -> None:
 
 @cache
 def tail_match():
-    """fullmatch for a Devanagari word (the rule `ending_of` checks)
-    whose group 1 is the word's tail: its last codepoint before any
-    trailing marks (U+0900..U+0903) with those marks, or the whole word
-    if it is only marks. The joiners read and rewrite only the tail, and
-    a tail has the word's ending. Compiled on first use."""
+    """fullmatch for a Devanagari word, a run of the Devanagari block
+    minus the danda marks (the rule `ending_of` checks), whose group 1
+    is the word's tail: its last codepoint before any trailing marks
+    (U+0900..U+0903) with those marks, or the whole word if it is only
+    marks. The joiners read and rewrite only the tail, and a tail has
+    the word's ending. Compiled on first use."""
     return re.compile(
         "(?:[\u0900-\u0963\u0966-\u097f]*(?=[\u0904-\u0963\u0966-\u097f]))?"
         "([\u0900-\u0963\u0966-\u097f][\u0900-\u0903]*)").fullmatch
@@ -306,14 +300,6 @@ def token_match(width: int):
     return re.compile(token_pattern(width)).fullmatch
 
 
-@cache
-def line_pattern(width: int) -> re.Pattern:
-    """The compiled pattern of a valid line: tokens of `width` factors,
-    one " " between two. Compiled on first use."""
-    token = token_pattern(width)
-    return re.compile(rf"{token}(?: {token})*")
-
-
 def token_error(surface: str, factors: Sequence[str]) -> str | None:
     """The first problem of a token, given as its text split at "|", or
     None: the one token rule. The surface and every factor are non-empty
@@ -337,22 +323,29 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
     return None
 
 
+def entry_sides(line: str) -> list[str]:
+    """The source and target sides of a dictionary entry, the line
+    "source\ttarget"; any other line is an error naming the entry."""
+    sides = line.split("\t")
+    if len(sides) != 2:
+        raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
+                         f"(source, target), got {len(sides)}")
+    return sides
+
+
 # --- input files ---
 
-def read_lines(source, name: str | None = None) -> list[str]:
+def read_lines(path: str | os.PathLike, name: str | None = None) -> list[str]:
     """The lines of a UTF-8 text file, split on "\n" only; a final "\n"
-    ends the last line. `source` is a path (a str or a Path) or an open
-    text stream, and `name` (default: the path) starts every error:
-    a file that cannot be read, bytes that are not UTF-8, or a "\r"
-    anywhere is an InputError."""
+    ends the last line. `path` is a str or a PathLike, and `name` (default:
+    the path) starts every error: a file that cannot be read, bytes that
+    are not UTF-8, a leading byte order mark or a "\r" anywhere is an
+    InputError."""
     if name is None:
-        name = str(source)
+        name = os.fspath(path)
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(os.fspath(source), "rb") as fh:
-                text = fh.read().decode("utf-8")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError:
         raise InputError(f"{name}: no such file") from None
     except OSError as exc:
@@ -361,6 +354,8 @@ def read_lines(source, name: str | None = None) -> list[str]:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(
             f"{name}:{line}: not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    if text.startswith("\ufeff"):  # rejected, not stripped: corpus bytes stay as read
+        raise InputError(f"{name}:1:1: byte order mark")
     cr = text.find("\r")
     if cr >= 0:
         line, col = text.count("\n", 0, cr) + 1, cr - text.rfind("\n", 0, cr)
@@ -372,18 +367,15 @@ def read_lines(source, name: str | None = None) -> list[str]:
 
 
 def read_table(
-    source: str | Path | TextIO | None, default_name: str, columns: tuple[str, ...],
+    path: str | os.PathLike | None, default_name: str, columns: tuple[str, ...],
 ) -> tuple[str, Iterator[tuple[str, list[str]]]]:
-    """The name and data rows (see `table_rows`) of a TSV table: the
-    packaged file `default_name` when `source` is None, else a path or an
-    open text stream."""
-    if source is None:
-        name, source = default_name, os.path.join(_DATA_DIR, default_name)
-    elif hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
+    """The name and data rows (see `table_rows`) of the TSV file at `path`,
+    or of the packaged file `default_name` when `path` is None."""
+    if path is None:
+        name, path = default_name, os.path.join(_DATA_DIR, default_name)
     else:
-        name = str(source)
-    return name, table_rows(read_lines(source, name), name, columns)
+        name = os.fspath(path)
+    return name, table_rows(read_lines(path, name), name, columns)
 
 
 def table_rows(

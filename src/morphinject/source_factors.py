@@ -43,11 +43,6 @@ from functools import cache
 from . import script_core as sc
 from .errors import InputError
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
-    from pathlib import Path
-    from typing import TextIO
-
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PLURAL_TAGS = {"NNS", "NNPS"}
 
@@ -59,10 +54,11 @@ PREP_OBJECT_DEPRELS = {"pobj", "obl"}
 ConlluToken = namedtuple("ConlluToken", "id form lemma xpos head deprel")
 
 
-def load_pronoun_table(source: str | Path | TextIO | None = None) -> dict[str, tuple[str, str]]:
-    """Lower-cased pronoun -> (person, number). The table must hold the
+def load_pronoun_table(path: str | None = None) -> dict[str, tuple[str, str]]:
+    """Lower-cased pronoun -> (person, number), from the TSV file at `path`
+    or the packaged one when `path` is None. The table must hold the
     seven personal pronouns with their persons."""
-    name, rows = sc.read_table(source, "pronouns.tsv", ("pronoun", "person", "number"))
+    name, rows = sc.read_table(path, "pronouns.tsv", ("pronoun", "person", "number"))
     entries = {}
     for where, (pron, person, number) in rows:
         value = (sc.table_value(sc.PERSONS, "person", person, where),
@@ -77,10 +73,10 @@ def load_pronoun_table(source: str | Path | TextIO | None = None) -> dict[str, t
     return entries
 
 
-def _load_rules(source, default_name: str, facts: tuple, values: tuple[str, ...],
+def _load_rules(path: str | None, default_name: str, facts: tuple, values: tuple[str, ...],
                 what: str) -> list[tuple[str, str]]:
     rules: dict[str, str] = {}
-    name, rows = sc.read_table(source, default_name, ("rule", what))
+    name, rows = sc.read_table(path, default_name, ("rule", what))
     for where, (rule, value) in rows:
         if rule not in facts and rule != "default":
             raise InputError(f"{where}: unknown {what} rule {rule!r}")
@@ -96,12 +92,12 @@ def _load_rules(source, default_name: str, facts: tuple, values: tuple[str, ...]
     return list(rules.items())
 
 
-def load_case_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "case_rules.tsv", CASE_FACTS, sc.CASES, "case")
+def load_case_rules(path: str | None = None) -> list[tuple[str, str]]:
+    return _load_rules(path, "case_rules.tsv", CASE_FACTS, sc.CASES, "case")
 
 
-def load_tam_rules(source: str | Path | TextIO | None = None) -> list[tuple[str, str]]:
-    return _load_rules(source, "tam_rules.tsv", TAM_FACTS, sc.TAMS, "TAM")
+def load_tam_rules(path: str | None = None) -> list[tuple[str, str]]:
+    return _load_rules(path, "tam_rules.tsv", TAM_FACTS, sc.TAMS, "TAM")
 
 
 # ConlluToken(...) without the Python-level __new__ of a named tuple

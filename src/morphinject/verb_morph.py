@@ -32,11 +32,6 @@ from functools import cache
 from . import script_core as sc
 from .errors import InputError
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: no call loads typing or pathlib
-    from pathlib import Path
-    from typing import TextIO
-
 
 # Representative values used for collapsed dimensions when a concrete
 # factor tuple is needed (dictionary entries, paradigm rows). These are
@@ -128,13 +123,13 @@ def _tam_rows(tam: str, cells: list[Cell]) -> list[Cell]:
     ]
 
 
-def load_verb_suffix_table(source: str | Path | TextIO | None = None) -> VerbSuffixTable:
-    """Load a verb suffix table from TSV (tam, gender, number, person,
-    suffix); the packaged one when `source` is None. "-" in a factor
-    column collapses that dimension; a suffix is "-" (null) or a
+def load_verb_suffix_table(path: str | None = None) -> VerbSuffixTable:
+    """Load a verb suffix table from the TSV file at `path` (tam, gender,
+    number, person, suffix); the packaged one when `path` is None. "-" in
+    a factor column collapses that dimension; a suffix is "-" (null) or a
     Devanagari word."""
     name, rows = sc.read_table(
-        source, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
+        path, "verb_suffixes.tsv", ("tam", "gender", "number", "person", "suffix"))
     cells, seen = [], set()
     for where, (tam, gender, number, person, suffix) in rows:
         key = _slot(tam, gender, number, person, where)

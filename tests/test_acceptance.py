@@ -15,11 +15,8 @@ from pathlib import Path
 
 from conftest import lookup, ref_entries, ref_pairs, validate_widths
 from morphinject import script_core as sc
-from morphinject.corpus_inject import (
-    emit_factored_corpus,
-    inject,
-    parse_factored_corpus,
-)
+from morphinject.cli import main
+from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, build_noun_dict
 from morphinject.evaluation import bleu, oov_count, oov_reduction, sparsity_report
 from morphinject.noun_morph import (
@@ -183,14 +180,9 @@ def test_criterion_5_injection_bookkeeping():
         assert r2.entries_added == 0
         assert r2.entries_added + r2.duplicates_skipped == r2.entries_offered
 
-        prefix_src = io.StringIO()
-        prefix_tgt = io.StringIO()
-        emit_factored_corpus(corpus, prefix_src, prefix_tgt)
-        after_src = io.StringIO()
-        after_tgt = io.StringIO()
-        emit_factored_corpus(twice, after_src, after_tgt)
-        assert after_src.getvalue().startswith(prefix_src.getvalue())
-        assert after_tgt.getvalue().startswith(prefix_tgt.getvalue())
+        # the files the corpus is written as: each line ends in "\n"
+        assert ("\n".join(twice.src) + "\n").startswith("\n".join(corpus.src) + "\n")
+        assert ("\n".join(twice.tgt) + "\n").startswith("\n".join(corpus.tgt) + "\n")
 
 
 def test_criterion_6_factor_width_invariant():
@@ -206,29 +198,27 @@ def test_criterion_6_factor_width_invariant():
         )
         injected, report = inject(corpus, dictionary)
         assert validate_widths(injected) == []
-        out_src, out_tgt = io.StringIO(), io.StringIO()
-        emit_factored_corpus(injected, out_src, out_tgt)
         reparsed = parse_factored_corpus(
-            io.StringIO(out_src.getvalue()), io.StringIO(out_tgt.getvalue())
+            io.StringIO("\n".join(injected.src) + "\n"),
+            io.StringIO("\n".join(injected.tgt) + "\n"),
         )
         assert validate_widths(reparsed) == []
 
 
-def test_criterion_7_corpus_roundtrip_bytes():
+def test_criterion_7_corpus_roundtrip_bytes(tmp_path, capsys):
     with criterion(7, "corpus round-trip: byte-for-byte, Devanagari intact"):
-        src_bytes = (FIXTURES / "corpus_src.txt").read_bytes()
-        tgt_bytes = (FIXTURES / "corpus_tgt.txt").read_bytes()
-        corpus = parse_factored_corpus(
-            io.StringIO(src_bytes.decode("utf-8")),
-            io.StringIO(tgt_bytes.decode("utf-8")),
-        )
-        out_src, out_tgt = io.StringIO(), io.StringIO()
-        emit_factored_corpus(corpus, out_src, out_tgt)
-        assert out_src.getvalue().encode("utf-8") == src_bytes
-        assert out_tgt.getvalue().encode("utf-8") == tgt_bytes
-        assert parse_factored_corpus(
-            io.StringIO(out_src.getvalue()), io.StringIO(out_tgt.getvalue())
-        ) == corpus
+        # inject with an empty dictionary writes the corpus it read
+        (tmp_path / "empty.dict").write_bytes(b"")
+        out_src, out_tgt = tmp_path / "out.src", tmp_path / "out.tgt"
+        assert main([
+            "inject", "--source", str(FIXTURES / "corpus_src.txt"),
+            "--target", str(FIXTURES / "corpus_tgt.txt"), "--dict", str(tmp_path / "empty.dict"),
+            "--out-source", str(out_src), "--out-target", str(out_tgt),
+            "--report", str(tmp_path / "report.txt"),
+        ]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out_src.read_bytes() == (FIXTURES / "corpus_src.txt").read_bytes()
+        assert out_tgt.read_bytes() == (FIXTURES / "corpus_tgt.txt").read_bytes()
 
 
 def test_criterion_8_bleu():

@@ -18,7 +18,6 @@ token by token. A memo warmed by earlier sentences must give each later
 one the same line or error as a cold one.
 """
 
-import io
 import re
 
 import pytest
@@ -191,11 +190,14 @@ def rule_tsv(draw, facts, values):
 @given(sentences(), st.sampled_from(["noun", "verb", "both"]), pronoun_tsv(),
        rule_tsv(CASE_FACTS, sc.CASES), rule_tsv(TAM_FACTS, sc.TAMS))
 def test_annotate_sentence_with_loaded_tables_emits_only_closed_set_factors(
-        sentence, mode, pronouns, case_rules, tam_rules):
+        tmp_path_factory, sentence, mode, pronouns, case_rules, tam_rules):
     # this is what lets the CLI build each factor tail without checking it
+    tmp = tmp_path_factory.mktemp("tables")
+    for name, text in (("pronouns", pronouns), ("case", case_rules), ("tam", tam_rules)):
+        (tmp / name).write_text(text, "utf-8")
     annotated = annotate_sentence(
-        sentence, mode, load_pronoun_table(io.StringIO(pronouns)),
-        load_case_rules(io.StringIO(case_rules)), load_tam_rules(io.StringIO(tam_rules)))
+        sentence, mode, load_pronoun_table(tmp / "pronouns"),
+        load_case_rules(tmp / "case"), load_tam_rules(tmp / "tam"))
     slots = {0: (), 2: (sc.NUMBERS, sc.CASES), 3: (sc.NUMBERS, sc.PERSONS, sc.TAMS)}
     for _, factors in annotated:
         values = slots[len(factors)]

@@ -6,11 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FactoredToken, ref_pairs, validate_widths
-from morphinject.corpus_inject import (
-    emit_factored_corpus,
-    inject,
-    parse_factored_corpus,
-)
+from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
     SURFACE_SCHEME,
     build_noun_dict,
@@ -70,12 +66,11 @@ def test_roundtrip_fixture_bytes():
     src_bytes = (FIXTURES / "corpus_src.txt").read_text("utf-8")
     tgt_bytes = (FIXTURES / "corpus_tgt.txt").read_text("utf-8")
     corpus = _parse(src_bytes, tgt_bytes)
-    out_src, out_tgt = io.StringIO(), io.StringIO()
-    emit_factored_corpus(corpus, out_src, out_tgt)
-    assert out_src.getvalue() == src_bytes
-    assert out_tgt.getvalue() == tgt_bytes
-    # parse(emit(c)) == c
-    reparsed = _parse(out_src.getvalue(), out_tgt.getvalue())
+    out_src, out_tgt = "\n".join(corpus.src) + "\n", "\n".join(corpus.tgt) + "\n"
+    assert out_src == src_bytes
+    assert out_tgt == tgt_bytes
+    # the lines written back parse to the same corpus
+    reparsed = _parse(out_src, out_tgt)
     assert reparsed == corpus
 
 
@@ -154,14 +149,20 @@ def test_inject_surface_mode_splits_periphrastic():
         "".join(ln + "\n" for ln in out.target_lines()),
     )
     assert reparsed == out
+    # a hand-built entry that is not one source TAB target pair is an input
+    # error that names it, in inject as in strip_to_surface
+    for lines, bad, got in ((["a\t\tb"], "a\t\tb", 3), (["x\ty", "a\t\tb"], "a\t\tb", 3),
+                            (["ab"], "ab", 1)):
+        message = f"entry {bad!r}: expected 2 tab-separated fields (source, target), got {got}"
+        for step in (inject, lambda _, d: strip_to_surface(d)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                step(corpus, WordFormDictionary(lines, SURFACE_SCHEME))
 
 
 def test_unicode_preserved_exactly():
     tgt = "लड़कियाँ|लड़की|याँ\n"  # decomposed nukta stays decomposed
     corpus = _parse("girls|pl|dir\n", tgt)
-    out_src, out_tgt = io.StringIO(), io.StringIO()
-    emit_factored_corpus(corpus, out_src, out_tgt)
-    assert out_tgt.getvalue() == tgt
+    assert "\n".join(corpus.tgt) + "\n" == tgt
 
 
 def test_regex_whitespace_is_isspace():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
-from morphinject.corpus_inject import emit_factored_corpus, inject, parse_factored_corpus
+from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import NOUN_SCHEME, WordFormDictionary, strip_to_surface
 from morphinject.errors import InputError
 
@@ -154,9 +154,8 @@ def _text(lines):
 
 
 def _emit(corpus):
-    src, tgt = io.StringIO(), io.StringIO()
-    emit_factored_corpus(corpus, src, tgt)
-    return src.getvalue(), tgt.getvalue()
+    """The text of the corpus's two files, as the CLI writes them."""
+    return _text(corpus.src), _text(corpus.tgt)
 
 
 @given(st.integers(0, 3).flatmap(_valid_corpus))

@@ -112,11 +112,13 @@ def test_a_table_and_its_lines_load_the_same_from_a_path_as_from_a_str(name):
         loader(missing)
 
 
-def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given():
-    with pytest.raises(InputError, match=r"^<stream>: no case rules$"):
-        sf.load_case_rules(io.StringIO("# no rules\n"))
-    with pytest.raises(InputError, match=r"^<stream>: no TAM rules$"):
-        sf.load_tam_rules(io.StringIO("# no rules\n"))
+def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_text("# no rules\n", "utf-8")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no case rules$"):
+        sf.load_case_rules(path)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no TAM rules$"):
+        sf.load_tam_rules(path)
     # "dogs bark at cats": with no case rules every noun takes the fallback,
     # direct; the packaged rules make "cats" oblique
     sentence = [

@@ -41,7 +41,11 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # MorphinjectError and its thirteen marker subclasses are no more;
 # annotate_sentence alone decides what a noun or verb is and computes its
 # factors, so the per-token is_noun, is_verb, noun_number, noun_case and
-# verb_factors, which nothing in the package called, are no more
+# verb_factors, which nothing in the package called, are no more; the CLI
+# writes every output file, so emit_factored_corpus is no more; and a
+# rule is defined once, so script_core's _WORD (tail_match's word rule)
+# and line_pattern (one surface-only side pattern, now the builder's) are
+# no more
 RETIRED_ERRORS = ("MorphinjectError", "EmptyInput", "NonDevanagariContent", "EmptyRoot",
                   "IllegalSuffixForClass", "NotANoun", "NotAVerb", "LineCountMismatch",
                   "RaggedFactorWidth", "MalformedToken", "WidthIncompatible", "ZeroBaseline",
@@ -49,7 +53,8 @@ RETIRED_ERRORS = ("MorphinjectError", "EmptyInput", "NonDevanagariContent", "Emp
 GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "VerbFactors",
         "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables",
         "Case", "Gender", "NounClass", "Number", "Person", "TamSlot", *RETIRED_ERRORS,
-        "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors")
+        "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors",
+        "emit_factored_corpus", "_WORD", "line_pattern")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "default_suffix_table",
                    "join_noun", "noun_paradigm"],
@@ -57,8 +62,7 @@ EXPORTS = {
                    "verb_paradigm"],
     "dictionary_builder": ["FactorScheme", "WordFormDictionary", "build_noun_dict",
                            "build_verb_dict", "strip_to_surface"],
-    "corpus_inject": ["InjectionReport", "ParallelCorpus", "emit_factored_corpus", "inject",
-                      "parse_factored_corpus"],
+    "corpus_inject": ["InjectionReport", "ParallelCorpus", "inject", "parse_factored_corpus"],
     "evaluation": ["BleuScore", "OovReport", "SparsityReport", "bleu", "oov_count",
                    "oov_reduction", "sparsity_report"],
 }

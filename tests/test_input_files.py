@@ -1,6 +1,7 @@
 """The one reader for every input file: UTF-8, split on LF only, a CR
-rejected, every failure to read an exit 1 that names the file; and the
-one row reader, whose errors name the file and the LF line."""
+and a leading byte order mark rejected, every failure to read an exit 1
+that names the file; and the one row reader, whose errors name the file
+and the LF line."""
 
 import contextlib
 import io
@@ -77,6 +78,18 @@ def test_cr_in_input_exits_1_at_its_line_and_column(tmp_path, kind):
     assert (code, out) == (1, "")
     col = len(text.split("\n")[0]) + 1
     assert err == f"error: {path}:1:{col}: control character in line\n"
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_leading_byte_order_mark_exits_1_at_line_1_column_1(tmp_path, kind):
+    # rejected, not stripped: a corpus is written back byte for byte, and a
+    # BOM read as text would become part of a token or a misleading error
+    argv, text = KINDS[kind]
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, err = run(argv(tmp_path, path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:1:1: byte order mark\n"
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -163,7 +176,7 @@ COMMANDS = {
 # the readers treat specially, and Devanagari
 ATOMS = [b"\xff", b"\xfe", b"\xe0\xa4", b"\r", "\x85".encode(), "\u2028".encode(), b"\x1c",
          b"\x0b", b"\t", b"\n", b"|", b"#", b"-", b"=", b":", b" ", b"0",
-         "कुत्ता".encode(), "्".encode()]
+         "कुत्ता".encode(), "्".encode(), "\ufeff".encode()]
 
 
 @st.composite

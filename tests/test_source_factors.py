@@ -94,11 +94,11 @@ def test_only_vb_tags_are_verbs():
     assert annotate_sentence(sentence, "both") == unannotated
 
 
-def test_pronoun_table_invariant():
-    import io
-
+def test_pronoun_table_invariant(tmp_path):
+    path = tmp_path / "pronouns.tsv"
+    path.write_text("i\t1\tsg\n", "utf-8")
     with pytest.raises(InputError):
-        load_pronoun_table(io.StringIO("i\t1\tsg\n"))  # missing you/he/...
+        load_pronoun_table(path)  # missing you/he/...
     table = default_pronoun_table()
     assert table.get("They".lower()) == ("3", "pl")
     assert table.get("xyzzy") is None
