@@ -28,8 +28,9 @@ subcommand. `annotate` loads its tables once and calls the public
 annotate_sentence for each sentence; the CLI names no private of another
 module. Every factor comes from a loaded table, which checked each value
 against its closed set, so annotate checks no factor: it checks each
-distinct surface once per call, and a sentence that holds a bad one
-token by token, so the error names its first bad token. The CLI alone
+distinct surface once per call, and in a sentence that holds a bad one
+the error names the first token whose surface is bad, with
+script_core.token_error's message for it. The CLI alone
 renders the report records, plain named tuples, as text or JSON.
 
 A call that runs its process's own command line, main() with no argv
@@ -259,26 +260,22 @@ class _Tails(dict):
 
 def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
     """One output line: each token's surface and its factor tail. Each
-    distinct surface is checked once per `tails`; a sentence that holds
-    a bad one is checked token by token, and the first bad token is an
-    error at `where` and its ID."""
+    distinct surface is checked once per `tails`; if a sentence holds a
+    bad one, its first token with a bad surface is an error at `where`
+    and its ID, with sc.token_error's message for the token."""
     known = tails.surfaces
     new = ()
     if not known.issuperset(map(itemgetter(0), annotated)):
         new = set(map(itemgetter(0), annotated)).difference(known)
-    if all(map(sc.token_match(0), new)):
+    valid = sc.token_match(0)
+    if all(map(valid, new)):
         line = " ".join([surface + tails[factors] for surface, factors in annotated])
         known.update(new)
         return line
-    _check_annotation(sentence, annotated, tails.width, where)
-    raise AssertionError(f"{where}: rejected, yet every token passes")
-
-
-def _check_annotation(sentence, annotated, width: int, where: str) -> None:
-    for token, (surf, factors) in zip(sentence, annotated):
-        error = sc.token_error(surf, (*factors, *(sc.NULL_FACTOR,) * (width - len(factors))))
-        if error:
-            raise InputError(f"{where}, token {token.id}: {error}")
+    token, (surface, factors) = next(
+        (token, pair) for token, pair in zip(sentence, annotated) if not valid(pair[0]))
+    factors = (*factors, *(sc.NULL_FACTOR,) * (tails.width - len(factors)))
+    raise InputError(f"{where}, token {token.id}: {sc.token_error(surface, factors)}")
 
 
 def cmd_annotate(args) -> int:

@@ -9,7 +9,8 @@ separating spaces are the only whitespace in a line. Dictionary entries
 are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped. `inject` takes any
-WordFormDictionary and imports no dictionary layer: a surface-only
+WordFormDictionary and imports no dictionary layer; script_core.entry_sides
+checks each entry's factor counts against its scheme. A surface-only
 injection is `inject(corpus, strip_to_surface(dictionary))`, which
 writes what injecting a `build-dict --surface` dictionary writes.
 
@@ -198,7 +199,8 @@ def inject(
 
     Entries are width-normalized to the corpus (never the reverse: the
     original lines must stay byte-identical); an entry whose line pair
-    already exists anywhere in the corpus is skipped.
+    already exists anywhere in the corpus is skipped. An entry that
+    `sc.entry_sides` rejects is an error; its tokens are trusted.
     """
     src_width = corpus.source_width()
     tgt_width = corpus.target_width()
@@ -219,8 +221,9 @@ def inject(
     tgt_pad = f"|{NULL_FACTOR}" * (tgt_width - dict_tgt_width)
     existing = set(zip(corpus.src, corpus.tgt))
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
+    widths = (dict_src_width, dict_tgt_width)
     for line in dictionary.lines:
-        source, target = sc.entry_sides(line)
+        source, target = sc.entry_sides(line, widths)
         src_line, tgt_line = key = (_entry_side(source, src_pad), _entry_side(target, tgt_pad))
         if key in existing:
             continue

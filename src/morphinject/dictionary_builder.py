@@ -147,28 +147,20 @@ _SURFACE_SIDE = rf"{sc.TOKEN_PART}(?: {sc.TOKEN_PART})*"
 
 
 def _side_pattern(width: int) -> str:
+    """Regex for one side: exactly the sides `sc.token_error` passes."""
     return _SURFACE_SIDE if width == 0 else sc.token_pattern(width)
-
-
-def _side_error(surface: str, factors: Sequence[str]) -> str | None:
-    """The first problem of one side, or None; `_side_pattern` accepts
-    exactly the sides with none."""
-    error = sc.token_error(surface, factors)
-    if error is None and not factors and "" in surface.split(" "):
-        error = f"surface-only side {surface!r} is not words joined by single spaces"
-    return error
 
 
 @cache
 def _line_check(source_width: int, target_width: int):
     """fullmatch for one dictionary line of these factor widths. A line
-    it accepts is two valid sides; any other goes to `_side_error`."""
+    it accepts is two valid sides; any other goes to `sc.token_error`."""
     return re.compile(rf"{_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
 
 
-def _line_error(source: Sequence[str], target: Sequence[str]) -> InputError:
-    """The error of a rendered entry that its line check rejected."""
-    return InputError(_side_error(source[0], source[1:]) or _side_error(target[0], target[1:]))
+def _line_error(source: Sequence[str], target: Sequence[str]) -> str | None:
+    """The first problem of an entry's two sides, each split at "|", or None."""
+    return sc.token_error(source[0], source[1:]) or sc.token_error(target[0], target[1:])
 
 
 def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFormDictionary:
@@ -186,13 +178,9 @@ def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFo
             widths = (source.count(FACTOR_SEP), target.count(FACTOR_SEP))
             valid = _line_check(*widths)
         if not valid(line):
-            for side in (source, target):
-                surface, *factors = side.split(FACTOR_SEP)
-                error = _side_error(surface, factors)
-                if error:
-                    raise InputError(f"{where}: {error}")
-            # two valid sides that the first line's pattern rejects
-            raise InputError(f"{where}: ragged factor widths")
+            # two valid sides that the first line's pattern rejects are ragged
+            error = _line_error(source.split(FACTOR_SEP), target.split(FACTOR_SEP))
+            raise InputError(f"{where}: {error or 'ragged factor widths'}")
         out[line] = None
     scheme = SURFACE_SCHEME if widths is None else next(
         (s for s in SCHEMES.values() if (s.source_width, s.target_width) == widths), None)
@@ -229,7 +217,7 @@ _VOWELS = "aeiou"
 def _surface_form(form: str, what: str, where: str) -> str:
     """`form` if it is a valid surface-only side, else an error at
     `where`: every English surface the two tables below give is valid."""
-    if not re.fullmatch(_SURFACE_SIDE, form):
+    if sc.token_error(form, ()):
         raise InputError(f"{where}: bad {what} {form!r} (not words joined by single spaces)")
     return form
 
@@ -345,7 +333,7 @@ def build_noun_dict(
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{case}\t{form}|{root}|{suffix}"
                 if (check or not form) and not valid(line):
-                    raise _line_error((english, number, case), (form, root, suffix))
+                    raise InputError(_line_error((english, number, case), (form, root, suffix)))
                 if surface:
                     line = f"{plural if number == 'pl' else english}\t{form}"
                 lines[line] = None
@@ -386,7 +374,8 @@ def build_verb_dict(
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
                 if (check or not form) and not valid(line):
-                    raise _line_error((english, number, person, tam), (form, root, suffix))
+                    raise InputError(
+                        _line_error((english, number, person, tam), (form, root, suffix)))
                 if surface:
                     line = f"{english_of[number, person, tam]}\t{form}"
                 lines[line] = None
@@ -399,43 +388,32 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     """Drop all factors, keeping (and synthesizing) surface forms only.
 
     The English surface is rebuilt from the factored source (dogs for
-    dog|pl|*, walked for walk|*|*|perf); an entry that is not one
-    source TAB target pair, an entry with other than the scheme's number
-    of factors, or a factor value it reads that is outside its closed
-    value set, is an error naming the entry, each distinct factor string
-    checked once. Collapsed distinctions produce exact duplicates, which
-    are removed. The result keeps the input's failures. Idempotent.
+    dog|pl|*, walked for walk|*|*|perf). The first entry that
+    `sc.entry_sides` rejects, that holds a factor value it reads outside
+    its closed set, or whose output side `sc.token_error` rejects, is an
+    error naming it. Collapsed distinctions produce exact duplicates,
+    which are removed. The result keeps the input's failures. Idempotent.
     """
     scheme = dictionary.scheme
+    widths = (scheme.source_width, scheme.target_width)
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
     noun = scheme.source_width > 0 and not verb and "case" in scheme.source_factors
-    valid = _line_check(0, 0)
     lines: dict[str, None] = {}
-    # each distinct factor string, checked once, and its values
-    checked: dict[str, list[str]] = {}
     for line in dictionary.lines:
-        source, target = sc.entry_sides(line)
-        surface, _, factor_text = source.partition(FACTOR_SEP)
+        source, target = sc.entry_sides(line, widths)
+        surface, *factors = source.split(FACTOR_SEP)
         if verb or noun:
-            factors = checked.get(factor_text)
-            if factors is None:
-                factors = factor_text.split(FACTOR_SEP)
-                where = f"entry {source!r}"
-                if source.count(FACTOR_SEP) != scheme.source_width:
-                    raise InputError(f"{where} has {source.count(FACTOR_SEP)} factors, "
-                                     f"scheme declares {scheme.source_width}")
-                sc.table_value(sc.NUMBERS, "number", factors[0], where)
-                if verb:
-                    sc.table_value(sc.PERSONS, "person", factors[1], where)
-                    sc.table_value(sc.TAMS, "tam", factors[2], where)
-                checked[factor_text] = factors
+            where = f"entry {source!r}"
+            sc.table_value(sc.NUMBERS, "number", factors[0], where)
             if verb:
+                sc.table_value(sc.PERSONS, "person", factors[1], where)
+                sc.table_value(sc.TAMS, "tam", factors[2], where)
                 surface = english_verb_surface(surface, *factors)
             else:
                 surface = english_noun_surface(surface, factors[0])
         target_surface = target.partition(FACTOR_SEP)[0]
-        line = f"{surface}\t{target_surface}"
-        if not valid(line):
-            raise _line_error((surface,), (target_surface,))
-        lines[line] = None
+        error = sc.token_error(surface, ()) or sc.token_error(target_surface, ())
+        if error:
+            raise InputError(error)
+        lines[f"{surface}\t{target_surface}"] = None
     return WordFormDictionary(list(lines), SURFACE_SCHEME, list(dictionary.failures))

@@ -13,11 +13,12 @@ re-composed to the precomposed letter where Unicode defines one (NFC
 itself decomposes U+0958..U+095F, which would split e.g. ड़ into two
 codepoints).
 
-The one factored-token rule is here: a token is the text
-surface|factor|..., `token_pattern` matches a valid one, and
-`token_error` names the first problem of any other, for the corpus,
-the dictionary and annotate alike. `entry_sides` splits a dictionary
-entry into its two sides, for injection and for `strip_to_surface`.
+The one token rule is here: `token_error` alone names the first
+problem of a token surface|factor|..., or of a surface-only side (words
+joined by single spaces), for the corpus, the dictionary and annotate
+alike. `entry_sides` splits a dictionary entry into its two sides and
+checks their factor counts against the scheme's, for injection and for
+`strip_to_surface`.
 
 Every input file is read here too, from its path: `read_lines` holds
 the one line rule (UTF-8, split on "\n" only, no "\r", no leading byte
@@ -304,7 +305,8 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
     """The first problem of a token, given as its text split at "|", or
     None: the one token rule. The surface and every factor are non-empty
     and hold no "|" and no whitespace, except that the surface of a
-    token with no factors may hold " " ("will walk")."""
+    token with no factors, a surface-only side, is words joined by single
+    spaces ("will walk")."""
     if not surface:
         return "token with empty surface"
     if "|" in surface:
@@ -312,6 +314,8 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
     if not factors:
         if _SPACE_BUT_SEPARATOR_IN(surface):
             return f"surface {surface!r} contains whitespace other than ' '"
+        if "" in surface.split(" "):
+            return f"surface-only side {surface!r} is not words joined by single spaces"
         return None
     if _SPACE_IN(surface):
         return f"factored token surface {surface!r} contains whitespace"
@@ -323,13 +327,20 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
     return None
 
 
-def entry_sides(line: str) -> list[str]:
+def entry_sides(line: str, widths: tuple[int, int]) -> list[str]:
     """The source and target sides of a dictionary entry, the line
-    "source\ttarget"; any other line is an error naming the entry."""
+    "source\ttarget" whose sides hold the (source, target) `widths` of
+    its scheme's factors; an error names any other line, or its side
+    whose factor count differs. The sides' tokens are not checked."""
     sides = line.split("\t")
     if len(sides) != 2:
         raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
                          f"(source, target), got {len(sides)}")
+    source, target = sides
+    if source.count("|") != widths[0] or target.count("|") != widths[1]:
+        side, width = ((source, widths[0]) if source.count("|") != widths[0]
+                       else (target, widths[1]))
+        raise InputError(f"entry {side!r} has {side.count('|')} factors, scheme declares {width}")
     return sides
 
 

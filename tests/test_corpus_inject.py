@@ -8,6 +8,7 @@ import pytest
 from conftest import FactoredToken, ref_pairs, validate_widths
 from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
+    NOUN_SCHEME,
     SURFACE_SCHEME,
     build_noun_dict,
     strip_to_surface,
@@ -149,14 +150,21 @@ def test_inject_surface_mode_splits_periphrastic():
         "".join(ln + "\n" for ln in out.target_lines()),
     )
     assert reparsed == out
-    # a hand-built entry that is not one source TAB target pair is an input
+    # a hand-built entry that is not one source TAB target pair, or one
+    # with a side whose factor count is not its scheme's, is an input
     # error that names it, in inject as in strip_to_surface
-    for lines, bad, got in ((["a\t\tb"], "a\t\tb", 3), (["x\ty", "a\t\tb"], "a\t\tb", 3),
-                            (["ab"], "ab", 1)):
-        message = f"entry {bad!r}: expected 2 tab-separated fields (source, target), got {got}"
+    wide = _parse("a|b|c\n", "x|y|z\n")
+    pair = "entry {!r}: expected 2 tab-separated fields (source, target), got {}"
+    for lines, scheme, message in (
+            (["a\t\tb"], SURFACE_SCHEME, pair.format("a\t\tb", 3)),
+            (["x\ty", "a\t\tb"], SURFACE_SCHEME, pair.format("a\t\tb", 3)),
+            (["ab"], SURFACE_SCHEME, pair.format("ab", 1)),
+            (["dog|sg|dir\tकुत्ता|कुत्ता|null"], SURFACE_SCHEME,
+             "entry 'dog|sg|dir' has 2 factors, scheme declares 0"),
+            (["dog|sg|dir\tx"], NOUN_SCHEME, "entry 'x' has 0 factors, scheme declares 2")):
         for step in (inject, lambda _, d: strip_to_surface(d)):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-                step(corpus, WordFormDictionary(lines, SURFACE_SCHEME))
+                step(wide, WordFormDictionary(lines, scheme))
 
 
 def test_unicode_preserved_exactly():

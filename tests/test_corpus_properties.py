@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
 from morphinject.corpus_inject import inject, parse_factored_corpus
-from morphinject.dictionary_builder import NOUN_SCHEME, WordFormDictionary, strip_to_surface
+from morphinject.dictionary_builder import (
+    NOUN_SCHEME,
+    SCHEMES,
+    SURFACE_SCHEME,
+    WordFormDictionary,
+    strip_to_surface,
+)
 from morphinject.errors import InputError
 
 # separators, control characters, non-space whitespace (no-break space,
@@ -196,6 +202,50 @@ def test_inject_keeps_prefix_and_accounts_for_every_entry(mode, sides, dictionar
     added = list(zip(out.src, out.tgt))[len(corpus.src):]
     assert len(added) == report.entries_added
     assert len(set(zip(out.src, out.tgt))) == len(set(zip(corpus.src, corpus.tgt))) + len(added)
+
+
+def _side(width):
+    """A valid dictionary side with `width` factors; a surface-only one
+    may be words joined by single spaces."""
+    if width == 0:
+        return st.lists(_valid_token(0), min_size=1, max_size=2).map(" ".join)
+    return _valid_token(width)
+
+
+def _hand_built(scheme):
+    """A dictionary of `scheme` whose sides are valid, mostly of the
+    scheme's widths, sometimes of any width from 0 to 3."""
+    def side(width):
+        return st.one_of(st.just(width), st.integers(0, 3)).flatmap(_side)
+
+    entry = st.tuples(side(scheme.source_width), side(scheme.target_width)).map("\t".join)
+    return st.lists(entry, max_size=4).map(lambda lines: WordFormDictionary(lines, scheme))
+
+
+@given(st.integers(0, 3).flatmap(_valid_corpus),
+       st.sampled_from(list(SCHEMES.values())).flatmap(_hand_built))
+# a factored side in a surface-only dictionary, an unfactored one in a noun one
+@example((["a|b|c"], ["x|y|z"]),
+         WordFormDictionary(["dog|sg|dir\tकुत्ता|कुत्ता|null"], SURFACE_SCHEME))
+@example((["a|b|c"], ["x|y|z"]), WordFormDictionary(["dog|sg|dir\tx"], NOUN_SCHEME))
+def test_inject_of_a_hand_built_dictionary_re_parses(sides, dictionary):
+    """inject either raises an input error or gives a corpus that parses
+    as the same lines; it raises only for an entry whose factor counts
+    are not its scheme's, or a scheme wider than the corpus."""
+    corpus = parse_factored_corpus(*sides)
+    scheme = dictionary.scheme
+    widths = (scheme.source_width, scheme.target_width)
+    fits = all(tuple(side.count("|") for side in line.split("\t")) == widths
+               for line in dictionary.lines)
+    wider = any(w is not None and w < dw
+                for w, dw in zip((corpus.source_width(), corpus.target_width()), widths))
+    try:
+        out, _ = inject(corpus, dictionary)
+    except InputError:
+        assert wider or not fits
+        return
+    reparsed = parse_factored_corpus(out.src, out.tgt)
+    assert (reparsed.src, reparsed.tgt) == (out.src, out.tgt)
 
 
 @given(st.integers(0, 4).flatmap(lambda n: st.lists(_line, min_size=n, max_size=n)), st.booleans())

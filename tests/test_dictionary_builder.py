@@ -245,6 +245,9 @@ def test_strip_to_surface_verbs():
     (SURFACE_SCHEME, ["a\t\tb"],
      "entry 'a\\t\\tb': expected 2 tab-separated fields (source, target), got 3"),
     (SURFACE_SCHEME, ["a b"], "entry 'a b': expected 2 tab-separated fields (source, target), got 1"),
+    # a target side with other than the scheme's number of factors
+    (SURFACE_SCHEME, ["dog\tकुत्ता|कुत्ता|null"],
+     "entry 'कुत्ता|कुत्ता|null' has 2 factors, scheme declares 0"),
     (SURFACE_SCHEME, ["will  walk\tx"],
      "surface-only side 'will  walk' is not words joined by single spaces"),
 ])

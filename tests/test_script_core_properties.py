@@ -167,14 +167,21 @@ _token_text = st.text(st.one_of(st.sampled_from(_SPACES), st.sampled_from(["a", 
 @given(_token_text, st.lists(_token_text, max_size=3))
 @example("a\xa0b", [])
 @example("will walk", [])
+@example("will  walk", [])
+@example(" a", [])
 @example("a\u2028", ["x"])
 @example("", ["a b"])
 def test_token_error_is_the_factored_token_rule(surface, factors):
     got = sc.token_error(surface, factors)
     expected = _reference_token_error(surface, factors)
-    if not factors and expected is None and any(ch.isspace() and ch != " " for ch in surface):
-        # the one change: a surface with no factors holds no whitespace but " "
-        expected = f"surface {surface!r} contains whitespace other than ' '"
+    if not factors and expected is None:
+        # the one change: a surface with no factors is words joined by
+        # single spaces, so it holds no whitespace but " ", and no " " at
+        # either end or beside another
+        if any(ch.isspace() and ch != " " for ch in surface):
+            expected = f"surface {surface!r} contains whitespace other than ' '"
+        elif "" in surface.split(" "):
+            expected = f"surface-only side {surface!r} is not words joined by single spaces"
     assert got == expected
     # the tests' reference token checks with the same rule
     assert _outcome(FactoredToken, surface, tuple(factors)) == (
