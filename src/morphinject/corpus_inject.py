@@ -9,20 +9,24 @@ separating spaces are the only whitespace in a line. Dictionary entries
 are appended as one-token pseudo-sentence pairs after the original
 lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped. `inject` takes any
-WordFormDictionary and imports no dictionary layer; script_core.entry_sides
-checks each entry's factor counts against its scheme. A surface-only
-injection is `inject(corpus, strip_to_surface(dictionary))`, which
-writes what injecting a `build-dict --surface` dictionary writes.
+WordFormDictionary and imports no dictionary layer: a dictionary's
+lines were checked against its scheme when it was made, so inject only
+splits each at its tab. A surface-only injection is
+`inject(corpus, strip_to_surface(dictionary))`, which writes what
+injecting a `build-dict --surface` dictionary writes.
 
-A ParallelCorpus holds the checked lines as strings. Each distinct token
-of a file is checked once, against one token pattern of the corpus
-width; only a file that holds a bad or ragged token is split line by
-line into tokens, so script_core.token_error names the first bad one at
-name:line:column and the first ragged one is found. Padding
-(auto_normalize, injection) and the sparsity report work on the strings,
-and ParallelCorpus.pairs, the lines split into token strings, is built
-each time it is read. The parser takes lines, as script_core.read_lines
-gives them, and the CLI writes the result: this module opens no file.
+A ParallelCorpus holds the checked lines as strings. One made by hand
+is checked by its constructor, as `parse_factored_corpus` checks lines
+without auto_normalize; the parser and `inject` make theirs with no
+second check. Each distinct token of a file is checked once, against
+one token pattern of the corpus width; only a file that holds a bad or
+ragged token is split line by line into tokens, so
+script_core.token_error names the first bad one at name:line:column
+and the first ragged one is found. Padding (auto_normalize, injection)
+and the sparsity report work on the strings, and ParallelCorpus.pairs,
+the lines split into token strings, is built each time it is read. The
+parser takes lines, as script_core.read_lines gives them, and the CLI
+writes the result: this module opens no file.
 """
 
 from __future__ import annotations
@@ -42,15 +46,16 @@ if TYPE_CHECKING:  # annotations only: inject imports no dictionary layer
 
 class ParallelCorpus:
     """Checked, line-aligned source and target lines, without newlines,
-    and the names that locate an error in them as name:line. Two are
-    equal when their lines are: the names are not compared."""
+    and the names that locate an error in them as name:line. The lines
+    are checked when it is made, as `parse_factored_corpus` checks them
+    without auto_normalize. Two are equal when their lines are: the
+    names are not compared."""
 
     __slots__ = ("src", "tgt", "source_name", "target_name")
 
     def __init__(self, src: list[str], tgt: list[str],
                  source_name: str = "source", target_name: str = "target"):
-        self.src = src
-        self.tgt = tgt
+        self.src, self.tgt = _checked(src, tgt, source_name, target_name, False)
         self.source_name = source_name
         self.target_name = target_name
 
@@ -155,6 +160,28 @@ def _settle_width(
             for ln in lines]
 
 
+def _checked(src: list[str], tgt: list[str], source_name: str, target_name: str,
+             auto_normalize: bool) -> tuple[list[str], list[str]]:
+    """Both sides checked, and with auto_normalize padded to the widest
+    token's width; without it a side is returned as given."""
+    if len(src) != len(tgt):
+        raise InputError(f"{source_name} has {len(src)} lines, {target_name} has {len(tgt)}")
+    # every malformed token, on either side, is reported before a ragged width
+    src_check = _check_lines(src, source_name)
+    tgt_check = _check_lines(tgt, target_name)
+    return (_settle_width(src, source_name, src_check, auto_normalize),
+            _settle_width(tgt, target_name, tgt_check, auto_normalize))
+
+
+def _made(src: list[str], tgt: list[str],
+          source_name: str = "source", target_name: str = "target") -> ParallelCorpus:
+    """A ParallelCorpus of lines checked as read or valid by construction."""
+    corpus = object.__new__(ParallelCorpus)
+    corpus.src, corpus.tgt, corpus.source_name, corpus.target_name = (
+        src, tgt, source_name, target_name)
+    return corpus
+
+
 def parse_factored_corpus(
     source: Iterable[str],
     target: Iterable[str],
@@ -169,20 +196,9 @@ def parse_factored_corpus(
     "\n" is removed from each line, so lines split with their ends kept
     parse as the same lines without them.
     """
-    src_lines = [ln.rstrip("\n") for ln in source]
-    tgt_lines = [ln.rstrip("\n") for ln in target]
-    if len(src_lines) != len(tgt_lines):
-        raise InputError(
-            f"{source_name} has {len(src_lines)} lines, {target_name} has {len(tgt_lines)}"
-        )
-    # every malformed token, on either side, is reported before a ragged width
-    src_check = _check_lines(src_lines, source_name)
-    tgt_check = _check_lines(tgt_lines, target_name)
-    return ParallelCorpus(
-        _settle_width(src_lines, source_name, src_check, auto_normalize),
-        _settle_width(tgt_lines, target_name, tgt_check, auto_normalize),
-        source_name, target_name,
-    )
+    src, tgt = _checked([ln.rstrip("\n") for ln in source], [ln.rstrip("\n") for ln in target],
+                        source_name, target_name, auto_normalize)
+    return _made(src, tgt, source_name, target_name)
 
 
 def _entry_side(text: str, pad: str) -> str:
@@ -199,8 +215,8 @@ def inject(
 
     Entries are width-normalized to the corpus (never the reverse: the
     original lines must stay byte-identical); an entry whose line pair
-    already exists anywhere in the corpus is skipped. An entry that
-    `sc.entry_sides` rejects is an error; its tokens are trusted.
+    already exists anywhere in the corpus is skipped. The dictionary's
+    lines were checked against its scheme when it was made.
     """
     src_width = corpus.source_width()
     tgt_width = corpus.target_width()
@@ -221,9 +237,8 @@ def inject(
     tgt_pad = f"|{NULL_FACTOR}" * (tgt_width - dict_tgt_width)
     existing = set(zip(corpus.src, corpus.tgt))
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
-    widths = (dict_src_width, dict_tgt_width)
     for line in dictionary.lines:
-        source, target = sc.entry_sides(line, widths)
+        source, _, target = line.partition("\t")
         src_line, tgt_line = key = (_entry_side(source, src_pad), _entry_side(target, tgt_pad))
         if key in existing:
             continue
@@ -237,4 +252,4 @@ def inject(
         duplicates_skipped=len(dictionary.lines) - added,
         normalization_applied=bool(dictionary.lines and (src_pad or tgt_pad)),
     )
-    return ParallelCorpus(out_src, out_tgt), report
+    return _made(out_src, out_tgt), report

@@ -16,13 +16,15 @@ Each input is checked once, where it enters. A line read from a file
 is checked by one full-line pattern for its pair of factor widths;
 only a line that fails it is replayed side by side through
 script_core.token_error, which names the first error, and a line whose
-sides are both valid has ragged widths. The builders compose lines of
-parts checked before (the Hindi root by its paradigm, a loaded table's
-suffixes by the loader, factor values by their closed sets) and check
-what can reach them unchecked: the English root and irregular forms
-once per row, the table's suffixes once per build. Only a row with one
-of these that is not a valid factor, and a line whose form is empty,
-get the full-line check, which names the same first error.
+sides are both valid has ragged widths. A WordFormDictionary made by
+hand is checked the same way, at its scheme's widths. The builders
+compose lines of parts checked before (the Hindi root by its paradigm,
+a loaded table's suffixes by the loader, factor values by their closed
+sets) and check what can reach them unchecked: the English root and
+irregular forms once per row, the table's suffixes once per build. Only
+a row with one of these that is not a valid factor, and a line whose
+form is empty, get the full-line check, which names the same first
+error.
 
 With `surface=True` the builders keep each entry's surface-only form,
 the line `strip_to_surface` would make of it, so a surface-only build
@@ -31,9 +33,9 @@ Those lines are valid by construction and go unchecked: a kept line's
 English root and Hindi form are valid, the English rules only add
 letters or a word to the root ("dogs", "will walk"), and an irregular
 form from the English exception tables was checked when they loaded.
-`strip_to_surface` serves library callers, who strip a factored
-dictionary they hold; the CLI's surface-only injection injects a
-`--surface` build.
+So are `strip_to_surface`'s, from its checked input. It serves library
+callers, who strip a factored dictionary they hold; the CLI's
+surface-only injection injects a `--surface` build.
 
 The English inflection of those surfaces lives here, its only user.
 The dictionary format loads no morphology and no annotator: the
@@ -114,13 +116,28 @@ EntryFailure = namedtuple("EntryFailure", "index english_root hindi_root error")
 class WordFormDictionary:
     """Entries as "source\ttarget" lines, in build order and without
     duplicates, plus the factor scheme and the lexicon rows that failed.
-    Two are equal when their lines and schemes are: the failures are not
-    compared."""
+    The lines are checked as `parse_dictionary` checks a file of the
+    scheme; the first bad entry is an error that names it. Two are equal
+    when their lines and schemes are: the failures are not compared."""
 
     __slots__ = ("lines", "scheme", "failures")
 
     def __init__(self, lines: list[str], scheme: FactorScheme,
                  failures: list[EntryFailure] | None = None):
+        widths = (scheme.source_width, scheme.target_width)
+        valid = _line_check(*widths)
+        for line in lines:
+            if valid(line):
+                continue
+            sides = line.split("\t")  # split only to name the error
+            if len(sides) != 2:
+                raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
+                                 f"(source, target), got {len(sides)}")
+            raise InputError(_line_error(*(side.split(FACTOR_SEP) for side in sides)) or next(
+                f"entry {side!r} has {side.count(FACTOR_SEP)} factors, scheme declares {width}"
+                for side, width in zip(sides, widths) if side.count(FACTOR_SEP) != width))
+        _check_factor_values({s: f"entry {s!r}" for s in (ln.partition("\t")[0] for ln in lines)},
+                             scheme)
         self.lines = lines
         self.scheme = scheme
         self.failures = [] if failures is None else failures
@@ -163,6 +180,14 @@ def _line_error(source: Sequence[str], target: Sequence[str]) -> str | None:
     return sc.token_error(source[0], source[1:]) or sc.token_error(target[0], target[1:])
 
 
+def _made(lines: list[str], scheme: FactorScheme,
+          failures: list[EntryFailure]) -> WordFormDictionary:
+    """A WordFormDictionary of lines checked as read or valid by construction."""
+    dictionary = object.__new__(WordFormDictionary)
+    dictionary.lines, dictionary.scheme, dictionary.failures = lines, scheme, failures
+    return dictionary
+
+
 def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFormDictionary:
     """Read a dictionary file: one entry per line, source TAB target;
     blank and "#" lines are skipped. `name` locates errors as name:line.
@@ -187,7 +212,7 @@ def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFo
     if scheme is None:
         raise InputError(f"{name}: no scheme matches factor widths {widths}")
     _check_factor_values(first_at, scheme)
-    return WordFormDictionary(list(out), scheme)
+    return _made(list(out), scheme, [])
 
 
 def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None:
@@ -339,7 +364,7 @@ def build_noun_dict(
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
-    return WordFormDictionary(list(lines), SURFACE_SCHEME if surface else NOUN_SCHEME, failures)
+    return _made(list(lines), SURFACE_SCHEME if surface else NOUN_SCHEME, failures)
 
 
 def build_verb_dict(
@@ -381,39 +406,29 @@ def build_verb_dict(
                 lines[line] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
-    return WordFormDictionary(list(lines), SURFACE_SCHEME if surface else VERB_SCHEME, failures)
+    return _made(list(lines), SURFACE_SCHEME if surface else VERB_SCHEME, failures)
 
 
 def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     """Drop all factors, keeping (and synthesizing) surface forms only.
 
     The English surface is rebuilt from the factored source (dogs for
-    dog|pl|*, walked for walk|*|*|perf). The first entry that
-    `sc.entry_sides` rejects, that holds a factor value it reads outside
-    its closed set, or whose output side `sc.token_error` rejects, is an
-    error naming it. Collapsed distinctions produce exact duplicates,
-    which are removed. The result keeps the input's failures. Idempotent.
+    dog|pl|*, walked for walk|*|*|perf). The input's lines were checked
+    when it was made, so each output side is valid for the reason a
+    `surface=True` build's is (see the module docstring). Collapsed
+    distinctions produce exact duplicates, which are removed. The result
+    keeps the input's failures. Idempotent.
     """
     scheme = dictionary.scheme
-    widths = (scheme.source_width, scheme.target_width)
     verb = scheme.source_width > 0 and "tam" in scheme.source_factors
     noun = scheme.source_width > 0 and not verb and "case" in scheme.source_factors
     lines: dict[str, None] = {}
     for line in dictionary.lines:
-        source, target = sc.entry_sides(line, widths)
+        source, _, target = line.partition("\t")
         surface, *factors = source.split(FACTOR_SEP)
-        if verb or noun:
-            where = f"entry {source!r}"
-            sc.table_value(sc.NUMBERS, "number", factors[0], where)
-            if verb:
-                sc.table_value(sc.PERSONS, "person", factors[1], where)
-                sc.table_value(sc.TAMS, "tam", factors[2], where)
-                surface = english_verb_surface(surface, *factors)
-            else:
-                surface = english_noun_surface(surface, factors[0])
-        target_surface = target.partition(FACTOR_SEP)[0]
-        error = sc.token_error(surface, ()) or sc.token_error(target_surface, ())
-        if error:
-            raise InputError(error)
-        lines[f"{surface}\t{target_surface}"] = None
-    return WordFormDictionary(list(lines), SURFACE_SCHEME, list(dictionary.failures))
+        if verb:
+            surface = english_verb_surface(surface, *factors)
+        elif noun:
+            surface = english_noun_surface(surface, factors[0])
+        lines[f"{surface}\t{target.partition(FACTOR_SEP)[0]}"] = None
+    return _made(list(lines), SURFACE_SCHEME, list(dictionary.failures))

@@ -16,9 +16,7 @@ codepoints).
 The one token rule is here: `token_error` alone names the first
 problem of a token surface|factor|..., or of a surface-only side (words
 joined by single spaces), for the corpus, the dictionary and annotate
-alike. `entry_sides` splits a dictionary entry into its two sides and
-checks their factor counts against the scheme's, for injection and for
-`strip_to_surface`.
+alike.
 
 Every input file is read here too, from its path: `read_lines` holds
 the one line rule (UTF-8, split on "\n" only, no "\r", no leading byte
@@ -325,23 +323,6 @@ def token_error(surface: str, factors: Sequence[str]) -> str | None:
         if "|" in f or _SPACE_IN(f):
             return f"factor {f!r} contains separator or whitespace"
     return None
-
-
-def entry_sides(line: str, widths: tuple[int, int]) -> list[str]:
-    """The source and target sides of a dictionary entry, the line
-    "source\ttarget" whose sides hold the (source, target) `widths` of
-    its scheme's factors; an error names any other line, or its side
-    whose factor count differs. The sides' tokens are not checked."""
-    sides = line.split("\t")
-    if len(sides) != 2:
-        raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
-                         f"(source, target), got {len(sides)}")
-    source, target = sides
-    if source.count("|") != widths[0] or target.count("|") != widths[1]:
-        side, width = ((source, widths[0]) if source.count("|") != widths[0]
-                       else (target, widths[1]))
-        raise InputError(f"entry {side!r} has {side.count('|')} factors, scheme declares {width}")
-    return sides
 
 
 # --- input files ---

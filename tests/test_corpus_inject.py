@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FactoredToken, ref_pairs, validate_widths
-from morphinject.corpus_inject import inject, parse_factored_corpus
+from morphinject.corpus_inject import ParallelCorpus, inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
     SURFACE_SCHEME,
@@ -14,6 +14,7 @@ from morphinject.dictionary_builder import (
     strip_to_surface,
 )
 from morphinject.errors import InputError
+from morphinject.evaluation import sparsity_report
 from morphinject.noun_morph import BilingualNoun, NounLexEntry
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -165,6 +166,18 @@ def test_inject_surface_mode_splits_periphrastic():
         for step in (inject, lambda _, d: strip_to_surface(d)):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 step(wide, WordFormDictionary(lines, scheme))
+
+
+def test_a_corpus_made_by_hand_is_checked_when_it_is_made():
+    # a ragged probe reached sparsity_report unchecked and raised IndexError
+    train = parse_factored_corpus(["dog|sg|dir"], ["x|y|z"])
+    with pytest.raises(InputError, match=r"^source:1:12: factor width differs from first token$"):
+        sparsity_report(train, ParallelCorpus(["dog|sg|dir cat|sg"], ["x|y|z"]), NOUN_SCHEME)
+    with pytest.raises(InputError, match=r"^p\.src has 1 lines, p\.tgt has 0$"):
+        ParallelCorpus(["a"], [], "p.src", "p.tgt")
+    with pytest.raises(InputError, match=r"^target:2:1: token with empty surface$"):
+        ParallelCorpus(["a", "b"], ["c", "|x"])
+    assert ParallelCorpus(["a|x b|y", ""], ["c", "d"]).src == ["a|x b|y", ""]
 
 
 def test_unicode_preserved_exactly():

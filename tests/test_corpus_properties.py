@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DictEntry, FactoredToken, ref_entries, ref_pairs
-from morphinject.corpus_inject import inject, parse_factored_corpus
+from morphinject import script_core as sc
+from morphinject.corpus_inject import ParallelCorpus, inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
     SCHEMES,
@@ -149,6 +150,17 @@ def test_line_check_matches_token_reference(sides, auto_normalize):
     assert _outcome(_parse_rendered, src, tgt, auto_normalize) == expected
 
 
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.lists(_line, min_size=n, max_size=n), st.lists(_line, min_size=n, max_size=n))))
+@example((["a b", "a|x"], ["c", "d"]))  # ragged
+@example((["a"], []))  # a line short
+def test_a_corpus_made_by_hand_is_checked_as_parse_factored_corpus_checks_it(sides):
+    """ParallelCorpus(src, tgt) accepts exactly the lines that
+    parse_factored_corpus accepts without auto_normalize, with the same
+    first error, and holds them as given."""
+    assert _outcome(ParallelCorpus, *sides) == _outcome(parse_factored_corpus, *sides)
+
+
 def _valid_corpus(width):
     line = st.lists(_valid_token(width), max_size=4).map(" ".join)
     return st.integers(0, 5).flatmap(lambda n: st.tuples(
@@ -212,37 +224,58 @@ def _side(width):
     return _valid_token(width)
 
 
-def _hand_built(scheme):
-    """A dictionary of `scheme` whose sides are valid, mostly of the
-    scheme's widths, sometimes of any width from 0 to 3."""
-    def side(width):
-        return st.one_of(st.just(width), st.integers(0, 3)).flatmap(_side)
+# the closed value set of each source factor that has one
+_CLOSED = {"number": sc.NUMBERS, "case": sc.CASES, "person": sc.PERSONS, "tam": sc.TAMS}
 
-    entry = st.tuples(side(scheme.source_width), side(scheme.target_width)).map("\t".join)
-    return st.lists(entry, max_size=4).map(lambda lines: WordFormDictionary(lines, scheme))
+
+def _hand_built(scheme):
+    """(scheme, lines) of valid sides, mostly of the scheme's widths,
+    sometimes of any width from 0 to 3; a source factor with a closed
+    value set holds one of its values or "xx"."""
+    def side(width, names=()):
+        def of_width(n):
+            if n == 0:
+                return _side(0)
+            factors = [st.sampled_from((*_CLOSED[name], "xx")) if name in _CLOSED
+                       else _valid_token(0) for name in (*names, *[None] * n)[:n]]
+            return st.tuples(_valid_token(0), *factors).map("|".join)
+        return st.one_of(st.just(width), st.integers(0, 3)).flatmap(of_width)
+
+    entry = st.tuples(side(scheme.source_width, scheme.source_factors[1:]),
+                      side(scheme.target_width)).map("\t".join)
+    return st.tuples(st.just(scheme), st.lists(entry, max_size=4))
 
 
 @given(st.integers(0, 3).flatmap(_valid_corpus),
        st.sampled_from(list(SCHEMES.values())).flatmap(_hand_built))
 # a factored side in a surface-only dictionary, an unfactored one in a noun one
-@example((["a|b|c"], ["x|y|z"]),
-         WordFormDictionary(["dog|sg|dir\tकुत्ता|कुत्ता|null"], SURFACE_SCHEME))
-@example((["a|b|c"], ["x|y|z"]), WordFormDictionary(["dog|sg|dir\tx"], NOUN_SCHEME))
-def test_inject_of_a_hand_built_dictionary_re_parses(sides, dictionary):
-    """inject either raises an input error or gives a corpus that parses
-    as the same lines; it raises only for an entry whose factor counts
-    are not its scheme's, or a scheme wider than the corpus."""
+@example((["a|b|c"], ["x|y|z"]), (SURFACE_SCHEME, ["dog|sg|dir\tकुत्ता|कुत्ता|null"]))
+@example((["a|b|c"], ["x|y|z"]), (NOUN_SCHEME, ["dog|sg|dir\tx"]))
+def test_inject_of_a_hand_built_dictionary_re_parses(sides, drawn):
+    """A dictionary of valid sides is made exactly when every entry has
+    its scheme's factor counts and closed values; inject then either
+    raises an input error, for a scheme wider than the corpus, or gives
+    a corpus that parses as the same lines."""
     corpus = parse_factored_corpus(*sides)
-    scheme = dictionary.scheme
+    scheme, lines = drawn
     widths = (scheme.source_width, scheme.target_width)
-    fits = all(tuple(side.count("|") for side in line.split("\t")) == widths
-               for line in dictionary.lines)
+    fits = all(tuple(side.count("|") for side in line.split("\t")) == widths for line in lines)
+    in_sets = all(value in _CLOSED[name] for line in lines
+                  for name, value in zip(scheme.source_factors[1:],
+                                         line.partition("\t")[0].split("|")[1:])
+                  if name in _CLOSED)
+    try:
+        dictionary = WordFormDictionary(lines, scheme)
+    except InputError:
+        assert not (fits and in_sets)
+        return
+    assert fits and in_sets
     wider = any(w is not None and w < dw
                 for w, dw in zip((corpus.source_width(), corpus.target_width()), widths))
     try:
         out, _ = inject(corpus, dictionary)
     except InputError:
-        assert wider or not fits
+        assert wider
         return
     reparsed = parse_factored_corpus(out.src, out.tgt)
     assert (reparsed.src, reparsed.tgt) == (out.src, out.tgt)

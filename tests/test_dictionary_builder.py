@@ -234,8 +234,9 @@ def test_strip_to_surface_verbs():
     (VERB_SCHEME, ["walk|sg|3|hab", "run|sg|3|zz", "walk|sg|3|zz"],
      "entry 'run|sg|3|zz': bad tam 'zz'"),
     (VERB_SCHEME, ["walk|sg|9|zz"], "entry 'walk|sg|9|zz': bad person '9'"),
-    # nouns read only the number factor
-    (NOUN_SCHEME, ["dog|pl|zz", "dog|sg|zz"], None),
+    # a hand-built dictionary obeys parse_dictionary's rule, case included
+    (NOUN_SCHEME, ["dog|pl|zz", "dog|sg|zz"],
+     "entry 'dog|pl|zz': bad case 'zz' (expected one of dir, obl)"),
     # a verb entry too short to hold the factors read
     (VERB_SCHEME, ["walk|sg"], "entry 'walk|sg' has 1 factors, scheme declares 3"),
     # any other factor count than the scheme's, though the factors read are valid
@@ -252,14 +253,11 @@ def test_strip_to_surface_verbs():
      "surface-only side 'will  walk' is not words joined by single spaces"),
 ])
 def test_strip_to_surface_checks_the_values_it_reads(scheme, sources, message):
-    # a surface-only case gives whole lines, any other its source sides
-    d = WordFormDictionary(sources if scheme is SURFACE_SCHEME
-                           else [f"{s}\tक|क|null" for s in sources], scheme)
-    if message is None:
-        assert strip_to_surface(d).lines == ["dogs\tक", "dog\tक"]
-        return
+    # a surface-only case gives whole lines, any other its source sides;
+    # the dictionary is checked when it is made
     with pytest.raises(InputError) as raised:
-        strip_to_surface(d)
+        strip_to_surface(WordFormDictionary(sources if scheme is SURFACE_SCHEME
+                                            else [f"{s}\tक|क|null" for s in sources], scheme))
     assert str(raised.value).startswith(message)
 
 

@@ -27,8 +27,10 @@ from morphinject import script_core as sc
 from morphinject.corpus_inject import inject, parse_factored_corpus
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
+    SCHEMES,
     SURFACE_SCHEME,
     VERB_SCHEME,
+    WordFormDictionary,
     build_noun_dict,
     build_verb_dict,
     english_noun_surface,
@@ -433,6 +435,32 @@ def test_parse_dictionary_matches_token_reference(lines):
     assert (new[1].lines, new[1].scheme) == (_rendered(ref[1][0]), ref[1][1])
     assert _outcome(lambda: strip_to_surface(new[1]).lines) == _outcome(
         lambda: _rendered(_ref_strip(*ref[1])))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(SCHEMES.values())), _dict_lines)
+# lines that inject or strip_to_surface once took from a hand-built dictionary
+@example(NOUN_SCHEME, ["do g|sg|dir\tक|क|null"])
+@example(NOUN_SCHEME, ["dog x|pl|dir\tक|क|null"])
+@example(NOUN_SCHEME, ["|pl|dir\tकुत्ते|कुत्ता|े"])
+@example(VERB_SCHEME, ["|sg|1|perf\tx|y|z"])
+# a bad target token, then a bad value, after a valid entry
+@example(NOUN_SCHEME, ["dog|sg|dir\tक|क|null", "dog|sg|dir\tक|क|"])
+@example(VERB_SCHEME, ["walk|sg|3|hab\tक|क|null", "walk|sg|9|hab\tक|क|null"])
+def test_a_dictionary_is_made_by_the_rule_that_reads_a_file_of_its_scheme(scheme, lines):
+    """WordFormDictionary(lines, scheme) accepts exactly the lines that
+    parse_dictionary reads as a file of that scheme, with the same first
+    error, located by its entry instead of its line. A side of another
+    factor count is named by the constructor, where parse_dictionary
+    finds ragged widths or another scheme."""
+    # the entries only: a file's blank and "#" lines are no entries
+    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    parsed = _outcome(parse_dictionary, lines)
+    made = _outcome(WordFormDictionary, lines, scheme)
+    assert (made[0] == "ok") == (parsed[0] == "ok" and (parsed[1].scheme == scheme or not lines))
+    if made[0] != "ok" and " factors, scheme declares " not in made[1]:
+        assert made[0] == parsed[0] == "InputError"
+        assert made[1].endswith(parsed[1].partition(": ")[2])
 
 
 def _corpus_side(width):

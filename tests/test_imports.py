@@ -54,7 +54,7 @@ GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "Ve
         "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables",
         "Case", "Gender", "NounClass", "Number", "Person", "TamSlot", *RETIRED_ERRORS,
         "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors",
-        "emit_factored_corpus", "_WORD", "line_pattern")
+        "emit_factored_corpus", "_WORD", "line_pattern", "entry_sides")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "default_suffix_table",
                    "join_noun", "noun_paradigm"],
