@@ -22,11 +22,14 @@ second check. Each distinct token of a file is checked once, against
 one token pattern of the corpus width; only a file that holds a bad or
 ragged token is split line by line into tokens, so
 script_core.token_error names the first bad one at name:line:column
-and the first ragged one is found. Padding (auto_normalize, injection)
-and the sparsity report work on the strings, and ParallelCorpus.pairs,
-the lines split into token strings, is built each time it is read. The
-parser takes lines, as script_core.read_lines gives them, and the CLI
-writes the result: this module opens no file.
+and the first ragged one is found. The check's sets of distinct tokens
+stay with the corpus as src_tokens and tgt_tokens, which the sparsity
+report projects: auto_normalize pads each distinct token once, and
+`inject`'s output holds its input's sets and the tokens of the lines
+it added. Padding (auto_normalize, injection) works on the strings,
+and ParallelCorpus.pairs, the lines split into token strings, is built
+each time it is read. The parser takes lines, as script_core.read_lines
+gives them, and the CLI writes the result: this module opens no file.
 """
 
 from __future__ import annotations
@@ -48,14 +51,17 @@ class ParallelCorpus:
     """Checked, line-aligned source and target lines, without newlines,
     and the names that locate an error in them as name:line. The lines
     are checked when it is made, as `parse_factored_corpus` checks them
-    without auto_normalize. Two are equal when their lines are: the
-    names are not compared."""
+    without auto_normalize; src_tokens and tgt_tokens are the distinct
+    tokens of each side's lines as made, kept from that check. Two are
+    equal when their lines are: the names and token sets are not
+    compared."""
 
-    __slots__ = ("src", "tgt", "source_name", "target_name")
+    __slots__ = ("src", "tgt", "source_name", "target_name", "src_tokens", "tgt_tokens")
 
     def __init__(self, src: list[str], tgt: list[str],
                  source_name: str = "source", target_name: str = "target"):
-        self.src, self.tgt = _checked(src, tgt, source_name, target_name, False)
+        (self.src, self.src_tokens), (self.tgt, self.tgt_tokens) = _checked(
+            src, tgt, source_name, target_name, False)
         self.source_name = source_name
         self.target_name = target_name
 
@@ -121,17 +127,19 @@ def _parse_line(line: str, name: str, lineno: int) -> list[str]:
     return tokens
 
 
-def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, int]:
+def _check_lines(
+    lines: list[str], name: str
+) -> tuple[tuple[int, int] | None, int, frozenset[str]]:
     """Check every line; return where the first ragged token is, if any
-    (line, column), and the widest token's width."""
+    (line, column), the widest token's width and the distinct tokens."""
     width = _width(lines)
     if width is None:
-        return None, 0
+        return None, 0, frozenset()
     # a line is valid if and only if each token of its split(" ") is, and
     # "" never is: if every distinct token is valid, so is every line
-    tokens = set(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
+    tokens = frozenset(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
     if all(map(sc.token_match(width), tokens)):
-        return None, width
+        return None, width, tokens
     ragged_at = None
     widest = width
     for lineno, line in enumerate(lines, 1):
@@ -142,28 +150,32 @@ def _check_lines(lines: list[str], name: str) -> tuple[tuple[int, int] | None, i
                 ragged_at = (lineno, col)
             widest = max(widest, token_width)
             col += len(token) + 1
-    return ragged_at, widest
+    return ragged_at, widest, tokens
 
 
 def _settle_width(
-    lines: list[str], name: str, check: tuple[tuple[int, int] | None, int], auto_normalize: bool
-) -> list[str]:
-    ragged_at, widest = check
+    lines: list[str], name: str, check: tuple[tuple[int, int] | None, int, frozenset[str]],
+    auto_normalize: bool,
+) -> tuple[list[str], frozenset[str]]:
+    ragged_at, widest, tokens = check
     if ragged_at is None:
-        return lines
+        return lines, tokens
     if not auto_normalize:
         raise InputError(
             f"{name}:{ragged_at[0]}:{ragged_at[1]}: factor width differs from first token"
         )
+    padded = {t: t + f"|{NULL_FACTOR}" * (widest - t.count("|")) for t in tokens}
     # a checked line holds no whitespace but its separators: split() is split(" ")
-    return [" ".join(t + f"|{NULL_FACTOR}" * (widest - t.count("|")) for t in ln.split())
-            for ln in lines]
+    return ([" ".join(map(padded.__getitem__, ln.split())) for ln in lines],
+            frozenset(padded.values()))
 
 
-def _checked(src: list[str], tgt: list[str], source_name: str, target_name: str,
-             auto_normalize: bool) -> tuple[list[str], list[str]]:
-    """Both sides checked, and with auto_normalize padded to the widest
-    token's width; without it a side is returned as given."""
+def _checked(
+    src: list[str], tgt: list[str], source_name: str, target_name: str, auto_normalize: bool
+) -> tuple[tuple[list[str], frozenset[str]], tuple[list[str], frozenset[str]]]:
+    """Both sides checked, each with its distinct tokens, and with
+    auto_normalize padded to the widest token's width; without it a side
+    is returned as given."""
     if len(src) != len(tgt):
         raise InputError(f"{source_name} has {len(src)} lines, {target_name} has {len(tgt)}")
     # every malformed token, on either side, is reported before a ragged width
@@ -173,12 +185,13 @@ def _checked(src: list[str], tgt: list[str], source_name: str, target_name: str,
             _settle_width(tgt, target_name, tgt_check, auto_normalize))
 
 
-def _made(src: list[str], tgt: list[str],
+def _made(src: tuple[list[str], frozenset[str]], tgt: tuple[list[str], frozenset[str]],
           source_name: str = "source", target_name: str = "target") -> ParallelCorpus:
-    """A ParallelCorpus of lines checked as read or valid by construction."""
+    """A ParallelCorpus of lines, each side with its distinct tokens,
+    checked as read or valid by construction."""
     corpus = object.__new__(ParallelCorpus)
-    corpus.src, corpus.tgt, corpus.source_name, corpus.target_name = (
-        src, tgt, source_name, target_name)
+    (corpus.src, corpus.src_tokens), (corpus.tgt, corpus.tgt_tokens) = src, tgt
+    corpus.source_name, corpus.target_name = source_name, target_name
     return corpus
 
 
@@ -196,9 +209,10 @@ def parse_factored_corpus(
     "\n" is removed from each line, so lines split with their ends kept
     parse as the same lines without them.
     """
-    src, tgt = _checked([ln.rstrip("\n") for ln in source], [ln.rstrip("\n") for ln in target],
-                        source_name, target_name, auto_normalize)
-    return _made(src, tgt, source_name, target_name)
+    return _made(*_checked([ln.rstrip("\n") for ln in source],
+                           [ln.rstrip("\n") for ln in target],
+                           source_name, target_name, auto_normalize),
+                 source_name, target_name)
 
 
 def _entry_side(text: str, pad: str) -> str:
@@ -252,4 +266,8 @@ def inject(
         duplicates_skipped=len(dictionary.lines) - added,
         normalization_applied=bool(dictionary.lines and (src_pad or tgt_pad)),
     )
-    return _made(out_src, out_tgt), report
+    # the output's tokens are the input's and those of the lines added,
+    # which hold no whitespace but their separators
+    kept = len(corpus.src)
+    return _made((out_src, corpus.src_tokens.union(" ".join(out_src[kept:]).split())),
+                 (out_tgt, corpus.tgt_tokens.union(" ".join(out_tgt[kept:]).split()))), report

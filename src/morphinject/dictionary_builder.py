@@ -9,8 +9,10 @@ byte; bad rows are collected as failures instead of aborting the batch.
 
 A WordFormDictionary holds its entries as rendered "source\ttarget"
 lines. A surface-only side is words joined by single spaces ("will
-walk"). WordFormDictionary.entries, the same lines as (source, target)
-string pairs, is built each time it is read.
+walk"). No source side starts with "#", since a file line that does is
+a comment: a built row or a line made by hand that would is an error.
+WordFormDictionary.entries, the same lines as (source, target) string
+pairs, is built each time it is read.
 
 Each input is checked once, where it enters. A line read from a file
 is checked by one full-line pattern for its pair of factor widths;
@@ -171,13 +173,19 @@ def _side_pattern(width: int) -> str:
 @cache
 def _line_check(source_width: int, target_width: int):
     """fullmatch for one dictionary line of these factor widths. A line
-    it accepts is two valid sides; any other goes to `sc.token_error`."""
-    return re.compile(rf"{_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
+    it accepts is two valid sides, the source not led by "#"; any other
+    goes to `_line_error`."""
+    return re.compile(
+        rf"(?!#){_side_pattern(source_width)}\t{_side_pattern(target_width)}").fullmatch
 
 
 def _line_error(source: Sequence[str], target: Sequence[str]) -> str | None:
     """The first problem of an entry's two sides, each split at "|", or None."""
-    return sc.token_error(source[0], source[1:]) or sc.token_error(target[0], target[1:])
+    error = sc.token_error(source[0], source[1:]) or sc.token_error(target[0], target[1:])
+    if error is None and source[0].startswith("#"):
+        # a file line that starts with "#" is a comment: the entry would be lost
+        error = f"entry {FACTOR_SEP.join(source)!r} starts with '#', as a comment line does"
+    return error
 
 
 def _made(lines: list[str], scheme: FactorScheme,
@@ -353,7 +361,7 @@ def build_noun_dict(
             plural = english_noun_surface(english, "pl")
         try:
             rows = noun_paradigm(noun.entry, table)
-            check = not (suffixes_valid and part(english))
+            check = not (suffixes_valid and part(english) and not english.startswith("#"))
             for number, case, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
                 line = f"{english}|{number}|{case}\t{form}|{root}|{suffix}"
@@ -391,7 +399,7 @@ def build_verb_dict(
         english, root = verb.english_root, verb.hindi_root
         try:
             rows = verb_paradigm(verb, table)
-            check = not (suffixes_valid and part(english)
+            check = not (suffixes_valid and part(english) and not english.startswith("#")
                          and all(part(o[4]) for o in verb.irregular_forms))
             if surface:
                 english_of = {key: english_verb_surface(english, *key) for key in keys}

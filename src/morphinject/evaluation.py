@@ -1,16 +1,21 @@
 """Evaluation: OOV counting, factor-sparsity coverage, corpus BLEU.
 
 Sparsity is measured per mapping step of a factor scheme, over two
-parallel corpora, train and probe, each read as its checked lines. Every
-token on a probe side, however many a line holds, is projected onto the
-step's input factors, the source side for translation steps and the
-target side for generation steps; a projection is unseen when no token
-on the same side of the training corpus projects to it. A parsed side
-has one width, so its first token decides for the side: a probe side
-of another width is an error, and a training side narrower than the
-scheme projects nothing. Each distinct token is projected once. An OOV
-count takes its vocabulary as a set of token strings, and OOV reduction
-uses the plain relative formula 100 * (baseline - augmented) / baseline.
+parallel corpora, train and probe. Every token on a probe side, however
+many a line holds, is projected onto the step's input factors, the
+source side for translation steps and the target side for generation
+steps; a projection is unseen when no token on the same side of the
+training corpus projects to it. The tokens are read from the sets of
+distinct tokens each corpus side keeps from the check that made it
+(ParallelCorpus.src_tokens and tgt_tokens), so no line is split here
+and each distinct token is projected once. A checked side has one
+width, so its first token decides for the side: a probe side of
+another width is an error at its first token's line, and a training
+side narrower than the scheme projects nothing. An OOV count takes its
+vocabulary as a set of token strings, and OOV reduction uses the plain
+relative formula 100 * (baseline - augmented) / baseline. BLEU takes a
+sentence's unigrams as its words and its longer n-grams from tails
+sliced once per sentence.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import InputError
@@ -60,16 +65,15 @@ def _step_label(in_names: tuple[str, ...], out_names: tuple[str, ...]) -> str:
 
 
 def _projections(
-    lines: list[str], declared: tuple[str, ...], names: tuple[str, ...]
+    tokens: frozenset[str], declared: tuple[str, ...], names: tuple[str, ...]
 ) -> set[tuple[str, ...]]:
-    """Project every distinct token of a side onto the named factors.
+    """Project the distinct tokens of a side onto the named factors.
 
-    A parsed side has one width, so its first token decides for all: a
-    side narrower than the scheme projects nothing, and a padded one
+    A checked side has one width, so any of its tokens decides for all:
+    a side narrower than the scheme projects nothing, and a padded one
     (width-normalized) still projects, since extra trailing null factors
     never shift the named positions.
     """
-    tokens = set(chain.from_iterable(map(str.split, filter(None, lines), repeat(" "))))
     if not tokens or next(iter(tokens)).count("|") < len(declared) - 1:
         return set()
     parts = list(map(str.split, tokens, repeat("|")))
@@ -100,15 +104,17 @@ def sparsity_report(
     equals the number of distinct projections.
     """
     sides = []
-    for name, declared, train_lines, probe_lines, steps in (
-        (probe.source_name, scheme.source_factors, train.src, probe.src, scheme.translation_steps),
-        (probe.target_name, scheme.target_factors, train.tgt, probe.tgt, scheme.generation_steps),
+    for name, declared, probe_lines, train_tokens, probe_tokens, steps in (
+        (probe.source_name, scheme.source_factors, probe.src,
+         train.src_tokens, probe.src_tokens, scheme.translation_steps),
+        (probe.target_name, scheme.target_factors, probe.tgt,
+         train.tgt_tokens, probe.tgt_tokens, scheme.generation_steps),
     ):
         _check_probe_side(probe_lines, name, len(declared) - 1)
         reports = []
         for in_names, out_names in steps:
-            known = _projections(train_lines, declared, in_names)
-            probe_tuples = _projections(probe_lines, declared, in_names)
+            known = _projections(train_tokens, declared, in_names)
+            probe_tuples = _projections(probe_tokens, declared, in_names)
             unseen = sorted("|".join(t) for t in probe_tuples if t not in known)
             reports.append(
                 StepReport(_step_label(in_names, out_names),
@@ -146,11 +152,15 @@ def bleu(
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        cand_tails = [cand[i:] for i in range(4)]
-        ref_tails = [ref[i:] for i in range(4)]
-        for n in range(4):
-            cand_grams = list(zip(*cand_tails[:n + 1]))
-            ref_grams = zip(*ref_tails[:n + 1])
+        # unigrams are the words themselves; the tails are sliced once
+        c1, c2, c3 = cand[1:], cand[2:], cand[3:]
+        r1, r2, r3 = ref[1:], ref[2:], ref[3:]
+        for n, cand_grams, ref_grams in (
+            (0, cand, ref),
+            (1, list(zip(cand, c1)), zip(ref, r1)),
+            (2, list(zip(cand, c1, c2)), zip(ref, r1, r2)),
+            (3, list(zip(cand, c1, c2, c3)), zip(ref, r1, r2, r3)),
+        ):
             distinct = set(cand_grams)
             totals[n] += len(cand_grams)
             if len(distinct) == len(cand_grams):  # each clipped count is 0 or 1

@@ -193,9 +193,12 @@ def default_pronoun_table() -> dict[str, tuple[str, str]]:
     return load_pronoun_table()
 
 
-def _sentence_facts(sentence: list[ConlluToken]) -> tuple:
+def _sentence_facts(sentence: list[ConlluToken], verbs: bool) -> tuple:
     """One pass over a sentence: what the rules read about a token's
-    neighbours, keyed by ID. Where IDs repeat, sentence order decides."""
+    neighbours, keyed by ID; without verbs, only what nouns read."""
+    if not verbs:  # head tags, the first token's of an ID; case heads
+        return ({t[0]: t[3] for t in reversed(sentence)}, {},
+                {t[4] for t in sentence if t[5] == "case"}, (), {}, {})
     tags: dict[int, str] = {}  # the XPOS of the first token with each ID
     subjects: dict[int, ConlluToken] = {}  # head ID -> its first subject child
     case_heads = set()  # IDs with a `case` child
@@ -249,7 +252,7 @@ def annotate_sentence(
                                CASE_FACTS, "dir")
     tam_table = compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
                               TAM_FACTS, "hab")
-    tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence)
+    tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence, verbs)
     out = []
     for token in sentence:
         tid, form, lemma, xpos, head, deprel = token

@@ -8,10 +8,12 @@ rules, must give the same factors on any dependency graph, well formed
 or not; with tables loaded from any TSV text it gives only factors of
 the closed value sets, which is why the CLI checks no factor. A
 compiled table must hold, for every fact vector, the value of the first
-rule whose fact holds. The CLI's string rendering
-must give the same line, or the same error, as the token route below:
-each token padded with null factors to the line's width, built as a
-FactoredToken in sentence order, and the tokens rendered. The CLI builds
+rule whose fact holds. Noun mode, which reads only the facts nouns use,
+must give both mode's pairs to nouns and (form, ()) to every other
+token. The CLI's string rendering must give the same line, or the same
+error, as the token route below: each token padded with null factors to
+the line's width, built as a FactoredToken in sentence order, and the
+tokens rendered. The CLI builds
 a line from each factor tuple's cached tail, and checks each distinct
 surface once per memo; only a sentence that holds a bad one is checked
 token by token. A memo warmed by earlier sentences must give each later
@@ -35,6 +37,7 @@ from morphinject.cli import _annotation_line, _Tails
 from morphinject.errors import InputError
 from morphinject.source_factors import (
     CASE_FACTS,
+    NOUN_TAGS,
     TAM_FACTS,
     ConlluToken,
     annotate_sentence,
@@ -154,6 +157,18 @@ def test_a_compiled_table_holds_the_first_rule_whose_fact_holds(facts_fallback, 
     table = compile_rules(rules, facts, fallback)
     assert len(table) == 1 << len(facts)
     assert table[bits] == (first[0] if first else fallback)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sentences(), CASE_RULES, TAM_RULES)
+@example(ORDER_CASES[3], default_case_rules(), default_tam_rules())
+def test_noun_mode_is_both_mode_restricted_to_nouns(sentence, case_rules, tam_rules):
+    # noun mode reads fewer facts of the sentence; those it reads give
+    # each noun the pair both mode gives it
+    both = annotate_sentence(sentence, "both", None, case_rules, tam_rules)
+    noun = annotate_sentence(sentence, "noun", None, case_rules, tam_rules)
+    assert noun == [pair if token.xpos in NOUN_TAGS else (token.form, ())
+                    for token, pair in zip(sentence, both)]
 
 
 def test_a_rule_that_names_no_fact_is_an_error():

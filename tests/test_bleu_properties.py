@@ -1,17 +1,19 @@
 """Property test for the BLEU kernel.
 
-bleu clips each order's n-gram counts with a set intersection when the
-candidate's n-grams are distinct, and with Counters otherwise. The
-reference below is the Counter-per-order implementation it replaced;
-the integer counts are the same, so every BleuScore field must be
-exactly equal, and the same inputs must raise the same errors.
+bleu takes the unigrams as the words themselves and the longer n-grams
+from tails sliced once per sentence, and clips each order's counts with
+a set intersection when the candidate's n-grams are distinct, and with
+Counters otherwise. The reference below is the Counter-per-order
+implementation it replaced; the integer counts are the same, so every
+BleuScore field must be exactly equal, and the same inputs must raise
+the same errors.
 """
 
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from morphinject.errors import InputError
@@ -68,11 +70,29 @@ def _sentences(draw, count):
     return out
 
 
-@given(st.data(), st.integers(0, 6), st.integers(0, 2), st.booleans())
-def test_bleu_matches_the_counter_reference(data, count, extra, smoothing):
-    candidates = data.draw(_sentences(count))
+@st.composite
+def _corpora(draw):
+    count = draw(st.integers(0, 6))
     # mostly aligned corpora, sometimes one of another length
-    references = data.draw(_sentences(count + data.draw(st.sampled_from([0, 0, extra]))))
+    extra = draw(st.sampled_from([0, 0, draw(st.integers(0, 2))]))
+    return draw(_sentences(count)), draw(_sentences(count + extra))
+
+
+_SHORT = [[], ["a"], ["a", "b"], ("b", "a", "c")]
+_EVERY_ORDER_REPEATS = ["a", "b"] * 4  # a, ab, aba and abab each come again
+
+
+@given(_corpora(), st.booleans())
+# 0 to 3 tokens a side, so that some orders have no n-grams on one side or both
+@example((_SHORT, _SHORT[::-1]), False)
+@example((_SHORT, _SHORT), True)
+@example(([["a", "b", "c"]], [[]]), True)
+@example(([[], []], [["a"], []]), False)  # no candidate token: an error
+# repeats on every order, so that every order is clipped by the Counters
+@example(([_EVERY_ORDER_REPEATS], [["a", "b", "a", "b", "b", "a"]]), False)
+@example(([_EVERY_ORDER_REPEATS, ["a"] * 5], [_EVERY_ORDER_REPEATS[1:], ["a"] * 3]), True)
+def test_bleu_matches_the_counter_reference(corpora, smoothing):
+    candidates, references = corpora
     try:
         expected = _ref_bleu(candidates, references, smoothing)
     except InputError as exc:

@@ -308,8 +308,11 @@ _mixed_line = st.lists(st.integers(0, 2).flatmap(_valid_token), max_size=4).map(
 def test_views_hold_the_tokens_and_entries_of_the_reference_parse(sides, dictionary):
     """The benchmark counts the tokens of ParallelCorpus.pairs and the
     entries of WordFormDictionary.entries: as strings, they are the
-    tokens and entries the reference parses, one for one."""
+    tokens and entries the reference parses, one for one. The token sets
+    the sparsity report reads are those of the padded lines."""
     corpus = parse_factored_corpus(*sides, auto_normalize=True)
     assert corpus.pairs == _rendered_pairs(ref_pairs(corpus))
+    assert corpus.src_tokens == {t for src, _ in corpus.pairs for t in src}
+    assert corpus.tgt_tokens == {t for _, tgt in corpus.pairs for t in tgt}
     for d in (dictionary, strip_to_surface(dictionary)):
         assert d.entries == [(e.source.render(), e.target.render()) for e in ref_entries(d)]

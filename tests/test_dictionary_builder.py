@@ -144,6 +144,34 @@ def test_build_noun_dict_dedupe_and_failures():
     assert d.failures[0].english_root == "cat"
 
 
+@pytest.mark.parametrize("surface", [False, True], ids=["factored", "surface"])
+@pytest.mark.parametrize("build, row, first", [
+    (build_noun_dict, BilingualNoun("#dog", NounLexEntry("कुत्ता", "m")), "#dog|sg|dir"),
+    (build_verb_dict, VerbLexEntry("चल", "#walk"), "#walk|sg|3|inf"),
+], ids=["noun", "verb"])
+def test_an_english_root_led_by_a_hash_fails_its_row(build, row, first, surface):
+    # a dictionary file reads a line that starts with "#" as a comment, so
+    # such an entry would be written and then lost when the file is read
+    d = build([row], surface=surface)
+    assert d.lines == []
+    assert [(f.index, f.english_root, f.error) for f in d.failures] == [
+        (0, row.english_root, f"entry {first!r} starts with '#', as a comment line does")]
+
+
+@pytest.mark.parametrize("line, scheme, entry", [
+    ("#a\tb", SURFACE_SCHEME, "#a"),
+    ("#a b\tc", SURFACE_SCHEME, "#a b"),
+    ("#dog|sg|dir\tक|क|null", NOUN_SCHEME, "#dog|sg|dir"),
+    ("#walk|sg|3|hab\tक|क|null", VERB_SCHEME, "#walk|sg|3|hab"),
+])
+def test_a_dictionary_entry_led_by_a_hash_is_an_error(line, scheme, entry):
+    with pytest.raises(InputError) as raised:
+        WordFormDictionary([line], scheme)
+    assert str(raised.value) == f"entry {entry!r} starts with '#', as a comment line does"
+    # "#" inside a side, or leading the target side, is no comment mark
+    assert WordFormDictionary(["a#\t#b"], SURFACE_SCHEME).lines == ["a#\t#b"]
+
+
 def test_noun_dict_cardinality(noun_fixtures):
     lexicon = [BilingualNoun(f.english, f.entry) for f in noun_fixtures]
     d = build_noun_dict(lexicon)

@@ -1,10 +1,12 @@
 """Property tests for the sparsity report and the corpus vocabulary.
 
-sparsity_report projects the checked corpus lines. The reference below
-is the token implementation it replaced: probe tokens paired line by
-line with zip and projected through FactoredToken. Where every probe
-line pair holds equal token counts, the two must give the same report;
-on any probe, the report must equal a per-side count over every token.
+sparsity_report projects the distinct tokens each corpus side keeps
+from the check that made it. The reference below is the token
+implementation it replaced: probe tokens paired line by line with zip
+and projected through FactoredToken. Where every probe line pair holds
+equal token counts, the two must give the same report; on any probe,
+the report must equal a per-side count over every token. A corpus
+parsed, built by hand or made by inject gives the same report.
 """
 
 import io
@@ -13,8 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ref_pairs
-from morphinject.corpus_inject import parse_factored_corpus
-from morphinject.dictionary_builder import NOUN_SCHEME, SURFACE_SCHEME, VERB_SCHEME
+from morphinject.corpus_inject import ParallelCorpus, inject, parse_factored_corpus
+from morphinject.dictionary_builder import (
+    NOUN_SCHEME,
+    SURFACE_SCHEME,
+    VERB_SCHEME,
+    WordFormDictionary,
+)
 from morphinject.errors import InputError
 from morphinject.evaluation import (
     SparsityReport,
@@ -185,6 +192,28 @@ def test_a_probe_token_of_another_width_is_located(data):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+# surface-only entries fit a corpus of any width; a source side may hold
+# two words, which inject writes as two tokens
+_entries = st.lists(st.tuples(st.lists(st.sampled_from(SURFACES), min_size=1, max_size=2)
+                              .map(" ".join), st.sampled_from(SURFACES)), max_size=4)
+
+
+@given(data=st.data())
+def test_a_parsed_a_hand_built_and_an_injected_corpus_give_the_same_report(data):
+    scheme = data.draw(st.sampled_from(SCHEMES))
+    dictionary = WordFormDictionary([f"{s}\t{t}" for s, t in data.draw(_entries)],
+                                    SURFACE_SCHEME)
+    injected, _ = inject(data.draw(_train(scheme)), dictionary)
+    parsed = _corpus(injected.src, injected.tgt)
+    by_hand = ParallelCorpus(injected.src, injected.tgt)
+    # inject's output, never re-parsed, carries the token sets of its lines
+    assert (injected.src_tokens, injected.tgt_tokens) == (parsed.src_tokens, parsed.tgt_tokens)
+    probe = data.draw(_probe(scheme, equal_counts=False))
+    expected = brute_sparsity(parsed, probe, scheme)
+    for train in (parsed, by_hand, injected):
+        assert sparsity_report(train, probe, scheme) == expected
 
 
 def test_a_narrower_training_side_projects_nothing_and_a_padded_one_projects():
