@@ -12,15 +12,15 @@ _EXPORTS = {
         "NounLexEntry",
         "SuffixTable",
         "classify_noun",
-        "default_suffix_table",
         "join_noun",
+        "load_suffix_table",
         "noun_paradigm",
     ),
     "verb_morph": (
         "VerbLexEntry",
         "VerbSuffixTable",
-        "default_verb_suffix_table",
         "join_verb",
+        "load_verb_suffix_table",
         "verb_paradigm",
     ),
     "dictionary_builder": (

@@ -24,7 +24,8 @@ and `sparsity` no morphology and no annotator. No call loads the
 standard library's data class, inspect, log, typing, pathlib or
 tempfile modules (argparse loads shutil itself), and only a call that
 writes JSON loads json; tests/test_imports.py pins the modules of every
-subcommand. `annotate` loads its tables once and calls the public
+subcommand. `annotate` loads its three tables, compiles the rules into
+one annotation_tables record per call, and passes it to the public
 annotate_sentence for each sentence; the CLI names no private of another
 module. Every factor comes from a loaded table, which checked each value
 against its closed set, so annotate checks no factor: it checks each
@@ -281,13 +282,13 @@ def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
 def cmd_annotate(args) -> int:
     from . import source_factors as sf
 
-    pronouns = sf.load_pronoun_table(args.pronouns)
-    case_rules = sf.load_case_rules(args.case_rules)
-    tam_rules = sf.load_tam_rules(args.tam_rules)
+    tables = sf.annotation_tables(sf.load_pronoun_table(args.pronouns),
+                                  sf.load_case_rules(args.case_rules),
+                                  sf.load_tam_rules(args.tam_rules))
     tails = _Tails(_ANNOTATE_WIDTH[args.mode])
     out_lines = [
         _annotation_line(
-            sentence, sf.annotate_sentence(sentence, args.mode, pronouns, case_rules, tam_rules),
+            sentence, sf.annotate_sentence(sentence, args.mode, tables),
             tails, f"{args.conllu}: sentence {n}")
         for n, sentence in enumerate(sf.read_conllu(sc.read_lines(args.conllu), args.conllu), 1)
     ]

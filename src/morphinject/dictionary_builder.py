@@ -346,10 +346,12 @@ def build_noun_dict(
     of a row made before its failing cell are kept. With `surface`, each
     entry is kept as its surface-only line (see `strip_to_surface`). A
     row's lines are checked only if its English root or a table suffix
-    is not a valid factor, and a line whose form is empty always is."""
-    from .noun_morph import default_suffix_table, noun_paradigm
+    is not a valid factor, and a line whose form is empty always is.
+    A `table` of None loads the packaged one for this call: a caller
+    that builds more than once passes a loaded table."""
+    from .noun_morph import load_suffix_table, noun_paradigm
 
-    table = table or default_suffix_table()
+    table = table or load_suffix_table()
     valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
     part = sc.token_match(0)
     suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
@@ -382,10 +384,11 @@ def build_verb_dict(
     tuple appears once per gender, then exact duplicates collapse. With
     `surface`, each entry is kept as its surface-only line (see
     `strip_to_surface`). Lines are checked as in `build_noun_dict`, and
-    also when an irregular form of the row is not a valid factor."""
-    from .verb_morph import default_verb_suffix_table, verb_paradigm
+    also when an irregular form of the row is not a valid factor. A
+    `table` of None loads the packaged one for this call."""
+    from .verb_morph import load_verb_suffix_table, verb_paradigm
 
-    table = table or default_verb_suffix_table()
+    table = table or load_verb_suffix_table()
     valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
     part = sc.token_match(0)
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)

@@ -18,7 +18,9 @@ suffixes the first time it sees that (class, tail), and keeps the
 tail's ending and the joined rows; a root's surface is its head plus
 its joined tail. The public `join_noun` normalizes its inputs, checks
 the root whatever the suffix, and checks the suffix against the class's
-column; a suffix taken from the table is legal by construction.
+column; a suffix taken from the table is legal by construction. Both
+take the table as an argument: `load_suffix_table` gives the packaged
+one or one from a file, and the module keeps no table of its own.
 
 `parse_noun_lexicon` checks each row once, cell by cell, as it is read:
 it skips a blank or "#" line, and the first bad cell of any other is an
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cache
 
 from . import script_core as sc
 from .errors import InputError
@@ -125,12 +126,6 @@ def load_suffix_table(path: str | None = None) -> SuffixTable:
         return SuffixTable(cells)
 
 
-@cache
-def default_suffix_table() -> SuffixTable:
-    """The packaged suffix table, loaded once."""
-    return load_suffix_table()
-
-
 _I_ENDINGS = ("ii", "i")
 _LONG_ENDINGS = ("ii", "uu")
 
@@ -160,12 +155,7 @@ def _classify(entry: NounLexEntry, ending: str) -> str:
     return "D" if ending == "aa" else "E"
 
 
-def join_noun(
-    root: str,
-    cls: str,
-    suffix: str | None,
-    table: SuffixTable | None = None,
-) -> str:
+def join_noun(root: str, cls: str, suffix: str | None, table: SuffixTable) -> str:
     """Synthesize the surface form from root + suffix (reverse morphology).
 
     Dispatch is keyed on (class, root ending):
@@ -181,9 +171,10 @@ def join_noun(
     * anything else: plain append (माला -> मालाएँ).
 
     The root is checked as a Devanagari word whatever the suffix, after
-    the class and the suffix.
+    the class and the suffix, which must be in the class's column of
+    `table`.
     """
-    legal = (table or default_suffix_table()).legal_suffixes(cls)
+    legal = table.legal_suffixes(cls)
     root = sc.normalize(root)
     if suffix is None:
         sc.ending_of(root)  # the root is checked whatever the suffix
@@ -215,13 +206,12 @@ def _join(root: str, cls: str, suffix: str, ending: str) -> str:
 
 
 def noun_paradigm(
-    entry: NounLexEntry, table: SuffixTable | None = None,
+    entry: NounLexEntry, table: SuffixTable,
 ) -> list[tuple[str, str, str | None, str]]:
     """Generate the four (number, case, suffix, surface) rows, in sg-dir,
     sg-obl, pl-dir, pl-obl order; a null suffix is None. The root is
     checked first, whatever its class. A root joins as its head plus its
     joined tail, which the table works out once per (class, tail)."""
-    table = table or default_suffix_table()
     root = entry.hindi_root
     word = table._tail_match(root)
     tail = root if word is None else word[1]  # not a word: ending_of raises

@@ -17,16 +17,17 @@ could never take effect (a second row for a pronoun, a rule named twice
 or listed after "default") is an error at its line.
 
 annotate_sentence is the one place that decides what a noun or a verb is
-and computes its factors, a tuple per token; the CLI's annotate loads
-the tables once and calls it for each sentence. Each case or TAM rule
-names a yes/no fact about a token (CASE_FACTS, TAM_FACTS), and a rule
-list is compiled once (compile_rules is cached) into a table indexed by
-a token's fact bits, each entry the value of the first rule whose fact
-holds. One pass over the sentence records what the facts read of a
-token's head, children and modal, so annotating a sentence costs time
-linear in its length and one table read per noun or verb. Where IDs
-repeat, the first token in sentence order wins, as in a scan of the
-sentence.
+and computes its factors, a tuple per token. Each case or TAM rule names
+a yes/no fact about a token (CASE_FACTS, TAM_FACTS), and compile_rules
+turns a rule list into a table indexed by a token's fact bits, each
+entry the value of the first rule whose fact holds. annotation_tables
+compiles both rule lists into an AnnotationTables record with the
+pronoun table; the CLI's annotate builds one per call and passes it for
+each sentence, and the module keeps no table of its own. One pass over
+the sentence records what the facts read of a token's head, children
+and modal, so annotating a sentence costs time linear in its length and
+one table read per noun or verb. Where IDs repeat, the first token in
+sentence order wins, as in a scan of the sentence.
 
 read_conllu remembers, for one call, each ID and HEAD string that has
 passed its check and the int it stands for, so a row whose ID and HEAD
@@ -38,7 +39,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cache
 
 from . import script_core as sc
 from .errors import InputError
@@ -160,12 +160,10 @@ TAM_FACTS = ("md_will", "md_other", "to_infinitive", "past_tag", "present_tag",
 _WILL = ("will", "shall", "'ll", "wo")
 
 
-@cache
-def compile_rules(rules: tuple[tuple[str, str], ...], facts: tuple[str, ...],
+def compile_rules(rules: list[tuple[str, str]], facts: tuple[str, ...],
                   fallback: str) -> tuple[str, ...]:
     """The ordered rules as a table over fact bits: entry `bits` is the
-    value of the first rule whose fact holds, or `fallback` if none does.
-    Built once per distinct rules."""
+    value of the first rule whose fact holds, or `fallback` if none does."""
     for name, _ in rules:
         if name != "default" and name not in facts:
             raise InputError(f"unknown rule {name!r}")
@@ -175,22 +173,16 @@ def compile_rules(rules: tuple[tuple[str, str], ...], facts: tuple[str, ...],
         for bits in range(1 << len(facts)))
 
 
-@cache
-def default_case_rules() -> list[tuple[str, str]]:
-    """The packaged case rules, loaded once."""
-    return load_case_rules()
+AnnotationTables = namedtuple("AnnotationTables", "pronouns case_table tam_table")
 
 
-@cache
-def default_tam_rules() -> list[tuple[str, str]]:
-    """The packaged TAM rules, loaded once."""
-    return load_tam_rules()
-
-
-@cache
-def default_pronoun_table() -> dict[str, tuple[str, str]]:
-    """The packaged pronoun table, loaded once."""
-    return load_pronoun_table()
+def annotation_tables(pronouns: dict[str, tuple[str, str]], case_rules: list[tuple[str, str]],
+                      tam_rules: list[tuple[str, str]]) -> AnnotationTables:
+    """What annotate_sentence reads: the pronoun table as
+    load_pronoun_table gives it, and the case and TAM rule lists
+    compiled, with "dir" and "hab" where no rule fires."""
+    return AnnotationTables(pronouns, compile_rules(case_rules, CASE_FACTS, "dir"),
+                            compile_rules(tam_rules, TAM_FACTS, "hab"))
 
 
 def _sentence_facts(sentence: list[ConlluToken], verbs: bool) -> tuple:
@@ -228,30 +220,25 @@ def _sentence_facts(sentence: list[ConlluToken], verbs: bool) -> tuple:
 
 
 def annotate_sentence(
-    sentence: list[ConlluToken],
-    mode: str = "both",
-    pronouns: dict[str, tuple[str, str]] | None = None,
-    case_rules: list[tuple[str, str]] | None = None,
-    tam_rules: list[tuple[str, str]] | None = None,
+    sentence: list[ConlluToken], mode: str = "both", tables: AnnotationTables | None = None,
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Annotate one sentence: (token string, factor tuple) per token.
 
-    `mode` ("noun", "verb" or "both") names the tokens annotated, and a
-    table or rule list left None is the packaged one. Nouns yield lemma +
-    (number, case); verbs lemma + (number, person, tam); everything else
-    the surface form and (). An empty lemma, or "_" (CoNLL-U's
-    unspecified field), falls back to the form. The caller pads widths
-    (factor normalization) before emission.
+    `mode` ("noun", "verb" or "both") names the tokens annotated, and
+    `tables` (see annotation_tables) gives the pronouns and compiled
+    rules; None loads and compiles the packaged ones for this call, so a
+    caller that annotates more than one sentence passes tables built
+    once. Nouns yield lemma + (number, case); verbs lemma + (number,
+    person, tam); everything else the surface form and (). An empty
+    lemma, or "_" (CoNLL-U's unspecified field), falls back to the form.
+    The caller pads widths (factor normalization) before emission.
     """
     if mode not in ("noun", "verb", "both"):
         raise InputError(f"bad annotation mode {mode!r}")
     nouns, verbs = mode != "verb", mode != "noun"
-    if pronouns is None:
-        pronouns = default_pronoun_table()
-    case_table = compile_rules(tuple(default_case_rules() if case_rules is None else case_rules),
-                               CASE_FACTS, "dir")
-    tam_table = compile_rules(tuple(default_tam_rules() if tam_rules is None else tam_rules),
-                              TAM_FACTS, "hab")
+    if tables is None:
+        tables = annotation_tables(load_pronoun_table(), load_case_rules(), load_tam_rules())
+    pronouns, case_table, tam_table = tables
     tags, subjects, case_heads, to_heads, md_child, md_by_id = _sentence_facts(sentence, verbs)
     out = []
     for token in sentence:

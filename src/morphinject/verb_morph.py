@@ -17,9 +17,11 @@ normalized and checks it in the one match that splits off its tail
 (script_core.tail_match). The joiner reads and rewrites only the tail,
 so the table joins a tail to every row's suffix the first time it sees
 that tail, and a stem's surfaces are its head plus its joined tails;
-only a verb with irregular forms looks for an override per row. The
-public `join_verb` normalizes its inputs and checks the stem whatever
-the suffix.
+only a verb with irregular forms looks for an override per row.
+`verb_paradigm` takes the table as an argument: `load_verb_suffix_table`
+gives the packaged one or one from a file, and the module keeps no
+table of its own. The public `join_verb` normalizes its inputs and
+checks the stem whatever the suffix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cache
 
 from . import script_core as sc
 from .errors import InputError
@@ -150,12 +151,6 @@ def _slot(tam: str, gender: str, number: str, person: str, where: str) -> tuple:
             sc.table_value(sc.PERSONS, "person", person, where, null="-"))
 
 
-@cache
-def default_verb_suffix_table() -> VerbSuffixTable:
-    """The packaged verb suffix table, loaded once."""
-    return load_verb_suffix_table()
-
-
 _U_ENDINGS = ("uu", "u")
 _LONG_ENDINGS = ("ii", "uu")
 
@@ -217,7 +212,7 @@ def _join(root: str, suffix: str, ending: str) -> str:
 
 
 def verb_paradigm(
-    entry: VerbLexEntry, table: VerbSuffixTable | None = None
+    entry: VerbLexEntry, table: VerbSuffixTable
 ) -> list[tuple[str, str, str, str, str | None, str]]:
     """Generate (tam, gender, number, person, suffix, surface) rows, one
     per row of the table's paradigm (see VerbSuffixTable), in its order.
@@ -226,7 +221,6 @@ def verb_paradigm(
     stem joins as its head plus its joined tail, which the table works
     out once per tail.
     """
-    table = table or default_verb_suffix_table()
     root = entry.hindi_root
     word = table._tail_match(root)
     tail = root if word is None else word[1]  # not a word: ending_of raises

@@ -23,7 +23,7 @@ from morphinject.noun_morph import (
     BilingualNoun,
     NounLexEntry,
     classify_noun,
-    default_suffix_table,
+    load_suffix_table,
     noun_paradigm,
 )
 
@@ -45,7 +45,7 @@ def criterion(num: int, name: str):
 def test_criterion_1_golden_dog_paradigm():
     with criterion(1, "dog paradigm: exact four rows, < 1 ms"):
         entry = NounLexEntry("कुत्ता", "m")
-        table = default_suffix_table()
+        table = load_suffix_table()
         rows = noun_paradigm(entry, table)
         assert [(number, case) for number, case, _, _ in rows] == [
             ("sg", "dir"), ("sg", "obl"), ("pl", "dir"), ("pl", "obl"),
@@ -83,10 +83,10 @@ def test_criterion_2_classifier_golden():
 def test_criterion_3_joiner_fixture_suite(noun_fixtures, verb_form_fixtures, verb_lexicon_lines):
     with criterion(3, "joiner fixtures: 20+ nouns per class B-E, 10+ verbs, exact"):
         from conftest import VerbFactors, ref_override
-        from morphinject.verb_morph import default_verb_suffix_table, join_verb, parse_verb_lexicon
+        from morphinject.verb_morph import load_verb_suffix_table, join_verb, parse_verb_lexicon
 
         per_class = dict.fromkeys("ABCDE", 0)
-        table = default_suffix_table()
+        table = load_suffix_table()
         for fx in noun_fixtures:
             rows = noun_paradigm(fx.entry, table)
             assert tuple(surface for *_, surface in rows) == tuple(
@@ -96,7 +96,7 @@ def test_criterion_3_joiner_fixture_suite(noun_fixtures, verb_form_fixtures, ver
         for cls in "BCDE":
             assert per_class[cls] >= 20, f"class {cls}"
 
-        vtable = default_verb_suffix_table()
+        vtable = load_verb_suffix_table()
         lexicon = {e.hindi_root: e for e in parse_verb_lexicon(verb_lexicon_lines)}
         assert len(lexicon) >= 10
         checked = set()

@@ -41,10 +41,8 @@ from morphinject.source_factors import (
     TAM_FACTS,
     ConlluToken,
     annotate_sentence,
+    annotation_tables,
     compile_rules,
-    default_case_rules,
-    default_pronoun_table,
-    default_tam_rules,
     load_case_rules,
     load_pronoun_table,
     load_tam_rules,
@@ -93,8 +91,10 @@ def _rules(values, defaults):
     )
 
 
-CASE_RULES = _rules(REF_CASES, default_case_rules())
-TAM_RULES = _rules(REF_TAMS, default_tam_rules())
+PRONOUNS, PACKAGED_CASE_RULES, PACKAGED_TAM_RULES = (
+    load_pronoun_table(), load_case_rules(), load_tam_rules())
+CASE_RULES = _rules(REF_CASES, PACKAGED_CASE_RULES)
+TAM_RULES = _rules(REF_TAMS, PACKAGED_TAM_RULES)
 
 
 # Graphs where sentence order decides, each rarely drawn at random:
@@ -125,7 +125,7 @@ ORDER_CASES = [
 
 def _with_order_cases(test):
     for sentence in ORDER_CASES:
-        test = example(sentence, "both", default_case_rules(), default_tam_rules())(test)
+        test = example(sentence, "both", PACKAGED_CASE_RULES, PACKAGED_TAM_RULES)(test)
     return test
 
 
@@ -134,9 +134,8 @@ def _with_order_cases(test):
 @_with_order_cases
 def test_annotate_sentence_matches_whole_sentence_scans(sentence, mode, case_rules, tam_rules):
     # an empty rule list is used as given: every token takes the fallback
-    assert (annotate_sentence(sentence, mode, None, case_rules, tam_rules)
-            == ref_annotate_sentence(sentence, mode, default_pronoun_table(),
-                                     case_rules, tam_rules))
+    assert (annotate_sentence(sentence, mode, annotation_tables(PRONOUNS, case_rules, tam_rules))
+            == ref_annotate_sentence(sentence, mode, PRONOUNS, case_rules, tam_rules))
 
 
 @settings(max_examples=500, deadline=None)
@@ -161,12 +160,13 @@ def test_a_compiled_table_holds_the_first_rule_whose_fact_holds(facts_fallback, 
 
 @settings(max_examples=1000, deadline=None)
 @given(sentences(), CASE_RULES, TAM_RULES)
-@example(ORDER_CASES[3], default_case_rules(), default_tam_rules())
+@example(ORDER_CASES[3], PACKAGED_CASE_RULES, PACKAGED_TAM_RULES)
 def test_noun_mode_is_both_mode_restricted_to_nouns(sentence, case_rules, tam_rules):
     # noun mode reads fewer facts of the sentence; those it reads give
     # each noun the pair both mode gives it
-    both = annotate_sentence(sentence, "both", None, case_rules, tam_rules)
-    noun = annotate_sentence(sentence, "noun", None, case_rules, tam_rules)
+    tables = annotation_tables(PRONOUNS, case_rules, tam_rules)
+    both = annotate_sentence(sentence, "both", tables)
+    noun = annotate_sentence(sentence, "noun", tables)
     assert noun == [pair if token.xpos in NOUN_TAGS else (token.form, ())
                     for token, pair in zip(sentence, both)]
 
@@ -174,7 +174,8 @@ def test_noun_mode_is_both_mode_restricted_to_nouns(sentence, case_rules, tam_ru
 def test_a_rule_that_names_no_fact_is_an_error():
     # a TAM rule is no case fact; the loaders locate the same mistake
     with pytest.raises(InputError, match=r"^unknown rule 'past_tag'$"):
-        annotate_sentence([], "both", None, [("subject", "dir"), ("past_tag", "obl")])
+        annotation_tables(PRONOUNS, [("subject", "dir"), ("past_tag", "obl")],
+                          PACKAGED_TAM_RULES)
 
 
 # the pronouns every table must hold, with their persons
@@ -210,9 +211,9 @@ def test_annotate_sentence_with_loaded_tables_emits_only_closed_set_factors(
     tmp = tmp_path_factory.mktemp("tables")
     for name, text in (("pronouns", pronouns), ("case", case_rules), ("tam", tam_rules)):
         (tmp / name).write_text(text, "utf-8")
-    annotated = annotate_sentence(
-        sentence, mode, load_pronoun_table(tmp / "pronouns"),
-        load_case_rules(tmp / "case"), load_tam_rules(tmp / "tam"))
+    annotated = annotate_sentence(sentence, mode, annotation_tables(
+        load_pronoun_table(tmp / "pronouns"), load_case_rules(tmp / "case"),
+        load_tam_rules(tmp / "tam")))
     slots = {0: (), 2: (sc.NUMBERS, sc.CASES), 3: (sc.NUMBERS, sc.PERSONS, sc.TAMS)}
     for _, factors in annotated:
         values = slots[len(factors)]

@@ -1,5 +1,5 @@
 """The data-table loaders: located errors on any malformed row, empty rule
-files rejected, packaged defaults loaded once."""
+files rejected, the packaged tables loaded afresh on each call."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphinject import dictionary_builder as db
 from morphinject import noun_morph as nm
 from morphinject import script_core as sc
 from morphinject import source_factors as sf
@@ -90,12 +91,46 @@ def test_mutated_table_loads_or_names_file_and_line(tmp_path_factory, name, data
         assert stderr.getvalue() == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("default", [
-    nm.default_suffix_table, vm.default_verb_suffix_table, sf.default_pronoun_table,
-    sf.default_case_rules, sf.default_tam_rules,
+@pytest.mark.parametrize("loader", [
+    nm.load_suffix_table, vm.load_verb_suffix_table, sf.load_pronoun_table,
+    sf.load_case_rules, sf.load_tam_rules,
 ])
-def test_packaged_defaults_load_once(default):
-    assert default() is default()
+def test_packaged_tables_load_equal_and_uncached(loader):
+    first, second = loader(), loader()
+    assert first is not second
+    if isinstance(first, (list, dict)):
+        assert first == second
+    else:
+        assert vars(first) == vars(second)
+
+
+def test_no_table_means_the_packaged_one():
+    # bench/table.py calls build_noun_dict and annotate_sentence without tables
+    sentences = list(sf.read_conllu(sc.read_lines(FIXTURES / "sample.conllu")))
+    packaged = sf.annotation_tables(sf.load_pronoun_table(), sf.load_case_rules(),
+                                    sf.load_tam_rules())
+    for sentence in sentences:
+        for mode in ("noun", "verb", "both"):
+            assert (sf.annotate_sentence(sentence, mode)
+                    == sf.annotate_sentence(sentence, mode, packaged))
+    nouns = nm.parse_noun_lexicon(sc.read_lines(FIXTURES / "noun_lexicon.tsv"))
+    verbs = vm.parse_verb_lexicon(sc.read_lines(FIXTURES / "verb_lexicon.tsv"))
+    assert db.build_noun_dict(nouns) == db.build_noun_dict(nouns, nm.load_suffix_table())
+    assert db.build_verb_dict(verbs) == db.build_verb_dict(verbs, vm.load_verb_suffix_table())
+
+
+def test_annotate_compiles_its_rule_tables_once_per_call(monkeypatch, capsys):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile_rules(*args)
+
+    compile_rules = sf.compile_rules
+    monkeypatch.setattr(sf, "compile_rules", counting)
+    assert main(["annotate", "--conllu", str(FIXTURES / "sample.conllu")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert compiled == [sf.CASE_FACTS, sf.TAM_FACTS]
 
 
 @pytest.mark.parametrize("name", list(TABLES))
@@ -127,7 +162,10 @@ def test_empty_rule_file_is_an_error_and_empty_rules_are_used_as_given(tmp_path)
         sf.ConlluToken(3, "at", "at", "IN", 4, "case"),
         sf.ConlluToken(4, "cats", "cat", "NNS", 2, "obl"),
     ]
+    pronouns, case_rules, tam_rules = sf.load_pronoun_table(), sf.load_case_rules(), sf.load_tam_rules()
+    no_case = sf.annotation_tables(pronouns, [], tam_rules)
+    no_tam = sf.annotation_tables(pronouns, case_rules, [])
     assert sf.annotate_sentence(sentence, "noun")[3] == ("cat", ("pl", "obl"))
-    assert sf.annotate_sentence(sentence, "noun", case_rules=[])[3] == ("cat", ("pl", "dir"))
-    assert sf.annotate_sentence(sentence, case_rules=[])[3] == ("cat", ("pl", "dir"))
-    assert sf.annotate_sentence(sentence, "verb", tam_rules=[])[1] == ("bark", ("pl", "3", "hab"))
+    assert sf.annotate_sentence(sentence, "noun", no_case)[3] == ("cat", ("pl", "dir"))
+    assert sf.annotate_sentence(sentence, "both", no_case)[3] == ("cat", ("pl", "dir"))
+    assert sf.annotate_sentence(sentence, "verb", no_tam)[1] == ("bark", ("pl", "3", "hab"))

@@ -17,11 +17,17 @@ from morphinject.dictionary_builder import (
     strip_to_surface,
 )
 from morphinject.errors import InputError
-from morphinject.noun_morph import BilingualNoun, NounLexEntry, classify_noun, join_noun
+from morphinject.noun_morph import (
+    BilingualNoun,
+    NounLexEntry,
+    classify_noun,
+    join_noun,
+    load_suffix_table,
+)
 from morphinject.verb_morph import (
     VerbLexEntry,
-    default_verb_suffix_table,
     join_verb,
+    load_verb_suffix_table,
     parse_verb_lexicon,
     verb_paradigm,
 )
@@ -193,16 +199,17 @@ def test_generation_step_closure(noun_fixtures):
     # every emitted (root, suffix) -> surface must re-derive via the joiner
     lexicon = [BilingualNoun(f.english, f.entry) for f in noun_fixtures]
     classes = {f.entry.hindi_root: classify_noun(f.entry) for f in noun_fixtures}
-    d = build_noun_dict(lexicon)
+    table = load_suffix_table()
+    d = build_noun_dict(lexicon, table)
     for e in ref_entries(d):
         root, suffix = e.target.factors
-        rebuilt = join_noun(root, classes[root], None if suffix == "null" else suffix)
+        rebuilt = join_noun(root, classes[root], None if suffix == "null" else suffix, table)
         assert rebuilt == e.target.surface
 
 
 def test_build_verb_dict(verb_lexicon_lines):
     lexicon = parse_verb_lexicon(verb_lexicon_lines)
-    table = default_verb_suffix_table()
+    table = load_verb_suffix_table()
     d = build_verb_dict(lexicon, table)
     assert not d.failures
     one = build_verb_dict([lexicon[0]], table)

@@ -42,13 +42,13 @@ from morphinject.noun_morph import (
     BilingualNoun,
     NounLexEntry,
     SuffixTable,
-    default_suffix_table,
+    load_suffix_table,
     noun_paradigm,
 )
 from morphinject.verb_morph import (
     VerbLexEntry,
     VerbSuffixTable,
-    default_verb_suffix_table,
+    load_verb_suffix_table,
     verb_paradigm,
 )
 
@@ -289,7 +289,7 @@ _noun = st.builds(
 def _noun_table(draw):
     """The packaged table, or one cell given a suffix with a space or a
     separator in it (a noun of that class then fails part-way)."""
-    table = default_suffix_table()
+    table = load_suffix_table()
     if draw(st.booleans()):
         return table
     cells = dict(table.cells)
@@ -313,7 +313,7 @@ _verb = st.builds(VerbLexEntry, _verb_stems, _english, st.lists(_override, max_s
 
 @st.composite
 def _verb_table(draw):
-    table = default_verb_suffix_table()
+    table = load_verb_suffix_table()
     if draw(st.booleans()):
         return table
     cells = list(table.cells)
@@ -349,12 +349,12 @@ def _same_build(build, lexicon, table, ref_built, ref_failures):
 
 def _noun_table_with(suffix):
     """The packaged noun table with its D/pl/dir cell set to `suffix`."""
-    return SuffixTable({**default_suffix_table().cells, ("D", "pl", "dir"): suffix})
+    return SuffixTable({**load_suffix_table().cells, ("D", "pl", "dir"): suffix})
 
 
 def _verb_table_with(change):
     """The packaged verb table with its first non-null suffix changed."""
-    cells = list(default_verb_suffix_table().cells)
+    cells = list(load_verb_suffix_table().cells)
     i = next(i for i, c in enumerate(cells) if c[4] is not None)
     cells[i] = (*cells[i][:4], change(cells[i][4]))
     return VerbSuffixTable(cells)
@@ -371,7 +371,7 @@ _DOG = NounLexEntry("कुत्ता", "m")  # class D
 @example([BilingualNoun("a", _DOG)], _noun_table_with("ए x"))
 @example([BilingualNoun("a", _DOG)], _noun_table_with(""))
 @example([BilingualNoun("a", NounLexEntry("ा", "m"))], _noun_table_with("अ"))  # joins to ""
-@example([BilingualNoun("a b", _DOG), BilingualNoun("a", _DOG)], default_suffix_table())
+@example([BilingualNoun("a b", _DOG), BilingualNoun("a", _DOG)], load_suffix_table())
 def test_noun_builder_matches_token_reference(lexicon, table):
     _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
 
@@ -380,16 +380,16 @@ def test_noun_builder_matches_token_reference(lexicon, table):
 @given(st.lists(_verb, max_size=4), _verb_table())
 @example([VerbLexEntry("चल", "a", (("perf", None, None, None, "a|b"),)),
           VerbLexEntry("चल", "a", (("perf", "f", None, None, "x y"),)),
-          VerbLexEntry("चल", "a", (("hab", None, "pl", None, ""),))], default_verb_suffix_table())
+          VerbLexEntry("चल", "a", (("hab", None, "pl", None, ""),))], load_verb_suffix_table())
 @example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: suffix + " x"))
 @example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: ""))
-@example([VerbLexEntry("चल", "a b"), VerbLexEntry("चल", "a")], default_verb_suffix_table())
+@example([VerbLexEntry("चल", "a b"), VerbLexEntry("चल", "a")], load_verb_suffix_table())
 def test_verb_builder_matches_token_reference(lexicon, table):
     _same_build(build_verb_dict, lexicon, table, *_ref_build_verb(lexicon, table))
 
 
 def test_a_row_failing_part_way_keeps_its_first_entries():
-    cells = dict(default_suffix_table().cells)
+    cells = dict(load_suffix_table().cells)
     cells[("D", "sg", "obl")] = "ए x"
     d = build_noun_dict([BilingualNoun("dog", NounLexEntry("कुत्ता", "m"))],
                         SuffixTable(cells))

@@ -25,14 +25,14 @@ from conftest import (
     ref_verb_paradigm,
 )
 from morphinject.dictionary_builder import build_verb_dict
-from morphinject.source_factors import annotate_sentence, default_pronoun_table
+from morphinject.source_factors import annotate_sentence, annotation_tables
 from morphinject.verb_morph import (
     VerbLexEntry,
     VerbSuffixTable,
-    default_verb_suffix_table,
+    load_verb_suffix_table,
     verb_paradigm,
 )
-from test_annotate_properties import CASE_RULES, TAM_RULES, sentences
+from test_annotate_properties import CASE_RULES, PRONOUNS, TAM_RULES, sentences
 
 _override = st.tuples(
     st.sampled_from(REF_TAMS),
@@ -53,7 +53,7 @@ _verb = st.builds(
 @st.composite
 def _verb_table(draw):
     """The packaged table, or the cells of some of its TAMs."""
-    cells = default_verb_suffix_table().cells
+    cells = load_verb_suffix_table().cells
     tams = draw(st.sets(st.sampled_from(REF_TAMS), min_size=1))
     return VerbSuffixTable([c for c in cells if c[0] in tams])
 
@@ -78,6 +78,5 @@ def test_factor_values_are_the_references_value_renderings(
             for f, suffix, surface in ref_verb_paradigm(verb, table.cells)]
     built = build_verb_dict(lexicon, table, surface=True)
     assert (built.lines, built.failures) == (_ref_surface_lines(lexicon, table), [])
-    pronouns = default_pronoun_table()
-    assert (annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules)
-            == ref_annotate_sentence(sentence, mode, pronouns, case_rules, tam_rules))
+    assert (annotate_sentence(sentence, mode, annotation_tables(PRONOUNS, case_rules, tam_rules))
+            == ref_annotate_sentence(sentence, mode, PRONOUNS, case_rules, tam_rules))

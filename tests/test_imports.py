@@ -45,7 +45,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # writes every output file, so emit_factored_corpus is no more; and a
 # rule is defined once, so script_core's _WORD (tail_match's word rule)
 # and line_pattern (one surface-only side pattern, now the builder's) are
-# no more
+# no more; and a table is a value the caller passes, got from its load_*,
+# so the cached loaders of the packaged tables are no more
 RETIRED_ERRORS = ("MorphinjectError", "EmptyInput", "NonDevanagariContent", "EmptyRoot",
                   "IllegalSuffixForClass", "NotANoun", "NotAVerb", "LineCountMismatch",
                   "RaggedFactorWidth", "MalformedToken", "WidthIncompatible", "ZeroBaseline",
@@ -54,11 +55,13 @@ GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "Ve
         "rewrite_ending", "RewriteRule", "RuleNotApplicable", "split_syllables",
         "Case", "Gender", "NounClass", "Number", "Person", "TamSlot", *RETIRED_ERRORS,
         "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors",
-        "emit_factored_corpus", "_WORD", "line_pattern", "entry_sides")
+        "emit_factored_corpus", "_WORD", "line_pattern", "entry_sides",
+        "default_suffix_table", "default_verb_suffix_table", "default_pronoun_table",
+        "default_case_rules", "default_tam_rules")
 EXPORTS = {
-    "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "default_suffix_table",
-                   "join_noun", "noun_paradigm"],
-    "verb_morph": ["VerbLexEntry", "VerbSuffixTable", "default_verb_suffix_table", "join_verb",
+    "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "join_noun",
+                   "load_suffix_table", "noun_paradigm"],
+    "verb_morph": ["VerbLexEntry", "VerbSuffixTable", "join_verb", "load_verb_suffix_table",
                    "verb_paradigm"],
     "dictionary_builder": ["FactorScheme", "WordFormDictionary", "build_noun_dict",
                            "build_verb_dict", "strip_to_surface"],

@@ -8,14 +8,13 @@ from morphinject.noun_morph import (
     PARADIGM_SLOTS,
     SuffixTable,
     classify_noun,
-    default_suffix_table,
     join_noun,
     load_suffix_table,
     noun_paradigm,
     parse_noun_lexicon,
 )
 
-TABLE = default_suffix_table()
+TABLE = load_suffix_table()
 SLOT_VALUES = [("sg", "dir"), ("sg", "obl"), ("pl", "dir"), ("pl", "obl")]
 
 # the fifteen classifier examples from the classification table
@@ -81,7 +80,7 @@ def test_classifier_override_and_errors():
 def test_gender_and_class_are_strings():
     # a feminine ii-ending noun is class B, whose plurals end in याँ and यों
     girl = sc.normalize("लड़की")
-    assert noun_paradigm(NounLexEntry(girl, "f")) == [
+    assert noun_paradigm(NounLexEntry(girl, "f"), TABLE) == [
         ("sg", "dir", None, girl), ("sg", "obl", None, girl),
         ("pl", "dir", "याँ", sc.normalize("लड़कियाँ")),
         ("pl", "obl", "यों", sc.normalize("लड़कियों"))]
@@ -107,7 +106,7 @@ def test_an_unknown_class_is_an_input_error(suffix):
         TABLE.legal_suffixes("X")
     assert str(raised.value) == message
     with pytest.raises(InputError) as raised:
-        join_noun("कुत्ता", "X", suffix)
+        join_noun("कुत्ता", "X", suffix, TABLE)
     assert str(raised.value) == message
 
 
@@ -128,19 +127,19 @@ def test_noun_suffix_examples():
 
 
 def test_join_examples():
-    assert join_noun("कुत्ता", "D", "ए") == "कुत्ते"
-    assert join_noun("कुत्ता", "D", None) == "कुत्ता"
-    assert join_noun("कुत्ता", "D", "ओं") == "कुत्तों"
+    assert join_noun("कुत्ता", "D", "ए", TABLE) == "कुत्ते"
+    assert join_noun("कुत्ता", "D", None, TABLE) == "कुत्ता"
+    assert join_noun("कुत्ता", "D", "ओं", TABLE) == "कुत्तों"
     # generated surfaces are in canonical form (precomposed nukta)
-    assert join_noun("लड़की", "B", "याँ") == sc.normalize("लड़कियाँ")
-    assert join_noun("रात", "C", "एँ") == "रातें"
+    assert join_noun("लड़की", "B", "याँ", TABLE) == sc.normalize("लड़कियाँ")
+    assert join_noun("रात", "C", "एँ", TABLE) == "रातें"
     with pytest.raises(InputError, match=r"^suffix 'याँ' is not in the class-D column$"):
-        join_noun("कुत्ता", "D", "याँ")
+        join_noun("कुत्ता", "D", "याँ", TABLE)
 
 
 def test_join_noun_checks_the_root_whatever_the_suffix():
     with pytest.raises(InputError) as raised:
-        join_noun("abc", "B", None)
+        join_noun("abc", "B", None, TABLE)
     assert str(raised.value) == "non-Devanagari codepoint U+0061 at offset 0"
 
 
@@ -185,7 +184,7 @@ def test_class_a_never_inflects():
 def test_joiner_deterministic():
     expected = sc.normalize("लड़कियों")
     for _ in range(5):
-        assert join_noun("लड़की", "B", "यों") == expected
+        assert join_noun("लड़की", "B", "यों", TABLE) == expected
 
 
 def test_lexicon_parser():

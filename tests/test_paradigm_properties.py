@@ -43,15 +43,15 @@ from morphinject.noun_morph import (
     PARADIGM_SLOTS,
     NounLexEntry,
     SuffixTable,
-    default_suffix_table,
     join_noun,
+    load_suffix_table,
     noun_paradigm,
 )
 from morphinject.verb_morph import (
     VerbLexEntry,
     VerbSuffixTable,
-    default_verb_suffix_table,
     join_verb,
+    load_verb_suffix_table,
     verb_paradigm,
 )
 
@@ -185,13 +185,14 @@ _root = st.one_of(
 _SUFFIXES = ["ए", "ओं", "एँ", "ें", "ों", "याँ", "यों", "ाएँ", "आ", "ई", "ईं", "ऊँ", "ता", "ते",
              "ती", "ना", "", "ए\u200d", "ए x", "|"]
 _suffix = st.sampled_from(_SUFFIXES)
+_NOUN_TABLE, _VERB_TABLE = load_suffix_table(), load_verb_suffix_table()
 
 
 @st.composite
 def _noun_table(draw):
     """The packaged table, or (more often) one with cells outside class A
     and sg-dir given other suffixes."""
-    table = default_suffix_table()
+    table = _NOUN_TABLE
     if draw(st.integers(0, 3)) == 0:
         return table
     cells = dict(table.cells)
@@ -210,7 +211,7 @@ def _verb_table(draw):
     """The packaged table, or one with some cells given other suffixes,
     or one that keeps only some TAMs (only inf and hab: no vowel-initial
     suffix)."""
-    table = default_verb_suffix_table()
+    table = _VERB_TABLE
     choice = draw(st.integers(0, 2))
     if choice == 0:
         return table
@@ -278,12 +279,12 @@ def test_paradigm_surfaces_are_canonical_words(root, gender, countable, override
     canonical form."""
     noun = NounLexEntry(root, gender, countable, override)
     assume(_outcome(sc.ending_of, noun.hindi_root)[0] == "ok")
-    surfaces = [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"))]
+    surfaces = [row[-1] for row in verb_paradigm(VerbLexEntry(root, "x"), _VERB_TABLE)]
     if countable or override in (None, "A"):
-        surfaces += [row[-1] for row in noun_paradigm(noun)]
+        surfaces += [row[-1] for row in noun_paradigm(noun, _NOUN_TABLE)]
     else:  # an uncountable noun is class A
         with pytest.raises(InputError, match="uncountable"):
-            noun_paradigm(noun)
+            noun_paradigm(noun, _NOUN_TABLE)
     for surface in surfaces:
         assert sc.tail_match()(surface), surface
         assert sc.normalize(surface) == surface
@@ -310,8 +311,8 @@ _warm_verb = st.builds(VerbLexEntry, _shared_tail_root, st.just("go"), st.one_of
 # two tables that give one tail other forms, and a bad root after a good
 # root with its tail
 @example([NounLexEntry(root, "m") for root in ("कुत्ता", "लड़का", "xा", "कुत्ताx")],
-         default_suffix_table(),
-         SuffixTable({**default_suffix_table().cells, ("D", "pl", "obl"): "ए"}))
+         _NOUN_TABLE,
+         SuffixTable({**_NOUN_TABLE.cells, ("D", "pl", "obl"): "ए"}))
 def test_noun_paradigm_from_a_warm_memo_matches_the_reference(entries, first, second):
     for entry in entries:
         for table in (first, second):
@@ -323,9 +324,9 @@ def test_noun_paradigm_from_a_warm_memo_matches_the_reference(entries, first, se
 @settings(deadline=None)
 @given(st.lists(_warm_verb, min_size=1, max_size=20), _verb_table(), _verb_table())
 @example([VerbLexEntry(root, "go") for root in ("चल", "निकल", "xल", "पी", "जी")],
-         default_verb_suffix_table(),
+         _VERB_TABLE,
          VerbSuffixTable([(*cell[:4], "ईं" if cell[4] == "आ" else cell[4])
-                          for cell in default_verb_suffix_table().cells]))
+                          for cell in _VERB_TABLE.cells]))
 def test_verb_paradigm_from_a_warm_memo_matches_the_reference(entries, first, second):
     for entry in entries:
         for table in (first, second):

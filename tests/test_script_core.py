@@ -7,12 +7,13 @@ from morphinject.errors import InputError
 from morphinject.noun_morph import (
     NounLexEntry,
     SuffixTable,
-    default_suffix_table,
     join_noun,
+    load_suffix_table,
     noun_paradigm,
 )
 
 ENDINGS = ("aa", "ii", "i", "uu", "u", "e", "o", "consonant", "other")
+TABLE = load_suffix_table()
 
 
 def test_ending_of_examples():
@@ -46,39 +47,39 @@ def test_ending_total_on_fixture_vocab(noun_fixtures, verb_form_fixtures):
 def _d(root):
     """The surfaces of a class-D noun's paradigm."""
     entry = NounLexEntry(root, "m", class_override="D")
-    return [surface for *_, surface in noun_paradigm(entry)]
+    return [surface for *_, surface in noun_paradigm(entry, TABLE)]
 
 
 def test_rewrite_replace():
     # class D replaces the root's final ा with the suffix's vowel
     assert _d("कुत्ता") == ["कुत्ता", "कुत्ते", "कुत्ते", "कुत्तों"]
     # codepoint-pinned: the replacement result is exactly क,ु,त,्,त,े
-    assert join_noun("कुत्ता", "D", "ए") == "\u0915\u0941\u0924\u094d\u0924\u0947"
-    assert join_noun("कुत्ता", "D", "ओं") == "कुत्तों"
+    assert join_noun("कुत्ता", "D", "ए", TABLE) == "\u0915\u0941\u0924\u094d\u0924\u0947"
+    assert join_noun("कुत्ता", "D", "ओं", TABLE) == "कुत्तों"
 
 
 def test_rewrite_shorten_and_drop():
     # a long ी, ू or ई is shortened before the suffix
-    assert join_noun("लड़की", "B", "याँ") == sc.normalize("लड़कियाँ")
-    assert join_noun("बहू", "C", "एँ") == "बहुएँ"
-    assert join_noun("भाई", "E", "ओं") == "भाइयों"
+    assert join_noun("लड़की", "B", "याँ", TABLE) == sc.normalize("लड़कियाँ")
+    assert join_noun("बहू", "C", "एँ", TABLE) == "बहुएँ"
+    assert join_noun("भाई", "E", "ओं", TABLE) == "भाइयों"
     # class D drops the final ा, and the suffix vowel follows as a matra
-    assert join_noun("कुत्ता", "D", "ओं") == "कुत्त" + sc.matra_form("ओं")
+    assert join_noun("कुत्ता", "D", "ओं", TABLE) == "कुत्त" + sc.matra_form("ओं")
 
 
 def test_rewrite_nasal_handling():
     # after आ the suffix vowel is independent, and the root's nasal is
     # re-attached ...
-    assert join_noun("कुआँ", "D", "ए") == "कुएँ"
+    assert join_noun("कुआँ", "D", "ए", TABLE) == "कुएँ"
     # ... unless the suffix carries its own nasal mark
-    assert join_noun("कुआँ", "D", "ओं") == "कुओं"
+    assert join_noun("कुआँ", "D", "ओं", TABLE) == "कुओं"
     assert _d("कुआँ") == ["कुआँ", "कुएँ", "कुएँ", "कुओं"]
 
 
 def test_replace_category_property():
     # on a class-D paradigm the ending of each replaced form is the
     # category of its suffix's vowel
-    cells = dict(default_suffix_table().cells)
+    cells = dict(TABLE.cells)
     cells[("D", "pl", "dir")] = "ई"
     table = SuffixTable(cells)
     for word in ("कुत्ता", "लड़का", "माला", "कुआँ"):
@@ -111,7 +112,7 @@ def test_normalize():
 
 def test_operations_are_pure():
     word = "लड़कियाँ"
-    first = join_noun("लड़की", "B", "याँ")
+    first = join_noun("लड़की", "B", "याँ", TABLE)
     for _ in range(3):
-        assert join_noun("लड़की", "B", "याँ") == first
+        assert join_noun("लड़की", "B", "याँ", TABLE) == first
         assert sc.ending_of(word) is sc.ending_of(word)

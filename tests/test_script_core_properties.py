@@ -22,11 +22,11 @@ from morphinject.errors import InputError
 from morphinject.noun_morph import (
     NounLexEntry,
     classify_noun,
-    default_suffix_table,
     join_noun,
+    load_suffix_table,
     noun_paradigm,
 )
-from morphinject.verb_morph import VerbLexEntry, default_verb_suffix_table, join_verb, verb_paradigm
+from morphinject.verb_morph import VerbLexEntry, join_verb, load_verb_suffix_table, verb_paradigm
 
 
 def _reference_normalize(text):
@@ -91,15 +91,16 @@ def test_normalize_is_idempotent(text):
     assert sc.normalize(once) == once
 
 
-_NOUN_SUFFIXES = sorted({s for s in default_suffix_table().cells.values() if s is not None})
-_VERB_SUFFIXES = sorted({c[4] for c in default_verb_suffix_table().cells if c[4]})
+_NOUN_TABLE, _VERB_TABLE = load_suffix_table(), load_verb_suffix_table()
+_NOUN_SUFFIXES = sorted({s for s in _NOUN_TABLE.cells.values() if s is not None})
+_VERB_SUFFIXES = sorted({c[4] for c in _VERB_TABLE.cells if c[4]})
 
 
 @settings(deadline=None)
 @given(_text, st.sampled_from(REF_NOUN_CLASSES), st.sampled_from([None] + _NOUN_SUFFIXES),
        st.sampled_from([None] + _VERB_SUFFIXES))
 def test_normalize_is_idempotent_on_joiner_output(root, cls, noun_suffix, verb_suffix):
-    for join in (lambda: join_noun(root, cls, noun_suffix), lambda: join_verb(root, verb_suffix)):
+    for join in (lambda: join_noun(root, cls, noun_suffix, _NOUN_TABLE), lambda: join_verb(root, verb_suffix)):
         try:
             out = join()
         except InputError:
@@ -128,11 +129,11 @@ def test_morphology_returns_or_raises_an_input_error(root, gender, countable, ov
     try:
         entry = NounLexEntry(root, gender, countable, override)
         classify_noun(entry)
-        noun_paradigm(entry)
+        noun_paradigm(entry, _NOUN_TABLE)
     except InputError:
         pass
     try:
-        verb_paradigm(VerbLexEntry(root, "x"))
+        verb_paradigm(VerbLexEntry(root, "x"), _VERB_TABLE)
     except InputError:
         pass
 

@@ -7,8 +7,10 @@ from morphinject.errors import InputError
 from morphinject.source_factors import (
     ConlluToken,
     annotate_sentence,
-    default_pronoun_table,
+    annotation_tables,
+    load_case_rules,
     load_pronoun_table,
+    load_tam_rules,
     read_conllu,
 )
 
@@ -20,10 +22,15 @@ def sentences():
     return list(read_conllu((FIXTURES / "sample.conllu").read_text("utf-8").splitlines()))
 
 
-def _factors(sentence, form, mode="both", **kwargs):
+@pytest.fixture(scope="module")
+def tables():
+    return annotation_tables(load_pronoun_table(), load_case_rules(), load_tam_rules())
+
+
+def _factors(sentence, form, mode="both", tables=None):
     """The factor values annotate_sentence gives the token with this form."""
     at = next(i for i, t in enumerate(sentence) if t.form == form)
-    return annotate_sentence(sentence, mode, **kwargs)[at][1]
+    return annotate_sentence(sentence, mode, tables)[at][1]
 
 
 def test_read_conllu(sentences):
@@ -68,17 +75,16 @@ def test_noun_case_rules(sentences):
     assert _factors([ConlluToken(1, "dog", "dog", "NN", 0, "root")], "dog") == ("sg", "dir")
 
 
-def test_verb_factors(sentences):
-    pron = default_pronoun_table()
-    assert _factors(sentences[2], "walk", "verb", pronouns=pron) == ("sg", "1", "hab")
-    assert _factors(sentences[3], "walked", "verb", pronouns=pron) == ("pl", "3", "perf")
-    assert _factors(sentences[4], "run", "verb", pronouns=pron) == ("sg", "3", "fut")
-    assert _factors(sentences[5], "Go", "verb", pronouns=pron) == ("sg", "3", "imp")
+def test_verb_factors(sentences, tables):
+    assert _factors(sentences[2], "walk", "verb", tables) == ("sg", "1", "hab")
+    assert _factors(sentences[3], "walked", "verb", tables) == ("pl", "3", "perf")
+    assert _factors(sentences[4], "run", "verb", tables) == ("sg", "3", "fut")
+    assert _factors(sentences[5], "Go", "verb", tables) == ("sg", "3", "imp")
     # to-infinitive; no own subject, so defaults apply
-    assert _factors(sentences[6], "walk", "verb", pronouns=pron) == ("sg", "3", "inf")
-    assert _factors(sentences[8], "like", "verb", pronouns=pron) == ("sg", "3", "subj")
+    assert _factors(sentences[6], "walk", "verb", tables) == ("sg", "3", "inf")
+    assert _factors(sentences[8], "like", "verb", tables) == ("sg", "3", "subj")
     # a noun tag is no verb: its form, with no factors
-    assert annotate_sentence(sentences[0], "verb", pronouns=pron)[1] == ("dog", ())
+    assert annotate_sentence(sentences[0], "verb", tables)[1] == ("dog", ())
 
 
 def test_only_vb_tags_are_verbs():
@@ -99,7 +105,7 @@ def test_pronoun_table_invariant(tmp_path):
     path.write_text("i\t1\tsg\n", "utf-8")
     with pytest.raises(InputError):
         load_pronoun_table(path)  # missing you/he/...
-    table = default_pronoun_table()
+    table = load_pronoun_table()
     assert table.get("They".lower()) == ("3", "pl")
     assert table.get("xyzzy") is None
 

@@ -8,14 +8,13 @@ from morphinject.errors import InputError
 from morphinject.verb_morph import (
     VerbLexEntry,
     VerbSuffixTable,
-    default_verb_suffix_table,
     join_verb,
     load_verb_suffix_table,
     parse_verb_lexicon,
     verb_paradigm,
 )
 
-TABLE = default_verb_suffix_table()
+TABLE = load_verb_suffix_table()
 
 
 def _english_tuples(table):

@@ -25,7 +25,7 @@ from conftest import (
 from morphinject.errors import InputError
 from morphinject.verb_morph import (
     VerbSuffixTable,
-    default_verb_suffix_table,
+    load_verb_suffix_table,
     parse_verb_lexicon,
     verb_paradigm,
 )
@@ -120,7 +120,7 @@ def _cell_lookups(table):
 def _cells(draw):
     """The packaged table's cells with cells dropped, duplicated,
     re-collapsed, reduced to one gender or reordered."""
-    cells = list(default_verb_suffix_table().cells)
+    cells = list(load_verb_suffix_table().cells)
     for _ in range(draw(st.integers(0, 4))):
         op = draw(st.sampled_from(
             ["drop", "duplicate", "collapse", "collapse-tam", "one-gender"]))
