@@ -276,7 +276,7 @@ def _annotation_line(sentence, annotated, tails: _Tails, where: str) -> str:
     token, (surface, factors) = next(
         (token, pair) for token, pair in zip(sentence, annotated) if not valid(pair[0]))
     factors = (*factors, *(sc.NULL_FACTOR,) * (tails.width - len(factors)))
-    raise InputError(f"{where}, token {token.id}: {sc.token_error(surface, factors)}")
+    raise InputError(f"{where}, token {token[0]}: {sc.token_error(surface, factors)}")
 
 
 def cmd_annotate(args) -> int:

@@ -29,7 +29,8 @@ and modal, so annotating a sentence costs time linear in its length and
 one table read per noun or verb. Where IDs repeat, the first token in
 sentence order wins, as in a scan of the sentence.
 
-read_conllu remembers, for one call, each ID and HEAD string that has
+read_conllu yields each token as a plain tuple in ConlluToken's field
+order. It remembers, for one call, each ID and HEAD string that has
 passed its check and the int it stands for, so a row whose ID and HEAD
 were both read before becomes a token with two dict reads.
 """
@@ -100,13 +101,10 @@ def load_tam_rules(path: str | None = None) -> list[tuple[str, str]]:
     return _load_rules(path, "tam_rules.tsv", TAM_FACTS, sc.TAMS, "TAM")
 
 
-# ConlluToken(...) without the Python-level __new__ of a named tuple
-_token = tuple.__new__
-
-
-def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[ConlluToken]]:
+def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[tuple]]:
     """Yield the sentences of CoNLL-U lines, one list of tokens at a time,
-    as the lines are read. Comment lines, multiword-token ranges (1-2) and
+    as the lines are read; a token is a plain (id, form, lemma, xpos,
+    head, deprel) tuple. Comment lines, multiword-token ranges (1-2) and
     empty nodes (1.1) are skipped. Any other ID, and a HEAD other than "_",
     must be ASCII digits. `name` locates errors as name:line, and an error
     is raised when its line is reached."""
@@ -114,14 +112,13 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
     # ID and HEAD are both here is a token without further checks
     ids: dict[str, int] = {}
     heads: dict[str, int] = {"_": 0}
-    tokens: list[ConlluToken] = []
+    tokens: list[tuple] = []
     for lineno, line in enumerate(lines, 1):
         cols = line.split("\t")
         if len(cols) == 10:
             tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
             try:
-                tokens.append(_token(ConlluToken,
-                                     (ids[tid], form, lemma, xpos, heads[head], deprel)))
+                tokens.append((ids[tid], form, lemma, xpos, heads[head], deprel))
                 continue
             except KeyError:  # read the first time: checked below
                 pass
@@ -147,7 +144,7 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[C
             heads[head] = head_value = 0 if head == "_" else int(head)
         except ValueError:  # more digits than int() converts
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
-        tokens.append(_token(ConlluToken, (tid_value, form, lemma, xpos, head_value, deprel)))
+        tokens.append((tid_value, form, lemma, xpos, head_value, deprel))
     if tokens:
         yield tokens
 
@@ -185,14 +182,14 @@ def annotation_tables(pronouns: dict[str, tuple[str, str]], case_rules: list[tup
                             compile_rules(tam_rules, TAM_FACTS, "hab"))
 
 
-def _sentence_facts(sentence: list[ConlluToken], verbs: bool) -> tuple:
+def _sentence_facts(sentence: list[tuple], verbs: bool) -> tuple:
     """One pass over a sentence: what the rules read about a token's
     neighbours, keyed by ID; without verbs, only what nouns read."""
     if not verbs:  # head tags, the first token's of an ID; case heads
         return ({t[0]: t[3] for t in reversed(sentence)}, {},
                 {t[4] for t in sentence if t[5] == "case"}, (), {}, {})
     tags: dict[int, str] = {}  # the XPOS of the first token with each ID
-    subjects: dict[int, ConlluToken] = {}  # head ID -> its first subject child
+    subjects: dict[int, tuple] = {}  # head ID -> its first subject child
     case_heads = set()  # IDs with a `case` child
     to_heads = set()  # IDs with a TO child, or a "to" mark or aux child
     # (position, md_will/md_other bits) of the first MD child of each head
@@ -220,10 +217,12 @@ def _sentence_facts(sentence: list[ConlluToken], verbs: bool) -> tuple:
 
 
 def annotate_sentence(
-    sentence: list[ConlluToken], mode: str = "both", tables: AnnotationTables | None = None,
+    sentence: list[tuple], mode: str = "both", tables: AnnotationTables | None = None,
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Annotate one sentence: (token string, factor tuple) per token.
 
+    A token is a ConlluToken, or a plain tuple in its field order as
+    read_conllu yields it; both are read by position, the same way.
     `mode` ("noun", "verb" or "both") names the tokens annotated, and
     `tables` (see annotation_tables) gives the pronouns and compiled
     rules; None loads and compiles the packaged ones for this call, so a
@@ -259,10 +258,10 @@ def annotate_sentence(
             # (number, person) from the subject: a pronoun's, a plural
             # noun's, or singular third
             subject = subjects.get(tid)
-            pron = None if subject is None else pronouns.get(subject.form.lower())
+            pron = None if subject is None else pronouns.get(subject[1].lower())
             if pron is not None:
                 number, person = pron[1], pron[0]
-            elif subject is not None and subject.xpos in PLURAL_TAGS:
+            elif subject is not None and subject[3] in PLURAL_TAGS:
                 number, person = "pl", "3"
             else:
                 number, person = "sg", "3"

@@ -17,7 +17,9 @@ tokens rendered. The CLI builds
 a line from each factor tuple's cached tail, and checks each distinct
 surface once per memo; only a sentence that holds a bad one is checked
 token by token. A memo warmed by earlier sentences must give each later
-one the same line or error as a cold one.
+one the same line or error as a cold one. read_conllu yields plain
+tuples and callers build ConlluTokens: both must give the same factors,
+and the same line or error.
 """
 
 import re
@@ -33,7 +35,7 @@ from conftest import (
     ref_annotate_sentence,
 )
 from morphinject import script_core as sc
-from morphinject.cli import _annotation_line, _Tails
+from morphinject.cli import _ANNOTATE_WIDTH, _annotation_line, _Tails
 from morphinject.errors import InputError
 from morphinject.source_factors import (
     CASE_FACTS,
@@ -61,7 +63,7 @@ FORMS = ["will", "Shall", "'ll", "wo", "can", "can", "to", "To", "I", "we", "You
 
 
 @st.composite
-def sentences(draw, max_len=12):
+def sentences(draw, max_len=12, forms=st.sampled_from(FORMS)):
     n = draw(st.integers(0, max_len))
     # IDs from a small range repeat; heads reach one past it and dangle,
     # 0 is the root, and a token may head itself
@@ -69,7 +71,7 @@ def sentences(draw, max_len=12):
     ids = st.integers(1, top)
     tokens = []
     for i in range(1, n + 1):
-        form = draw(st.sampled_from(FORMS))
+        form = draw(forms)
         tokens.append(ConlluToken(
             id=draw(st.one_of(st.just(i), ids)),
             form=form,
@@ -308,3 +310,19 @@ def test_a_warm_memo_renders_each_sentence_as_the_reference(sentences, width):
     assert all(_outcome(_reference_line, [(surf, ())], width)[0] == "ok" for surf in tails.surfaces)
     assert all(_outcome(_reference_line, [("a", factors)], width)[0] == "ok" for factors in tails)
 
+
+@settings(max_examples=500, deadline=None)
+@given(sentences(forms=st.one_of(st.sampled_from(FORMS), SURFACE)),
+       st.sampled_from(["noun", "verb", "both"]))
+@example([ConlluToken(1, "dogs", "dog", "NNS", 2, "nsubj"),
+          ConlluToken(3, "a b", "_", "VBD", 0, "root")], "verb")
+@example([ConlluToken(2, "x|y", "x|y", "NN", 0, "root")], "noun")
+def test_read_and_hand_built_tokens_take_the_same_route(sentence, mode):
+    # each token as read_conllu yields it: a plain tuple in field order
+    plain = [tuple(t) for t in sentence]
+    tables = annotation_tables(PRONOUNS, PACKAGED_CASE_RULES, PACKAGED_TAM_RULES)
+    annotated = annotate_sentence(sentence, mode, tables)
+    assert annotate_sentence(plain, mode, tables) == annotated
+    where, width = "f.conllu: sentence 1", _ANNOTATE_WIDTH[mode]
+    assert (_outcome(_annotation_line, plain, annotated, _Tails(width), where)
+            == _outcome(_annotation_line, sentence, annotated, _Tails(width), where))

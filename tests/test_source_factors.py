@@ -29,16 +29,14 @@ def tables():
 
 def _factors(sentence, form, mode="both", tables=None):
     """The factor values annotate_sentence gives the token with this form."""
-    at = next(i for i, t in enumerate(sentence) if t.form == form)
+    at = next(i for i, t in enumerate(sentence) if t[1] == form)
     return annotate_sentence(sentence, mode, tables)[at][1]
 
 
 def test_read_conllu(sentences):
     assert len(sentences) == 9
     assert [len(s) for s in sentences] == [4, 7, 3, 3, 5, 3, 8, 5, 5]
-    dog = sentences[0][1]
-    assert dog.form == "dog" and dog.lemma == "dog" and dog.xpos == "NN"
-    assert dog.head == 3 and dog.deprel == "nsubj"
+    assert sentences[0][1] == ConlluToken(2, "dog", "dog", "NN", 3, "nsubj")
 
 
 def test_read_conllu_skips_ranges_and_rejects_bad_columns():
