@@ -11,7 +11,8 @@ lines; the original prefix is never touched or reordered, and a pair
 already present anywhere in the corpus is skipped. `inject` takes any
 WordFormDictionary and imports no dictionary layer: a dictionary's
 lines were checked against its scheme when it was made, so inject only
-splits each at its tab. A surface-only injection is
+splits each at its tab and pads each word with one replace. A
+surface-only injection is
 `inject(corpus, strip_to_surface(dictionary))`, which writes what
 injecting a `build-dict --surface` dictionary writes.
 
@@ -215,13 +216,6 @@ def parse_factored_corpus(
                  source_name, target_name)
 
 
-def _entry_side(text: str, pad: str) -> str:
-    """One side of a dictionary line as a corpus line, each token padded
-    with `pad`: a surface-only periphrastic form ("will walk") becomes
-    one token per word."""
-    return " ".join(w + pad for w in text.split(" "))
-
-
 def inject(
     corpus: ParallelCorpus, dictionary: WordFormDictionary,
 ) -> tuple[ParallelCorpus, InjectionReport]:
@@ -253,7 +247,8 @@ def inject(
     out_src, out_tgt = list(corpus.src), list(corpus.tgt)
     for line in dictionary.lines:
         source, _, target = line.partition("\t")
-        src_line, tgt_line = key = (_entry_side(source, src_pad), _entry_side(target, tgt_pad))
+        src_line, tgt_line = key = (source.replace(" ", src_pad + " ") + src_pad,
+                                    target.replace(" ", tgt_pad + " ") + tgt_pad)
         if key in existing:
             continue
         existing.add(key)

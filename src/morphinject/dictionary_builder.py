@@ -24,13 +24,13 @@ compose lines of parts checked before (the Hindi root by its paradigm,
 a loaded table's suffixes by the loader, factor values by their closed
 sets) and check what can reach them unchecked: the English root and
 irregular forms once per row, the table's suffixes once per build. Only
-a row with one of these that is not a valid factor, and a line whose
-form is empty, get the full-line check, which names the same first
-error.
+a row with one of these that is not a valid factor, and a cell whose
+form is empty, is checked field by field by `_line_error`, which names
+the first error the full-line check would.
 
-With `surface=True` the builders keep each entry's surface-only form,
-the line `strip_to_surface` would make of it, so a surface-only build
-never holds the factored dictionary and reports the same failed rows.
+With `surface=True` the builders compose each entry's surface-only line,
+the one `strip_to_surface` would make of it, and not its factored line:
+a surface-only build reports the same failed rows.
 Those lines are valid by construction and go unchecked: a kept line's
 English root and Hindi form are valid, the English rules only add
 letters or a word to the root ("dogs", "will walk"), and an irregular
@@ -345,14 +345,13 @@ def build_noun_dict(
     order; per-row failures are collected on the result, and the entries
     of a row made before its failing cell are kept. With `surface`, each
     entry is kept as its surface-only line (see `strip_to_surface`). A
-    row's lines are checked only if its English root or a table suffix
-    is not a valid factor, and a line whose form is empty always is.
+    row is checked field by field only if its English root or a table
+    suffix is not a valid factor, and a cell whose form is empty always is.
     A `table` of None loads the packaged one for this call: a caller
     that builds more than once passes a loaded table."""
     from .noun_morph import load_suffix_table, noun_paradigm
 
     table = table or load_suffix_table()
-    valid = _line_check(NOUN_SCHEME.source_width, NOUN_SCHEME.target_width)
     part = sc.token_match(0)
     suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
     lines: dict[str, None] = {}
@@ -366,12 +365,11 @@ def build_noun_dict(
             check = not (suffixes_valid and part(english) and not english.startswith("#"))
             for number, case, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
-                line = f"{english}|{number}|{case}\t{form}|{root}|{suffix}"
-                if (check or not form) and not valid(line):
-                    raise InputError(_line_error((english, number, case), (form, root, suffix)))
-                if surface:
-                    line = f"{plural if number == 'pl' else english}\t{form}"
-                lines[line] = None
+                if (check or not form) and (error := _line_error(
+                        (english, number, case), (form, root, suffix))):
+                    raise InputError(error)
+                lines[f"{plural if number == 'pl' else english}\t{form}" if surface
+                      else f"{english}|{number}|{case}\t{form}|{root}|{suffix}"] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
     return _made(list(lines), SURFACE_SCHEME if surface else NOUN_SCHEME, failures)
@@ -383,13 +381,12 @@ def build_verb_dict(
     """One entry per collapsed grid cell per verb; every English factor
     tuple appears once per gender, then exact duplicates collapse. With
     `surface`, each entry is kept as its surface-only line (see
-    `strip_to_surface`). Lines are checked as in `build_noun_dict`, and
+    `strip_to_surface`). Cells are checked as in `build_noun_dict`, and
     also when an irregular form of the row is not a valid factor. A
     `table` of None loads the packaged one for this call."""
     from .verb_morph import load_verb_suffix_table, verb_paradigm
 
     table = table or load_verb_suffix_table()
-    valid = _line_check(VERB_SCHEME.source_width, VERB_SCHEME.target_width)
     part = sc.token_match(0)
     suffixes_valid = all(part(row[4]) for row in table.rows if row[4] is not None)
     if surface:  # the exception table loads before the rows: a bad form is fatal
@@ -408,13 +405,11 @@ def build_verb_dict(
                 english_of = {key: english_verb_surface(english, *key) for key in keys}
             for tam, _, number, person, suffix, form in rows:
                 suffix = NULL_FACTOR if suffix is None else suffix
-                line = f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"
-                if (check or not form) and not valid(line):
-                    raise InputError(
-                        _line_error((english, number, person, tam), (form, root, suffix)))
-                if surface:
-                    line = f"{english_of[number, person, tam]}\t{form}"
-                lines[line] = None
+                if (check or not form) and (error := _line_error(
+                        (english, number, person, tam), (form, root, suffix))):
+                    raise InputError(error)
+                lines[f"{english_of[number, person, tam]}\t{form}" if surface
+                      else f"{english}|{number}|{person}|{tam}\t{form}|{root}|{suffix}"] = None
         except InputError as exc:
             failures.append(EntryFailure(idx, english, root, str(exc)))
     return _made(list(lines), SURFACE_SCHEME if surface else VERB_SCHEME, failures)

@@ -105,9 +105,10 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[t
     """Yield the sentences of CoNLL-U lines, one list of tokens at a time,
     as the lines are read; a token is a plain (id, form, lemma, xpos,
     head, deprel) tuple. Comment lines, multiword-token ranges (1-2) and
-    empty nodes (1.1) are skipped. Any other ID, and a HEAD other than "_",
-    must be ASCII digits. `name` locates errors as name:line, and an error
-    is raised when its line is reached."""
+    empty nodes (1.1) are skipped. Any other ID must be ASCII digits, not
+    0 (a HEAD of 0 names the root), and a HEAD other than "_" must be
+    ASCII digits. `name` locates errors as name:line, and an error is
+    raised when its line is reached."""
     # the ID and HEAD strings already read, and their values: a row whose
     # ID and HEAD are both here is a token without further checks
     ids: dict[str, int] = {}
@@ -142,8 +143,10 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[t
         try:
             ids[tid] = tid_value = int(tid)
             heads[head] = head_value = 0 if head == "_" else int(head)
-        except ValueError:  # more digits than int() converts
-            raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
+        except ValueError:  # more digits than int() converts: as bad as ID 0
+            tid_value = 0
+        if not tid_value:  # IDs start at 1: HEAD 0 names the root
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
         tokens.append((tid_value, form, lemma, xpos, head_value, deprel))
     if tokens:
         yield tokens

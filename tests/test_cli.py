@@ -867,13 +867,15 @@ _THREE_SENTENCES = (
 
 @pytest.mark.parametrize("last, message", [
     ("2\tcats\tcat\tNOUN\tNNS\t_\tx\troot\t_\t_", ":10: bad ID or HEAD field"),
+    # IDs start at 1: HEAD 0 names the root, not a token of ID 0
+    ("0\tcats\tcat\tNOUN\tNNS\t_\t0\troot\t_\t_", ":10: bad ID or HEAD field"),
     ("2\ta|b\ta|b\tX\tFW\t_\t0\troot\t_\t_",
      ": sentence 3, token 2: surface 'a|b' contains the factor separator"),
     # token 2 takes no factors, so only its null padding makes its
     # whitespace an error; it still comes before token 3's separator
     ("2\ta\xa0b\ta\xa0b\tDET\tDT\t_\t0\troot\t_\t_\n3\tc|d\tc|d\tX\tFW\t_\t2\tdep\t_\t_",
      ": sentence 3, token 2: factored token surface 'a\\xa0b' contains whitespace"),
-], ids=["bad-head", "separator-in-surface", "first-bad-token-in-order"])
+], ids=["bad-head", "id-zero", "separator-in-surface", "first-bad-token-in-order"])
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_annotate_error_in_the_last_sentence_writes_nothing(tmp_path, capsys, last, message,
                                                              to_file):

@@ -7,8 +7,9 @@ raise the same InputError, on any lines: blank, whitespace-only,
 comments, ranges, empty nodes, rows of the wrong width and bad ID or
 HEAD fields. The reference is given the rules the reader added since:
 only a real range (N-M) or empty node (N.M) is skipped, any other ID,
-and a HEAD other than "_", must be ASCII digits, and an ID or HEAD of
-more digits than int() converts is a bad field too.
+and a HEAD other than "_", must be ASCII digits, an ID of value 0 (the
+root a HEAD of 0 names) is a bad field, and so is an ID or HEAD of more
+digits than int() converts.
 """
 
 import dataclasses
@@ -61,6 +62,8 @@ def _ref_read_conllu(lines, name="<conllu>"):
             tid, head = int(cols[0]), int(cols[6]) if cols[6] != "_" else 0
         except ValueError:  # more digits than int() converts
             raise InputError(f"{name}:{lineno}: bad ID or HEAD field") from None
+        if tid == 0:  # IDs start at 1
+            raise InputError(f"{name}:{lineno}: bad ID or HEAD field")
         tokens.append(
             _RefToken(id=tid, form=cols[1], lemma=cols[2], xpos=cols[4], head=head,
                       deprel=cols[7])
@@ -130,6 +133,8 @@ _ROOT = _ROW.replace("\t2\t", "\t_\t")  # its HEAD is "_"
 @example([_ROW, "2\tbark\tbark\tVERB\tVBP\t_\t0\troot\t_\t_"])
 @example([_ROOT, _ROOT.replace("1\t", "_\t", 1)])
 @example([_ROW, _ROW.replace("\t2\t", "\t" + "7" * 5000 + "\t")])
+# ID 0, written "0" or "00", is no token; the empty node 0.1 is skipped
+@example([_ROW.replace("1\t", "0.1\t", 1), _ROW, "", _ROW.replace("1\t", "00\t", 1)])
 def test_reader_matches_the_list_reference(lines):
     new = _outcome(lambda ls, name: list(read_conllu(ls, name)), lines, tuple)
     assert new == _outcome(_ref_read_conllu, lines, dataclasses.astuple)

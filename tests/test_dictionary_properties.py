@@ -88,6 +88,14 @@ def _ref_parse_side(text):
     return _ref_token(surface, factors)
 
 
+def _ref_entry(source, target):
+    """A dictionary entry of two tokens whose source, a file line's start,
+    is not led by the comment mark."""
+    if source.surface.startswith("#"):
+        raise InputError(f"entry {source.render()!r} starts with '#', as a comment line does")
+    return DictEntry(source, target)
+
+
 def _ref_build_noun(lexicon, table):
     """Each noun's paradigm is made in full before its first entry, so a
     join error in a later cell comes before a token error in an earlier
@@ -96,7 +104,7 @@ def _ref_build_noun(lexicon, table):
     for idx, noun in enumerate(lexicon):
         try:
             for number, case, suffix, surface in list(noun_paradigm(noun.entry, table)):
-                entry = DictEntry(
+                entry = _ref_entry(
                     _ref_token(noun.english_root, (number, case)),
                     _ref_token(surface, (
                         noun.entry.hindi_root, suffix if suffix is not None else "null")),
@@ -115,7 +123,7 @@ def _ref_build_verb(lexicon, table):
     for idx, verb in enumerate(lexicon):
         try:
             for tam, _, number, person, suffix, surface in list(verb_paradigm(verb, table)):
-                entry = DictEntry(
+                entry = _ref_entry(
                     _ref_token(verb.english_root, (number, person, tam)),
                     _ref_token(surface, (
                         verb.hindi_root, suffix if suffix is not None else "null")),
@@ -272,8 +280,9 @@ def _outcome(fn, *args):
 
 # --- inputs ---
 
-# English roots with the factor separator, a space, a tab and U+00A0
-_english = st.text(st.sampled_from(["a", "b", "|", " ", "\t", "\xa0"]), max_size=4)
+# English roots with the factor separator, a space, a tab, U+00A0 and
+# the comment mark
+_english = st.text(st.sampled_from(["a", "b", "|", " ", "\t", "\xa0", "#"]), max_size=4)
 _noun_roots = st.sampled_from([
     "कुत्ता", "लड़की", "रात", "घर", "माली", "बहू", "आलू", "माला", "कुआँ", "नदी",
     "cat", "a b", "क ख", "क|ख", "कुत्ता ",
@@ -360,7 +369,7 @@ def _verb_table_with(change):
     return VerbSuffixTable(cells)
 
 
-# a row's lines go unchecked only if its English root, its irregular
+# a row's cells go unchecked only if its English root, its irregular
 # forms, the table's suffixes and its joined forms are valid parts:
 # each example breaks one of these and nothing else
 _DOG = NounLexEntry("कुत्ता", "m")  # class D
@@ -372,6 +381,7 @@ _DOG = NounLexEntry("कुत्ता", "m")  # class D
 @example([BilingualNoun("a", _DOG)], _noun_table_with(""))
 @example([BilingualNoun("a", NounLexEntry("ा", "m"))], _noun_table_with("अ"))  # joins to ""
 @example([BilingualNoun("a b", _DOG), BilingualNoun("a", _DOG)], load_suffix_table())
+@example([BilingualNoun("#a", _DOG), BilingualNoun("a#", _DOG)], load_suffix_table())
 def test_noun_builder_matches_token_reference(lexicon, table):
     _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
 
@@ -384,6 +394,7 @@ def test_noun_builder_matches_token_reference(lexicon, table):
 @example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: suffix + " x"))
 @example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: ""))
 @example([VerbLexEntry("चल", "a b"), VerbLexEntry("चल", "a")], load_verb_suffix_table())
+@example([VerbLexEntry("चल", "#"), VerbLexEntry("चल", "a#")], load_verb_suffix_table())
 def test_verb_builder_matches_token_reference(lexicon, table):
     _same_build(build_verb_dict, lexicon, table, *_ref_build_verb(lexicon, table))
 
