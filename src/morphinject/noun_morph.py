@@ -10,8 +10,8 @@ case its string (see script_core.GENDERS).
 A SuffixTable normalizes its suffixes and lays out each class's
 paradigm as (number, case, suffix) string rows once, when it is built.
 `noun_paradigm` takes a root that NounLexEntry has already normalized,
-checks it as a Devanagari word whatever its class, in the one match
-that splits off its tail (script_core.tail_match), and returns
+checks it as a Devanagari word whatever its class, as
+script_core.split_tail splits it into head and tail, and returns
 (number, case, suffix, surface) string tuples. The joiner reads and
 rewrites only the tail, so the table joins a tail to a class's
 suffixes the first time it sees that (class, tail), and keeps the
@@ -72,7 +72,7 @@ class SuffixTable:
     suffixes normalized. `rows[cls]` is that class's paradigm as
     (number, case, suffix) strings in PARADIGM_SLOTS order. The table
     memoizes the ending of each root tail it sees (see
-    script_core.tail_match) and, per (class, tail), the paradigm rows
+    script_core.split_tail) and, per (class, tail), the paradigm rows
     with the tail joined to each suffix, so `cells` and `rows` are
     read-only once it is built."""
 
@@ -96,7 +96,6 @@ class SuffixTable:
         self._legal = {
             cls: frozenset(s for _, _, s in rows if s is not None) for cls, rows in self.rows.items()
         }
-        self._tail_match = sc.tail_match()
         self._endings: dict[str, str] = {}
         self._forms: dict[tuple[str, str], list[tuple[str, str, str | None, str]]] = {}
 
@@ -212,9 +211,7 @@ def noun_paradigm(
     sg-obl, pl-dir, pl-obl order; a null suffix is None. The root is
     checked first, whatever its class. A root joins as its head plus its
     joined tail, which the table works out once per (class, tail)."""
-    root = entry.hindi_root
-    word = table._tail_match(root)
-    tail = root if word is None else word[1]  # not a word: ending_of raises
+    head, tail = sc.split_tail(entry.hindi_root)
     ending = table._endings.get(tail)
     if ending is None:
         ending = table._endings[tail] = sc.ending_of(tail)
@@ -224,7 +221,6 @@ def noun_paradigm(
         forms = table._forms[cls, tail] = [
             (number, case, suffix, tail if suffix is None else _join(tail, cls, suffix, ending))
             for number, case, suffix in table.rows[cls]]
-    head = root[:len(root) - len(tail)]
     return [(number, case, suffix, head + form) for number, case, suffix, form in forms]
 
 

@@ -3,9 +3,10 @@
 The joiners in the noun/verb modules rest on two primitives defined
 here. `ending_of` classifies a word's ending and checks it as a
 Devanagari word, naming the first bad codepoint. `tail_match` checks
-the same rule and splits off the word's tail, the only part a joiner
-reads or rewrites, so the paradigms join each tail once; a root it
-rejects goes to `ending_of` for its message.
+the same rule and matches the word's tail, the only part a joiner
+reads or rewrites. `split_tail`, the one head/tail split both
+paradigms call, returns (head, tail), so that they join each tail
+once, and raises `ending_of`'s error for a string that is not a word.
 `shorten_final_vowel` shortens the long final vowel of a word whose
 ending is already classified, and checks nothing. Words are kept in a
 canonical form: Unicode NFC, except that consonant+nukta pairs are
@@ -215,6 +216,17 @@ def tail_match():
     return re.compile(
         "(?:[\u0900-\u0963\u0966-\u097f]*(?=[\u0904-\u0963\u0966-\u097f]))?"
         "([\u0900-\u0963\u0966-\u097f][\u0900-\u0903]*)").fullmatch
+
+
+def split_tail(word: str) -> tuple[str, str]:
+    """(head, tail) with head + tail == word, the tail `tail_match`'s
+    group 1; a string that is not a Devanagari word raises the error
+    `ending_of` raises for it."""
+    match = tail_match()(word)
+    if match is None:
+        _check_word(word)
+    start = match.start(1)
+    return word[:start], word[start:]
 
 
 def strip_final_nasal(word: str) -> tuple[str, str]:

@@ -130,10 +130,8 @@ def read_conllu(lines: Iterable[str], name: str = "<conllu>") -> Iterator[list[t
             continue
         if line[0] == "#":
             continue
-        try:
-            tid, form, lemma, _, xpos, _, head, deprel, _, _ = cols
-        except ValueError:
-            raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}") from None
+        if len(cols) != 10:
+            raise InputError(f"{name}:{lineno}: expected 10 columns, got {len(cols)}")
         if not (tid.isdigit() and tid.isascii()
                 and (head.isdigit() and head.isascii() or head == "_")):
             # a multiword-token range (1-2) or an empty node (1.1)

@@ -13,15 +13,16 @@ suffix) in the TSV's column order, None marking a collapsed dimension, and an ov
 is (tam, gender, number, person, surface), None matching any value. The
 table normalizes its suffixes and lays out the paradigm once, when it
 is built. `verb_paradigm` takes a stem that VerbLexEntry has already
-normalized and checks it in the one match that splits off its tail
-(script_core.tail_match). The joiner reads and rewrites only the tail,
-so the table joins a tail to every row's suffix the first time it sees
-that tail, and a stem's surfaces are its head plus its joined tails;
-only a verb with irregular forms looks for an override per row.
+normalized and checks it as script_core.split_tail splits it into head
+and tail. The joiner reads and rewrites only the tail, so the table
+joins a tail to every row's suffix the first time it sees that tail,
+and a stem's surfaces are its head plus its joined tails; only a verb
+with irregular forms looks for an override per row.
 `verb_paradigm` takes the table as an argument: `load_verb_suffix_table`
 gives the packaged one or one from a file, and the module keeps no
 table of its own. The public `join_verb` normalizes its inputs and
-checks the stem whatever the suffix.
+checks the stem whatever the suffix; it and the paradigm memo call one
+unchecked joiner, as the noun module's do.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class VerbSuffixTable:
     verbs have no gender, so each English factor tuple appears once per
     gender, and a TAM that agrees in gender must name both. A collapsed number or
     person takes REPR_NUMBER or REPR_PERSON. The table memoizes, per
-    root tail (see script_core.tail_match), the rows with the tail joined
+    root tail (see script_core.split_tail), the rows with the tail joined
     to each suffix, so `cells` and `rows` are read-only once it is built.
     """
 
@@ -105,7 +106,6 @@ class VerbSuffixTable:
             if len(tam_cells) != math.prod(len({c[i] for c in tam_cells}) for i in dims):
                 raise InputError(f"{tam} rows do not cover their declared grid")
         self.rows = [row for tam in sc.TAMS if tam in by_tam for row in _tam_rows(tam, by_tam[tam])]
-        self._tail_match = sc.tail_match()
         self._forms: dict[str, list[tuple[str, str, str, str, str | None, str]]] = {}
 
 
@@ -167,34 +167,20 @@ def join_verb(root: str, suffix: str | None) -> str:
     the suffix.
     """
     root = sc.normalize(root)
-    return _attach(root, None if suffix is None else sc.normalize(suffix), sc.ending_of(root))
+    return _join(root, None if suffix is None else sc.normalize(suffix), sc.ending_of(root))
 
 
-def _attach(root: str, suffix: str | None, ending: str) -> str:
+def _join(root: str, suffix: str | None, ending: str) -> str:
     """join_verb for a canonical stem with this ending and a canonical
-    suffix or None."""
-    vowel = _vowel_form(suffix)
-    if vowel is None:
-        return root if suffix is None else root + suffix
-    return _join(root, vowel, ending)
-
-
-def _vowel_form(suffix: str | None) -> str | None:
-    """A vowel- or matra-initial suffix with its first vowel written
-    independently (ें -> एँ); None for a null, empty or consonant-initial
-    suffix, which is appended as it is."""
+    suffix or None. A null, empty or consonant-initial suffix is appended
+    as it is; a matra-initial one has its first vowel written
+    independently (ें -> एँ) before the vowel rules below."""
     if not suffix:
-        return None
-    if sc.is_independent_vowel(suffix[0]):
-        return suffix
-    if sc.is_matra(suffix[0]):
-        return sc.independent_form(suffix)
-    return None
-
-
-def _join(root: str, suffix: str, ending: str) -> str:
-    """join_verb for a canonical stem with this ending and a canonical
-    suffix as `_vowel_form` writes it."""
+        return root
+    if not sc.is_independent_vowel(suffix[0]):
+        if not sc.is_matra(suffix[0]):
+            return root + suffix
+        suffix = sc.independent_form(suffix)
     if ending == "consonant":
         return root + sc.matra_form(suffix)
     stem = root
@@ -221,14 +207,11 @@ def verb_paradigm(
     stem joins as its head plus its joined tail, which the table works
     out once per tail.
     """
-    root = entry.hindi_root
-    word = table._tail_match(root)
-    tail = root if word is None else word[1]  # not a word: ending_of raises
+    head, tail = sc.split_tail(entry.hindi_root)
     forms = table._forms.get(tail)
     if forms is None:
         ending = sc.ending_of(tail)
-        forms = table._forms[tail] = [(*row, _attach(tail, row[4], ending)) for row in table.rows]
-    head = root[:len(root) - len(tail)]
+        forms = table._forms[tail] = [(*row, _join(tail, row[4], ending)) for row in table.rows]
     overrides = entry.irregular_forms
     if not overrides:
         return [(tam, gender, number, person, suffix, head + form)
@@ -270,8 +253,6 @@ def parse_verb_lexicon(lines: Iterable[str], name: str = "<verb lexicon>") -> li
             gender, number, person = (dims + ["-"] * 3)[:3]  # absent: a wildcard
             overrides.append((*_slot(tam, gender, number, person, where),
                               sc.table_word(surface, where, f"override {pair!r}")))
-        try:
+        with sc.located(where):
             out.append(VerbLexEntry(stem, english, tuple(overrides)))
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
     return out

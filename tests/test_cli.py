@@ -221,6 +221,25 @@ def test_bleu_identity(tmp_path, capsys):
     assert json.loads(out)["score"] == 1.0
 
 
+def test_bleu_smoothing_is_the_library_smoothed_score(tmp_path, capsys):
+    # no 4-gram matches: the unsmoothed score is 0.0, the smoothed one is not
+    from morphinject.evaluation import bleu
+
+    cands, refs = tmp_path / "cands.txt", tmp_path / "refs.txt"
+    cands.write_text("a b c d\n", "utf-8")
+    refs.write_text("a b x d\n", "utf-8")
+    scores = {}
+    for flags in ((), ("--smoothing",)):
+        code, out, err = run(capsys, "bleu", "--candidates", str(cands), "--references",
+                             str(refs), *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        scores[flags] = json.loads(out)
+    smoothed = bleu([["a", "b", "c", "d"]], [["a", "b", "x", "d"]], smoothing=True)
+    assert scores[("--smoothing",)] == {"schema_version": 1, **cli._plain(smoothed)}
+    assert scores[()]["score"] == 0.0
+    assert scores[("--smoothing",)]["score"] != scores[()]["score"]
+
+
 def test_build_dict_and_inject_roundtrip(tmp_path, capsys):
     lex = tmp_path / "nouns.tsv"
     lex.write_text("dog\tकुत्ता\tm\t1\n", "utf-8")
@@ -289,6 +308,28 @@ def test_inject_has_no_mode(capsys):
               "--mode", "surface", "--out-source", "o.s", "--out-target", "o.t"])
     assert exc.value.code == 1
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: --mode surface\n")
+
+
+def test_inject_auto_normalize_pads_a_ragged_corpus(tmp_path, capsys):
+    src, tgt, dictionary = (tmp_path / name for name in ("src.txt", "tgt.txt", "d.tsv"))
+    src.write_text("the dog|sg|dir\nbig|null|null cat|sg|dir\n", "utf-8")
+    tgt.write_text("कुत्ता|कुत्ता|null\nबिल्ली|बिल्ली|null\n", "utf-8")
+    dictionary.write_text("dog|pl|dir\tकुत्ते|कुत्ता|ए\n", "utf-8")
+    out_src, out_tgt = tmp_path / "out.src", tmp_path / "out.tgt"
+    argv = ["inject", "--source", str(src), "--target", str(tgt), "--dict", str(dictionary),
+            "--out-source", str(out_src), "--out-target", str(out_tgt)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {src}:1:5: factor width differs from first token\n")
+    assert not out_src.exists() and not out_tgt.exists()
+
+    code, out, err = run(capsys, *argv, "--auto-normalize")
+    assert (code, err) == (0, "")
+    assert out_src.read_text("utf-8") == (
+        "the|null|null dog|sg|dir\nbig|null|null cat|sg|dir\ndog|pl|dir\n")
+    assert out_tgt.read_text("utf-8") == tgt.read_text("utf-8") + "कुत्ते|कुत्ता|ए\n"
+    # normalization_applied counts the padding of dictionary entries, not
+    # of the corpus: the entries already have the padded corpus's widths
+    assert "entries_added: 1\n" in out and "normalization_applied: False\n" in out
 
 
 def test_inject_empty_dict_identity(tmp_path, capsys):

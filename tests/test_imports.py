@@ -46,7 +46,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # rule is defined once, so script_core's _WORD (tail_match's word rule)
 # and line_pattern (one surface-only side pattern, now the builder's) are
 # no more; and a table is a value the caller passes, got from its load_*,
-# so the cached loaders of the packaged tables are no more
+# so the cached loaders of the packaged tables are no more; and verbs join
+# as nouns do, in one unchecked _join, so _attach and _vowel_form are no more
 RETIRED_ERRORS = ("MorphinjectError", "EmptyInput", "NonDevanagariContent", "EmptyRoot",
                   "IllegalSuffixForClass", "NotANoun", "NotAVerb", "LineCountMismatch",
                   "RaggedFactorWidth", "MalformedToken", "WidthIncompatible", "ZeroBaseline",
@@ -57,7 +58,7 @@ GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "Ve
         "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors",
         "emit_factored_corpus", "_WORD", "line_pattern", "entry_sides",
         "default_suffix_table", "default_verb_suffix_table", "default_pronoun_table",
-        "default_case_rules", "default_tam_rules")
+        "default_case_rules", "default_tam_rules", "_attach", "_vowel_form")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "join_noun",
                    "load_suffix_table", "noun_paradigm"],

@@ -340,15 +340,21 @@ def test_verb_paradigm_from_a_warm_memo_matches_the_reference(entries, first, se
                          st.sampled_from(["x", " ", "|", "\u200d"])), max_size=6))
 @example("ंं")
 @example("कुत्ताँ")
+@example("")
 def test_the_tail_split_accepts_exactly_the_words_ending_of_accepts(word):
     """A tail is the word's last codepoint before its trailing marks,
     with those marks, or the whole word if it is only marks; it has the
-    word's ending."""
+    word's ending. split_tail gives the head before it, and raises
+    ending_of's error for a string that is not a word."""
     ending = _outcome(sc.ending_of, word)
     match = sc.tail_match()(word)
     assert (match is not None) == (ending[0] == "ok")
-    if match is not None:
-        tail = match[1]
+    split = _outcome(sc.split_tail, word)
+    if match is None:
+        assert split == ending
+    else:
+        head, tail = split[1]
+        assert head + tail == word and tail == match[1]
         body, marks = sc.strip_final_nasal(tail)
         assert word.endswith(tail)
         assert marks == sc.strip_final_nasal(word)[1]

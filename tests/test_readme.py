@@ -1,12 +1,15 @@
 """README's library example runs and gives the rows its comment shows,
-and the names and tests README cites exist."""
+the names and tests README cites exist, and README names every option
+of the CLI."""
 
+import argparse
 import ast
 import re
 from importlib import import_module
 from pathlib import Path
 
 import morphinject
+from morphinject.cli import build_parser
 
 ROOT = Path(__file__).parents[1]
 README = ROOT / "README.md"
@@ -58,3 +61,15 @@ def test_readme_names_and_cited_tests_exist():
         tree = ast.parse((ROOT / file).read_text("utf-8"))
         tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert name in tests, f"README cites {file}::{name}"
+
+
+def test_readme_names_every_option_of_every_subcommand():
+    text = README.read_text("utf-8")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {(command, option) for command, parser in sub.choices.items()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert len(options) >= 30
+    missing = sorted((command, option) for command, option in options
+                     if not re.search(re.escape(option) + r"(?![\w-])", text))
+    assert not missing, f"README does not name {missing}"
