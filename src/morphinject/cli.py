@@ -326,9 +326,9 @@ def cmd_inject(args) -> int:
     from . import corpus_inject as ci
     from . import dictionary_builder as db
 
+    source, target = sc.read_lines(args.source), sc.read_lines(args.target)
     corpus = ci.parse_factored_corpus(
-        sc.read_lines(args.source), sc.read_lines(args.target),
-        auto_normalize=args.auto_normalize,
+        source, target, auto_normalize=args.auto_normalize,
         source_name=args.source, target_name=args.target,
     )
     dictionary = db.parse_dictionary(sc.read_lines(args.dict), args.dict)
@@ -338,6 +338,12 @@ def cmd_inject(args) -> int:
         (args.out_target, _lines_text(out_corpus.target_lines())),
         (args.report, _report_text(report, args.format)),
     ])
+    if args.auto_normalize:  # the lines that padding rewrote, per side
+        src_padded = sum(map(str.__ne__, source, corpus.src))
+        tgt_padded = sum(map(str.__ne__, target, corpus.tgt))
+        if src_padded or tgt_padded:
+            print(f"warning: --auto-normalize padded {src_padded} source and {tgt_padded} "
+                  "target lines", file=sys.stderr)
     return 0
 
 

@@ -60,9 +60,6 @@ if TYPE_CHECKING:  # annotations only: the builders import their morphology
     from .noun_morph import BilingualNoun, SuffixTable
     from .verb_morph import VerbLexEntry, VerbSuffixTable
 
-FACTOR_SEP = "|"
-
-
 class FactorScheme(namedtuple(
         "FactorScheme",
         "source_factors target_factors translation_steps generation_steps",
@@ -135,9 +132,9 @@ class WordFormDictionary:
             if len(sides) != 2:
                 raise InputError(f"entry {line!r}: expected 2 tab-separated fields "
                                  f"(source, target), got {len(sides)}")
-            raise InputError(_line_error(*(side.split(FACTOR_SEP) for side in sides)) or next(
-                f"entry {side!r} has {side.count(FACTOR_SEP)} factors, scheme declares {width}"
-                for side, width in zip(sides, widths) if side.count(FACTOR_SEP) != width))
+            raise InputError(_line_error(*(side.split("|") for side in sides)) or next(
+                f"entry {side!r} has {side.count('|')} factors, scheme declares {width}"
+                for side, width in zip(sides, widths) if side.count("|") != width))
         _check_factor_values({s: f"entry {s!r}" for s in (ln.partition("\t")[0] for ln in lines)},
                              scheme)
         self.lines = lines
@@ -184,7 +181,7 @@ def _line_error(source: Sequence[str], target: Sequence[str]) -> str | None:
     error = sc.token_error(source[0], source[1:]) or sc.token_error(target[0], target[1:])
     if error is None and source[0].startswith("#"):
         # a file line that starts with "#" is a comment: the entry would be lost
-        error = f"entry {FACTOR_SEP.join(source)!r} starts with '#', as a comment line does"
+        error = f"entry {'|'.join(source)!r} starts with '#', as a comment line does"
     return error
 
 
@@ -208,11 +205,11 @@ def parse_dictionary(lines: Iterable[str], name: str = "<dictionary>") -> WordFo
         line = f"{source}\t{target}"
         first_at.setdefault(source, where)
         if widths is None:
-            widths = (source.count(FACTOR_SEP), target.count(FACTOR_SEP))
+            widths = (source.count("|"), target.count("|"))
             valid = _line_check(*widths)
         if not valid(line):
             # two valid sides that the first line's pattern rejects are ragged
-            error = _line_error(source.split(FACTOR_SEP), target.split(FACTOR_SEP))
+            error = _line_error(source.split("|"), target.split("|"))
             raise InputError(f"{where}: {error or 'ragged factor widths'}")
         out[line] = None
     scheme = SURFACE_SCHEME if widths is None else next(
@@ -233,7 +230,7 @@ def _check_factor_values(first_at: dict[str, str], scheme: FactorScheme) -> None
     if not checks:
         return
     for source, where in first_at.items():
-        factors = source.split(FACTOR_SEP)
+        factors = source.split("|")
         for i, what, values, seen in checks:
             value = factors[i]
             if value not in seen:
@@ -431,10 +428,10 @@ def strip_to_surface(dictionary: WordFormDictionary) -> WordFormDictionary:
     lines: dict[str, None] = {}
     for line in dictionary.lines:
         source, _, target = line.partition("\t")
-        surface, *factors = source.split(FACTOR_SEP)
+        surface, *factors = source.split("|")
         if verb:
             surface = english_verb_surface(surface, *factors)
         elif noun:
             surface = english_noun_surface(surface, factors[0])
-        lines[f"{surface}\t{target.partition(FACTOR_SEP)[0]}"] = None
+        lines[f"{surface}\t{target.partition('|')[0]}"] = None
     return _made(list(lines), SURFACE_SCHEME, list(dictionary.failures))

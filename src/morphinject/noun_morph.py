@@ -126,7 +126,6 @@ def load_suffix_table(path: str | None = None) -> SuffixTable:
 
 
 _I_ENDINGS = ("ii", "i")
-_LONG_ENDINGS = ("ii", "uu")
 
 
 def classify_noun(entry: NounLexEntry) -> str:
@@ -196,10 +195,10 @@ def _join(root: str, cls: str, suffix: str, ending: str) -> str:
         body = body[:-1]
     if suffix == "ओं" and cls == "E" and ending in _I_ENDINGS:
         suffix = "यों"
-    if ending in _LONG_ENDINGS:
+    if ending in sc.LONG_ENDINGS:
         body = sc.shorten_final_vowel(body)
     # the root's nasal goes after the suffix, unless the suffix has its own
-    if nasal and not sc.contains_nasal(suffix):
+    if nasal and sc.NASALS.isdisjoint(suffix):
         suffix += nasal
     return body + suffix
 

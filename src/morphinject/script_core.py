@@ -1,18 +1,22 @@
 """Devanagari text utilities: ending classes, vowel forms, canonical text.
 
 The joiners in the noun/verb modules rest on two primitives defined
-here. `ending_of` classifies a word's ending and checks it as a
-Devanagari word, naming the first bad codepoint. `tail_match` checks
-the same rule and matches the word's tail, the only part a joiner
-reads or rewrites. `split_tail`, the one head/tail split both
-paradigms call, returns (head, tail), so that they join each tail
-once, and raises `ending_of`'s error for a string that is not a word.
-`shorten_final_vowel` shortens the long final vowel of a word whose
-ending is already classified, and checks nothing. Words are kept in a
-canonical form: Unicode NFC, except that consonant+nukta pairs are
-re-composed to the precomposed letter where Unicode defines one (NFC
-itself decomposes U+0958..U+095F, which would split e.g. ड़ into two
-codepoints).
+here. `tail_match` checks a string as a Devanagari word and matches
+the word's tail, the only part a joiner reads or rewrites.
+`split_tail`, the one head/tail split both paradigms call, returns
+(head, tail), so that they join each tail once, and raises an error
+naming the first bad codepoint for a string that is not a word.
+`ending_of` classifies a word's ending by the first codepoint of that
+tail, so it checks the same rule and raises the same error. The
+character classes the joiners read (CONSONANTS, INDEPENDENT_VOWELS,
+MATRAS, NASALS) are frozensets of characters, tested by membership.
+LONG_ENDINGS, the endings whose long vowel shortens before a suffix,
+is stated here once for both joiners; `shorten_final_vowel` shortens
+that vowel in a word whose ending is already classified, and checks
+nothing. Words are kept in a canonical form: Unicode NFC, except that
+consonant+nukta pairs are re-composed to the precomposed letter where
+Unicode defines one (NFC itself decomposes U+0958..U+095F, which would
+split e.g. ड़ into two codepoints).
 
 The one token rule is here: `token_error` alone names the first
 problem of a token surface|factor|..., or of a surface-only side (words
@@ -61,20 +65,16 @@ VISARGA = "ः"
 # Nasalization marks that may trail a word's final vowel; visarga behaves
 # the same way for ending classification.
 _TRAILING_MARKS = frozenset({ANUSVARA, CHANDRABINDU, VISARGA, "ऀ"})
-_NASALS = frozenset({ANUSVARA, CHANDRABINDU})
+NASALS = frozenset({ANUSVARA, CHANDRABINDU})
 
-_CONSONANT_RANGES = (
-    (0x0915, 0x0939),  # क .. ह, ऩ ऱ ऴ among them
-    (0x0958, 0x095F),  # precomposed nukta letters क़ .. य़
-    (0x0979, 0x097F),  # rare extensions (ॹ etc.)
-)
-
-_INDEPENDENT_VOWELS = frozenset(
-    list(range(0x0904, 0x0915)) + [0x0960, 0x0961, 0x0972]
-)
-_MATRAS = frozenset(
-    list(range(0x093E, 0x094D)) + [0x094E, 0x094F, 0x0962, 0x0963]
-)
+# the character classes the joiners read
+CONSONANTS = frozenset(map(chr, (
+    *range(0x0915, 0x093A),  # क .. ह, ऩ ऱ ऴ among them
+    *range(0x0958, 0x0960),  # precomposed nukta letters क़ .. य़
+    *range(0x0979, 0x0980),  # rare extensions (ॹ etc.)
+)))
+INDEPENDENT_VOWELS = frozenset(map(chr, (*range(0x0904, 0x0915), 0x0960, 0x0961, 0x0972)))
+MATRAS = frozenset(map(chr, (*range(0x093E, 0x094D), 0x094E, 0x094F, 0x0962, 0x0963)))
 
 # consonant + nukta -> precomposed letter (the pairs Unicode defines)
 _NUKTA_COMPOSED = {
@@ -114,6 +114,9 @@ _ABOVE_LINE_MATRAS = frozenset(
     {"ि", "ी", "े", "ै", "ो", "ौ", "ॅ", "ॉ"}
 )
 
+# the endings whose long final vowel shortens before a suffix, and the
+# vowel each long one shortens to
+LONG_ENDINGS = ("ii", "uu")
 _SHORTEN = {
     "ी": "ि",
     "ू": "ु",
@@ -151,23 +154,6 @@ _ENDING_BY_CODEPOINT = {
 }
 
 
-def is_consonant(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CONSONANT_RANGES)
-
-
-def is_independent_vowel(ch: str) -> bool:
-    return ord(ch) in _INDEPENDENT_VOWELS
-
-
-def is_matra(ch: str) -> bool:
-    return ord(ch) in _MATRAS
-
-
-def is_devanagari(ch: str) -> bool:
-    return 0x0900 <= ord(ch) <= 0x097F
-
-
 def normalize(text: str) -> str:
     """Bring text to the toolkit's canonical form.
 
@@ -199,7 +185,7 @@ def _check_word(word: str) -> None:
     if not word:
         raise InputError("empty word")
     for i, ch in enumerate(word):
-        if not is_devanagari(ch):
+        if not "\u0900" <= ch <= "\u097f":
             raise InputError(f"non-Devanagari codepoint U+{ord(ch):04X} at offset {i}")
         if ch in ("।", "॥"):  # danda marks are punctuation, not word content
             raise InputError(f"punctuation {ch!r} at offset {i}")
@@ -220,8 +206,8 @@ def tail_match():
 
 def split_tail(word: str) -> tuple[str, str]:
     """(head, tail) with head + tail == word, the tail `tail_match`'s
-    group 1; a string that is not a Devanagari word raises the error
-    `ending_of` raises for it."""
+    group 1; a string that is not a Devanagari word raises an error that
+    names its first bad codepoint ("empty word" for "")."""
     match = tail_match()(word)
     if match is None:
         _check_word(word)
@@ -242,16 +228,12 @@ def ending_of(word: str) -> str:
     "ii", "i", "uu", "u", "e", "o", "consonant" or "other".
 
     Word-final nasalization and visarga are transparent: they belong to
-    the final syllable, so the vowel beneath them decides the category.
+    the final syllable, so the vowel beneath them, the first codepoint of
+    the word's tail (see `split_tail`), decides the category. A word
+    that is only those marks is "other".
     """
-    _check_word(word)
-    body, _ = strip_final_nasal(word)
-    if not body:
-        return "other"
-    last = body[-1]
-    if last in _ENDING_BY_CODEPOINT:
-        return _ENDING_BY_CODEPOINT[last]
-    return "consonant" if is_consonant(last) else "other"
+    last = split_tail(word)[1][0]
+    return _ENDING_BY_CODEPOINT.get(last) or ("consonant" if last in CONSONANTS else "other")
 
 
 def matra_form(suffix: str) -> str:
@@ -282,10 +264,6 @@ def independent_form(suffix: str) -> str:
         # (ओं keeps its anusvara: कुओं)
         rest = CHANDRABINDU + rest[1:]
     return vowel + rest
-
-
-def contains_nasal(s: str) -> bool:
-    return any(ch in _NASALS for ch in s)
 
 
 def shorten_final_vowel(body: str) -> str:

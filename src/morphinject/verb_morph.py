@@ -152,7 +152,6 @@ def _slot(tam: str, gender: str, number: str, person: str, where: str) -> tuple:
 
 
 _U_ENDINGS = ("uu", "u")
-_LONG_ENDINGS = ("ii", "uu")
 
 
 def join_verb(root: str, suffix: str | None) -> str:
@@ -177,14 +176,14 @@ def _join(root: str, suffix: str | None, ending: str) -> str:
     independently (ें -> एँ) before the vowel rules below."""
     if not suffix:
         return root
-    if not sc.is_independent_vowel(suffix[0]):
-        if not sc.is_matra(suffix[0]):
+    if suffix[0] not in sc.INDEPENDENT_VOWELS:
+        if suffix[0] not in sc.MATRAS:
             return root + suffix
         suffix = sc.independent_form(suffix)
     if ending == "consonant":
         return root + sc.matra_form(suffix)
     stem = root
-    if ending in _LONG_ENDINGS:
+    if ending in sc.LONG_ENDINGS:
         body, nasal = sc.strip_final_nasal(root)
         stem = sc.shorten_final_vowel(body) + nasal
     if suffix[0] == "आ":  # आ: glide insertion, except after u-vowels

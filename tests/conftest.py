@@ -130,7 +130,7 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     last = body[-1]
 
     if rule is RewriteRule.DROP_FINAL_VOWEL:
-        if not sc.is_matra(last):
+        if last not in sc.MATRAS:
             raise InputError(f"{word!r} does not end in a vowel sign")
         new_body = body[:-1]
     elif rule is RewriteRule.SHORTEN_FINAL_VOWEL:
@@ -140,17 +140,29 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     else:
         if sign is None:
             raise InputError("REPLACE_WITH needs a replacement sign")
-        if sc.is_matra(last):
+        if last in sc.MATRAS:
             new_body = body[:-1] + sc.matra_form(sign)
-        elif sc.is_independent_vowel(last):
+        elif last in sc.INDEPENDENT_VOWELS:
             # after another vowel the replacement is written independently
             new_body = body[:-1] + sc.independent_form(sign)
         else:
             raise InputError(f"{word!r} does not end in a vowel")
 
-    if nasal and sc.contains_nasal(new_body[len(body[:-1]):]):
+    if nasal and not sc.NASALS.isdisjoint(new_body[len(body[:-1]):]):
         nasal = ""  # replacement brought its own nasalization
     return new_body + nasal
+
+
+# --- reference: the Devanagari character classes as the inclusive
+# code-point ranges they were defined by, before they became sets ---
+
+REF_CONSONANT_RANGES = ((0x0915, 0x0939), (0x0958, 0x095F), (0x0979, 0x097F))
+REF_INDEPENDENT_VOWEL_RANGES = ((0x0904, 0x0914), (0x0960, 0x0961), (0x0972, 0x0972))
+REF_MATRA_RANGES = ((0x093E, 0x094C), (0x094E, 0x094F), (0x0962, 0x0963))
+
+
+def in_ranges(ch: str, ranges) -> bool:
+    return any(lo <= ord(ch) <= hi for lo, hi in ranges)
 
 
 # --- reference: factor values. The package keeps them as the strings

@@ -323,13 +323,20 @@ def test_inject_auto_normalize_pads_a_ragged_corpus(tmp_path, capsys):
     assert not out_src.exists() and not out_tgt.exists()
 
     code, out, err = run(capsys, *argv, "--auto-normalize")
-    assert (code, err) == (0, "")
+    # stderr counts the corpus lines the padding rewrote, per side
+    assert (code, err) == (0, "warning: --auto-normalize padded 1 source and 0 target lines\n")
     assert out_src.read_text("utf-8") == (
         "the|null|null dog|sg|dir\nbig|null|null cat|sg|dir\ndog|pl|dir\n")
     assert out_tgt.read_text("utf-8") == tgt.read_text("utf-8") + "कुत्ते|कुत्ता|ए\n"
     # normalization_applied counts the padding of dictionary entries, not
     # of the corpus: the entries already have the padded corpus's widths
     assert "entries_added: 1\n" in out and "normalization_applied: False\n" in out
+
+    # an even-width corpus is not rewritten, and no warning is printed
+    src.write_text("the|null|null dog|sg|dir\nbig|null|null cat|sg|dir\n", "utf-8")
+    code, out, err = run(capsys, *argv, "--auto-normalize")
+    assert (code, err) == (0, "")
+    assert out_src.read_text("utf-8") == src.read_text("utf-8") + "dog|pl|dir\n"
 
 
 def test_inject_empty_dict_identity(tmp_path, capsys):

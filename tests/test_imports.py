@@ -58,7 +58,9 @@ GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "Ve
         "is_noun", "is_verb", "noun_number", "noun_case", "verb_factors",
         "emit_factored_corpus", "_WORD", "line_pattern", "entry_sides",
         "default_suffix_table", "default_verb_suffix_table", "default_pronoun_table",
-        "default_case_rules", "default_tam_rules", "_attach", "_vowel_form")
+        "default_case_rules", "default_tam_rules", "_attach", "_vowel_form",
+        "is_consonant", "is_independent_vowel", "is_matra", "is_devanagari",
+        "contains_nasal", "_LONG_ENDINGS", "FACTOR_SEP")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "join_noun",
                    "load_suffix_table", "noun_paradigm"],

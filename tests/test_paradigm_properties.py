@@ -27,6 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REF_CONSONANT_RANGES,
     REF_GENDERS,
     REF_NOUN_CLASSES,
     REF_NUMBERS,
@@ -34,6 +35,7 @@ from conftest import (
     REF_TAMS,
     RewriteRule,
     VerbFactors,
+    in_ranges,
     ref_override,
     rewrite_ending,
 )
@@ -95,7 +97,7 @@ def _ref_join_noun(root, cls, suffix, table):
     else:
         stem = body
     out = stem + suffix
-    if nasal and not sc.contains_nasal(suffix):
+    if nasal and sc.NASALS.isdisjoint(suffix):
         out += nasal
     return out
 
@@ -115,8 +117,8 @@ def _ref_join_verb(root, suffix):
     if suffix is None:
         return root
     suffix = sc.normalize(suffix)
-    if not suffix or not sc.is_independent_vowel(suffix[0]):
-        if suffix and sc.is_matra(suffix[0]):
+    if not suffix or suffix[0] not in sc.INDEPENDENT_VOWELS:
+        if suffix and suffix[0] in sc.MATRAS:
             suffix = sc.independent_form(suffix)
         else:
             return root + suffix
@@ -335,9 +337,14 @@ def test_verb_paradigm_from_a_warm_memo_matches_the_reference(entries, first, se
                                         entry.hindi_root)
 
 
+# words and near-words: the Devanagari block and its neighbours, a
+# Latin letter, a space, the factor separator and a joiner
+_near_word = st.text(st.one_of(st.characters(min_codepoint=0x08F0, max_codepoint=0x0990),
+                               st.sampled_from(["x", " ", "|", "\u200d"])), max_size=6)
+
+
 @settings(deadline=None)
-@given(st.text(st.one_of(st.characters(min_codepoint=0x08F0, max_codepoint=0x0990),
-                         st.sampled_from(["x", " ", "|", "\u200d"])), max_size=6))
+@given(_near_word)
 @example("ंं")
 @example("कुत्ताँ")
 @example("")
@@ -360,3 +367,28 @@ def test_the_tail_split_accepts_exactly_the_words_ending_of_accepts(word):
         assert marks == sc.strip_final_nasal(word)[1]
         assert len(body) == 1 or body == "" and tail == word
         assert sc.ending_of(tail) == ending[1]
+
+
+def _ref_ending_of(word):
+    """ending_of as it was before it read split_tail's tail: the word
+    checked, its trailing marks stripped, and the last codepoint left
+    looked up as a vowel or in the consonant ranges."""
+    sc._check_word(word)
+    body, _ = sc.strip_final_nasal(word)
+    if not body:
+        return "other"
+    last = body[-1]
+    if last in sc._ENDING_BY_CODEPOINT:
+        return sc._ENDING_BY_CODEPOINT[last]
+    return "consonant" if in_ranges(last, REF_CONSONANT_RANGES) else "other"
+
+
+@settings(deadline=None)
+@given(_near_word)
+@example("ंं")
+@example("कुत्ताँ")
+@example("")
+def test_ending_of_matches_the_mark_stripping_reference(word):
+    """The same ending, or the same error, as the reference that strips
+    the trailing marks itself instead of sharing the tail rule."""
+    assert _outcome(sc.ending_of, word) == _outcome(_ref_ending_of, word)

@@ -2,6 +2,12 @@ import unicodedata
 
 import pytest
 
+from conftest import (
+    REF_CONSONANT_RANGES,
+    REF_INDEPENDENT_VOWEL_RANGES,
+    REF_MATRA_RANGES,
+    in_ranges,
+)
 from morphinject import script_core as sc
 from morphinject.errors import InputError
 from morphinject.noun_morph import (
@@ -35,6 +41,20 @@ def test_ending_of_examples():
         sc.ending_of("dog")
     with pytest.raises(InputError, match=r"^punctuation '।' at offset 3$"):
         sc.ending_of("रात।")
+
+
+def test_character_classes_are_their_code_point_ranges():
+    """Every code point of the Devanagari block is in a class exactly
+    when it is in one of the class's ranges, and no class holds anything
+    outside the block."""
+    block = {chr(cp) for cp in range(0x0900, 0x0980)}
+    for chars, ranges in ((sc.CONSONANTS, REF_CONSONANT_RANGES),
+                          (sc.INDEPENDENT_VOWELS, REF_INDEPENDENT_VOWEL_RANGES),
+                          (sc.MATRAS, REF_MATRA_RANGES)):
+        assert type(chars) is frozenset and chars <= block
+        for ch in sorted(block):
+            assert (ch in chars) == in_ranges(ch, ranges), f"U+{ord(ch):04X}"
+    assert sc.NASALS == {sc.ANUSVARA, sc.CHANDRABINDU}
 
 
 def test_ending_total_on_fixture_vocab(noun_fixtures, verb_form_fixtures):
