@@ -28,6 +28,18 @@ a row with one of these that is not a valid factor, and a cell whose
 form is empty, is checked field by field by `_line_error`, which names
 the first error the full-line check would.
 
+A paradigm is its root's head plus the paradigm of its tail (see
+script_core.split_tail), so a build inflects each tail once: the first
+row with a tail (and, for a noun, a gender, countability and class
+override) calls the public paradigm on the entry with the tail as its
+root and renders each paradigm row as pieces, and every row with that
+key composes its lines as English root + factors + head + joined tail +
+"|" + root + suffix, with no row tuple. A row checked field by field,
+one whose head is empty and whose tail joins to "" in some cell, and a
+verb with irregular forms take their whole paradigm and compose cell by
+cell, so a failure, its message and the entries kept before its failing
+cell are the same.
+
 With `surface=True` the builders compose each entry's surface-only line,
 the one `strip_to_surface` would make of it, and not its factored line:
 a surface-only build reports the same failed rows.
@@ -351,16 +363,38 @@ def build_noun_dict(
     table = table or load_suffix_table()
     part = sc.token_match(0)
     suffixes_valid = all(part(s) for rows in table.rows.values() for *_, s in rows if s is not None)
+    # (tail, gender, countable, class override) -> each paradigm row's line
+    # pieces, and whether the tail joins to "" in one of them
+    tails: dict[tuple, tuple[list[tuple], bool]] = {}
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, noun in enumerate(lexicon):
-        english, root = noun.english_root, noun.entry.hindi_root
+        english, entry = noun.english_root, noun.entry
+        root = entry.hindi_root
         if surface:
             plural = english_noun_surface(english, "pl")
+        check = not (suffixes_valid and part(english) and not english.startswith("#"))
         try:
-            rows = noun_paradigm(noun.entry, table)
-            check = not (suffixes_valid and part(english) and not english.startswith("#"))
-            for number, case, suffix, form in rows:
+            if not check:
+                head, tail = sc.split_tail(root)
+                key = (tail, entry.gender, entry.countable, entry.class_override)
+                pieces = tails.get(key)
+                if pieces is None:
+                    rows = noun_paradigm(entry._replace(hindi_root=tail), table)
+                    pieces = tails[key] = ([
+                        (number == "pl", form) if surface
+                        else (f"|{number}|{case}\t", form, f"|{NULL_FACTOR if s is None else s}")
+                        for number, case, s, form in rows], any(not row[3] for row in rows))
+                rendered, joins_empty = pieces
+                if head or not joins_empty:
+                    if surface:
+                        for plural_row, form in rendered:
+                            lines[f"{plural if plural_row else english}\t{head}{form}"] = None
+                    else:
+                        for number_case, form, suffix in rendered:
+                            lines[f"{english}{number_case}{head}{form}|{root}{suffix}"] = None
+                    continue
+            for number, case, suffix, form in noun_paradigm(entry, table):
                 suffix = NULL_FACTOR if suffix is None else suffix
                 if (check or not form) and (error := _line_error(
                         (english, number, case), (form, root, suffix))):
@@ -390,17 +424,38 @@ def build_verb_dict(
         _verb_exceptions()
         # each English factor tuple once, though the rows hold it once per gender
         keys = dict.fromkeys((number, person, tam) for tam, _, number, person, _ in table.rows)
+    # tail -> each paradigm row's line pieces, and whether it joins to "" in one of them
+    tails: dict[str, tuple[list[tuple], bool]] = {}
     lines: dict[str, None] = {}
     failures: list[EntryFailure] = []
     for idx, verb in enumerate(lexicon):
         english, root = verb.english_root, verb.hindi_root
+        check = not (suffixes_valid and part(english) and not english.startswith("#")
+                     and all(part(o[4]) for o in verb.irregular_forms))
+        if surface:
+            english_of = {key: english_verb_surface(english, *key) for key in keys}
         try:
-            rows = verb_paradigm(verb, table)
-            check = not (suffixes_valid and part(english) and not english.startswith("#")
-                         and all(part(o[4]) for o in verb.irregular_forms))
-            if surface:
-                english_of = {key: english_verb_surface(english, *key) for key in keys}
-            for tam, _, number, person, suffix, form in rows:
+            if not (check or verb.irregular_forms):
+                head, tail = sc.split_tail(root)
+                pieces = tails.get(tail)
+                if pieces is None:
+                    rows = verb_paradigm(verb._replace(hindi_root=tail), table)
+                    pieces = tails[tail] = ([
+                        ((number, person, tam), form) if surface
+                        else (f"|{number}|{person}|{tam}\t", form,
+                              f"|{NULL_FACTOR if s is None else s}")
+                        for tam, _, number, person, s, form in rows],
+                        any(not row[5] for row in rows))
+                rendered, joins_empty = pieces
+                if head or not joins_empty:
+                    if surface:
+                        for key, form in rendered:
+                            lines[f"{english_of[key]}\t{head}{form}"] = None
+                    else:
+                        for factors, form, suffix in rendered:
+                            lines[f"{english}{factors}{head}{form}|{root}{suffix}"] = None
+                    continue
+            for tam, _, number, person, suffix, form in verb_paradigm(verb, table):
                 suffix = NULL_FACTOR if suffix is None else suffix
                 if (check or not form) and (error := _line_error(
                         (english, number, person, tam), (form, root, suffix))):

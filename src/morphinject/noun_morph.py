@@ -16,9 +16,14 @@ script_core.split_tail splits it into head and tail, and returns
 rewrites only the tail, so the table joins a tail to a class's
 suffixes the first time it sees that (class, tail), and keeps the
 tail's ending and the joined rows; a root's surface is its head plus
-its joined tail. The public `join_noun` normalizes its inputs, checks
-the root whatever the suffix, and checks the suffix against the class's
-column; a suffix taken from the table is legal by construction. Both
+its joined tail. So a root's paradigm is its head plus the paradigm of
+the entry with its tail as root, and dictionary_builder builds on that:
+it calls `noun_paradigm` once per tail, gender, countability and class
+override, and composes each root's lines from its head. The public
+`join_noun` normalizes its inputs, checks the root whatever the suffix,
+and checks the suffix against the class's column (a suffix taken from
+the table is legal by construction); it too joins the root's tail and
+puts the head before it. Both
 take the table as an argument: `load_suffix_table` gives the packaged
 one or one from a file, and the module keeps no table of its own.
 
@@ -174,21 +179,22 @@ def join_noun(root: str, cls: str, suffix: str | None, table: SuffixTable) -> st
     """
     legal = table.legal_suffixes(cls)
     root = sc.normalize(root)
-    if suffix is None:
-        sc.ending_of(root)  # the root is checked whatever the suffix
-        return root
-    suffix = sc.normalize(suffix)
-    if suffix not in legal:
-        raise InputError(f"suffix {suffix!r} is not in the class-{cls} column")
-    return _join(root, cls, suffix, sc.ending_of(root))
+    if suffix is not None:
+        suffix = sc.normalize(suffix)
+        if suffix not in legal:
+            raise InputError(f"suffix {suffix!r} is not in the class-{cls} column")
+    head, tail = sc.split_tail(root)  # the root is checked whatever the suffix
+    return root if suffix is None else head + _join(tail, cls, suffix, sc.ending_of(tail))
 
 
-def _join(root: str, cls: str, suffix: str, ending: str) -> str:
-    """join_noun for a canonical root with this ending and a canonical,
-    legal, non-null suffix."""
+def _join(tail: str, cls: str, suffix: str, ending: str) -> str:
+    """join_noun for a canonical root tail (see script_core.split_tail)
+    with this ending and a canonical, legal, non-null suffix."""
     if ending == "consonant":
-        return root + sc.matra_form(suffix)
-    body, nasal = sc.strip_final_nasal(root)
+        return tail + sc.matra_form(suffix)
+    # the tail's letter and its trailing marks (U+0900..U+0903); a tail
+    # that is only marks has no letter
+    body, nasal = (tail[:1], tail[1:]) if tail[0] > sc.VISARGA else ("", tail)
     if cls == "D" and ending == "aa":
         # the suffix vowel replaces ा as a matra, or आ as a vowel of its own
         suffix = sc.matra_form(suffix) if body[-1] == "ा" else sc.independent_form(suffix)

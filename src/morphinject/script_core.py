@@ -62,9 +62,6 @@ ANUSVARA = "ं"
 CHANDRABINDU = "ँ"
 VISARGA = "ः"
 
-# Nasalization marks that may trail a word's final vowel; visarga behaves
-# the same way for ending classification.
-_TRAILING_MARKS = frozenset({ANUSVARA, CHANDRABINDU, VISARGA, "ऀ"})
 NASALS = frozenset({ANUSVARA, CHANDRABINDU})
 
 # the character classes the joiners read
@@ -213,14 +210,6 @@ def split_tail(word: str) -> tuple[str, str]:
         _check_word(word)
     start = match.start(1)
     return word[:start], word[start:]
-
-
-def strip_final_nasal(word: str) -> tuple[str, str]:
-    """Split off word-final nasalization/visarga marks: ('कुआ', 'ँ')."""
-    i = len(word)
-    while i > 0 and word[i - 1] in _TRAILING_MARKS:
-        i -= 1
-    return word[:i], word[i:]
 
 
 def ending_of(word: str) -> str:

@@ -17,12 +17,15 @@ normalized and checks it as script_core.split_tail splits it into head
 and tail. The joiner reads and rewrites only the tail, so the table
 joins a tail to every row's suffix the first time it sees that tail,
 and a stem's surfaces are its head plus its joined tails; only a verb
-with irregular forms looks for an override per row.
+with irregular forms looks for an override per row. So the paradigm of
+a verb without them is its head plus the paradigm of the entry with its
+tail as stem, and dictionary_builder calls `verb_paradigm` once per
+tail for those verbs and composes each stem's lines from its head.
 `verb_paradigm` takes the table as an argument: `load_verb_suffix_table`
 gives the packaged one or one from a file, and the module keeps no
 table of its own. The public `join_verb` normalizes its inputs and
 checks the stem whatever the suffix; it and the paradigm memo call one
-unchecked joiner, as the noun module's do.
+unchecked joiner on the stem's tail, as the noun module's do.
 """
 
 from __future__ import annotations
@@ -165,34 +168,35 @@ def join_verb(root: str, suffix: str | None) -> str:
     (पी + ई -> पी). The stem is checked as a Devanagari word whatever
     the suffix.
     """
-    root = sc.normalize(root)
-    return _join(root, None if suffix is None else sc.normalize(suffix), sc.ending_of(root))
+    head, tail = sc.split_tail(sc.normalize(root))
+    return head + _join(tail, None if suffix is None else sc.normalize(suffix), sc.ending_of(tail))
 
 
-def _join(root: str, suffix: str | None, ending: str) -> str:
-    """join_verb for a canonical stem with this ending and a canonical
-    suffix or None. A null, empty or consonant-initial suffix is appended
-    as it is; a matra-initial one has its first vowel written
-    independently (ें -> एँ) before the vowel rules below."""
+def _join(tail: str, suffix: str | None, ending: str) -> str:
+    """join_verb for a canonical stem tail (see script_core.split_tail)
+    with this ending and a canonical suffix or None. A null, empty or
+    consonant-initial suffix is appended as it is; a matra-initial one
+    has its first vowel written independently (ें -> एँ) before the vowel
+    rules below."""
     if not suffix:
-        return root
+        return tail
     if suffix[0] not in sc.INDEPENDENT_VOWELS:
         if suffix[0] not in sc.MATRAS:
-            return root + suffix
+            return tail + suffix
         suffix = sc.independent_form(suffix)
     if ending == "consonant":
-        return root + sc.matra_form(suffix)
-    stem = root
+        return tail + sc.matra_form(suffix)
+    stem = tail
     if ending in sc.LONG_ENDINGS:
-        body, nasal = sc.strip_final_nasal(root)
-        stem = sc.shorten_final_vowel(body) + nasal
+        # the long vowel is the tail's letter; its trailing marks stay after it
+        stem = sc.shorten_final_vowel(tail[:1]) + tail[1:]
     if suffix[0] == "आ":  # आ: glide insertion, except after u-vowels
         if ending in _U_ENDINGS:
             return stem + suffix
         return stem + "य" + sc.matra_form(suffix)
     if ending == "ii" and suffix[0] == "ई":
         # ी + ई merges: पी+ई -> पी, पी+ईं -> पीं
-        return root + suffix[1:]
+        return tail + suffix[1:]
     return stem + suffix
 
 

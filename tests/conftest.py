@@ -116,6 +116,19 @@ class RewriteRule(Enum):
     REPLACE_WITH = "replace"
 
 
+# the marks that may trail a word's final vowel: inverted candrabindu,
+# candrabindu, anusvara and visarga
+REF_TRAILING_MARKS = frozenset("\u0900\u0901\u0902\u0903")
+
+
+def ref_strip_final_nasal(word: str) -> tuple[str, str]:
+    """Split off word-final nasalization/visarga marks: ('कुआ', 'ँ')."""
+    i = len(word)
+    while i > 0 and word[i - 1] in REF_TRAILING_MARKS:
+        i -= 1
+    return word[:i], word[i:]
+
+
 def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str:
     """Apply a single deterministic rewrite to the word's ending.
 
@@ -124,7 +137,7 @@ def rewrite_ending(word: str, rule: RewriteRule, sign: str | None = None) -> str
     mark (कुआँ + ओं -> कुओं, not कुओंँ).
     """
     sc._check_word(word)
-    body, nasal = sc.strip_final_nasal(word)
+    body, nasal = ref_strip_final_nasal(word)
     if not body:
         raise InputError(f"{word!r} has no rewritable ending")
     last = body[-1]

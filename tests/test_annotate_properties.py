@@ -25,7 +25,7 @@ and the same line or error.
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -204,18 +204,19 @@ def rule_tsv(draw, facts, values):
     return "".join(f"{name}\t{draw(st.sampled_from(values))}\n" for name in names)
 
 
-@settings(max_examples=300, deadline=None)
+# every example writes its tables over those of the example before
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sentences(), st.sampled_from(["noun", "verb", "both"]), pronoun_tsv(),
        rule_tsv(CASE_FACTS, sc.CASES), rule_tsv(TAM_FACTS, sc.TAMS))
 def test_annotate_sentence_with_loaded_tables_emits_only_closed_set_factors(
-        tmp_path_factory, sentence, mode, pronouns, case_rules, tam_rules):
+        tmp_path, sentence, mode, pronouns, case_rules, tam_rules):
     # this is what lets the CLI build each factor tail without checking it
-    tmp = tmp_path_factory.mktemp("tables")
     for name, text in (("pronouns", pronouns), ("case", case_rules), ("tam", tam_rules)):
-        (tmp / name).write_text(text, "utf-8")
+        (tmp_path / name).write_text(text, "utf-8")
     annotated = annotate_sentence(sentence, mode, annotation_tables(
-        load_pronoun_table(tmp / "pronouns"), load_case_rules(tmp / "case"),
-        load_tam_rules(tmp / "tam")))
+        load_pronoun_table(tmp_path / "pronouns"), load_case_rules(tmp_path / "case"),
+        load_tam_rules(tmp_path / "tam")))
     slots = {0: (), 2: (sc.NUMBERS, sc.CASES), 3: (sc.NUMBERS, sc.PERSONS, sc.TAMS)}
     for _, factors in annotated:
         values = slots[len(factors)]

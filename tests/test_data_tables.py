@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morphinject import dictionary_builder as db
@@ -64,12 +64,15 @@ def mutated_table(draw, name):
     return "\n".join(lines)
 
 
+# every example writes its table, and the command its output, over those
+# of the example before, in one directory per table
 @pytest.mark.parametrize("name", sorted(TABLES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_table_loads_or_names_file_and_line(tmp_path_factory, name, data):
+def test_mutated_table_loads_or_names_file_and_line(tmp_path, name, data):
     text = data.draw(mutated_table(name))
-    path = tmp_path_factory.mktemp("table") / name
+    path = tmp_path / name
     path.write_text(text, "utf-8")
     load, argv = TABLES[name]
     try:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import FactoredToken, ref_entries
 from morphinject import dictionary_builder as db
+from morphinject import noun_morph, verb_morph
 from morphinject import script_core as sc
 from morphinject.dictionary_builder import (
     NOUN_SCHEME,
@@ -139,6 +140,29 @@ def test_an_exception_row_that_never_takes_effect_is_an_error_at_its_line(
             db.english_verb_surface("go", "sg", "3", "perf")
         else:
             db.english_noun_surface("child", "pl")
+
+
+@pytest.mark.parametrize("surface", [False, True], ids=["factored", "surface"])
+@pytest.mark.parametrize("build, morph, name, lexicon", [
+    (build_noun_dict, noun_morph, "noun_paradigm",
+     [BilingualNoun("dog", NounLexEntry("कुत्ता", "m")),
+      BilingualNoun("boy", NounLexEntry("लड़का", "m"))]),
+    (build_verb_dict, verb_morph, "verb_paradigm",
+     [VerbLexEntry("चल", "walk"), VerbLexEntry("निकल", "exit")]),
+], ids=["noun", "verb"])
+def test_the_builders_call_the_public_paradigm_through_its_module(
+        monkeypatch, build, morph, name, lexicon, surface):
+    # the traced benchmark times each paradigm layer by wrapping this module
+    # attribute, so a builder that stops calling it would read 0 there
+    paradigm, calls = getattr(morph, name), []
+
+    def counted(*args):
+        calls.append(args[0])
+        return paradigm(*args)
+
+    monkeypatch.setattr(morph, name, counted)
+    built = build(lexicon, surface=surface)
+    assert calls and built.lines and not built.failures
 
 
 def test_build_noun_dict_dedupe_and_failures():

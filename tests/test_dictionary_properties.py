@@ -287,9 +287,14 @@ _noun_roots = st.sampled_from([
     "कुत्ता", "लड़की", "रात", "घर", "माली", "बहू", "आलू", "माला", "कुआँ", "नदी",
     "cat", "a b", "क ख", "क|ख", "कुत्ता ",
 ])
+# roots as head + tail, so that drawn nouns share tails: an empty head, a
+# head that is not Devanagari, and a tail that is only marks among them
+_shared_tail_roots = st.tuples(st.sampled_from(["", "सु", "कुत्त", "लड़क", "x"]),
+                               st.sampled_from(["ा", "ी", "त", "ाँ", "ंं"])).map("".join)
 _noun = st.builds(
     BilingualNoun, _english,
-    st.builds(NounLexEntry, _noun_roots, st.sampled_from(REF_GENDERS), st.booleans(),
+    st.builds(NounLexEntry, st.one_of(_noun_roots, _shared_tail_roots),
+              st.sampled_from(REF_GENDERS), st.booleans(),
               st.one_of(st.none(), st.sampled_from(REF_NOUN_CLASSES))),
 )
 
@@ -307,7 +312,8 @@ def _noun_table(draw):
     return SuffixTable(cells)
 
 
-_verb_stems = st.sampled_from(["चल", "खा", "पी", "सो", "छू", "हो", "कर", "cal", "a b", "क|"])
+_verb_stems = st.sampled_from(["चल", "निकल", "xल", "खा", "पी", "सो", "छू", "हो", "कर", "cal", "a b",
+                               "क|"])
 # overrides as VerbLexEntry takes them, unchecked: parse_verb_lexicon
 # would reject the surfaces that are not words
 _override = st.tuples(
@@ -382,8 +388,32 @@ _DOG = NounLexEntry("कुत्ता", "m")  # class D
 @example([BilingualNoun("a", NounLexEntry("ा", "m"))], _noun_table_with("अ"))  # joins to ""
 @example([BilingualNoun("a b", _DOG), BilingualNoun("a", _DOG)], load_suffix_table())
 @example([BilingualNoun("#a", _DOG), BilingualNoun("a#", _DOG)], load_suffix_table())
+# a build inflects each (tail, gender, countable, class override) once:
+# two nouns of one key with other heads and English roots, one tail under
+# another gender and another override, a noun whose tail joins to "" after
+# one that shares its key (it fails at its empty cell and keeps the lines
+# before it), and a bad root between two nouns of one tail
+@example([BilingualNoun("a", NounLexEntry("सुकुत्ता", "m")), BilingualNoun("b", _DOG)],
+         load_suffix_table())
+@example([BilingualNoun("a", _DOG), BilingualNoun("b", NounLexEntry("कुत्ता", "f")),
+          BilingualNoun("c", NounLexEntry("कुत्ता", "m", True, "E"))], load_suffix_table())
+@example([BilingualNoun("a", _DOG), BilingualNoun("b", NounLexEntry("ा", "m"))],
+         _noun_table_with("अ"))
+@example([BilingualNoun("a", _DOG), BilingualNoun("b", NounLexEntry("कुत्ताx", "m")),
+          BilingualNoun("c", NounLexEntry("लड़का", "m"))], load_suffix_table())
 def test_noun_builder_matches_token_reference(lexicon, table):
     _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
+
+
+@settings(deadline=None)
+@given(st.lists(_noun, max_size=6))
+def test_noun_builds_from_one_table_twice_and_from_two_tables_match_token_reference(lexicon):
+    """Each build inflects its tails afresh: a second build with one table
+    (its joins memoized), and builds with two tables that differ in one
+    cell, each give the reference's lines and failures."""
+    table = load_suffix_table()
+    for table in (table, table, _noun_table_with("ओं"), table):
+        _same_build(build_noun_dict, lexicon, table, *_ref_build_noun(lexicon, table))
 
 
 @settings(deadline=None)
@@ -395,6 +425,10 @@ def test_noun_builder_matches_token_reference(lexicon, table):
 @example([VerbLexEntry("चल", "a")], _verb_table_with(lambda suffix: ""))
 @example([VerbLexEntry("चल", "a b"), VerbLexEntry("चल", "a")], load_verb_suffix_table())
 @example([VerbLexEntry("चल", "#"), VerbLexEntry("चल", "a#")], load_verb_suffix_table())
+# one tail under two heads, a bad stem and an override between them
+@example([VerbLexEntry("निकल", "a"), VerbLexEntry("xल", "b"),
+          VerbLexEntry("चल", "c", (("perf", None, None, None, "गया"),)), VerbLexEntry("चल", "d")],
+         load_verb_suffix_table())
 def test_verb_builder_matches_token_reference(lexicon, table):
     _same_build(build_verb_dict, lexicon, table, *_ref_build_verb(lexicon, table))
 

@@ -60,7 +60,7 @@ GONE = ("normalize_factors", "paradigm_space", "DictEntry", "FactoredToken", "Ve
         "default_suffix_table", "default_verb_suffix_table", "default_pronoun_table",
         "default_case_rules", "default_tam_rules", "_attach", "_vowel_form",
         "is_consonant", "is_independent_vowel", "is_matra", "is_devanagari",
-        "contains_nasal", "_LONG_ENDINGS", "FACTOR_SEP")
+        "contains_nasal", "_LONG_ENDINGS", "FACTOR_SEP", "strip_final_nasal", "_TRAILING_MARKS")
 EXPORTS = {
     "noun_morph": ["NounLexEntry", "SuffixTable", "classify_noun", "join_noun",
                    "load_suffix_table", "noun_paradigm"],

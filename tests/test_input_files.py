@@ -8,7 +8,7 @@ import io
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morphinject.cli import main
@@ -195,15 +195,16 @@ def input_file(draw, text: str) -> bytes:
                                   max_size=40)))
 
 
+# every example of a command writes its input, and the command its
+# outputs, over those of the example before, in one directory per command
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(deadline=None)
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_no_input_file_exits_2(tmp_path_factory, command, data):
+def test_no_input_file_exits_2(tmp_path, command, data):
     argv, text = COMMANDS[command]
-    tmp = tmp_path_factory.mktemp("fuzz")
-    path = tmp / "input"
+    path = tmp_path / "input"
     path.write_bytes(data.draw(input_file(text)))
-    argv = [str(path) if a == "F" else a.format(tmp=tmp) for a in argv]
+    argv = [str(path) if a == "F" else a.format(tmp=tmp_path) for a in argv]
     code, _, err = run(argv)
     assert code in (0, 1), err
     if code == 1:

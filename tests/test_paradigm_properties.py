@@ -37,6 +37,7 @@ from conftest import (
     VerbFactors,
     in_ranges,
     ref_override,
+    ref_strip_final_nasal,
     rewrite_ending,
 )
 from morphinject import script_core as sc
@@ -86,7 +87,7 @@ def _ref_join_noun(root, cls, suffix, table):
             suffix = "यों"
     if suffix is None:
         return root
-    body, nasal = sc.strip_final_nasal(root)
+    body, nasal = ref_strip_final_nasal(root)
     ending = sc.ending_of(root)
     if ending == "consonant":
         return root + sc.matra_form(suffix)
@@ -337,6 +338,43 @@ def test_verb_paradigm_from_a_warm_memo_matches_the_reference(entries, first, se
                                         entry.hindi_root)
 
 
+# --- a paradigm is its root's head plus its tail's paradigm: the builders
+# inflect each tail once and compose every root that ends in it ---
+
+
+def _head_plus_tail_paradigm(paradigm, entry, table):
+    """The outcome of `paradigm` composed from the root's head and the
+    paradigm of the entry with its tail as root, or the error that
+    splitting the root raises."""
+    split = _outcome(sc.split_tail, entry.hindi_root)
+    if split[0] != "ok":
+        return split
+    head, tail = split[1]
+    tail_entry = entry._replace(hindi_root=tail)
+    assert tail_entry.hindi_root == tail and sc.split_tail(tail) == ("", tail)
+    rows = _outcome(paradigm, tail_entry, table)
+    if rows[0] != "ok":
+        return rows
+    return "ok", [(*row[:-1], head + row[-1]) for row in rows[1]]
+
+
+@settings(deadline=None)
+@given(st.one_of(_noun, _warm_noun), _noun_table())
+@example(NounLexEntry("ंं", "m"), _NOUN_TABLE)
+@example(NounLexEntry("कुत्ताँ", "m", False, "D"), _NOUN_TABLE)
+def test_a_noun_paradigm_is_its_head_plus_its_tails_paradigm(entry, table):
+    assert _outcome(noun_paradigm, entry, table) == _head_plus_tail_paradigm(
+        noun_paradigm, entry, table)
+
+
+@settings(deadline=None)
+@given(st.builds(VerbLexEntry, st.one_of(_root, _shared_tail_root), st.just("go")), _verb_table())
+@example(VerbLexEntry("ंं", "go"), _VERB_TABLE)
+def test_a_verb_paradigm_without_overrides_is_its_head_plus_its_tails_paradigm(entry, table):
+    assert _outcome(verb_paradigm, entry, table) == _head_plus_tail_paradigm(
+        verb_paradigm, entry, table)
+
+
 # words and near-words: the Devanagari block and its neighbours, a
 # Latin letter, a space, the factor separator and a joiner
 _near_word = st.text(st.one_of(st.characters(min_codepoint=0x08F0, max_codepoint=0x0990),
@@ -362,9 +400,9 @@ def test_the_tail_split_accepts_exactly_the_words_ending_of_accepts(word):
     else:
         head, tail = split[1]
         assert head + tail == word and tail == match[1]
-        body, marks = sc.strip_final_nasal(tail)
+        body, marks = ref_strip_final_nasal(tail)
         assert word.endswith(tail)
-        assert marks == sc.strip_final_nasal(word)[1]
+        assert marks == ref_strip_final_nasal(word)[1]
         assert len(body) == 1 or body == "" and tail == word
         assert sc.ending_of(tail) == ending[1]
 
@@ -374,7 +412,7 @@ def _ref_ending_of(word):
     checked, its trailing marks stripped, and the last codepoint left
     looked up as a vowel or in the consonant ranges."""
     sc._check_word(word)
-    body, _ = sc.strip_final_nasal(word)
+    body, _ = ref_strip_final_nasal(word)
     if not body:
         return "other"
     last = body[-1]
